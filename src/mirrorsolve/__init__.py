@@ -38,6 +38,7 @@ from .landweber import (
     IterationLimitError,
     MaxIterStop,
     MinimalErrorStep,
+    NonFiniteResidualError,
     RunResult,
     run,
     step_bounds,

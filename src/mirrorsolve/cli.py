@@ -81,7 +81,7 @@ def _cmd_sweep(args) -> int:
         setup, cfg.rule, cfg.deltas, cfg.seeds, tau=cfg.tau, eta=cfg.eta,
         gamma=cfg.gamma, gamma_bar=cfg.gamma_bar, gamma0=cfg.gamma0,
         stopping=cfg.stopping, apriori_c=cfg.apriori_c, max_iter=cfg.max_iter,
-        out_dir=out_dir, keep_records=False)
+        cap_mode=cfg.cap_mode, out_dir=out_dir, keep_records=False)
     failed = [c for c in outcome.cells if c.failed]
     for row in outcome.table.rows:
         print(f"rule={row.rule} delta={row.delta:g} iter={row.iters:g} "
@@ -109,6 +109,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_smd(args) -> int:
     cfg = parse_config(args.config)
+    if cfg.problem != "smd_synthetic":
+        raise ValueError(f"smd needs [problem] kind = smd_synthetic, "
+                         f"got {cfg.problem!r}")
     if cfg.smd_regularizer == "entropy":
         from .regularizers import EntropySimplex
         reg = EntropySimplex()

@@ -242,7 +242,7 @@ def run_rate_sweep(setup, rule_name: str, deltas, seeds, *, tau: float = None,
                    gamma_bar: float = GAMMA_BAR_DEFAULT,
                    gamma0: float = GAMMA0_DEFAULT, stopping: str = "discrepancy",
                    apriori_c: float = 1.0, max_iter: int = None,
-                   out_dir=None, keep_records: bool = True,
+                   cap_mode: str = "min", out_dir=None, keep_records: bool = True,
                    safety_cap: int = 10 ** 6) -> SweepOutcome:
     """Run one rule over a (delta, seed) grid and aggregate medians.
 
@@ -271,7 +271,7 @@ def run_rate_sweep(setup, rule_name: str, deltas, seeds, *, tau: float = None,
             raise ValueError(f"unknown stopping {stopping!r}")
         rule = make_step_rule(rule_name, tau=tau, eta=eta, delta=delta,
                               gamma=gamma, gamma_bar=gamma_bar, gamma0=gamma0,
-                              apriori=stopping == "apriori")
+                              cap_mode=cap_mode, apriori=stopping == "apriori")
         pairs.append((delta, rule, stop))
 
     lam_track = setup.forward.linear

@@ -37,6 +37,7 @@ __all__ = [
     "IterateRecord",
     "RunResult",
     "IterationLimitError",
+    "NonFiniteResidualError",
     "step_size",
     "step_bounds",
     "run",
@@ -280,6 +281,16 @@ class IterationLimitError(RuntimeError):
         self.records = tuple(records)
 
 
+class NonFiniteResidualError(ArithmeticError):
+    """The residual norm is NaN or infinite (bad data or a diverged iterate);
+    carries the iterate index k and the partial records."""
+
+    def __init__(self, k: int, residual_norm: float, records):
+        super().__init__(f"non-finite residual norm {residual_norm} at iterate {k}")
+        self.k = k
+        self.records = tuple(records)
+
+
 def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
         rule, stop, *, xi0: GridFunction = None, x_truth: GridFunction = None,
         lambda_tracking: bool = False, safety_cap: int = 10 ** 6) -> RunResult:
@@ -289,7 +300,8 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
     stream; ``lambda_tracking`` (linear forward operators only) maintains the
     auxiliary sequence lambda_k and logs the defect
     ||xi_k - xi_0 - A* lambda_k||_L2, recomputing A* lambda_k afresh each
-    iteration so the check stays independent of the xi update.
+    iteration so the check stays independent of the xi update.  A NaN or
+    infinite residual norm raises :class:`NonFiniteResidualError` at once.
     """
     _check_consistency(rule, stop)
     if lambda_tracking and not forward.linear:
@@ -317,6 +329,8 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
     while True:
         r = forward.apply(x) - y_delta
         rn = norm_l2(r)
+        if not math.isfinite(rn):
+            raise NonFiniteResidualError(k, rn, records)
         breg = breg_to_truth(x, xi) if x_truth is not None else None
         err = reg.error_norm(x - x_truth) if x_truth is not None else None
         ldef = None

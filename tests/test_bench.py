@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -179,6 +180,18 @@ class TestRunRateSweep:
         assert all(c.failed for c in out.cells)
         assert np.isnan(out.table.rows[0].err)
 
+    def test_nonfinite_data_flags_the_cell(self):
+        import dataclasses
+        setup = setup_entropy_experiment(200)
+        values = setup.y.values.copy()
+        values[0] = np.inf
+        bad = dataclasses.replace(setup, y=GridFunction(setup.y.grid, values))
+        out = run_rate_sweep(bad, "rule2", deltas=[1e-2], seeds=[1, 2],
+                             keep_records=False, safety_cap=2000)
+        assert all(c.failed for c in out.cells)
+        assert all(c.error_message.startswith("NonFiniteResidualError: ")
+                   and "iterate 0" in c.error_message for c in out.cells)
+
     def test_fast_entropy_sweep_end_to_end(self, tmp_path):
         setup = setup_entropy_experiment(1000)
         out = run_rate_sweep(setup, "rule3", deltas=[5e-2, 5e-3], seeds=[1, 2, 3],
@@ -271,6 +284,23 @@ k_max = 300
 seeds = 1, 2
 """
 
+# rule 2 at n = 200, delta = 5e-3, seed 1 stops at k = 5257 with the default
+# min cap and at k = 294 with the max cap
+CAP_CFG = """
+[problem]
+kind = entropy_integral
+n = 200
+
+[rule]
+name = rule2
+tau = 1.01
+cap_mode = {cap_mode}
+
+[sweep]
+deltas = 5e-3
+seeds = 1
+"""
+
 
 class TestCli:
     def test_run_single_cell(self, tmp_path, capsys):
@@ -293,6 +323,19 @@ class TestCli:
             assert (outs[0] / name).exists()
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_sweep_honours_cap_mode(self, tmp_path, capsys):
+        iters = {}
+        for cap_mode in ("min", "max"):
+            cfg = tmp_path / f"{cap_mode}.cfg"
+            cfg.write_text(CAP_CFG.format(cap_mode=cap_mode))
+            for cmd in ("run", "sweep"):
+                assert cli_main([cmd, "--config", str(cfg)]) == 0
+                out = capsys.readouterr().out
+                iters[cap_mode, cmd] = int(re.search(r"\biter=(\d+)", out).group(1))
+        assert iters["max", "sweep"] == iters["max", "run"]
+        assert iters["min", "sweep"] == iters["min", "run"]
+        assert iters["max", "run"] != iters["min", "run"]
+
     def test_verify_fast(self, capsys):
         rc = cli_main(["verify", "--fast"])
         out = capsys.readouterr().out
@@ -307,6 +350,19 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "smd" / "smd_rate_1.csv").exists()
         assert "median s_k*delta_k" in capsys.readouterr().out
+
+    def test_smd_rejects_other_problem_kinds(self, tmp_path, capsys):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(ENTROPY_CFG)
+        rc = cli_main(["smd", "--config", str(cfg)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err.strip().splitlines()[-1])
+        assert payload["status"] == "error"
+        assert payload["type"] == "ValueError"
+        assert "smd_synthetic" in payload["message"]
+        assert "entropy_integral" in payload["message"]
 
     def test_error_is_machine_readable(self, tmp_path, capsys):
         rc = cli_main(["run", "--config", str(tmp_path / "missing.cfg")])

@@ -15,6 +15,7 @@ from mirrorsolve import (
     LinearIntegral,
     MaxIterStop,
     MinimalErrorStep,
+    NonFiniteResidualError,
     QuadraticBox,
     add_noise,
     norm_l2,
@@ -189,6 +190,19 @@ class TestRunLoop:
             run(setup.forward, setup.reg, yd, rule, DiscrepancyStop(1.01, delta),
                 safety_cap=5)
         assert len(exc.value.records) == 5
+
+    def test_nonfinite_data_fails_at_first_iterate(self):
+        setup = setup_entropy_experiment(200)
+        delta = 1e-3
+        values = add_noise(setup.y, delta, seed=3).values.copy()
+        values[17] = np.nan
+        yd = GridFunction(setup.y.grid, values)
+        rule = make_step_rule("rule2", tau=1.01, eta=0.0, delta=delta)
+        with pytest.raises(NonFiniteResidualError) as exc:
+            run(setup.forward, setup.reg, yd, rule, DiscrepancyStop(1.01, delta),
+                safety_cap=2000)
+        assert exc.value.k == 0
+        assert exc.value.records == ()
 
     def test_lambda_tracking_rejected_for_nonlinear(self):
         from mirrorsolve.experiments import setup_pde_experiment

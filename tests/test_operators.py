@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from mirrorsolve import (
     EllipticCoefficient,
@@ -159,6 +160,43 @@ class TestEllipticForward:
             op.apply(c)
         assert exc.value.iterations >= 1
         assert exc.value.residual > 0
+
+
+class TestEllipticPreconditioner:
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_inverts_zero_coefficient_laplacian(self, n):
+        solver = EllipticSolver(Grid.square(n))
+        lap = solver.matrix(np.zeros((n - 1) ** 2))
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            r = rng.standard_normal((n - 1) ** 2)
+            bound = 1e-12 * np.linalg.norm(r)
+            assert np.linalg.norm(lap @ solver._precond.matvec(r) - r) <= bound
+            assert np.linalg.norm(solver._precond.matvec(lap @ r) - r) <= bound
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
+    def test_cg_iterations_per_solve_do_not_grow_with_n(self, n, monkeypatch):
+        # the preconditioned spectrum lies in [1, 1 + max c / lambda_min(-Lap_h)]
+        # with max c = 1 and lambda_min ~ 2 pi^2, whatever the grid size
+        counts = {"calls": 0, "iters": 0}
+        cg = spla.cg
+
+        def counted_cg(*args, callback=None, **kwargs):
+            def cb(xk):
+                counts["iters"] += 1
+                if callback is not None:
+                    callback(xk)
+
+            counts["calls"] += 1
+            return cg(*args, callback=cb, **kwargs)
+
+        monkeypatch.setattr(spla, "cg", counted_cg)
+        setup = setup_pde_experiment(n)
+        F, c = setup.forward, setup.x_true
+        F.deriv_adjoint_apply(c, F.grid_out.ones())
+        F.deriv_apply(c, F.grid_in.ones())
+        assert counts["calls"] == 3
+        assert counts["iters"] <= 10 * counts["calls"]
 
 
 class TestEllipticDerivative:
