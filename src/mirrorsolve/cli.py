@@ -5,7 +5,7 @@ Subcommands::
     mirrorsolve run    --config cfg [--out DIR] [--delta D] [--seed S] [--fast]
     mirrorsolve sweep  --config cfg [--out DIR] [--fast]
     mirrorsolve verify [--fast]
-    mirrorsolve smd    --config cfg [--out DIR] [--seed S] [--fast]
+    mirrorsolve smd    --config cfg [--out DIR] [--seed S]
 
 Exit code 0 on success.  On failure a single machine-readable JSON line is
 printed to stderr and the exit code is nonzero.
@@ -24,13 +24,7 @@ import numpy as np
 from . import checks, experiments, smd
 from .config import ExperimentConfig, parse_config
 from .grids import add_noise
-from .landweber import (
-    APrioriStop,
-    DiscrepancyStop,
-    MaxIterStop,
-    run,
-    write_iterates_csv,
-)
+from .landweber import run, write_iterates_csv
 
 __all__ = ["main"]
 
@@ -52,12 +46,8 @@ def _cmd_run(args) -> int:
         cfg.rule, tau=cfg.tau, eta=cfg.eta, delta=delta, gamma=cfg.gamma,
         gamma_bar=cfg.gamma_bar, gamma0=cfg.gamma0, cap_mode=cfg.cap_mode,
         apriori=cfg.stopping == "apriori")
-    if cfg.stopping == "discrepancy":
-        stop = DiscrepancyStop(tau=cfg.tau, delta=delta)
-    elif cfg.stopping == "apriori":
-        stop = APrioriStop(delta=delta, c=cfg.apriori_c)
-    else:
-        stop = MaxIterStop(k_max=cfg.max_iter if cfg.max_iter is not None else 1000)
+    stop = experiments.make_stop(cfg.stopping, tau=cfg.tau, delta=delta,
+                                 c=cfg.apriori_c, k_max=cfg.max_iter)
     y_delta = add_noise(setup.y, delta, seed)
     res = run(setup.forward, setup.reg, y_delta, rule, stop,
               x_truth=setup.x_true, lambda_tracking=setup.forward.linear)
@@ -65,8 +55,8 @@ def _cmd_run(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        tag = f"{delta:g}".replace(".", "p")
-        write_iterates_csv(res.records, out / f"iterates_{tag}_{seed}.csv")
+        write_iterates_csv(
+            res.records, out / f"iterates_{experiments._delta_tag(delta)}_{seed}.csv")
     print(f"problem={cfg.problem} rule={cfg.rule} delta={delta:g} seed={seed} "
           f"stop={res.stop_reason} iter={res.k_stop} err={err:.6e} "
           f"ratio={err / math.sqrt(delta):.6f}")
@@ -174,7 +164,6 @@ def main(argv=None) -> int:
     p_smd.add_argument("--config", required=True)
     p_smd.add_argument("--out", default=None)
     p_smd.add_argument("--seed", type=int, default=None)
-    p_smd.add_argument("--fast", action="store_true")
     p_smd.set_defaults(fn=_cmd_smd)
 
     args = parser.parse_args(argv)

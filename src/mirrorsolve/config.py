@@ -25,7 +25,8 @@ a minimal file only names the problem::
 
 The ``[smd]`` section configures the stochastic study (kind smd_synthetic):
 blocks, n, regularizer (entropy | elastic), beta, gamma, alpha, k_max,
-instance_seed, lam_scale, smoothing.
+instance_seed, lam_scale, smoothing.  An unknown section or key raises
+ValueError, so a misspelt key cannot fall back to its default unnoticed.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ PROBLEM_DEFAULTS = {
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: str = "entropy_integral"
-    n: int = None                  # None -> problem default (or fast default)
+    n: int = None                  # None -> problem default
     rule: str = "rule1"
     tau: float = None
     eta: float = None
@@ -85,11 +86,12 @@ class ExperimentConfig:
                              "known analytically (entropy experiment)")
 
     def resolved(self, fast: bool = False) -> "ExperimentConfig":
-        """Fill None fields from the problem defaults (coarse grid if fast)."""
+        """Fill None fields from the problem defaults; ``fast`` sets the
+        coarse grid even where ``n`` is given."""
         d = PROBLEM_DEFAULTS[self.problem]
         return replace(
             self,
-            n=self.n if self.n is not None else (d["n_fast"] if fast else d["n"]),
+            n=d["n_fast"] if fast else (self.n if self.n is not None else d["n"]),
             tau=self.tau if self.tau is not None else d["tau"],
             eta=self.eta if self.eta is not None else d["eta"],
             deltas=tuple(self.deltas) if self.deltas is not None else d["deltas"],
@@ -104,40 +106,55 @@ def _ints(text: str) -> tuple:
     return tuple(int(v) for v in text.replace(",", " ").split())
 
 
+#: (section, key) -> (converter, ExperimentConfig field); nothing else parses
+_KEYS = {
+    ("problem", "kind"): (str, "problem"),
+    ("problem", "n"): (int, "n"),
+    ("rule", "name"): (str, "rule"),
+    ("rule", "tau"): (float, "tau"),
+    ("rule", "eta"): (float, "eta"),
+    ("rule", "gamma"): (float, "gamma"),
+    ("rule", "gamma_bar"): (float, "gamma_bar"),
+    ("rule", "gamma0"): (float, "gamma0"),
+    ("rule", "cap_mode"): (str, "cap_mode"),
+    ("stopping", "kind"): (str, "stopping"),
+    ("stopping", "c"): (float, "apriori_c"),
+    ("stopping", "k_max"): (int, "max_iter"),
+    ("sweep", "deltas"): (_floats, "deltas"),
+    ("sweep", "seeds"): (_ints, "seeds"),
+    ("smd", "blocks"): (int, "smd_blocks"),
+    ("smd", "n"): (int, "smd_n"),
+    ("smd", "regularizer"): (str, "smd_regularizer"),
+    ("smd", "beta"): (float, "smd_beta"),
+    ("smd", "gamma"): (float, "smd_gamma"),
+    ("smd", "alpha"): (float, "smd_alpha"),
+    ("smd", "k_max"): (int, "smd_k_max"),
+    ("smd", "instance_seed"): (int, "smd_instance_seed"),
+    ("smd", "lam_scale"): (float, "smd_lam_scale"),
+    ("smd", "smoothing"): (float, "smd_smoothing"),
+}
+
+
 def parse_config(path) -> ExperimentConfig:
+    """Read an INI config; an unknown section or key raises ValueError."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = cp.read(path)
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
 
+    known = {section for section, _ in _KEYS}
+    unknown = []
     kw = {}
-
-    def take(section, key, conv, dest=None):
-        if cp.has_option(section, key):
-            kw[dest or key] = conv(cp.get(section, key))
-
-    take("problem", "kind", str, "problem")
-    take("problem", "n", int)
-    take("rule", "name", str, "rule")
-    take("rule", "tau", float)
-    take("rule", "eta", float)
-    take("rule", "gamma", float)
-    take("rule", "gamma_bar", float)
-    take("rule", "gamma0", float)
-    take("rule", "cap_mode", str)
-    take("stopping", "kind", str, "stopping")
-    take("stopping", "c", float, "apriori_c")
-    take("stopping", "k_max", int, "max_iter")
-    take("sweep", "deltas", _floats)
-    take("sweep", "seeds", _ints)
-    take("smd", "blocks", int, "smd_blocks")
-    take("smd", "n", int, "smd_n")
-    take("smd", "regularizer", str, "smd_regularizer")
-    take("smd", "beta", float, "smd_beta")
-    take("smd", "gamma", float, "smd_gamma")
-    take("smd", "alpha", float, "smd_alpha")
-    take("smd", "k_max", int, "smd_k_max")
-    take("smd", "instance_seed", int, "smd_instance_seed")
-    take("smd", "lam_scale", float, "smd_lam_scale")
-    take("smd", "smoothing", float, "smd_smoothing")
+    for section in cp.sections():
+        if section not in known:
+            unknown.append(f"section [{section}]")
+            continue
+        for key, text in cp.items(section):
+            if (section, key) not in _KEYS:
+                unknown.append(f"key {key!r} in [{section}]")
+                continue
+            conv, dest = _KEYS[section, key]
+            kw[dest] = conv(text)
+    if unknown:
+        raise ValueError(f"{path}: unknown {', '.join(unknown)}")
     return ExperimentConfig(**kw)

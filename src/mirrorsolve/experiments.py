@@ -54,6 +54,7 @@ __all__ = [
     "setup_entropy_experiment",
     "setup_pde_experiment",
     "make_step_rule",
+    "make_stop",
     "RateRow",
     "RateTable",
     "CellResult",
@@ -184,6 +185,18 @@ def make_step_rule(name: str, *, tau: float, eta: float, delta: float,
     raise ValueError(f"unknown rule {name!r} (expected rule1|rule2|rule3)")
 
 
+def make_stop(kind: str, *, tau: float, delta: float, c: float, k_max: int):
+    """Build a stopping rule: ``discrepancy`` (tau, delta), ``apriori``
+    (delta, c) or ``maxiter`` (k_max, 1000 when None)."""
+    if kind == "discrepancy":
+        return DiscrepancyStop(tau=tau, delta=delta)
+    if kind == "apriori":
+        return APrioriStop(delta=delta, c=c)
+    if kind == "maxiter":
+        return MaxIterStop(k_max=k_max if k_max is not None else 1000)
+    raise ValueError(f"unknown stopping {kind!r}")
+
+
 # ---------------------------------------------------------------------------
 # rate tables
 
@@ -261,14 +274,7 @@ def run_rate_sweep(setup, rule_name: str, deltas, seeds, *, tau: float = None,
 
     pairs = []
     for delta in deltas:
-        if stopping == "discrepancy":
-            stop = DiscrepancyStop(tau=tau, delta=delta)
-        elif stopping == "apriori":
-            stop = APrioriStop(delta=delta, c=apriori_c)
-        elif stopping == "maxiter":
-            stop = MaxIterStop(k_max=max_iter if max_iter is not None else 1000)
-        else:
-            raise ValueError(f"unknown stopping {stopping!r}")
+        stop = make_stop(stopping, tau=tau, delta=delta, c=apriori_c, k_max=max_iter)
         rule = make_step_rule(rule_name, tau=tau, eta=eta, delta=delta,
                               gamma=gamma, gamma_bar=gamma_bar, gamma0=gamma0,
                               cap_mode=cap_mode, apriori=stopping == "apriori")

@@ -47,6 +47,16 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # step-size rules
+#
+# A rule's ``step(rn, gn, L)`` returns (gamma, degenerate) from the residual
+# norm, the gradient norm and a zero-argument callable for the norm bound L,
+# called only where the formula needs L; ``degenerate`` marks a vanishing
+# gradient on a branch whose formula divides by it.  ``bounds(L)`` backs
+# :func:`step_bounds`.
+
+def _cap(value: float, bar: float, mode: str) -> float:
+    return min(value, bar) if mode == "min" else max(value, bar)
+
 
 @dataclass(frozen=True)
 class ConstantStep:
@@ -57,6 +67,14 @@ class ConstantStep:
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
+
+    def step(self, rn: float, gn: float, L) -> tuple[float, bool]:
+        L = L()
+        return self.gamma / (L * L), False
+
+    def bounds(self, L: float) -> tuple[float, float]:
+        g = self.gamma / (L * L)
+        return (g, g)
 
 
 @dataclass(frozen=True)
@@ -77,6 +95,15 @@ class MinimalErrorStep:
             raise ValueError("gamma and gamma_bar must be positive")
         if self.cap_mode not in ("min", "max"):
             raise ValueError("cap_mode must be 'min' or 'max'")
+
+    def step(self, rn: float, gn: float, L) -> tuple[float, bool]:
+        if gn == 0.0:
+            return self.gamma_bar, rn > 0.0
+        raw = self.gamma * rn * rn / (gn * gn)
+        return _cap(raw, self.gamma_bar, self.cap_mode), False
+
+    def bounds(self, L: float) -> tuple[float, float]:
+        return (min(self.gamma / (L * L), self.gamma_bar), self.gamma_bar)
 
 
 @dataclass(frozen=True)
@@ -108,9 +135,21 @@ class AdaptiveStep:
         if self.cap_mode not in ("min", "max"):
             raise ValueError("cap_mode must be 'min' or 'max'")
 
+    def step(self, rn: float, gn: float, L) -> tuple[float, bool]:
+        if rn >= self.tau * self.delta and rn > 0.0:
+            if gn == 0.0:
+                return self.gamma_bar, True
+            raw = (self.gamma0
+                   * ((1.0 - self.eta) * rn - (1.0 + self.eta) * self.delta)
+                   * rn / (gn * gn))
+            return _cap(raw, self.gamma_bar, self.cap_mode), False
+        L = L()
+        return _cap(self.gamma0 * (1.0 - self.eta) / (L * L),
+                    self.gamma_bar, self.cap_mode), False
 
-def _cap(value: float, bar: float, mode: str) -> float:
-    return min(value, bar) if mode == "min" else max(value, bar)
+    def bounds(self, L: float) -> tuple[float, float]:
+        slack = 1.0 - self.eta - (1.0 + self.eta) / self.tau
+        return (min(self.gamma0 * slack / (L * L), self.gamma_bar), self.gamma_bar)
 
 
 def step_size(rule, residual_norm: float, grad_norm: float, L: float) -> float:
@@ -120,56 +159,20 @@ def step_size(rule, residual_norm: float, grad_norm: float, L: float) -> float:
     undefined; they return the cap ``gamma_bar`` (the run loop flags the
     iterate).
     """
-    gamma, _ = _step_size_impl(rule, residual_norm, grad_norm, lambda: L)
-    return gamma
-
-
-def _step_size_impl(rule, rn: float, gn: float, L_fn):
-    """Shared rule evaluation; L_fn is called only by branches that need L.
-
-    Returns (gamma, degenerate) where degenerate marks a vanishing gradient
-    on a branch whose formula divides by it.
-    """
-    if isinstance(rule, ConstantStep):
-        L = L_fn()
-        return rule.gamma / (L * L), False
-    if isinstance(rule, MinimalErrorStep):
-        if gn == 0.0:
-            return rule.gamma_bar, rn > 0.0
-        raw = rule.gamma * rn * rn / (gn * gn)
-        return _cap(raw, rule.gamma_bar, rule.cap_mode), False
-    if isinstance(rule, AdaptiveStep):
-        adaptive_branch = (rn >= rule.tau * rule.delta) and rn > 0.0
-        if adaptive_branch:
-            if gn == 0.0:
-                return rule.gamma_bar, True
-            raw = (rule.gamma0
-                   * ((1.0 - rule.eta) * rn - (1.0 + rule.eta) * rule.delta)
-                   * rn / (gn * gn))
-            return _cap(raw, rule.gamma_bar, rule.cap_mode), False
-        L = L_fn()
-        return _cap(rule.gamma0 * (1.0 - rule.eta) / (L * L),
-                    rule.gamma_bar, rule.cap_mode), False
-    raise TypeError(f"unknown step rule {type(rule).__name__}")
+    return rule.step(residual_norm, grad_norm, lambda: L)[0]
 
 
 def step_bounds(rule, L: float) -> tuple[float, float]:
     """Interval [gamma_lo, gamma_hi] containing every step the rule can emit
     (for ``cap_mode='min'``), derived from L and the rule parameters."""
-    L2 = L * L
-    if isinstance(rule, ConstantStep):
-        g = rule.gamma / L2
-        return (g, g)
-    if isinstance(rule, MinimalErrorStep):
-        return (min(rule.gamma / L2, rule.gamma_bar), rule.gamma_bar)
-    if isinstance(rule, AdaptiveStep):
-        slack = 1.0 - rule.eta - (1.0 + rule.eta) / rule.tau
-        return (min(rule.gamma0 * slack / L2, rule.gamma_bar), rule.gamma_bar)
-    raise TypeError(f"unknown step rule {type(rule).__name__}")
+    return rule.bounds(L)
 
 
 # ---------------------------------------------------------------------------
 # stopping rules
+#
+# A stop's ``reason(k, rn)`` names why iterate k with residual norm rn ends
+# the run, or returns None to go on.
 
 @dataclass(frozen=True)
 class DiscrepancyStop:
@@ -183,6 +186,9 @@ class DiscrepancyStop:
             raise ValueError("tau must exceed 1")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
+
+    def reason(self, k: int, rn: float):
+        return "discrepancy" if rn <= self.tau * self.delta else None
 
 
 @dataclass(frozen=True)
@@ -200,6 +206,9 @@ class APrioriStop:
     def k_hat(self) -> int:
         return int(math.floor(self.c / self.delta))
 
+    def reason(self, k: int, rn: float):
+        return "apriori" if k >= self.k_hat else None
+
 
 @dataclass(frozen=True)
 class MaxIterStop:
@@ -209,33 +218,16 @@ class MaxIterStop:
         if self.k_max < 0:
             raise ValueError("k_max must be nonnegative")
 
-
-def _should_stop(stop, k: int, residual_norm: float):
-    if isinstance(stop, DiscrepancyStop):
-        if residual_norm <= stop.tau * stop.delta:
-            return "discrepancy"
-    elif isinstance(stop, APrioriStop):
-        if k >= stop.k_hat:
-            return "apriori"
-    elif isinstance(stop, MaxIterStop):
-        if k >= stop.k_max:
-            return "maxiter"
-    else:
-        raise TypeError(f"unknown stopping rule {type(stop).__name__}")
-    return None
+    def reason(self, k: int, rn: float):
+        return "maxiter" if k >= self.k_max else None
 
 
 def _check_consistency(rule, stop) -> None:
     """delta / tau carried by both the rule and the stop must agree."""
-    if isinstance(rule, AdaptiveStep):
-        if isinstance(stop, DiscrepancyStop):
-            if rule.tau != stop.tau:
-                raise ValueError("rule and stopping rule disagree on tau")
-            if rule.delta != stop.delta:
-                raise ValueError("rule and stopping rule disagree on delta")
-        elif isinstance(stop, APrioriStop):
-            if rule.delta != stop.delta:
-                raise ValueError("rule and stopping rule disagree on delta")
+    for field in ("tau", "delta"):
+        mine, theirs = getattr(rule, field, None), getattr(stop, field, None)
+        if mine is not None and theirs is not None and mine != theirs:
+            raise ValueError(f"rule and stopping rule disagree on {field}")
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +329,7 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
         if lambda_tracking:
             ldef = norm_l2(xi - xi0 - forward.adjoint_apply(lam))
 
-        reason = _should_stop(stop, k, rn)
+        reason = stop.reason(k, rn)
         if reason is not None:
             records.append(IterateRecord(k, rn, None, breg, err, ldef))
             return RunResult(x, xi, k, reason, tuple(records), lam)
@@ -346,7 +338,7 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
 
         g = forward.deriv_adjoint_apply(x, r)
         gn = norm_l2(g)
-        gamma, degen = _step_size_impl(rule, rn, gn, L)
+        gamma, degen = rule.step(rn, gn, L)
         records.append(IterateRecord(k, rn, gamma, breg, err, ldef, degen))
 
         xi = GridFunction.wrap(xi.grid, xi.values - gamma * g.values)

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from mirrorsolve.experiments import (
 # below was computed independently via the covariance/variance formula
 TABLE1_RULE1 = [(5e-2, 5.0723e-2), (5e-3, 5.0405e-3), (5e-4, 4.6703e-4), (5e-5, 8.2451e-5)]
 TABLE1_RULE1_SLOPE = 0.9400155854093295
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
 
 class TestEntropySetup:
@@ -254,6 +257,29 @@ seeds = 1, 2
         with pytest.raises(FileNotFoundError):
             parse_config(tmp_path / "absent.cfg")
 
+    @pytest.mark.parametrize("problem, n, n_fast", [("entropy_integral", 5000, 1000),
+                                                    ("pde_coefficient", 64, 32)])
+    def test_fast_overrides_explicit_n(self, problem, n, n_fast):
+        cfg = ExperimentConfig(problem=problem, rule="rule2", n=n)
+        assert cfg.resolved().n == n
+        assert cfg.resolved(fast=True).n == n_fast
+
+    @pytest.mark.parametrize("text, name", [
+        ("[problem]\nkind = entropy_integral\n[rule]\ngama = 2\n", "gama"),
+        ("[problem]\nkind = entropy_integral\n[stoping]\nkind = apriori\n", "stoping"),
+    ], ids=["key", "section"])
+    def test_unknown_key_or_section_rejected(self, tmp_path, text, name):
+        p = tmp_path / "typo.cfg"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=name):
+            parse_config(p)
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_parses_and_resolves(self, path):
+        cfg = parse_config(path)
+        assert cfg.resolved().n > 0
+        assert 0 < cfg.resolved(fast=True).n <= cfg.resolved().n
+
 
 ENTROPY_CFG = """
 [problem]
@@ -363,6 +389,13 @@ class TestCli:
         assert payload["type"] == "ValueError"
         assert "smd_synthetic" in payload["message"]
         assert "entropy_integral" in payload["message"]
+
+    def test_smd_has_no_fast_flag(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(SMD_CFG)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["smd", "--config", str(cfg), "--fast"])
+        assert exc.value.code != 0
 
     def test_error_is_machine_readable(self, tmp_path, capsys):
         rc = cli_main(["run", "--config", str(tmp_path / "missing.cfg")])

@@ -220,6 +220,27 @@ class TestRunLoop:
         with pytest.raises(ValueError):
             run(setup.forward, setup.reg, setup.y, rule, DiscrepancyStop(1.01, 2e-2))
 
+    @pytest.mark.parametrize("stop, field", [
+        (DiscrepancyStop(1.05, 1e-2), "tau"),
+        (DiscrepancyStop(1.01, 2e-2), "delta"),
+        (APrioriStop(delta=2e-2), "delta"),
+    ])
+    def test_adaptive_rule_must_match_stop(self, stop, field):
+        _, op = _tiny_linear_problem()
+        rule = AdaptiveStep(gamma0=1.98, gamma_bar=600.0, tau=1.01, eta=0.0, delta=1e-2)
+        y = op.grid_out.zeros()
+        with pytest.raises(ValueError, match=f"rule and stopping rule disagree on {field}"):
+            run(op, QuadraticBox(lower=None), y, rule, stop)
+
+    @pytest.mark.parametrize("rule", [ConstantStep(gamma=0.5),
+                                      MinimalErrorStep(gamma=0.5, gamma_bar=2.0)])
+    @pytest.mark.parametrize("stop", [DiscrepancyStop(1.05, 10.0),
+                                      APrioriStop(delta=10.0), MaxIterStop(k_max=0)])
+    def test_non_adaptive_rules_accept_any_stop(self, rule, stop):
+        _, op = _tiny_linear_problem()
+        res = run(op, QuadraticBox(lower=None), op.grid_out.zeros(), rule, stop)
+        assert res.k_stop == 0
+
     def test_pair_consistency_along_run(self):
         setup = setup_entropy_experiment(300)
         delta = 1e-2
