@@ -7,7 +7,8 @@ The package is organized around five layers:
 * :mod:`mirrorsolve.regularizers` -- strongly convex regularizers with
   closed-form mirror maps, conjugates, and Bregman distances;
 * :mod:`mirrorsolve.operators` -- forward maps (integral operator, elliptic
-  coefficient-to-solution map) with derivatives and adjoints;
+  coefficient-to-solution map) with a per-iterate linearization (value,
+  derivative, adjoint);
 * :mod:`mirrorsolve.landweber` -- the dual-space gradient iteration with
   pluggable step-size and stopping rules plus diagnostics;
 * :mod:`mirrorsolve.smd` -- the stochastic block variant for systems with
@@ -41,8 +42,6 @@ from .landweber import (
     NonFiniteResidualError,
     RunResult,
     run,
-    step_bounds,
-    step_size,
     write_iterates_csv,
 )
 from .operators import (
@@ -51,6 +50,7 @@ from .operators import (
     EllipticSolver,
     ForwardOperator,
     LinearIntegral,
+    Linearization,
 )
 from .regularizers import (
     DomainError,

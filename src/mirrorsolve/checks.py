@@ -82,13 +82,14 @@ def check_adjoint_elliptic(n=16, pairs=100, seed=2):
     setup = experiments.setup_pde_experiment(n, solver_tol=1e-12)
     grid = setup.forward.grid_in
     c = GridFunction(grid, np.abs(rng.standard_normal(grid.node_count)) * 0.3)
+    lin = setup.forward.linearize(c)
     worst = 0.0
     for _ in range(pairs):
         h = GridFunction(grid, rng.standard_normal(grid.node_count))
         w = GridFunction(grid, rng.standard_normal(grid.node_count))
-        fh = setup.forward.deriv_apply(c, h)
+        fh = lin.tangent(h)
         lhs = inner(fh, w)
-        rhs = inner(h, setup.forward.deriv_adjoint_apply(c, w))
+        rhs = inner(h, lin.adjoint(w))
         worst = max(worst, abs(lhs - rhs) / max(1e-300, norm_l2(fh) * norm_l2(w)))
     return _result("adjoint/elliptic-derivative", worst <= 1e-9, f"max defect {worst:.2e}")
 
@@ -114,8 +115,8 @@ def taylor_order(n=16, eps_grid=None, seed=3, h_scale=60.0):
     h = rng.standard_normal(grid.node_count)
     h *= h_scale / np.max(np.abs(h))
     h = GridFunction(grid, h)
-    base = F.apply(c)
-    dF = F.deriv_apply(c, h)
+    base, tangent, _ = F.linearize(c)
+    dF = tangent(h)
     rems = []
     for eps in eps_grid:
         pert = F.apply(GridFunction(grid, c.values + eps * h.values))

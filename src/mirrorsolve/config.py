@@ -26,7 +26,10 @@ a minimal file only names the problem::
 The ``[smd]`` section configures the stochastic study (kind smd_synthetic):
 blocks, n, regularizer (entropy | elastic), beta, gamma, alpha, k_max,
 instance_seed, lam_scale, smoothing.  An unknown section or key raises
-ValueError, so a misspelt key cannot fall back to its default unnoticed.
+ValueError, so a misspelt key cannot fall back to its default unnoticed; so
+does a key the chosen kind never reads: ``[smd]`` for the Landweber kinds,
+and ``[problem] n``, ``[rule]``, ``[stopping]`` and ``[sweep] deltas`` for
+smd_synthetic.
 """
 
 from __future__ import annotations
@@ -135,8 +138,14 @@ _KEYS = {
 }
 
 
+#: keys every problem kind reads; of the others, smd_synthetic reads only
+#: those in [smd] and the Landweber kinds all but those
+_SHARED_KEYS = {("problem", "kind"), ("sweep", "seeds")}
+
+
 def parse_config(path) -> ExperimentConfig:
-    """Read an INI config; an unknown section or key raises ValueError."""
+    """Read an INI config; an unknown section or key, or a key the problem
+    kind does not read, raises ValueError."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = cp.read(path)
     if not read:
@@ -157,4 +166,12 @@ def parse_config(path) -> ExperimentConfig:
             kw[dest] = conv(text)
     if unknown:
         raise ValueError(f"{path}: unknown {', '.join(unknown)}")
-    return ExperimentConfig(**kw)
+
+    cfg = ExperimentConfig(**kw)
+    unused = [f"key {key!r} in [{section}]" for section in cp.sections()
+              for key in cp.options(section)
+              if (section, key) not in _SHARED_KEYS
+              and (section == "smd") != (cfg.problem == "smd_synthetic")]
+    if unused:
+        raise ValueError(f"{path}: kind {cfg.problem!r} does not read {', '.join(unused)}")
+    return cfg

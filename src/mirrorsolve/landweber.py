@@ -38,8 +38,6 @@ __all__ = [
     "RunResult",
     "IterationLimitError",
     "NonFiniteResidualError",
-    "step_size",
-    "step_bounds",
     "run",
     "write_iterates_csv",
 ]
@@ -50,9 +48,12 @@ __all__ = [
 #
 # A rule's ``step(rn, gn, L)`` returns (gamma, degenerate) from the residual
 # norm, the gradient norm and a zero-argument callable for the norm bound L,
-# called only where the formula needs L; ``degenerate`` marks a vanishing
-# gradient on a branch whose formula divides by it.  ``bounds(L)`` backs
-# :func:`step_bounds`.
+# called only where the formula needs L.  A vanishing gradient with nonzero
+# residual leaves the capped rules undefined on a branch whose formula
+# divides by it; they return the cap gamma_bar with ``degenerate`` set, and
+# the run loop flags the iterate.  ``bounds(L)`` is an interval
+# [gamma_lo, gamma_hi] containing every step the rule can emit (for
+# ``cap_mode='min'``), derived from L and the rule parameters.
 
 def _cap(value: float, bar: float, mode: str) -> float:
     return min(value, bar) if mode == "min" else max(value, bar)
@@ -150,22 +151,6 @@ class AdaptiveStep:
     def bounds(self, L: float) -> tuple[float, float]:
         slack = 1.0 - self.eta - (1.0 + self.eta) / self.tau
         return (min(self.gamma0 * slack / (L * L), self.gamma_bar), self.gamma_bar)
-
-
-def step_size(rule, residual_norm: float, grad_norm: float, L: float) -> float:
-    """Evaluate a step-size rule at the current residual/gradient norms.
-
-    A vanishing gradient with nonzero residual leaves the capped rules
-    undefined; they return the cap ``gamma_bar`` (the run loop flags the
-    iterate).
-    """
-    return rule.step(residual_norm, grad_norm, lambda: L)[0]
-
-
-def step_bounds(rule, L: float) -> tuple[float, float]:
-    """Interval [gamma_lo, gamma_hi] containing every step the rule can emit
-    (for ``cap_mode='min'``), derived from L and the rule parameters."""
-    return rule.bounds(L)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +304,8 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
     records = []
     k = 0
     while True:
-        r = forward.apply(x) - y_delta
+        lin = forward.linearize(x)
+        r = lin.value - y_delta
         rn = norm_l2(r)
         if not math.isfinite(rn):
             raise NonFiniteResidualError(k, rn, records)
@@ -336,7 +322,7 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
         if k >= safety_cap:
             raise IterationLimitError(safety_cap, records)
 
-        g = forward.deriv_adjoint_apply(x, r)
+        g = lin.adjoint(r)
         gn = norm_l2(g)
         gamma, degen = rule.step(rn, gn, L)
         records.append(IterateRecord(k, rn, gamma, breg, err, ldef, degen))

@@ -17,12 +17,18 @@ Two families are provided:
   F'(c) h = -A(c)^{-1} (h u(c)) and F'(c)* w = -u(c) A(c)^{-1} w, with
   homogeneous Dirichlet conditions on the auxiliary solves; on the interior
   of the tensor-trapezoidal grid these are exact discrete adjoints.
+
+Derivatives are reached through ``linearize(x)``, which returns a
+:class:`Linearization`: the value F(x) with the tangent h -> F'(x) h and the
+adjoint w -> F'(x)^* w at that same x.  An iteration that needs both the
+residual and the gradient at an iterate linearizes once, so the elliptic map
+solves for its state once per iterate.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +44,7 @@ from .grids import (
 
 __all__ = [
     "ForwardOperator",
+    "Linearization",
     "LinearIntegral",
     "EllipticCoefficient",
     "EllipticSolver",
@@ -45,8 +52,16 @@ __all__ = [
 ]
 
 
+class Linearization(NamedTuple):
+    """F(x) with the derivative F'(x) and its adjoint F'(x)^* at the same x."""
+
+    value: GridFunction
+    tangent: Callable[[GridFunction], GridFunction]
+    adjoint: Callable[[GridFunction], GridFunction]
+
+
 class ForwardOperator:
-    """Common surface: apply, derivative-apply, derivative-adjoint-apply."""
+    """Common surface: apply and linearize."""
 
     linear: bool = False
     grid_in: Grid
@@ -55,10 +70,7 @@ class ForwardOperator:
     def apply(self, x: GridFunction) -> GridFunction:
         raise NotImplementedError
 
-    def deriv_apply(self, x: GridFunction, h: GridFunction) -> GridFunction:
-        raise NotImplementedError
-
-    def deriv_adjoint_apply(self, x: GridFunction, w: GridFunction) -> GridFunction:
+    def linearize(self, x: GridFunction) -> Linearization:
         raise NotImplementedError
 
     def norm_bound(self) -> float:
@@ -139,11 +151,8 @@ class LinearIntegral(ForwardOperator):
             return GridFunction.wrap(self.grid_in, out)
         return self._dense.adjoint_apply(w)
 
-    def deriv_apply(self, x: GridFunction, h: GridFunction) -> GridFunction:
-        return self.apply(h)
-
-    def deriv_adjoint_apply(self, x: GridFunction, w: GridFunction) -> GridFunction:
-        return self.adjoint_apply(w)
+    def linearize(self, x: GridFunction) -> Linearization:
+        return Linearization(self.apply(x), self.apply, self.adjoint_apply)
 
     def norm_bound(self) -> float:
         if self._analytic_bound is not None:
@@ -171,7 +180,8 @@ class EllipticSolver:
 
     Assembles the interior-node Laplacian once; each solve adds diag(c) and
     runs CG until the algebraic residual drops below ``tol * ||rhs||`` (atol
-    0).  ``max_iter`` defaults to 10 n^2.
+    0).  ``max_iter`` None leaves SciPy's default cap, 10 times the system
+    size (n-1)^2.
 
     The preconditioner is the exact inverse of the c = 0 Laplacian, applied
     by fast diagonalization (Concus & Golub, SIAM J. Numer. Anal. 10, 1973):
@@ -195,8 +205,6 @@ class EllipticSolver:
         n = self.grid.n
         if n < 2:
             raise ValueError("square grid must have n >= 2 for interior nodes")
-        if self.max_iter is None:
-            self.max_iter = 10 * n * n
         h = self.grid.h
         ni = n - 1
         I = sp.eye(ni, format="csr")
@@ -246,10 +254,9 @@ class EllipticCoefficient(ForwardOperator):
     mirror map before every call); mildly negative values are tolerated as
     long as the shifted operator stays positive definite.
 
-    The factorization state (matrix, solution) for the most recent c is
-    cached so residual and gradient evaluations at the same iterate share
-    one assembly; the cache is a single slot guarded by a lock, and a miss
-    only costs recomputation.
+    ``linearize(c)`` assembles A(c) and solves for the state u(c) once; its
+    tangent and adjoint close over that (A, u), so each costs one more solve
+    and nothing is kept on the operator between calls.
     """
 
     linear = False
@@ -273,8 +280,6 @@ class EllipticCoefficient(ForwardOperator):
         lift[-1, :] += gv[-1, 1:-1]
         self._g_lift = lift.ravel() / grid.h ** 2
         self._f_int = f.values.reshape(self._shape)[1:-1, 1:-1].ravel()
-        self._state_lock = threading.Lock()
-        self._state = None  # (c_bytes, matrix, u_full_values)
         self._norm_cache = None
 
     def _interior(self, u: GridFunction) -> np.ndarray:
@@ -286,51 +291,33 @@ class EllipticCoefficient(ForwardOperator):
         full[1:-1, 1:-1] = interior.reshape(m - 2, m - 2)
         return full.ravel()
 
-    def _solve_state(self, c: GridFunction):
-        key = c.values.tobytes()
-        with self._state_lock:
-            state = self._state
-        if state is not None and state[0] == key:
-            return state[1], state[2]
-        A = self.solver.matrix(self._interior(c))
-        u_int = self.solver.solve(A, self._f_int + self._g_lift)
-        u_full = self._embed(u_int, boundary=self.g)
-        with self._state_lock:
-            self._state = (key, A, u_full)
-        return A, u_full
-
     def apply(self, c: GridFunction) -> GridFunction:
+        return self.linearize(c).value
+
+    def linearize(self, c: GridFunction) -> Linearization:
         if c.grid != self.grid_in:
             raise GridMismatchError("coefficient grid mismatch")
-        _, u_full = self._solve_state(c)
-        return GridFunction.wrap(self.grid_out, u_full)
+        A = self.solver.matrix(self._interior(c))
+        u_full = self._embed(self.solver.solve(A, self._f_int + self._g_lift),
+                             boundary=self.g)
 
-    def deriv_apply(self, c: GridFunction, h: GridFunction) -> GridFunction:
-        c.same_grid(h)
-        A, u_full = self._solve_state(c)
-        rhs = -(h.values * u_full).reshape(self._shape)[1:-1, 1:-1].ravel()
-        v_int = self.solver.solve(A, rhs)
-        return GridFunction.wrap(self.grid_out, self._embed(v_int))
+        def tangent(h: GridFunction) -> GridFunction:
+            c.same_grid(h)
+            rhs = -(h.values * u_full).reshape(self._shape)[1:-1, 1:-1].ravel()
+            v_int = self.solver.solve(A, rhs)
+            return GridFunction.wrap(self.grid_out, self._embed(v_int))
 
-    def deriv_adjoint_apply(self, c: GridFunction, w: GridFunction) -> GridFunction:
-        if w.grid != self.grid_out:
-            raise GridMismatchError("output grid mismatch")
-        A, u_full = self._solve_state(c)
-        z_int = self.solver.solve(A, self._interior(w))
-        return GridFunction.wrap(self.grid_in, -u_full * self._embed(z_int))
+        def adjoint(w: GridFunction) -> GridFunction:
+            if w.grid != self.grid_out:
+                raise GridMismatchError("output grid mismatch")
+            z_int = self.solver.solve(A, self._interior(w))
+            return GridFunction.wrap(self.grid_in, -u_full * self._embed(z_int))
 
-    def norm_bound(self, at: GridFunction = None) -> float:
-        """Power-iteration estimate of ||F'(c)|| (default c = 0)."""
-        if at is None:
-            if self._norm_cache is not None:
-                return self._norm_cache
-            at = self.grid_in.zeros()
-            self._norm_cache = power_iteration_norm(
-                lambda h: self.deriv_apply(at, h),
-                lambda w: self.deriv_adjoint_apply(at, w),
-                self.grid_in)
-            return self._norm_cache
-        return power_iteration_norm(
-            lambda h: self.deriv_apply(at, h),
-            lambda w: self.deriv_adjoint_apply(at, w),
-            self.grid_in)
+        return Linearization(GridFunction.wrap(self.grid_out, u_full), tangent, adjoint)
+
+    def norm_bound(self) -> float:
+        """Power-iteration estimate of ||F'(0)||, computed once."""
+        if self._norm_cache is None:
+            lin = self.linearize(self.grid_in.zeros())
+            self._norm_cache = power_iteration_norm(lin.tangent, lin.adjoint, self.grid_in)
+        return self._norm_cache

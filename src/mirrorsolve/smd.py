@@ -16,11 +16,13 @@ every trajectory is a reproducible artifact of its seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import Grid, GridFunction, GridMismatchError, norm_l2
+from .landweber import NonFiniteResidualError
 from .operators import LinearIntegral
 from .regularizers import Regularizer
 
@@ -148,8 +150,9 @@ def smd_step(state, prob: SystemProblem, reg: Regularizer, sched, k: int, rng):
     i = int(rng.integers(prob.n_blocks))
     gamma = sched.at(k)
     op, y = prob.operators[i], prob.data[i]
-    r = op.apply(x) - y
-    g = op.deriv_adjoint_apply(x, r)
+    lin = op.linearize(x)
+    r = lin.value - y
+    g = lin.adjoint(r)
     xi_new = GridFunction.wrap(xi.grid, xi.values - gamma * g.values)
     x_new = reg.mirror_map(xi_new)
     rec = SmdRecord(k=k, i_k=i, gamma_k=gamma, block_residual=norm_l2(r))
@@ -165,6 +168,8 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
     the first step.  With ``x_truth`` supplied, each record carries the
     Bregman distance Delta_k and (through ``s_delta``) the rate product
     s_k * Delta_k, where s_k is the inclusive partial sum of the schedule.
+    A NaN or infinite block residual norm raises
+    :class:`~mirrorsolve.landweber.NonFiniteResidualError` at once.
     """
     validate_schedule(sched, prob.norm_bound(), sigma=reg.sigma, eta=eta)
     rng = np.random.default_rng(seed)
@@ -183,6 +188,8 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
             records.append(SmdRecord(k=k, s_k=s_k, delta_k=delta))
             break
         x, xi, rec = smd_step((x, xi), prob, reg, sched, k, rng)
+        if not math.isfinite(rec.block_residual):
+            raise NonFiniteResidualError(k, rec.block_residual, records)
         records.append(SmdRecord(k=k, i_k=rec.i_k, gamma_k=rec.gamma_k, s_k=s_k,
                                  delta_k=delta, block_residual=rec.block_residual))
         s = s_k

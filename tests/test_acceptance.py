@@ -87,10 +87,11 @@ def _interior_bump_pde_setup(n):
     lam = np.zeros(grid.node_count)
     lam[interior] = solver.matrix(c_in) @ (-c_in / u_true.values[interior])
     lam_true = GridFunction(grid, lam)
-    defect = norm_l2(forward.deriv_adjoint_apply(c_true, lam_true) - c_true)
+    lin = forward.linearize(c_true)
+    defect = norm_l2(lin.adjoint(lam_true) - c_true)
     assert defect <= 1e-9, f"source condition defect {defect:.2e} > 1e-9"
 
-    return PdeSetup(forward, QuadraticBox(lower=0.0), c_true, forward.apply(c_true),
+    return PdeSetup(forward, QuadraticBox(lower=0.0), c_true, lin.value,
                     eta=0.04, tau_default=1.1)
 
 

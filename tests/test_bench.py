@@ -274,6 +274,22 @@ seeds = 1, 2
         with pytest.raises(ValueError, match=name):
             parse_config(p)
 
+    @pytest.mark.parametrize("text, names", [
+        ("[problem]\nkind = smd_synthetic\nn = 999\n[rule]\nname = rule3\n"
+         "[stopping]\nkind = apriori\n[sweep]\ndeltas = 1e-3\n",
+         ("'n' in [problem]", "'name' in [rule]", "'kind' in [stopping]",
+          "'deltas' in [sweep]")),
+        ("[problem]\nkind = pde_coefficient\n[rule]\nname = rule2\n[smd]\ngamma = 1.5\n",
+         ("'gamma' in [smd]",)),
+    ], ids=["smd", "pde"])
+    def test_keys_the_kind_does_not_read_rejected(self, tmp_path, text, names):
+        p = tmp_path / "unused.cfg"
+        p.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            parse_config(p)
+        for name in names:
+            assert name in str(exc.value)
+
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
     def test_shipped_config_parses_and_resolves(self, path):
         cfg = parse_config(path)
@@ -389,6 +405,16 @@ class TestCli:
         assert payload["type"] == "ValueError"
         assert "smd_synthetic" in payload["message"]
         assert "entropy_integral" in payload["message"]
+
+    def test_smd_nonfinite_data_fails(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(SMD_CFG.replace("k_max = 300", "k_max = 300\nlam_scale = nan"))
+        rc = cli_main(["smd", "--config", str(cfg)])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["status"] == "error"
+        assert payload["type"] == "NonFiniteResidualError"
+        assert "iterate 0" in payload["message"]
 
     def test_smd_has_no_fast_flag(self, tmp_path):
         cfg = tmp_path / "s.cfg"

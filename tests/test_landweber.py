@@ -20,8 +20,6 @@ from mirrorsolve import (
     add_noise,
     norm_l2,
     run,
-    step_bounds,
-    step_size,
     write_iterates_csv,
 )
 from mirrorsolve.experiments import make_step_rule, setup_entropy_experiment
@@ -34,42 +32,42 @@ class TestStepSize:
         gamma = 1.98 * (1.0 - 1.0 / tau)
         rule = ConstantStep(gamma=gamma)
         L = math.sqrt(19.0 / 3.0)
-        assert step_size(rule, 1.0, 1.0, L) == pytest.approx(3.0954e-3, abs=1e-7)
+        assert rule.step(1.0, 1.0, lambda: L)[0] == pytest.approx(3.0954e-3, abs=1e-7)
 
     def test_rule2_cap_binds_at_equality(self):
         rule = MinimalErrorStep(gamma=0.02, gamma_bar=7.0)
         rn = 1.0
         gn = math.sqrt(rule.gamma * rn * rn / rule.gamma_bar)
-        assert step_size(rule, rn, gn, 1.0) == rule.gamma_bar
+        assert rule.step(rn, gn, lambda: 1.0)[0] == rule.gamma_bar
 
     def test_rule3_at_discrepancy_boundary(self):
         # residual exactly tau*delta with eta=0 reduces to
         # gamma0 (tau-1) tau delta^2 / grad^2 = 1.98 * 0.1 * 1.1 = 0.2178
         rule = AdaptiveStep(gamma0=1.98, gamma_bar=600.0, tau=1.1, eta=0.0, delta=1.0)
-        assert step_size(rule, 1.1, 1.0, 1.0) == pytest.approx(0.2178, abs=1e-12)
+        assert rule.step(1.1, 1.0, lambda: 1.0)[0] == pytest.approx(0.2178, abs=1e-12)
 
     def test_rule3_fallback_below_discrepancy(self):
         rule = AdaptiveStep(gamma0=1.98, gamma_bar=600.0, tau=1.1, eta=0.0, delta=1.0)
         L = 2.0
-        assert step_size(rule, 0.5, 1.0, L) == pytest.approx(1.98 / 4.0)
+        assert rule.step(0.5, 1.0, lambda: L)[0] == pytest.approx(1.98 / 4.0)
 
     def test_degenerate_gradient_returns_cap(self):
         rule = MinimalErrorStep(gamma=0.02, gamma_bar=11.0)
-        assert step_size(rule, 1.0, 0.0, 1.0) == 11.0
+        assert rule.step(1.0, 0.0, lambda: 1.0)[0] == 11.0
         rule3 = AdaptiveStep(gamma0=1.98, gamma_bar=13.0, tau=1.1, eta=0.0, delta=1e-3)
-        assert step_size(rule3, 1.0, 0.0, 1.0) == 13.0
+        assert rule3.step(1.0, 0.0, lambda: 1.0)[0] == 13.0
 
     def test_cap_mode_max_replicates_uncapped_variant(self):
         rule = MinimalErrorStep(gamma=0.02, gamma_bar=600.0, cap_mode="max")
-        assert step_size(rule, 1.0, 1.0, 1.0) == 600.0
+        assert rule.step(1.0, 1.0, lambda: 1.0)[0] == 600.0
 
     def test_bounds_per_rule(self):
         L = 2.0
-        assert step_bounds(ConstantStep(0.5), L) == (0.125, 0.125)
-        lo, hi = step_bounds(MinimalErrorStep(gamma=0.5, gamma_bar=3.0), L)
+        assert ConstantStep(0.5).bounds(L) == (0.125, 0.125)
+        lo, hi = MinimalErrorStep(gamma=0.5, gamma_bar=3.0).bounds(L)
         assert (lo, hi) == (0.125, 3.0)
         rule3 = AdaptiveStep(gamma0=1.98, gamma_bar=3.0, tau=1.1, eta=0.0, delta=1.0)
-        lo, hi = step_bounds(rule3, L)
+        lo, hi = rule3.bounds(L)
         assert hi == 3.0
         assert lo == pytest.approx(1.98 * (1.0 - 1.0 / 1.1) / 4.0)
 
@@ -281,7 +279,7 @@ class TestRunLoop:
         for rule_name in ("rule1", "rule2", "rule3"):
             rule = make_step_rule(rule_name, tau=1.01, eta=0.0, delta=delta)
             res = run(setup.forward, setup.reg, yd, rule, DiscrepancyStop(1.01, delta))
-            lo, hi = step_bounds(rule, setup.forward.norm_bound())
+            lo, hi = rule.bounds(setup.forward.norm_bound())
             steps = [r.step for r in res.records if r.step is not None]
             assert all(lo * (1 - 1e-12) <= s <= hi * (1 + 1e-12) for s in steps)
 
@@ -296,7 +294,7 @@ class TestRunLoop:
         for rule_name in ("rule2", "rule3"):
             rule = make_step_rule(rule_name, tau=1.1, eta=0.04, delta=delta)
             res = run(setup.forward, setup.reg, yd, rule, DiscrepancyStop(1.1, delta))
-            lo, hi = step_bounds(rule, L)
+            lo, hi = rule.bounds(L)
             steps = [r.step for r in res.records if r.step is not None]
             assert all(lo * (1 - 1e-9) <= s <= hi * (1 + 1e-9) for s in steps)
 

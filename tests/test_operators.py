@@ -10,9 +10,11 @@ from mirrorsolve import (
     GridFunction,
     GridMismatchError,
     LinearIntegral,
+    MaxIterStop,
     inner,
     norm_l2,
     power_iteration_norm,
+    run,
 )
 from mirrorsolve.checks import (
     check_adjoint_elliptic,
@@ -20,7 +22,7 @@ from mirrorsolve.checks import (
     check_taylor_elliptic,
     taylor_order,
 )
-from mirrorsolve.experiments import setup_pde_experiment
+from mirrorsolve.experiments import make_step_rule, setup_pde_experiment
 
 
 class TestLinearIntegral:
@@ -53,12 +55,15 @@ class TestLinearIntegral:
         op = LinearIntegral.from_matrix(rng.standard_normal((51, 51)), g)
         x = GridFunction(g, rng.standard_normal(51))
         h = GridFunction(g, rng.standard_normal(51))
-        assert np.array_equal(op.deriv_apply(x, h).values, op.apply(h).values)
+        lin = op.linearize(x)
+        assert np.array_equal(lin.value.values, op.apply(x).values)
+        assert np.array_equal(lin.tangent(h).values, op.apply(h).values)
+        assert np.array_equal(lin.adjoint(h).values, op.adjoint_apply(h).values)
 
     def test_zero_direction(self):
         g = Grid.interval(30)
         op = LinearIntegral(g, kernel=lambda t, s: np.cos(t * s))
-        out = op.deriv_apply(g.ones(), g.zeros())
+        out = op.linearize(g.ones()).tangent(g.zeros())
         assert np.all(out.values == 0.0)
 
     def test_analytic_norm_bound_passthrough(self):
@@ -139,9 +144,9 @@ class TestEllipticForward:
     def test_zero_direction_and_zero_dual(self):
         setup = setup_pde_experiment(16)
         grid = setup.forward.grid_in
-        c = setup.x_true
-        assert np.all(setup.forward.deriv_apply(c, grid.zeros()).values == 0.0)
-        out = setup.forward.deriv_adjoint_apply(c, grid.zeros())
+        lin = setup.forward.linearize(setup.x_true)
+        assert np.all(lin.tangent(grid.zeros()).values == 0.0)
+        out = lin.adjoint(grid.zeros())
         assert np.all(out.values == 0.0)
 
     def test_grid_mismatch_rejected(self):
@@ -190,11 +195,12 @@ class TestEllipticPreconditioner:
             counts["calls"] += 1
             return cg(*args, callback=cb, **kwargs)
 
-        monkeypatch.setattr(spla, "cg", counted_cg)
         setup = setup_pde_experiment(n)
+        monkeypatch.setattr(spla, "cg", counted_cg)
         F, c = setup.forward, setup.x_true
-        F.deriv_adjoint_apply(c, F.grid_out.ones())
-        F.deriv_apply(c, F.grid_in.ones())
+        lin = F.linearize(c)
+        lin.adjoint(F.grid_out.ones())
+        lin.tangent(F.grid_in.ones())
         assert counts["calls"] == 3
         assert counts["iters"] <= 10 * counts["calls"]
 
@@ -225,31 +231,42 @@ class TestEllipticDerivative:
             p2 = rng.standard_normal(grid.node_count)
             c1 = GridFunction(grid, setup.x_true.values + 0.1 * p1 / norm_l2(GridFunction(grid, p1)))
             c2 = GridFunction(grid, setup.x_true.values + 0.1 * p2 / norm_l2(GridFunction(grid, p2)))
-            lhs = norm_l2(F.apply(c1) - F.apply(c2) - F.deriv_apply(c2, c1 - c2))
-            rhs = norm_l2(F.apply(c1) - F.apply(c2))
+            F2, dF2, _ = F.linearize(c2)
+            lhs = norm_l2(F.apply(c1) - F2 - dF2(c1 - c2))
+            rhs = norm_l2(F.apply(c1) - F2)
             assert lhs <= 0.1 * rhs
 
     def test_norm_bound_positive_and_restart_stable(self):
         setup = setup_pde_experiment(16)
         F = setup.forward
-        c0 = F.grid_in.zeros()
-        e1 = power_iteration_norm(lambda h: F.deriv_apply(c0, h),
-                                  lambda w: F.deriv_adjoint_apply(c0, w),
-                                  F.grid_in, seed=0)
-        e2 = power_iteration_norm(lambda h: F.deriv_apply(c0, h),
-                                  lambda w: F.deriv_adjoint_apply(c0, w),
-                                  F.grid_in, seed=17)
+        lin = F.linearize(F.grid_in.zeros())
+        e1 = power_iteration_norm(lin.tangent, lin.adjoint, F.grid_in, seed=0)
+        e2 = power_iteration_norm(lin.tangent, lin.adjoint, F.grid_in, seed=17)
         assert e1 > 0
         assert abs(e1 - e2) <= 1e-6 * e1
         assert F.norm_bound() == pytest.approx(e1, rel=1e-8)
 
-    def test_state_cache_reuses_solution(self):
+    def test_one_state_solve_per_iterate(self, monkeypatch):
+        # each iterate linearizes once: one state solve plus one adjoint
+        # solve per step, and one state solve at the terminal iterate
         setup = setup_pde_experiment(16)
         F = setup.forward
         c = setup.x_true
         u1 = F.apply(c)
         u2 = F.apply(c)
         assert np.array_equal(u1.values, u2.values)
-        # a different coefficient must invalidate the cache
         u3 = F.apply(F.grid_in.zeros())
         assert not np.array_equal(u1.values, u3.values)
+
+        calls = [0]
+        cg = spla.cg
+
+        def counted_cg(*args, **kwargs):
+            calls[0] += 1
+            return cg(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "cg", counted_cg)
+        rule = make_step_rule("rule2", tau=1.1, eta=0.04, delta=1e-4)
+        res = run(F, setup.reg, setup.y, rule, MaxIterStop(k_max=5))
+        assert res.k_stop == 5
+        assert calls[0] == 2 * res.k_stop + 1

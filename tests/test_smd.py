@@ -10,6 +10,7 @@ from mirrorsolve import (
     GridFunction,
     LinearIntegral,
     MaxIterStop,
+    NonFiniteResidualError,
     PolynomialSchedule,
     SystemProblem,
     build_sourced_instance,
@@ -190,6 +191,28 @@ class TestSmdRun:
         expect = len(picks) / 4.0
         sigma = np.sqrt(len(picks) * 0.25 * 0.75)
         assert np.all(np.abs(counts - expect) <= 3.0 * sigma)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 12345])
+    def test_index_stream_matches_one_batched_draw(self, seed):
+        # the per-step scalar draws equal one vectorized draw of all k_max
+        # indices from the same seed
+        reg = EntropySimplex()
+        inst = build_sourced_instance(4, 10, reg, seed=7)
+        k_max = 2000
+        sr = smd_run(inst.problem, reg, ConstantSchedule(1.5), k_max, seed=seed)
+        picks = [r.i_k for r in sr.records[:-1]]
+        assert picks == np.random.default_rng(seed).integers(4, size=k_max).tolist()
+
+    def test_nonfinite_data_fails_at_first_step(self):
+        reg = EntropySimplex()
+        inst = build_sourced_instance(3, 20, reg, seed=5)
+        nan_data = tuple(GridFunction(y.grid, np.full(y.grid.node_count, np.nan))
+                         for y in inst.problem.data)
+        prob = SystemProblem(inst.problem.operators, nan_data)
+        with pytest.raises(NonFiniteResidualError) as exc:
+            smd_run(prob, reg, ConstantSchedule(1.0), 10_000, seed=1, x_truth=inst.x_true)
+        assert exc.value.k == 0
+        assert exc.value.records == ()
 
     def test_determinism_per_seed(self):
         reg = ElasticNet(beta=0.3)
