@@ -2,8 +2,8 @@
 
 The package is organized around five layers:
 
-* :mod:`mirrorsolve.grids` -- quadrature-weighted grid functions and dense
-  integral operators with exact discrete adjoints;
+* :mod:`mirrorsolve.grids` -- uniform grids and quadrature-weighted grid
+  functions, inner products and norms;
 * :mod:`mirrorsolve.regularizers` -- strongly convex regularizers with
   closed-form mirror maps, conjugates, and Bregman distances;
 * :mod:`mirrorsolve.operators` -- forward maps (integral operator, elliptic
@@ -19,7 +19,6 @@ reproducible rate benchmarks.
 """
 
 from .grids import (
-    DenseOperator,
     Grid,
     GridFunction,
     GridMismatchError,

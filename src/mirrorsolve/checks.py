@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (
-    DenseOperator,
     Grid,
     GridFunction,
     inner,
     norm_l2,
 )
+from .operators import LinearIntegral
 from .regularizers import ElasticNet, EntropySimplex, QuadraticBox
 from . import experiments
 
@@ -48,8 +48,8 @@ def check_adjoint_dense(n=120, pairs=100, seed=0):
     """|<Ax,w> - <x,A*w>| <= 1e-10 ||x|| ||w|| ||A|| for a random dense kernel."""
     rng = np.random.default_rng(seed)
     grid = Grid.interval(n)
-    op = DenseOperator(rng.standard_normal((n + 1, n + 1)), grid, grid)
-    na = op.norm_estimate()
+    op = LinearIntegral.from_matrix(rng.standard_normal((n + 1, n + 1)), grid)
+    na = op.norm_bound()
     worst = 0.0
     for _ in range(pairs):
         x = GridFunction(grid, rng.standard_normal(n + 1))

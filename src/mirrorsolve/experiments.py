@@ -97,15 +97,13 @@ class PdeSetup:
     tau_default: float
 
 
-def setup_entropy_experiment(n: int, *, dense: bool = False) -> EntropySetup:
+def setup_entropy_experiment(n: int) -> EntropySetup:
     """Integral-equation benchmark on n subintervals (n >= 100).
 
     The kernel 1 + t + s factors as 1*(1+s) + t*1, so the operator is applied
-    through its two moments by default; ``dense=True`` materializes the full
-    kernel matrix instead (identical up to rounding, ~200 MB at n = 5000).
-    The discretized density is renormalized to exact unit quadrature mass so
-    it lies inside the entropy domain on every grid; the adjustment is below
-    1e-9 relative at n = 5000.
+    through its two moments.  The discretized density is renormalized to
+    exact unit quadrature mass so it lies inside the entropy domain on every
+    grid; the adjustment is below 1e-9 relative at n = 5000.
     """
     if n < 100:
         raise ValueError("entropy experiment needs n >= 100")
@@ -115,16 +113,11 @@ def setup_entropy_experiment(n: int, *, dense: bool = False) -> EntropySetup:
     raw /= np.sum(grid.weights * raw)
     x_true = GridFunction(grid, raw)
 
-    L = math.sqrt(19.0 / 3.0)
-    if dense:
-        forward = LinearIntegral(grid, kernel=lambda tt, ss: 1.0 + tt + ss,
-                                 analytic_norm_bound=L)
-    else:
-        forward = LinearIntegral(
-            grid,
-            factors=[(lambda tt: np.ones_like(tt), lambda ss: 1.0 + ss),
-                     (lambda tt: tt, lambda ss: np.ones_like(ss))],
-            analytic_norm_bound=L)
+    forward = LinearIntegral(
+        grid,
+        factors=[(lambda tt: np.ones_like(tt), lambda ss: 1.0 + ss),
+                 (lambda tt: tt, lambda ss: np.ones_like(ss))],
+        analytic_norm_bound=math.sqrt(19.0 / 3.0))
     reg = EntropySimplex()
     y = forward.apply(x_true)
     lam_true = GridFunction(grid, np.full(grid.node_count, ENTROPY_A))

@@ -1,4 +1,4 @@
-"""Uniform grids, quadrature-weighted functions, and dense integral operators.
+"""Uniform grids and quadrature-weighted grid functions.
 
 Everything downstream (regularizers, forward maps, solvers) lives on the two
 grid kinds provided here: the unit interval split into ``n`` subintervals and
@@ -6,10 +6,16 @@ the unit square split into ``n x n`` cells.  Inner products and norms are
 discretized with the (tensor) trapezoidal rule, and adjoints of discrete
 operators are exact adjoints with respect to those weighted inner products,
 so adjoint-consistency checks hold to rounding rather than to O(h).
+
+The pairings and norms reduce with the ndarray methods (``a.sum()``,
+``a.max()``): the same ``np.add.reduce`` in the same pairwise order as
+``np.sum``, without its Python-level dispatch, which dominates on the short
+vectors of the stochastic study.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -18,7 +24,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "GridFunction",
-    "DenseOperator",
     "GridMismatchError",
     "inner",
     "norm_l2",
@@ -198,19 +203,19 @@ class GridFunction:
 def inner(u: GridFunction, v: GridFunction) -> float:
     """Quadrature-weighted L2 pairing sum(w_i u_i v_i)."""
     u.same_grid(v)
-    return float(np.sum(u.grid.weights * u.values * v.values))
+    return float((u.grid.weights * u.values * v.values).sum())
 
 
 def norm_l2(u: GridFunction) -> float:
-    return float(np.sqrt(np.sum(u.grid.weights * u.values * u.values)))
+    return math.sqrt((u.grid.weights * u.values * u.values).sum())
 
 
 def norm_l1(u: GridFunction) -> float:
-    return float(np.sum(u.grid.weights * np.abs(u.values)))
+    return float((u.grid.weights * np.abs(u.values)).sum())
 
 
 def norm_linf(u: GridFunction) -> float:
-    return float(np.max(np.abs(u.values)))
+    return float(np.abs(u.values).max())
 
 
 def add_noise(y: GridFunction, delta: float, seed: int) -> GridFunction:
@@ -232,56 +237,6 @@ def add_noise(y: GridFunction, delta: float, seed: int) -> GridFunction:
             break
         s += 1
     return GridFunction.wrap(y.grid, y.values + (delta / nrm) * e)
-
-
-@dataclass(frozen=True)
-class DenseOperator:
-    """Dense quadrature-discretized kernel operator between two grids.
-
-    ``apply`` realizes (Ax)(s_i) = sum_j w_j K[i, j] x_j, the trapezoidal
-    discretization of an integral operator with kernel values K[i, j] =
-    phi(t_j, s_i).  ``adjoint_apply`` is the exact adjoint with respect to
-    the weighted inner products on both grids.
-    """
-
-    kernel: np.ndarray = field(repr=False)
-    grid_in: Grid
-    grid_out: Grid
-
-    def __post_init__(self):
-        K = np.asarray(self.kernel, dtype=float)
-        if K.shape != (self.grid_out.node_count, self.grid_in.node_count):
-            raise GridMismatchError(
-                f"kernel shape {K.shape} does not match grids "
-                f"({self.grid_out.node_count} x {self.grid_in.node_count})"
-            )
-        K = K.copy()
-        K.setflags(write=False)
-        object.__setattr__(self, "kernel", K)
-
-    @classmethod
-    def from_kernel_fn(cls, phi, grid_in: Grid, grid_out: Grid) -> "DenseOperator":
-        """Sample a kernel function phi(t, s) on interval grids."""
-        t = grid_in.coords[0]
-        s = grid_out.coords[0]
-        K = phi(t[None, :], s[:, None])
-        K = np.broadcast_to(np.asarray(K, dtype=float),
-                            (grid_out.node_count, grid_in.node_count))
-        return cls(np.array(K), grid_in, grid_out)
-
-    def apply(self, x: GridFunction) -> GridFunction:
-        if x.grid != self.grid_in:
-            raise GridMismatchError("operator input grid mismatch")
-        return GridFunction.wrap(self.grid_out, self.kernel @ (self.grid_in.weights * x.values))
-
-    def adjoint_apply(self, w: GridFunction) -> GridFunction:
-        if w.grid != self.grid_out:
-            raise GridMismatchError("operator output grid mismatch")
-        return GridFunction.wrap(self.grid_in, self.kernel.T @ (self.grid_out.weights * w.values))
-
-    def norm_estimate(self, iters: int = 200, tol: float = 1e-10, seed: int = 0) -> float:
-        return power_iteration_norm(self.apply, self.adjoint_apply,
-                                    self.grid_in, iters=iters, tol=tol, seed=seed)
 
 
 def power_iteration_norm(apply_fn, adjoint_fn, grid_in: Grid, *,

@@ -35,7 +35,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grids import (
-    DenseOperator,
     Grid,
     GridFunction,
     GridMismatchError,
@@ -88,7 +87,10 @@ class LinearIntegral(ForwardOperator):
         ``grid_in``).
     kernel : callable or array, optional
         Kernel phi(t, s) as a vectorized callable or a dense matrix of
-        samples K[i, j] = phi(t_j, s_i).  Materialized densely.
+        samples K[i, j] = phi(t_j, s_i).  Materialized densely as the
+        read-only ``kernel`` attribute, and applied as
+        (Ax)(s_i) = sum_j w_j K[i, j] x_j with the exact adjoint
+        K^T (w_out * .) for the weighted inner products on both grids.
     factors : sequence of (a, b) pairs, optional
         Separable expansion phi(t, s) = sum_p a_p(t) b_p(s); each entry is a
         pair of callables (or node arrays) on the input/output grid.  When
@@ -107,21 +109,28 @@ class LinearIntegral(ForwardOperator):
         self.grid_out = grid_out if grid_out is not None else grid_in
         self._analytic_bound = analytic_norm_bound
         self._norm_cache = None
-        self._dense = None
+        self.kernel = None
         self._factors = None
+        t = self.grid_in.coords[0]
+        s = self.grid_out.coords[0]
         if factors is not None:
-            t = self.grid_in.coords[0]
-            s = self.grid_out.coords[0]
             self._factors = [
                 (np.asarray(a(t) if callable(a) else np.broadcast_to(a, t.shape), float),
                  np.asarray(b(s) if callable(b) else np.broadcast_to(b, s.shape), float))
                 for a, b in factors
             ]
         elif kernel is not None:
+            shape = (self.grid_out.node_count, self.grid_in.node_count)
             if callable(kernel):
-                self._dense = DenseOperator.from_kernel_fn(kernel, self.grid_in, self.grid_out)
-            else:
-                self._dense = DenseOperator(np.asarray(kernel, float), self.grid_in, self.grid_out)
+                kernel = np.broadcast_to(
+                    np.asarray(kernel(t[None, :], s[:, None]), dtype=float), shape)
+            K = np.array(kernel, dtype=float)
+            if K.shape != shape:
+                raise GridMismatchError(
+                    f"kernel shape {K.shape} does not match grids "
+                    f"({shape[0]} x {shape[1]})")
+            K.setflags(write=False)
+            self.kernel = K
         else:
             raise ValueError("provide either kernel or factors")
 
@@ -136,9 +145,9 @@ class LinearIntegral(ForwardOperator):
             w = self.grid_in.weights
             out = np.zeros(self.grid_out.node_count)
             for a, b in self._factors:
-                out += b * np.sum(w * a * x.values)
+                out += b * (w * a * x.values).sum()
             return GridFunction.wrap(self.grid_out, out)
-        return self._dense.apply(x)
+        return GridFunction.wrap(self.grid_out, self.kernel @ (self.grid_in.weights * x.values))
 
     def adjoint_apply(self, w: GridFunction) -> GridFunction:
         if w.grid != self.grid_out:
@@ -147,9 +156,9 @@ class LinearIntegral(ForwardOperator):
             wq = self.grid_out.weights
             out = np.zeros(self.grid_in.node_count)
             for a, b in self._factors:
-                out += a * np.sum(wq * b * w.values)
+                out += a * (wq * b * w.values).sum()
             return GridFunction.wrap(self.grid_in, out)
-        return self._dense.adjoint_apply(w)
+        return GridFunction.wrap(self.grid_in, self.kernel.T @ (self.grid_out.weights * w.values))
 
     def linearize(self, x: GridFunction) -> Linearization:
         return Linearization(self.apply(x), self.apply, self.adjoint_apply)

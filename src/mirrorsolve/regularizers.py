@@ -87,9 +87,11 @@ class Regularizer:
         """Distance evaluator with R(xbar) precomputed, for per-iterate logging
         against one fixed target."""
         vbar = self.value(xbar)
+        w, xbv = xbar.grid.weights, xbar.values
 
         def dist(x: GridFunction, xi: GridFunction) -> float:
-            return vbar - self.value(x) - inner(xi, xbar - x)
+            # inner(xi, xbar - x) on the raw arrays, operand for operand
+            return vbar - self.value(x) - float((w * xi.values * (xbv - x.values)).sum())
 
         return dist
 
@@ -185,20 +187,20 @@ class EntropySimplex(Regularizer):
         mn = v.min()
         if mn < 0:
             return np.inf
-        mass = float(np.sum(x.grid.weights * v))
+        mass = float((x.grid.weights * v).sum())
         if abs(mass - 1.0) > self.mass_tol:
             return np.inf
         if mn > 0:
-            return float(np.sum(x.grid.weights * v * np.log(v)))
+            return float((x.grid.weights * v * np.log(v)).sum())
         # 0 log 0 = 0
         with np.errstate(divide="ignore", invalid="ignore"):
             xlogx = np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)
-        return float(np.sum(x.grid.weights * xlogx))
+        return float((x.grid.weights * xlogx).sum())
 
     def mirror_map(self, xi: GridFunction) -> GridFunction:
         # subtracting the max is exact by shift invariance and avoids overflow
-        z = np.exp(xi.values - np.max(xi.values))
-        mass = np.sum(xi.grid.weights * z)
+        z = np.exp(xi.values - xi.values.max())
+        mass = (xi.grid.weights * z).sum()
         return GridFunction.wrap(xi.grid, z / mass)
 
     def subgradient_for(self, x: GridFunction) -> GridFunction:

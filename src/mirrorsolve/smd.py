@@ -10,8 +10,10 @@ Under the step condition sup_k gamma_k < 4 sigma (1 - eta) / L^2 (with
 sum gamma_k = inf) the Bregman distance to a solution satisfying the
 range-type source condition decays like 1/s_k along the partial sums
 s_k = sum_{l<=k} gamma_l; :func:`smd_run` logs s_k * Delta_k so that claim
-is directly checkable.  Index draws come from a seeded PCG64 generator, so
-every trajectory is a reproducible artifact of its seed.
+is directly checkable.  The block indices of a path come from one batched
+draw, ``default_rng(seed).integers(N, size=k_max)``, which yields the same
+stream as k_max scalar draws, so every trajectory is a reproducible artifact
+of its seed.
 """
 
 from __future__ import annotations
@@ -144,19 +146,18 @@ class SmdRun:
     xi: GridFunction
 
 
-def smd_step(state, prob: SystemProblem, reg: Regularizer, sched, k: int, rng):
-    """One stochastic step from ``state = (x, xi)``; returns (x', xi', record)."""
+def smd_step(state, prob: SystemProblem, reg: Regularizer, sched, k: int, i: int):
+    """Step k from ``state = (x, xi)`` on block ``i``; returns
+    (x', xi', gamma_k, block residual norm)."""
     x, xi = state
-    i = int(rng.integers(prob.n_blocks))
     gamma = sched.at(k)
-    op, y = prob.operators[i], prob.data[i]
-    lin = op.linearize(x)
-    r = lin.value - y
+    y = prob.data[i]
+    lin = prob.operators[i].linearize(x)
+    # the problem pins every data block to its operator's output grid
+    r = GridFunction.wrap(y.grid, lin.value.values - y.values)
     g = lin.adjoint(r)
     xi_new = GridFunction.wrap(xi.grid, xi.values - gamma * g.values)
-    x_new = reg.mirror_map(xi_new)
-    rec = SmdRecord(k=k, i_k=i, gamma_k=gamma, block_residual=norm_l2(r))
-    return x_new, xi_new, rec
+    return reg.mirror_map(xi_new), xi_new, gamma, norm_l2(r)
 
 
 def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
@@ -172,7 +173,7 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
     :class:`~mirrorsolve.landweber.NonFiniteResidualError` at once.
     """
     validate_schedule(sched, prob.norm_bound(), sigma=reg.sigma, eta=eta)
-    rng = np.random.default_rng(seed)
+    picks = np.random.default_rng(seed).integers(prob.n_blocks, size=k_max).tolist()
     if xi0 is None:
         xi0 = prob.grid_in.zeros()
     xi = xi0
@@ -181,18 +182,16 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
     breg_to_truth = reg.bregman_to(x_truth) if x_truth is not None else None
     records = []
     s = 0.0
-    for k in range(k_max + 1):
-        delta = breg_to_truth(x, xi) if x_truth is not None else None
-        s_k = s + sched.at(k)
-        if k == k_max:
-            records.append(SmdRecord(k=k, s_k=s_k, delta_k=delta))
-            break
-        x, xi, rec = smd_step((x, xi), prob, reg, sched, k, rng)
-        if not math.isfinite(rec.block_residual):
-            raise NonFiniteResidualError(k, rec.block_residual, records)
-        records.append(SmdRecord(k=k, i_k=rec.i_k, gamma_k=rec.gamma_k, s_k=s_k,
-                                 delta_k=delta, block_residual=rec.block_residual))
-        s = s_k
+    for k, i in enumerate(picks):
+        delta = breg_to_truth(x, xi) if breg_to_truth is not None else None
+        x, xi, gamma, rn = smd_step((x, xi), prob, reg, sched, k, i)
+        if not math.isfinite(rn):
+            raise NonFiniteResidualError(k, rn, records)
+        s += gamma
+        records.append(SmdRecord(k=k, i_k=i, gamma_k=gamma, s_k=s, delta_k=delta,
+                                 block_residual=rn))
+    delta = breg_to_truth(x, xi) if breg_to_truth is not None else None
+    records.append(SmdRecord(k=k_max, s_k=s + sched.at(k_max), delta_k=delta))
     return SmdRun(seed=seed, records=tuple(records), x=x, xi=xi)
 
 

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mirrorsolve import (
-    DenseOperator,
     Grid,
     GridFunction,
     GridMismatchError,
+    LinearIntegral,
     add_noise,
     inner,
     norm_l1,
     norm_l2,
+    norm_linf,
     power_iteration_norm,
 )
 
@@ -77,6 +79,24 @@ class TestInnerAndNorms:
         with pytest.raises(GridMismatchError):
             inner(Grid.interval(4).ones(), Grid.interval(5).ones())
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reductions_equal_np_sum_forms_bitwise(self, data):
+        # the method reductions are np.add.reduce / np.maximum.reduce in the
+        # same pairwise order as np.sum / np.max, on short and long vectors
+        grid = data.draw(st.sampled_from([Grid.interval(1), Grid.interval(50),
+                                          Grid.interval(300), Grid.square(3),
+                                          Grid.square(20)]))
+        vec = arrays(np.float64, grid.node_count,
+                     elements=st.floats(-1e6, 1e6, allow_subnormal=False))
+        u = GridFunction(grid, data.draw(vec))
+        v = GridFunction(grid, data.draw(vec))
+        w = grid.weights
+        assert inner(u, v) == float(np.sum(w * u.values * v.values))
+        assert norm_l2(u) == float(np.sqrt(np.sum(w * u.values * u.values)))
+        assert norm_l1(u) == float(np.sum(w * np.abs(u.values)))
+        assert norm_linf(u) == float(np.max(np.abs(u.values)))
+
     def test_values_are_frozen(self):
         u = Grid.interval(4).ones()
         with pytest.raises(ValueError):
@@ -116,25 +136,28 @@ class TestAddNoise:
 
 
 class TestDenseOperator:
+    """A ``LinearIntegral`` with a dense kernel: sampling, application, the
+    exact weighted adjoint, and the shape and grid checks."""
+
     def test_affine_kernel_on_constant(self):
         # (A 1)(s) = int_0^1 (1+t+s) dt = 1.5 + s, exact for trapezoid
         g = Grid.interval(1000)
-        op = DenseOperator.from_kernel_fn(lambda t, s: 1.0 + t + s, g, g)
+        op = LinearIntegral(g, kernel=lambda t, s: 1.0 + t + s)
         out = op.apply(g.ones())
         expected = 1.5 + g.coords[0]
         assert np.max(np.abs(out.values - expected)) <= 1e-8
 
     def test_zero_kernel(self):
         g = Grid.interval(20)
-        op = DenseOperator(np.zeros((21, 21)), g, g)
+        op = LinearIntegral.from_matrix(np.zeros((21, 21)), g)
         assert np.all(op.apply(g.ones()).values == 0.0)
-        assert op.norm_estimate() == 0.0
+        assert op.norm_bound() == 0.0
 
     def test_adjoint_identity_random_pairs(self):
         rng = np.random.default_rng(0)
         g_in, g_out = Grid.interval(40), Grid.interval(25)
-        op = DenseOperator(rng.standard_normal((26, 41)), g_in, g_out)
-        na = op.norm_estimate()
+        op = LinearIntegral.from_matrix(rng.standard_normal((26, 41)), g_in, g_out)
+        na = op.norm_bound()
         for _ in range(100):
             x = GridFunction(g_in, rng.standard_normal(41))
             w = GridFunction(g_out, rng.standard_normal(26))
@@ -147,7 +170,7 @@ class TestDenseOperator:
         rng = np.random.default_rng(1)
         g = Grid.interval(6)
         K = rng.standard_normal((7, 7))
-        op = DenseOperator(K, g, g)
+        op = LinearIntegral.from_matrix(K, g)
         w = rng.standard_normal(7)
         expected = np.zeros(7)
         for j in range(7):
@@ -160,11 +183,11 @@ class TestDenseOperator:
 
     def test_kernel_shape_checked(self):
         with pytest.raises(GridMismatchError):
-            DenseOperator(np.zeros((3, 3)), Grid.interval(4), Grid.interval(4))
+            LinearIntegral.from_matrix(np.zeros((3, 3)), Grid.interval(4), Grid.interval(4))
 
     def test_apply_grid_checked(self):
         g = Grid.interval(4)
-        op = DenseOperator(np.zeros((5, 5)), g, g)
+        op = LinearIntegral.from_matrix(np.zeros((5, 5)), g)
         with pytest.raises(GridMismatchError):
             op.apply(Grid.interval(6).ones())
 
@@ -172,8 +195,8 @@ class TestDenseOperator:
 class TestPowerIteration:
     def test_benchmark_kernel_norm_below_analytic_bound(self):
         g = Grid.interval(400)
-        op = DenseOperator.from_kernel_fn(lambda t, s: 1.0 + t + s, g, g)
-        est = op.norm_estimate()
+        op = LinearIntegral(g, kernel=lambda t, s: 1.0 + t + s)
+        est = op.norm_bound()
         assert est <= np.sqrt(19.0 / 3.0) + 1e-6
         # the L2->L2 norm of this rank-2 kernel solves a 2x2 eigenproblem:
         # largest eigenvalue of [[37/12, 2], [5/3, 13/12]]
@@ -184,7 +207,7 @@ class TestPowerIteration:
     def test_restart_stability(self):
         rng = np.random.default_rng(3)
         g = Grid.interval(60)
-        op = DenseOperator(rng.standard_normal((61, 61)), g, g)
+        op = LinearIntegral.from_matrix(rng.standard_normal((61, 61)), g)
         e1 = power_iteration_norm(op.apply, op.adjoint_apply, g, seed=0)
         e2 = power_iteration_norm(op.apply, op.adjoint_apply, g, seed=99)
         assert abs(e1 - e2) <= 1e-6 * max(e1, 1.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mirrorsolve.smd
 from mirrorsolve import (
     ConstantSchedule,
     ConstantStep,
@@ -213,6 +214,82 @@ class TestSmdRun:
             smd_run(prob, reg, ConstantSchedule(1.0), 10_000, seed=1, x_truth=inst.x_true)
         assert exc.value.k == 0
         assert exc.value.records == ()
+
+    @pytest.mark.parametrize("reg", [EntropySimplex(), ElasticNet(beta=0.3)],
+                             ids=["entropy", "elastic"])
+    def test_matches_reference_arithmetic_bitwise(self, reg):
+        # replay of the step, the mirror map and the Bregman log with one
+        # scalar draw per step and every reduction written as np.sum / np.max
+        inst = build_sourced_instance(4, 50, reg, 7)
+        prob = inst.problem
+        w = prob.grid_in.weights
+        gamma, k_max, seed = 1.8, 300, 11
+        sr = smd_run(prob, reg, ConstantSchedule(gamma), k_max, seed=seed,
+                     x_truth=inst.x_true, xi0=inst.xi0)
+
+        if isinstance(reg, EntropySimplex):
+            def R(v):
+                assert v.min() > 0 and abs(float(np.sum(w * v)) - 1.0) <= reg.mass_tol
+                return float(np.sum(w * v * np.log(v)))
+
+            def mirror_map(z):
+                e = np.exp(z - np.max(z))
+                return e / np.sum(w * e)
+        else:
+            def R(v):
+                return 0.5 * float(np.sum(w * v * v)) + reg.beta * float(np.sum(w * np.abs(v)))
+
+            def mirror_map(z):
+                return np.sign(z) * np.maximum(np.abs(z) - reg.beta, 0.0)
+
+        xbar = inst.x_true.values
+        vbar = R(xbar)
+        rng = np.random.default_rng(seed)
+        xi = inst.xi0.values
+        x = mirror_map(xi)
+        s = 0.0
+        for k in range(k_max + 1):
+            rec = sr.records[k]
+            assert rec.delta_k == vbar - R(x) - float(np.sum(w * xi * (xbar - x)))
+            if k == k_max:
+                assert rec.s_k == s + gamma and rec.i_k is None
+                break
+            i = int(rng.integers(prob.n_blocks))
+            op, y = prob.operators[i], prob.data[i]
+            r = op.apply(GridFunction(op.grid_in, x)).values - y.values
+            g = op.adjoint_apply(GridFunction(op.grid_out, r)).values
+            s = s + gamma
+            assert rec.i_k == i and rec.gamma_k == gamma
+            assert rec.s_k == s
+            assert rec.block_residual == float(np.sqrt(np.sum(op.grid_out.weights * r * r)))
+            xi = xi - gamma * g
+            x = mirror_map(xi)
+        assert np.array_equal(sr.x.values, x)
+        assert np.array_equal(sr.xi.values, xi)
+
+    @pytest.mark.parametrize("reg", [EntropySimplex(), ElasticNet(beta=0.3)],
+                             ids=["entropy", "elastic"])
+    def test_every_step_and_mirror_map_call_is_observable(self, reg, monkeypatch):
+        # spans around smd_step and ticks on mirror_map see every step: one
+        # step call per step, one mirror-map call per state
+        inst = build_sourced_instance(3, 20, reg, seed=5)
+        calls = {"step": 0, "mirror_map": 0}
+        step, mirror_map = mirrorsolve.smd.smd_step, type(reg).mirror_map
+
+        def counted_step(*args, **kwargs):
+            calls["step"] += 1
+            return step(*args, **kwargs)
+
+        def counted_mirror_map(self, xi):
+            calls["mirror_map"] += 1
+            return mirror_map(self, xi)
+
+        monkeypatch.setattr(mirrorsolve.smd, "smd_step", counted_step)
+        monkeypatch.setattr(type(reg), "mirror_map", counted_mirror_map)
+        k_max = 250
+        smd_run(inst.problem, reg, ConstantSchedule(1.0), k_max, seed=3,
+                x_truth=inst.x_true, xi0=inst.xi0)
+        assert calls == {"step": k_max, "mirror_map": k_max + 1}
 
     def test_determinism_per_seed(self):
         reg = ElasticNet(beta=0.3)
