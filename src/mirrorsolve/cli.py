@@ -44,7 +44,7 @@ def _cmd_run(args) -> int:
     setup = _build_setup(cfg)
     rule = experiments.make_step_rule(
         cfg.rule, tau=cfg.tau, eta=cfg.eta, delta=delta, gamma=cfg.gamma,
-        gamma_bar=cfg.gamma_bar, gamma0=cfg.gamma0, cap_mode=cfg.cap_mode,
+        gamma_bar=cfg.gamma_bar, gamma0=cfg.gamma0,
         apriori=cfg.stopping == "apriori")
     stop = experiments.make_stop(cfg.stopping, tau=cfg.tau, delta=delta,
                                  c=cfg.apriori_c, k_max=cfg.max_iter)
@@ -71,7 +71,7 @@ def _cmd_sweep(args) -> int:
         setup, cfg.rule, cfg.deltas, cfg.seeds, tau=cfg.tau, eta=cfg.eta,
         gamma=cfg.gamma, gamma_bar=cfg.gamma_bar, gamma0=cfg.gamma0,
         stopping=cfg.stopping, apriori_c=cfg.apriori_c, max_iter=cfg.max_iter,
-        cap_mode=cfg.cap_mode, out_dir=out_dir, keep_records=False)
+        out_dir=out_dir, keep_records=False)
     failed = [c for c in outcome.cells if c.failed]
     for row in outcome.table.rows:
         print(f"rule={row.rule} delta={row.delta:g} iter={row.iters:g} "

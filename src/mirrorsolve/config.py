@@ -59,7 +59,6 @@ class ExperimentConfig:
     gamma: float = None
     gamma_bar: float = 600.0
     gamma0: float = 1.98
-    cap_mode: str = "min"
     stopping: str = "discrepancy"
     apriori_c: float = 1.0
     max_iter: int = None
@@ -119,7 +118,6 @@ _KEYS = {
     ("rule", "gamma"): (float, "gamma"),
     ("rule", "gamma_bar"): (float, "gamma_bar"),
     ("rule", "gamma0"): (float, "gamma0"),
-    ("rule", "cap_mode"): (str, "cap_mode"),
     ("stopping", "kind"): (str, "stopping"),
     ("stopping", "c"): (float, "apriori_c"),
     ("stopping", "k_max"): (int, "max_iter"),

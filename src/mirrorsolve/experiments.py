@@ -150,8 +150,7 @@ def setup_pde_experiment(n: int, *, solver_tol: float = 1e-10) -> PdeSetup:
 
 def make_step_rule(name: str, *, tau: float, eta: float, delta: float,
                    gamma: float = None, gamma_bar: float = GAMMA_BAR_DEFAULT,
-                   gamma0: float = GAMMA0_DEFAULT, cap_mode: str = "min",
-                   apriori: bool = False):
+                   gamma0: float = GAMMA0_DEFAULT, apriori: bool = False):
     """Build one of the three benchmark step-size rules.
 
     rule1: constant gamma / L^2.  Under discrepancy stopping gamma defaults
@@ -163,7 +162,7 @@ def make_step_rule(name: str, *, tau: float, eta: float, delta: float,
     """
     if name == "rule3":
         return AdaptiveStep(gamma0=gamma0, gamma_bar=gamma_bar, tau=tau,
-                            eta=eta, delta=delta, cap_mode=cap_mode)
+                            eta=eta, delta=delta)
     if gamma is None:
         if apriori:
             gamma = gamma0 * (1.0 - eta)
@@ -174,7 +173,7 @@ def make_step_rule(name: str, *, tau: float, eta: float, delta: float,
     if name == "rule1":
         return ConstantStep(gamma=gamma)
     if name == "rule2":
-        return MinimalErrorStep(gamma=gamma, gamma_bar=gamma_bar, cap_mode=cap_mode)
+        return MinimalErrorStep(gamma=gamma, gamma_bar=gamma_bar)
     raise ValueError(f"unknown rule {name!r} (expected rule1|rule2|rule3)")
 
 
@@ -248,7 +247,7 @@ def run_rate_sweep(setup, rule_name: str, deltas, seeds, *, tau: float = None,
                    gamma_bar: float = GAMMA_BAR_DEFAULT,
                    gamma0: float = GAMMA0_DEFAULT, stopping: str = "discrepancy",
                    apriori_c: float = 1.0, max_iter: int = None,
-                   cap_mode: str = "min", out_dir=None, keep_records: bool = True,
+                   out_dir=None, keep_records: bool = True,
                    safety_cap: int = 10 ** 6) -> SweepOutcome:
     """Run one rule over a (delta, seed) grid and aggregate medians.
 
@@ -270,7 +269,7 @@ def run_rate_sweep(setup, rule_name: str, deltas, seeds, *, tau: float = None,
         stop = make_stop(stopping, tau=tau, delta=delta, c=apriori_c, k_max=max_iter)
         rule = make_step_rule(rule_name, tau=tau, eta=eta, delta=delta,
                               gamma=gamma, gamma_bar=gamma_bar, gamma0=gamma0,
-                              cap_mode=cap_mode, apriori=stopping == "apriori")
+                              apriori=stopping == "apriori")
         pairs.append((delta, rule, stop))
 
     lam_track = setup.forward.linear

@@ -52,11 +52,8 @@ __all__ = [
 # residual leaves the capped rules undefined on a branch whose formula
 # divides by it; they return the cap gamma_bar with ``degenerate`` set, and
 # the run loop flags the iterate.  ``bounds(L)`` is an interval
-# [gamma_lo, gamma_hi] containing every step the rule can emit (for
-# ``cap_mode='min'``), derived from L and the rule parameters.
-
-def _cap(value: float, bar: float, mode: str) -> float:
-    return min(value, bar) if mode == "min" else max(value, bar)
+# [gamma_lo, gamma_hi] containing every step the rule can emit, derived from
+# L and the rule parameters.
 
 
 @dataclass(frozen=True)
@@ -80,28 +77,20 @@ class ConstantStep:
 
 @dataclass(frozen=True)
 class MinimalErrorStep:
-    """gamma_k = min{ gamma ||r||^2 / ||F'* r||^2, gamma_bar }.
-
-    ``cap_mode="max"`` replaces min by max; it exists only to replicate runs
-    with an uncapped-from-below step and is not covered by the step-bound
-    guarantees.
-    """
+    """gamma_k = min{ gamma ||r||^2 / ||F'* r||^2, gamma_bar }."""
 
     gamma: float
     gamma_bar: float = 600.0
-    cap_mode: str = "min"
 
     def __post_init__(self):
         if self.gamma <= 0 or self.gamma_bar <= 0:
             raise ValueError("gamma and gamma_bar must be positive")
-        if self.cap_mode not in ("min", "max"):
-            raise ValueError("cap_mode must be 'min' or 'max'")
 
     def step(self, rn: float, gn: float, L) -> tuple[float, bool]:
         if gn == 0.0:
             return self.gamma_bar, rn > 0.0
         raw = self.gamma * rn * rn / (gn * gn)
-        return _cap(raw, self.gamma_bar, self.cap_mode), False
+        return min(raw, self.gamma_bar), False
 
     def bounds(self, L: float) -> tuple[float, float]:
         return (min(self.gamma / (L * L), self.gamma_bar), self.gamma_bar)
@@ -122,7 +111,6 @@ class AdaptiveStep:
     tau: float
     eta: float
     delta: float
-    cap_mode: str = "min"
 
     def __post_init__(self):
         if self.gamma0 <= 0 or self.gamma_bar <= 0:
@@ -133,8 +121,6 @@ class AdaptiveStep:
             raise ValueError("tau must exceed (1+eta)/(1-eta)")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
-        if self.cap_mode not in ("min", "max"):
-            raise ValueError("cap_mode must be 'min' or 'max'")
 
     def step(self, rn: float, gn: float, L) -> tuple[float, bool]:
         if rn >= self.tau * self.delta and rn > 0.0:
@@ -143,10 +129,9 @@ class AdaptiveStep:
             raw = (self.gamma0
                    * ((1.0 - self.eta) * rn - (1.0 + self.eta) * self.delta)
                    * rn / (gn * gn))
-            return _cap(raw, self.gamma_bar, self.cap_mode), False
+            return min(raw, self.gamma_bar), False
         L = L()
-        return _cap(self.gamma0 * (1.0 - self.eta) / (L * L),
-                    self.gamma_bar, self.cap_mode), False
+        return min(self.gamma0 * (1.0 - self.eta) / (L * L), self.gamma_bar), False
 
     def bounds(self, L: float) -> tuple[float, float]:
         slack = 1.0 - self.eta - (1.0 + self.eta) / self.tau

@@ -187,10 +187,11 @@ class EllipticSolveError(RuntimeError):
 class EllipticSolver:
     """Five-point Dirichlet solver on the unit square via preconditioned CG.
 
-    Assembles the interior-node Laplacian once; each solve adds diag(c) and
-    runs CG until the algebraic residual drops below ``tol * ||rhs||`` (atol
-    0).  ``max_iter`` None leaves SciPy's default cap, 10 times the system
-    size (n-1)^2.
+    Assembles the interior-node Laplacian once and keeps its CSR pattern;
+    ``matrix(c)`` puts the Laplacian's diagonal plus c into that cached
+    pattern, and each solve runs CG until the algebraic residual drops below
+    ``tol * ||rhs||`` (atol 0).  ``max_iter`` None leaves SciPy's default
+    cap, 10 times the system size (n-1)^2.
 
     The preconditioner is the exact inverse of the c = 0 Laplacian, applied
     by fast diagonalization (Concus & Golub, SIAM J. Numer. Anal. 10, 1973):
@@ -206,6 +207,8 @@ class EllipticSolver:
     tol: float = 1e-10
     max_iter: int = None
     _lap: sp.csr_matrix = field(init=False, repr=False, default=None)
+    _diag_pos: np.ndarray = field(init=False, repr=False, default=None)
+    _lap_diag: np.ndarray = field(init=False, repr=False, default=None)
     _precond: spla.LinearOperator = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -219,7 +222,13 @@ class EllipticSolver:
         I = sp.eye(ni, format="csr")
         T = sp.diags([-np.ones(ni - 1), 2.0 * np.ones(ni), -np.ones(ni - 1)],
                      [-1, 0, 1], format="csr")
-        self._lap = ((sp.kron(I, T) + sp.kron(T, I)) / (h * h)).tocsr()
+        lap = ((sp.kron(I, T) + sp.kron(T, I)) / (h * h)).tocsr()
+        lap.indices.setflags(write=False)
+        lap.indptr.setflags(write=False)
+        self._lap = lap
+        rows = np.repeat(np.arange(ni * ni), np.diff(lap.indptr))
+        self._diag_pos = np.flatnonzero(lap.indices == rows)
+        self._lap_diag = lap.data[self._diag_pos]
 
         k = np.arange(1, n)
         Q = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(k, k) / n)
@@ -234,7 +243,13 @@ class EllipticSolver:
                                             matvec=inverse_laplacian, dtype=float)
 
     def matrix(self, c_interior: np.ndarray) -> sp.csr_matrix:
-        return self._lap + sp.diags(c_interior)
+        """``_lap + sp.diags(c)`` with a fresh ``data`` buffer on the shared
+        (read-only) pattern.  The sum would drop a diagonal entry that
+        cancels to exactly 0, which no positive definite A(c) has."""
+        data = self._lap.data.copy()
+        data[self._diag_pos] = self._lap_diag + c_interior
+        return sp.csr_matrix((data, self._lap.indices, self._lap.indptr),
+                             shape=self._lap.shape)
 
     def solve(self, A: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
         count = [0]
@@ -287,8 +302,8 @@ class EllipticCoefficient(ForwardOperator):
         lift[:, -1] += gv[1:-1, -1]
         lift[0, :] += gv[0, 1:-1]
         lift[-1, :] += gv[-1, 1:-1]
-        self._g_lift = lift.ravel() / grid.h ** 2
-        self._f_int = f.values.reshape(self._shape)[1:-1, 1:-1].ravel()
+        f_int = f.values.reshape(self._shape)[1:-1, 1:-1].ravel()
+        self._state_rhs = f_int + lift.ravel() / grid.h ** 2
         self._norm_cache = None
 
     def _interior(self, u: GridFunction) -> np.ndarray:
@@ -307,8 +322,7 @@ class EllipticCoefficient(ForwardOperator):
         if c.grid != self.grid_in:
             raise GridMismatchError("coefficient grid mismatch")
         A = self.solver.matrix(self._interior(c))
-        u_full = self._embed(self.solver.solve(A, self._f_int + self._g_lift),
-                             boundary=self.g)
+        u_full = self._embed(self.solver.solve(A, self._state_rhs), boundary=self.g)
 
         def tangent(h: GridFunction) -> GridFunction:
             c.same_grid(h)

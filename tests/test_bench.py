@@ -1,5 +1,4 @@
 import json
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -267,7 +266,8 @@ seeds = 1, 2
     @pytest.mark.parametrize("text, name", [
         ("[problem]\nkind = entropy_integral\n[rule]\ngama = 2\n", "gama"),
         ("[problem]\nkind = entropy_integral\n[stoping]\nkind = apriori\n", "stoping"),
-    ], ids=["key", "section"])
+        ("[problem]\nkind = entropy_integral\n[rule]\ncap_mode = max\n", "cap_mode"),
+    ], ids=["key", "section", "cap_mode"])
     def test_unknown_key_or_section_rejected(self, tmp_path, text, name):
         p = tmp_path / "typo.cfg"
         p.write_text(text)
@@ -326,23 +326,6 @@ k_max = 300
 seeds = 1, 2
 """
 
-# rule 2 at n = 200, delta = 5e-3, seed 1 stops at k = 5257 with the default
-# min cap and at k = 294 with the max cap
-CAP_CFG = """
-[problem]
-kind = entropy_integral
-n = 200
-
-[rule]
-name = rule2
-tau = 1.01
-cap_mode = {cap_mode}
-
-[sweep]
-deltas = 5e-3
-seeds = 1
-"""
-
 
 class TestCli:
     def test_run_single_cell(self, tmp_path, capsys):
@@ -364,19 +347,6 @@ class TestCli:
         for name in ("table.csv", "rate.csv", "iterates_0p02_1.csv", "iterates_0p005_2.csv"):
             assert (outs[0] / name).exists()
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
-    def test_sweep_honours_cap_mode(self, tmp_path, capsys):
-        iters = {}
-        for cap_mode in ("min", "max"):
-            cfg = tmp_path / f"{cap_mode}.cfg"
-            cfg.write_text(CAP_CFG.format(cap_mode=cap_mode))
-            for cmd in ("run", "sweep"):
-                assert cli_main([cmd, "--config", str(cfg)]) == 0
-                out = capsys.readouterr().out
-                iters[cap_mode, cmd] = int(re.search(r"\biter=(\d+)", out).group(1))
-        assert iters["max", "sweep"] == iters["max", "run"]
-        assert iters["min", "sweep"] == iters["min", "run"]
-        assert iters["max", "run"] != iters["min", "run"]
 
     def test_verify_fast(self, capsys):
         rc = cli_main(["verify", "--fast"])

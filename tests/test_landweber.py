@@ -57,10 +57,6 @@ class TestStepSize:
         rule3 = AdaptiveStep(gamma0=1.98, gamma_bar=13.0, tau=1.1, eta=0.0, delta=1e-3)
         assert rule3.step(1.0, 0.0, lambda: 1.0)[0] == 13.0
 
-    def test_cap_mode_max_replicates_uncapped_variant(self):
-        rule = MinimalErrorStep(gamma=0.02, gamma_bar=600.0, cap_mode="max")
-        assert rule.step(1.0, 1.0, lambda: 1.0)[0] == 600.0
-
     def test_bounds_per_rule(self):
         L = 2.0
         assert ConstantStep(0.5).bounds(L) == (0.125, 0.125)

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mirrorsolve import (
     EllipticCoefficient,
@@ -88,6 +92,37 @@ class TestLinearIntegral:
             LinearIntegral(Grid.interval(5))
 
 
+_values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _factor_problem(draw):
+    n_in, n_out = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    factors = [(draw(arrays(float, n_in + 1, elements=_values)),
+                draw(arrays(float, n_out + 1, elements=_values)))
+               for _ in range(draw(st.integers(1, 3)))]
+    x = draw(arrays(float, n_in + 1, elements=_values))
+    y = draw(arrays(float, n_out + 1, elements=_values))
+    return Grid.interval(n_in), Grid.interval(n_out), factors, x, y
+
+
+class TestFactorFormBits:
+    @settings(max_examples=60, deadline=None)
+    @given(_factor_problem())
+    def test_matches_written_out_moment_form(self, problem):
+        g_in, g_out, factors, x, y = problem
+        op = LinearIntegral(g_in, g_out, factors=factors)
+        fwd = np.zeros(g_out.node_count)
+        adj = np.zeros(g_in.node_count)
+        for a, b in factors:
+            fwd += b * (g_in.weights * a * x).sum()
+            adj += a * (g_out.weights * b * y).sum()
+        for got, ref in ((op.apply(GridFunction(g_in, x)).values, fwd),
+                         (op.adjoint_apply(GridFunction(g_out, y)).values, adj)):
+            assert np.all(got == ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
 def _manufactured_setup(n, u_fn, c_fn, f_fn, tol=1e-12):
     grid = Grid.square(n)
     x, y = grid.coords
@@ -165,6 +200,49 @@ class TestEllipticForward:
             op.apply(c)
         assert exc.value.iterations >= 1
         assert exc.value.residual > 0
+
+
+def _coefficients(n):
+    rng = np.random.default_rng(n)
+    m = (n - 1) ** 2
+    return {"zero": np.zeros(m),
+            "random": rng.random(m),
+            "some_zeros": np.where(rng.random(m) < 0.5, 0.0, rng.random(m))}
+
+
+class TestEllipticAssembly:
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_matrix_equals_laplacian_plus_diagonal_bit_for_bit(self, n):
+        solver = EllipticSolver(Grid.square(n))
+        for name, c in _coefficients(n).items():
+            A = solver.matrix(c)
+            ref = solver._lap + sp.diags(c)
+            assert np.array_equal(A.indptr, ref.indptr), name
+            assert np.array_equal(A.indices, ref.indices), name
+            assert np.array_equal(A.data, ref.data), name
+
+    def test_each_matrix_owns_its_values(self):
+        solver = EllipticSolver(Grid.square(16))
+        cs = _coefficients(16)
+        A1 = solver.matrix(cs["random"])
+        before = A1.data.copy()
+        A2 = solver.matrix(cs["some_zeros"])
+        assert A2.data is not A1.data
+        assert np.array_equal(A1.data, before)
+
+    def test_earlier_linearization_unchanged_by_a_later_one(self):
+        setup = setup_pde_experiment(16)
+        F, grid = setup.forward, setup.forward.grid_in
+        rng = np.random.default_rng(3)
+        c1 = setup.x_true
+        c2 = GridFunction(grid, rng.random(grid.node_count))
+        h = GridFunction(grid, rng.standard_normal(grid.node_count))
+        w = GridFunction(grid, rng.standard_normal(grid.node_count))
+        lin1 = F.linearize(c1)
+        adj, tan = lin1.adjoint(w).values, lin1.tangent(h).values
+        F.linearize(c2)
+        assert np.array_equal(lin1.adjoint(w).values, adj)
+        assert np.array_equal(lin1.tangent(h).values, tan)
 
 
 class TestEllipticPreconditioner:
