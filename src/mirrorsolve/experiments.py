@@ -109,18 +109,20 @@ def setup_entropy_experiment(n: int) -> EntropySetup:
         raise ValueError("entropy experiment needs n >= 100")
     grid = Grid.interval(n)
     t = grid.coords[0]
-    raw = np.exp(1.5 * ENTROPY_A - 1.0 + ENTROPY_A * t)
-    raw /= np.sum(grid.weights * raw)
-    x_true = GridFunction(grid, raw)
+    raw = ENTROPY_A * t
+    raw += 1.5 * ENTROPY_A - 1.0
+    np.exp(raw, out=raw)
+    raw /= (grid.weights * raw).sum()
+    x_true = GridFunction.wrap(grid, raw)
 
     forward = LinearIntegral(
         grid,
-        factors=[(lambda tt: np.ones_like(tt), lambda ss: 1.0 + ss),
-                 (lambda tt: tt, lambda ss: np.ones_like(ss))],
+        factors=[(lambda tt: np.ones(tt.size), lambda ss: 1.0 + ss),
+                 (lambda tt: tt, lambda ss: np.ones(ss.size))],
         analytic_norm_bound=math.sqrt(19.0 / 3.0))
     reg = EntropySimplex()
     y = forward.apply(x_true)
-    lam_true = GridFunction(grid, np.full(grid.node_count, ENTROPY_A))
+    lam_true = GridFunction.wrap(grid, np.full(grid.node_count, ENTROPY_A))
     return EntropySetup(forward, reg, x_true, y, lam_true, eta=0.0, tau_default=1.01)
 
 

@@ -11,6 +11,13 @@ The pairings and norms reduce with the ndarray methods (``a.sum()``,
 ``a.max()``): the same ``np.add.reduce`` in the same pairwise order as
 ``np.sum``, without its Python-level dispatch, which dominates on the short
 vectors of the stochastic study.
+
+Temporaries: a kernel may pass ``out=`` only to an array it allocated itself
+in the same call, never to an input, a cached array or a buffer kept between
+calls.  Each result is then a fresh array that nothing else references,
+which ``GridFunction.wrap`` freezes without a copy, and reusing the
+temporary of ``w * u`` for ``(w * u) * v`` keeps the operand order, so the
+bits are those of the written-out expression.
 """
 
 from __future__ import annotations
@@ -64,6 +71,14 @@ class Grid:
             raise ValueError(f"unknown grid kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("n must be a positive integer")
+
+    def __eq__(self, other):
+        # every grid function and operator on one grid shares the object
+        if self is other:
+            return True
+        if other.__class__ is not Grid:
+            return NotImplemented
+        return self.kind == other.kind and self.n == other.n
 
     @classmethod
     def interval(cls, n: int) -> "Grid":
@@ -145,7 +160,7 @@ class Grid:
         return GridFunction(self, np.ones(self.node_count))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridFunction:
     """Real-valued function sampled at the nodes of a :class:`Grid`.
 
@@ -175,8 +190,8 @@ class GridFunction:
         """
         gf = object.__new__(cls)
         values.setflags(write=False)
-        object.__setattr__(gf, "grid", grid)
-        object.__setattr__(gf, "values", values)
+        _set_grid(gf, grid)
+        _set_values(gf, values)
         return gf
 
     def same_grid(self, other: "GridFunction") -> None:
@@ -200,18 +215,27 @@ class GridFunction:
         return GridFunction.wrap(self.grid, -self.values)
 
 
+# the slot descriptors: ``wrap`` writes through them, past the frozen
+# ``__setattr__``
+_set_grid = GridFunction.grid.__set__
+_set_values = GridFunction.values.__set__
+
+
 def inner(u: GridFunction, v: GridFunction) -> float:
     """Quadrature-weighted L2 pairing sum(w_i u_i v_i)."""
     u.same_grid(v)
-    return float((u.grid.weights * u.values * v.values).sum())
+    t = u.grid.weights * u.values
+    return float(np.multiply(t, v.values, out=t).sum())
 
 
 def norm_l2(u: GridFunction) -> float:
-    return math.sqrt((u.grid.weights * u.values * u.values).sum())
+    t = u.grid.weights * u.values
+    return math.sqrt(np.multiply(t, u.values, out=t).sum())
 
 
 def norm_l1(u: GridFunction) -> float:
-    return float((u.grid.weights * np.abs(u.values)).sum())
+    t = np.abs(u.values)
+    return float(np.multiply(u.grid.weights, t, out=t).sum())
 
 
 def norm_linf(u: GridFunction) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -203,8 +204,7 @@ def _check_consistency(rule, stop) -> None:
 # ---------------------------------------------------------------------------
 # run records
 
-@dataclass(frozen=True)
-class IterateRecord:
+class IterateRecord(NamedTuple):
     """Diagnostics for one iterate; optional fields are None when untracked.
 
     ``step`` is the step size used to move *from* this iterate and is None on
@@ -298,7 +298,9 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
         err = reg.error_norm(x - x_truth) if x_truth is not None else None
         ldef = None
         if lambda_tracking:
-            ldef = norm_l2(xi - xi0 - forward.adjoint_apply(lam))
+            d = np.subtract(xi.values, xi0.values)
+            d -= forward.adjoint_apply(lam).values
+            ldef = norm_l2(GridFunction.wrap(xi.grid, d))
 
         reason = stop.reason(k, rn)
         if reason is not None:
@@ -312,25 +314,25 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
         gamma, degen = rule.step(rn, gn, L)
         records.append(IterateRecord(k, rn, gamma, breg, err, ldef, degen))
 
-        xi = GridFunction.wrap(xi.grid, xi.values - gamma * g.values)
+        t = np.multiply(gamma, g.values)
+        xi = GridFunction.wrap(xi.grid, np.subtract(xi.values, t, out=t))
         x = reg.mirror_map(xi)
         if lambda_tracking:
-            lam = GridFunction.wrap(lam.grid, lam.values - gamma * r.values)
+            t = np.multiply(gamma, r.values)
+            lam = GridFunction.wrap(lam.grid, np.subtract(lam.values, t, out=t))
         k += 1
 
 
 def write_iterates_csv(records, path) -> None:
-    """CSV log: columns k,residual,step,bregman,error,lambda_defect
-    (missing diagnostics as empty fields)."""
+    """CSV log: columns k,residual,step,bregman,error,lambda_defect,degenerate
+    (missing diagnostics as empty fields, ``degenerate`` as 0 or 1)."""
 
     def fmt(v):
         return "" if v is None else repr(float(v))
 
     with open(path, "w") as fh:
-        fh.write("k,residual,step,bregman,error,lambda_defect\n")
-        for rec in records:
-            fh.write(",".join([
-                str(rec.k), fmt(rec.residual_norm), fmt(rec.step),
-                fmt(rec.bregman_to_truth), fmt(rec.error_to_truth),
-                fmt(rec.lambda_defect),
-            ]) + "\n")
+        fh.write("k,residual,step,bregman,error,lambda_defect,degenerate\n")
+        fh.writelines(
+            f"{r.k},{fmt(r.residual_norm)},{fmt(r.step)},{fmt(r.bregman_to_truth)},"
+            f"{fmt(r.error_to_truth)},{fmt(r.lambda_defect)},{1 if r.degenerate else 0}\n"
+            for r in records)

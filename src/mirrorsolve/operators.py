@@ -95,7 +95,7 @@ class LinearIntegral(ForwardOperator):
         Separable expansion phi(t, s) = sum_p a_p(t) b_p(s); each entry is a
         pair of callables (or node arrays) on the input/output grid.  When
         given, application uses the O(n) moment form and no dense matrix is
-        stored.
+        stored; the factors are kept with and without the quadrature weights.
     analytic_norm_bound : float, optional
         Known bound L with ||A|| <= L; when absent, ``norm_bound`` falls back
         to a power-iteration estimate.
@@ -114,11 +114,14 @@ class LinearIntegral(ForwardOperator):
         t = self.grid_in.coords[0]
         s = self.grid_out.coords[0]
         if factors is not None:
-            self._factors = [
-                (np.asarray(a(t) if callable(a) else np.broadcast_to(a, t.shape), float),
-                 np.asarray(b(s) if callable(b) else np.broadcast_to(b, s.shape), float))
-                for a, b in factors
-            ]
+            w_in, w_out = self.grid_in.weights, self.grid_out.weights
+            self._factors = []
+            for a, b in factors:
+                a = np.asarray(a(t) if callable(a) else np.broadcast_to(a, t.shape), float)
+                b = np.asarray(b(s) if callable(b) else np.broadcast_to(b, s.shape), float)
+                # (w * a) * x is the order the moment form evaluates, so the
+                # weighted factors are formed once here
+                self._factors.append((a, b, w_in * a, w_out * b))
         elif kernel is not None:
             shape = (self.grid_out.node_count, self.grid_in.node_count)
             if callable(kernel):
@@ -142,10 +145,12 @@ class LinearIntegral(ForwardOperator):
         if x.grid != self.grid_in:
             raise GridMismatchError("operator input grid mismatch")
         if self._factors is not None:
-            w = self.grid_in.weights
             out = np.zeros(self.grid_out.node_count)
-            for a, b in self._factors:
-                out += b * (w * a * x.values).sum()
+            tmp_in = np.empty(self.grid_in.node_count)
+            tmp_out = np.empty(self.grid_out.node_count)
+            for _, b, wa, _ in self._factors:
+                moment = np.multiply(wa, x.values, out=tmp_in).sum()
+                out += np.multiply(b, moment, out=tmp_out)
             return GridFunction.wrap(self.grid_out, out)
         return GridFunction.wrap(self.grid_out, self.kernel @ (self.grid_in.weights * x.values))
 
@@ -153,10 +158,12 @@ class LinearIntegral(ForwardOperator):
         if w.grid != self.grid_out:
             raise GridMismatchError("operator output grid mismatch")
         if self._factors is not None:
-            wq = self.grid_out.weights
             out = np.zeros(self.grid_in.node_count)
-            for a, b in self._factors:
-                out += a * (wq * b * w.values).sum()
+            tmp_in = np.empty(self.grid_in.node_count)
+            tmp_out = np.empty(self.grid_out.node_count)
+            for a, _, _, wb in self._factors:
+                moment = np.multiply(wb, w.values, out=tmp_out).sum()
+                out += np.multiply(a, moment, out=tmp_in)
             return GridFunction.wrap(self.grid_in, out)
         return GridFunction.wrap(self.grid_in, self.kernel.T @ (self.grid_out.weights * w.values))
 

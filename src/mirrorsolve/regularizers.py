@@ -91,7 +91,9 @@ class Regularizer:
 
         def dist(x: GridFunction, xi: GridFunction) -> float:
             # inner(xi, xbar - x) on the raw arrays, operand for operand
-            return vbar - self.value(x) - float((w * xi.values * (xbv - x.values)).sum())
+            t = w * xi.values
+            t *= np.subtract(xbv, x.values)
+            return vbar - self.value(x) - float(t.sum())
 
         return dist
 
@@ -158,7 +160,10 @@ class ElasticNet(Regularizer):
 
     def mirror_map(self, xi: GridFunction) -> GridFunction:
         v = xi.values
-        return GridFunction.wrap(xi.grid, np.sign(v) * np.maximum(np.abs(v) - self.beta, 0.0))
+        t = np.abs(v)
+        t -= self.beta
+        np.maximum(t, 0.0, out=t)
+        return GridFunction.wrap(xi.grid, np.multiply(np.sign(v), t, out=t))
 
     def subgradient_for(self, x: GridFunction) -> GridFunction:
         # sign(0) := 0 keeps mirror_map(subgradient_for(x)) == x at zero nodes
@@ -187,11 +192,13 @@ class EntropySimplex(Regularizer):
         mn = v.min()
         if mn < 0:
             return np.inf
-        mass = float((x.grid.weights * v).sum())
+        wv = x.grid.weights * v
+        mass = float(wv.sum())
         if abs(mass - 1.0) > self.mass_tol:
             return np.inf
         if mn > 0:
-            return float((x.grid.weights * v * np.log(v)).sum())
+            t = np.log(v)
+            return float(np.multiply(wv, t, out=t).sum())
         # 0 log 0 = 0
         with np.errstate(divide="ignore", invalid="ignore"):
             xlogx = np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)
@@ -199,9 +206,10 @@ class EntropySimplex(Regularizer):
 
     def mirror_map(self, xi: GridFunction) -> GridFunction:
         # subtracting the max is exact by shift invariance and avoids overflow
-        z = np.exp(xi.values - xi.values.max())
+        z = np.subtract(xi.values, xi.values.max())
+        np.exp(z, out=z)
         mass = (xi.grid.weights * z).sum()
-        return GridFunction.wrap(xi.grid, z / mass)
+        return GridFunction.wrap(xi.grid, np.divide(z, mass, out=z))
 
     def subgradient_for(self, x: GridFunction) -> GridFunction:
         if self.value(x) == np.inf or np.any(x.values <= 0):

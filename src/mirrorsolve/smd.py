@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,8 +120,7 @@ def validate_schedule(sched, L: float, sigma: float = 0.5, eta: float = 0.0) -> 
             f"{4.0 * sigma * (1.0 - eta) / (L * L):g} for L={L:g}")
 
 
-@dataclass(frozen=True)
-class SmdRecord:
+class SmdRecord(NamedTuple):
     """Per-index diagnostics; ``i_k``/``gamma_k``/``block_residual`` describe
     the transition taken from state k and are None on the final record."""
 
@@ -156,7 +156,8 @@ def smd_step(state, prob: SystemProblem, reg: Regularizer, sched, k: int, i: int
     # the problem pins every data block to its operator's output grid
     r = GridFunction.wrap(y.grid, lin.value.values - y.values)
     g = lin.adjoint(r)
-    xi_new = GridFunction.wrap(xi.grid, xi.values - gamma * g.values)
+    t = np.multiply(gamma, g.values)
+    xi_new = GridFunction.wrap(xi.grid, np.subtract(xi.values, t, out=t))
     return reg.mirror_map(xi_new), xi_new, gamma, norm_l2(r)
 
 
@@ -254,9 +255,7 @@ def write_rate_csv(run: SmdRun, path) -> None:
 
     with open(path, "w") as fh:
         fh.write("k,i_k,gamma_k,s_k,delta_k,s_k_delta_k\n")
-        for rec in run.records:
-            fh.write(",".join([
-                str(rec.k),
-                "" if rec.i_k is None else str(rec.i_k),
-                fmt(rec.gamma_k), fmt(rec.s_k), fmt(rec.delta_k), fmt(rec.s_delta),
-            ]) + "\n")
+        fh.writelines(
+            f"{r.k},{'' if r.i_k is None else r.i_k},{fmt(r.gamma_k)},{fmt(r.s_k)},"
+            f"{fmt(r.delta_k)},{fmt(r.s_delta)}\n"
+            for r in run.records)

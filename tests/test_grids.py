@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,15 @@ class TestGrid:
     def test_weights_positive_and_sum_to_measure(self, grid):
         assert np.all(grid.weights > 0)
         assert abs(grid.weights.sum() - 1.0) <= 1e-12
+
+    def test_equality_by_kind_and_n(self):
+        a, b = Grid("interval", 50), Grid.interval(50)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a == a
+        assert a != Grid.interval(51)
+        assert a != Grid.square(50)
+        assert a != ("interval", 50) and a != "interval" and a != None  # noqa: E711
 
     def test_rejects_bad_kind_and_n(self):
         with pytest.raises(ValueError):
@@ -101,6 +112,26 @@ class TestInnerAndNorms:
         u = Grid.interval(4).ones()
         with pytest.raises(ValueError):
             u.values[0] = 2.0
+
+    def test_attributes_are_frozen(self):
+        grid = Grid.interval(4)
+        for u in (grid.ones(), GridFunction.wrap(grid, np.zeros(5))):
+            assert not u.values.flags.writeable
+            with pytest.raises(FrozenInstanceError):
+                u.values = np.ones(5)
+            with pytest.raises(FrozenInstanceError):
+                u.grid = Grid.interval(4)
+
+    @pytest.mark.parametrize("grid", [Grid.interval(50), Grid.square(7)])
+    def test_pairings_and_norms_own_their_temporaries(self, grid, check_ownership):
+        rng = np.random.default_rng(2)
+        u = GridFunction(grid, rng.standard_normal(grid.node_count))
+        v = GridFunction(grid, rng.standard_normal(grid.node_count))
+        w = grid.weights
+        assert check_ownership(inner, u, v, inputs=[w]) == float(np.sum(w * u.values * v.values))
+        assert check_ownership(norm_l1, u, inputs=[w]) == float(np.sum(w * np.abs(u.values)))
+        assert check_ownership(norm_l2, u, inputs=[w]) == \
+            float(np.sqrt(np.sum(w * u.values * u.values)))
 
 
 class TestAddNoise:
@@ -190,6 +221,16 @@ class TestDenseOperator:
         op = LinearIntegral.from_matrix(np.zeros((5, 5)), g)
         with pytest.raises(GridMismatchError):
             op.apply(Grid.interval(6).ones())
+
+    def test_grid_checked_by_kind_and_n_not_identity(self):
+        # interval(15) and square(3) both have 16 nodes
+        op = LinearIntegral.from_matrix(np.eye(16), Grid.interval(15))
+        with pytest.raises(GridMismatchError):
+            op.apply(Grid.square(3).ones())
+        with pytest.raises(GridMismatchError):
+            op.adjoint_apply(Grid.square(3).ones())
+        x = Grid("interval", 15).ones()
+        assert np.array_equal(op.apply(x).values, op.apply(Grid.interval(15).ones()).values)
 
 
 class TestPowerIteration:

@@ -320,12 +320,27 @@ class TestIterateCsv:
         path = tmp_path / "iter.csv"
         write_iterates_csv(res.records, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "k,residual,step,bregman,error,lambda_defect"
+        assert lines[0] == "k,residual,step,bregman,error,lambda_defect,degenerate"
         # diagnostics were off, so those columns are empty
         first = lines[1].split(",")
         assert first[3] == first[4] == first[5] == ""
         # terminal record has no step
         assert lines[-1].split(",")[2] == ""
+        assert [line.split(",")[6] for line in lines[1:]] == \
+            [str(int(r.degenerate)) for r in res.records]
+
+    def test_degenerate_column(self, tmp_path):
+        # the zero operator leaves a nonzero residual with a vanishing
+        # gradient: every step falls back to gamma_bar and is flagged
+        grid = Grid.interval(10)
+        op = LinearIntegral.from_matrix(np.zeros((11, 11)), grid)
+        res = run(op, QuadraticBox(lower=None), grid.ones(),
+                  MinimalErrorStep(gamma=0.5, gamma_bar=2.0), MaxIterStop(k_max=2))
+        path = tmp_path / "iter.csv"
+        write_iterates_csv(res.records, path)
+        rows = path.read_text().splitlines()[1:]
+        assert [r.degenerate for r in res.records] == [True, True, False]
+        assert [row.split(",")[-1] for row in rows] == ["1", "1", "0"]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         setup = setup_entropy_experiment(150)

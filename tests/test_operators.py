@@ -123,6 +123,25 @@ class TestFactorFormBits:
             assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
+class TestLinearIntegralOwnership:
+    @pytest.mark.parametrize("form", ["factors", "dense"])
+    def test_results_are_fresh_and_frozen(self, form, check_ownership):
+        rng = np.random.default_rng(4)
+        g_in, g_out = Grid.interval(30), Grid.interval(20)
+        if form == "factors":
+            arrays = [rng.standard_normal(n) for n in (31, 21, 31, 21)]
+            op = LinearIntegral(g_in, g_out, factors=[tuple(arrays[:2]), tuple(arrays[2:])])
+        else:
+            op = LinearIntegral.from_matrix(rng.standard_normal((21, 31)), g_in, g_out)
+            arrays = [op.kernel]
+        inputs = [g_in.weights, g_out.weights, *arrays]
+        x = GridFunction(g_in, rng.standard_normal(31))
+        y = GridFunction(g_out, rng.standard_normal(21))
+        check_ownership(op.apply, x, inputs=inputs)
+        check_ownership(op.adjoint_apply, y, inputs=inputs)
+        check_ownership(lambda v: op.linearize(v).value, x, inputs=inputs)
+
+
 def _manufactured_setup(n, u_fn, c_fn, f_fn, tol=1e-12):
     grid = Grid.square(n)
     x, y = grid.coords

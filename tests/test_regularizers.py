@@ -104,6 +104,21 @@ class TestMirrorMaps:
         assert float(np.sum(GRID.weights * x.values)) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestOwnership:
+    @pytest.mark.parametrize("reg", ALL_REGS, ids=lambda r: type(r).__name__)
+    def test_mirror_map_result_is_fresh_and_frozen(self, reg, check_ownership):
+        xi = GridFunction(GRID, np.random.default_rng(6).uniform(-2, 2, GRID.node_count))
+        check_ownership(reg.mirror_map, xi, inputs=[GRID.weights])
+
+    @pytest.mark.parametrize("reg", ALL_REGS, ids=lambda r: type(r).__name__)
+    def test_bregman_evaluator_leaves_inputs_alone(self, reg, check_ownership):
+        rng = np.random.default_rng(7)
+        target, pair = random_pair(reg, rng), random_pair(reg, rng)
+        dist = reg.bregman_to(target.x)
+        d = check_ownership(dist, pair.x, pair.xi, inputs=[target.x.values, GRID.weights])
+        assert d == pytest.approx(reg.bregman(pair, target.x), abs=1e-12)
+
+
 class TestBregman:
     def test_zero_at_same_point(self):
         rng = np.random.default_rng(0)
