@@ -22,56 +22,33 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, experiments, smd
-from .config import ExperimentConfig, parse_config
-from .grids import add_noise
-from .landweber import run, write_iterates_csv
+from .config import parse_config
 
 __all__ = ["main"]
-
-
-def _build_setup(cfg: ExperimentConfig):
-    if cfg.problem == "entropy_integral":
-        return experiments.setup_entropy_experiment(cfg.n)
-    if cfg.problem == "pde_coefficient":
-        return experiments.setup_pde_experiment(cfg.n)
-    raise ValueError(f"problem {cfg.problem!r} has no deterministic setup")
 
 
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config).resolved(fast=args.fast)
     delta = args.delta if args.delta is not None else cfg.deltas[0]
     seed = args.seed if args.seed is not None else cfg.seeds[0]
-    setup = _build_setup(cfg)
-    rule = experiments.make_step_rule(
-        cfg.rule, tau=cfg.tau, eta=cfg.eta, delta=delta, gamma=cfg.gamma,
-        gamma_bar=cfg.gamma_bar, gamma0=cfg.gamma0,
-        apriori=cfg.stopping == "apriori")
-    stop = experiments.make_stop(cfg.stopping, tau=cfg.tau, delta=delta,
-                                 c=cfg.apriori_c, k_max=cfg.max_iter)
-    y_delta = add_noise(setup.y, delta, seed)
-    res = run(setup.forward, setup.reg, y_delta, rule, stop,
-              x_truth=setup.x_true, lambda_tracking=setup.forward.linear)
-    err = setup.reg.error_norm(res.x - setup.x_true)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_iterates_csv(
-            res.records, out / f"iterates_{experiments._delta_tag(delta)}_{seed}.csv")
+    setup = experiments.build_setup(cfg.problem, cfg.n)
+    rule, stop = experiments.make_cell(setup, cfg.rule, delta, tau=cfg.tau, eta=cfg.eta,
+                                       stopping=cfg.stopping, c=cfg.apriori_c)
+    cell = experiments.run_cell(setup, rule, stop, delta, seed, out_dir=args.out or None)
     print(f"problem={cfg.problem} rule={cfg.rule} delta={delta:g} seed={seed} "
-          f"stop={res.stop_reason} iter={res.k_stop} err={err:.6e} "
-          f"ratio={err / math.sqrt(delta):.6f}")
+          f"stop={cell.result.stop_reason} iter={cell.k_stop} err={cell.err:.6e} "
+          f"ratio={cell.err / math.sqrt(delta):.6f}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
     cfg = parse_config(args.config).resolved(fast=args.fast)
-    setup = _build_setup(cfg)
+    setup = experiments.build_setup(cfg.problem, cfg.n)
     out_dir = Path(args.out) if args.out else None
     outcome = experiments.run_rate_sweep(
         setup, cfg.rule, cfg.deltas, cfg.seeds, tau=cfg.tau, eta=cfg.eta,
-        gamma=cfg.gamma, gamma_bar=cfg.gamma_bar, gamma0=cfg.gamma0,
-        stopping=cfg.stopping, apriori_c=cfg.apriori_c, max_iter=cfg.max_iter,
-        out_dir=out_dir, keep_records=False)
+        stopping=cfg.stopping, apriori_c=cfg.apriori_c, out_dir=out_dir,
+        keep_records=False)
     failed = [c for c in outcome.cells if c.failed]
     for row in outcome.table.rows:
         print(f"rule={row.rule} delta={row.delta:g} iter={row.iters:g} "

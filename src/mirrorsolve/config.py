@@ -9,19 +9,19 @@ a minimal file only names the problem::
 
     [rule]
     name = rule3                ; rule1 | rule2 | rule3
-    tau = 1.01
-    eta = 0                    ; defaults to the problem's value
-    gamma_bar = 600
-    gamma0 = 1.98
+    tau = 1.01                  ; defaults to the problem setup's value
+    eta = 0                     ; defaults to the problem setup's value
 
     [stopping]
-    kind = discrepancy          ; discrepancy | apriori | maxiter
-    c = 1.0
-    k_max = 1000
+    kind = discrepancy          ; discrepancy | apriori
+    c = 1.0                     ; a-priori stop after floor(c / delta) steps
 
     [sweep]
-    deltas = 5e-2, 5e-3, 5e-4
-    seeds = 1, 2, 3, 4, 5
+    deltas = 5e-2, 5e-3, 5e-4   ; positive; defaults to the problem's values
+    seeds = 1, 2, 3, 4, 5       ; non-empty
+
+The step rules' constants gamma0 = 1.98 and gamma_bar = 600 are fixed
+(``experiments.GAMMA0``, ``experiments.GAMMA_BAR``) and are not config keys.
 
 The ``[smd]`` section configures the stochastic study (kind smd_synthetic):
 blocks, n, regularizer (entropy | elastic), beta, gamma, alpha, k_max,
@@ -39,13 +39,12 @@ from dataclasses import dataclass, replace
 
 __all__ = ["ExperimentConfig", "parse_config", "PROBLEM_DEFAULTS"]
 
-#: per-problem defaults: grid size (normal, fast), tau, eta, deltas
+#: per-problem defaults: grid size (normal, fast) and deltas; tau and eta
+#: default to the values on the problem's setup
 PROBLEM_DEFAULTS = {
-    "entropy_integral": dict(n=5000, n_fast=1000, tau=1.01, eta=0.0,
-                             deltas=(5e-2, 5e-3, 5e-4)),
-    "pde_coefficient": dict(n=64, n_fast=32, tau=1.1, eta=0.04,
-                            deltas=(1e-2, 1e-3, 1e-4)),
-    "smd_synthetic": dict(n=50, n_fast=50, tau=None, eta=0.0, deltas=()),
+    "entropy_integral": dict(n=5000, n_fast=1000, deltas=(5e-2, 5e-3, 5e-4)),
+    "pde_coefficient": dict(n=64, n_fast=32, deltas=(1e-2, 1e-3, 1e-4)),
+    "smd_synthetic": dict(n=50, n_fast=50, deltas=()),
 }
 
 
@@ -54,14 +53,10 @@ class ExperimentConfig:
     problem: str = "entropy_integral"
     n: int = None                  # None -> problem default
     rule: str = "rule1"
-    tau: float = None
-    eta: float = None
-    gamma: float = None
-    gamma_bar: float = 600.0
-    gamma0: float = 1.98
+    tau: float = None              # None -> the setup's value
+    eta: float = None              # None -> the setup's value
     stopping: str = "discrepancy"
     apriori_c: float = 1.0
-    max_iter: int = None
     deltas: tuple = None
     seeds: tuple = (1, 2, 3, 4, 5)
     # stochastic study
@@ -81,21 +76,26 @@ class ExperimentConfig:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.rule not in ("rule1", "rule2", "rule3"):
             raise ValueError(f"unknown rule {self.rule!r}")
-        if self.stopping not in ("discrepancy", "apriori", "maxiter"):
+        if self.stopping not in ("discrepancy", "apriori"):
             raise ValueError(f"unknown stopping {self.stopping!r}")
+        if not self.seeds:
+            raise ValueError("[sweep] seeds is empty")
+        if self.problem != "smd_synthetic" and self.deltas is not None:
+            if not self.deltas:
+                raise ValueError("[sweep] deltas is empty")
+            if not all(d > 0 for d in self.deltas):
+                raise ValueError(f"[sweep] deltas must be positive, got {self.deltas}")
         if self.problem == "pde_coefficient" and self.rule == "rule1":
             raise ValueError("rule1 is only offered where the norm bound is "
                              "known analytically (entropy experiment)")
 
     def resolved(self, fast: bool = False) -> "ExperimentConfig":
-        """Fill None fields from the problem defaults; ``fast`` sets the
-        coarse grid even where ``n`` is given."""
+        """Fill ``n`` and ``deltas`` from the problem defaults; ``fast`` sets
+        the coarse grid even where ``n`` is given."""
         d = PROBLEM_DEFAULTS[self.problem]
         return replace(
             self,
             n=d["n_fast"] if fast else (self.n if self.n is not None else d["n"]),
-            tau=self.tau if self.tau is not None else d["tau"],
-            eta=self.eta if self.eta is not None else d["eta"],
             deltas=tuple(self.deltas) if self.deltas is not None else d["deltas"],
         )
 
@@ -115,12 +115,8 @@ _KEYS = {
     ("rule", "name"): (str, "rule"),
     ("rule", "tau"): (float, "tau"),
     ("rule", "eta"): (float, "eta"),
-    ("rule", "gamma"): (float, "gamma"),
-    ("rule", "gamma_bar"): (float, "gamma_bar"),
-    ("rule", "gamma0"): (float, "gamma0"),
     ("stopping", "kind"): (str, "stopping"),
     ("stopping", "c"): (float, "apriori_c"),
-    ("stopping", "k_max"): (int, "max_iter"),
     ("sweep", "deltas"): (_floats, "deltas"),
     ("sweep", "seeds"): (_ints, "seeds"),
     ("smd", "blocks"): (int, "smd_blocks"),

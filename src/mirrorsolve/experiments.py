@@ -19,9 +19,14 @@ Two desk-scale studies are provided:
   lies outside the source condition and its L2 error has a floor (0.0453 at
   n = 64).
 
-A sweep runs one step-size rule over a grid of noise levels and seeds,
-records the stopping index and reconstruction error per cell, aggregates
-across seeds by the median, and emits deterministic CSV artifacts.
+One path takes config values to a finished (delta, seed) cell, for a
+single run and for a sweep alike: ``build_setup`` builds the problem,
+``make_cell`` the step and stopping rules (tau and eta default to the
+setup's), and ``run_cell`` draws the noise, runs and writes the iterate
+log.  A sweep runs one step-size rule over a grid of noise levels and
+seeds, records the stopping index and reconstruction error per cell,
+aggregates across seeds by the median, and emits deterministic CSV
+artifacts.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .landweber import (
     APrioriStop,
     ConstantStep,
     DiscrepancyStop,
-    MaxIterStop,
     MinimalErrorStep,
     RunResult,
     run,
@@ -53,8 +57,10 @@ __all__ = [
     "PdeSetup",
     "setup_entropy_experiment",
     "setup_pde_experiment",
+    "build_setup",
     "make_step_rule",
-    "make_stop",
+    "make_cell",
+    "run_cell",
     "RateRow",
     "RateTable",
     "CellResult",
@@ -68,12 +74,12 @@ __all__ = [
 #: density integrate to one over [0, 1]
 ENTROPY_A = 0.4949075935
 
-#: default cap for the variable step-size rules
-GAMMA_BAR_DEFAULT = 600.0
+#: cap of the variable step-size rules
+GAMMA_BAR = 600.0
 
 #: base constant for the uncapped factors of rules 1-3; must stay below
 #: 4 * sigma = 2 for the 1/2-strongly-convex regularizers used here
-GAMMA0_DEFAULT = 1.98
+GAMMA0 = 1.98
 
 
 @dataclass(frozen=True)
@@ -150,45 +156,87 @@ def setup_pde_experiment(n: int, *, solver_tol: float = 1e-10) -> PdeSetup:
     return PdeSetup(forward, reg, c_true, y, eta=0.04, tau_default=1.1)
 
 
+def build_setup(kind: str, n: int):
+    """The setup of a Landweber problem kind on grid size ``n``."""
+    if kind == "entropy_integral":
+        return setup_entropy_experiment(n)
+    if kind == "pde_coefficient":
+        return setup_pde_experiment(n)
+    raise ValueError(f"problem {kind!r} has no deterministic setup")
+
+
 def make_step_rule(name: str, *, tau: float, eta: float, delta: float,
-                   gamma: float = None, gamma_bar: float = GAMMA_BAR_DEFAULT,
-                   gamma0: float = GAMMA0_DEFAULT, apriori: bool = False):
+                   apriori: bool = False):
     """Build one of the three benchmark step-size rules.
 
-    rule1: constant gamma / L^2.  Under discrepancy stopping gamma defaults
-    to gamma0 * (1 - eta - (1+eta)/tau); under a-priori stopping there is no
-    tau coupling and the default is the larger gamma0, which still satisfies
-    the constant-step admissibility bound 4 * sigma * (1 - eta).
-    rule2: capped minimal-error step with the same gamma.
-    rule3: capped adaptive step with gamma0 and the noise level delta.
+    rule1: constant gamma / L^2.  Under discrepancy stopping gamma is
+    GAMMA0 * (1 - eta - (1+eta)/tau); under a-priori stopping there is no
+    tau coupling and gamma is the larger GAMMA0 * (1 - eta), which still
+    satisfies the constant-step admissibility bound 4 * sigma * (1 - eta).
+    rule2: minimal-error step with the same gamma, capped at GAMMA_BAR.
+    rule3: adaptive step with GAMMA0 and the noise level delta, capped at
+    GAMMA_BAR.
     """
     if name == "rule3":
-        return AdaptiveStep(gamma0=gamma0, gamma_bar=gamma_bar, tau=tau,
+        return AdaptiveStep(gamma0=GAMMA0, gamma_bar=GAMMA_BAR, tau=tau,
                             eta=eta, delta=delta)
-    if gamma is None:
-        if apriori:
-            gamma = gamma0 * (1.0 - eta)
-        else:
-            gamma = gamma0 * (1.0 - eta - (1.0 + eta) / tau)
+    if apriori:
+        gamma = GAMMA0 * (1.0 - eta)
+    else:
+        gamma = GAMMA0 * (1.0 - eta - (1.0 + eta) / tau)
     if gamma <= 0:
         raise ValueError("tau too small: derived gamma is not positive")
     if name == "rule1":
         return ConstantStep(gamma=gamma)
     if name == "rule2":
-        return MinimalErrorStep(gamma=gamma, gamma_bar=gamma_bar)
+        return MinimalErrorStep(gamma=gamma, gamma_bar=GAMMA_BAR)
     raise ValueError(f"unknown rule {name!r} (expected rule1|rule2|rule3)")
 
 
-def make_stop(kind: str, *, tau: float, delta: float, c: float, k_max: int):
-    """Build a stopping rule: ``discrepancy`` (tau, delta), ``apriori``
-    (delta, c) or ``maxiter`` (k_max, 1000 when None)."""
-    if kind == "discrepancy":
-        return DiscrepancyStop(tau=tau, delta=delta)
-    if kind == "apriori":
-        return APrioriStop(delta=delta, c=c)
-    if kind == "maxiter":
-        return MaxIterStop(k_max=k_max if k_max is not None else 1000)
-    raise ValueError(f"unknown stopping {kind!r}")
+def make_cell(setup, rule_name: str, delta: float, *, tau: float = None,
+              eta: float = None, stopping: str = "discrepancy", c: float = 1.0):
+    """The (step rule, stopping rule) pair of one noise level on ``setup``.
+
+    ``tau`` and ``eta`` default to the setup's values.  ``stopping`` is
+    ``discrepancy`` (tau, delta) or ``apriori`` (delta, c).  ``delta`` must
+    be positive, since a cell reports err / sqrt(delta).  Rule 1 needs the
+    analytic norm bound of a ``LinearIntegral``.
+    """
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    if tau is None:
+        tau = setup.tau_default
+    if eta is None:
+        eta = setup.eta
+    if rule_name == "rule1" and not isinstance(setup.forward, LinearIntegral):
+        raise ValueError("rule1 needs a known norm bound; use rule2 or rule3 here")
+    if stopping == "discrepancy":
+        stop = DiscrepancyStop(tau=tau, delta=delta)
+    elif stopping == "apriori":
+        stop = APrioriStop(delta=delta, c=c)
+    else:
+        raise ValueError(f"unknown stopping {stopping!r}")
+    rule = make_step_rule(rule_name, tau=tau, eta=eta, delta=delta,
+                          apriori=stopping == "apriori")
+    return rule, stop
+
+
+def run_cell(setup, rule, stop, delta: float, seed: int, *, out_dir=None,
+             safety_cap: int = 10 ** 6) -> CellResult:
+    """Run one (delta, seed) cell: draw the noise, iterate to the stop and,
+    with ``out_dir`` set, write ``iterates_<delta>_<seed>.csv`` there."""
+    y_delta = add_noise(setup.y, delta, seed)
+    res = run(setup.forward, setup.reg, y_delta, rule, stop,
+              x_truth=setup.x_true, lambda_tracking=setup.forward.linear,
+              safety_cap=safety_cap)
+    cell = CellResult(delta=delta, seed=seed, k_stop=res.k_stop,
+                      err=setup.reg.error_norm(res.x - setup.x_true), result=res)
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        tag = f"{delta:g}".replace(".", "p")
+        write_iterates_csv(res.records, out_dir / f"iterates_{tag}_{seed}.csv")
+    return cell
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +288,9 @@ class SweepOutcome:
     cells: list
 
 
-def _delta_tag(delta: float) -> str:
-    return f"{delta:g}".replace(".", "p")
-
-
 def run_rate_sweep(setup, rule_name: str, deltas, seeds, *, tau: float = None,
-                   eta: float = None, gamma: float = None,
-                   gamma_bar: float = GAMMA_BAR_DEFAULT,
-                   gamma0: float = GAMMA0_DEFAULT, stopping: str = "discrepancy",
-                   apriori_c: float = 1.0, max_iter: int = None,
-                   out_dir=None, keep_records: bool = True,
+                   eta: float = None, stopping: str = "discrepancy",
+                   apriori_c: float = 1.0, out_dir=None, keep_records: bool = True,
                    safety_cap: int = 10 ** 6) -> SweepOutcome:
     """Run one rule over a (delta, seed) grid and aggregate medians.
 
@@ -259,50 +300,24 @@ def run_rate_sweep(setup, rule_name: str, deltas, seeds, *, tau: float = None,
     ``iterates_<delta>_<seed>.csv`` and the median table lands in the caller's
     hands for byte-stable emission.
     """
-    if tau is None:
-        tau = setup.tau_default
-    if eta is None:
-        eta = setup.eta
-    if rule_name == "rule1" and not isinstance(setup.forward, LinearIntegral):
-        raise ValueError("rule1 needs a known norm bound; use rule2 or rule3 here")
-
-    pairs = []
-    for delta in deltas:
-        stop = make_stop(stopping, tau=tau, delta=delta, c=apriori_c, k_max=max_iter)
-        rule = make_step_rule(rule_name, tau=tau, eta=eta, delta=delta,
-                              gamma=gamma, gamma_bar=gamma_bar, gamma0=gamma0,
-                              apriori=stopping == "apriori")
-        pairs.append((delta, rule, stop))
-
-    lam_track = setup.forward.linear
+    pairs = [(delta, *make_cell(setup, rule_name, delta, tau=tau, eta=eta,
+                                stopping=stopping, c=apriori_c))
+             for delta in deltas]
     cells = []
     rows = []
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
     for delta, rule, stop in pairs:
-        per_seed = []
+        good = []
         for seed in seeds:
-            cell = CellResult(delta=delta, seed=seed)
             try:
-                y_delta = add_noise(setup.y, delta, seed)
-                res = run(setup.forward, setup.reg, y_delta, rule, stop,
-                          x_truth=setup.x_true, lambda_tracking=lam_track,
-                          safety_cap=safety_cap)
-                cell.k_stop = res.k_stop
-                cell.err = setup.reg.error_norm(res.x - setup.x_true)
-                if keep_records:
-                    cell.result = res
-                if out_dir is not None:
-                    write_iterates_csv(
-                        res.records,
-                        out_dir / f"iterates_{_delta_tag(delta)}_{seed}.csv")
-                per_seed.append(cell)
+                cell = run_cell(setup, rule, stop, delta, seed, out_dir=out_dir,
+                                safety_cap=safety_cap)
+                if not keep_records:
+                    cell.result = None
+                good.append(cell)
             except Exception as exc:  # noqa: BLE001 -- flag the cell, keep sweeping
-                cell.error_message = f"{type(exc).__name__}: {exc}"
-                per_seed.append(cell)
+                cell = CellResult(delta=delta, seed=seed,
+                                  error_message=f"{type(exc).__name__}: {exc}")
             cells.append(cell)
-        good = [c for c in per_seed if not c.failed]
         if good:
             rows.append(RateRow(
                 delta=delta, rule=rule_name,
@@ -313,6 +328,8 @@ def run_rate_sweep(setup, rule_name: str, deltas, seeds, *, tau: float = None,
                                 iters=float("nan"), err=float("nan")))
     table = RateTable(rows)
     if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         table.to_csv(out_dir / "table.csv")
     return SweepOutcome(rule=rule_name, table=table, cells=cells)
 

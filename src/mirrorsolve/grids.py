@@ -8,9 +8,8 @@ operators are exact adjoints with respect to those weighted inner products,
 so adjoint-consistency checks hold to rounding rather than to O(h).
 
 The pairings and norms reduce with the ndarray methods (``a.sum()``,
-``a.max()``): the same ``np.add.reduce`` in the same pairwise order as
-``np.sum``, without its Python-level dispatch, which dominates on the short
-vectors of the stochastic study.
+``a.max()``), which run the same ``np.add.reduce`` in the same pairwise
+order as ``np.sum``.
 
 Temporaries: a kernel may pass ``out=`` only to an array it allocated itself
 in the same call, never to an input, a cached array or a buffer kept between

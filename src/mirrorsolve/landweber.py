@@ -81,7 +81,7 @@ class MinimalErrorStep:
     """gamma_k = min{ gamma ||r||^2 / ||F'* r||^2, gamma_bar }."""
 
     gamma: float
-    gamma_bar: float = 600.0
+    gamma_bar: float
 
     def __post_init__(self):
         if self.gamma <= 0 or self.gamma_bar <= 0:
@@ -229,10 +229,6 @@ class RunResult:
     stop_reason: str
     records: tuple[IterateRecord, ...]
     lam: GridFunction = None
-
-    @property
-    def residuals(self) -> np.ndarray:
-        return np.array([r.residual_norm for r in self.records])
 
 
 class IterationLimitError(RuntimeError):

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mirrorsolve import GridFunction, add_noise, norm_l2
+from mirrorsolve import DiscrepancyStop, GridFunction, add_noise, norm_l2
 from mirrorsolve.cli import main as cli_main
 from mirrorsolve.config import ExperimentConfig, parse_config
 from mirrorsolve.experiments import (
@@ -15,6 +16,7 @@ from mirrorsolve.experiments import (
     RateTable,
     emit_plot_data,
     fit_loglog_slope,
+    make_cell,
     make_step_rule,
     run_rate_sweep,
     setup_entropy_experiment,
@@ -213,10 +215,14 @@ class TestConfig:
     def test_defaults_resolution(self):
         cfg = ExperimentConfig(problem="entropy_integral").resolved()
         assert cfg.n == 5000
-        assert cfg.tau == 1.01
         assert cfg.deltas == (5e-2, 5e-3, 5e-4)
         fast = ExperimentConfig(problem="entropy_integral").resolved(fast=True)
         assert fast.n == 1000
+        # tau defaults to the setup's value
+        _, stop = make_cell(setup_entropy_experiment(fast.n), "rule1", cfg.deltas[0],
+                            tau=cfg.tau, eta=cfg.eta)
+        assert isinstance(stop, DiscrepancyStop)
+        assert stop.tau == 1.01
 
     def test_parse_file(self, tmp_path):
         p = tmp_path / "exp.cfg"
@@ -267,11 +273,27 @@ seeds = 1, 2
         ("[problem]\nkind = entropy_integral\n[rule]\ngama = 2\n", "gama"),
         ("[problem]\nkind = entropy_integral\n[stoping]\nkind = apriori\n", "stoping"),
         ("[problem]\nkind = entropy_integral\n[rule]\ncap_mode = max\n", "cap_mode"),
-    ], ids=["key", "section", "cap_mode"])
+        ("[problem]\nkind = entropy_integral\n[rule]\ngamma_bar = 600\n", "gamma_bar"),
+        ("[problem]\nkind = entropy_integral\n[stopping]\nk_max = 1000\n", "k_max"),
+        ("[problem]\nkind = entropy_integral\n[stopping]\nkind = maxiter\n", "maxiter"),
+    ], ids=["key", "section", "cap_mode", "gamma_bar", "k_max", "maxiter"])
     def test_unknown_key_or_section_rejected(self, tmp_path, text, name):
         p = tmp_path / "typo.cfg"
         p.write_text(text)
         with pytest.raises(ValueError, match=name):
+            parse_config(p)
+
+    @pytest.mark.parametrize("text, reason", [
+        ("[problem]\nkind = entropy_integral\n[sweep]\nseeds =\n", "seeds is empty"),
+        ("[problem]\nkind = smd_synthetic\n[sweep]\nseeds =\n", "seeds is empty"),
+        ("[problem]\nkind = entropy_integral\n[sweep]\ndeltas =\n", "deltas is empty"),
+        ("[problem]\nkind = pde_coefficient\n[rule]\nname = rule2\n[sweep]\n"
+         "deltas = 1e-2, 0\n", "deltas must be positive"),
+    ], ids=["seeds", "smd-seeds", "deltas", "zero-delta"])
+    def test_bad_sweep_values_rejected(self, tmp_path, text, reason):
+        p = tmp_path / "bad.cfg"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=reason):
             parse_config(p)
 
     @pytest.mark.parametrize("text, names", [
@@ -335,6 +357,36 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "iter=" in out and "ratio=" in out
+
+    @pytest.mark.parametrize("stopping", ["[stopping]\nkind = discrepancy\n",
+                                          "[stopping]\nkind = apriori\nc = 0.5\n"],
+                             ids=["discrepancy", "apriori"])
+    def test_run_cell_equals_sweep_cell(self, tmp_path, capsys, stopping):
+        # run and sweep build a cell the same way: the same iterates, byte for byte
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(ENTROPY_CFG + stopping)
+        rc = cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                       "--delta", "5e-3", "--seed", "2"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+        name = "iterates_0p005_2.csv"
+        assert [p.name for p in (tmp_path / "run").iterdir()] == [name]
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "sweep" / name).read_bytes()
+        if "apriori" in stopping:
+            assert "stop=apriori" in out
+            assert f" iter={math.floor(0.5 / 5e-3)} " in out
+        else:
+            assert "stop=discrepancy" in out
+
+    def test_run_rejects_nonpositive_delta(self, tmp_path, capsys):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(ENTROPY_CFG)
+        rc = cli_main(["run", "--config", str(cfg), "--delta", "0"])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["type"] == "ValueError"
+        assert "delta must be positive" in payload["message"]
 
     def test_sweep_writes_artifacts_and_is_reproducible(self, tmp_path):
         cfg = tmp_path / "e.cfg"
