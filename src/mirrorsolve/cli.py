@@ -23,6 +23,7 @@ import numpy as np
 
 from . import checks, experiments, smd
 from .config import parse_config
+from .regularizers import ElasticNet, EntropySimplex
 
 __all__ = ["main"]
 
@@ -79,14 +80,8 @@ def _cmd_smd(args) -> int:
     if cfg.problem != "smd_synthetic":
         raise ValueError(f"smd needs [problem] kind = smd_synthetic, "
                          f"got {cfg.problem!r}")
-    if cfg.smd_regularizer == "entropy":
-        from .regularizers import EntropySimplex
-        reg = EntropySimplex()
-    elif cfg.smd_regularizer == "elastic":
-        from .regularizers import ElasticNet
-        reg = ElasticNet(beta=cfg.smd_beta)
-    else:
-        raise ValueError(f"unknown smd regularizer {cfg.smd_regularizer!r}")
+    reg = (EntropySimplex() if cfg.smd_regularizer == "entropy"
+           else ElasticNet(beta=cfg.smd_beta))
     inst = smd.build_sourced_instance(
         cfg.smd_blocks, cfg.smd_n, reg, cfg.smd_instance_seed,
         smoothing=cfg.smd_smoothing, lam_scale=cfg.smd_lam_scale)

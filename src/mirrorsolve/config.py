@@ -17,8 +17,9 @@ a minimal file only names the problem::
     c = 1.0                     ; a-priori stop after floor(c / delta) steps
 
     [sweep]
-    deltas = 5e-2, 5e-3, 5e-4   ; positive; defaults to the problem's values
-    seeds = 1, 2, 3, 4, 5       ; non-empty
+    deltas = 5e-2, 5e-3, 5e-4   ; positive, distinct as f"{delta:g}" (the
+                                ; iterate-file tag); defaults to the problem's
+    seeds = 1, 2, 3, 4, 5       ; non-empty, no seed twice
 
 The step rules' constants gamma0 = 1.98 and gamma_bar = 600 are fixed
 (``experiments.GAMMA0``, ``experiments.GAMMA_BAR``) and are not config keys.
@@ -27,9 +28,11 @@ The ``[smd]`` section configures the stochastic study (kind smd_synthetic):
 blocks, n, regularizer (entropy | elastic), beta, gamma, alpha, k_max,
 instance_seed, lam_scale, smoothing.  An unknown section or key raises
 ValueError, so a misspelt key cannot fall back to its default unnoticed; so
-does a key the chosen kind never reads: ``[smd]`` for the Landweber kinds,
-and ``[problem] n``, ``[rule]``, ``[stopping]`` and ``[sweep] deltas`` for
-smd_synthetic.
+does a key the chosen settings never read: ``[smd]`` for the Landweber
+kinds; ``[problem] n``, ``[rule]``, ``[stopping]`` and ``[sweep] deltas``
+for smd_synthetic; ``[stopping] c`` under discrepancy stopping; ``[rule]
+tau`` under a-priori stopping with rule1 or rule2 (only rule3's adaptive
+step reads it there); and ``[smd] beta`` with the entropy regularizer.
 """
 
 from __future__ import annotations
@@ -78,16 +81,21 @@ class ExperimentConfig:
             raise ValueError(f"unknown rule {self.rule!r}")
         if self.stopping not in ("discrepancy", "apriori"):
             raise ValueError(f"unknown stopping {self.stopping!r}")
+        if self.smd_regularizer not in ("entropy", "elastic"):
+            raise ValueError(f"unknown smd regularizer {self.smd_regularizer!r}")
         if not self.seeds:
             raise ValueError("[sweep] seeds is empty")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"[sweep] seeds repeat a seed: {self.seeds}")
         if self.problem != "smd_synthetic" and self.deltas is not None:
             if not self.deltas:
                 raise ValueError("[sweep] deltas is empty")
             if not all(d > 0 for d in self.deltas):
                 raise ValueError(f"[sweep] deltas must be positive, got {self.deltas}")
-        if self.problem == "pde_coefficient" and self.rule == "rule1":
-            raise ValueError("rule1 is only offered where the norm bound is "
-                             "known analytically (entropy experiment)")
+            # two deltas with one iterate-file tag would write one file
+            tags = [f"{d:g}" for d in self.deltas]
+            if len(set(tags)) < len(tags):
+                raise ValueError(f"[sweep] deltas repeat an iterate-file tag: {tags}")
 
     def resolved(self, fast: bool = False) -> "ExperimentConfig":
         """Fill ``n`` and ``deltas`` from the problem defaults; ``fast`` sets
@@ -136,10 +144,32 @@ _KEYS = {
 #: those in [smd] and the Landweber kinds all but those
 _SHARED_KEYS = {("problem", "kind"), ("sweep", "seeds")}
 
+#: keys that some settings of their own kind leave unread:
+#: (section, key) -> (those settings, whether a config has them)
+_SETTING_KEYS = {
+    ("stopping", "c"): ("discrepancy stopping", lambda cfg: cfg.stopping == "discrepancy"),
+    ("rule", "tau"): ("a-priori stopping with rule1 or rule2",
+                      lambda cfg: cfg.stopping == "apriori" and cfg.rule != "rule3"),
+    ("smd", "beta"): ("the entropy regularizer", lambda cfg: cfg.smd_regularizer == "entropy"),
+}
+
+
+def _unread(cfg: ExperimentConfig, section: str, key: str):
+    """None if ``cfg`` reads (section, key); otherwise "" where its problem
+    kind never does, or " under <settings>" where its settings do not."""
+    if (section, key) in _SHARED_KEYS:
+        return None
+    if (section == "smd") != (cfg.problem == "smd_synthetic"):
+        return ""
+    setting = _SETTING_KEYS.get((section, key))
+    if setting is not None and setting[1](cfg):
+        return f" under {setting[0]}"
+    return None
+
 
 def parse_config(path) -> ExperimentConfig:
     """Read an INI config; an unknown section or key, or a key the problem
-    kind does not read, raises ValueError."""
+    kind or the chosen settings do not read, raises ValueError."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = cp.read(path)
     if not read:
@@ -162,10 +192,9 @@ def parse_config(path) -> ExperimentConfig:
         raise ValueError(f"{path}: unknown {', '.join(unknown)}")
 
     cfg = ExperimentConfig(**kw)
-    unused = [f"key {key!r} in [{section}]" for section in cp.sections()
-              for key in cp.options(section)
-              if (section, key) not in _SHARED_KEYS
-              and (section == "smd") != (cfg.problem == "smd_synthetic")]
+    unused = [f"key {key!r} in [{section}]{why}"
+              for section in cp.sections() for key in cp.options(section)
+              if (why := _unread(cfg, section, key)) is not None]
     if unused:
         raise ValueError(f"{path}: kind {cfg.problem!r} does not read {', '.join(unused)}")
     return cfg

@@ -13,11 +13,8 @@ Two desk-scale studies are provided:
   (max(1 - 9(x^2+y^2), 0))^2 and source term f = -4 + (1+x^2+y^2) c make
   u(c) = 1 + x^2 + y^2; exact data is the *discrete* solve at the true
   coefficient so measurement noise, not discretization, drives the sweep.
-  The bump is centred at the corner (0, 0), so the true coefficient is
-  nonzero on the edges x = 0 and y = 0.  The forward map has no sensitivity
-  to boundary values of c and every iterate stays 0 there, so this truth
-  lies outside the source condition and its L2 error has a floor (0.0453 at
-  n = 64).
+  The bump sits at the corner (0, 0), so this truth lies outside the source
+  condition (see the README, "Elliptic truth and the source condition").
 
 One path takes config values to a finished (delta, seed) cell, for a
 single run and for a sweep alike: ``build_setup`` builds the problem,
@@ -48,13 +45,12 @@ from .landweber import (
     run,
     write_iterates_csv,
 )
-from .operators import EllipticCoefficient, EllipticSolver, LinearIntegral
-from .regularizers import EntropySimplex, QuadraticBox
+from .operators import EllipticCoefficient, EllipticSolver, ForwardOperator, LinearIntegral
+from .regularizers import EntropySimplex, QuadraticBox, Regularizer
 
 __all__ = [
     "ENTROPY_A",
-    "EntropySetup",
-    "PdeSetup",
+    "Setup",
     "setup_entropy_experiment",
     "setup_pde_experiment",
     "build_setup",
@@ -83,27 +79,20 @@ GAMMA0 = 1.98
 
 
 @dataclass(frozen=True)
-class EntropySetup:
-    forward: LinearIntegral
-    reg: EntropySimplex
-    x_true: GridFunction
-    y: GridFunction
-    lam_true: GridFunction
-    eta: float
-    tau_default: float
+class Setup:
+    """One benchmark problem; ``lam_true`` is its dual source element where
+    that is known."""
 
-
-@dataclass(frozen=True)
-class PdeSetup:
-    forward: EllipticCoefficient
-    reg: QuadraticBox
+    forward: ForwardOperator
+    reg: Regularizer
     x_true: GridFunction
     y: GridFunction
     eta: float
     tau_default: float
+    lam_true: GridFunction = None
 
 
-def setup_entropy_experiment(n: int) -> EntropySetup:
+def setup_entropy_experiment(n: int) -> Setup:
     """Integral-equation benchmark on n subintervals (n >= 100).
 
     The kernel 1 + t + s factors as 1*(1+s) + t*1, so the operator is applied
@@ -129,19 +118,12 @@ def setup_entropy_experiment(n: int) -> EntropySetup:
     reg = EntropySimplex()
     y = forward.apply(x_true)
     lam_true = GridFunction.wrap(grid, np.full(grid.node_count, ENTROPY_A))
-    return EntropySetup(forward, reg, x_true, y, lam_true, eta=0.0, tau_default=1.01)
+    return Setup(forward, reg, x_true, y, eta=0.0, tau_default=1.01, lam_true=lam_true)
 
 
-def setup_pde_experiment(n: int, *, solver_tol: float = 1e-10) -> PdeSetup:
-    """Coefficient-identification benchmark on an n x n square grid.
-
-    The true coefficient (max(1 - 9(x^2+y^2), 0))^2 is centred at the corner
-    (0, 0) and is nonzero on the boundary edges x = 0 and y = 0, where the
-    forward map has no sensitivity.  Iterates keep c = 0 on those nodes, so
-    the reconstruction error cannot fall below the L2 norm of that boundary
-    trace (0.0453 at n = 64) and the truth does not satisfy the source
-    condition c = F'(c)^* lambda.
-    """
+def setup_pde_experiment(n: int, *, solver_tol: float = 1e-10) -> Setup:
+    """Coefficient-identification benchmark on an n x n square grid, whose
+    corner-bump truth has an error floor (see the README, "Elliptic truth")."""
     if n not in (16, 32, 64, 128):
         raise ValueError("pde experiment supports n in {16, 32, 64, 128}")
     grid = Grid.square(n)
@@ -153,10 +135,10 @@ def setup_pde_experiment(n: int, *, solver_tol: float = 1e-10) -> PdeSetup:
                                   solver=EllipticSolver(grid, tol=solver_tol))
     reg = QuadraticBox(lower=0.0)
     y = forward.apply(c_true)
-    return PdeSetup(forward, reg, c_true, y, eta=0.04, tau_default=1.1)
+    return Setup(forward, reg, c_true, y, eta=0.04, tau_default=1.1)
 
 
-def build_setup(kind: str, n: int):
+def build_setup(kind: str, n: int) -> Setup:
     """The setup of a Landweber problem kind on grid size ``n``."""
     if kind == "entropy_integral":
         return setup_entropy_experiment(n)
@@ -200,7 +182,7 @@ def make_cell(setup, rule_name: str, delta: float, *, tau: float = None,
     ``tau`` and ``eta`` default to the setup's values.  ``stopping`` is
     ``discrepancy`` (tau, delta) or ``apriori`` (delta, c).  ``delta`` must
     be positive, since a cell reports err / sqrt(delta).  Rule 1 needs the
-    analytic norm bound of a ``LinearIntegral``.
+    analytic norm bound of a linear forward map.
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -208,7 +190,7 @@ def make_cell(setup, rule_name: str, delta: float, *, tau: float = None,
         tau = setup.tau_default
     if eta is None:
         eta = setup.eta
-    if rule_name == "rule1" and not isinstance(setup.forward, LinearIntegral):
+    if rule_name == "rule1" and not setup.forward.linear:
         raise ValueError("rule1 needs a known norm bound; use rule2 or rule3 here")
     if stopping == "discrepancy":
         stop = DiscrepancyStop(tau=tau, delta=delta)
@@ -230,7 +212,7 @@ def run_cell(setup, rule, stop, delta: float, seed: int, *, out_dir=None,
               x_truth=setup.x_true, lambda_tracking=setup.forward.linear,
               safety_cap=safety_cap)
     cell = CellResult(delta=delta, seed=seed, k_stop=res.k_stop,
-                      err=setup.reg.error_norm(res.x - setup.x_true), result=res)
+                      err=res.records[-1].error_to_truth, result=res)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -283,7 +265,6 @@ class CellResult:
 
 @dataclass
 class SweepOutcome:
-    rule: str
     table: RateTable
     cells: list
 
@@ -331,16 +312,16 @@ def run_rate_sweep(setup, rule_name: str, deltas, seeds, *, tau: float = None,
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         table.to_csv(out_dir / "table.csv")
-    return SweepOutcome(rule=rule_name, table=table, cells=cells)
+    return SweepOutcome(table=table, cells=cells)
 
 
 def fit_loglog_slope(deltas, errs):
     """Least-squares slope of log(err) against log(delta); None if fewer than
-    two usable (positive, finite) points."""
+    two distinct deltas have usable (positive, finite) points."""
     d = np.asarray(deltas, float)
     e = np.asarray(errs, float)
     mask = (d > 0) & (e > 0) & np.isfinite(d) & np.isfinite(e)
-    if mask.sum() < 2:
+    if np.unique(d[mask]).size < 2:
         return None
     return float(np.polyfit(np.log(d[mask]), np.log(e[mask]), 1)[0])
 

@@ -11,9 +11,9 @@ minimal-error step, and a capped adaptive step that discounts the noise
 level), together with discrepancy-principle, iteration-budget, and max-iter
 stopping.  Runs are instrumented: per-iterate residuals, step sizes, Bregman
 distance and error to a supplied ground truth, and -- for linear forward
-operators -- the defect of the dual-space identity xi_k = xi_0 + A* lambda_k
+operators -- the defect of the dual-space identity xi_k = A* lambda_k
 maintained by the auxiliary sequence lambda_{k+1} = lambda_k - gamma_k
-(F x_k - y_delta).
+(F x_k - y_delta).  Every run starts from xi_0 = 0.
 """
 
 from __future__ import annotations
@@ -228,7 +228,6 @@ class RunResult:
     k_stop: int
     stop_reason: str
     records: tuple[IterateRecord, ...]
-    lam: GridFunction = None
 
 
 class IterationLimitError(RuntimeError):
@@ -250,14 +249,14 @@ class NonFiniteResidualError(ArithmeticError):
 
 
 def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
-        rule, stop, *, xi0: GridFunction = None, x_truth: GridFunction = None,
-        lambda_tracking: bool = False, safety_cap: int = 10 ** 6) -> RunResult:
-    """Iterate until the stopping rule fires.
+        rule, stop, *, x_truth: GridFunction = None, lambda_tracking: bool = False,
+        safety_cap: int = 10 ** 6) -> RunResult:
+    """Iterate from xi_0 = 0 until the stopping rule fires.
 
     ``x_truth`` enables the Bregman-distance and error columns of the record
     stream; ``lambda_tracking`` (linear forward operators only) maintains the
     auxiliary sequence lambda_k and logs the defect
-    ||xi_k - xi_0 - A* lambda_k||_L2, recomputing A* lambda_k afresh each
+    ||xi_k - A* lambda_k||_L2, recomputing A* lambda_k afresh each
     iteration so the check stays independent of the xi update.  A NaN or
     infinite residual norm raises :class:`NonFiniteResidualError` at once.
     """
@@ -265,9 +264,7 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
     if lambda_tracking and not forward.linear:
         raise ValueError("lambda tracking is only defined for linear operators")
 
-    if xi0 is None:
-        xi0 = forward.grid_in.zeros()
-    xi = xi0
+    xi = forward.grid_in.zeros()
     x = reg.mirror_map(xi)
     lam = forward.grid_out.zeros() if lambda_tracking else None
 
@@ -294,14 +291,13 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
         err = reg.error_norm(x - x_truth) if x_truth is not None else None
         ldef = None
         if lambda_tracking:
-            d = np.subtract(xi.values, xi0.values)
-            d -= forward.adjoint_apply(lam).values
+            d = np.subtract(xi.values, forward.adjoint_apply(lam).values)
             ldef = norm_l2(GridFunction.wrap(xi.grid, d))
 
         reason = stop.reason(k, rn)
         if reason is not None:
             records.append(IterateRecord(k, rn, None, breg, err, ldef))
-            return RunResult(x, xi, k, reason, tuple(records), lam)
+            return RunResult(x, xi, k, reason, tuple(records))
         if k >= safety_cap:
             raise IterationLimitError(safety_cap, records)
 

@@ -1,7 +1,7 @@
 """Strongly convex regularizers with closed-form mirror maps.
 
-Each regularizer R is 1/2-strongly convex (modulus ``sigma = 0.5``) in its
-declared ``rate_norm`` and exposes:
+Each regularizer R is 1/2-strongly convex (modulus ``sigma = 0.5``) in the
+norm of its ``error_norm`` (L2, or L1 for the entropy) and exposes:
 
 * ``value(x)``             -- R(x), possibly +inf outside the effective domain
 * ``mirror_map(xi)``       -- grad R*(xi) = argmin_x { R(x) - <xi, x> }
@@ -17,6 +17,7 @@ work on any grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +37,7 @@ class DomainError(ValueError):
     """Argument lies outside the effective domain required by an operation."""
 
 
-@dataclass(frozen=True)
-class PrimalDualPair:
+class PrimalDualPair(NamedTuple):
     """A point x together with a subgradient xi of R at x.
 
     Validity means the Fenchel equality R(x) + R*(xi) = <xi, x> holds; use
@@ -47,9 +47,6 @@ class PrimalDualPair:
     x: GridFunction
     xi: GridFunction
 
-    def __post_init__(self):
-        self.x.same_grid(self.xi)
-
     def fenchel_defect(self, reg: "Regularizer") -> float:
         return abs(reg.value(self.x) + reg.conjugate_value(self.xi) - inner(self.xi, self.x))
 
@@ -57,10 +54,8 @@ class PrimalDualPair:
 class Regularizer:
     """Base class; subclasses provide value / mirror_map / subgradient_for."""
 
-    #: strong-convexity modulus in the rate norm
+    #: strong-convexity modulus in the norm of ``error_norm``
     sigma: float = 0.5
-    #: norm in which the convergence-rate statements are read: "l2" or "l1"
-    rate_norm: str = "l2"
 
     def value(self, x: GridFunction) -> float:
         raise NotImplementedError
@@ -79,9 +74,8 @@ class Regularizer:
 
     def bregman(self, pair, xbar: GridFunction) -> float:
         """D_R(xbar, x) = R(xbar) - R(x) - <xi, xbar - x> for (x, xi) in pair."""
-        if isinstance(pair, tuple):
-            pair = PrimalDualPair(*pair)
-        return self.value(xbar) - self.value(pair.x) - inner(pair.xi, xbar - pair.x)
+        x, xi = pair
+        return self.value(xbar) - self.value(x) - inner(xi, xbar - x)
 
     def bregman_to(self, xbar: GridFunction):
         """Distance evaluator with R(xbar) precomputed, for per-iterate logging
@@ -97,12 +91,13 @@ class Regularizer:
 
         return dist
 
-    # norms used by rate diagnostics and the dual-side inequalities
+    # norms in which the rates are read (primal) and the dual-side
+    # inequalities hold; L2 on both sides unless a subclass says otherwise
     def error_norm(self, u: GridFunction) -> float:
-        return norm_l1(u) if self.rate_norm == "l1" else norm_l2(u)
+        return norm_l2(u)
 
     def dual_norm(self, u: GridFunction) -> float:
-        return norm_linf(u) if self.rate_norm == "l1" else norm_l2(u)
+        return norm_l2(u)
 
 
 @dataclass(frozen=True)
@@ -114,8 +109,6 @@ class QuadraticBox(Regularizer):
     """
 
     lower: object = 0.0
-
-    rate_norm = "l2"
 
     def _lower_arr(self, grid):
         if self.lower is None:
@@ -148,8 +141,6 @@ class ElasticNet(Regularizer):
     """R(x) = 1/2 ||x||_L2^2 + beta ||x||_L1; mirror map is soft thresholding."""
 
     beta: float = 1.0
-
-    rate_norm = "l2"
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -185,8 +176,6 @@ class EntropySimplex(Regularizer):
 
     mass_tol: float = 1e-9
 
-    rate_norm = "l1"
-
     def value(self, x: GridFunction) -> float:
         v = x.values
         mn = v.min()
@@ -215,6 +204,12 @@ class EntropySimplex(Regularizer):
         if self.value(x) == np.inf or np.any(x.values <= 0):
             raise DomainError("x must be a strictly positive unit-mass density")
         return GridFunction.wrap(x.grid, 1.0 + np.log(x.values))
+
+    def error_norm(self, u: GridFunction) -> float:
+        return norm_l1(u)
+
+    def dual_norm(self, u: GridFunction) -> float:
+        return norm_linf(u)
 
 
 def kl_divergence(p: GridFunction, q: GridFunction) -> float:

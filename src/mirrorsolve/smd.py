@@ -162,8 +162,7 @@ def smd_step(state, prob: SystemProblem, reg: Regularizer, sched, k: int, i: int
 
 
 def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
-            *, x_truth: GridFunction = None, xi0: GridFunction = None,
-            eta: float = 0.0) -> SmdRun:
+            *, x_truth: GridFunction = None, xi0: GridFunction = None) -> SmdRun:
     """Run ``k_max`` stochastic steps; records cover states k = 0 .. k_max.
 
     The step schedule is validated against the problem's norm bound before
@@ -173,7 +172,7 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
     A NaN or infinite block residual norm raises
     :class:`~mirrorsolve.landweber.NonFiniteResidualError` at once.
     """
-    validate_schedule(sched, prob.norm_bound(), sigma=reg.sigma, eta=eta)
+    validate_schedule(sched, prob.norm_bound(), sigma=reg.sigma)
     picks = np.random.default_rng(seed).integers(prob.n_blocks, size=k_max).tolist()
     if xi0 is None:
         xi0 = prob.grid_in.zeros()

@@ -31,7 +31,7 @@ from mirrorsolve import (
 )
 from mirrorsolve.checks import run_all
 from mirrorsolve.experiments import (
-    PdeSetup,
+    Setup,
     make_step_rule,
     run_rate_sweep,
     setup_entropy_experiment,
@@ -91,8 +91,8 @@ def _interior_bump_pde_setup(n):
     defect = norm_l2(lin.adjoint(lam_true) - c_true)
     assert defect <= 1e-9, f"source condition defect {defect:.2e} > 1e-9"
 
-    return PdeSetup(forward, QuadraticBox(lower=0.0), c_true, lin.value,
-                    eta=0.04, tau_default=1.1)
+    return Setup(forward, QuadraticBox(lower=0.0), c_true, lin.value,
+                 eta=0.04, tau_default=1.1)
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -120,6 +121,11 @@ class TestRateTable:
 
     def test_slope_undefined_for_single_row(self):
         assert fit_loglog_slope([1e-2], [0.1]) is None
+
+    def test_slope_undefined_for_equal_deltas(self):
+        # two rows at one delta give no slope, not a rank-deficient fit
+        assert fit_loglog_slope([5e-2, 5e-2], [0.1, 0.2]) is None
+        assert fit_loglog_slope([5e-2, 5e-2, 5e-3], [0.1, 0.2, float("nan")]) is None
 
 
 class TestEmitPlotData:
@@ -255,8 +261,8 @@ seeds = 1, 2
             ExperimentConfig(problem="nope")
         with pytest.raises(ValueError):
             ExperimentConfig(rule="rule9")
-        with pytest.raises(ValueError):
-            ExperimentConfig(problem="pde_coefficient", rule="rule1")
+        with pytest.raises(ValueError, match="unknown smd regularizer 'l2'"):
+            ExperimentConfig(problem="smd_synthetic", smd_regularizer="l2")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -289,7 +295,16 @@ seeds = 1, 2
         ("[problem]\nkind = entropy_integral\n[sweep]\ndeltas =\n", "deltas is empty"),
         ("[problem]\nkind = pde_coefficient\n[rule]\nname = rule2\n[sweep]\n"
          "deltas = 1e-2, 0\n", "deltas must be positive"),
-    ], ids=["seeds", "smd-seeds", "deltas", "zero-delta"])
+        ("[problem]\nkind = entropy_integral\n[sweep]\nseeds = 1, 1, 2\n",
+         "seeds repeat a seed"),
+        ("[problem]\nkind = smd_synthetic\n[sweep]\nseeds = 3, 1, 3\n", "seeds repeat a seed"),
+        ("[problem]\nkind = entropy_integral\n[sweep]\ndeltas = 5e-2, 5e-2\nseeds = 1, 2\n",
+         "deltas repeat an iterate-file tag"),
+        # distinct floats, one tag: both cells would write iterates_1e-07_<seed>.csv
+        ("[problem]\nkind = entropy_integral\n[sweep]\ndeltas = 1e-7, 1.0000001e-7\n",
+         "deltas repeat an iterate-file tag"),
+    ], ids=["seeds", "smd-seeds", "deltas", "zero-delta", "repeated-seed",
+            "smd-repeated-seed", "repeated-delta", "repeated-delta-tag"])
     def test_bad_sweep_values_rejected(self, tmp_path, text, reason):
         p = tmp_path / "bad.cfg"
         p.write_text(text)
@@ -303,12 +318,24 @@ seeds = 1, 2
           "'deltas' in [sweep]")),
         ("[problem]\nkind = pde_coefficient\n[rule]\nname = rule2\n[smd]\ngamma = 1.5\n",
          ("'gamma' in [smd]",)),
-    ], ids=["smd", "pde"])
+        ("[problem]\nkind = entropy_integral\n[stopping]\nkind = discrepancy\nc = 2\n",
+         ("'c' in [stopping] under discrepancy stopping",)),
+        ("[problem]\nkind = entropy_integral\n[rule]\nname = rule1\ntau = 1.01\n"
+         "[stopping]\nkind = apriori\n",
+         ("'tau' in [rule] under a-priori stopping with rule1 or rule2",)),
+        ("[problem]\nkind = entropy_integral\n[rule]\nname = rule2\ntau = 1.01\n"
+         "[stopping]\nkind = apriori\n",
+         ("'tau' in [rule] under a-priori stopping",)),
+        ("[problem]\nkind = smd_synthetic\n[smd]\nregularizer = entropy\nbeta = -3\n",
+         ("'beta' in [smd] under the entropy regularizer",)),
+    ], ids=["smd", "pde", "discrepancy-c", "apriori-rule1-tau", "apriori-rule2-tau",
+            "entropy-beta"])
     def test_keys_the_kind_does_not_read_rejected(self, tmp_path, text, names):
         p = tmp_path / "unused.cfg"
         p.write_text(text)
         with pytest.raises(ValueError) as exc:
             parse_config(p)
+        assert "does not read" in str(exc.value)
         for name in names:
             assert name in str(exc.value)
 
@@ -414,6 +441,41 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "smd" / "smd_rate_1.csv").exists()
         assert "median s_k*delta_k" in capsys.readouterr().out
+
+    def test_smd_polynomial_schedule(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(SMD_CFG.replace("gamma = 1.5", "gamma = 1.8\nalpha = 0.3"))
+        rc = cli_main(["smd", "--config", str(cfg), "--out", str(tmp_path / "smd"),
+                       "--seed", "2"])
+        err = capsys.readouterr().err
+        assert rc == 0, err
+        with open(tmp_path / "smd" / "smd_rate_2.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 301
+        assert [r["gamma_k"] for r in rows[:-1]] == [repr(1.8 * (k + 1) ** -0.3)
+                                                     for k in range(300)]
+        assert rows[-1]["gamma_k"] == ""
+        # alpha = 1 makes the step sums converge: rejected before any path runs
+        cfg.write_text(SMD_CFG.replace("gamma = 1.5", "gamma = 1.8\nalpha = 1.0"))
+        rc = cli_main(["smd", "--config", str(cfg), "--out", str(tmp_path / "smd1")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err.strip().splitlines()[-1])
+        assert payload["status"] == "error"
+        assert payload["type"] == "ValueError"
+        assert "alpha must lie in (0,1)" in payload["message"]
+
+    def test_sweep_rejects_rule1_on_the_elliptic_problem(self, tmp_path, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("[problem]\nkind = pde_coefficient\n[rule]\nname = rule1\n"
+                       "[sweep]\ndeltas = 1e-2\nseeds = 1\n")
+        rc = cli_main(["sweep", "--fast", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["type"] == "ValueError"
+        assert "rule1 needs a known norm bound" in payload["message"]
+        assert not (tmp_path / "out" / "table.csv").exists()
 
     def test_smd_rejects_other_problem_kinds(self, tmp_path, capsys):
         cfg = tmp_path / "e.cfg"
