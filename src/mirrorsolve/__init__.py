@@ -10,9 +10,11 @@ The package is organized around five layers:
   coefficient-to-solution map) with a per-iterate linearization (value,
   derivative, adjoint);
 * :mod:`mirrorsolve.landweber` -- the dual-space gradient iteration with
-  pluggable step-size and stopping rules plus diagnostics;
+  pluggable step-size and stopping rules plus diagnostics, built on one
+  mirror-descent update, :func:`dual_step`;
 * :mod:`mirrorsolve.smd` -- the stochastic block variant for systems with
-  exact data.
+  exact data, which applies the same :func:`dual_step` to one sampled block
+  and returns the same :class:`RunResult`.
 
 :mod:`mirrorsolve.experiments` and :mod:`mirrorsolve.cli` wrap everything in
 reproducible rate benchmarks.
@@ -40,6 +42,7 @@ from .landweber import (
     MinimalErrorStep,
     NonFiniteResidualError,
     RunResult,
+    dual_step,
     run,
     write_iterates_csv,
 )
@@ -63,7 +66,6 @@ from .smd import (
     ConstantSchedule,
     PolynomialSchedule,
     SmdRecord,
-    SmdRun,
     SourcedInstance,
     SystemProblem,
     build_sourced_instance,

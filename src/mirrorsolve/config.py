@@ -10,7 +10,7 @@ a minimal file only names the problem::
     [rule]
     name = rule3                ; rule1 | rule2 | rule3
     tau = 1.01                  ; defaults to the problem setup's value
-    eta = 0                     ; defaults to the problem setup's value
+    eta = 0                     ; in [0, 1); defaults to the problem setup's value
 
     [stopping]
     kind = discrepancy          ; discrepancy | apriori
@@ -25,10 +25,13 @@ The step rules' constants gamma0 = 1.98 and gamma_bar = 600 are fixed
 (``experiments.GAMMA0``, ``experiments.GAMMA_BAR``) and are not config keys.
 
 The ``[smd]`` section configures the stochastic study (kind smd_synthetic):
-blocks, n, regularizer (entropy | elastic), beta, gamma, alpha, k_max,
-instance_seed, lam_scale, smoothing.  An unknown section or key raises
-ValueError, so a misspelt key cannot fall back to its default unnoticed; so
-does a key the chosen settings never read: ``[smd]`` for the Landweber
+blocks, n, regularizer (entropy | elastic), beta, gamma, alpha, k_max
+(nonnegative), instance_seed, lam_scale, smoothing (positive).  An eta
+outside [0, 1) is rejected when the step rule is built, for every rule.
+
+An unknown section or key raises ValueError, so a misspelt key cannot fall
+back to its default unnoticed; so does a key the chosen settings never
+read: ``[smd]`` for the Landweber
 kinds; ``[problem] n``, ``[rule]``, ``[stopping]`` and ``[sweep] deltas``
 for smd_synthetic; ``[stopping] c`` under discrepancy stopping; ``[rule]
 tau`` under a-priori stopping with rule1 or rule2 (only rule3's adaptive
@@ -83,6 +86,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown stopping {self.stopping!r}")
         if self.smd_regularizer not in ("entropy", "elastic"):
             raise ValueError(f"unknown smd regularizer {self.smd_regularizer!r}")
+        if self.smd_k_max < 0:
+            raise ValueError(f"[smd] k_max must be nonnegative, got {self.smd_k_max}")
+        if not self.smd_smoothing > 0:
+            raise ValueError(f"[smd] smoothing must be positive, got {self.smd_smoothing}")
         if not self.seeds:
             raise ValueError("[sweep] seeds is empty")
         if len(set(self.seeds)) < len(self.seeds):

@@ -157,8 +157,10 @@ def make_step_rule(name: str, *, tau: float, eta: float, delta: float,
     satisfies the constant-step admissibility bound 4 * sigma * (1 - eta).
     rule2: minimal-error step with the same gamma, capped at GAMMA_BAR.
     rule3: adaptive step with GAMMA0 and the noise level delta, capped at
-    GAMMA_BAR.
+    GAMMA_BAR.  Every rule needs eta in [0, 1).
     """
+    if not 0.0 <= eta < 1.0:
+        raise ValueError(f"eta must lie in [0, 1), got {eta}")
     if name == "rule3":
         return AdaptiveStep(gamma0=GAMMA0, gamma_bar=GAMMA_BAR, tau=tau,
                             eta=eta, delta=delta)
@@ -326,41 +328,11 @@ def fit_loglog_slope(deltas, errs):
     return float(np.polyfit(np.log(d[mask]), np.log(e[mask]), 1)[0])
 
 
-_PLOT_SCRIPT = """\
-#!/usr/bin/env python3
-\"\"\"Plot the rate sweep written next to this script (rate.csv).\"\"\"
-import csv
-from pathlib import Path
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-here = Path(__file__).resolve().parent
-deltas, errs = [], []
-with open(here / "rate.csv") as fh:
-    for row in csv.DictReader(r for r in fh if not r.startswith("#")):
-        deltas.append(float(row["delta"]))
-        errs.append(float(row["err"]))
-
-fig, ax = plt.subplots(figsize=(5, 4))
-ax.loglog(deltas, errs, "o-", label="reconstruction error")
-ax.loglog(deltas, [d ** 0.5 for d in deltas], "k--", label="sqrt(delta)")
-ax.set_xlabel("noise level delta")
-ax.set_ylabel("error")
-ax.legend()
-fig.tight_layout()
-fig.savefig(here / "rate.png", dpi=150)
-print("wrote", here / "rate.png")
-"""
-
-
 def emit_plot_data(table: RateTable, out_dir) -> dict:
-    """Write ``rate.csv`` (log-log pairs plus a fitted-slope summary line)
-    and a ready-to-run matplotlib script ``plot_rate.py``.
+    """Write ``rate.csv`` (log-log pairs plus a fitted-slope summary line).
 
-    Returns {"slope": float | None, "rate_csv": path, "script": path};
-    raises ValueError on an empty table.
+    Returns {"slope": float | None, "rate_csv": path}; raises ValueError on
+    an empty table.
     """
     if not table.rows:
         raise ValueError("cannot emit plot data for an empty table")
@@ -377,7 +349,4 @@ def emit_plot_data(table: RateTable, out_dir) -> dict:
                          f"{math.log10(row.delta):.17g},{math.log10(row.err):.17g}\n")
         fh.write(f"# lsq slope of log err vs log delta: "
                  f"{'n/a' if slope is None else format(slope, '.6g')}\n")
-    script = out_dir / "plot_rate.py"
-    with open(script, "w") as fh:
-        fh.write(_PLOT_SCRIPT)
-    return {"slope": slope, "rate_csv": rate_csv, "script": script}
+    return {"slope": slope, "rate_csv": rate_csv}

@@ -6,14 +6,17 @@ pulls it back through the regularizer's mirror map:
     xi_{k+1} = xi_k - gamma_k F'(x_k)^* (F(x_k) - y_delta)
     x_{k+1}  = mirror_map(xi_{k+1})
 
-Three step-size rules are provided (a constant step gamma/L^2, a capped
-minimal-error step, and a capped adaptive step that discounts the noise
-level), together with discrepancy-principle, iteration-budget, and max-iter
-stopping.  Runs are instrumented: per-iterate residuals, step sizes, Bregman
-distance and error to a supplied ground truth, and -- for linear forward
-operators -- the defect of the dual-space identity xi_k = A* lambda_k
-maintained by the auxiliary sequence lambda_{k+1} = lambda_k - gamma_k
-(F x_k - y_delta).  Every run starts from xi_0 = 0.
+:func:`dual_step` is that update, written once: :func:`run` applies it to
+the whole system and :func:`mirrorsolve.smd.smd_step` to one sampled block,
+and both return a :class:`RunResult`.  Three step-size rules are provided (a
+constant step gamma/L^2, a capped minimal-error step, and a capped adaptive
+step that discounts the noise level), together with discrepancy-principle,
+iteration-budget, and max-iter stopping.  Runs are instrumented: per-iterate
+residuals, step sizes, Bregman distance and error to a supplied ground
+truth, and -- for linear forward operators -- the defect of the dual-space
+identity xi_k = A* lambda_k maintained by the auxiliary sequence
+lambda_{k+1} = lambda_k - gamma_k (F x_k - y_delta).  Every run starts from
+xi_0 = 0.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "RunResult",
     "IterationLimitError",
     "NonFiniteResidualError",
+    "dual_step",
     "run",
     "write_iterates_csv",
 ]
@@ -223,11 +227,15 @@ class IterateRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class RunResult:
+    """Final state and per-state records of a run: :class:`IterateRecord`
+    from :func:`run`, :class:`~mirrorsolve.smd.SmdRecord` from
+    :func:`~mirrorsolve.smd.smd_run`."""
+
     x: GridFunction
     xi: GridFunction
     k_stop: int
     stop_reason: str
-    records: tuple[IterateRecord, ...]
+    records: tuple
 
 
 class IterationLimitError(RuntimeError):
@@ -246,6 +254,15 @@ class NonFiniteResidualError(ArithmeticError):
         super().__init__(f"non-finite residual norm {residual_norm} at iterate {k}")
         self.k = k
         self.records = tuple(records)
+
+
+def dual_step(reg: Regularizer, xi: GridFunction, g: GridFunction,
+              gamma: float) -> tuple[GridFunction, GridFunction]:
+    """One mirror-descent update from the dual state ``xi`` along the data
+    gradient ``g``: returns (mirror_map(xi'), xi') with xi' = xi - gamma g."""
+    t = np.multiply(gamma, g.values)
+    xi = GridFunction.wrap(xi.grid, np.subtract(xi.values, t, out=t))
+    return reg.mirror_map(xi), xi
 
 
 def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
@@ -306,25 +323,31 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
         gamma, degen = rule.step(rn, gn, L)
         records.append(IterateRecord(k, rn, gamma, breg, err, ldef, degen))
 
-        t = np.multiply(gamma, g.values)
-        xi = GridFunction.wrap(xi.grid, np.subtract(xi.values, t, out=t))
-        x = reg.mirror_map(xi)
+        x, xi = dual_step(reg, xi, g, gamma)
         if lambda_tracking:
             t = np.multiply(gamma, r.values)
             lam = GridFunction.wrap(lam.grid, np.subtract(lam.values, t, out=t))
         k += 1
 
 
+def csv_number(v) -> str:
+    """A CSV field of the run logs: empty for None, else the shortest
+    round-tripping repr of the float."""
+    return "" if v is None else repr(float(v))
+
+
+def write_csv(path, header: str, lines) -> None:
+    """Write ``header`` and the newline-terminated ``lines`` to ``path``."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(lines)
+
+
 def write_iterates_csv(records, path) -> None:
     """CSV log: columns k,residual,step,bregman,error,lambda_defect,degenerate
     (missing diagnostics as empty fields, ``degenerate`` as 0 or 1)."""
-
-    def fmt(v):
-        return "" if v is None else repr(float(v))
-
-    with open(path, "w") as fh:
-        fh.write("k,residual,step,bregman,error,lambda_defect,degenerate\n")
-        fh.writelines(
-            f"{r.k},{fmt(r.residual_norm)},{fmt(r.step)},{fmt(r.bregman_to_truth)},"
-            f"{fmt(r.error_to_truth)},{fmt(r.lambda_defect)},{1 if r.degenerate else 0}\n"
-            for r in records)
+    fmt = csv_number
+    write_csv(path, "k,residual,step,bregman,error,lambda_defect,degenerate",
+              (f"{r.k},{fmt(r.residual_norm)},{fmt(r.step)},{fmt(r.bregman_to_truth)},"
+               f"{fmt(r.error_to_truth)},{fmt(r.lambda_defect)},{1 if r.degenerate else 0}\n"
+               for r in records))

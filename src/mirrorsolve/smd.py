@@ -1,10 +1,15 @@
 """Stochastic mirror descent for systems F_i(x) = y_i with exact data.
 
-Each step samples one block uniformly at random and applies the same dual
-update as the deterministic iteration, restricted to that block:
+Each step samples one block uniformly at random and applies the
+deterministic iteration's :func:`~mirrorsolve.landweber.dual_step` to that
+block alone:
 
     xi_{k+1} = xi_k - gamma_k F'_{i_k}(x_k)^* (F_{i_k}(x_k) - y_{i_k})
     x_{k+1}  = mirror_map(xi_{k+1})
+
+so with one block and a constant schedule a path is the Landweber iteration,
+bit for bit, and :func:`smd_run` returns the same
+:class:`~mirrorsolve.landweber.RunResult` (stop reason ``maxiter``).
 
 Under the step condition sup_k gamma_k < 4 sigma (1 - eta) / L^2 (with
 sum gamma_k = inf) the Bregman distance to a solution satisfying the
@@ -25,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grids import Grid, GridFunction, GridMismatchError, norm_l2
-from .landweber import NonFiniteResidualError
+from .landweber import NonFiniteResidualError, RunResult, csv_number, dual_step, write_csv
 from .operators import LinearIntegral
 from .regularizers import Regularizer
 
@@ -34,7 +39,6 @@ __all__ = [
     "ConstantSchedule",
     "PolynomialSchedule",
     "SmdRecord",
-    "SmdRun",
     "SourcedInstance",
     "smd_step",
     "smd_run",
@@ -138,14 +142,6 @@ class SmdRecord(NamedTuple):
         return self.s_k * self.delta_k
 
 
-@dataclass(frozen=True)
-class SmdRun:
-    seed: int
-    records: tuple
-    x: GridFunction
-    xi: GridFunction
-
-
 def smd_step(state, prob: SystemProblem, reg: Regularizer, sched, k: int, i: int):
     """Step k from ``state = (x, xi)`` on block ``i``; returns
     (x', xi', gamma_k, block residual norm)."""
@@ -155,15 +151,14 @@ def smd_step(state, prob: SystemProblem, reg: Regularizer, sched, k: int, i: int
     lin = prob.operators[i].linearize(x)
     # the problem pins every data block to its operator's output grid
     r = GridFunction.wrap(y.grid, lin.value.values - y.values)
-    g = lin.adjoint(r)
-    t = np.multiply(gamma, g.values)
-    xi_new = GridFunction.wrap(xi.grid, np.subtract(xi.values, t, out=t))
-    return reg.mirror_map(xi_new), xi_new, gamma, norm_l2(r)
+    x, xi = dual_step(reg, xi, lin.adjoint(r), gamma)
+    return x, xi, gamma, norm_l2(r)
 
 
 def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
-            *, x_truth: GridFunction = None, xi0: GridFunction = None) -> SmdRun:
-    """Run ``k_max`` stochastic steps; records cover states k = 0 .. k_max.
+            *, x_truth: GridFunction = None, xi0: GridFunction = None) -> RunResult:
+    """Run ``k_max`` stochastic steps; records cover states k = 0 .. k_max,
+    and the result stops at k_max for reason ``maxiter``.
 
     The step schedule is validated against the problem's norm bound before
     the first step.  With ``x_truth`` supplied, each record carries the
@@ -192,7 +187,7 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
                                  block_residual=rn))
     delta = breg_to_truth(x, xi) if breg_to_truth is not None else None
     records.append(SmdRecord(k=k_max, s_k=s + sched.at(k_max), delta_k=delta))
-    return SmdRun(seed=seed, records=tuple(records), x=x, xi=xi)
+    return RunResult(x, xi, k_max, "maxiter", tuple(records))
 
 
 @dataclass(frozen=True)
@@ -246,15 +241,10 @@ def build_sourced_instance(N: int, n: int, reg: Regularizer, seed: int, *,
                            lam_true, xi0)
 
 
-def write_rate_csv(run: SmdRun, path) -> None:
+def write_rate_csv(run: RunResult, path) -> None:
     """CSV log: columns k,i_k,gamma_k,s_k,delta_k,s_k_delta_k."""
-
-    def fmt(v):
-        return "" if v is None else repr(float(v))
-
-    with open(path, "w") as fh:
-        fh.write("k,i_k,gamma_k,s_k,delta_k,s_k_delta_k\n")
-        fh.writelines(
-            f"{r.k},{'' if r.i_k is None else r.i_k},{fmt(r.gamma_k)},{fmt(r.s_k)},"
-            f"{fmt(r.delta_k)},{fmt(r.s_delta)}\n"
-            for r in run.records)
+    fmt = csv_number
+    write_csv(path, "k,i_k,gamma_k,s_k,delta_k,s_k_delta_k",
+              (f"{r.k},{'' if r.i_k is None else r.i_k},{fmt(r.gamma_k)},{fmt(r.s_k)},"
+               f"{fmt(r.delta_k)},{fmt(r.s_delta)}\n"
+               for r in run.records))

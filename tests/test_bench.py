@@ -99,6 +99,14 @@ class TestRuleFactory:
         with pytest.raises(ValueError):
             make_step_rule("rule2", tau=1.001, eta=0.04, delta=1e-3)
 
+    @pytest.mark.parametrize("apriori", [False, True], ids=["discrepancy", "apriori"])
+    @pytest.mark.parametrize("name", ["rule1", "rule2", "rule3"])
+    @pytest.mark.parametrize("eta", [-0.5, 1.0, 1.5])
+    def test_eta_outside_unit_interval_rejected(self, eta, name, apriori):
+        # a negative eta would push rule 1's a-priori step above 4 sigma
+        with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\)"):
+            make_step_rule(name, tau=1.1, eta=eta, delta=1e-3, apriori=apriori)
+
 
 class TestRateTable:
     def test_ratio_recomputed(self):
@@ -136,7 +144,8 @@ class TestEmitPlotData:
         text = (tmp_path / "rate.csv").read_text()
         assert text.splitlines()[0] == "delta,err,log10_delta,log10_err"
         assert "# lsq slope" in text.splitlines()[-1]
-        assert (tmp_path / "plot_rate.py").exists()
+        assert set(info) == {"slope", "rate_csv"}
+        assert [f.name for f in tmp_path.iterdir()] == ["rate.csv"]
 
     def test_single_row_summary_is_na(self, tmp_path):
         table = RateTable([RateRow(1e-2, "rule1", 3, 0.1)])
@@ -147,16 +156,6 @@ class TestEmitPlotData:
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_plot_data(RateTable([]), tmp_path)
-
-    def test_emitted_script_runs(self, tmp_path):
-        # the emitted script runs under this interpreter and imports matplotlib
-        pytest.importorskip("matplotlib")
-        table = RateTable([RateRow(d, "rule1", 1, e) for d, e in TABLE1_RULE1])
-        emit_plot_data(table, tmp_path)
-        proc = subprocess.run([sys.executable, str(tmp_path / "plot_rate.py")],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "rate.png").exists()
 
 
 class TestRunRateSweep:
@@ -303,8 +302,13 @@ seeds = 1, 2
         # distinct floats, one tag: both cells would write iterates_1e-07_<seed>.csv
         ("[problem]\nkind = entropy_integral\n[sweep]\ndeltas = 1e-7, 1.0000001e-7\n",
          "deltas repeat an iterate-file tag"),
+        ("[problem]\nkind = smd_synthetic\n[smd]\nk_max = -3\n",
+         r"\[smd\] k_max must be nonnegative"),
+        ("[problem]\nkind = smd_synthetic\n[smd]\nsmoothing = 0\n",
+         r"\[smd\] smoothing must be positive"),
     ], ids=["seeds", "smd-seeds", "deltas", "zero-delta", "repeated-seed",
-            "smd-repeated-seed", "repeated-delta", "repeated-delta-tag"])
+            "smd-repeated-seed", "repeated-delta", "repeated-delta-tag",
+            "smd-negative-k_max", "smd-zero-smoothing"])
     def test_bad_sweep_values_rejected(self, tmp_path, text, reason):
         p = tmp_path / "bad.cfg"
         p.write_text(text)
@@ -414,6 +418,17 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["type"] == "ValueError"
         assert "delta must be positive" in payload["message"]
+
+    def test_run_rejects_eta_outside_unit_interval(self, tmp_path, capsys):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text("[problem]\nkind = entropy_integral\nn = 300\n"
+                       "[rule]\nname = rule1\neta = -0.5\n[stopping]\nkind = apriori\n")
+        rc = cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["type"] == "ValueError"
+        assert "eta must lie in [0, 1)" in payload["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_writes_artifacts_and_is_reproducible(self, tmp_path):
         cfg = tmp_path / "e.cfg"

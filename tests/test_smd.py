@@ -18,6 +18,7 @@ from mirrorsolve import (
     run,
     smd_run,
 )
+from mirrorsolve.experiments import setup_pde_experiment
 from mirrorsolve.smd import validate_schedule, write_rate_csv
 
 
@@ -78,6 +79,19 @@ class TestSourcedInstance:
             SystemProblem((op1, op2), (g1.zeros(), g2.zeros()))
 
 
+def _sourced_block():
+    """A linear sourced block, run for 100 steps: (op, reg, y, x_true, k_max)."""
+    reg = ElasticNet(beta=0.4)
+    inst = build_sourced_instance(1, 30, reg, seed=13)
+    return inst.problem.operators[0], reg, inst.problem.data[0], inst.x_true, 100
+
+
+def _elliptic_block():
+    """The nonlinear elliptic map with exact data, run for 20 steps."""
+    setup = setup_pde_experiment(16)
+    return setup.forward, setup.reg, setup.y, setup.x_true, 20
+
+
 class TestSmdRun:
     def test_fixed_point_at_solution(self):
         reg = EntropySimplex()
@@ -130,17 +144,18 @@ class TestSmdRun:
             x = z / np.sum(w * z)
         assert np.max(np.abs(sr.x.values - x)) <= 1e-12
 
-    def test_single_block_matches_deterministic_solver_bitwise(self):
-        reg = ElasticNet(beta=0.4)
-        inst = build_sourced_instance(1, 30, reg, seed=13)
-        op = inst.problem.operators[0]
-        y = inst.problem.data[0]
+    @pytest.mark.parametrize("block", [_sourced_block, _elliptic_block],
+                             ids=["elastic", "elliptic"])
+    def test_single_block_matches_deterministic_solver_bitwise(self, block):
+        op, reg, y, x_true, k_max = block()
         L = op.norm_bound()
         q = 1.0
         sched = ConstantSchedule(gamma=q / (L * L))
-        sr = smd_run(inst.problem, reg, sched, 100, seed=4, x_truth=inst.x_true)
-        res = run(op, reg, y, ConstantStep(gamma=q), MaxIterStop(k_max=100),
-                  x_truth=inst.x_true)
+        sr = smd_run(SystemProblem((op,), (y,)), reg, sched, k_max, seed=4, x_truth=x_true)
+        res = run(op, reg, y, ConstantStep(gamma=q), MaxIterStop(k_max=k_max),
+                  x_truth=x_true)
+        assert (sr.k_stop, sr.stop_reason) == (res.k_stop, res.stop_reason) == (k_max, "maxiter")
+        assert len(sr.records) == len(res.records) == k_max + 1
         assert np.array_equal(sr.x.values, res.x.values)
         assert np.array_equal(sr.xi.values, res.xi.values)
         for rec_s, rec_d in zip(sr.records, res.records):
