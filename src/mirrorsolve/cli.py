@@ -33,8 +33,7 @@ def _cmd_run(args) -> int:
     delta = args.delta if args.delta is not None else cfg.deltas[0]
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     setup = experiments.build_setup(cfg.problem, cfg.n)
-    rule, stop = experiments.make_cell(setup, cfg.rule, delta, tau=cfg.tau, eta=cfg.eta,
-                                       stopping=cfg.stopping, c=cfg.apriori_c)
+    rule, stop = experiments.make_cell(setup, cfg.rule, delta, stopping=cfg.stopping)
     cell = experiments.run_cell(setup, rule, stop, delta, seed, out_dir=args.out or None)
     print(f"problem={cfg.problem} rule={cfg.rule} delta={delta:g} seed={seed} "
           f"stop={cell.result.stop_reason} iter={cell.k_stop} err={cell.err:.6e} "
@@ -47,9 +46,8 @@ def _cmd_sweep(args) -> int:
     setup = experiments.build_setup(cfg.problem, cfg.n)
     out_dir = Path(args.out) if args.out else None
     outcome = experiments.run_rate_sweep(
-        setup, cfg.rule, cfg.deltas, cfg.seeds, tau=cfg.tau, eta=cfg.eta,
-        stopping=cfg.stopping, apriori_c=cfg.apriori_c, out_dir=out_dir,
-        keep_records=False)
+        setup, cfg.rule, cfg.deltas, cfg.seeds, stopping=cfg.stopping,
+        out_dir=out_dir, keep_records=False)
     failed = [c for c in outcome.cells if c.failed]
     for row in outcome.table.rows:
         print(f"rule={row.rule} delta={row.delta:g} iter={row.iters:g} "
@@ -81,10 +79,9 @@ def _cmd_smd(args) -> int:
         raise ValueError(f"smd needs [problem] kind = smd_synthetic, "
                          f"got {cfg.problem!r}")
     reg = (EntropySimplex() if cfg.smd_regularizer == "entropy"
-           else ElasticNet(beta=cfg.smd_beta))
-    inst = smd.build_sourced_instance(
-        cfg.smd_blocks, cfg.smd_n, reg, cfg.smd_instance_seed,
-        smoothing=cfg.smd_smoothing, lam_scale=cfg.smd_lam_scale)
+           else ElasticNet(beta=0.3))
+    inst = smd.build_sourced_instance(cfg.smd_blocks, cfg.smd_n, reg,
+                                      cfg.smd_instance_seed)
     if cfg.smd_alpha is not None:
         sched = smd.PolynomialSchedule(gamma0=cfg.smd_gamma, alpha=cfg.smd_alpha)
     else:

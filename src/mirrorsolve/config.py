@@ -9,33 +9,27 @@ a minimal file only names the problem::
 
     [rule]
     name = rule3                ; rule1 | rule2 | rule3
-    tau = 1.01                  ; defaults to the problem setup's value
-    eta = 0                     ; in [0, 1); defaults to the problem setup's value
 
     [stopping]
-    kind = discrepancy          ; discrepancy | apriori
-    c = 1.0                     ; a-priori stop after floor(c / delta) steps
+    kind = discrepancy          ; discrepancy | apriori (floor(1 / delta) steps)
 
     [sweep]
     deltas = 5e-2, 5e-3, 5e-4   ; positive, distinct as f"{delta:g}" (the
                                 ; iterate-file tag); defaults to the problem's
-    seeds = 1, 2, 3, 4, 5       ; non-empty, no seed twice
+    seeds = 1, 2, 3, 4, 5       ; non-empty, nonnegative, no seed twice
 
-The step rules' constants gamma0 = 1.98 and gamma_bar = 600 are fixed
-(``experiments.GAMMA0``, ``experiments.GAMMA_BAR``) and are not config keys.
+tau and eta are the problem setup's, and the step rules' constants
+gamma0 = 1.98 and gamma_bar = 600 are fixed (``experiments.GAMMA0``,
+``experiments.GAMMA_BAR``); none of them is a config key.
 
 The ``[smd]`` section configures the stochastic study (kind smd_synthetic):
-blocks, n, regularizer (entropy | elastic), beta, gamma, alpha, k_max
-(nonnegative), instance_seed, lam_scale, smoothing (positive).  An eta
-outside [0, 1) is rejected when the step rule is built, for every rule.
+blocks, n, regularizer (entropy | elastic), gamma, alpha, k_max
+(nonnegative) and instance_seed (nonnegative).
 
 An unknown section or key raises ValueError, so a misspelt key cannot fall
-back to its default unnoticed; so does a key the chosen settings never
-read: ``[smd]`` for the Landweber
-kinds; ``[problem] n``, ``[rule]``, ``[stopping]`` and ``[sweep] deltas``
-for smd_synthetic; ``[stopping] c`` under discrepancy stopping; ``[rule]
-tau`` under a-priori stopping with rule1 or rule2 (only rule3's adaptive
-step reads it there); and ``[smd] beta`` with the entropy regularizer.
+back to its default unnoticed; so does a key the problem kind never reads:
+``[smd]`` for the Landweber kinds, and ``[problem] n``, ``[rule]``,
+``[stopping]`` and ``[sweep] deltas`` for smd_synthetic.
 """
 
 from __future__ import annotations
@@ -45,8 +39,7 @@ from dataclasses import dataclass, replace
 
 __all__ = ["ExperimentConfig", "parse_config", "PROBLEM_DEFAULTS"]
 
-#: per-problem defaults: grid size (normal, fast) and deltas; tau and eta
-#: default to the values on the problem's setup
+#: per-problem defaults: grid size (normal, fast) and deltas
 PROBLEM_DEFAULTS = {
     "entropy_integral": dict(n=5000, n_fast=1000, deltas=(5e-2, 5e-3, 5e-4)),
     "pde_coefficient": dict(n=64, n_fast=32, deltas=(1e-2, 1e-3, 1e-4)),
@@ -59,23 +52,17 @@ class ExperimentConfig:
     problem: str = "entropy_integral"
     n: int = None                  # None -> problem default
     rule: str = "rule1"
-    tau: float = None              # None -> the setup's value
-    eta: float = None              # None -> the setup's value
     stopping: str = "discrepancy"
-    apriori_c: float = 1.0
     deltas: tuple = None
     seeds: tuple = (1, 2, 3, 4, 5)
     # stochastic study
     smd_blocks: int = 4
     smd_n: int = 50
     smd_regularizer: str = "entropy"
-    smd_beta: float = 0.3
     smd_gamma: float = 1.8
     smd_alpha: float = None        # set for a polynomial schedule
     smd_k_max: int = 10_000
     smd_instance_seed: int = 7
-    smd_lam_scale: float = 4.0
-    smd_smoothing: float = 0.12
 
     def __post_init__(self):
         if self.problem not in PROBLEM_DEFAULTS:
@@ -88,10 +75,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown smd regularizer {self.smd_regularizer!r}")
         if self.smd_k_max < 0:
             raise ValueError(f"[smd] k_max must be nonnegative, got {self.smd_k_max}")
-        if not self.smd_smoothing > 0:
-            raise ValueError(f"[smd] smoothing must be positive, got {self.smd_smoothing}")
+        if self.smd_instance_seed < 0:
+            raise ValueError(f"[smd] instance_seed must be nonnegative, "
+                             f"got {self.smd_instance_seed}")
         if not self.seeds:
             raise ValueError("[sweep] seeds is empty")
+        if min(self.seeds) < 0:
+            raise ValueError(f"[sweep] seeds must be nonnegative, got {self.seeds}")
         if len(set(self.seeds)) < len(self.seeds):
             raise ValueError(f"[sweep] seeds repeat a seed: {self.seeds}")
         if self.problem != "smd_synthetic" and self.deltas is not None:
@@ -128,22 +118,16 @@ _KEYS = {
     ("problem", "kind"): (str, "problem"),
     ("problem", "n"): (int, "n"),
     ("rule", "name"): (str, "rule"),
-    ("rule", "tau"): (float, "tau"),
-    ("rule", "eta"): (float, "eta"),
     ("stopping", "kind"): (str, "stopping"),
-    ("stopping", "c"): (float, "apriori_c"),
     ("sweep", "deltas"): (_floats, "deltas"),
     ("sweep", "seeds"): (_ints, "seeds"),
     ("smd", "blocks"): (int, "smd_blocks"),
     ("smd", "n"): (int, "smd_n"),
     ("smd", "regularizer"): (str, "smd_regularizer"),
-    ("smd", "beta"): (float, "smd_beta"),
     ("smd", "gamma"): (float, "smd_gamma"),
     ("smd", "alpha"): (float, "smd_alpha"),
     ("smd", "k_max"): (int, "smd_k_max"),
     ("smd", "instance_seed"): (int, "smd_instance_seed"),
-    ("smd", "lam_scale"): (float, "smd_lam_scale"),
-    ("smd", "smoothing"): (float, "smd_smoothing"),
 }
 
 
@@ -151,32 +135,16 @@ _KEYS = {
 #: those in [smd] and the Landweber kinds all but those
 _SHARED_KEYS = {("problem", "kind"), ("sweep", "seeds")}
 
-#: keys that some settings of their own kind leave unread:
-#: (section, key) -> (those settings, whether a config has them)
-_SETTING_KEYS = {
-    ("stopping", "c"): ("discrepancy stopping", lambda cfg: cfg.stopping == "discrepancy"),
-    ("rule", "tau"): ("a-priori stopping with rule1 or rule2",
-                      lambda cfg: cfg.stopping == "apriori" and cfg.rule != "rule3"),
-    ("smd", "beta"): ("the entropy regularizer", lambda cfg: cfg.smd_regularizer == "entropy"),
-}
 
-
-def _unread(cfg: ExperimentConfig, section: str, key: str):
-    """None if ``cfg`` reads (section, key); otherwise "" where its problem
-    kind never does, or " under <settings>" where its settings do not."""
-    if (section, key) in _SHARED_KEYS:
-        return None
-    if (section == "smd") != (cfg.problem == "smd_synthetic"):
-        return ""
-    setting = _SETTING_KEYS.get((section, key))
-    if setting is not None and setting[1](cfg):
-        return f" under {setting[0]}"
-    return None
+def _unread(cfg: ExperimentConfig, section: str, key: str) -> bool:
+    """Whether the problem kind of ``cfg`` never reads (section, key)."""
+    return ((section, key) not in _SHARED_KEYS
+            and (section == "smd") != (cfg.problem == "smd_synthetic"))
 
 
 def parse_config(path) -> ExperimentConfig:
     """Read an INI config; an unknown section or key, or a key the problem
-    kind or the chosen settings do not read, raises ValueError."""
+    kind does not read, raises ValueError."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = cp.read(path)
     if not read:
@@ -199,9 +167,9 @@ def parse_config(path) -> ExperimentConfig:
         raise ValueError(f"{path}: unknown {', '.join(unknown)}")
 
     cfg = ExperimentConfig(**kw)
-    unused = [f"key {key!r} in [{section}]{why}"
+    unused = [f"key {key!r} in [{section}]"
               for section in cp.sections() for key in cp.options(section)
-              if (why := _unread(cfg, section, key)) is not None]
+              if _unread(cfg, section, key)]
     if unused:
         raise ValueError(f"{path}: kind {cfg.problem!r} does not read {', '.join(unused)}")
     return cfg

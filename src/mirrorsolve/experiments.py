@@ -18,9 +18,9 @@ Two desk-scale studies are provided:
 
 One path takes config values to a finished (delta, seed) cell, for a
 single run and for a sweep alike: ``build_setup`` builds the problem,
-``make_cell`` the step and stopping rules (tau and eta default to the
-setup's), and ``run_cell`` draws the noise, runs and writes the iterate
-log.  A sweep runs one step-size rule over a grid of noise levels and
+``make_cell`` the step and stopping rules (eta is the setup's, tau
+defaults to it), and ``run_cell`` draws the noise, runs and writes the
+iterate log.  A sweep runs one step-size rule over a grid of noise levels and
 seeds, records the stopping index and reconstruction error per cell,
 aggregates across seeds by the median, and emits deterministic CSV
 artifacts.
@@ -43,6 +43,7 @@ from .landweber import (
     MinimalErrorStep,
     RunResult,
     run,
+    write_csv,
     write_iterates_csv,
 )
 from .operators import EllipticCoefficient, EllipticSolver, ForwardOperator, LinearIntegral
@@ -178,41 +179,37 @@ def make_step_rule(name: str, *, tau: float, eta: float, delta: float,
 
 
 def make_cell(setup, rule_name: str, delta: float, *, tau: float = None,
-              eta: float = None, stopping: str = "discrepancy", c: float = 1.0):
+              stopping: str = "discrepancy"):
     """The (step rule, stopping rule) pair of one noise level on ``setup``.
 
-    ``tau`` and ``eta`` default to the setup's values.  ``stopping`` is
-    ``discrepancy`` (tau, delta) or ``apriori`` (delta, c).  ``delta`` must
-    be positive, since a cell reports err / sqrt(delta).  Rule 1 needs the
-    analytic norm bound of a linear forward map.
+    eta is the setup's, and ``tau`` defaults to the setup's.  ``stopping``
+    is ``discrepancy`` (tau, delta) or ``apriori`` (floor(1 / delta)
+    steps).  ``delta`` must be positive, since a cell reports
+    err / sqrt(delta).  Rule 1 needs the analytic norm bound of a linear
+    forward map.
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if tau is None:
         tau = setup.tau_default
-    if eta is None:
-        eta = setup.eta
     if rule_name == "rule1" and not setup.forward.linear:
         raise ValueError("rule1 needs a known norm bound; use rule2 or rule3 here")
     if stopping == "discrepancy":
         stop = DiscrepancyStop(tau=tau, delta=delta)
     elif stopping == "apriori":
-        stop = APrioriStop(delta=delta, c=c)
+        stop = APrioriStop(delta=delta)
     else:
         raise ValueError(f"unknown stopping {stopping!r}")
-    rule = make_step_rule(rule_name, tau=tau, eta=eta, delta=delta,
+    rule = make_step_rule(rule_name, tau=tau, eta=setup.eta, delta=delta,
                           apriori=stopping == "apriori")
     return rule, stop
 
 
-def run_cell(setup, rule, stop, delta: float, seed: int, *, out_dir=None,
-             safety_cap: int = 10 ** 6) -> CellResult:
+def run_cell(setup, rule, stop, delta: float, seed: int, *, out_dir=None) -> CellResult:
     """Run one (delta, seed) cell: draw the noise, iterate to the stop and,
     with ``out_dir`` set, write ``iterates_<delta>_<seed>.csv`` there."""
     y_delta = add_noise(setup.y, delta, seed)
-    res = run(setup.forward, setup.reg, y_delta, rule, stop,
-              x_truth=setup.x_true, lambda_tracking=setup.forward.linear,
-              safety_cap=safety_cap)
+    res = run(setup.forward, setup.reg, y_delta, rule, stop, x_truth=setup.x_true)
     cell = CellResult(delta=delta, seed=seed, k_stop=res.k_stop,
                       err=res.records[-1].error_to_truth, result=res)
     if out_dir is not None:
@@ -244,11 +241,9 @@ class RateTable:
     rows: list
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("delta,rule,iter,err,ratio\n")
-            for row in self.rows:
-                fh.write(f"{row.delta:.17g},{row.rule},{row.iters:.17g},"
-                         f"{row.err:.17g},{row.ratio:.17g}\n")
+        write_csv(path, "delta,rule,iter,err,ratio",
+                  (f"{row.delta:.17g},{row.rule},{row.iters:.17g},"
+                   f"{row.err:.17g},{row.ratio:.17g}\n" for row in self.rows))
 
 
 @dataclass
@@ -272,9 +267,8 @@ class SweepOutcome:
 
 
 def run_rate_sweep(setup, rule_name: str, deltas, seeds, *, tau: float = None,
-                   eta: float = None, stopping: str = "discrepancy",
-                   apriori_c: float = 1.0, out_dir=None, keep_records: bool = True,
-                   safety_cap: int = 10 ** 6) -> SweepOutcome:
+                   stopping: str = "discrepancy", out_dir=None,
+                   keep_records: bool = True) -> SweepOutcome:
     """Run one rule over a (delta, seed) grid and aggregate medians.
 
     Every (rule, stop) pair is constructed and validated before the first
@@ -283,8 +277,7 @@ def run_rate_sweep(setup, rule_name: str, deltas, seeds, *, tau: float = None,
     ``iterates_<delta>_<seed>.csv`` and the median table lands in the caller's
     hands for byte-stable emission.
     """
-    pairs = [(delta, *make_cell(setup, rule_name, delta, tau=tau, eta=eta,
-                                stopping=stopping, c=apriori_c))
+    pairs = [(delta, *make_cell(setup, rule_name, delta, tau=tau, stopping=stopping))
              for delta in deltas]
     cells = []
     rows = []
@@ -292,8 +285,7 @@ def run_rate_sweep(setup, rule_name: str, deltas, seeds, *, tau: float = None,
         good = []
         for seed in seeds:
             try:
-                cell = run_cell(setup, rule, stop, delta, seed, out_dir=out_dir,
-                                safety_cap=safety_cap)
+                cell = run_cell(setup, rule, stop, delta, seed, out_dir=out_dir)
                 if not keep_records:
                     cell.result = None
                 good.append(cell)
@@ -341,12 +333,10 @@ def emit_plot_data(table: RateTable, out_dir) -> dict:
     slope = fit_loglog_slope([r.delta for r in table.rows],
                              [r.err for r in table.rows])
     rate_csv = out_dir / "rate.csv"
-    with open(rate_csv, "w") as fh:
-        fh.write("delta,err,log10_delta,log10_err\n")
-        for row in table.rows:
-            if row.err > 0 and np.isfinite(row.err):
-                fh.write(f"{row.delta:.17g},{row.err:.17g},"
-                         f"{math.log10(row.delta):.17g},{math.log10(row.err):.17g}\n")
-        fh.write(f"# lsq slope of log err vs log delta: "
+    lines = [f"{row.delta:.17g},{row.err:.17g},"
+             f"{math.log10(row.delta):.17g},{math.log10(row.err):.17g}\n"
+             for row in table.rows if row.err > 0 and np.isfinite(row.err)]
+    lines.append(f"# lsq slope of log err vs log delta: "
                  f"{'n/a' if slope is None else format(slope, '.6g')}\n")
+    write_csv(rate_csv, "delta,err,log10_delta,log10_err", lines)
     return {"slope": slope, "rate_csv": rate_csv}

@@ -266,20 +266,19 @@ def dual_step(reg: Regularizer, xi: GridFunction, g: GridFunction,
 
 
 def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
-        rule, stop, *, x_truth: GridFunction = None, lambda_tracking: bool = False,
+        rule, stop, *, x_truth: GridFunction = None,
         safety_cap: int = 10 ** 6) -> RunResult:
     """Iterate from xi_0 = 0 until the stopping rule fires.
 
     ``x_truth`` enables the Bregman-distance and error columns of the record
-    stream; ``lambda_tracking`` (linear forward operators only) maintains the
-    auxiliary sequence lambda_k and logs the defect
-    ||xi_k - A* lambda_k||_L2, recomputing A* lambda_k afresh each
-    iteration so the check stays independent of the xi update.  A NaN or
-    infinite residual norm raises :class:`NonFiniteResidualError` at once.
+    stream.  A linear forward map also maintains the auxiliary sequence
+    lambda_k and logs the defect ||xi_k - A* lambda_k||_L2, recomputing
+    A* lambda_k afresh each iteration so the check stays independent of the
+    xi update.  A NaN or infinite residual norm raises
+    :class:`NonFiniteResidualError` at once.
     """
     _check_consistency(rule, stop)
-    if lambda_tracking and not forward.linear:
-        raise ValueError("lambda tracking is only defined for linear operators")
+    lambda_tracking = forward.linear
 
     xi = forward.grid_in.zeros()
     x = reg.mirror_map(xi)

@@ -1,6 +1,5 @@
 import csv
 import json
-import math
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mirrorsolve import DiscrepancyStop, GridFunction, add_noise, norm_l2
+from mirrorsolve import DiscrepancyStop, GridFunction, add_noise, norm_l2, smd
 from mirrorsolve.cli import main as cli_main
 from mirrorsolve.config import ExperimentConfig, parse_config
 from mirrorsolve.experiments import (
@@ -176,17 +175,15 @@ class TestRunRateSweep:
             grid_in = setup.forward.grid_in
             grid_out = setup.forward.grid_out
 
-            def __init__(self):
-                self.calls = 0
-
-            def apply(self, x):
+            def linearize(self, x):
                 raise RuntimeError("injected failure")
 
         import dataclasses
-        broken = dataclasses.replace(setup, forward=Boom()) if dataclasses.is_dataclass(setup) else None
+        broken = dataclasses.replace(setup, forward=Boom())
         out = run_rate_sweep(broken, "rule2", deltas=[1e-2], seeds=[1, 2],
                              keep_records=False)
         assert all(c.failed for c in out.cells)
+        assert [c.error_message for c in out.cells] == ["RuntimeError: injected failure"] * 2
         assert np.isnan(out.table.rows[0].err)
 
     def test_nonfinite_data_flags_the_cell(self):
@@ -196,7 +193,7 @@ class TestRunRateSweep:
         values[0] = np.inf
         bad = dataclasses.replace(setup, y=GridFunction(setup.y.grid, values))
         out = run_rate_sweep(bad, "rule2", deltas=[1e-2], seeds=[1, 2],
-                             keep_records=False, safety_cap=2000)
+                             keep_records=False)
         assert all(c.failed for c in out.cells)
         assert all(c.error_message.startswith("NonFiniteResidualError: ")
                    and "iterate 0" in c.error_message for c in out.cells)
@@ -224,8 +221,7 @@ class TestConfig:
         fast = ExperimentConfig(problem="entropy_integral").resolved(fast=True)
         assert fast.n == 1000
         # tau defaults to the setup's value
-        _, stop = make_cell(setup_entropy_experiment(fast.n), "rule1", cfg.deltas[0],
-                            tau=cfg.tau, eta=cfg.eta)
+        _, stop = make_cell(setup_entropy_experiment(fast.n), "rule1", cfg.deltas[0])
         assert isinstance(stop, DiscrepancyStop)
         assert stop.tau == 1.01
 
@@ -238,8 +234,6 @@ n = 32
 
 [rule]
 name = rule2
-tau = 1.1
-eta = 0.04
 
 [stopping]
 kind = discrepancy
@@ -281,7 +275,20 @@ seeds = 1, 2
         ("[problem]\nkind = entropy_integral\n[rule]\ngamma_bar = 600\n", "gamma_bar"),
         ("[problem]\nkind = entropy_integral\n[stopping]\nk_max = 1000\n", "k_max"),
         ("[problem]\nkind = entropy_integral\n[stopping]\nkind = maxiter\n", "maxiter"),
-    ], ids=["key", "section", "cap_mode", "gamma_bar", "k_max", "maxiter"])
+        # eta, c and beta are fixed per problem (tau: see the next test);
+        # lam_scale and smoothing size the stochastic instance
+        ("[problem]\nkind = entropy_integral\nn = 300\n[rule]\nname = rule1\neta = -0.5\n"
+         "[stopping]\nkind = apriori\n", r"unknown key 'eta' in \[rule\]"),
+        ("[problem]\nkind = entropy_integral\n[stopping]\nkind = discrepancy\nc = 2\n",
+         r"unknown key 'c' in \[stopping\]"),
+        ("[problem]\nkind = smd_synthetic\n[smd]\nregularizer = entropy\nbeta = -3\n",
+         r"unknown key 'beta' in \[smd\]"),
+        ("[problem]\nkind = smd_synthetic\n[smd]\nlam_scale = nan\n",
+         r"unknown key 'lam_scale' in \[smd\]"),
+        ("[problem]\nkind = smd_synthetic\n[smd]\nsmoothing = 0\n",
+         r"unknown key 'smoothing' in \[smd\]"),
+    ], ids=["key", "section", "cap_mode", "gamma_bar", "k_max", "maxiter", "rule-eta",
+            "stopping-c", "smd-beta", "smd-lam_scale", "smd-smoothing"])
     def test_unknown_key_or_section_rejected(self, tmp_path, text, name):
         p = tmp_path / "typo.cfg"
         p.write_text(text)
@@ -304,11 +311,16 @@ seeds = 1, 2
          "deltas repeat an iterate-file tag"),
         ("[problem]\nkind = smd_synthetic\n[smd]\nk_max = -3\n",
          r"\[smd\] k_max must be nonnegative"),
-        ("[problem]\nkind = smd_synthetic\n[smd]\nsmoothing = 0\n",
-         r"\[smd\] smoothing must be positive"),
+        ("[problem]\nkind = entropy_integral\n[sweep]\nseeds = 1, -1\n",
+         r"\[sweep\] seeds must be nonnegative"),
+        ("[problem]\nkind = smd_synthetic\n[sweep]\nseeds = -1\n",
+         r"\[sweep\] seeds must be nonnegative"),
+        ("[problem]\nkind = smd_synthetic\n[smd]\ninstance_seed = -7\n",
+         r"\[smd\] instance_seed must be nonnegative"),
     ], ids=["seeds", "smd-seeds", "deltas", "zero-delta", "repeated-seed",
             "smd-repeated-seed", "repeated-delta", "repeated-delta-tag",
-            "smd-negative-k_max", "smd-zero-smoothing"])
+            "smd-negative-k_max", "negative-seed", "smd-negative-seed",
+            "smd-negative-instance_seed"])
     def test_bad_sweep_values_rejected(self, tmp_path, text, reason):
         p = tmp_path / "bad.cfg"
         p.write_text(text)
@@ -318,28 +330,23 @@ seeds = 1, 2
     @pytest.mark.parametrize("text, names", [
         ("[problem]\nkind = smd_synthetic\nn = 999\n[rule]\nname = rule3\n"
          "[stopping]\nkind = apriori\n[sweep]\ndeltas = 1e-3\n",
-         ("'n' in [problem]", "'name' in [rule]", "'kind' in [stopping]",
+         ("does not read", "'n' in [problem]", "'name' in [rule]", "'kind' in [stopping]",
           "'deltas' in [sweep]")),
         ("[problem]\nkind = pde_coefficient\n[rule]\nname = rule2\n[smd]\ngamma = 1.5\n",
-         ("'gamma' in [smd]",)),
-        ("[problem]\nkind = entropy_integral\n[stopping]\nkind = discrepancy\nc = 2\n",
-         ("'c' in [stopping] under discrepancy stopping",)),
+         ("does not read", "'gamma' in [smd]")),
+        # no kind reads tau, so it is an unknown key under every rule and stopping
         ("[problem]\nkind = entropy_integral\n[rule]\nname = rule1\ntau = 1.01\n"
          "[stopping]\nkind = apriori\n",
-         ("'tau' in [rule] under a-priori stopping with rule1 or rule2",)),
+         ("unknown key 'tau' in [rule]",)),
         ("[problem]\nkind = entropy_integral\n[rule]\nname = rule2\ntau = 1.01\n"
          "[stopping]\nkind = apriori\n",
-         ("'tau' in [rule] under a-priori stopping",)),
-        ("[problem]\nkind = smd_synthetic\n[smd]\nregularizer = entropy\nbeta = -3\n",
-         ("'beta' in [smd] under the entropy regularizer",)),
-    ], ids=["smd", "pde", "discrepancy-c", "apriori-rule1-tau", "apriori-rule2-tau",
-            "entropy-beta"])
+         ("unknown key 'tau' in [rule]",)),
+    ], ids=["smd", "pde", "apriori-rule1-tau", "apriori-rule2-tau"])
     def test_keys_the_kind_does_not_read_rejected(self, tmp_path, text, names):
         p = tmp_path / "unused.cfg"
         p.write_text(text)
         with pytest.raises(ValueError) as exc:
             parse_config(p)
-        assert "does not read" in str(exc.value)
         for name in names:
             assert name in str(exc.value)
 
@@ -357,7 +364,6 @@ n = 300
 
 [rule]
 name = rule3
-tau = 1.01
 
 [sweep]
 deltas = 2e-2, 5e-3
@@ -390,7 +396,7 @@ class TestCli:
         assert "iter=" in out and "ratio=" in out
 
     @pytest.mark.parametrize("stopping", ["[stopping]\nkind = discrepancy\n",
-                                          "[stopping]\nkind = apriori\nc = 0.5\n"],
+                                          "[stopping]\nkind = apriori\n"],
                              ids=["discrepancy", "apriori"])
     def test_run_cell_equals_sweep_cell(self, tmp_path, capsys, stopping):
         # run and sweep build a cell the same way: the same iterates, byte for byte
@@ -406,7 +412,7 @@ class TestCli:
         assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "sweep" / name).read_bytes()
         if "apriori" in stopping:
             assert "stop=apriori" in out
-            assert f" iter={math.floor(0.5 / 5e-3)} " in out
+            assert " iter=200 " in out
         else:
             assert "stop=discrepancy" in out
 
@@ -418,17 +424,6 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["type"] == "ValueError"
         assert "delta must be positive" in payload["message"]
-
-    def test_run_rejects_eta_outside_unit_interval(self, tmp_path, capsys):
-        cfg = tmp_path / "e.cfg"
-        cfg.write_text("[problem]\nkind = entropy_integral\nn = 300\n"
-                       "[rule]\nname = rule1\neta = -0.5\n[stopping]\nkind = apriori\n")
-        rc = cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert rc == 1
-        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert payload["type"] == "ValueError"
-        assert "eta must lie in [0, 1)" in payload["message"]
-        assert not (tmp_path / "out").exists()
 
     def test_sweep_writes_artifacts_and_is_reproducible(self, tmp_path):
         cfg = tmp_path / "e.cfg"
@@ -505,9 +500,12 @@ class TestCli:
         assert "smd_synthetic" in payload["message"]
         assert "entropy_integral" in payload["message"]
 
-    def test_smd_nonfinite_data_fails(self, tmp_path, capsys):
+    def test_smd_nonfinite_data_fails(self, tmp_path, capsys, monkeypatch):
+        build = smd.build_sourced_instance
+        monkeypatch.setattr(smd, "build_sourced_instance",
+                            lambda *args, **kw: build(*args, **kw, lam_scale=float("nan")))
         cfg = tmp_path / "s.cfg"
-        cfg.write_text(SMD_CFG.replace("k_max = 300", "k_max = 300\nlam_scale = nan"))
+        cfg.write_text(SMD_CFG)
         rc = cli_main(["smd", "--config", str(cfg)])
         assert rc == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

@@ -198,14 +198,6 @@ class TestRunLoop:
         assert exc.value.k == 0
         assert exc.value.records == ()
 
-    def test_lambda_tracking_rejected_for_nonlinear(self):
-        from mirrorsolve.experiments import setup_pde_experiment
-        setup = setup_pde_experiment(16)
-        rule = make_step_rule("rule2", tau=1.1, eta=0.04, delta=1e-2)
-        with pytest.raises(ValueError):
-            run(setup.forward, setup.reg, setup.y, rule, DiscrepancyStop(1.1, 1e-2),
-                lambda_tracking=True)
-
     def test_rule_stop_consistency_enforced(self):
         setup = setup_entropy_experiment(120)
         rule = AdaptiveStep(gamma0=1.98, gamma_bar=600.0, tau=1.01, eta=0.0, delta=1e-2)
@@ -302,7 +294,7 @@ class TestRunLoop:
         def go():
             yd = add_noise(setup.y, delta, seed=8)
             return run(setup.forward, setup.reg, yd, rule, DiscrepancyStop(1.01, delta),
-                       x_truth=setup.x_true, lambda_tracking=True)
+                       x_truth=setup.x_true)
 
         a, b = go(), go()
         assert a.k_stop == b.k_stop
@@ -321,9 +313,12 @@ class TestIterateCsv:
         write_iterates_csv(res.records, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "k,residual,step,bregman,error,lambda_defect,degenerate"
-        # diagnostics were off, so those columns are empty
+        # no truth was given, so its columns are empty; the map is linear,
+        # so the lambda defect is tracked
         first = lines[1].split(",")
-        assert first[3] == first[4] == first[5] == ""
+        assert first[3] == first[4] == ""
+        assert float(first[5]) == 0.0
+        assert all(line.split(",")[5] != "" for line in lines[1:])
         # terminal record has no step
         assert lines[-1].split(",")[2] == ""
         assert [line.split(",")[6] for line in lines[1:]] == \
@@ -350,7 +345,7 @@ class TestIterateCsv:
             yd = add_noise(setup.y, delta, seed=4)
             rule = make_step_rule("rule2", tau=1.01, eta=0.0, delta=delta)
             res = run(setup.forward, setup.reg, yd, rule, DiscrepancyStop(1.01, delta),
-                      x_truth=setup.x_true, lambda_tracking=True)
+                      x_truth=setup.x_true)
             p = tmp_path / f"{tag}.csv"
             write_iterates_csv(res.records, p)
             paths.append(p)
