@@ -55,10 +55,8 @@ from .operators import (
     Linearization,
 )
 from .regularizers import (
-    DomainError,
     ElasticNet,
     EntropySimplex,
-    PrimalDualPair,
     QuadraticBox,
     Regularizer,
 )

@@ -158,7 +158,7 @@ def check_mirror_argmin_separable(seed=4, nodes=24):
         xmap = reg.mirror_map(xi).values
         for j, xij in enumerate(xi.values):
             if isinstance(reg, QuadraticBox):
-                lo = float(np.broadcast_to(np.asarray(reg.lower, float), (grid.node_count,))[j])
+                lo = reg.lower
                 f = lambda xs: 0.5 * xs ** 2 - xij * xs
                 xstar = _lattice_argmin(f, lo, abs(xij) + lo + 2.0)
                 xstar = max(xstar, lo)

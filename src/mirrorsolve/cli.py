@@ -28,7 +28,13 @@ from .regularizers import ElasticNet, EntropySimplex
 __all__ = ["main"]
 
 
+def _check_seed_flag(args) -> None:
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
+
+
 def _cmd_run(args) -> int:
+    _check_seed_flag(args)
     cfg = parse_config(args.config).resolved(fast=args.fast)
     delta = args.delta if args.delta is not None else cfg.deltas[0]
     seed = args.seed if args.seed is not None else cfg.seeds[0]
@@ -74,6 +80,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_smd(args) -> int:
+    _check_seed_flag(args)
     cfg = parse_config(args.config)
     if cfg.problem != "smd_synthetic":
         raise ValueError(f"smd needs [problem] kind = smd_synthetic, "

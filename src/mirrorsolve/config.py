@@ -14,8 +14,9 @@ a minimal file only names the problem::
     kind = discrepancy          ; discrepancy | apriori (floor(1 / delta) steps)
 
     [sweep]
-    deltas = 5e-2, 5e-3, 5e-4   ; positive, distinct as f"{delta:g}" (the
-                                ; iterate-file tag); defaults to the problem's
+    deltas = 5e-2, 5e-3, 5e-4   ; positive and finite, distinct as f"{delta:g}"
+                                ; (the iterate-file tag); defaults to the
+                                ; problem's
     seeds = 1, 2, 3, 4, 5       ; non-empty, nonnegative, no seed twice
 
 tau and eta are the problem setup's, and the step rules' constants
@@ -29,12 +30,16 @@ blocks, n, regularizer (entropy | elastic), gamma, alpha, k_max
 An unknown section or key raises ValueError, so a misspelt key cannot fall
 back to its default unnoticed; so does a key the problem kind never reads:
 ``[smd]`` for the Landweber kinds, and ``[problem] n``, ``[rule]``,
-``[stopping]`` and ``[sweep] deltas`` for smd_synthetic.
+``[stopping]`` and ``[sweep] deltas`` for smd_synthetic.  A value that does
+not convert (``seeds = 1, x``) raises ValueError naming the file, section and
+key.  The CLI applies the same rules to its flags: ``--delta`` must be
+positive and finite, and ``--seed`` nonnegative.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 
 __all__ = ["ExperimentConfig", "parse_config", "PROBLEM_DEFAULTS"]
@@ -87,8 +92,9 @@ class ExperimentConfig:
         if self.problem != "smd_synthetic" and self.deltas is not None:
             if not self.deltas:
                 raise ValueError("[sweep] deltas is empty")
-            if not all(d > 0 for d in self.deltas):
-                raise ValueError(f"[sweep] deltas must be positive, got {self.deltas}")
+            if not all(0 < d < math.inf for d in self.deltas):
+                raise ValueError(f"[sweep] deltas must be positive and finite, "
+                                 f"got {self.deltas}")
             # two deltas with one iterate-file tag would write one file
             tags = [f"{d:g}" for d in self.deltas]
             if len(set(tags)) < len(tags):
@@ -162,7 +168,10 @@ def parse_config(path) -> ExperimentConfig:
                 unknown.append(f"key {key!r} in [{section}]")
                 continue
             conv, dest = _KEYS[section, key]
-            kw[dest] = conv(text)
+            try:
+                kw[dest] = conv(text)
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
     if unknown:
         raise ValueError(f"{path}: unknown {', '.join(unknown)}")
 

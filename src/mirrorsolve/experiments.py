@@ -184,12 +184,12 @@ def make_cell(setup, rule_name: str, delta: float, *, tau: float = None,
 
     eta is the setup's, and ``tau`` defaults to the setup's.  ``stopping``
     is ``discrepancy`` (tau, delta) or ``apriori`` (floor(1 / delta)
-    steps).  ``delta`` must be positive, since a cell reports
+    steps).  ``delta`` must be positive and finite, since a cell reports
     err / sqrt(delta).  Rule 1 needs the analytic norm bound of a linear
     forward map.
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     if tau is None:
         tau = setup.tau_default
     if rule_name == "rule1" and not setup.forward.linear:

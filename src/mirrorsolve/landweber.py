@@ -52,13 +52,13 @@ __all__ = [
 # step-size rules
 #
 # A rule's ``step(rn, gn, L)`` returns (gamma, degenerate) from the residual
-# norm, the gradient norm and a zero-argument callable for the norm bound L,
-# called only where the formula needs L.  A vanishing gradient with nonzero
-# residual leaves the capped rules undefined on a branch whose formula
-# divides by it; they return the cap gamma_bar with ``degenerate`` set, and
-# the run loop flags the iterate.  ``bounds(L)`` is an interval
-# [gamma_lo, gamma_hi] containing every step the rule can emit, derived from
-# L and the rule parameters.
+# norm, the gradient norm and a zero-argument callable for the norm bound L
+# (the operator's ``norm_bound``), called only where the formula needs L.
+# A vanishing gradient with nonzero residual leaves the capped rules
+# undefined on a branch whose formula divides by it; they return the cap
+# gamma_bar with ``degenerate`` set, and the run loop flags the iterate.
+# ``bounds(L)`` is an interval [gamma_lo, gamma_hi] containing every step the
+# rule can emit, derived from L and the rule parameters.
 
 
 @dataclass(frozen=True)
@@ -284,16 +284,6 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
     x = reg.mirror_map(xi)
     lam = forward.grid_out.zeros() if lambda_tracking else None
 
-    # L is needed by the constant rule every step and by the adaptive
-    # fallback branch; resolve it lazily so rule-2 runs skip the estimate.
-    L_val = None
-
-    def L():
-        nonlocal L_val
-        if L_val is None:
-            L_val = forward.norm_bound()
-        return L_val
-
     breg_to_truth = reg.bregman_to(x_truth) if x_truth is not None else None
     records = []
     k = 0
@@ -319,7 +309,7 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
 
         g = lin.adjoint(r)
         gn = norm_l2(g)
-        gamma, degen = rule.step(rn, gn, L)
+        gamma, degen = rule.step(rn, gn, forward.norm_bound)
         records.append(IterateRecord(k, rn, gamma, breg, err, ldef, degen))
 
         x, xi = dual_step(reg, xi, g, gamma)

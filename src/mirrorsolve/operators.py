@@ -73,7 +73,7 @@ class ForwardOperator:
         raise NotImplementedError
 
     def norm_bound(self) -> float:
-        """Upper bound (or estimate) for sup ||F'(x)||; see subclasses."""
+        """Upper bound (or estimate) for sup ||F'(x)||, computed once."""
         raise NotImplementedError
 
 

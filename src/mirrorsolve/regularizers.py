@@ -5,10 +5,12 @@ norm of its ``error_norm`` (L2, or L1 for the entropy) and exposes:
 
 * ``value(x)``             -- R(x), possibly +inf outside the effective domain
 * ``mirror_map(xi)``       -- grad R*(xi) = argmin_x { R(x) - <xi, x> }
-* ``subgradient_for(x)``   -- one element of the subdifferential at x, chosen
-                              so that ``mirror_map(subgradient_for(x)) == x``
 * ``conjugate_value(xi)``  -- R*(xi), evaluated through the mirror map
-* ``bregman(pair, xbar)``  -- D_R(xbar, x) for a primal/dual pair (x, xi)
+* ``bregman(pair, xbar)``  -- D_R(xbar, x) for a pair (x, xi) with
+                              x = mirror_map(xi), as the solvers make them
+* ``bregman_to(xbar)``     -- the same distance to one fixed xbar, for logging
+* ``error_norm(u)``        -- the norm the rates are read in; ``dual_norm``
+                              is its dual
 
 All inner products and norms are quadrature-weighted, so the same formulas
 work on any grid.
@@ -17,7 +19,6 @@ work on any grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,31 +29,12 @@ __all__ = [
     "QuadraticBox",
     "ElasticNet",
     "EntropySimplex",
-    "PrimalDualPair",
-    "DomainError",
 ]
 
 
-class DomainError(ValueError):
-    """Argument lies outside the effective domain required by an operation."""
-
-
-class PrimalDualPair(NamedTuple):
-    """A point x together with a subgradient xi of R at x.
-
-    Validity means the Fenchel equality R(x) + R*(xi) = <xi, x> holds; use
-    :meth:`fenchel_defect` to measure how far a candidate pair is from it.
-    """
-
-    x: GridFunction
-    xi: GridFunction
-
-    def fenchel_defect(self, reg: "Regularizer") -> float:
-        return abs(reg.value(self.x) + reg.conjugate_value(self.xi) - inner(self.xi, self.x))
-
-
 class Regularizer:
-    """Base class; subclasses provide value / mirror_map / subgradient_for."""
+    """Base class; subclasses provide value and mirror_map, and override
+    error_norm / dual_norm where the rates are not read in L2."""
 
     #: strong-convexity modulus in the norm of ``error_norm``
     sigma: float = 0.5
@@ -61,9 +43,6 @@ class Regularizer:
         raise NotImplementedError
 
     def mirror_map(self, xi: GridFunction) -> GridFunction:
-        raise NotImplementedError
-
-    def subgradient_for(self, x: GridFunction) -> GridFunction:
         raise NotImplementedError
 
     def conjugate_value(self, xi: GridFunction) -> float:
@@ -104,36 +83,21 @@ class Regularizer:
 class QuadraticBox(Regularizer):
     """R(x) = 1/2 ||x||_L2^2 plus the indicator of {x >= lower} (node-wise).
 
-    ``lower`` may be a scalar, a node array, or None for the unconstrained
-    quadratic.  The mirror map is node-wise clipping: max(xi, lower).
+    ``lower`` is a scalar, or None for the unconstrained quadratic.  The
+    mirror map is node-wise clipping: max(xi, lower).
     """
 
-    lower: object = 0.0
-
-    def _lower_arr(self, grid):
-        if self.lower is None:
-            return None
-        return np.broadcast_to(np.asarray(self.lower, dtype=float), (grid.node_count,))
+    lower: float = 0.0
 
     def value(self, x: GridFunction) -> float:
-        lo = self._lower_arr(x.grid)
-        if lo is not None and np.any(x.values < lo):
+        if self.lower is not None and np.any(x.values < self.lower):
             return np.inf
         return 0.5 * inner(x, x)
 
     def mirror_map(self, xi: GridFunction) -> GridFunction:
-        lo = self._lower_arr(xi.grid)
-        if lo is None:
+        if self.lower is None:
             return xi
-        return GridFunction.wrap(xi.grid, np.maximum(xi.values, lo))
-
-    def subgradient_for(self, x: GridFunction) -> GridFunction:
-        # xi = x is a valid selection everywhere on the domain (at an active
-        # bound any xi_i <= x_i works; choosing x_i round-trips exactly).
-        lo = self._lower_arr(x.grid)
-        if lo is not None and np.any(x.values < lo):
-            raise DomainError("x violates the lower bound")
-        return x
+        return GridFunction.wrap(xi.grid, np.maximum(xi.values, self.lower))
 
 
 @dataclass(frozen=True)
@@ -155,10 +119,6 @@ class ElasticNet(Regularizer):
         t -= self.beta
         np.maximum(t, 0.0, out=t)
         return GridFunction.wrap(xi.grid, np.multiply(np.sign(v), t, out=t))
-
-    def subgradient_for(self, x: GridFunction) -> GridFunction:
-        # sign(0) := 0 keeps mirror_map(subgradient_for(x)) == x at zero nodes
-        return GridFunction.wrap(x.grid, x.values + self.beta * np.sign(x.values))
 
 
 @dataclass(frozen=True)
@@ -199,11 +159,6 @@ class EntropySimplex(Regularizer):
         np.exp(z, out=z)
         mass = (xi.grid.weights * z).sum()
         return GridFunction.wrap(xi.grid, np.divide(z, mass, out=z))
-
-    def subgradient_for(self, x: GridFunction) -> GridFunction:
-        if self.value(x) == np.inf or np.any(x.values <= 0):
-            raise DomainError("x must be a strictly positive unit-mass density")
-        return GridFunction.wrap(x.grid, 1.0 + np.log(x.values))
 
     def error_norm(self, u: GridFunction) -> float:
         return norm_l1(u)

@@ -225,6 +225,12 @@ class TestConfig:
         assert isinstance(stop, DiscrepancyStop)
         assert stop.tau == 1.01
 
+    @pytest.mark.parametrize("delta", [np.inf, np.nan])
+    def test_make_cell_rejects_a_delta_that_is_not_positive_and_finite(self, delta):
+        setup = setup_entropy_experiment(100)
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            make_cell(setup, "rule2", delta)
+
     def test_parse_file(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text("""
@@ -317,10 +323,18 @@ seeds = 1, 2
          r"\[sweep\] seeds must be nonnegative"),
         ("[problem]\nkind = smd_synthetic\n[smd]\ninstance_seed = -7\n",
          r"\[smd\] instance_seed must be nonnegative"),
+        ("[problem]\nkind = entropy_integral\n[sweep]\ndeltas = inf, 1e-2\n",
+         r"\[sweep\] deltas must be positive and finite"),
+        # a value that does not convert names the section and key
+        ("[problem]\nkind = entropy_integral\n[sweep]\nseeds = 1, x\n",
+         r"bad\.cfg: \[sweep\] seeds: invalid literal for int\(\)"),
+        ("[problem]\nkind = smd_synthetic\n[smd]\ngamma = fast\n",
+         r"bad\.cfg: \[smd\] gamma: could not convert string to float: 'fast'"),
     ], ids=["seeds", "smd-seeds", "deltas", "zero-delta", "repeated-seed",
             "smd-repeated-seed", "repeated-delta", "repeated-delta-tag",
             "smd-negative-k_max", "negative-seed", "smd-negative-seed",
-            "smd-negative-instance_seed"])
+            "smd-negative-instance_seed", "inf-delta", "non-integer-seed",
+            "non-float-smd-gamma"])
     def test_bad_sweep_values_rejected(self, tmp_path, text, reason):
         p = tmp_path / "bad.cfg"
         p.write_text(text)
@@ -424,6 +438,21 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["type"] == "ValueError"
         assert "delta must be positive" in payload["message"]
+
+    @pytest.mark.parametrize("command, text", [("run", ENTROPY_CFG), ("smd", SMD_CFG)],
+                             ids=["run", "smd"])
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys, command, text):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        rc = cli_main([command, "--config", str(cfg), "--seed", "-1",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err.strip().splitlines()[-1])
+        assert payload["type"] == "ValueError"
+        assert payload["message"] == "--seed must be nonnegative, got -1"
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_writes_artifacts_and_is_reproducible(self, tmp_path):
         cfg = tmp_path / "e.cfg"

@@ -4,12 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorsolve import (
-    DomainError,
     ElasticNet,
     EntropySimplex,
     Grid,
     GridFunction,
-    PrimalDualPair,
     QuadraticBox,
     inner,
     norm_l2,
@@ -26,8 +24,9 @@ ALL_REGS = [QuadraticBox(lower=0.0), ElasticNet(beta=0.5), EntropySimplex()]
 
 
 def random_pair(reg, rng, grid=GRID, spread=2.0):
+    """A point x = mirror_map(xi) and the subgradient xi of R at x."""
     xi = GridFunction(grid, rng.uniform(-spread, spread, grid.node_count))
-    return PrimalDualPair(reg.mirror_map(xi), xi)
+    return reg.mirror_map(xi), xi
 
 
 class TestValues:
@@ -113,25 +112,26 @@ class TestOwnership:
     @pytest.mark.parametrize("reg", ALL_REGS, ids=lambda r: type(r).__name__)
     def test_bregman_evaluator_leaves_inputs_alone(self, reg, check_ownership):
         rng = np.random.default_rng(7)
-        target, pair = random_pair(reg, rng), random_pair(reg, rng)
-        dist = reg.bregman_to(target.x)
-        d = check_ownership(dist, pair.x, pair.xi, inputs=[target.x.values, GRID.weights])
-        assert d == pytest.approx(reg.bregman(pair, target.x), abs=1e-12)
+        (target, _), (x, xi) = random_pair(reg, rng), random_pair(reg, rng)
+        dist = reg.bregman_to(target)
+        d = check_ownership(dist, x, xi, inputs=[target.values, GRID.weights])
+        assert d == pytest.approx(reg.bregman((x, xi), target), abs=1e-12)
 
 
 class TestBregman:
     def test_zero_at_same_point(self):
         rng = np.random.default_rng(0)
         for reg in ALL_REGS:
-            pair = random_pair(reg, rng)
-            assert reg.bregman(pair, pair.x) == pytest.approx(0.0, abs=1e-12)
+            x, xi = random_pair(reg, rng)
+            assert reg.bregman((x, xi), x) == pytest.approx(0.0, abs=1e-12)
 
     def test_unconstrained_quadratic_is_half_squared_distance(self):
         reg = QuadraticBox(lower=None)
         rng = np.random.default_rng(1)
         x = GridFunction(GRID, rng.standard_normal(GRID.node_count))
         xbar = GridFunction(GRID, rng.standard_normal(GRID.node_count))
-        d = reg.bregman((x, reg.subgradient_for(x)), xbar)
+        # the subdifferential of 1/2 ||x||^2 at x is {x}
+        d = reg.bregman((x, x), xbar)
         assert d == pytest.approx(0.5 * norm_l2(xbar - x) ** 2, rel=1e-12)
 
     def test_entropy_bregman_equals_kl(self):
@@ -139,20 +139,20 @@ class TestBregman:
         reg = EntropySimplex()
         xbar = GRID.ones()
         for _ in range(20):
-            pair = random_pair(reg, rng)
-            d = reg.bregman(pair, xbar)
-            assert d == pytest.approx(kl_divergence(xbar, pair.x), abs=1e-8)
+            x, xi = random_pair(reg, rng)
+            d = reg.bregman((x, xi), xbar)
+            assert d == pytest.approx(kl_divergence(xbar, x), abs=1e-8)
 
     def test_nonnegative_and_definite(self):
         rng = np.random.default_rng(3)
         for reg in ALL_REGS:
             for _ in range(100):
-                p = random_pair(reg, rng)
-                q = random_pair(reg, rng)
-                d = reg.bregman(p, q.x)
+                x, xi = random_pair(reg, rng)
+                q, _ = random_pair(reg, rng)
+                d = reg.bregman((x, xi), q)
                 assert d >= -1e-12
-            p = random_pair(reg, rng)
-            assert abs(reg.bregman(p, p.x)) <= 1e-12
+            x, xi = random_pair(reg, rng)
+            assert abs(reg.bregman((x, xi), x)) <= 1e-12
 
 
 class TestConjugate:
@@ -162,47 +162,6 @@ class TestConjugate:
     def test_quadratic_box_nonpositive_dual(self):
         xi = GridFunction(GRID, -np.abs(np.random.default_rng(4).standard_normal(GRID.node_count)))
         assert QuadraticBox(lower=0.0).conjugate_value(xi) == pytest.approx(0.0, abs=1e-12)
-
-    def test_fenchel_equality_all_variants(self):
-        rng = np.random.default_rng(5)
-        for reg in ALL_REGS:
-            for _ in range(50):
-                pair = random_pair(reg, rng)
-                assert pair.fenchel_defect(reg) <= 1e-9
-
-
-class TestSubgradients:
-    def test_entropy_uniform_density(self):
-        g = Grid.interval(300)
-        reg = EntropySimplex()
-        xi = reg.subgradient_for(g.ones())
-        assert np.max(np.abs(xi.values - 1.0)) <= 1e-12
-        assert np.max(np.abs(reg.mirror_map(xi).values - 1.0)) <= 1e-12
-
-    def test_elastic_net_selection(self):
-        g = Grid.interval(1)
-        reg = ElasticNet(beta=1.0)
-        x = GridFunction(g, np.array([2.0, 0.0]))
-        xi = reg.subgradient_for(x)
-        assert np.array_equal(xi.values, np.array([3.0, 0.0]))
-        assert np.array_equal(reg.mirror_map(xi).values, x.values)
-
-    def test_round_trip_all_variants(self):
-        rng = np.random.default_rng(6)
-        for reg in ALL_REGS:
-            for _ in range(50):
-                x = random_pair(reg, rng).x
-                if isinstance(reg, EntropySimplex) and np.any(x.values <= 0):
-                    continue
-                back = reg.mirror_map(reg.subgradient_for(x))
-                assert np.max(np.abs(back.values - x.values)) <= 1e-9
-
-    def test_domain_errors(self):
-        bad = GridFunction(GRID, -np.ones(GRID.node_count))
-        with pytest.raises(DomainError):
-            QuadraticBox(lower=0.0).subgradient_for(bad)
-        with pytest.raises(DomainError):
-            EntropySimplex().subgradient_for(2.0 * GRID.ones())
 
 
 class TestIdentityBattery:
@@ -218,11 +177,11 @@ class TestIdentityBattery:
     def test_three_point_identity_random_seeds(self, seed):
         rng = np.random.default_rng(seed)
         for reg in ALL_REGS:
-            p1 = random_pair(reg, rng)
-            p2 = random_pair(reg, rng)
-            x = random_pair(reg, rng).x
-            lhs = reg.bregman(p2, x) - reg.bregman(p1, x)
-            rhs = reg.bregman(p2, p1.x) + inner(p2.xi - p1.xi, p1.x - x)
+            x1, xi1 = random_pair(reg, rng)
+            x2, xi2 = random_pair(reg, rng)
+            x, _ = random_pair(reg, rng)
+            lhs = reg.bregman((x2, xi2), x) - reg.bregman((x1, xi1), x)
+            rhs = reg.bregman((x2, xi2), x1) + inner(xi2 - xi1, x1 - x)
             assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs), abs(rhs))
 
     @given(st.integers(0, 10_000))
@@ -230,7 +189,7 @@ class TestIdentityBattery:
     def test_strong_convexity_lower_bound(self, seed):
         rng = np.random.default_rng(seed)
         for reg in ALL_REGS:
-            p = random_pair(reg, rng)
-            xbar = random_pair(reg, rng).x
-            d = reg.bregman(p, xbar)
-            assert d + 1e-12 >= reg.sigma * reg.error_norm(xbar - p.x) ** 2
+            x, xi = random_pair(reg, rng)
+            xbar, _ = random_pair(reg, rng)
+            d = reg.bregman((x, xi), xbar)
+            assert d + 1e-12 >= reg.sigma * reg.error_norm(xbar - x) ** 2
