@@ -31,9 +31,10 @@ An unknown section or key raises ValueError, so a misspelt key cannot fall
 back to its default unnoticed; so does a key the problem kind never reads:
 ``[smd]`` for the Landweber kinds, and ``[problem] n``, ``[rule]``,
 ``[stopping]`` and ``[sweep] deltas`` for smd_synthetic.  A value that does
-not convert (``seeds = 1, x``) raises ValueError naming the file, section and
-key.  The CLI applies the same rules to its flags: ``--delta`` must be
-positive and finite, and ``--seed`` nonnegative.
+not convert (``seeds = 1, x``) or that a check rejects (``seeds = -1``)
+raises ValueError naming the file, section and key.  The CLI applies the
+same rules to its flags: ``--delta`` must be positive and finite, and
+``--seed`` nonnegative.
 """
 
 from __future__ import annotations
@@ -149,8 +150,9 @@ def _unread(cfg: ExperimentConfig, section: str, key: str) -> bool:
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read an INI config; an unknown section or key, or a key the problem
-    kind does not read, raises ValueError."""
+    """Read an INI config; an unknown section or key, a key the problem kind
+    does not read, or a value the config rejects raises ValueError, with a
+    message that starts with the path."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = cp.read(path)
     if not read:
@@ -175,7 +177,10 @@ def parse_config(path) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"{path}: unknown {', '.join(unknown)}")
 
-    cfg = ExperimentConfig(**kw)
+    try:
+        cfg = ExperimentConfig(**kw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     unused = [f"key {key!r} in [{section}]"
               for section in cp.sections() for key in cp.options(section)
               if _unread(cfg, section, key)]

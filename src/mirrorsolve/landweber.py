@@ -293,7 +293,7 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
         rn = norm_l2(r)
         if not math.isfinite(rn):
             raise NonFiniteResidualError(k, rn, records)
-        breg = breg_to_truth(x, xi) if x_truth is not None else None
+        breg = float(breg_to_truth(x.values, xi.values)) if x_truth is not None else None
         err = reg.error_norm(x - x_truth) if x_truth is not None else None
         ldef = None
         if lambda_tracking:

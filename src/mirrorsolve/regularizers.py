@@ -9,6 +9,7 @@ norm of its ``error_norm`` (L2, or L1 for the entropy) and exposes:
 * ``bregman(pair, xbar)``  -- D_R(xbar, x) for a pair (x, xi) with
                               x = mirror_map(xi), as the solvers make them
 * ``bregman_to(xbar)``     -- the same distance to one fixed xbar, for logging
+                              one state or a stack of states per call
 * ``error_norm(u)``        -- the norm the rates are read in; ``dual_norm``
                               is its dual
 
@@ -33,13 +34,25 @@ __all__ = [
 
 
 class Regularizer:
-    """Base class; subclasses provide value and mirror_map, and override
-    error_norm / dual_norm where the rates are not read in L2."""
+    """Base class; subclasses provide the value kernel ``_value`` and
+    mirror_map, and override error_norm / dual_norm where the rates are not
+    read in L2."""
 
     #: strong-convexity modulus in the norm of ``error_norm``
     sigma: float = 0.5
 
     def value(self, x: GridFunction) -> float:
+        return float(self._value(x.values, x.grid.weights))
+
+    def _value(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """R of each row of the node values ``v`` (shape (..., n)) under the
+        quadrature weights ``w``.
+
+        Every reduction is a ufunc ``reduce`` along the last axis: on each row
+        it runs the pairwise order of the 1-D ``a.sum()`` / ``a.min()``, so a
+        row of a stack gets the bits it gets alone, and it skips the Python
+        frame the ndarray methods enter on every single-state call.
+        """
         raise NotImplementedError
 
     def mirror_map(self, xi: GridFunction) -> GridFunction:
@@ -57,16 +70,24 @@ class Regularizer:
         return self.value(xbar) - self.value(x) - inner(xi, xbar - x)
 
     def bregman_to(self, xbar: GridFunction):
-        """Distance evaluator with R(xbar) precomputed, for per-iterate logging
-        against one fixed target."""
+        """Distance evaluator with R(xbar) precomputed, for logging against one
+        fixed target.
+
+        The evaluator takes the node values of x and xi, either one state
+        (shape (n,)) or a stack of states (shape (m, n), one per row), and
+        returns D_R(xbar, x) per row (a NumPy float, or shape (m,)).  Every
+        reduction runs along the last axis, so a row of a stack gives the
+        bits that the same state gives alone: the solvers log one state per
+        call (``run``) or a chunk of states per call (``smd_run``).
+        """
         vbar = self.value(xbar)
         w, xbv = xbar.grid.weights, xbar.values
 
-        def dist(x: GridFunction, xi: GridFunction) -> float:
+        def dist(x: np.ndarray, xi: np.ndarray):
             # inner(xi, xbar - x) on the raw arrays, operand for operand
-            t = w * xi.values
-            t *= np.subtract(xbv, x.values)
-            return vbar - self.value(x) - float(t.sum())
+            t = w * xi
+            t *= np.subtract(xbv, x)
+            return vbar - self._value(x, w) - np.add.reduce(t, axis=-1)
 
         return dist
 
@@ -89,10 +110,12 @@ class QuadraticBox(Regularizer):
 
     lower: float = 0.0
 
-    def value(self, x: GridFunction) -> float:
-        if self.lower is not None and np.any(x.values < self.lower):
-            return np.inf
-        return 0.5 * inner(x, x)
+    def _value(self, v, w):
+        t = w * v
+        val = 0.5 * np.add.reduce(np.multiply(t, v, out=t), axis=-1)
+        if self.lower is not None and (v < self.lower).any():
+            val = np.where((v < self.lower).any(axis=-1), np.inf, val)
+        return val
 
     def mirror_map(self, xi: GridFunction) -> GridFunction:
         if self.lower is None:
@@ -110,8 +133,11 @@ class ElasticNet(Regularizer):
         if self.beta <= 0:
             raise ValueError("beta must be positive")
 
-    def value(self, x: GridFunction) -> float:
-        return 0.5 * inner(x, x) + self.beta * norm_l1(x)
+    def _value(self, v, w):
+        t = w * v
+        sq = np.add.reduce(np.multiply(t, v, out=t), axis=-1)
+        t = np.abs(v)
+        return 0.5 * sq + self.beta * np.add.reduce(np.multiply(w, t, out=t), axis=-1)
 
     def mirror_map(self, xi: GridFunction) -> GridFunction:
         v = xi.values
@@ -136,22 +162,20 @@ class EntropySimplex(Regularizer):
 
     mass_tol: float = 1e-9
 
-    def value(self, x: GridFunction) -> float:
-        v = x.values
-        mn = v.min()
-        if mn < 0:
-            return np.inf
-        wv = x.grid.weights * v
-        mass = float(wv.sum())
-        if abs(mass - 1.0) > self.mass_tol:
-            return np.inf
-        if mn > 0:
+    def _value(self, v, w):
+        mn = np.minimum.reduce(v, axis=-1)
+        wv = w * v
+        mass = np.add.reduce(wv, axis=-1)
+        if ((mn > 0) & (abs(mass - 1.0) <= self.mass_tol)).all():
             t = np.log(v)
-            return float(np.multiply(wv, t, out=t).sum())
-        # 0 log 0 = 0
+            return np.add.reduce(np.multiply(wv, t, out=t), axis=-1)
+        # rows with a zero node take 0 log 0 = 0, summed as w (x log x);
+        # the others keep (w x) log x
         with np.errstate(divide="ignore", invalid="ignore"):
             xlogx = np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)
-        return float((x.grid.weights * xlogx).sum())
+            t = np.where((mn > 0)[..., None], wv * np.log(v), w * xlogx)
+        val = np.add.reduce(t, axis=-1)
+        return np.where((mn < 0) | (abs(mass - 1.0) > self.mass_tol), np.inf, val)
 
     def mirror_map(self, xi: GridFunction) -> GridFunction:
         # subtracting the max is exact by shift invariance and avoids overflow

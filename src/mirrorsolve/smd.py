@@ -19,6 +19,13 @@ is directly checkable.  The block indices of a path come from one batched
 draw, ``default_rng(seed).integers(N, size=k_max)``, which yields the same
 stream as k_max scalar draws, so every trajectory is a reproducible artifact
 of its seed.
+
+The Bregman log is bookkeeping, not part of the iteration, so
+:func:`smd_run` evaluates it a chunk of :data:`CHUNK` states at a time: it
+copies each state (x_k, xi_k) into a row of two preallocated buffers and
+calls the ``reg.bregman_to(x_truth)`` evaluator once on the stacked rows.
+The evaluator reduces along the last axis, which gives each row the bits of
+a one-state call, so the records do not depend on where a chunk ends.
 """
 
 from __future__ import annotations
@@ -142,6 +149,10 @@ class SmdRecord(NamedTuple):
         return self.s_k * self.delta_k
 
 
+#: states per Bregman-log evaluation in :func:`smd_run`
+CHUNK = 64
+
+
 def smd_step(state, prob: SystemProblem, reg: Regularizer, sched, k: int, i: int):
     """Step k from ``state = (x, xi)`` on block ``i``; returns
     (x', xi', gamma_k, block residual norm)."""
@@ -164,8 +175,11 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
     the first step.  With ``x_truth`` supplied, each record carries the
     Bregman distance Delta_k and (through ``s_delta``) the rate product
     s_k * Delta_k, where s_k is the inclusive partial sum of the schedule.
-    A NaN or infinite block residual norm raises
-    :class:`~mirrorsolve.landweber.NonFiniteResidualError` at once.
+    The distances are evaluated :data:`CHUNK` states per evaluator call,
+    with the bits that one call per state would give.  A NaN or infinite
+    block residual norm raises
+    :class:`~mirrorsolve.landweber.NonFiniteResidualError` at once, with the
+    records of every state before it.
     """
     validate_schedule(sched, prob.norm_bound(), sigma=reg.sigma)
     picks = np.random.default_rng(seed).integers(prob.n_blocks, size=k_max).tolist()
@@ -174,19 +188,37 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
     xi = xi0
     x = reg.mirror_map(xi)
 
-    breg_to_truth = reg.bregman_to(x_truth) if x_truth is not None else None
+    dist = reg.bregman_to(x_truth) if x_truth is not None else None
+    n = prob.grid_in.node_count
+    xs, xis = np.empty((CHUNK, n)), np.empty((CHUNK, n))
     records = []
+    pending = []  # (k, i_k, gamma_k, s_k, block_residual) of rows not yet logged
+
+    def log_pending():
+        m = len(pending)
+        deltas = dist(xs[:m], xis[:m]).tolist() if dist is not None else [None] * m
+        records.extend(SmdRecord(k, i_k, gamma_k, s_k, delta_k, res)
+                       for (k, i_k, gamma_k, s_k, res), delta_k in zip(pending, deltas))
+        pending.clear()
+
     s = 0.0
     for k, i in enumerate(picks):
-        delta = breg_to_truth(x, xi) if breg_to_truth is not None else None
+        if dist is not None:
+            xs[len(pending)] = x.values
+            xis[len(pending)] = xi.values
         x, xi, gamma, rn = smd_step((x, xi), prob, reg, sched, k, i)
         if not math.isfinite(rn):
+            log_pending()
             raise NonFiniteResidualError(k, rn, records)
         s += gamma
-        records.append(SmdRecord(k=k, i_k=i, gamma_k=gamma, s_k=s, delta_k=delta,
-                                 block_residual=rn))
-    delta = breg_to_truth(x, xi) if breg_to_truth is not None else None
-    records.append(SmdRecord(k=k_max, s_k=s + sched.at(k_max), delta_k=delta))
+        pending.append((k, i, gamma, s, rn))
+        if len(pending) == CHUNK:
+            log_pending()
+    if dist is not None:
+        xs[len(pending)] = x.values
+        xis[len(pending)] = xi.values
+    pending.append((k_max, None, None, s + sched.at(k_max), None))
+    log_pending()
     return RunResult(x, xi, k_max, "maxiter", tuple(records))
 
 
@@ -241,10 +273,23 @@ def build_sourced_instance(N: int, n: int, reg: Regularizer, seed: int, *,
                            lam_true, xi0)
 
 
+class _FormatOnce(dict):
+    """csv_number of each distinct key, computed on first lookup."""
+
+    def __missing__(self, v):
+        text = self[v] = csv_number(v)
+        return text
+
+
 def write_rate_csv(run: RunResult, path) -> None:
-    """CSV log: columns k,i_k,gamma_k,s_k,delta_k,s_k_delta_k."""
-    fmt = csv_number
+    """CSV log: columns k,i_k,gamma_k,s_k,delta_k,s_k_delta_k.
+
+    Each distinct step size is formatted once per file (a constant schedule
+    has one); step sizes are positive, so keys that compare equal print
+    alike.
+    """
+    fmt, gammas = csv_number, _FormatOnce()
     write_csv(path, "k,i_k,gamma_k,s_k,delta_k,s_k_delta_k",
-              (f"{r.k},{'' if r.i_k is None else r.i_k},{fmt(r.gamma_k)},{fmt(r.s_k)},"
+              (f"{r.k},{'' if r.i_k is None else r.i_k},{gammas[r.gamma_k]},{fmt(r.s_k)},"
                f"{fmt(r.delta_k)},{fmt(r.s_delta)}\n"
                for r in run.records))

@@ -341,6 +341,13 @@ seeds = 1, 2
         with pytest.raises(ValueError, match=reason):
             parse_config(p)
 
+    def test_rejected_value_names_the_file(self, tmp_path):
+        p = tmp_path / "e.cfg"
+        p.write_text("[problem]\nkind = entropy_integral\n[sweep]\nseeds = -1\n")
+        with pytest.raises(ValueError) as exc:
+            parse_config(p)
+        assert str(exc.value) == f"{p}: [sweep] seeds must be nonnegative, got (-1,)"
+
     @pytest.mark.parametrize("text, names", [
         ("[problem]\nkind = smd_synthetic\nn = 999\n[rule]\nname = rule3\n"
          "[stopping]\nkind = apriori\n[sweep]\ndeltas = 1e-3\n",

@@ -114,8 +114,52 @@ class TestOwnership:
         rng = np.random.default_rng(7)
         (target, _), (x, xi) = random_pair(reg, rng), random_pair(reg, rng)
         dist = reg.bregman_to(target)
-        d = check_ownership(dist, x, xi, inputs=[target.values, GRID.weights])
+        d = check_ownership(dist, x.values, xi.values,
+                            inputs=[x.values, xi.values, target.values, GRID.weights])
         assert d == pytest.approx(reg.bregman((x, xi), target), abs=1e-12)
+
+
+#: rows of a stacked evaluation: a state (x, xi) as the solvers make it, or
+#: one moved to the edge of a domain (a zero node: 0 log 0 for the entropy,
+#: on the bound for the box) or off it (a negative node; unit mass missed)
+ROW_KINDS = ("state", "zero", "negative", "mass")
+
+
+def stack_row(reg, kind, grid, rng):
+    x, xi = random_pair(reg, rng, grid)
+    v = x.values.copy()
+    if kind == "zero":
+        v[rng.integers(v.size)] = 0.0
+        if isinstance(reg, EntropySimplex):
+            v /= np.sum(grid.weights * v)
+    elif kind == "negative":
+        v[rng.integers(v.size)] = -rng.uniform(1e-3, 1.0)
+    elif kind == "mass":
+        v *= 1.5
+    return v, xi.values
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("reg", ALL_REGS, ids=lambda r: type(r).__name__)
+    @given(n=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1),
+           kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=70))
+    @settings(max_examples=100, deadline=None)
+    def test_stack_equals_per_state(self, reg, n, seed, kinds):
+        grid = Grid.interval(n)
+        rng = np.random.default_rng(seed)
+        dist = reg.bregman_to(random_pair(reg, rng, grid)[0])
+        rows = [stack_row(reg, kind, grid, rng) for kind in kinds]
+        xs = np.array([x for x, _ in rows])
+        xis = np.array([xi for _, xi in rows])
+        stacked = dist(xs, xis)
+        assert stacked.shape == (len(kinds),)
+        for kind, (x, xi), d in zip(kinds, rows, stacked.tolist()):
+            single = dist(x, xi)
+            assert np.ndim(single) == 0
+            assert d == single
+            off_domain = (kind in ("negative", "mass") if isinstance(reg, EntropySimplex)
+                          else kind == "negative" and isinstance(reg, QuadraticBox))
+            assert (d == -np.inf) == off_domain
 
 
 class TestBregman:

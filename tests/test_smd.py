@@ -19,7 +19,7 @@ from mirrorsolve import (
     smd_run,
 )
 from mirrorsolve.experiments import setup_pde_experiment
-from mirrorsolve.smd import validate_schedule, write_rate_csv
+from mirrorsolve.smd import CHUNK, validate_schedule, write_rate_csv
 
 
 class TestSchedules:
@@ -229,6 +229,42 @@ class TestSmdRun:
             smd_run(prob, reg, ConstantSchedule(1.0), 10_000, seed=1, x_truth=inst.x_true)
         assert exc.value.k == 0
         assert exc.value.records == ()
+
+    @pytest.mark.parametrize("k_max", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 2])
+    @pytest.mark.parametrize("reg", [EntropySimplex(), ElasticNet(beta=0.3)],
+                             ids=["entropy", "elastic"])
+    def test_chunk_boundaries_do_not_move_bits(self, reg, k_max):
+        # the index stream of a shorter path is a prefix of a longer one's,
+        # so its states are too, wherever the chunks of the Bregman log end
+        inst = build_sourced_instance(4, 50, reg, seed=7)
+
+        def path(k):
+            return smd_run(inst.problem, reg, ConstantSchedule(1.8), k, seed=5,
+                           x_truth=inst.x_true, xi0=inst.xi0)
+
+        assert path(k_max).records[:-1] == path(200).records[:k_max]
+
+    def test_nonfinite_block_mid_chunk_keeps_the_records_before_it(self):
+        reg = EntropySimplex()
+        inst = build_sourced_instance(1, 20, reg, seed=5)
+        (op,), (y,) = inst.problem.operators, inst.problem.data
+        n_blocks, seed, k_max = 100, 8, 1000
+        picks = np.random.default_rng(seed).integers(n_blocks, size=k_max).tolist()
+        # a block first picked past the first chunk and off a chunk boundary,
+        # with rows of the second chunk pending
+        k_bad, bad = min((picks.index(i), i) for i in set(picks)
+                         if picks.index(i) > 3 * CHUNK // 2 and picks.index(i) % CHUNK)
+        nan = GridFunction(y.grid, np.full(y.grid.node_count, np.nan))
+        clean = SystemProblem((op,) * n_blocks, (y,) * n_blocks)
+        broken = SystemProblem((op,) * n_blocks,
+                               tuple(nan if i == bad else y for i in range(n_blocks)))
+        sched = ConstantSchedule(1.5)
+        ref = smd_run(clean, reg, sched, k_max, seed, x_truth=inst.x_true)
+        with pytest.raises(NonFiniteResidualError) as exc:
+            smd_run(broken, reg, sched, k_max, seed, x_truth=inst.x_true)
+        assert exc.value.k == k_bad
+        assert exc.value.records == ref.records[:k_bad]
+        assert all(r.delta_k is not None for r in exc.value.records)
 
     @pytest.mark.parametrize("reg", [EntropySimplex(), ElasticNet(beta=0.3)],
                              ids=["entropy", "elastic"])
