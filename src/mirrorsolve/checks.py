@@ -1,10 +1,12 @@
 """Self-contained oracle and property suites behind the ``verify`` command.
 
-Each check recomputes a contract through an independent route (explicit
-summation, lattice search, finite differences) and compares against the
-library implementation at the tolerance the contract states.  The pytest
-suite asserts on the same functions; the CLI prints one PASS/FAIL line per
-check.
+Each check runs the code the solvers run (``Regularizer.bregman`` is the
+solvers' ``bregman_to`` evaluator) and, except the ``convex/fenchel[...]``
+rows, compares it against an independent route (explicit summation, lattice
+search, finite differences, a KL oracle) at the tolerance the contract
+states.  ``conjugate_value`` is defined through the mirror map, so the
+Fenchel rows cancel term by term and catch only rounding.  The pytest suite
+asserts on the same functions; the CLI prints one PASS/FAIL line per check.
 """
 
 from __future__ import annotations
@@ -13,17 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (
-    Grid,
-    GridFunction,
-    inner,
-    norm_l2,
-)
+from .grids import Grid, GridFunction, inner, norm_l2
 from .operators import LinearIntegral
 from .regularizers import ElasticNet, EntropySimplex, QuadraticBox
 from . import experiments
 
-__all__ = ["CheckResult", "run_all"]
+__all__ = ["CheckResult", "kl_divergence", "run_all"]
 
 
 @dataclass(frozen=True)
@@ -44,36 +41,38 @@ def _rel_defect(lhs, rhs):
 # ---------------------------------------------------------------------------
 # adjoint identities
 
+def _adjoint_row(name, rng, grid, fwd, adj, scale, pairs, tol):
+    """max |<fwd x, w> - <x, adj w>| / scale(x, fwd x, w) over random pairs,
+    drawing x, then w, per pair."""
+    worst = 0.0
+    for _ in range(pairs):
+        x = GridFunction(grid, rng.standard_normal(grid.node_count))
+        w = GridFunction(grid, rng.standard_normal(grid.node_count))
+        fx = fwd(x)
+        worst = max(worst, abs(inner(fx, w) - inner(x, adj(w))) / scale(x, fx, w))
+    return _result(name, worst <= tol, f"max defect {worst:.2e}")
+
+
+def _output_scale(x, fx, w):
+    return max(1e-300, norm_l2(fx) * norm_l2(w))
+
+
 def check_adjoint_dense(n=120, pairs=100, seed=0):
     """|<Ax,w> - <x,A*w>| <= 1e-10 ||x|| ||w|| ||A|| for a random dense kernel."""
     rng = np.random.default_rng(seed)
     grid = Grid.interval(n)
     op = LinearIntegral.from_matrix(rng.standard_normal((n + 1, n + 1)), grid)
     na = op.norm_bound()
-    worst = 0.0
-    for _ in range(pairs):
-        x = GridFunction(grid, rng.standard_normal(n + 1))
-        w = GridFunction(grid, rng.standard_normal(n + 1))
-        lhs = inner(op.apply(x), w)
-        rhs = inner(x, op.adjoint_apply(w))
-        worst = max(worst, abs(lhs - rhs) / (norm_l2(x) * norm_l2(w) * na))
-    return _result("adjoint/dense-kernel", worst <= 1e-10, f"max defect {worst:.2e}")
+    return _adjoint_row("adjoint/dense-kernel", rng, grid, op.apply, op.adjoint_apply,
+                        lambda x, fx, w: norm_l2(x) * norm_l2(w) * na, pairs, 1e-10)
 
 
 def check_adjoint_entropy_operator(n=2000, pairs=100, seed=1):
     """Adjoint identity for the benchmark integral operator, 1e-9 relative."""
     rng = np.random.default_rng(seed)
-    setup = experiments.setup_entropy_experiment(n)
-    op = setup.forward
-    grid = op.grid_in
-    worst = 0.0
-    for _ in range(pairs):
-        x = GridFunction(grid, rng.standard_normal(grid.node_count))
-        w = GridFunction(grid, rng.standard_normal(grid.node_count))
-        lhs = inner(op.apply(x), w)
-        rhs = inner(x, op.adjoint_apply(w))
-        worst = max(worst, abs(lhs - rhs) / max(1e-300, norm_l2(op.apply(x)) * norm_l2(w)))
-    return _result("adjoint/integral-operator", worst <= 1e-9, f"max defect {worst:.2e}")
+    op = experiments.setup_entropy_experiment(n).forward
+    return _adjoint_row("adjoint/integral-operator", rng, op.grid_in, op.apply,
+                        op.adjoint_apply, _output_scale, pairs, 1e-9)
 
 
 def check_adjoint_elliptic(n=16, pairs=100, seed=2):
@@ -83,15 +82,8 @@ def check_adjoint_elliptic(n=16, pairs=100, seed=2):
     grid = setup.forward.grid_in
     c = GridFunction(grid, np.abs(rng.standard_normal(grid.node_count)) * 0.3)
     lin = setup.forward.linearize(c)
-    worst = 0.0
-    for _ in range(pairs):
-        h = GridFunction(grid, rng.standard_normal(grid.node_count))
-        w = GridFunction(grid, rng.standard_normal(grid.node_count))
-        fh = lin.tangent(h)
-        lhs = inner(fh, w)
-        rhs = inner(h, lin.adjoint(w))
-        worst = max(worst, abs(lhs - rhs) / max(1e-300, norm_l2(fh) * norm_l2(w)))
-    return _result("adjoint/elliptic-derivative", worst <= 1e-9, f"max defect {worst:.2e}")
+    return _adjoint_row("adjoint/elliptic-derivative", rng, grid, lin.tangent, lin.adjoint,
+                        _output_scale, pairs, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -148,29 +140,31 @@ def check_mirror_argmin_separable(seed=4, nodes=24):
     """Node-wise lattice argmin of R(x) - <xi, x> vs the closed-form maps.
 
     The weighted objective separates across nodes, so each node solves
-    min_x w (psi(x) - xi x) and the weight cancels.
+    min_x w (psi(x) - xi x) and the weight cancels.  Each regularizer comes
+    with its node objective and a bracket containing the minimizer.
     """
     rng = np.random.default_rng(seed)
     grid = Grid.interval(nodes - 1)
+    box = lambda xs, z: 0.5 * xs ** 2 - z * xs
     worst = 0.0
-    for reg in (QuadraticBox(lower=0.0), QuadraticBox(lower=-0.7), ElasticNet(beta=1.0)):
+    for reg, objective, bracket in (
+            (QuadraticBox(lower=0.0), box, lambda z: (0.0, abs(z) + 2.0)),
+            (QuadraticBox(lower=-0.7), box, lambda z: (-0.7, abs(z) - 0.7 + 2.0)),
+            (ElasticNet(beta=1.0), lambda xs, z: 0.5 * xs ** 2 + np.abs(xs) - z * xs,
+             lambda z: (-abs(z) - 2.0, abs(z) + 2.0))):
         xi = GridFunction(grid, rng.uniform(-3, 3, grid.node_count))
-        xmap = reg.mirror_map(xi).values
-        for j, xij in enumerate(xi.values):
-            if isinstance(reg, QuadraticBox):
-                lo = reg.lower
-                f = lambda xs: 0.5 * xs ** 2 - xij * xs
-                xstar = _lattice_argmin(f, lo, abs(xij) + lo + 2.0)
-                xstar = max(xstar, lo)
-            else:
-                f = lambda xs: 0.5 * xs ** 2 + reg.beta * np.abs(xs) - xij * xs
-                xstar = _lattice_argmin(f, -abs(xij) - 2.0, abs(xij) + 2.0)
-            worst = max(worst, abs(xstar - xmap[j]))
+        for z, xm in zip(xi.values, reg.mirror_map(xi).values):
+            xstar = _lattice_argmin(lambda xs: objective(xs, z), *bracket(z))
+            worst = max(worst, abs(xstar - xm))
     return _result("mirror-map/separable-argmin", worst <= 1e-6, f"max diff {worst:.2e}")
 
 
 def check_mirror_argmin_entropy(seed=5):
-    """Fine-lattice simplex search on a 3-node grid vs the entropy map."""
+    """Fine-lattice simplex search on a 3-node grid vs the entropy map.
+
+    Each of six rounds evaluates the objective on an 80 x 80 lattice of
+    (x0, x1), with x2 fixed by unit mass, and refines around the minimum.
+    """
     rng = np.random.default_rng(seed)
     grid = Grid.interval(2)
     w = grid.weights  # (0.25, 0.5, 0.25)
@@ -179,33 +173,22 @@ def check_mirror_argmin_entropy(seed=5):
     for _ in range(3):
         xi = rng.uniform(-1.5, 1.5, 3)
         xmap = reg.mirror_map(GridFunction(grid, xi)).values
-
-        def objective(x0, x1):
-            x2 = (1.0 - w[0] * x0 - w[1] * x1) / w[2]
-            if x2 <= 0:
-                return np.inf
-            x = np.array([x0, x1, x2])
-            return float(np.sum(w * x * np.log(x)) - np.sum(w * xi * x))
-
         lo0, hi0, lo1, hi1 = 1e-9, 4.0, 1e-9, 2.0
-        best = None
         for _round in range(6):
             g0 = np.linspace(lo0, hi0, 80)
             g1 = np.linspace(lo1, hi1, 80)
-            vals = np.full((80, 80), np.inf)
-            for i, a in enumerate(g0):
-                for j, b in enumerate(g1):
-                    if a > 0 and b > 0:
-                        vals[i, j] = objective(a, b)
+            x0, x1 = np.meshgrid(g0, g1, indexing="ij")
+            x = np.stack([x0, x1, (1.0 - w[0] * x0 - w[1] * x1) / w[2]], axis=-1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vals = (np.add.reduce(w * x * np.log(x), axis=-1)
+                        - np.add.reduce(w * xi * x, axis=-1))
+            vals[~(x > 0).all(axis=-1)] = np.inf
             i, j = np.unravel_index(np.argmin(vals), vals.shape)
-            best = (g0[i], g1[j])
-            d0 = g0[1] - g0[0]
-            d1 = g1[1] - g1[0]
+            best = x[i, j]
+            d0, d1 = g0[1] - g0[0], g1[1] - g1[0]
             lo0, hi0 = max(1e-12, g0[i] - d0), g0[i] + d0
             lo1, hi1 = max(1e-12, g1[j] - d1), g1[j] + d1
-        x0, x1 = best
-        x2 = (1.0 - w[0] * x0 - w[1] * x1) / w[2]
-        worst = max(worst, float(np.max(np.abs(np.array([x0, x1, x2]) - xmap))))
+        worst = max(worst, float(np.max(np.abs(best - xmap))))
     return _result("mirror-map/entropy-simplex-argmin", worst <= 1e-6,
                    f"max diff {worst:.2e}")
 
@@ -213,11 +196,7 @@ def check_mirror_argmin_entropy(seed=5):
 # ---------------------------------------------------------------------------
 # convex-analysis identity battery
 
-def _regularizers():
-    return [QuadraticBox(lower=0.0), ElasticNet(beta=0.5), EntropySimplex()]
-
-
-def _random_dual(reg, grid, rng):
+def _random_dual(grid, rng):
     return GridFunction(grid, rng.uniform(-2.0, 2.0, grid.node_count))
 
 
@@ -228,16 +207,11 @@ def check_convex_identities(n=40, cases=100, seed=6):
     rng = np.random.default_rng(seed)
     grid = Grid.interval(n)
     results = []
-    for reg in _regularizers():
-        name = type(reg).__name__
+    for reg in (QuadraticBox(lower=0.0), ElasticNet(beta=0.5), EntropySimplex()):
         w3p = wfen = w24 = w26 = w27 = 0.0
         for _ in range(cases):
-            xi1 = _random_dual(reg, grid, rng)
-            xi2 = _random_dual(reg, grid, rng)
-            xi3 = _random_dual(reg, grid, rng)
-            x1 = reg.mirror_map(xi1)
-            x2 = reg.mirror_map(xi2)
-            x = reg.mirror_map(xi3)
+            xi1, xi2, xi3 = (_random_dual(grid, rng) for _ in range(3))
+            x1, x2, x = (reg.mirror_map(xi) for xi in (xi1, xi2, xi3))
 
             # three-point identity
             lhs = reg.bregman((x2, xi2), x) - reg.bregman((x1, xi1), x)
@@ -258,17 +232,43 @@ def check_convex_identities(n=40, cases=100, seed=6):
 
             # dual upper bound for pairs on the subdifferential graph
             w27 = max(w27, d - reg.dual_norm(xi3 - xi1) ** 2 / (4 * reg.sigma))
-        results.append(_result(f"convex/three-point[{name}]", w3p <= 1e-8,
-                               f"max rel defect {w3p:.2e}"))
-        results.append(_result(f"convex/fenchel[{name}]", wfen <= 1e-9,
-                               f"max defect {wfen:.2e}"))
-        results.append(_result(f"convex/lower-bound[{name}]", w24 <= 1e-12,
-                               f"max violation {w24:.2e}"))
-        results.append(_result(f"convex/mirror-lipschitz[{name}]", w26 <= 1e-12,
-                               f"max violation {w26:.2e}"))
-        results.append(_result(f"convex/dual-upper-bound[{name}]", w27 <= 1e-12,
-                               f"max violation {w27:.2e}"))
+        for row, worst, tol, what in (("three-point", w3p, 1e-8, "max rel defect"),
+                                      ("fenchel", wfen, 1e-9, "max defect"),
+                                      ("lower-bound", w24, 1e-12, "max violation"),
+                                      ("mirror-lipschitz", w26, 1e-12, "max violation"),
+                                      ("dual-upper-bound", w27, 1e-12, "max violation")):
+            results.append(_result(f"convex/{row}[{type(reg).__name__}]", worst <= tol,
+                                   f"{what} {worst:.2e}"))
     return results
+
+
+def kl_divergence(p: GridFunction, q: GridFunction) -> float:
+    """Quadrature-weighted Kullback-Leibler divergence int p log(p/q).
+
+    Independent oracle for the entropy Bregman distance; requires q > 0
+    wherever p > 0.
+    """
+    p.same_grid(q)
+    w = p.grid.weights
+    pv, qv = p.values, q.values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(pv > 0, pv * np.log(np.where(pv > 0, pv / qv, 1.0)), 0.0)
+    return float(np.sum(w * terms))
+
+
+def check_bregman_entropy_kl(n=40, cases=100, seed=7):
+    """The solvers' entropy Bregman evaluator equals KL(xbar, x) to 1e-8 on
+    random pairs of unit-mass densities."""
+    rng = np.random.default_rng(seed)
+    grid = Grid.interval(n)
+    reg = EntropySimplex()
+    worst = 0.0
+    for _ in range(cases):
+        xbar = reg.mirror_map(_random_dual(grid, rng))
+        xi = _random_dual(grid, rng)
+        x = reg.mirror_map(xi)
+        worst = max(worst, abs(reg.bregman((x, xi), xbar) - kl_divergence(xbar, x)))
+    return _result("bregman/entropy-kl", worst <= 1e-8, f"max defect {worst:.2e}")
 
 
 def run_all(fast: bool = False) -> list:
@@ -282,4 +282,5 @@ def run_all(fast: bool = False) -> list:
         check_mirror_argmin_entropy(),
     ]
     out.extend(check_convex_identities(cases=30 if fast else 100))
+    out.append(check_bregman_entropy_kl())
     return out

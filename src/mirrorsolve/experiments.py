@@ -108,7 +108,7 @@ def setup_entropy_experiment(n: int) -> Setup:
     raw = ENTROPY_A * t
     raw += 1.5 * ENTROPY_A - 1.0
     np.exp(raw, out=raw)
-    raw /= (grid.weights * raw).sum()
+    raw /= np.add.reduce(grid.weights * raw)
     x_true = GridFunction.wrap(grid, raw)
 
     forward = LinearIntegral(

@@ -7,9 +7,11 @@ discretized with the (tensor) trapezoidal rule, and adjoints of discrete
 operators are exact adjoints with respect to those weighted inner products,
 so adjoint-consistency checks hold to rounding rather than to O(h).
 
-The pairings and norms reduce with the ndarray methods (``a.sum()``,
-``a.max()``), which run the same ``np.add.reduce`` in the same pairwise
-order as ``np.sum``.
+Reductions: outside the oracles in ``checks``, every reduction over node
+values is a ufunc reduce (``np.add.reduce``, ``np.maximum.reduce``,
+``np.logical_and.reduce``, ...).  It gives the bits of ``np.sum`` /
+``np.max`` (the same pairwise order) and skips the Python frame that the
+ndarray methods (``a.sum()``, ``a.all()``) enter on every call.
 
 Temporaries: a kernel may pass ``out=`` only to an array it allocated itself
 in the same call, never to an input, a cached array or a buffer kept between
@@ -224,21 +226,21 @@ def inner(u: GridFunction, v: GridFunction) -> float:
     """Quadrature-weighted L2 pairing sum(w_i u_i v_i)."""
     u.same_grid(v)
     t = u.grid.weights * u.values
-    return float(np.multiply(t, v.values, out=t).sum())
+    return float(np.add.reduce(np.multiply(t, v.values, out=t)))
 
 
 def norm_l2(u: GridFunction) -> float:
     t = u.grid.weights * u.values
-    return math.sqrt(np.multiply(t, u.values, out=t).sum())
+    return math.sqrt(np.add.reduce(np.multiply(t, u.values, out=t)))
 
 
 def norm_l1(u: GridFunction) -> float:
     t = np.abs(u.values)
-    return float(np.multiply(u.grid.weights, t, out=t).sum())
+    return float(np.add.reduce(np.multiply(u.grid.weights, t, out=t)))
 
 
 def norm_linf(u: GridFunction) -> float:
-    return float(np.abs(u.values).max())
+    return float(np.maximum.reduce(np.abs(u.values)))
 
 
 def add_noise(y: GridFunction, delta: float, seed: int) -> GridFunction:
@@ -255,7 +257,7 @@ def add_noise(y: GridFunction, delta: float, seed: int) -> GridFunction:
     s = int(seed)
     while True:
         e = np.random.default_rng(s).standard_normal(y.grid.node_count)
-        nrm = np.sqrt(np.sum(y.grid.weights * e * e))
+        nrm = norm_l2(GridFunction.wrap(y.grid, e))
         if nrm > 0:
             break
         s += 1

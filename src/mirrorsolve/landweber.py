@@ -168,18 +168,18 @@ class DiscrepancyStop:
 
 @dataclass(frozen=True)
 class APrioriStop:
-    """Stop after k_hat = floor(c / delta) iterations."""
+    """Stop after k_hat = floor(1 / delta) iterations (the constant c = 1 of
+    k_hat = floor(c / delta) is fixed)."""
 
     delta: float
-    c: float = 1.0
 
     def __post_init__(self):
-        if self.delta <= 0 or self.c <= 0:
-            raise ValueError("c and delta must be positive")
+        if self.delta <= 0:
+            raise ValueError("delta must be positive")
 
     @property
     def k_hat(self) -> int:
-        return int(math.floor(self.c / self.delta))
+        return int(math.floor(1.0 / self.delta))
 
     def reason(self, k: int, rn: float):
         return "apriori" if k >= self.k_hat else None

@@ -149,7 +149,7 @@ class LinearIntegral(ForwardOperator):
             tmp_in = np.empty(self.grid_in.node_count)
             tmp_out = np.empty(self.grid_out.node_count)
             for _, b, wa, _ in self._factors:
-                moment = np.multiply(wa, x.values, out=tmp_in).sum()
+                moment = np.add.reduce(np.multiply(wa, x.values, out=tmp_in))
                 out += np.multiply(b, moment, out=tmp_out)
             return GridFunction.wrap(self.grid_out, out)
         return GridFunction.wrap(self.grid_out, self.kernel @ (self.grid_in.weights * x.values))
@@ -162,7 +162,7 @@ class LinearIntegral(ForwardOperator):
             tmp_in = np.empty(self.grid_in.node_count)
             tmp_out = np.empty(self.grid_out.node_count)
             for a, _, _, wb in self._factors:
-                moment = np.multiply(wb, w.values, out=tmp_out).sum()
+                moment = np.add.reduce(np.multiply(wb, w.values, out=tmp_out))
                 out += np.multiply(a, moment, out=tmp_in)
             return GridFunction.wrap(self.grid_in, out)
         return GridFunction.wrap(self.grid_in, self.kernel.T @ (self.grid_out.weights * w.values))

@@ -65,9 +65,12 @@ class Regularizer:
         return inner(xi, z) - self.value(z)
 
     def bregman(self, pair, xbar: GridFunction) -> float:
-        """D_R(xbar, x) = R(xbar) - R(x) - <xi, xbar - x> for (x, xi) in pair."""
+        """D_R(xbar, x) = R(xbar) - R(x) - <xi, xbar - x> for (x, xi) in pair,
+        through the ``bregman_to`` evaluator the solvers log with."""
         x, xi = pair
-        return self.value(xbar) - self.value(x) - inner(xi, xbar - x)
+        xbar.same_grid(x)
+        xbar.same_grid(xi)
+        return float(self.bregman_to(xbar)(x.values, xi.values))
 
     def bregman_to(self, xbar: GridFunction):
         """Distance evaluator with R(xbar) precomputed, for logging against one
@@ -113,8 +116,10 @@ class QuadraticBox(Regularizer):
     def _value(self, v, w):
         t = w * v
         val = 0.5 * np.add.reduce(np.multiply(t, v, out=t), axis=-1)
-        if self.lower is not None and (v < self.lower).any():
-            val = np.where((v < self.lower).any(axis=-1), np.inf, val)
+        if self.lower is not None:
+            below = np.logical_or.reduce(v < self.lower, axis=-1)
+            if np.logical_or.reduce(below, axis=None):
+                val = np.where(below, np.inf, val)
         return val
 
     def mirror_map(self, xi: GridFunction) -> GridFunction:
@@ -166,7 +171,7 @@ class EntropySimplex(Regularizer):
         mn = np.minimum.reduce(v, axis=-1)
         wv = w * v
         mass = np.add.reduce(wv, axis=-1)
-        if ((mn > 0) & (abs(mass - 1.0) <= self.mass_tol)).all():
+        if np.logical_and.reduce((mn > 0) & (abs(mass - 1.0) <= self.mass_tol), axis=None):
             t = np.log(v)
             return np.add.reduce(np.multiply(wv, t, out=t), axis=-1)
         # rows with a zero node take 0 log 0 = 0, summed as w (x log x);
@@ -179,9 +184,9 @@ class EntropySimplex(Regularizer):
 
     def mirror_map(self, xi: GridFunction) -> GridFunction:
         # subtracting the max is exact by shift invariance and avoids overflow
-        z = np.subtract(xi.values, xi.values.max())
+        z = np.subtract(xi.values, np.maximum.reduce(xi.values))
         np.exp(z, out=z)
-        mass = (xi.grid.weights * z).sum()
+        mass = np.add.reduce(xi.grid.weights * z)
         return GridFunction.wrap(xi.grid, np.divide(z, mass, out=z))
 
     def error_norm(self, u: GridFunction) -> float:
@@ -190,16 +195,3 @@ class EntropySimplex(Regularizer):
     def dual_norm(self, u: GridFunction) -> float:
         return norm_linf(u)
 
-
-def kl_divergence(p: GridFunction, q: GridFunction) -> float:
-    """Quadrature-weighted Kullback-Leibler divergence int p log(p/q).
-
-    Independent oracle for the entropy Bregman distance; requires q > 0
-    wherever p > 0.
-    """
-    p.same_grid(q)
-    w = p.grid.weights
-    pv, qv = p.values, q.values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(pv > 0, pv * np.log(np.where(pv > 0, pv / qv, 1.0)), 0.0)
-    return float(np.sum(w * terms))

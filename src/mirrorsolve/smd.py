@@ -235,13 +235,16 @@ class SourcedInstance:
     xi0: GridFunction
 
 
+#: width of the Gaussian kernel that smooths the random blocks
+SMOOTHING = 0.12
+
+
 def build_sourced_instance(N: int, n: int, reg: Regularizer, seed: int, *,
-                           smoothing: float = 0.12,
                            lam_scale: float = 4.0) -> SourcedInstance:
     """Random ill-conditioned linear blocks with a built-in source element.
 
     Kernels are white noise smoothed on both sides by a Gaussian kernel of
-    width ``smoothing`` and rescaled to unit operator norm; the smoothing
+    width ``SMOOTHING`` and rescaled to unit operator norm; the smoothing
     gives the blocks a decaying spectrum, so convergence is genuinely slow
     and rate products stay far above the floating-point floor over desk-scale
     horizons.  ``lam_scale`` sizes the dual source element; 0 gives the
@@ -252,8 +255,8 @@ def build_sourced_instance(N: int, n: int, reg: Regularizer, seed: int, *,
     rng = np.random.default_rng(seed)
     grid = Grid.interval(n)
     t = grid.coords[0]
-    S = np.exp(-0.5 * ((t[:, None] - t[None, :]) / smoothing) ** 2)
-    S /= S.sum(axis=1, keepdims=True)
+    S = np.exp(-0.5 * ((t[:, None] - t[None, :]) / SMOOTHING) ** 2)
+    S /= np.add.reduce(S, axis=1, keepdims=True)
 
     ops = []
     for _ in range(N):

@@ -196,7 +196,7 @@ def test_criterion_4_apriori_rate():
         for seed in SEEDS:
             yd = add_noise(setup.y, delta, seed)
             res = run(setup.forward, setup.reg, yd, rule,
-                      APrioriStop(delta=delta, c=1.0), x_truth=setup.x_true)
+                      APrioriStop(delta=delta), x_truth=setup.x_true)
             assert res.k_stop == int(math.floor(1.0 / delta))
             finals.append(res.records[-1].bregman_to_truth)
         ratios[delta] = float(np.median(finals)) / delta
@@ -270,7 +270,8 @@ def test_criterion_7_smd_rate(smd_study):
 
 def test_criterion_8_oracle_suites(oracle_results):
     """Adjoint identities, elliptic Taylor order, mirror-map argmin oracles,
-    and the convex-identity battery, at their stated tolerances."""
+    the convex-identity battery and the entropy Bregman/KL row, at their
+    stated tolerances."""
     failed = [r for r in oracle_results if not r.passed]
     for r in oracle_results:
         print(f"[criterion 8] {'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mirrorsolve import (
+    EntropySimplex,
     Grid,
     GridFunction,
     GridMismatchError,
@@ -107,6 +108,18 @@ class TestInnerAndNorms:
         assert norm_l2(u) == float(np.sqrt(np.sum(w * u.values * u.values)))
         assert norm_l1(u) == float(np.sum(w * np.abs(u.values)))
         assert norm_linf(u) == float(np.max(np.abs(u.values)))
+        # the entropy mirror map's max and mass
+        z = np.exp(u.values - np.max(u.values))
+        assert np.array_equal(EntropySimplex().mirror_map(u).values, z / np.sum(w * z))
+        # LinearIntegral's moments, with u and v as the factor pair
+        op = LinearIntegral(grid, factors=[(u.values, v.values)])
+        assert np.array_equal(op.apply(u).values, v.values * np.sum(w * u.values * u.values))
+        assert np.array_equal(op.adjoint_apply(u).values,
+                              u.values * np.sum(w * v.values * u.values))
+        # add_noise's rescaling by the weighted norm of the draw
+        e = np.random.default_rng(3).standard_normal(grid.node_count)
+        assert np.array_equal(add_noise(u, 1e-3, 3).values,
+                              u.values + (1e-3 / np.sqrt(np.sum(w * e * e))) * e)
 
     def test_values_are_frozen(self):
         u = Grid.interval(4).ones()

@@ -167,7 +167,7 @@ class TestRunLoop:
         setup = setup_entropy_experiment(150)
         delta = 0.05
         yd = add_noise(setup.y, delta, seed=2)
-        stop = APrioriStop(delta=delta, c=1.0)
+        stop = APrioriStop(delta=delta)
         assert stop.k_hat == 20
         rule = make_step_rule("rule1", tau=1.01, eta=0.0, delta=delta, apriori=True)
         res = run(setup.forward, setup.reg, yd, rule, stop)

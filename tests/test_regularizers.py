@@ -8,6 +8,7 @@ from mirrorsolve import (
     EntropySimplex,
     Grid,
     GridFunction,
+    GridMismatchError,
     QuadraticBox,
     inner,
     norm_l2,
@@ -16,8 +17,8 @@ from mirrorsolve.checks import (
     check_convex_identities,
     check_mirror_argmin_entropy,
     check_mirror_argmin_separable,
+    kl_divergence,
 )
-from mirrorsolve.regularizers import kl_divergence
 
 GRID = Grid.interval(40)
 ALL_REGS = [QuadraticBox(lower=0.0), ElasticNet(beta=0.5), EntropySimplex()]
@@ -147,7 +148,8 @@ class TestStackedEvaluation:
     def test_stack_equals_per_state(self, reg, n, seed, kinds):
         grid = Grid.interval(n)
         rng = np.random.default_rng(seed)
-        dist = reg.bregman_to(random_pair(reg, rng, grid)[0])
+        target = random_pair(reg, rng, grid)[0]
+        dist = reg.bregman_to(target)
         rows = [stack_row(reg, kind, grid, rng) for kind in kinds]
         xs = np.array([x for x, _ in rows])
         xis = np.array([xi for _, xi in rows])
@@ -157,6 +159,9 @@ class TestStackedEvaluation:
             single = dist(x, xi)
             assert np.ndim(single) == 0
             assert d == single
+            # bregman is the evaluator applied to one state, bit for bit
+            pair = (GridFunction(grid, x), GridFunction(grid, xi))
+            assert reg.bregman(pair, target) == float(single)
             off_domain = (kind in ("negative", "mass") if isinstance(reg, EntropySimplex)
                           else kind == "negative" and isinstance(reg, QuadraticBox))
             assert (d == -np.inf) == off_domain
@@ -186,6 +191,14 @@ class TestBregman:
             x, xi = random_pair(reg, rng)
             d = reg.bregman((x, xi), xbar)
             assert d == pytest.approx(kl_divergence(xbar, x), abs=1e-8)
+
+    @pytest.mark.parametrize("reg", ALL_REGS, ids=lambda r: type(r).__name__)
+    def test_mismatched_grids_raise(self, reg):
+        x, xi = random_pair(reg, np.random.default_rng(4))
+        other = random_pair(reg, np.random.default_rng(4), Grid.interval(41))
+        for pair, xbar in (((x, xi), other[0]), ((x, other[1]), x), ((other[0], xi), x)):
+            with pytest.raises(GridMismatchError):
+                reg.bregman(pair, xbar)
 
     def test_nonnegative_and_definite(self):
         rng = np.random.default_rng(3)
