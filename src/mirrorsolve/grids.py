@@ -18,7 +18,14 @@ in the same call, never to an input, a cached array or a buffer kept between
 calls.  Each result is then a fresh array that nothing else references,
 which ``GridFunction.wrap`` freezes without a copy, and reusing the
 temporary of ``w * u`` for ``(w * u) * v`` keeps the operand order, so the
-bits are those of the written-out expression.
+bits are those of the written-out expression.  The raw kernels follow the
+same rule on node arrays: each forward operator's ``linearize_values`` and
+the maps it returns (``LinearIntegral.apply_values`` / ``adjoint_values``,
+the elliptic tangent and adjoint), :func:`norm_l2_values`,
+``landweber.dual_step`` and the regularizers' value kernels.  The solvers
+run on these and meet grid functions only at the edges; an array a raw
+kernel returns is never written in place either, since the maps of one
+linearization may share it.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ __all__ = [
     "GridMismatchError",
     "inner",
     "norm_l2",
+    "norm_l2_values",
     "norm_l1",
     "norm_linf",
     "add_noise",
@@ -230,8 +238,13 @@ def inner(u: GridFunction, v: GridFunction) -> float:
 
 
 def norm_l2(u: GridFunction) -> float:
-    t = u.grid.weights * u.values
-    return math.sqrt(np.add.reduce(np.multiply(t, u.values, out=t)))
+    return norm_l2_values(u.values, u.grid.weights)
+
+
+def norm_l2_values(v: np.ndarray, w: np.ndarray) -> float:
+    """``norm_l2`` of the node values ``v`` under the quadrature weights ``w``."""
+    t = w * v
+    return math.sqrt(np.add.reduce(np.multiply(t, v, out=t)))
 
 
 def norm_l1(u: GridFunction) -> float:

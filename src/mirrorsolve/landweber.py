@@ -17,6 +17,11 @@ truth, and -- for linear forward operators -- the defect of the dual-space
 identity xi_k = A* lambda_k maintained by the auxiliary sequence
 lambda_{k+1} = lambda_k - gamma_k (F x_k - y_delta).  Every run starts from
 xi_0 = 0.
+
+Both loops run on node arrays: the operator's ``linearize_values`` gives the
+value and the adjoint map, the residual, its norm and the gradient stay raw,
+and only the states (x, xi) that :func:`dual_step` returns are grid
+functions.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import GridFunction, norm_l2
+from .grids import GridFunction, GridMismatchError, norm_l2_values
 from .operators import ForwardOperator
 from .regularizers import Regularizer
 
@@ -256,11 +261,12 @@ class NonFiniteResidualError(ArithmeticError):
         self.records = tuple(records)
 
 
-def dual_step(reg: Regularizer, xi: GridFunction, g: GridFunction,
+def dual_step(reg: Regularizer, xi: GridFunction, g: np.ndarray,
               gamma: float) -> tuple[GridFunction, GridFunction]:
-    """One mirror-descent update from the dual state ``xi`` along the data
-    gradient ``g``: returns (mirror_map(xi'), xi') with xi' = xi - gamma g."""
-    t = np.multiply(gamma, g.values)
+    """One mirror-descent update from the dual state ``xi`` along the node
+    values ``g`` of the data gradient: returns (mirror_map(xi'), xi') with
+    xi' = xi - gamma g."""
+    t = np.multiply(gamma, g)
     xi = GridFunction.wrap(xi.grid, np.subtract(xi.values, t, out=t))
     return reg.mirror_map(xi), xi
 
@@ -278,7 +284,10 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
     :class:`NonFiniteResidualError` at once.
     """
     _check_consistency(rule, stop)
+    if y_delta.grid != forward.grid_out:
+        raise GridMismatchError("data do not live on the operator's output grid")
     lambda_tracking = forward.linear
+    w_in, w_out, y = forward.grid_in.weights, forward.grid_out.weights, y_delta.values
 
     xi = forward.grid_in.zeros()
     x = reg.mirror_map(xi)
@@ -288,9 +297,9 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
     records = []
     k = 0
     while True:
-        lin = forward.linearize(x)
-        r = lin.value - y_delta
-        rn = norm_l2(r)
+        value, _, adjoint = forward.linearize_values(x.values)
+        r = np.subtract(value, y)
+        rn = norm_l2_values(r, w_out)
         if not math.isfinite(rn):
             raise NonFiniteResidualError(k, rn, records)
         breg = float(breg_to_truth(x.values, xi.values)) if x_truth is not None else None
@@ -298,7 +307,7 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
         ldef = None
         if lambda_tracking:
             d = np.subtract(xi.values, forward.adjoint_apply(lam).values)
-            ldef = norm_l2(GridFunction.wrap(xi.grid, d))
+            ldef = norm_l2_values(d, w_in)
 
         reason = stop.reason(k, rn)
         if reason is not None:
@@ -307,14 +316,14 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
         if k >= safety_cap:
             raise IterationLimitError(safety_cap, records)
 
-        g = lin.adjoint(r)
-        gn = norm_l2(g)
+        g = adjoint(r)
+        gn = norm_l2_values(g, w_in)
         gamma, degen = rule.step(rn, gn, forward.norm_bound)
         records.append(IterateRecord(k, rn, gamma, breg, err, ldef, degen))
 
         x, xi = dual_step(reg, xi, g, gamma)
         if lambda_tracking:
-            t = np.multiply(gamma, r.values)
+            t = np.multiply(gamma, r)
             lam = GridFunction.wrap(lam.grid, np.subtract(lam.values, t, out=t))
         k += 1
 

@@ -18,11 +18,20 @@ Two families are provided:
   homogeneous Dirichlet conditions on the auxiliary solves; on the interior
   of the tensor-trapezoidal grid these are exact discrete adjoints.
 
-Derivatives are reached through ``linearize(x)``, which returns a
-:class:`Linearization`: the value F(x) with the tangent h -> F'(x) h and the
-adjoint w -> F'(x)^* w at that same x.  An iteration that needs both the
-residual and the gradient at an iterate linearizes once, so the elliptic map
-solves for its state once per iterate.
+Each operator implements one raw-array linearization,
+``linearize_values(v) -> (value, tangent, adjoint)``: the node values of F(x)
+for the node values ``v`` of x, with the maps h -> F'(x) h and
+w -> F'(x)^* w on node arrays at that same x.  The solvers call it directly,
+so an iterate that needs both the residual and the gradient linearizes once
+(the elliptic map solves for its state once per iterate) and pays no
+grid-function wrapper.  :class:`GridFunction` appears only at the edges:
+the base class's ``linearize`` (which returns a :class:`Linearization`),
+``apply`` and ``adjoint_apply`` check the grid of their argument and wrap
+their result, and nothing else in this module does.
+
+Every array the raw maps return is fresh, and the tangent and adjoint may
+close over the value (the elliptic adjoint multiplies by the state u), so a
+caller passes none of them as ``out=``.
 """
 
 from __future__ import annotations
@@ -60,21 +69,56 @@ class Linearization(NamedTuple):
 
 
 class ForwardOperator:
-    """Common surface: apply and linearize."""
+    """Common surface: a subclass implements ``linearize_values`` (and, if
+    linear, the raw kernels ``apply_values`` and ``adjoint_values``) and
+    ``norm_bound``; the grid-function methods here are built on them."""
 
     linear: bool = False
     grid_in: Grid
     grid_out: Grid
 
-    def apply(self, x: GridFunction) -> GridFunction:
+    def linearize_values(self, v: np.ndarray):
+        """(F(x), h -> F'(x) h, w -> F'(x)^* w) on node arrays, where ``v``
+        holds the node values of x on ``grid_in``; the caller has checked
+        the grids.  Each returned array is fresh (see the module docstring)."""
         raise NotImplementedError
 
     def linearize(self, x: GridFunction) -> Linearization:
-        raise NotImplementedError
+        value, tangent, adjoint = self.linearize_values(_values_on(x, self.grid_in))
+        return Linearization(GridFunction.wrap(self.grid_out, value),
+                             _on_grids(tangent, self.grid_in, self.grid_out),
+                             _on_grids(adjoint, self.grid_out, self.grid_in))
+
+    def apply_values(self, v: np.ndarray) -> np.ndarray:
+        """F(x) on node arrays: the value of ``linearize_values``, which a
+        linear operator computes without building the maps."""
+        return self.linearize_values(v)[0]
+
+    def apply(self, x: GridFunction) -> GridFunction:
+        return GridFunction.wrap(self.grid_out, self.apply_values(_values_on(x, self.grid_in)))
+
+    def adjoint_apply(self, w: GridFunction) -> GridFunction:
+        """A^* w for a linear operator, whose adjoint is the same at every x."""
+        return GridFunction.wrap(self.grid_in, self.adjoint_values(_values_on(w, self.grid_out)))
 
     def norm_bound(self) -> float:
         """Upper bound (or estimate) for sup ||F'(x)||, computed once."""
         raise NotImplementedError
+
+
+def _values_on(u: GridFunction, grid: Grid) -> np.ndarray:
+    """The node values of ``u``, after checking that it lives on ``grid``."""
+    if u.grid != grid:
+        raise GridMismatchError(f"expected a function on {grid}, got one on {u.grid}")
+    return u.values
+
+
+def _on_grids(fn, grid_in: Grid, grid_out: Grid):
+    """The raw map ``fn`` as a map of grid functions from grid_in to grid_out."""
+    def on_grids(u: GridFunction) -> GridFunction:
+        return GridFunction.wrap(grid_out, fn(_values_on(u, grid_in)))
+
+    return on_grids
 
 
 class LinearIntegral(ForwardOperator):
@@ -141,34 +185,32 @@ class LinearIntegral(ForwardOperator):
     def from_matrix(cls, K, grid_in: Grid, grid_out: Grid = None) -> "LinearIntegral":
         return cls(grid_in, grid_out, kernel=K)
 
-    def apply(self, x: GridFunction) -> GridFunction:
-        if x.grid != self.grid_in:
-            raise GridMismatchError("operator input grid mismatch")
+    def apply_values(self, v: np.ndarray) -> np.ndarray:
+        """A v on node arrays: the value and the tangent of ``linearize_values``."""
         if self._factors is not None:
             out = np.zeros(self.grid_out.node_count)
             tmp_in = np.empty(self.grid_in.node_count)
             tmp_out = np.empty(self.grid_out.node_count)
             for _, b, wa, _ in self._factors:
-                moment = np.add.reduce(np.multiply(wa, x.values, out=tmp_in))
+                moment = np.add.reduce(np.multiply(wa, v, out=tmp_in))
                 out += np.multiply(b, moment, out=tmp_out)
-            return GridFunction.wrap(self.grid_out, out)
-        return GridFunction.wrap(self.grid_out, self.kernel @ (self.grid_in.weights * x.values))
+            return out
+        return self.kernel @ (self.grid_in.weights * v)
 
-    def adjoint_apply(self, w: GridFunction) -> GridFunction:
-        if w.grid != self.grid_out:
-            raise GridMismatchError("operator output grid mismatch")
+    def adjoint_values(self, w: np.ndarray) -> np.ndarray:
+        """A^* w on node arrays: the adjoint of ``linearize_values``."""
         if self._factors is not None:
             out = np.zeros(self.grid_in.node_count)
             tmp_in = np.empty(self.grid_in.node_count)
             tmp_out = np.empty(self.grid_out.node_count)
             for a, _, _, wb in self._factors:
-                moment = np.add.reduce(np.multiply(wb, w.values, out=tmp_out))
+                moment = np.add.reduce(np.multiply(wb, w, out=tmp_out))
                 out += np.multiply(a, moment, out=tmp_in)
-            return GridFunction.wrap(self.grid_in, out)
-        return GridFunction.wrap(self.grid_in, self.kernel.T @ (self.grid_out.weights * w.values))
+            return out
+        return self.kernel.T @ (self.grid_out.weights * w)
 
-    def linearize(self, x: GridFunction) -> Linearization:
-        return Linearization(self.apply(x), self.apply, self.adjoint_apply)
+    def linearize_values(self, v: np.ndarray):
+        return self.apply_values(v), self.apply_values, self.adjoint_values
 
     def norm_bound(self) -> float:
         if self._analytic_bound is not None:
@@ -285,9 +327,10 @@ class EllipticCoefficient(ForwardOperator):
     mirror map before every call); mildly negative values are tolerated as
     long as the shifted operator stays positive definite.
 
-    ``linearize(c)`` assembles A(c) and solves for the state u(c) once; its
-    tangent and adjoint close over that (A, u), so each costs one more solve
-    and nothing is kept on the operator between calls.
+    ``linearize_values(c)`` assembles A(c) and solves for the state u(c)
+    once; its tangent and adjoint close over that (A, u), with u the array
+    it returns as the value, so each costs one more solve and nothing is
+    kept on the operator between calls.
     """
 
     linear = False
@@ -309,41 +352,29 @@ class EllipticCoefficient(ForwardOperator):
         lift[:, -1] += gv[1:-1, -1]
         lift[0, :] += gv[0, 1:-1]
         lift[-1, :] += gv[-1, 1:-1]
-        f_int = f.values.reshape(self._shape)[1:-1, 1:-1].ravel()
-        self._state_rhs = f_int + lift.ravel() / grid.h ** 2
+        self._state_rhs = self._interior(f.values) + lift.ravel() / grid.h ** 2
         self._norm_cache = None
 
-    def _interior(self, u: GridFunction) -> np.ndarray:
-        return u.values.reshape(self._shape)[1:-1, 1:-1].ravel()
+    def _interior(self, v: np.ndarray) -> np.ndarray:
+        return v.reshape(self._shape)[1:-1, 1:-1].ravel()
 
-    def _embed(self, interior: np.ndarray, boundary: GridFunction = None) -> np.ndarray:
+    def _embed(self, interior: np.ndarray, boundary: np.ndarray = None) -> np.ndarray:
         m = self._shape[0]
-        full = np.zeros(self._shape) if boundary is None else boundary.values.reshape(self._shape).copy()
+        full = np.zeros(self._shape) if boundary is None else boundary.reshape(self._shape).copy()
         full[1:-1, 1:-1] = interior.reshape(m - 2, m - 2)
         return full.ravel()
 
-    def apply(self, c: GridFunction) -> GridFunction:
-        return self.linearize(c).value
-
-    def linearize(self, c: GridFunction) -> Linearization:
-        if c.grid != self.grid_in:
-            raise GridMismatchError("coefficient grid mismatch")
+    def linearize_values(self, c: np.ndarray):
         A = self.solver.matrix(self._interior(c))
-        u_full = self._embed(self.solver.solve(A, self._state_rhs), boundary=self.g)
+        u_full = self._embed(self.solver.solve(A, self._state_rhs), boundary=self.g.values)
 
-        def tangent(h: GridFunction) -> GridFunction:
-            c.same_grid(h)
-            rhs = -(h.values * u_full).reshape(self._shape)[1:-1, 1:-1].ravel()
-            v_int = self.solver.solve(A, rhs)
-            return GridFunction.wrap(self.grid_out, self._embed(v_int))
+        def tangent(h: np.ndarray) -> np.ndarray:
+            return self._embed(self.solver.solve(A, -self._interior(h * u_full)))
 
-        def adjoint(w: GridFunction) -> GridFunction:
-            if w.grid != self.grid_out:
-                raise GridMismatchError("output grid mismatch")
-            z_int = self.solver.solve(A, self._interior(w))
-            return GridFunction.wrap(self.grid_in, -u_full * self._embed(z_int))
+        def adjoint(w: np.ndarray) -> np.ndarray:
+            return -u_full * self._embed(self.solver.solve(A, self._interior(w)))
 
-        return Linearization(GridFunction.wrap(self.grid_out, u_full), tangent, adjoint)
+        return u_full, tangent, adjoint
 
     def norm_bound(self) -> float:
         """Power-iteration estimate of ||F'(0)||, computed once."""

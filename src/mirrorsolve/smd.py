@@ -25,7 +25,10 @@ The Bregman log is bookkeeping, not part of the iteration, so
 copies each state (x_k, xi_k) into a row of two preallocated buffers and
 calls the ``reg.bregman_to(x_truth)`` evaluator once on the stacked rows.
 The evaluator reduces along the last axis, which gives each row the bits of
-a one-state call, so the records do not depend on where a chunk ends.
+a one-state call, so the records do not depend on where a chunk ends.  The
+record fields are kept as one list per column, and the records are built
+from the columns once: at the end, or when a non-finite residual stops the
+path.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import Grid, GridFunction, GridMismatchError, norm_l2
+from .grids import Grid, GridFunction, GridMismatchError, norm_l2_values
 from .landweber import NonFiniteResidualError, RunResult, csv_number, dual_step, write_csv
 from .operators import LinearIntegral
 from .regularizers import Regularizer
@@ -155,15 +158,18 @@ CHUNK = 64
 
 def smd_step(state, prob: SystemProblem, reg: Regularizer, sched, k: int, i: int):
     """Step k from ``state = (x, xi)`` on block ``i``; returns
-    (x', xi', gamma_k, block residual norm)."""
+    (x', xi', gamma_k, block residual norm).
+
+    The problem checked every block's grids once, so the step runs on node
+    arrays: the residual is a fresh array, never an operator's value
+    written in place (the adjoint map may close over that value)."""
     x, xi = state
     gamma = sched.at(k)
     y = prob.data[i]
-    lin = prob.operators[i].linearize(x)
-    # the problem pins every data block to its operator's output grid
-    r = GridFunction.wrap(y.grid, lin.value.values - y.values)
-    x, xi = dual_step(reg, xi, lin.adjoint(r), gamma)
-    return x, xi, gamma, norm_l2(r)
+    value, _, adjoint = prob.operators[i].linearize_values(x.values)
+    r = np.subtract(value, y.values)
+    x, xi = dual_step(reg, xi, adjoint(r), gamma)
+    return x, xi, gamma, norm_l2_values(r, y.grid.weights)
 
 
 def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
@@ -185,41 +191,53 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
     picks = np.random.default_rng(seed).integers(prob.n_blocks, size=k_max).tolist()
     if xi0 is None:
         xi0 = prob.grid_in.zeros()
+    elif xi0.grid != prob.grid_in:
+        raise GridMismatchError("xi0 does not live on the problem's input grid")
     xi = xi0
     x = reg.mirror_map(xi)
 
     dist = reg.bregman_to(x_truth) if x_truth is not None else None
     n = prob.grid_in.node_count
     xs, xis = np.empty((CHUNK, n)), np.empty((CHUNK, n))
-    records = []
-    pending = []  # (k, i_k, gamma_k, s_k, block_residual) of rows not yet logged
+    # one list per record column; a record is built once its state is logged
+    gammas, sums, deltas, residuals = [], [], [], []
 
-    def log_pending():
-        m = len(pending)
-        deltas = dist(xs[:m], xis[:m]).tolist() if dist is not None else [None] * m
-        records.extend(SmdRecord(k, i_k, gamma_k, s_k, delta_k, res)
-                       for (k, i_k, gamma_k, s_k, res), delta_k in zip(pending, deltas))
-        pending.clear()
+    def log(m):
+        """Log the states in the first ``m`` buffer rows."""
+        deltas.extend(dist(xs[:m], xis[:m]).tolist() if dist is not None else [None] * m)
+
+    def records(m):
+        """The records of states 0 .. m - 1."""
+        return tuple(map(SmdRecord._make,
+                         zip(range(m), picks, gammas, sums, deltas, residuals)))
 
     s = 0.0
+    row = 0
     for k, i in enumerate(picks):
         if dist is not None:
-            xs[len(pending)] = x.values
-            xis[len(pending)] = xi.values
+            xs[row] = x.values
+            xis[row] = xi.values
         x, xi, gamma, rn = smd_step((x, xi), prob, reg, sched, k, i)
         if not math.isfinite(rn):
-            log_pending()
-            raise NonFiniteResidualError(k, rn, records)
+            log(row)
+            raise NonFiniteResidualError(k, rn, records(k))
         s += gamma
-        pending.append((k, i, gamma, s, rn))
-        if len(pending) == CHUNK:
-            log_pending()
+        gammas.append(gamma)
+        sums.append(s)
+        residuals.append(rn)
+        row += 1
+        if row == CHUNK:
+            log(row)
+            row = 0
     if dist is not None:
-        xs[len(pending)] = x.values
-        xis[len(pending)] = xi.values
-    pending.append((k_max, None, None, s + sched.at(k_max), None))
-    log_pending()
-    return RunResult(x, xi, k_max, "maxiter", tuple(records))
+        xs[row] = x.values
+        xis[row] = xi.values
+    log(row + 1)
+    picks.append(None)
+    gammas.append(None)
+    sums.append(s + sched.at(k_max))
+    residuals.append(None)
+    return RunResult(x, xi, k_max, "maxiter", records(k_max + 1))
 
 
 @dataclass(frozen=True)
@@ -287,12 +305,13 @@ class _FormatOnce(dict):
 def write_rate_csv(run: RunResult, path) -> None:
     """CSV log: columns k,i_k,gamma_k,s_k,delta_k,s_k_delta_k.
 
-    Each distinct step size is formatted once per file (a constant schedule
-    has one); step sizes are positive, so keys that compare equal print
-    alike.
+    Each field reads as ``csv_number`` prints it, formatted inline.  Each
+    distinct step size is formatted once per file (a constant schedule has
+    one); step sizes are positive, so keys that compare equal print alike.
     """
-    fmt, gammas = csv_number, _FormatOnce()
+    gammas = _FormatOnce()
     write_csv(path, "k,i_k,gamma_k,s_k,delta_k,s_k_delta_k",
-              (f"{r.k},{'' if r.i_k is None else r.i_k},{gammas[r.gamma_k]},{fmt(r.s_k)},"
-               f"{fmt(r.delta_k)},{fmt(r.s_delta)}\n"
-               for r in run.records))
+              (f"{k},{'' if i is None else i},{gammas[g]},{float(s)!r},,\n" if d is None else
+               f"{k},{'' if i is None else i},{gammas[g]},{float(s)!r},{float(d)!r},"
+               f"{float(s * d)!r}\n"
+               for k, i, g, s, d, _ in run.records))

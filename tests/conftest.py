@@ -4,27 +4,37 @@ import pytest
 from mirrorsolve import GridFunction
 
 
+def _array_of(a):
+    """The node array of a grid function or an array, else None."""
+    if isinstance(a, GridFunction):
+        return a.values
+    return a if isinstance(a, np.ndarray) else None
+
+
 def _check_ownership(fn, *args, inputs=()):
     """Call ``fn(*args)`` twice and check that it owns what it writes.
 
-    The arrays of the grid-function arguments and ``inputs`` keep their bits
-    and their write flags.  A grid-function result is read-only and shares
-    memory with no input and not with the other call's result, and the second
-    call leaves the first result's bits unchanged.  A float result repeats
+    The arrays of the grid-function and array arguments and ``inputs`` keep
+    their bits and their write flags.  A grid-function or array result
+    shares memory with no input and not with the other call's result, and
+    the second call leaves the first result's bits unchanged; a
+    grid-function result is also read-only.  A float result repeats
     exactly.  Returns the first result.
     """
-    arrays = [a.values for a in args if isinstance(a, GridFunction)] + list(inputs)
+    arrays = [a for a in map(_array_of, args) if a is not None] + list(inputs)
     before = [(a.tobytes(), a.flags.writeable) for a in arrays]
     first = fn(*args)
-    first_bits = first.values.tobytes() if isinstance(first, GridFunction) else None
+    res = _array_of(first)
+    first_bits = res.tobytes() if res is not None else None
     second = fn(*args)
-    if isinstance(first, GridFunction):
-        for res in (first.values, second.values):
-            assert not res.flags.writeable
-            assert not any(np.shares_memory(res, a) for a in arrays)
-        assert not np.shares_memory(first.values, second.values)
-        assert first.values.tobytes() == first_bits
-        assert second.values.tobytes() == first_bits
+    if res is not None:
+        both = (res, _array_of(second))
+        for r in both:
+            assert not (isinstance(first, GridFunction) and r.flags.writeable)
+            assert not any(np.shares_memory(r, a) for a in arrays)
+        assert not np.shares_memory(*both)
+        assert both[0].tobytes() == first_bits
+        assert both[1].tobytes() == first_bits
     else:
         assert isinstance(first, float) and first == second
     assert [(a.tobytes(), a.flags.writeable) for a in arrays] == before

@@ -175,7 +175,7 @@ class TestRunRateSweep:
             grid_in = setup.forward.grid_in
             grid_out = setup.forward.grid_out
 
-            def linearize(self, x):
+            def linearize_values(self, v):
                 raise RuntimeError("injected failure")
 
         import dataclasses

@@ -26,7 +26,11 @@ from mirrorsolve.checks import (
     check_taylor_elliptic,
     taylor_order,
 )
-from mirrorsolve.experiments import make_step_rule, setup_pde_experiment
+from mirrorsolve.experiments import (
+    make_step_rule,
+    setup_entropy_experiment,
+    setup_pde_experiment,
+)
 
 
 class TestLinearIntegral:
@@ -140,6 +144,62 @@ class TestLinearIntegralOwnership:
         check_ownership(op.apply, x, inputs=inputs)
         check_ownership(op.adjoint_apply, y, inputs=inputs)
         check_ownership(lambda v: op.linearize(v).value, x, inputs=inputs)
+
+
+def _dense_case():
+    rng = np.random.default_rng(5)
+    g_in, g_out = Grid.interval(30), Grid.interval(20)
+    op = LinearIntegral.from_matrix(rng.standard_normal((21, 31)), g_in, g_out)
+    return op, GridFunction(g_in, rng.standard_normal(31)), [op.kernel]
+
+
+def _factored_entropy_case():
+    setup = setup_entropy_experiment(200)
+    op = setup.forward
+    return op, setup.x_true, [a for factor in op._factors for a in factor]
+
+
+def _elliptic_case():
+    setup = setup_pde_experiment(16)
+    op = setup.forward
+    return op, setup.x_true, [op.f.values, op.g.values, op._state_rhs]
+
+
+@pytest.mark.parametrize("case", [_dense_case, _factored_entropy_case, _elliptic_case],
+                         ids=["dense", "factored-entropy", "elliptic"])
+class TestRawLinearization:
+    """``linearize_values`` is the one implementation; the grid-function
+    methods only check grids and wrap its arrays."""
+
+    @staticmethod
+    def _directions(op):
+        rng = np.random.default_rng(6)
+        return (rng.standard_normal(op.grid_in.node_count),
+                rng.standard_normal(op.grid_out.node_count))
+
+    def test_raw_and_wrapped_agree_bit_for_bit(self, case):
+        op, x, _ = case()
+        h, w = self._directions(op)
+        value, tangent, adjoint = op.linearize_values(x.values)
+        lin = op.linearize(x)
+        pairs = [(value, lin.value), (value, op.apply(x)),
+                 (tangent(h), lin.tangent(GridFunction(op.grid_in, h))),
+                 (adjoint(w), lin.adjoint(GridFunction(op.grid_out, w)))]
+        if op.linear:
+            pairs.append((adjoint(w), op.adjoint_apply(GridFunction(op.grid_out, w))))
+        for raw, wrapped in pairs:
+            assert raw.tobytes() == wrapped.values.tobytes()
+
+    def test_raw_results_are_fresh(self, case, check_ownership):
+        op, x, arrays = case()
+        h, w = self._directions(op)
+        inputs = [op.grid_in.weights, op.grid_out.weights, *arrays]
+        check_ownership(lambda v: op.linearize_values(v)[0], x.values, inputs=inputs)
+        # the maps may close over the value (the elliptic adjoint multiplies
+        # by the state), so they must neither write into it nor return it
+        value, tangent, adjoint = op.linearize_values(x.values)
+        check_ownership(tangent, h, inputs=[*inputs, value])
+        check_ownership(adjoint, w, inputs=[*inputs, value])
 
 
 def _manufactured_setup(n, u_fn, c_fn, f_fn, tol=1e-12):

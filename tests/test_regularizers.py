@@ -17,6 +17,7 @@ from mirrorsolve.checks import (
     check_convex_identities,
     check_mirror_argmin_entropy,
     check_mirror_argmin_separable,
+    conjugate_oracle,
     kl_divergence,
 )
 
@@ -219,6 +220,27 @@ class TestConjugate:
     def test_quadratic_box_nonpositive_dual(self):
         xi = GridFunction(GRID, -np.abs(np.random.default_rng(4).standard_normal(GRID.node_count)))
         assert QuadraticBox(lower=0.0).conjugate_value(xi) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("reg", [QuadraticBox(lower=None), QuadraticBox(lower=0.0),
+                                     QuadraticBox(lower=-0.7), ElasticNet(beta=0.5),
+                                     EntropySimplex()], ids=repr)
+    def test_closed_forms_match_the_mirror_map_route(self, reg):
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            xi = GridFunction(GRID, rng.uniform(-3.0, 3.0, GRID.node_count))
+            assert conjugate_oracle(reg, xi) == pytest.approx(reg.conjugate_value(xi),
+                                                              rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("reg", ALL_REGS, ids=repr)
+    def test_fenchel_row_fails_for_a_perturbed_mirror_map(self, reg, monkeypatch):
+        # the map evaluated at a shifted dual is the argmin of a different
+        # problem; the closed-form conjugate sees it
+        cls = type(reg)
+        mirror_map = cls.mirror_map
+        monkeypatch.setattr(cls, "mirror_map", lambda self, xi: mirror_map(
+            self, xi + 0.05 * xi.grid.function(lambda t: t)))
+        rows = {res.name: res for res in check_convex_identities(cases=5)}
+        assert not rows[f"convex/fenchel[{cls.__name__}]"].passed
 
 
 class TestIdentityBattery:

@@ -15,10 +15,12 @@ from mirrorsolve import (
     PolynomialSchedule,
     SystemProblem,
     build_sourced_instance,
+    norm_l2,
     run,
     smd_run,
 )
 from mirrorsolve.experiments import setup_pde_experiment
+from mirrorsolve.landweber import csv_number
 from mirrorsolve.smd import CHUNK, validate_schedule, write_rate_csv
 
 
@@ -342,6 +344,36 @@ class TestSmdRun:
                 x_truth=inst.x_true, xi0=inst.xi0)
         assert calls == {"step": k_max, "mirror_map": k_max + 1}
 
+    def test_step_leaves_its_inputs_alone(self):
+        # two steps from one state on the elliptic block give the same bits,
+        # and the state and the data keep theirs and their write flags
+        setup = setup_pde_experiment(16)
+        op, reg, y = setup.forward, setup.reg, setup.y
+        prob = SystemProblem((op,), (y,))
+        sched = ConstantSchedule(1.0 / op.norm_bound() ** 2)
+        rng = np.random.default_rng(2)
+        xi = GridFunction(op.grid_in, 0.3 * rng.standard_normal(op.grid_in.node_count))
+        x = reg.mirror_map(xi)
+        arrays = (x.values, xi.values, y.values)
+        before = [(a.tobytes(), a.flags.writeable) for a in arrays]
+
+        def step():
+            x1, xi1, gamma, rn = mirrorsolve.smd.smd_step((x, xi), prob, reg, sched, 0, 0)
+            return x1.values, xi1.values, gamma, rn
+
+        first = step()
+        first_bits = (first[0].tobytes(), first[1].tobytes(), *first[2:])
+        second = step()
+        assert [(a.tobytes(), a.flags.writeable) for a in arrays] == before
+        for out in (first, second):
+            assert (out[0].tobytes(), out[1].tobytes(), *out[2:]) == first_bits
+        # the grid-function step written out: a residual written into the
+        # operator's value would reach the adjoint through the state u
+        lin = op.linearize(x)
+        r = lin.value - y
+        assert first[1].tobytes() == (xi - sched.gamma * lin.adjoint(r)).values.tobytes()
+        assert first[3] == norm_l2(r)
+
     def test_determinism_per_seed(self):
         reg = ElasticNet(beta=0.3)
         inst = build_sourced_instance(3, 25, reg, seed=4)
@@ -388,3 +420,21 @@ class TestRateCsv:
         assert lines[0] == "k,i_k,gamma_k,s_k,delta_k,s_k_delta_k"
         assert len(lines) == 7
         assert lines[-1].split(",")[1] == ""  # final record has no pick
+
+    @pytest.mark.parametrize("truth", [True, False], ids=["logged", "unlogged"])
+    def test_fields_print_as_csv_number(self, tmp_path, truth):
+        # an integer step size still prints as 1.0, and every field reads
+        # as csv_number prints the record's value
+        reg = EntropySimplex()
+        inst = build_sourced_instance(2, 20, reg, seed=1)
+        sr = smd_run(inst.problem, reg, ConstantSchedule(1), 130, seed=3,
+                     x_truth=inst.x_true if truth else None)
+        p = tmp_path / "rate.csv"
+        write_rate_csv(sr, p)
+        fmt = csv_number
+        expected = ["k,i_k,gamma_k,s_k,delta_k,s_k_delta_k"] + [
+            f"{r.k},{'' if r.i_k is None else r.i_k},{fmt(r.gamma_k)},{fmt(r.s_k)},"
+            f"{fmt(r.delta_k)},{fmt(r.s_delta)}" for r in sr.records]
+        lines = p.read_text().splitlines()
+        assert lines == expected
+        assert [line.split(",")[2:4] for line in lines[1:3]] == [["1.0", "1.0"], ["1.0", "2.0"]]
