@@ -12,7 +12,9 @@ Two families are provided:
 * :class:`EllipticCoefficient` -- the nonlinear map c -> u(c) where u solves
   -Lap(u) + c u = f on the unit square with Dirichlet data g, discretized by
   the five-point stencil and solved with CG preconditioned by the exact
-  inverse of the c = 0 Laplacian (applied by fast diagonalization).  The
+  inverse of the c = 0 Laplacian (applied by fast diagonalization) in a CG
+  loop on raw arrays that performs SciPy's ``cg`` operations in SciPy's
+  order, so it gives SciPy's bits without that wrapper's overhead.  The
   derivative and its adjoint follow the usual sensitivity formulas
   F'(c) h = -A(c)^{-1} (h u(c)) and F'(c)* w = -u(c) A(c)^{-1} w, with
   homogeneous Dirichlet conditions on the auxiliary solves; on the interior
@@ -36,12 +38,12 @@ caller passes none of them as ``out=``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grids import (
     Grid,
@@ -195,7 +197,7 @@ class LinearIntegral(ForwardOperator):
                 moment = np.add.reduce(np.multiply(wa, v, out=tmp_in))
                 out += np.multiply(b, moment, out=tmp_out)
             return out
-        return self.kernel @ (self.grid_in.weights * v)
+        return self.kernel.dot(self.grid_in.weights * v)
 
     def adjoint_values(self, w: np.ndarray) -> np.ndarray:
         """A^* w on node arrays: the adjoint of ``linearize_values``."""
@@ -207,7 +209,7 @@ class LinearIntegral(ForwardOperator):
                 moment = np.add.reduce(np.multiply(wb, w, out=tmp_out))
                 out += np.multiply(a, moment, out=tmp_in)
             return out
-        return self.kernel.T @ (self.grid_out.weights * w)
+        return self.kernel.T.dot(self.grid_out.weights * w)
 
     def linearize_values(self, v: np.ndarray):
         return self.apply_values(v), self.apply_values, self.adjoint_values
@@ -239,8 +241,11 @@ class EllipticSolver:
     Assembles the interior-node Laplacian once and keeps its CSR pattern;
     ``matrix(c)`` puts the Laplacian's diagonal plus c into that cached
     pattern, and each solve runs CG until the algebraic residual drops below
-    ``tol * ||rhs||`` (atol 0).  ``max_iter`` None leaves SciPy's default
-    cap, 10 times the system size (n-1)^2.
+    ``tol * ||rhs||`` (atol 0).  ``max_iter`` None means SciPy's default
+    cap, 10 times the system size (n-1)^2.  ``solve`` is SciPy's ``cg`` on
+    raw arrays, operation for operation and bit for bit: x0 = 0, norms as
+    sqrt(r.dot(r)), the residual test before each iteration, p = z on the
+    first spin and p = (rho / rho_prev) p + z in place after it.
 
     The preconditioner is the exact inverse of the c = 0 Laplacian, applied
     by fast diagonalization (Concus & Golub, SIAM J. Numer. Anal. 10, 1973):
@@ -258,7 +263,7 @@ class EllipticSolver:
     _lap: sp.csr_matrix = field(init=False, repr=False, default=None)
     _diag_pos: np.ndarray = field(init=False, repr=False, default=None)
     _lap_diag: np.ndarray = field(init=False, repr=False, default=None)
-    _precond: spla.LinearOperator = field(init=False, repr=False, default=None)
+    _precond: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.grid.kind != "square":
@@ -288,8 +293,7 @@ class EllipticSolver:
             R = r.reshape(ni, ni)
             return (Q @ ((Q @ R @ Q) / E) @ Q).ravel()
 
-        self._precond = spla.LinearOperator((ni * ni, ni * ni),
-                                            matvec=inverse_laplacian, dtype=float)
+        self._precond = inverse_laplacian
 
     def matrix(self, c_interior: np.ndarray) -> sp.csr_matrix:
         """``_lap + sp.diags(c)`` with a fresh ``data`` buffer on the shared
@@ -301,18 +305,31 @@ class EllipticSolver:
                              shape=self._lap.shape)
 
     def solve(self, A: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-        count = [0]
-
-        def cb(_):
-            count[0] += 1
-
-        u, info = spla.cg(A, rhs, rtol=self.tol, atol=0.0,
-                          maxiter=self.max_iter, M=self._precond, callback=cb)
-        if info != 0:
-            bn = np.linalg.norm(rhs)
-            rel = np.linalg.norm(rhs - A @ u) / bn if bn > 0 else 0.0
-            raise EllipticSolveError(count[0], rel)
-        return u
+        """A^{-1} rhs, a fresh array (a copy of a zero rhs); after ``max_iter``
+        iterations, :class:`EllipticSolveError` with ||r|| / ||rhs||."""
+        r = rhs.copy()
+        rhs_norm = math.sqrt(r.dot(r))
+        if rhs_norm == 0.0:
+            return r
+        atol = self.tol * rhs_norm
+        max_iter = 10 * r.size if self.max_iter is None else self.max_iter
+        x = np.zeros_like(r)
+        for it in range(max_iter):
+            if math.sqrt(r.dot(r)) < atol:
+                return x
+            z = self._precond(r)
+            rho = r.dot(z)
+            if it:
+                p *= rho / rho_prev
+                p += z
+            else:
+                p = z  # fresh, so SciPy's copy of it is not needed
+            q = A @ p
+            alpha = rho / p.dot(q)
+            x += alpha * p
+            r -= alpha * q
+            rho_prev = rho
+        raise EllipticSolveError(max_iter, math.sqrt(r.dot(r)) / rhs_norm)
 
 
 class EllipticCoefficient(ForwardOperator):

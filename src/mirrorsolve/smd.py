@@ -26,9 +26,9 @@ copies each state (x_k, xi_k) into a row of two preallocated buffers and
 calls the ``reg.bregman_to(x_truth)`` evaluator once on the stacked rows.
 The evaluator reduces along the last axis, which gives each row the bits of
 a one-state call, so the records do not depend on where a chunk ends.  The
-record fields are kept as one list per column, and the records are built
-from the columns once: at the end, or when a non-finite residual stops the
-path.
+record fields of the current chunk are kept as one list per column, and a
+chunk's records are built when it is logged, so the columns never hold more
+than :data:`CHUNK` entries.
 """
 
 from __future__ import annotations
@@ -199,17 +199,18 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
     dist = reg.bregman_to(x_truth) if x_truth is not None else None
     n = prob.grid_in.node_count
     xs, xis = np.empty((CHUNK, n)), np.empty((CHUNK, n))
-    # one list per record column; a record is built once its state is logged
-    gammas, sums, deltas, residuals = [], [], [], []
+    records = []
+    # one list per record column, for the states not yet logged
+    gammas, sums, residuals = [], [], []
 
     def log(m):
-        """Log the states in the first ``m`` buffer rows."""
-        deltas.extend(dist(xs[:m], xis[:m]).tolist() if dist is not None else [None] * m)
-
-    def records(m):
-        """The records of states 0 .. m - 1."""
-        return tuple(map(SmdRecord._make,
-                         zip(range(m), picks, gammas, sums, deltas, residuals)))
+        """Log the states in the first ``m`` buffer rows: the next ``m`` records."""
+        k0 = len(records)
+        deltas = dist(xs[:m], xis[:m]).tolist() if dist is not None else [None] * m
+        records.extend(map(SmdRecord._make, zip(range(k0, k0 + m), picks[k0:k0 + m],
+                                                gammas, sums, deltas, residuals)))
+        for column in (gammas, sums, residuals):
+            column.clear()
 
     s = 0.0
     row = 0
@@ -220,7 +221,7 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
         x, xi, gamma, rn = smd_step((x, xi), prob, reg, sched, k, i)
         if not math.isfinite(rn):
             log(row)
-            raise NonFiniteResidualError(k, rn, records(k))
+            raise NonFiniteResidualError(k, rn, tuple(records))
         s += gamma
         gammas.append(gamma)
         sums.append(s)
@@ -232,12 +233,12 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
     if dist is not None:
         xs[row] = x.values
         xis[row] = xi.values
-    log(row + 1)
     picks.append(None)
     gammas.append(None)
     sums.append(s + sched.at(k_max))
     residuals.append(None)
-    return RunResult(x, xi, k_max, "maxiter", records(k_max + 1))
+    log(row + 1)
+    return RunResult(x, xi, k_max, "maxiter", tuple(records))
 
 
 @dataclass(frozen=True)

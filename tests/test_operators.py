@@ -146,6 +146,27 @@ class TestLinearIntegralOwnership:
         check_ownership(lambda v: op.linearize(v).value, x, inputs=inputs)
 
 
+class TestDenseProductBits:
+    """The dense products use ``ndarray.dot``; they keep the bits of the
+    matmul ufunc for any grid sizes and kernel memory layout."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n_in,n_out", [(30, 20), (20, 30), (50, 50)])
+    def test_dot_matches_matmul(self, n_in, n_out, order):
+        rng = np.random.default_rng(n_in + 7 * n_out)
+        g_in, g_out = Grid.interval(n_in), Grid.interval(n_out)
+        K = np.asarray(rng.standard_normal((n_out + 1, n_in + 1)), order=order)
+        op = LinearIntegral.from_matrix(K, g_in, g_out)
+        assert op.kernel.flags[f"{order}_CONTIGUOUS"]
+        for _ in range(20):
+            v = rng.standard_normal(n_in + 1)
+            w = rng.standard_normal(n_out + 1)
+            assert (op.apply_values(v).tobytes()
+                    == (op.kernel @ (g_in.weights * v)).tobytes())
+            assert (op.adjoint_values(w).tobytes()
+                    == (op.kernel.T @ (g_out.weights * w)).tobytes())
+
+
 def _dense_case():
     rng = np.random.default_rng(5)
     g_in, g_out = Grid.interval(30), Grid.interval(20)
@@ -277,7 +298,7 @@ class TestEllipticForward:
         op = EllipticCoefficient(f, grid.zeros(), grid, solver=solver)
         with pytest.raises(EllipticSolveError) as exc:
             op.apply(c)
-        assert exc.value.iterations >= 1
+        assert exc.value.iterations == 2
         assert exc.value.residual > 0
 
 
@@ -324,6 +345,42 @@ class TestEllipticAssembly:
         assert np.array_equal(lin1.tangent(h).values, tan)
 
 
+class TestEllipticSolve:
+    """``EllipticSolver.solve`` is SciPy's ``cg`` on raw arrays, bit for bit;
+    SciPy is the oracle here only."""
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_matches_scipy_cg_bit_for_bit(self, n):
+        solver = EllipticSolver(Grid.square(n))
+        m = (n - 1) ** 2
+        M = spla.LinearOperator((m, m), matvec=solver._precond, dtype=float)
+        rng = np.random.default_rng(n + 1)
+        rhss = [rng.standard_normal(m), rng.random(m), 1e-6 * rng.standard_normal(m)]
+        for name, c in _coefficients(n).items():
+            A = solver.matrix(c)
+            for rhs in rhss:
+                ref, info = spla.cg(A, rhs, rtol=solver.tol, atol=0.0, M=M)
+                assert info == 0, name
+                assert solver.solve(A, rhs).tobytes() == ref.tobytes(), name
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_rhs_gives_fresh_zeros(self, zero):
+        solver = EllipticSolver(Grid.square(16))
+        A = solver.matrix(_coefficients(16)["random"])
+        rhs = np.full(15 ** 2, zero)
+        u = solver.solve(A, rhs)
+        assert not np.shares_memory(u, rhs)
+        assert u.tobytes() == rhs.tobytes()
+
+    def test_result_owns_its_memory(self, check_ownership):
+        op = setup_pde_experiment(16).forward
+        A = op.solver.matrix(op._interior(op.grid_in.ones().values))
+        rhs = np.random.default_rng(2).standard_normal(15 ** 2)
+        for b in (op._state_rhs, rhs):
+            check_ownership(lambda r: op.solver.solve(A, r), b,
+                            inputs=[op._state_rhs, A.data])
+
+
 class TestEllipticPreconditioner:
     @pytest.mark.parametrize("n", [16, 64, 128])
     def test_inverts_zero_coefficient_laplacian(self, n):
@@ -333,28 +390,31 @@ class TestEllipticPreconditioner:
         for _ in range(3):
             r = rng.standard_normal((n - 1) ** 2)
             bound = 1e-12 * np.linalg.norm(r)
-            assert np.linalg.norm(lap @ solver._precond.matvec(r) - r) <= bound
-            assert np.linalg.norm(solver._precond.matvec(lap @ r) - r) <= bound
+            assert np.linalg.norm(lap @ solver._precond(r) - r) <= bound
+            assert np.linalg.norm(solver._precond(lap @ r) - r) <= bound
 
     @pytest.mark.parametrize("n", [16, 32, 64, 128])
     def test_cg_iterations_per_solve_do_not_grow_with_n(self, n, monkeypatch):
         # the preconditioned spectrum lies in [1, 1 + max c / lambda_min(-Lap_h)]
         # with max c = 1 and lambda_min ~ 2 pi^2, whatever the grid size
         counts = {"calls": 0, "iters": 0}
-        cg = spla.cg
+        solve = EllipticSolver.solve
 
-        def counted_cg(*args, callback=None, **kwargs):
-            def cb(xk):
-                counts["iters"] += 1
-                if callback is not None:
-                    callback(xk)
-
+        def counted_solve(self, A, rhs):
             counts["calls"] += 1
-            return cg(*args, callback=cb, **kwargs)
+            return solve(self, A, rhs)
 
         setup = setup_pde_experiment(n)
-        monkeypatch.setattr(spla, "cg", counted_cg)
         F, c = setup.forward, setup.x_true
+        precond = F.solver._precond
+
+        def counted_precond(r):
+            # applied once per CG iteration
+            counts["iters"] += 1
+            return precond(r)
+
+        monkeypatch.setattr(EllipticSolver, "solve", counted_solve)
+        monkeypatch.setattr(F.solver, "_precond", counted_precond)
         lin = F.linearize(c)
         lin.adjoint(F.grid_out.ones())
         lin.tangent(F.grid_in.ones())
@@ -416,13 +476,13 @@ class TestEllipticDerivative:
         assert not np.array_equal(u1.values, u3.values)
 
         calls = [0]
-        cg = spla.cg
+        solve = EllipticSolver.solve
 
-        def counted_cg(*args, **kwargs):
+        def counted_solve(self, A, rhs):
             calls[0] += 1
-            return cg(*args, **kwargs)
+            return solve(self, A, rhs)
 
-        monkeypatch.setattr(spla, "cg", counted_cg)
+        monkeypatch.setattr(EllipticSolver, "solve", counted_solve)
         rule = make_step_rule("rule2", tau=1.1, eta=0.04, delta=1e-4)
         res = run(F, setup.reg, setup.y, rule, MaxIterStop(k_max=5))
         assert res.k_stop == 5

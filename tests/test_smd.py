@@ -268,6 +268,32 @@ class TestSmdRun:
         assert exc.value.records == ref.records[:k_bad]
         assert all(r.delta_k is not None for r in exc.value.records)
 
+    @pytest.mark.parametrize("logged", [True, False], ids=["bregman", "no-truth"])
+    def test_nonfinite_block_on_a_chunk_boundary_keeps_the_records_before_it(self, logged):
+        # the failing step opens a chunk, so no rows are pending when it raises
+        reg = ElasticNet(beta=0.3)
+        inst = build_sourced_instance(1, 20, reg, seed=5)
+        (op,), (y,) = inst.problem.operators, inst.problem.data
+        n_blocks, k_max = 100, 500
+
+        def picks(sd):
+            return np.random.default_rng(sd).integers(n_blocks, size=k_max).tolist()
+
+        # a seed whose step 2 * CHUNK is the first pick of its block
+        seed = next(sd for sd in range(100) if picks(sd)[2 * CHUNK] not in picks(sd)[:2 * CHUNK])
+        bad = picks(seed)[2 * CHUNK]
+        nan = GridFunction(y.grid, np.full(y.grid.node_count, np.nan))
+        clean = SystemProblem((op,) * n_blocks, (y,) * n_blocks)
+        broken = SystemProblem((op,) * n_blocks,
+                               tuple(nan if i == bad else y for i in range(n_blocks)))
+        sched = ConstantSchedule(1.5)
+        truth = {"x_truth": inst.x_true} if logged else {}
+        ref = smd_run(clean, reg, sched, k_max, seed, **truth)
+        with pytest.raises(NonFiniteResidualError) as exc:
+            smd_run(broken, reg, sched, k_max, seed, **truth)
+        assert exc.value.k == 2 * CHUNK
+        assert exc.value.records == ref.records[:2 * CHUNK]
+
     @pytest.mark.parametrize("reg", [EntropySimplex(), ElasticNet(beta=0.3)],
                              ids=["entropy", "elastic"])
     def test_matches_reference_arithmetic_bitwise(self, reg):
