@@ -5,7 +5,7 @@ The package is organized around five layers:
 * :mod:`mirrorsolve.grids` -- uniform grids and quadrature-weighted grid
   functions, inner products and norms;
 * :mod:`mirrorsolve.regularizers` -- strongly convex regularizers with
-  closed-form mirror maps, conjugates, and Bregman distances;
+  closed-form mirror maps and Bregman distances;
 * :mod:`mirrorsolve.operators` -- forward maps (integral operator, elliptic
   coefficient-to-solution map) with a per-iterate linearization (value,
   derivative, adjoint);

@@ -60,7 +60,7 @@ def check_adjoint_dense(n=120, pairs=100, seed=0):
     """|<Ax,w> - <x,A*w>| <= 1e-10 ||x|| ||w|| ||A|| for a random dense kernel."""
     rng = np.random.default_rng(seed)
     grid = Grid.interval(n)
-    op = LinearIntegral.from_matrix(rng.standard_normal((n + 1, n + 1)), grid)
+    op = LinearIntegral(grid, kernel=rng.standard_normal((n + 1, n + 1)))
     na = op.norm_bound()
     return _adjoint_row("adjoint/dense-kernel", rng, grid, op.apply, op.adjoint_apply,
                         lambda x, fx, w: norm_l2(x) * norm_l2(w) * na, pairs, 1e-10)
@@ -306,16 +306,15 @@ def check_bregman_entropy_kl(n=40, cases=100, seed=7):
     return _result("bregman/entropy-kl", worst <= 1e-8, f"max defect {worst:.2e}")
 
 
-def run_all(fast: bool = False) -> list:
-    """Full verification battery; ``fast`` shrinks the grids."""
-    out = [
-        check_adjoint_dense(n=60 if fast else 120),
-        check_adjoint_entropy_operator(n=500 if fast else 2000),
-        check_adjoint_elliptic(n=16),
+def run_all() -> list:
+    """The full verification battery, one result per check row."""
+    return [
+        check_adjoint_dense(),
+        check_adjoint_entropy_operator(),
+        check_adjoint_elliptic(),
         check_taylor_elliptic(),
         check_mirror_argmin_separable(),
         check_mirror_argmin_entropy(),
+        *check_convex_identities(),
+        check_bregman_entropy_kl(),
     ]
-    out.extend(check_convex_identities(cases=30 if fast else 100))
-    out.append(check_bregman_entropy_kl())
-    return out

@@ -4,7 +4,7 @@ Subcommands::
 
     mirrorsolve run    --config cfg [--out DIR] [--delta D] [--seed S] [--fast]
     mirrorsolve sweep  --config cfg [--out DIR] [--fast]
-    mirrorsolve verify [--fast]
+    mirrorsolve verify
     mirrorsolve smd    --config cfg [--out DIR] [--seed S]
 
 Exit code 0 on success.  On failure a single machine-readable JSON line is
@@ -70,7 +70,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = checks.run_all(fast=args.fast)
+    results = checks.run_all()
     bad = 0
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
@@ -81,18 +81,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_smd(args) -> int:
     _check_seed_flag(args)
-    cfg = parse_config(args.config)
+    cfg = parse_config(args.config).resolved()
     if cfg.problem != "smd_synthetic":
         raise ValueError(f"smd needs [problem] kind = smd_synthetic, "
                          f"got {cfg.problem!r}")
     reg = (EntropySimplex() if cfg.smd_regularizer == "entropy"
            else ElasticNet(beta=0.3))
-    inst = smd.build_sourced_instance(cfg.smd_blocks, cfg.smd_n, reg,
+    inst = smd.build_sourced_instance(cfg.smd_blocks, cfg.n, reg,
                                       cfg.smd_instance_seed)
-    if cfg.smd_alpha is not None:
-        sched = smd.PolynomialSchedule(gamma0=cfg.smd_gamma, alpha=cfg.smd_alpha)
-    else:
-        sched = smd.ConstantSchedule(gamma=cfg.smd_gamma)
+    sched = (smd.ConstantSchedule(gamma=cfg.smd_gamma) if cfg.smd_alpha is None
+             else smd.PolynomialSchedule(gamma0=cfg.smd_gamma, alpha=cfg.smd_alpha))
     seeds = [args.seed] if args.seed is not None else list(cfg.seeds)
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
@@ -132,9 +130,8 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--fast", action="store_true", help="coarse grids")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
-    p_verify = sub.add_parser("verify", help="run the oracle/property suites")
-    p_verify.add_argument("--fast", action="store_true")
-    p_verify.set_defaults(fn=_cmd_verify)
+    sub.add_parser("verify", help="run the oracle/property suites").set_defaults(
+        fn=_cmd_verify)
 
     p_smd = sub.add_parser("smd", help="stochastic mirror descent rate study")
     p_smd.add_argument("--config", required=True)

@@ -1,11 +1,12 @@
 """Declarative experiment configuration (flat key = value sections).
 
 Config files use INI syntax with four sections; every key has a default, so
-a minimal file only names the problem::
+a minimal file only names the problem; an elliptic one (pde_coefficient)
+also names rule2 or rule3, since rule1 needs a linear forward map::
 
     [problem]
     kind = entropy_integral     ; entropy_integral | pde_coefficient | smd_synthetic
-    n = 5000
+    n = 5000                    ; grid size of every kind (smd_synthetic: >= 2)
 
     [rule]
     name = rule3                ; rule1 | rule2 | rule3
@@ -24,15 +25,15 @@ gamma0 = 1.98 and gamma_bar = 600 are fixed (``experiments.GAMMA0``,
 ``experiments.GAMMA_BAR``); none of them is a config key.
 
 The ``[smd]`` section configures the stochastic study (kind smd_synthetic):
-blocks, n, regularizer (entropy | elastic), gamma, alpha, k_max
-(nonnegative) and instance_seed (nonnegative).
+blocks (>= 1), regularizer (entropy | elastic), gamma (> 0), alpha (in
+(0, 1), for a polynomial schedule), k_max (>= 0) and instance_seed (>= 0).
 
 An unknown section or key raises ValueError, so a misspelt key cannot fall
 back to its default unnoticed; so does a key the problem kind never reads:
-``[smd]`` for the Landweber kinds, and ``[problem] n``, ``[rule]``,
-``[stopping]`` and ``[sweep] deltas`` for smd_synthetic.  A value that does
-not convert (``seeds = 1, x``) or that a check rejects (``seeds = -1``)
-raises ValueError naming the file, section and key.  The CLI applies the
+``[smd]`` for the Landweber kinds, and ``[rule]``, ``[stopping]`` and
+``[sweep] deltas`` for smd_synthetic.  A value that does not convert
+(``seeds = 1, x``) or that a check rejects (``seeds = -1``) raises
+ValueError naming the file, section and key.  The CLI applies the
 same rules to its flags: ``--delta`` must be positive and finite, and
 ``--seed`` nonnegative.
 """
@@ -63,7 +64,6 @@ class ExperimentConfig:
     seeds: tuple = (1, 2, 3, 4, 5)
     # stochastic study
     smd_blocks: int = 4
-    smd_n: int = 50
     smd_regularizer: str = "entropy"
     smd_gamma: float = 1.8
     smd_alpha: float = None        # set for a polynomial schedule
@@ -79,6 +79,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown stopping {self.stopping!r}")
         if self.smd_regularizer not in ("entropy", "elastic"):
             raise ValueError(f"unknown smd regularizer {self.smd_regularizer!r}")
+        if self.smd_blocks < 1:
+            raise ValueError(f"[smd] blocks must be at least 1, got {self.smd_blocks}")
+        if self.problem == "smd_synthetic" and self.n is not None and self.n < 2:
+            raise ValueError(f"[problem] n must be at least 2 for smd_synthetic, got {self.n}")
+        if not self.smd_gamma > 0:
+            raise ValueError(f"[smd] gamma must be positive, got {self.smd_gamma}")
+        if self.smd_alpha is not None and not 0 < self.smd_alpha < 1:
+            raise ValueError(f"[smd] alpha must lie in (0,1), got {self.smd_alpha}")
         if self.smd_k_max < 0:
             raise ValueError(f"[smd] k_max must be nonnegative, got {self.smd_k_max}")
         if self.smd_instance_seed < 0:
@@ -129,7 +137,6 @@ _KEYS = {
     ("sweep", "deltas"): (_floats, "deltas"),
     ("sweep", "seeds"): (_ints, "seeds"),
     ("smd", "blocks"): (int, "smd_blocks"),
-    ("smd", "n"): (int, "smd_n"),
     ("smd", "regularizer"): (str, "smd_regularizer"),
     ("smd", "gamma"): (float, "smd_gamma"),
     ("smd", "alpha"): (float, "smd_alpha"),
@@ -140,7 +147,7 @@ _KEYS = {
 
 #: keys every problem kind reads; of the others, smd_synthetic reads only
 #: those in [smd] and the Landweber kinds all but those
-_SHARED_KEYS = {("problem", "kind"), ("sweep", "seeds")}
+_SHARED_KEYS = {("problem", "kind"), ("problem", "n"), ("sweep", "seeds")}
 
 
 def _unread(cfg: ExperimentConfig, section: str, key: str) -> bool:

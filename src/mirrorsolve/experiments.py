@@ -111,11 +111,8 @@ def setup_entropy_experiment(n: int) -> Setup:
     raw /= np.add.reduce(grid.weights * raw)
     x_true = GridFunction.wrap(grid, raw)
 
-    forward = LinearIntegral(
-        grid,
-        factors=[(lambda tt: np.ones(tt.size), lambda ss: 1.0 + ss),
-                 (lambda tt: tt, lambda ss: np.ones(ss.size))],
-        analytic_norm_bound=math.sqrt(19.0 / 3.0))
+    forward = LinearIntegral(grid, factors=[(1.0, 1.0 + t), (t, 1.0)],
+                             analytic_norm_bound=math.sqrt(19.0 / 3.0))
     reg = EntropySimplex()
     y = forward.apply(x_true)
     lam_true = GridFunction.wrap(grid, np.full(grid.node_count, ENTROPY_A))

@@ -81,14 +81,6 @@ class Grid:
         if self.n < 1:
             raise ValueError("n must be a positive integer")
 
-    def __eq__(self, other):
-        # every grid function and operator on one grid shares the object
-        if self is other:
-            return True
-        if other.__class__ is not Grid:
-            return NotImplemented
-        return self.kind == other.kind and self.n == other.n
-
     @classmethod
     def interval(cls, n: int) -> "Grid":
         return cls("interval", n)
@@ -141,26 +133,6 @@ class Grid:
         x.setflags(write=False)
         y.setflags(write=False)
         return (x, y)
-
-    @cached_property
-    def interior_mask(self) -> np.ndarray:
-        """Boolean mask of nodes not on the boundary (flat layout)."""
-        if self.kind == "interval":
-            mask = np.ones(self.n + 1, bool)
-            mask[0] = mask[-1] = False
-        else:
-            m2 = np.zeros((self.n + 1, self.n + 1), bool)
-            m2[1:-1, 1:-1] = True
-            mask = m2.ravel()
-        mask.setflags(write=False)
-        return mask
-
-    def function(self, values) -> "GridFunction":
-        """Wrap a value array (or scalar, or callable of coords) on this grid."""
-        if callable(values):
-            values = values(*self.coords)
-        arr = np.broadcast_to(np.asarray(values, dtype=float), (self.node_count,))
-        return GridFunction(self, np.array(arr))
 
     def zeros(self) -> "GridFunction":
         return GridFunction(self, np.zeros(self.node_count))
@@ -277,13 +249,16 @@ def add_noise(y: GridFunction, delta: float, seed: int) -> GridFunction:
     return GridFunction.wrap(y.grid, y.values + (delta / nrm) * e)
 
 
-def power_iteration_norm(apply_fn, adjoint_fn, grid_in: Grid, *,
-                         iters: int = 200, tol: float = 1e-10, seed: int = 0) -> float:
+#: round cap and relative-change tolerance of :func:`power_iteration_norm`
+POWER_ITERS, POWER_TOL = 200, 1e-10
+
+
+def power_iteration_norm(apply_fn, adjoint_fn, grid_in: Grid, *, seed: int = 0) -> float:
     """Estimate the L2->L2 operator norm by power iteration on A*A.
 
     Returns 0.0 for the zero operator.  The iteration stops once the norm
-    estimate changes by less than ``tol`` relatively, or after ``iters``
-    rounds.
+    estimate changes by less than ``POWER_TOL`` relatively, or after
+    ``POWER_ITERS`` rounds.
     """
     rng = np.random.default_rng(seed)
     v = GridFunction(grid_in, rng.standard_normal(grid_in.node_count))
@@ -292,14 +267,14 @@ def power_iteration_norm(apply_fn, adjoint_fn, grid_in: Grid, *,
         return 0.0
     v = (1.0 / nv) * v
     est = 0.0
-    for _ in range(iters):
+    for _ in range(POWER_ITERS):
         av = apply_fn(v)
         z = adjoint_fn(av)
         new_est = norm_l2(av)
         zn = norm_l2(z)
         if zn == 0.0:
             return new_est
-        if abs(new_est - est) <= tol * max(new_est, 1e-300):
+        if abs(new_est - est) <= POWER_TOL * max(new_est, 1e-300):
             return new_est
         est = new_est
         v = (1.0 / zn) * z

@@ -4,10 +4,10 @@ Two families are provided:
 
 * :class:`LinearIntegral` -- first-kind integral operator on the interval,
   (Ax)(s) = int_0^1 phi(t, s) x(t) dt, discretized with trapezoidal weights.
-  The kernel is materialized as a dense matrix by default; kernels with a
-  known separable expansion phi(t, s) = sum_p a_p(t) b_p(s) can instead be
-  applied in O(n) through their moments, which is numerically equivalent and
-  keeps long solver runs on fine grids cheap.
+  The kernel is a dense matrix of node samples; a kernel with a known
+  separable expansion phi(t, s) = sum_p a_p(t) b_p(s) can instead be given
+  by its factors' node values and applied in O(n) through their moments,
+  which is numerically equivalent and keeps long runs on fine grids cheap.
 
 * :class:`EllipticCoefficient` -- the nonlinear map c -> u(c) where u solves
   -Lap(u) + c u = f on the unit square with Dirichlet data g, discretized by
@@ -39,7 +39,7 @@ caller passes none of them as ``out=``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -115,6 +115,15 @@ def _values_on(u: GridFunction, grid: Grid) -> np.ndarray:
     return u.values
 
 
+def _node_array(a, shape) -> np.ndarray:
+    """A factor as a float array of ``shape``; a scalar is filled in, since a
+    stride-0 broadcast view would slow every product it enters."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim and a.shape != shape:
+        raise GridMismatchError(f"factor of shape {a.shape} on a grid of {shape[0]} nodes")
+    return a if a.ndim else np.full(shape, a)
+
+
 def _on_grids(fn, grid_in: Grid, grid_out: Grid):
     """The raw map ``fn`` as a map of grid functions from grid_in to grid_out."""
     def on_grids(u: GridFunction) -> GridFunction:
@@ -131,17 +140,18 @@ class LinearIntegral(ForwardOperator):
     grid_in, grid_out : Grid
         Interval grids for argument and image (``grid_out`` defaults to
         ``grid_in``).
-    kernel : callable or array, optional
-        Kernel phi(t, s) as a vectorized callable or a dense matrix of
-        samples K[i, j] = phi(t_j, s_i).  Materialized densely as the
-        read-only ``kernel`` attribute, and applied as
-        (Ax)(s_i) = sum_j w_j K[i, j] x_j with the exact adjoint
+    kernel : array, optional
+        Samples K[i, j] = phi(t_j, s_i) of the kernel phi(t, s), an
+        (n_out, n_in) array kept as the read-only ``kernel`` attribute and
+        applied as (Ax)(s_i) = sum_j w_j K[i, j] x_j with the exact adjoint
         K^T (w_out * .) for the weighted inner products on both grids.
     factors : sequence of (a, b) pairs, optional
-        Separable expansion phi(t, s) = sum_p a_p(t) b_p(s); each entry is a
-        pair of callables (or node arrays) on the input/output grid.  When
-        given, application uses the O(n) moment form and no dense matrix is
-        stored; the factors are kept with and without the quadrature weights.
+        Separable expansion phi(t, s) = sum_p a_p(t) b_p(s); a_p holds node
+        values on the input grid and b_p on the output grid, each an array
+        or a scalar that NumPy broadcasts to one.  When given, application
+        uses the O(n) moment form and no dense matrix is stored; the factors
+        are kept with and without the quadrature weights.  A kernel or
+        factor of another shape raises :class:`GridMismatchError`.
     analytic_norm_bound : float, optional
         Known bound L with ||A|| <= L; when absent, ``norm_bound`` falls back
         to a power-iteration estimate.
@@ -157,22 +167,16 @@ class LinearIntegral(ForwardOperator):
         self._norm_cache = None
         self.kernel = None
         self._factors = None
-        t = self.grid_in.coords[0]
-        s = self.grid_out.coords[0]
         if factors is not None:
             w_in, w_out = self.grid_in.weights, self.grid_out.weights
             self._factors = []
             for a, b in factors:
-                a = np.asarray(a(t) if callable(a) else np.broadcast_to(a, t.shape), float)
-                b = np.asarray(b(s) if callable(b) else np.broadcast_to(b, s.shape), float)
+                a, b = _node_array(a, w_in.shape), _node_array(b, w_out.shape)
                 # (w * a) * x is the order the moment form evaluates, so the
                 # weighted factors are formed once here
                 self._factors.append((a, b, w_in * a, w_out * b))
         elif kernel is not None:
             shape = (self.grid_out.node_count, self.grid_in.node_count)
-            if callable(kernel):
-                kernel = np.broadcast_to(
-                    np.asarray(kernel(t[None, :], s[:, None]), dtype=float), shape)
             K = np.array(kernel, dtype=float)
             if K.shape != shape:
                 raise GridMismatchError(
@@ -182,10 +186,6 @@ class LinearIntegral(ForwardOperator):
             self.kernel = K
         else:
             raise ValueError("provide either kernel or factors")
-
-    @classmethod
-    def from_matrix(cls, K, grid_in: Grid, grid_out: Grid = None) -> "LinearIntegral":
-        return cls(grid_in, grid_out, kernel=K)
 
     def apply_values(self, v: np.ndarray) -> np.ndarray:
         """A v on node arrays: the value and the tangent of ``linearize_values``."""
@@ -234,7 +234,7 @@ class EllipticSolveError(RuntimeError):
         self.residual = residual
 
 
-@dataclass
+@dataclass(eq=False)
 class EllipticSolver:
     """Five-point Dirichlet solver on the unit square via preconditioned CG.
 
@@ -260,10 +260,6 @@ class EllipticSolver:
     grid: Grid
     tol: float = 1e-10
     max_iter: int = None
-    _lap: sp.csr_matrix = field(init=False, repr=False, default=None)
-    _diag_pos: np.ndarray = field(init=False, repr=False, default=None)
-    _lap_diag: np.ndarray = field(init=False, repr=False, default=None)
-    _precond: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.grid.kind != "square":

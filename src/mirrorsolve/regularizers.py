@@ -5,7 +5,6 @@ norm of its ``error_norm`` (L2, or L1 for the entropy) and exposes:
 
 * ``value(x)``             -- R(x), possibly +inf outside the effective domain
 * ``mirror_map(xi)``       -- grad R*(xi) = argmin_x { R(x) - <xi, x> }
-* ``conjugate_value(xi)``  -- R*(xi), evaluated through the mirror map
 * ``bregman(pair, xbar)``  -- D_R(xbar, x) for a pair (x, xi) with
                               x = mirror_map(xi), as the solvers make them
 * ``bregman_to(xbar)``     -- the same distance to one fixed xbar, for logging
@@ -14,7 +13,7 @@ norm of its ``error_norm`` (L2, or L1 for the entropy) and exposes:
                               is its dual
 
 All inner products and norms are quadrature-weighted, so the same formulas
-work on any grid.
+work on any grid.  The conjugate R* lives with the oracles, in ``checks.conjugate_oracle``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction, inner, norm_l1, norm_l2, norm_linf
+from .grids import GridFunction, norm_l1, norm_l2, norm_linf
 
 __all__ = [
     "Regularizer",
@@ -57,12 +56,6 @@ class Regularizer:
 
     def mirror_map(self, xi: GridFunction) -> GridFunction:
         raise NotImplementedError
-
-    def conjugate_value(self, xi: GridFunction) -> float:
-        """R*(xi) = <xi, grad R*(xi)> - R(grad R*(xi)); exact because the
-        mirror map is the argmax of the conjugate's defining supremum."""
-        z = self.mirror_map(xi)
-        return inner(xi, z) - self.value(z)
 
     def bregman(self, pair, xbar: GridFunction) -> float:
         """D_R(xbar, x) = R(xbar) - R(x) - <xi, xbar - x> for (x, xi) in pair,
@@ -157,7 +150,8 @@ class EntropySimplex(Regularizer):
     """Negative Boltzmann-Shannon entropy restricted to probability densities.
 
     R(x) = int x log x on {x >= 0, int x = 1} and +inf elsewhere; the mass
-    constraint is checked to ``mass_tol`` to absorb quadrature round-off.
+    constraint is checked to the class constant ``mass_tol`` to absorb
+    quadrature round-off.
     The mirror map is the max-shifted exponential normalized to unit mass,
     which is exactly shift-invariant: adding a constant to xi cancels in the
     normalization.  Strong convexity (sigma = 1/2) holds in the L1 norm by
@@ -165,7 +159,7 @@ class EntropySimplex(Regularizer):
     the dual inequalities in the sup norm.
     """
 
-    mass_tol: float = 1e-9
+    mass_tol = 1e-9
 
     def _value(self, v, w):
         mn = np.minimum.reduce(v, axis=-1)

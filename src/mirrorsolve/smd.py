@@ -280,8 +280,8 @@ def build_sourced_instance(N: int, n: int, reg: Regularizer, seed: int, *,
     ops = []
     for _ in range(N):
         K = S @ rng.standard_normal((grid.node_count, grid.node_count)) @ S
-        nrm = LinearIntegral.from_matrix(K, grid).norm_bound()
-        ops.append(LinearIntegral.from_matrix(K / nrm, grid))
+        nrm = LinearIntegral(grid, kernel=K).norm_bound()
+        ops.append(LinearIntegral(grid, kernel=K / nrm))
 
     lam_true = tuple(GridFunction(grid, lam_scale * rng.standard_normal(grid.node_count))
                      for _ in range(N))

@@ -293,8 +293,11 @@ seeds = 1, 2
          r"unknown key 'lam_scale' in \[smd\]"),
         ("[problem]\nkind = smd_synthetic\n[smd]\nsmoothing = 0\n",
          r"unknown key 'smoothing' in \[smd\]"),
+        # the grid size of every kind is [problem] n
+        ("[problem]\nkind = smd_synthetic\n[smd]\nn = 50\n",
+         r"typo\.cfg: unknown key 'n' in \[smd\]"),
     ], ids=["key", "section", "cap_mode", "gamma_bar", "k_max", "maxiter", "rule-eta",
-            "stopping-c", "smd-beta", "smd-lam_scale", "smd-smoothing"])
+            "stopping-c", "smd-beta", "smd-lam_scale", "smd-smoothing", "smd-n"])
     def test_unknown_key_or_section_rejected(self, tmp_path, text, name):
         p = tmp_path / "typo.cfg"
         p.write_text(text)
@@ -330,11 +333,25 @@ seeds = 1, 2
          r"bad\.cfg: \[sweep\] seeds: invalid literal for int\(\)"),
         ("[problem]\nkind = smd_synthetic\n[smd]\ngamma = fast\n",
          r"bad\.cfg: \[smd\] gamma: could not convert string to float: 'fast'"),
+        # the stochastic study's values are checked before any instance is built
+        ("[problem]\nkind = smd_synthetic\n[smd]\nblocks = 0\n",
+         r"bad\.cfg: \[smd\] blocks must be at least 1, got 0"),
+        ("[problem]\nkind = smd_synthetic\nn = 1\n",
+         r"bad\.cfg: \[problem\] n must be at least 2 for smd_synthetic, got 1"),
+        ("[problem]\nkind = smd_synthetic\n[smd]\ngamma = 0\n",
+         r"bad\.cfg: \[smd\] gamma must be positive, got 0\.0"),
+        ("[problem]\nkind = smd_synthetic\n[smd]\ngamma = nan\n",
+         r"bad\.cfg: \[smd\] gamma must be positive, got nan"),
+        ("[problem]\nkind = smd_synthetic\n[smd]\nalpha = 1.0\n",
+         r"bad\.cfg: \[smd\] alpha must lie in \(0,1\), got 1\.0"),
+        ("[problem]\nkind = smd_synthetic\n[smd]\nalpha = 0\n",
+         r"bad\.cfg: \[smd\] alpha must lie in \(0,1\), got 0\.0"),
     ], ids=["seeds", "smd-seeds", "deltas", "zero-delta", "repeated-seed",
             "smd-repeated-seed", "repeated-delta", "repeated-delta-tag",
             "smd-negative-k_max", "negative-seed", "smd-negative-seed",
             "smd-negative-instance_seed", "inf-delta", "non-integer-seed",
-            "non-float-smd-gamma"])
+            "non-float-smd-gamma", "smd-zero-blocks", "smd-n-below-2", "smd-zero-gamma",
+            "smd-nan-gamma", "smd-alpha-one", "smd-alpha-zero"])
     def test_bad_sweep_values_rejected(self, tmp_path, text, reason):
         p = tmp_path / "bad.cfg"
         p.write_text(text)
@@ -351,7 +368,7 @@ seeds = 1, 2
     @pytest.mark.parametrize("text, names", [
         ("[problem]\nkind = smd_synthetic\nn = 999\n[rule]\nname = rule3\n"
          "[stopping]\nkind = apriori\n[sweep]\ndeltas = 1e-3\n",
-         ("does not read", "'n' in [problem]", "'name' in [rule]", "'kind' in [stopping]",
+         ("does not read", "'name' in [rule]", "'kind' in [stopping]",
           "'deltas' in [sweep]")),
         ("[problem]\nkind = pde_coefficient\n[rule]\nname = rule2\n[smd]\ngamma = 1.5\n",
          ("does not read", "'gamma' in [smd]")),
@@ -394,10 +411,10 @@ seeds = 1, 2
 SMD_CFG = """
 [problem]
 kind = smd_synthetic
+n = 30
 
 [smd]
 blocks = 3
-n = 30
 regularizer = entropy
 gamma = 1.5
 k_max = 300
@@ -473,8 +490,8 @@ class TestCli:
             assert (outs[0] / name).exists()
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    def test_verify_fast(self, capsys):
-        rc = cli_main(["verify", "--fast"])
+    def test_verify(self, capsys):
+        rc = cli_main(["verify"])
         out = capsys.readouterr().out
         assert rc == 0, out
         assert "PASS" in out
@@ -549,6 +566,12 @@ class TestCli:
         assert payload["type"] == "NonFiniteResidualError"
         assert "iterate 0" in payload["message"]
 
+    def test_verify_has_no_fast_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["verify", "--fast"])
+        assert exc.value.code == 2
+        assert "--fast" in capsys.readouterr().err
+
     def test_smd_has_no_fast_flag(self, tmp_path):
         cfg = tmp_path / "s.cfg"
         cfg.write_text(SMD_CFG)
@@ -564,6 +587,6 @@ class TestCli:
         assert payload["status"] == "error"
 
     def test_console_entry_point(self):
-        proc = subprocess.run([sys.executable, "-m", "mirrorsolve.cli", "verify", "--fast"],
+        proc = subprocess.run([sys.executable, "-m", "mirrorsolve.cli", "verify"],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -68,7 +68,7 @@ class TestInnerAndNorms:
 
     def test_linear_against_exact_integral(self):
         g = Grid.interval(5000)
-        t = g.function(lambda t: t)
+        t = GridFunction(g, g.coords[0])
         assert inner(t, g.ones()) == pytest.approx(0.5, abs=1e-8)
 
     def test_norm_of_zero(self):
@@ -78,13 +78,13 @@ class TestInnerAndNorms:
 
     def test_norms_of_constant_two(self):
         g = Grid.interval(200)
-        u = g.function(2.0)
+        u = GridFunction(g, np.full(g.node_count, 2.0))
         assert norm_l1(u) == pytest.approx(2.0, abs=1e-12)
         assert norm_l2(u) == pytest.approx(2.0, abs=1e-12)
 
     def test_l2_norm_of_identity_map(self):
         g = Grid.interval(5000)
-        u = g.function(lambda t: t)
+        u = GridFunction(g, g.coords[0])
         assert norm_l2(u) == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-6)
 
     def test_grid_mismatch_raises(self):
@@ -150,20 +150,21 @@ class TestInnerAndNorms:
 class TestAddNoise:
     def test_zero_delta_is_identity(self):
         g = Grid.interval(64)
-        y = g.function(lambda t: np.sin(t))
+        y = GridFunction(g, np.sin(g.coords[0]))
         yd = add_noise(y, 0.0, seed=5)
         assert np.array_equal(yd.values, y.values)
 
     @pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
     def test_exact_noise_norm(self, delta):
         g = Grid.interval(300)
-        y = g.function(lambda t: 1.0 + t)
+        y = GridFunction(g, 1.0 + g.coords[0])
         yd = add_noise(y, delta, seed=11)
         assert norm_l2(yd - y) == pytest.approx(delta, rel=1e-12)
 
     def test_deterministic_per_seed(self):
         g = Grid.square(9)
-        y = g.function(lambda x, yy: x * yy)
+        x, yy = g.coords
+        y = GridFunction(g, x * yy)
         a = add_noise(y, 5e-3, seed=123)
         b = add_noise(y, 5e-3, seed=123)
         assert np.array_equal(a.values, b.values)
@@ -186,21 +187,22 @@ class TestDenseOperator:
     def test_affine_kernel_on_constant(self):
         # (A 1)(s) = int_0^1 (1+t+s) dt = 1.5 + s, exact for trapezoid
         g = Grid.interval(1000)
-        op = LinearIntegral(g, kernel=lambda t, s: 1.0 + t + s)
+        t = g.coords[0]
+        op = LinearIntegral(g, kernel=1.0 + t[None, :] + t[:, None])
         out = op.apply(g.ones())
         expected = 1.5 + g.coords[0]
         assert np.max(np.abs(out.values - expected)) <= 1e-8
 
     def test_zero_kernel(self):
         g = Grid.interval(20)
-        op = LinearIntegral.from_matrix(np.zeros((21, 21)), g)
+        op = LinearIntegral(g, kernel=np.zeros((21, 21)))
         assert np.all(op.apply(g.ones()).values == 0.0)
         assert op.norm_bound() == 0.0
 
     def test_adjoint_identity_random_pairs(self):
         rng = np.random.default_rng(0)
         g_in, g_out = Grid.interval(40), Grid.interval(25)
-        op = LinearIntegral.from_matrix(rng.standard_normal((26, 41)), g_in, g_out)
+        op = LinearIntegral(g_in, g_out, kernel=rng.standard_normal((26, 41)))
         na = op.norm_bound()
         for _ in range(100):
             x = GridFunction(g_in, rng.standard_normal(41))
@@ -214,7 +216,7 @@ class TestDenseOperator:
         rng = np.random.default_rng(1)
         g = Grid.interval(6)
         K = rng.standard_normal((7, 7))
-        op = LinearIntegral.from_matrix(K, g)
+        op = LinearIntegral(g, kernel=K)
         w = rng.standard_normal(7)
         expected = np.zeros(7)
         for j in range(7):
@@ -227,17 +229,17 @@ class TestDenseOperator:
 
     def test_kernel_shape_checked(self):
         with pytest.raises(GridMismatchError):
-            LinearIntegral.from_matrix(np.zeros((3, 3)), Grid.interval(4), Grid.interval(4))
+            LinearIntegral(Grid.interval(4), Grid.interval(4), kernel=np.zeros((3, 3)))
 
     def test_apply_grid_checked(self):
         g = Grid.interval(4)
-        op = LinearIntegral.from_matrix(np.zeros((5, 5)), g)
+        op = LinearIntegral(g, kernel=np.zeros((5, 5)))
         with pytest.raises(GridMismatchError):
             op.apply(Grid.interval(6).ones())
 
     def test_grid_checked_by_kind_and_n_not_identity(self):
         # interval(15) and square(3) both have 16 nodes
-        op = LinearIntegral.from_matrix(np.eye(16), Grid.interval(15))
+        op = LinearIntegral(Grid.interval(15), kernel=np.eye(16))
         with pytest.raises(GridMismatchError):
             op.apply(Grid.square(3).ones())
         with pytest.raises(GridMismatchError):
@@ -249,7 +251,8 @@ class TestDenseOperator:
 class TestPowerIteration:
     def test_benchmark_kernel_norm_below_analytic_bound(self):
         g = Grid.interval(400)
-        op = LinearIntegral(g, kernel=lambda t, s: 1.0 + t + s)
+        t = g.coords[0]
+        op = LinearIntegral(g, kernel=1.0 + t[None, :] + t[:, None])
         est = op.norm_bound()
         assert est <= np.sqrt(19.0 / 3.0) + 1e-6
         # the L2->L2 norm of this rank-2 kernel solves a 2x2 eigenproblem:
@@ -261,7 +264,7 @@ class TestPowerIteration:
     def test_restart_stability(self):
         rng = np.random.default_rng(3)
         g = Grid.interval(60)
-        op = LinearIntegral.from_matrix(rng.standard_normal((61, 61)), g)
+        op = LinearIntegral(g, kernel=rng.standard_normal((61, 61)))
         e1 = power_iteration_norm(op.apply, op.adjoint_apply, g, seed=0)
         e2 = power_iteration_norm(op.apply, op.adjoint_apply, g, seed=99)
         assert abs(e1 - e2) <= 1e-6 * max(e1, 1.0)

@@ -36,16 +36,16 @@ from mirrorsolve.experiments import (
 class TestLinearIntegral:
     def test_affine_kernel_analytic_image(self):
         g = Grid.interval(5000)
-        op = LinearIntegral(g, factors=[(lambda t: np.ones_like(t), lambda s: 1.0 + s),
-                                        (lambda t: t, lambda s: np.ones_like(s))])
+        t = g.coords[0]
+        op = LinearIntegral(g, factors=[(np.ones_like(t), 1.0 + t), (t, np.ones_like(t))])
         out = op.apply(g.ones())
         assert np.max(np.abs(out.values - (1.5 + g.coords[0]))) <= 1e-8
 
     def test_dense_and_separable_paths_agree(self):
         g = Grid.interval(300)
-        dense = LinearIntegral(g, kernel=lambda t, s: 1.0 + t + s)
-        sep = LinearIntegral(g, factors=[(lambda t: np.ones_like(t), lambda s: 1.0 + s),
-                                         (lambda t: t, lambda s: np.ones_like(s))])
+        t = g.coords[0]
+        dense = LinearIntegral(g, kernel=1.0 + t[None, :] + t[:, None])
+        sep = LinearIntegral(g, factors=[(1.0, 1.0 + t), (t, 1.0)])
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = GridFunction(g, rng.standard_normal(g.node_count))
@@ -60,7 +60,7 @@ class TestLinearIntegral:
     def test_derivative_is_operator_itself(self):
         g = Grid.interval(50)
         rng = np.random.default_rng(1)
-        op = LinearIntegral.from_matrix(rng.standard_normal((51, 51)), g)
+        op = LinearIntegral(g, kernel=rng.standard_normal((51, 51)))
         x = GridFunction(g, rng.standard_normal(51))
         h = GridFunction(g, rng.standard_normal(51))
         lin = op.linearize(x)
@@ -70,21 +70,24 @@ class TestLinearIntegral:
 
     def test_zero_direction(self):
         g = Grid.interval(30)
-        op = LinearIntegral(g, kernel=lambda t, s: np.cos(t * s))
+        t = g.coords[0]
+        op = LinearIntegral(g, kernel=np.cos(t[None, :] * t[:, None]))
         out = op.linearize(g.ones()).tangent(g.zeros())
         assert np.all(out.values == 0.0)
 
     def test_analytic_norm_bound_passthrough(self):
         g = Grid.interval(200)
         L = np.sqrt(19.0 / 3.0)
-        op = LinearIntegral(g, kernel=lambda t, s: 1.0 + t + s, analytic_norm_bound=L)
+        t = g.coords[0]
+        op = LinearIntegral(g, kernel=1.0 + t[None, :] + t[:, None], analytic_norm_bound=L)
         assert op.norm_bound() == L
 
     def test_power_iteration_fallback(self):
         g = Grid.interval(200)
-        op = LinearIntegral(g, kernel=lambda t, s: 1.0 + t + s)
+        t = g.coords[0]
+        op = LinearIntegral(g, kernel=1.0 + t[None, :] + t[:, None])
         assert op.norm_bound() <= np.sqrt(19.0 / 3.0) + 1e-6
-        zero = LinearIntegral.from_matrix(np.zeros((201, 201)), g)
+        zero = LinearIntegral(g, kernel=np.zeros((201, 201)))
         assert zero.norm_bound() == 0.0
 
     def test_adjoint_identity_suite(self):
@@ -94,6 +97,15 @@ class TestLinearIntegral:
     def test_needs_kernel_or_factors(self):
         with pytest.raises(ValueError):
             LinearIntegral(Grid.interval(5))
+
+    @pytest.mark.parametrize("factor", [(np.ones(7), np.ones(5)), (np.ones(6), np.ones(6)),
+                                        (1.0, np.ones((1, 11))), (np.ones(1), 1.0)],
+                             ids=["long-a", "short-b", "2d-b", "length-1-a"])
+    def test_factor_of_the_wrong_length_rejected(self, factor):
+        # a factor is a node array of its grid or a scalar; no other shape
+        # broadcasts, as a kernel of the wrong shape does not
+        with pytest.raises(GridMismatchError):
+            LinearIntegral(Grid.interval(5), Grid.interval(10), factors=[factor])
 
 
 _values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -136,7 +148,7 @@ class TestLinearIntegralOwnership:
             arrays = [rng.standard_normal(n) for n in (31, 21, 31, 21)]
             op = LinearIntegral(g_in, g_out, factors=[tuple(arrays[:2]), tuple(arrays[2:])])
         else:
-            op = LinearIntegral.from_matrix(rng.standard_normal((21, 31)), g_in, g_out)
+            op = LinearIntegral(g_in, g_out, kernel=rng.standard_normal((21, 31)))
             arrays = [op.kernel]
         inputs = [g_in.weights, g_out.weights, *arrays]
         x = GridFunction(g_in, rng.standard_normal(31))
@@ -156,7 +168,7 @@ class TestDenseProductBits:
         rng = np.random.default_rng(n_in + 7 * n_out)
         g_in, g_out = Grid.interval(n_in), Grid.interval(n_out)
         K = np.asarray(rng.standard_normal((n_out + 1, n_in + 1)), order=order)
-        op = LinearIntegral.from_matrix(K, g_in, g_out)
+        op = LinearIntegral(g_in, g_out, kernel=K)
         assert op.kernel.flags[f"{order}_CONTIGUOUS"]
         for _ in range(20):
             v = rng.standard_normal(n_in + 1)
@@ -170,7 +182,7 @@ class TestDenseProductBits:
 def _dense_case():
     rng = np.random.default_rng(5)
     g_in, g_out = Grid.interval(30), Grid.interval(20)
-    op = LinearIntegral.from_matrix(rng.standard_normal((21, 31)), g_in, g_out)
+    op = LinearIntegral(g_in, g_out, kernel=rng.standard_normal((21, 31)))
     return op, GridFunction(g_in, rng.standard_normal(31)), [op.kernel]
 
 
@@ -273,7 +285,9 @@ class TestEllipticForward:
         setup = setup_pde_experiment(16)
         grid = setup.forward.grid_in
         u = setup.forward.apply(grid.zeros())
-        bd = ~grid.interior_mask
+        interior = np.zeros((grid.n + 1, grid.n + 1), bool)
+        interior[1:-1, 1:-1] = True
+        bd = ~interior.ravel()
         assert np.array_equal(u.values[bd], setup.forward.g.values[bd])
 
     def test_zero_direction_and_zero_dual(self):
@@ -329,6 +343,15 @@ class TestEllipticAssembly:
         A2 = solver.matrix(cs["some_zeros"])
         assert A2.data is not A1.data
         assert np.array_equal(A1.data, before)
+
+    def test_solvers_compare_by_identity(self):
+        # the cached CSR Laplacian is a field, so a field-wise __eq__ would
+        # ask a sparse matrix for its truth value
+        g = Grid.square(8)
+        a, b = EllipticSolver(g), EllipticSolver(g)
+        assert a == a and a != b
+        assert len({a, b}) == 2
+        assert repr(a) == f"EllipticSolver(grid={g!r}, tol=1e-10, max_iter=None)"
 
     def test_earlier_linearization_unchanged_by_a_later_one(self):
         setup = setup_pde_experiment(16)

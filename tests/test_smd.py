@@ -75,8 +75,8 @@ class TestSourcedInstance:
 
     def test_blocks_share_input_grid(self):
         g1, g2 = Grid.interval(4), Grid.interval(5)
-        op1 = LinearIntegral.from_matrix(np.eye(5), g1)
-        op2 = LinearIntegral.from_matrix(np.eye(6), g2)
+        op1 = LinearIntegral(g1, kernel=np.eye(5))
+        op2 = LinearIntegral(g2, kernel=np.eye(6))
         with pytest.raises(Exception):
             SystemProblem((op1, op2), (g1.zeros(), g2.zeros()))
 
@@ -113,7 +113,7 @@ class TestSmdRun:
         rng = np.random.default_rng(21)
         K1 = rng.standard_normal((3, 3))
         K2 = rng.standard_normal((3, 3))
-        ops = (LinearIntegral.from_matrix(K1, grid), LinearIntegral.from_matrix(K2, grid))
+        ops = (LinearIntegral(grid, kernel=K1), LinearIntegral(grid, kernel=K2))
         xT = np.array([0.5, 1.5, 1.0])
         xT = xT / np.sum(w * xT)
         data = tuple(op.apply(GridFunction(grid, xT)) for op in ops)
