@@ -46,11 +46,12 @@ from dataclasses import dataclass, replace
 
 __all__ = ["ExperimentConfig", "parse_config", "PROBLEM_DEFAULTS"]
 
-#: per-problem defaults: grid size (normal, fast) and deltas
+#: per-problem defaults: grid size, the cap ``--fast`` puts on it (the
+#: stochastic study has no ``--fast``) and deltas
 PROBLEM_DEFAULTS = {
     "entropy_integral": dict(n=5000, n_fast=1000, deltas=(5e-2, 5e-3, 5e-4)),
     "pde_coefficient": dict(n=64, n_fast=32, deltas=(1e-2, 1e-3, 1e-4)),
-    "smd_synthetic": dict(n=50, n_fast=50, deltas=()),
+    "smd_synthetic": dict(n=50, deltas=()),
 }
 
 
@@ -110,12 +111,15 @@ class ExperimentConfig:
                 raise ValueError(f"[sweep] deltas repeat an iterate-file tag: {tags}")
 
     def resolved(self, fast: bool = False) -> "ExperimentConfig":
-        """Fill ``n`` and ``deltas`` from the problem defaults; ``fast`` sets
-        the coarse grid even where ``n`` is given."""
+        """Fill ``n`` and ``deltas`` from the problem defaults; ``fast`` caps
+        ``n``, given or default, at the coarse grid and never enlarges it."""
         d = PROBLEM_DEFAULTS[self.problem]
+        n = self.n if self.n is not None else d["n"]
+        if fast:
+            n = min(n, d.get("n_fast", n))
         return replace(
             self,
-            n=d["n_fast"] if fast else (self.n if self.n is not None else d["n"]),
+            n=n,
             deltas=tuple(self.deltas) if self.deltas is not None else d["deltas"],
         )
 

@@ -14,11 +14,14 @@ Two families are provided:
   the five-point stencil and solved with CG preconditioned by the exact
   inverse of the c = 0 Laplacian (applied by fast diagonalization) in a CG
   loop on raw arrays that performs SciPy's ``cg`` operations in SciPy's
-  order, so it gives SciPy's bits without that wrapper's overhead.  The
-  derivative and its adjoint follow the usual sensitivity formulas
-  F'(c) h = -A(c)^{-1} (h u(c)) and F'(c)* w = -u(c) A(c)^{-1} w, with
-  homogeneous Dirichlet conditions on the auxiliary solves; on the interior
-  of the tensor-trapezoidal grid these are exact discrete adjoints.
+  order, so it gives SciPy's bits without that wrapper's overhead.  A(c) is
+  a bare value array on the Laplacian's one cached CSR pattern, and each
+  product calls SciPy's compiled CSR kernel on it directly; no sparse-matrix
+  object is built per iterate.  The derivative and its adjoint follow the
+  usual sensitivity formulas F'(c) h = -A(c)^{-1} (h u(c)) and
+  F'(c)* w = -u(c) A(c)^{-1} w, with homogeneous Dirichlet conditions on
+  the auxiliary solves; on the interior of the tensor-trapezoidal grid these
+  are exact discrete adjoints.
 
 Each operator implements one raw-array linearization,
 ``linearize_values(v) -> (value, tangent, adjoint)``: the node values of F(x)
@@ -44,6 +47,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .grids import (
     Grid,
@@ -219,7 +223,7 @@ class LinearIntegral(ForwardOperator):
             return self._analytic_bound
         if self._norm_cache is None:
             self._norm_cache = power_iteration_norm(
-                self.apply, self.adjoint_apply, self.grid_in)
+                self.apply_values, self.adjoint_values, self.grid_in, self.grid_out)
         return self._norm_cache
 
 
@@ -239,8 +243,11 @@ class EllipticSolver:
     """Five-point Dirichlet solver on the unit square via preconditioned CG.
 
     Assembles the interior-node Laplacian once and keeps its CSR pattern;
-    ``matrix(c)`` puts the Laplacian's diagonal plus c into that cached
-    pattern, and each solve runs CG until the algebraic residual drops below
+    A(c) is never a sparse-matrix object but a value array on that one
+    pattern: ``matrix(c)`` returns the Laplacian's values with its diagonal
+    plus c written into the diagonal slots, and ``solve(a, rhs)`` multiplies
+    by it with SciPy's compiled CSR kernel, the one ``csr_matrix @ vector``
+    calls.  Each solve runs CG until the algebraic residual drops below
     ``tol * ||rhs||`` (atol 0).  ``max_iter`` None means SciPy's default
     cap, 10 times the system size (n-1)^2.  ``solve`` is SciPy's ``cg`` on
     raw arrays, operation for operation and bit for bit: x0 = 0, norms as
@@ -286,30 +293,45 @@ class EllipticSolver:
         E = lam[:, None] + lam[None, :]
 
         def inverse_laplacian(r):
-            R = r.reshape(ni, ni)
-            return (Q @ ((Q @ R @ Q) / E) @ Q).ravel()
+            # Q @ ((Q @ R @ Q) / E) @ Q, the last three steps written into
+            # the two products the first two allocate
+            S = Q @ r.reshape(ni, ni)
+            T = S @ Q
+            np.divide(T, E, out=T)
+            np.matmul(Q, T, out=S)
+            np.matmul(S, Q, out=T)
+            return T.ravel()
 
         self._precond = inverse_laplacian
 
-    def matrix(self, c_interior: np.ndarray) -> sp.csr_matrix:
-        """``_lap + sp.diags(c)`` with a fresh ``data`` buffer on the shared
-        (read-only) pattern.  The sum would drop a diagonal entry that
-        cancels to exactly 0, which no positive definite A(c) has."""
+    def matrix(self, c_interior: np.ndarray) -> np.ndarray:
+        """The values of ``_lap + sp.diags(c)`` on the Laplacian's cached
+        (read-only) CSR pattern, in a fresh array.  The sum would drop a
+        diagonal entry that cancels to exactly 0, which no positive definite
+        A(c) has."""
         data = self._lap.data.copy()
         data[self._diag_pos] = self._lap_diag + c_interior
-        return sp.csr_matrix((data, self._lap.indices, self._lap.indptr),
-                             shape=self._lap.shape)
+        return data
 
-    def solve(self, A: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-        """A^{-1} rhs, a fresh array (a copy of a zero rhs); after ``max_iter``
-        iterations, :class:`EllipticSolveError` with ||r|| / ||rhs||."""
+    def solve(self, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """A^{-1} rhs for the values ``a`` of ``matrix(c)``, a fresh array (a
+        copy of a zero rhs); after ``max_iter`` iterations,
+        :class:`EllipticSolveError` with ||r|| / ||rhs||."""
+        lap = self._lap
+        if a.shape != lap.data.shape or a.dtype != lap.data.dtype:
+            # the CSR kernel reads a by the pattern's offsets, unchecked
+            raise ValueError(f"expected {lap.nnz} float values of A(c), got "
+                             f"shape {a.shape} of {a.dtype}")
+        indptr, indices = lap.indptr, lap.indices
         r = rhs.copy()
         rhs_norm = math.sqrt(r.dot(r))
         if rhs_norm == 0.0:
             return r
+        m = r.size
         atol = self.tol * rhs_norm
-        max_iter = 10 * r.size if self.max_iter is None else self.max_iter
+        max_iter = 10 * m if self.max_iter is None else self.max_iter
         x = np.zeros_like(r)
+        tmp = np.empty_like(r)
         for it in range(max_iter):
             if math.sqrt(r.dot(r)) < atol:
                 return x
@@ -320,10 +342,11 @@ class EllipticSolver:
                 p += z
             else:
                 p = z  # fresh, so SciPy's copy of it is not needed
-            q = A @ p
+            q = np.zeros(m)
+            _csr_matvec(m, m, indptr, indices, a, p, q)
             alpha = rho / p.dot(q)
-            x += alpha * p
-            r -= alpha * q
+            x += np.multiply(alpha, p, out=tmp)
+            r -= np.multiply(alpha, q, out=tmp)
             rho_prev = rho
         raise EllipticSolveError(max_iter, math.sqrt(r.dot(r)) / rhs_norm)
 
@@ -340,10 +363,10 @@ class EllipticCoefficient(ForwardOperator):
     mirror map before every call); mildly negative values are tolerated as
     long as the shifted operator stays positive definite.
 
-    ``linearize_values(c)`` assembles A(c) and solves for the state u(c)
-    once; its tangent and adjoint close over that (A, u), with u the array
-    it returns as the value, so each costs one more solve and nothing is
-    kept on the operator between calls.
+    ``linearize_values(c)`` assembles the values of A(c) and solves for the
+    state u(c) once; its tangent and adjoint close over those values and u,
+    with u the array it returns as the value, so each costs one more solve
+    and nothing is kept on the operator between calls.
     """
 
     linear = False
@@ -378,20 +401,21 @@ class EllipticCoefficient(ForwardOperator):
         return full.ravel()
 
     def linearize_values(self, c: np.ndarray):
-        A = self.solver.matrix(self._interior(c))
-        u_full = self._embed(self.solver.solve(A, self._state_rhs), boundary=self.g.values)
+        a = self.solver.matrix(self._interior(c))
+        u_full = self._embed(self.solver.solve(a, self._state_rhs), boundary=self.g.values)
 
         def tangent(h: np.ndarray) -> np.ndarray:
-            return self._embed(self.solver.solve(A, -self._interior(h * u_full)))
+            return self._embed(self.solver.solve(a, -self._interior(h * u_full)))
 
         def adjoint(w: np.ndarray) -> np.ndarray:
-            return -u_full * self._embed(self.solver.solve(A, self._interior(w)))
+            return -u_full * self._embed(self.solver.solve(a, self._interior(w)))
 
         return u_full, tangent, adjoint
 
     def norm_bound(self) -> float:
         """Power-iteration estimate of ||F'(0)||, computed once."""
         if self._norm_cache is None:
-            lin = self.linearize(self.grid_in.zeros())
-            self._norm_cache = power_iteration_norm(lin.tangent, lin.adjoint, self.grid_in)
+            _, tangent, adjoint = self.linearize_values(np.zeros(self.grid_in.node_count))
+            self._norm_cache = power_iteration_norm(tangent, adjoint,
+                                                    self.grid_in, self.grid_out)
         return self._norm_cache

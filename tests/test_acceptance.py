@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mirrorsolve import (
     ConstantSchedule,
@@ -88,7 +89,8 @@ def _interior_bump_pde_setup(n):
 
     c_in = c_true.values[interior]
     lam = np.zeros(grid.node_count)
-    lam[interior] = solver.matrix(c_in) @ (-c_in / u_true.values[interior])
+    A = sp.csr_matrix((solver.matrix(c_in), solver._lap.indices, solver._lap.indptr))
+    lam[interior] = A @ (-c_in / u_true.values[interior])
     lam_true = GridFunction(grid, lam)
     lin = forward.linearize(c_true)
     defect = norm_l2(lin.adjoint(lam_true) - c_true)

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorsolve import DiscrepancyStop, GridFunction, add_noise, norm_l2, smd
 from mirrorsolve.cli import main as cli_main
-from mirrorsolve.config import ExperimentConfig, parse_config
+from mirrorsolve.config import PROBLEM_DEFAULTS, ExperimentConfig, parse_config
 from mirrorsolve.experiments import (
     ENTROPY_A,
     RateRow,
@@ -273,6 +275,19 @@ seeds = 1, 2
         cfg = ExperimentConfig(problem=problem, rule="rule2", n=n)
         assert cfg.resolved().n == n
         assert cfg.resolved(fast=True).n == n_fast
+
+    @pytest.mark.parametrize("problem, n", [("entropy_integral", 200),
+                                            ("pde_coefficient", 16),
+                                            ("smd_synthetic", 30)])
+    def test_fast_keeps_a_grid_below_its_cap(self, problem, n):
+        assert ExperimentConfig(problem=problem, n=n).resolved(fast=True).n == n
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=st.sampled_from(sorted(PROBLEM_DEFAULTS)),
+           n=st.one_of(st.none(), st.integers(2, 100_000)))
+    def test_fast_never_enlarges_the_grid(self, problem, n):
+        cfg = ExperimentConfig(problem=problem, n=n)
+        assert 0 < cfg.resolved(fast=True).n <= cfg.resolved().n
 
     @pytest.mark.parametrize("text, name", [
         ("[problem]\nkind = entropy_integral\n[rule]\ngama = 2\n", "gama"),

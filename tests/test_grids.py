@@ -265,6 +265,6 @@ class TestPowerIteration:
         rng = np.random.default_rng(3)
         g = Grid.interval(60)
         op = LinearIntegral(g, kernel=rng.standard_normal((61, 61)))
-        e1 = power_iteration_norm(op.apply, op.adjoint_apply, g, seed=0)
-        e2 = power_iteration_norm(op.apply, op.adjoint_apply, g, seed=99)
+        e1 = power_iteration_norm(op.apply_values, op.adjoint_values, g, g, seed=0)
+        e2 = power_iteration_norm(op.apply_values, op.adjoint_values, g, g, seed=99)
         assert abs(e1 - e2) <= 1e-6 * max(e1, 1.0)

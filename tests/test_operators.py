@@ -10,6 +10,7 @@ from mirrorsolve import (
     EllipticCoefficient,
     EllipticSolveError,
     EllipticSolver,
+    EntropySimplex,
     Grid,
     GridFunction,
     GridMismatchError,
@@ -31,6 +32,9 @@ from mirrorsolve.experiments import (
     setup_entropy_experiment,
     setup_pde_experiment,
 )
+from mirrorsolve.grids import POWER_ITERS, POWER_TOL
+from mirrorsolve.operators import _csr_matvec
+from mirrorsolve.smd import build_sourced_instance
 
 
 class TestLinearIntegral:
@@ -324,12 +328,17 @@ def _coefficients(n):
             "some_zeros": np.where(rng.random(m) < 0.5, 0.0, rng.random(m))}
 
 
+def _csr(solver, a):
+    """The SciPy matrix with the values ``a`` on the solver's cached pattern."""
+    return sp.csr_matrix((a, solver._lap.indices, solver._lap.indptr))
+
+
 class TestEllipticAssembly:
     @pytest.mark.parametrize("n", [16, 64, 128])
     def test_matrix_equals_laplacian_plus_diagonal_bit_for_bit(self, n):
         solver = EllipticSolver(Grid.square(n))
         for name, c in _coefficients(n).items():
-            A = solver.matrix(c)
+            A = _csr(solver, solver.matrix(c))
             ref = solver._lap + sp.diags(c)
             assert np.array_equal(A.indptr, ref.indptr), name
             assert np.array_equal(A.indices, ref.indices), name
@@ -338,9 +347,9 @@ class TestEllipticAssembly:
     def test_each_matrix_owns_its_values(self):
         solver = EllipticSolver(Grid.square(16))
         cs = _coefficients(16)
-        A1 = solver.matrix(cs["random"])
+        A1 = _csr(solver, solver.matrix(cs["random"]))
         before = A1.data.copy()
-        A2 = solver.matrix(cs["some_zeros"])
+        A2 = _csr(solver, solver.matrix(cs["some_zeros"]))
         assert A2.data is not A1.data
         assert np.array_equal(A1.data, before)
 
@@ -352,6 +361,43 @@ class TestEllipticAssembly:
         assert a == a and a != b
         assert len({a, b}) == 2
         assert repr(a) == f"EllipticSolver(grid={g!r}, tol=1e-10, max_iter=None)"
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_direct_product_matches_csr_matmul_bit_for_bit(self, n):
+        # ``solve`` multiplies with SciPy's private CSR kernel the way
+        # ``csr_matrix @ p`` calls it; a SciPy upgrade that changes either
+        # shows here
+        solver = EllipticSolver(Grid.square(n))
+        lap = solver._lap
+        m = (n - 1) ** 2
+        rng = np.random.default_rng(n + 2)
+        ps = [rng.standard_normal(m), rng.random(m), np.zeros(m), np.full(m, -0.0)]
+        for name, c in _coefficients(n).items():
+            a = solver.matrix(c)
+            A = _csr(solver, a)
+            for p in ps:
+                q = np.zeros(m)
+                _csr_matvec(m, m, lap.indptr, lap.indices, a, p, q)
+                assert q.tobytes() == (A @ p).tobytes(), name
+
+    def test_linearization_builds_no_sparse_matrix(self, monkeypatch):
+        setup = setup_pde_experiment(16)
+        F = setup.forward
+        built = []
+        init = sp.csr_matrix.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp.csr_matrix, "__init__", counted_init)
+        _csr(F.solver, F.solver.matrix(np.zeros((16 - 1) ** 2)))
+        assert len(built) == 1  # the count sees a construction
+        built.clear()
+        value, tangent, adjoint = F.linearize_values(setup.x_true.values)
+        adjoint(np.ones(F.grid_out.node_count))
+        tangent(np.ones(F.grid_in.node_count))
+        assert built == []
 
     def test_earlier_linearization_unchanged_by_a_later_one(self):
         setup = setup_pde_experiment(16)
@@ -380,41 +426,63 @@ class TestEllipticSolve:
         rng = np.random.default_rng(n + 1)
         rhss = [rng.standard_normal(m), rng.random(m), 1e-6 * rng.standard_normal(m)]
         for name, c in _coefficients(n).items():
-            A = solver.matrix(c)
+            a = solver.matrix(c)
+            A = _csr(solver, a)
             for rhs in rhss:
                 ref, info = spla.cg(A, rhs, rtol=solver.tol, atol=0.0, M=M)
                 assert info == 0, name
-                assert solver.solve(A, rhs).tobytes() == ref.tobytes(), name
+                assert solver.solve(a, rhs).tobytes() == ref.tobytes(), name
+
+    @pytest.mark.parametrize("drop, dtype", [(1, np.float64), (0, np.float32)],
+                             ids=["short", "float32"])
+    def test_values_the_product_cannot_read_rejected(self, drop, dtype):
+        # the CSR kernel indexes the values by the cached pattern unchecked
+        solver = EllipticSolver(Grid.square(16))
+        a = solver.matrix(_coefficients(16)["random"])[drop:].astype(dtype)
+        with pytest.raises(ValueError, match="values of A"):
+            solver.solve(a, np.ones(15 ** 2))
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_zero_rhs_gives_fresh_zeros(self, zero):
         solver = EllipticSolver(Grid.square(16))
-        A = solver.matrix(_coefficients(16)["random"])
+        a = solver.matrix(_coefficients(16)["random"])
         rhs = np.full(15 ** 2, zero)
-        u = solver.solve(A, rhs)
+        u = solver.solve(a, rhs)
         assert not np.shares_memory(u, rhs)
         assert u.tobytes() == rhs.tobytes()
 
     def test_result_owns_its_memory(self, check_ownership):
         op = setup_pde_experiment(16).forward
-        A = op.solver.matrix(op._interior(op.grid_in.ones().values))
+        a = op.solver.matrix(op._interior(op.grid_in.ones().values))
         rhs = np.random.default_rng(2).standard_normal(15 ** 2)
         for b in (op._state_rhs, rhs):
-            check_ownership(lambda r: op.solver.solve(A, r), b,
-                            inputs=[op._state_rhs, A.data])
+            check_ownership(lambda r: op.solver.solve(a, r), b,
+                            inputs=[op._state_rhs, a])
 
 
 class TestEllipticPreconditioner:
     @pytest.mark.parametrize("n", [16, 64, 128])
     def test_inverts_zero_coefficient_laplacian(self, n):
         solver = EllipticSolver(Grid.square(n))
-        lap = solver.matrix(np.zeros((n - 1) ** 2))
+        lap = _csr(solver, solver.matrix(np.zeros((n - 1) ** 2)))
         rng = np.random.default_rng(n)
         for _ in range(3):
             r = rng.standard_normal((n - 1) ** 2)
             bound = 1e-12 * np.linalg.norm(r)
             assert np.linalg.norm(lap @ solver._precond(r) - r) <= bound
             assert np.linalg.norm(solver._precond(lap @ r) - r) <= bound
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_result_owns_its_memory(self, n, check_ownership):
+        solver = EllipticSolver(Grid.square(n))
+        # the eigenvector matrix and the eigenvalue sums it closes over
+        cached = [cell.cell_contents for cell in solver._precond.__closure__
+                  if isinstance(cell.cell_contents, np.ndarray)]
+        assert len(cached) == 2
+        r = np.random.default_rng(n).standard_normal((n - 1) ** 2)
+        check_ownership(solver._precond, r, inputs=cached)
+        r.setflags(write=False)
+        check_ownership(solver._precond, r, inputs=cached)
 
     @pytest.mark.parametrize("n", [16, 32, 64, 128])
     def test_cg_iterations_per_solve_do_not_grow_with_n(self, n, monkeypatch):
@@ -423,9 +491,9 @@ class TestEllipticPreconditioner:
         counts = {"calls": 0, "iters": 0}
         solve = EllipticSolver.solve
 
-        def counted_solve(self, A, rhs):
+        def counted_solve(self, a, rhs):
             counts["calls"] += 1
-            return solve(self, A, rhs)
+            return solve(self, a, rhs)
 
         setup = setup_pde_experiment(n)
         F, c = setup.forward, setup.x_true
@@ -479,9 +547,9 @@ class TestEllipticDerivative:
     def test_norm_bound_positive_and_restart_stable(self):
         setup = setup_pde_experiment(16)
         F = setup.forward
-        lin = F.linearize(F.grid_in.zeros())
-        e1 = power_iteration_norm(lin.tangent, lin.adjoint, F.grid_in, seed=0)
-        e2 = power_iteration_norm(lin.tangent, lin.adjoint, F.grid_in, seed=17)
+        _, tangent, adjoint = F.linearize_values(F.grid_in.zeros().values)
+        e1 = power_iteration_norm(tangent, adjoint, F.grid_in, F.grid_out, seed=0)
+        e2 = power_iteration_norm(tangent, adjoint, F.grid_in, F.grid_out, seed=17)
         assert e1 > 0
         assert abs(e1 - e2) <= 1e-6 * e1
         assert F.norm_bound() == pytest.approx(e1, rel=1e-8)
@@ -510,3 +578,54 @@ class TestEllipticDerivative:
         res = run(F, setup.reg, setup.y, rule, MaxIterStop(k_max=5))
         assert res.k_stop == 5
         assert calls[0] == 2 * res.k_stop + 1
+
+
+def _grid_function_power_norm(apply_fn, adjoint_fn, grid_in, seed=0):
+    """``power_iteration_norm`` written on grid functions, through the
+    operators' ``apply`` / ``adjoint_apply`` or a linearization's maps."""
+    v = GridFunction(grid_in, np.random.default_rng(seed).standard_normal(grid_in.node_count))
+    nv = norm_l2(v)
+    if nv == 0.0:
+        return 0.0
+    v = (1.0 / nv) * v
+    est = 0.0
+    for _ in range(POWER_ITERS):
+        av = apply_fn(v)
+        z = adjoint_fn(av)
+        new_est = norm_l2(av)
+        zn = norm_l2(z)
+        if zn == 0.0:
+            return new_est
+        if abs(new_est - est) <= POWER_TOL * max(new_est, 1e-300):
+            return new_est
+        est = new_est
+        v = (1.0 / zn) * z
+    return est
+
+
+def _factored_without_bound():
+    g = Grid.interval(200)
+    t = g.coords[0]
+    return LinearIntegral(g, factors=[(1.0, 1.0 + t), (t, 1.0)])
+
+
+def _zero_kernel():
+    g_in, g_out = Grid.interval(10), Grid.interval(7)
+    return LinearIntegral(g_in, g_out, kernel=np.zeros((8, 11)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _dense_case()[0],
+    _factored_without_bound,
+    _zero_kernel,
+    lambda: build_sourced_instance(4, 50, EntropySimplex(), 7).problem.operators[0],
+    lambda: _elliptic_case()[0],
+], ids=["dense", "factored", "zero", "smd-block", "elliptic"])
+def test_norm_bound_matches_the_grid_function_route_bit_for_bit(make):
+    op = make()
+    if op.linear:
+        maps = op.apply, op.adjoint_apply
+    else:
+        lin = op.linearize(op.grid_in.zeros())
+        maps = lin.tangent, lin.adjoint
+    assert op.norm_bound() == _grid_function_power_norm(*maps, op.grid_in)
