@@ -5,10 +5,11 @@ The package is organized around five layers:
 * :mod:`mirrorsolve.grids` -- uniform grids and quadrature-weighted grid
   functions, inner products and norms;
 * :mod:`mirrorsolve.regularizers` -- strongly convex regularizers with
-  closed-form mirror maps and Bregman distances;
+  closed-form mirror maps and Bregman distances, on node values and
+  quadrature weights;
 * :mod:`mirrorsolve.operators` -- forward maps (integral operator, elliptic
   coefficient-to-solution map) with a per-iterate linearization (value,
-  derivative, adjoint);
+  derivative, adjoint) on node arrays;
 * :mod:`mirrorsolve.landweber` -- the dual-space gradient iteration with
   pluggable step-size and stopping rules plus diagnostics, built on one
   mirror-descent update, :func:`dual_step`;
@@ -52,7 +53,6 @@ from .operators import (
     EllipticSolver,
     ForwardOperator,
     LinearIntegral,
-    Linearization,
 )
 from .regularizers import (
     ElasticNet,

@@ -1,9 +1,10 @@
 """Self-contained oracle and property suites behind the ``verify`` command.
 
-Each check runs the code the solvers run (``Regularizer.bregman`` is the
-solvers' ``bregman_to`` evaluator) and compares it against an independent
-route (explicit summation, lattice search, finite differences, a KL oracle,
-closed-form conjugates) at the tolerance the contract states.  The pytest
+Each check runs the code the solvers run (the raw linearization, the raw
+mirror maps, the ``bregman_to`` evaluator the solvers log with) and compares
+it against an independent route (explicit summation, lattice search, finite
+differences, a KL oracle, closed-form conjugates) at the tolerance the
+contract states.  The pytest
 suite asserts on the same functions; the CLI prints one PASS/FAIL line per
 check.
 """
@@ -79,9 +80,11 @@ def check_adjoint_elliptic(n=16, pairs=100, seed=2):
     rng = np.random.default_rng(seed)
     setup = experiments.setup_pde_experiment(n, solver_tol=1e-12)
     grid = setup.forward.grid_in
-    c = GridFunction(grid, np.abs(rng.standard_normal(grid.node_count)) * 0.3)
-    lin = setup.forward.linearize(c)
-    return _adjoint_row("adjoint/elliptic-derivative", rng, grid, lin.tangent, lin.adjoint,
+    c = np.abs(rng.standard_normal(grid.node_count)) * 0.3
+    _, tangent, adjoint = setup.forward.linearize_values(c)
+    return _adjoint_row("adjoint/elliptic-derivative", rng, grid,
+                        lambda h: GridFunction(grid, tangent(h.values)),
+                        lambda u: GridFunction(grid, adjoint(u.values)),
                         _output_scale, pairs, 1e-9)
 
 
@@ -106,8 +109,8 @@ def taylor_order(n=16, eps_grid=None, seed=3, h_scale=60.0):
     h = rng.standard_normal(grid.node_count)
     h *= h_scale / np.max(np.abs(h))
     h = GridFunction(grid, h)
-    base, tangent, _ = F.linearize(c)
-    dF = tangent(h)
+    value, tangent, _ = F.linearize_values(c.values)
+    base, dF = GridFunction(grid, value), GridFunction(grid, tangent(h.values))
     rems = []
     for eps in eps_grid:
         pert = F.apply(GridFunction(grid, c.values + eps * h.values))
@@ -152,7 +155,7 @@ def check_mirror_argmin_separable(seed=4, nodes=24):
             (ElasticNet(beta=1.0), lambda xs, z: 0.5 * xs ** 2 + np.abs(xs) - z * xs,
              lambda z: (-abs(z) - 2.0, abs(z) + 2.0))):
         xi = GridFunction(grid, rng.uniform(-3, 3, grid.node_count))
-        for z, xm in zip(xi.values, reg.mirror_map(xi).values):
+        for z, xm in zip(xi.values, reg.mirror_map(xi.values, grid.weights)):
             xstar = _lattice_argmin(lambda xs: objective(xs, z), *bracket(z))
             worst = max(worst, abs(xstar - xm))
     return _result("mirror-map/separable-argmin", worst <= 1e-6, f"max diff {worst:.2e}")
@@ -171,7 +174,7 @@ def check_mirror_argmin_entropy(seed=5):
     worst = 0.0
     for _ in range(3):
         xi = rng.uniform(-1.5, 1.5, 3)
-        xmap = reg.mirror_map(GridFunction(grid, xi)).values
+        xmap = reg.mirror_map(xi, w)
         lo0, hi0, lo1, hi1 = 1e-9, 4.0, 1e-9, 2.0
         for _round in range(6):
             g0 = np.linspace(lo0, hi0, 80)
@@ -240,33 +243,38 @@ def check_convex_identities(n=40, cases=100, seed=6):
     ``cases`` random instances per regularizer."""
     rng = np.random.default_rng(seed)
     grid = Grid.interval(n)
+    w = grid.weights
     results = []
     for reg in (QuadraticBox(lower=0.0), ElasticNet(beta=0.5), EntropySimplex()):
         w3p = wfen = w24 = w26 = w27 = 0.0
         for _ in range(cases):
             xi1, xi2, xi3 = (_random_dual(grid, rng) for _ in range(3))
-            x1, x2, x = (reg.mirror_map(xi) for xi in (xi1, xi2, xi3))
+            x1, x2, x = (GridFunction(grid, reg.mirror_map(xi.values, w))
+                         for xi in (xi1, xi2, xi3))
+            # D(xbar, x_j) for the pairs (x_j, xi_j) the mirror map made
+            to_x, to_x1 = reg.bregman_to(x), reg.bregman_to(x1)
+            d1, d2 = float(to_x(x1.values, xi1.values)), float(to_x(x2.values, xi2.values))
 
             # three-point identity
-            lhs = reg.bregman((x2, xi2), x) - reg.bregman((x1, xi1), x)
-            rhs = reg.bregman((x2, xi2), x1) + inner(xi2 - xi1, x1 - x)
+            lhs = d2 - d1
+            rhs = float(to_x1(x2.values, xi2.values)) + inner(xi2 - xi1, x1 - x)
             w3p = max(w3p, _rel_defect(lhs, rhs))
 
             # Fenchel equality R(x) + R*(xi) = <xi, x> holds exactly when
             # x = grad R*(xi), so a wrong mirror map breaks it
-            wfen = max(wfen, abs(reg.value(x1) + conjugate_oracle(reg, xi1)
+            wfen = max(wfen, abs(float(reg.value(x1.values, w)) + conjugate_oracle(reg, xi1)
                                  - inner(xi1, x1)))
 
             # strong-convexity lower bound in the rate norm
-            d = reg.bregman((x1, xi1), x)
-            w24 = max(w24, reg.sigma * reg.error_norm(x - x1) ** 2 - d)
+            w24 = max(w24, reg.sigma * reg.error_norm((x - x1).values, w) ** 2 - d1)
 
             # mirror-map Lipschitz bound in the dual norm
-            lip = reg.error_norm(x1 - x2) - reg.dual_norm(xi1 - xi2) / (2 * reg.sigma)
+            lip = (reg.error_norm((x1 - x2).values, w)
+                   - reg.dual_norm((xi1 - xi2).values, w) / (2 * reg.sigma))
             w26 = max(w26, lip)
 
             # dual upper bound for pairs on the subdifferential graph
-            w27 = max(w27, d - reg.dual_norm(xi3 - xi1) ** 2 / (4 * reg.sigma))
+            w27 = max(w27, d1 - reg.dual_norm((xi3 - xi1).values, w) ** 2 / (4 * reg.sigma))
         for row, worst, tol, what in (("three-point", w3p, 1e-8, "max rel defect"),
                                       ("fenchel", wfen, 1e-9, "max defect"),
                                       ("lower-bound", w24, 1e-12, "max violation"),
@@ -299,10 +307,11 @@ def check_bregman_entropy_kl(n=40, cases=100, seed=7):
     reg = EntropySimplex()
     worst = 0.0
     for _ in range(cases):
-        xbar = reg.mirror_map(_random_dual(grid, rng))
-        xi = _random_dual(grid, rng)
-        x = reg.mirror_map(xi)
-        worst = max(worst, abs(reg.bregman((x, xi), xbar) - kl_divergence(xbar, x)))
+        xbar = GridFunction(grid, reg.mirror_map(_random_dual(grid, rng).values, grid.weights))
+        xi = _random_dual(grid, rng).values
+        x = GridFunction(grid, reg.mirror_map(xi, grid.weights))
+        d = float(reg.bregman_to(xbar)(x.values, xi))
+        worst = max(worst, abs(d - kl_divergence(xbar, x)))
     return _result("bregman/entropy-kl", worst <= 1e-8, f"max defect {worst:.2e}")
 
 

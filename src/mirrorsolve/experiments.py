@@ -36,6 +36,7 @@ import numpy as np
 
 from .grids import Grid, GridFunction, add_noise
 from .landweber import (
+    SAFETY_CAP,
     AdaptiveStep,
     APrioriStop,
     ConstantStep,
@@ -109,13 +110,13 @@ def setup_entropy_experiment(n: int) -> Setup:
     raw += 1.5 * ENTROPY_A - 1.0
     np.exp(raw, out=raw)
     raw /= np.add.reduce(grid.weights * raw)
-    x_true = GridFunction.wrap(grid, raw)
+    x_true = GridFunction(grid, raw)
 
     forward = LinearIntegral(grid, factors=[(1.0, 1.0 + t), (t, 1.0)],
                              analytic_norm_bound=math.sqrt(19.0 / 3.0))
     reg = EntropySimplex()
     y = forward.apply(x_true)
-    lam_true = GridFunction.wrap(grid, np.full(grid.node_count, ENTROPY_A))
+    lam_true = GridFunction(grid, np.full(grid.node_count, ENTROPY_A))
     return Setup(forward, reg, x_true, y, eta=0.0, tau_default=1.01, lam_true=lam_true)
 
 
@@ -181,9 +182,10 @@ def make_cell(setup, rule_name: str, delta: float, *, tau: float = None,
 
     eta is the setup's, and ``tau`` defaults to the setup's.  ``stopping``
     is ``discrepancy`` (tau, delta) or ``apriori`` (floor(1 / delta)
-    steps).  ``delta`` must be positive and finite, since a cell reports
-    err / sqrt(delta).  Rule 1 needs the analytic norm bound of a linear
-    forward map.
+    steps, at most ``run``'s safety cap, so that a budget that cannot
+    finish is refused before any cell runs).  ``delta`` must be positive and
+    finite, since a cell reports err / sqrt(delta).  Rule 1 needs the
+    analytic norm bound of a linear forward map.
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
@@ -195,6 +197,10 @@ def make_cell(setup, rule_name: str, delta: float, *, tau: float = None,
         stop = DiscrepancyStop(tau=tau, delta=delta)
     elif stopping == "apriori":
         stop = APrioriStop(delta=delta)
+        if stop.k_hat > SAFETY_CAP:
+            raise ValueError(f"a-priori budget floor(1/delta) = {stop.k_hat} for "
+                             f"delta = {delta:g} exceeds the iteration safety cap "
+                             f"{SAFETY_CAP}")
     else:
         raise ValueError(f"unknown stopping {stopping!r}")
     rule = make_step_rule(rule_name, tau=tau, eta=setup.eta, delta=delta,

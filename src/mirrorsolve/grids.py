@@ -15,17 +15,20 @@ ndarray methods (``a.sum()``, ``a.all()``) enter on every call.
 
 Temporaries: a kernel may pass ``out=`` only to an array it allocated itself
 in the same call, never to an input, a cached array or a buffer kept between
-calls.  Each result is then a fresh array that nothing else references,
-which ``GridFunction.wrap`` freezes without a copy, and reusing the
-temporary of ``w * u`` for ``(w * u) * v`` keeps the operand order, so the
-bits are those of the written-out expression.  The raw kernels follow the
-same rule on node arrays: each forward operator's ``linearize_values`` and
-the maps it returns (``LinearIntegral.apply_values`` / ``adjoint_values``,
-the elliptic tangent and adjoint), :func:`norm_l2_values`,
-``landweber.dual_step`` and the regularizers' value kernels.  The solvers
-run on these and meet grid functions only at the edges; an array a raw
-kernel returns is never written in place either, since the maps of one
-linearization may share it.
+calls.  Each result is then a fresh array that nothing else references, and
+reusing the temporary of ``w * u`` for ``(w * u) * v`` keeps the operand
+order, so the bits are those of the written-out expression.  The solver core
+follows this rule on node arrays: each forward operator's
+``linearize_values`` and the maps it returns (``LinearIntegral.apply_values``
+/ ``adjoint_values``, the elliptic tangent and adjoint), the raw norms
+:func:`norm_l2_values`, :func:`norm_l1_values` and :func:`norm_linf_values`,
+the regularizers (values, mirror maps, norms and the Bregman evaluator) and
+``landweber.dual_step``.  The solvers keep their states as node arrays and
+meet grid functions only where data enter or leave (setups, noise, the
+arguments and results of a run); an array a raw kernel returns is never
+written in place either, since the maps of one linearization may share it.
+:class:`GridFunction` always copies what it is built from, so a grid
+function never shares memory with the array it came from.
 """
 
 from __future__ import annotations
@@ -44,7 +47,9 @@ __all__ = [
     "norm_l2",
     "norm_l2_values",
     "norm_l1",
+    "norm_l1_values",
     "norm_linf",
+    "norm_linf_values",
     "add_noise",
     "power_iteration_norm",
 ]
@@ -162,44 +167,25 @@ class GridFunction:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def wrap(cls, grid: Grid, values: np.ndarray) -> "GridFunction":
-        """Take ownership of a freshly computed float array without copying.
-
-        Internal fast path for arithmetic and operator results; callers must
-        not hold another writable reference to ``values``.
-        """
-        gf = object.__new__(cls)
-        values.setflags(write=False)
-        _set_grid(gf, grid)
-        _set_values(gf, values)
-        return gf
-
     def same_grid(self, other: "GridFunction") -> None:
         if self.grid != other.grid:
             raise GridMismatchError("grid functions live on different grids")
 
     def __add__(self, other):
         self.same_grid(other)
-        return GridFunction.wrap(self.grid, self.values + other.values)
+        return GridFunction(self.grid, self.values + other.values)
 
     def __sub__(self, other):
         self.same_grid(other)
-        return GridFunction.wrap(self.grid, self.values - other.values)
+        return GridFunction(self.grid, self.values - other.values)
 
     def __mul__(self, scalar):
-        return GridFunction.wrap(self.grid, self.values * float(scalar))
+        return GridFunction(self.grid, self.values * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return GridFunction.wrap(self.grid, -self.values)
-
-
-# the slot descriptors: ``wrap`` writes through them, past the frozen
-# ``__setattr__``
-_set_grid = GridFunction.grid.__set__
-_set_values = GridFunction.values.__set__
+        return GridFunction(self.grid, -self.values)
 
 
 def inner(u: GridFunction, v: GridFunction) -> float:
@@ -220,12 +206,22 @@ def norm_l2_values(v: np.ndarray, w: np.ndarray) -> float:
 
 
 def norm_l1(u: GridFunction) -> float:
-    t = np.abs(u.values)
-    return float(np.add.reduce(np.multiply(u.grid.weights, t, out=t)))
+    return norm_l1_values(u.values, u.grid.weights)
+
+
+def norm_l1_values(v: np.ndarray, w: np.ndarray) -> float:
+    """``norm_l1`` of the node values ``v`` under the quadrature weights ``w``."""
+    t = np.abs(v)
+    return float(np.add.reduce(np.multiply(w, t, out=t)))
 
 
 def norm_linf(u: GridFunction) -> float:
-    return float(np.maximum.reduce(np.abs(u.values)))
+    return norm_linf_values(u.values)
+
+
+def norm_linf_values(v: np.ndarray) -> float:
+    """``norm_linf`` of the node values ``v``; no weights enter."""
+    return float(np.maximum.reduce(np.abs(v)))
 
 
 def add_noise(y: GridFunction, delta: float, seed: int) -> GridFunction:
@@ -235,18 +231,18 @@ def add_noise(y: GridFunction, delta: float, seed: int) -> GridFunction:
     output is bit-for-bit reproducible for a given ``(delta, seed)``.  A zero
     draw (probability ~0) is retried with the seed incremented.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"delta must be nonnegative and finite, got {delta}")
     if delta == 0:
         return y
     s = int(seed)
     while True:
         e = np.random.default_rng(s).standard_normal(y.grid.node_count)
-        nrm = norm_l2(GridFunction.wrap(y.grid, e))
+        nrm = norm_l2_values(e, y.grid.weights)
         if nrm > 0:
             break
         s += 1
-    return GridFunction.wrap(y.grid, y.values + (delta / nrm) * e)
+    return GridFunction(y.grid, y.values + (delta / nrm) * e)
 
 
 #: round cap and relative-change tolerance of :func:`power_iteration_norm`

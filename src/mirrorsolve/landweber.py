@@ -18,10 +18,12 @@ identity xi_k = A* lambda_k maintained by the auxiliary sequence
 lambda_{k+1} = lambda_k - gamma_k (F x_k - y_delta).  Every run starts from
 xi_0 = 0.
 
-Both loops run on node arrays: the operator's ``linearize_values`` gives the
-value and the adjoint map, the residual, its norm and the gradient stay raw,
-and only the states (x, xi) that :func:`dual_step` returns are grid
-functions.
+Both loops keep the states (x, xi), lambda, the residual, the gradient and
+the diagnostics on node arrays under the input grid's quadrature weights,
+with the value and adjoint map of the operator's ``linearize_values``.  Grid
+functions appear only where data enter, checked against the operator's grids
+before the first step, and where they leave: each run builds the grid
+functions of its :class:`RunResult` once, at the end.
 """
 
 from __future__ import annotations
@@ -261,58 +263,68 @@ class NonFiniteResidualError(ArithmeticError):
         self.records = tuple(records)
 
 
-def dual_step(reg: Regularizer, xi: GridFunction, g: np.ndarray,
-              gamma: float) -> tuple[GridFunction, GridFunction]:
+#: default iteration safety cap of :func:`run`
+SAFETY_CAP = 10 ** 6
+
+
+def dual_step(reg: Regularizer, xi: np.ndarray, g: np.ndarray, gamma: float,
+              w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One mirror-descent update from the dual state ``xi`` along the node
-    values ``g`` of the data gradient: returns (mirror_map(xi'), xi') with
-    xi' = xi - gamma g."""
+    values ``g`` of the data gradient, under the quadrature weights ``w``:
+    returns (mirror_map(xi'), xi') with xi' = xi - gamma g, both fresh."""
     t = np.multiply(gamma, g)
-    xi = GridFunction.wrap(xi.grid, np.subtract(xi.values, t, out=t))
-    return reg.mirror_map(xi), xi
+    xi = np.subtract(xi, t, out=t)
+    return reg.mirror_map(xi, w), xi
 
 
 def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
         rule, stop, *, x_truth: GridFunction = None,
-        safety_cap: int = 10 ** 6) -> RunResult:
+        safety_cap: int = SAFETY_CAP) -> RunResult:
     """Iterate from xi_0 = 0 until the stopping rule fires.
 
     ``x_truth`` enables the Bregman-distance and error columns of the record
     stream.  A linear forward map also maintains the auxiliary sequence
     lambda_k and logs the defect ||xi_k - A* lambda_k||_L2, recomputing
     A* lambda_k afresh each iteration so the check stays independent of the
-    xi update.  A NaN or infinite residual norm raises
-    :class:`NonFiniteResidualError` at once.
+    xi update.  Data or a truth off the operator's grids raise
+    :class:`GridMismatchError` before the first step; a NaN or infinite
+    residual norm raises :class:`NonFiniteResidualError` at once.
     """
     _check_consistency(rule, stop)
+    grid_in = forward.grid_in
     if y_delta.grid != forward.grid_out:
         raise GridMismatchError("data do not live on the operator's output grid")
+    if x_truth is not None and x_truth.grid != grid_in:
+        raise GridMismatchError("truth does not live on the operator's input grid")
     lambda_tracking = forward.linear
-    w_in, w_out, y = forward.grid_in.weights, forward.grid_out.weights, y_delta.values
+    w_in, w_out, y = grid_in.weights, forward.grid_out.weights, y_delta.values
 
-    xi = forward.grid_in.zeros()
-    x = reg.mirror_map(xi)
-    lam = forward.grid_out.zeros() if lambda_tracking else None
+    xi = np.zeros(grid_in.node_count)
+    x = reg.mirror_map(xi, w_in)
+    lam = np.zeros(forward.grid_out.node_count) if lambda_tracking else None
 
-    breg_to_truth = reg.bregman_to(x_truth) if x_truth is not None else None
+    if x_truth is not None:
+        breg_to_truth, x_true = reg.bregman_to(x_truth), x_truth.values
     records = []
     k = 0
     while True:
-        value, _, adjoint = forward.linearize_values(x.values)
+        value, _, adjoint = forward.linearize_values(x)
         r = np.subtract(value, y)
         rn = norm_l2_values(r, w_out)
         if not math.isfinite(rn):
             raise NonFiniteResidualError(k, rn, records)
-        breg = float(breg_to_truth(x.values, xi.values)) if x_truth is not None else None
-        err = reg.error_norm(x - x_truth) if x_truth is not None else None
-        ldef = None
+        breg = err = ldef = None
+        if x_truth is not None:
+            breg = float(breg_to_truth(x, xi))
+            err = reg.error_norm(np.subtract(x, x_true), w_in)
         if lambda_tracking:
-            d = np.subtract(xi.values, forward.adjoint_apply(lam).values)
-            ldef = norm_l2_values(d, w_in)
+            ldef = norm_l2_values(np.subtract(xi, forward.adjoint_values(lam)), w_in)
 
         reason = stop.reason(k, rn)
         if reason is not None:
             records.append(IterateRecord(k, rn, None, breg, err, ldef))
-            return RunResult(x, xi, k, reason, tuple(records))
+            return RunResult(GridFunction(grid_in, x), GridFunction(grid_in, xi), k,
+                             reason, tuple(records))
         if k >= safety_cap:
             raise IterationLimitError(safety_cap, records)
 
@@ -321,10 +333,10 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
         gamma, degen = rule.step(rn, gn, forward.norm_bound)
         records.append(IterateRecord(k, rn, gamma, breg, err, ldef, degen))
 
-        x, xi = dual_step(reg, xi, g, gamma)
+        x, xi = dual_step(reg, xi, g, gamma, w_in)
         if lambda_tracking:
             t = np.multiply(gamma, r)
-            lam = GridFunction.wrap(lam.grid, np.subtract(lam.values, t, out=t))
+            lam = np.subtract(lam, t, out=t)
         k += 1
 
 

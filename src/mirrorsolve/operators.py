@@ -30,9 +30,9 @@ w -> F'(x)^* w on node arrays at that same x.  The solvers call it directly,
 so an iterate that needs both the residual and the gradient linearizes once
 (the elliptic map solves for its state once per iterate) and pays no
 grid-function wrapper.  :class:`GridFunction` appears only at the edges:
-the base class's ``linearize`` (which returns a :class:`Linearization`),
-``apply`` and ``adjoint_apply`` check the grid of their argument and wrap
-their result, and nothing else in this module does.
+the base class's ``apply`` and ``adjoint_apply`` check the grid of their
+argument and build a grid function from their result, and the elliptic map
+takes its source and boundary data as grid functions.
 
 Every array the raw maps return is fresh, and the tangent and adjoint may
 close over the value (the elliptic adjoint multiplies by the state u), so a
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,20 +57,11 @@ from .grids import (
 
 __all__ = [
     "ForwardOperator",
-    "Linearization",
     "LinearIntegral",
     "EllipticCoefficient",
     "EllipticSolver",
     "EllipticSolveError",
 ]
-
-
-class Linearization(NamedTuple):
-    """F(x) with the derivative F'(x) and its adjoint F'(x)^* at the same x."""
-
-    value: GridFunction
-    tangent: Callable[[GridFunction], GridFunction]
-    adjoint: Callable[[GridFunction], GridFunction]
 
 
 class ForwardOperator:
@@ -89,23 +79,17 @@ class ForwardOperator:
         the grids.  Each returned array is fresh (see the module docstring)."""
         raise NotImplementedError
 
-    def linearize(self, x: GridFunction) -> Linearization:
-        value, tangent, adjoint = self.linearize_values(_values_on(x, self.grid_in))
-        return Linearization(GridFunction.wrap(self.grid_out, value),
-                             _on_grids(tangent, self.grid_in, self.grid_out),
-                             _on_grids(adjoint, self.grid_out, self.grid_in))
-
     def apply_values(self, v: np.ndarray) -> np.ndarray:
         """F(x) on node arrays: the value of ``linearize_values``, which a
         linear operator computes without building the maps."""
         return self.linearize_values(v)[0]
 
     def apply(self, x: GridFunction) -> GridFunction:
-        return GridFunction.wrap(self.grid_out, self.apply_values(_values_on(x, self.grid_in)))
+        return GridFunction(self.grid_out, self.apply_values(_values_on(x, self.grid_in)))
 
     def adjoint_apply(self, w: GridFunction) -> GridFunction:
         """A^* w for a linear operator, whose adjoint is the same at every x."""
-        return GridFunction.wrap(self.grid_in, self.adjoint_values(_values_on(w, self.grid_out)))
+        return GridFunction(self.grid_in, self.adjoint_values(_values_on(w, self.grid_out)))
 
     def norm_bound(self) -> float:
         """Upper bound (or estimate) for sup ||F'(x)||, computed once."""
@@ -126,14 +110,6 @@ def _node_array(a, shape) -> np.ndarray:
     if a.ndim and a.shape != shape:
         raise GridMismatchError(f"factor of shape {a.shape} on a grid of {shape[0]} nodes")
     return a if a.ndim else np.full(shape, a)
-
-
-def _on_grids(fn, grid_in: Grid, grid_out: Grid):
-    """The raw map ``fn`` as a map of grid functions from grid_in to grid_out."""
-    def on_grids(u: GridFunction) -> GridFunction:
-        return GridFunction.wrap(grid_out, fn(_values_on(u, grid_in)))
-
-    return on_grids
 
 
 class LinearIntegral(ForwardOperator):

@@ -1,19 +1,24 @@
 """Strongly convex regularizers with closed-form mirror maps.
 
 Each regularizer R is 1/2-strongly convex (modulus ``sigma = 0.5``) in the
-norm of its ``error_norm`` (L2, or L1 for the entropy) and exposes:
+norm of its ``error_norm`` (L2, or L1 for the entropy).  It works on node
+values ``v`` and the quadrature weights ``w`` of their grid, as the solvers
+keep their states, and exposes:
 
-* ``value(x)``             -- R(x), possibly +inf outside the effective domain
-* ``mirror_map(xi)``       -- grad R*(xi) = argmin_x { R(x) - <xi, x> }
-* ``bregman(pair, xbar)``  -- D_R(xbar, x) for a pair (x, xi) with
-                              x = mirror_map(xi), as the solvers make them
-* ``bregman_to(xbar)``     -- the same distance to one fixed xbar, for logging
-                              one state or a stack of states per call
-* ``error_norm(u)``        -- the norm the rates are read in; ``dual_norm``
+* ``value(v, w)``          -- R of each row of ``v``, possibly +inf outside
+                              the effective domain
+* ``mirror_map(v, w)``     -- grad R*(xi) = argmin_x { R(x) - <xi, x> } for
+                              the node values ``v`` of xi, in a fresh array
+* ``bregman_to(xbar)``     -- the distance D_R(xbar, x) to one fixed grid
+                              function xbar, for pairs (x, xi) with
+                              x = mirror_map(xi) as the solvers make them: an
+                              evaluator of one state or a stack of states
+* ``error_norm(v, w)``     -- the norm the rates are read in; ``dual_norm``
                               is its dual
 
 All inner products and norms are quadrature-weighted, so the same formulas
-work on any grid.  The conjugate R* lives with the oracles, in ``checks.conjugate_oracle``.
+work on any grid.  The conjugate R* lives with the oracles, in
+``checks.conjugate_oracle``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction, norm_l1, norm_l2, norm_linf
+from .grids import GridFunction, norm_l1_values, norm_l2_values, norm_linf_values
 
 __all__ = [
     "Regularizer",
@@ -33,19 +38,16 @@ __all__ = [
 
 
 class Regularizer:
-    """Base class; subclasses provide the value kernel ``_value`` and
-    mirror_map, and override error_norm / dual_norm where the rates are not
-    read in L2."""
+    """Base class; subclasses provide ``value`` and ``mirror_map``, and
+    override error_norm / dual_norm where the rates are not read in L2."""
 
     #: strong-convexity modulus in the norm of ``error_norm``
     sigma: float = 0.5
 
-    def value(self, x: GridFunction) -> float:
-        return float(self._value(x.values, x.grid.weights))
-
-    def _value(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def value(self, v: np.ndarray, w: np.ndarray):
         """R of each row of the node values ``v`` (shape (..., n)) under the
-        quadrature weights ``w``.
+        quadrature weights ``w``: a scalar for one state (shape (n,)), shape
+        (m,) for a stack of m states.
 
         Every reduction is a ufunc ``reduce`` along the last axis: on each row
         it runs the pairwise order of the 1-D ``a.sum()`` / ``a.min()``, so a
@@ -54,46 +56,39 @@ class Regularizer:
         """
         raise NotImplementedError
 
-    def mirror_map(self, xi: GridFunction) -> GridFunction:
+    def mirror_map(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def bregman(self, pair, xbar: GridFunction) -> float:
-        """D_R(xbar, x) = R(xbar) - R(x) - <xi, xbar - x> for (x, xi) in pair,
-        through the ``bregman_to`` evaluator the solvers log with."""
-        x, xi = pair
-        xbar.same_grid(x)
-        xbar.same_grid(xi)
-        return float(self.bregman_to(xbar)(x.values, xi.values))
 
     def bregman_to(self, xbar: GridFunction):
         """Distance evaluator with R(xbar) precomputed, for logging against one
-        fixed target.
+        fixed target: D_R(xbar, x) = R(xbar) - R(x) - <xi, xbar - x>.
 
-        The evaluator takes the node values of x and xi, either one state
-        (shape (n,)) or a stack of states (shape (m, n), one per row), and
-        returns D_R(xbar, x) per row (a NumPy float, or shape (m,)).  Every
-        reduction runs along the last axis, so a row of a stack gives the
-        bits that the same state gives alone: the solvers log one state per
-        call (``run``) or a chunk of states per call (``smd_run``).
+        The evaluator takes the node values of x and xi on the grid of
+        ``xbar``, either one state (shape (n,)) or a stack of states (shape
+        (m, n), one per row), and returns D_R(xbar, x) per row (a NumPy
+        float, or shape (m,)).  Every reduction runs along the last axis, so
+        a row of a stack gives the bits that the same state gives alone: the
+        solvers log one state per call (``run``) or a chunk of states per
+        call (``smd_run``).
         """
-        vbar = self.value(xbar)
         w, xbv = xbar.grid.weights, xbar.values
+        vbar = float(self.value(xbv, w))
 
         def dist(x: np.ndarray, xi: np.ndarray):
             # inner(xi, xbar - x) on the raw arrays, operand for operand
             t = w * xi
             t *= np.subtract(xbv, x)
-            return vbar - self._value(x, w) - np.add.reduce(t, axis=-1)
+            return vbar - self.value(x, w) - np.add.reduce(t, axis=-1)
 
         return dist
 
     # norms in which the rates are read (primal) and the dual-side
     # inequalities hold; L2 on both sides unless a subclass says otherwise
-    def error_norm(self, u: GridFunction) -> float:
-        return norm_l2(u)
+    def error_norm(self, v: np.ndarray, w: np.ndarray) -> float:
+        return norm_l2_values(v, w)
 
-    def dual_norm(self, u: GridFunction) -> float:
-        return norm_l2(u)
+    def dual_norm(self, v: np.ndarray, w: np.ndarray) -> float:
+        return norm_l2_values(v, w)
 
 
 @dataclass(frozen=True)
@@ -106,7 +101,7 @@ class QuadraticBox(Regularizer):
 
     lower: float = 0.0
 
-    def _value(self, v, w):
+    def value(self, v, w):
         t = w * v
         val = 0.5 * np.add.reduce(np.multiply(t, v, out=t), axis=-1)
         if self.lower is not None:
@@ -115,10 +110,10 @@ class QuadraticBox(Regularizer):
                 val = np.where(below, np.inf, val)
         return val
 
-    def mirror_map(self, xi: GridFunction) -> GridFunction:
+    def mirror_map(self, v, w):
         if self.lower is None:
-            return xi
-        return GridFunction.wrap(xi.grid, np.maximum(xi.values, self.lower))
+            return v.copy()
+        return np.maximum(v, self.lower)
 
 
 @dataclass(frozen=True)
@@ -131,18 +126,17 @@ class ElasticNet(Regularizer):
         if self.beta <= 0:
             raise ValueError("beta must be positive")
 
-    def _value(self, v, w):
+    def value(self, v, w):
         t = w * v
         sq = np.add.reduce(np.multiply(t, v, out=t), axis=-1)
         t = np.abs(v)
         return 0.5 * sq + self.beta * np.add.reduce(np.multiply(w, t, out=t), axis=-1)
 
-    def mirror_map(self, xi: GridFunction) -> GridFunction:
-        v = xi.values
+    def mirror_map(self, v, w):
         t = np.abs(v)
         t -= self.beta
         np.maximum(t, 0.0, out=t)
-        return GridFunction.wrap(xi.grid, np.multiply(np.sign(v), t, out=t))
+        return np.multiply(np.sign(v), t, out=t)
 
 
 @dataclass(frozen=True)
@@ -161,7 +155,7 @@ class EntropySimplex(Regularizer):
 
     mass_tol = 1e-9
 
-    def _value(self, v, w):
+    def value(self, v, w):
         mn = np.minimum.reduce(v, axis=-1)
         wv = w * v
         mass = np.add.reduce(wv, axis=-1)
@@ -176,16 +170,16 @@ class EntropySimplex(Regularizer):
         val = np.add.reduce(t, axis=-1)
         return np.where((mn < 0) | (abs(mass - 1.0) > self.mass_tol), np.inf, val)
 
-    def mirror_map(self, xi: GridFunction) -> GridFunction:
+    def mirror_map(self, v, w):
         # subtracting the max is exact by shift invariance and avoids overflow
-        z = np.subtract(xi.values, np.maximum.reduce(xi.values))
+        z = np.subtract(v, np.maximum.reduce(v))
         np.exp(z, out=z)
-        mass = np.add.reduce(xi.grid.weights * z)
-        return GridFunction.wrap(xi.grid, np.divide(z, mass, out=z))
+        mass = np.add.reduce(w * z)
+        return np.divide(z, mass, out=z)
 
-    def error_norm(self, u: GridFunction) -> float:
-        return norm_l1(u)
+    def error_norm(self, v, w):
+        return norm_l1_values(v, w)
 
-    def dual_norm(self, u: GridFunction) -> float:
-        return norm_linf(u)
+    def dual_norm(self, v, w):
+        return norm_linf_values(v)
 

@@ -157,18 +157,18 @@ CHUNK = 64
 
 
 def smd_step(state, prob: SystemProblem, reg: Regularizer, sched, k: int, i: int):
-    """Step k from ``state = (x, xi)`` on block ``i``; returns
-    (x', xi', gamma_k, block residual norm).
+    """Step k from the node values ``state = (x, xi)`` on block ``i``; returns
+    (x', xi', gamma_k, block residual norm), the states as fresh arrays.
 
     The problem checked every block's grids once, so the step runs on node
     arrays: the residual is a fresh array, never an operator's value
     written in place (the adjoint map may close over that value)."""
     x, xi = state
     gamma = sched.at(k)
-    y = prob.data[i]
-    value, _, adjoint = prob.operators[i].linearize_values(x.values)
+    op, y = prob.operators[i], prob.data[i]
+    value, _, adjoint = op.linearize_values(x)
     r = np.subtract(value, y.values)
-    x, xi = dual_step(reg, xi, adjoint(r), gamma)
+    x, xi = dual_step(reg, xi, adjoint(r), gamma, op.grid_in.weights)
     return x, xi, gamma, norm_l2_values(r, y.grid.weights)
 
 
@@ -177,27 +177,30 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
     """Run ``k_max`` stochastic steps; records cover states k = 0 .. k_max,
     and the result stops at k_max for reason ``maxiter``.
 
-    The step schedule is validated against the problem's norm bound before
-    the first step.  With ``x_truth`` supplied, each record carries the
-    Bregman distance Delta_k and (through ``s_delta``) the rate product
-    s_k * Delta_k, where s_k is the inclusive partial sum of the schedule.
-    The distances are evaluated :data:`CHUNK` states per evaluator call,
-    with the bits that one call per state would give.  A NaN or infinite
-    block residual norm raises
+    A truth or start off the problem's input grid raises
+    :class:`~mirrorsolve.grids.GridMismatchError`, and the step schedule is
+    validated against the problem's norm bound, before the first step.  With
+    ``x_truth`` supplied, each record carries the Bregman distance Delta_k
+    and (through ``s_delta``) the rate product s_k * Delta_k, where s_k is
+    the inclusive partial sum of the schedule.  The distances are evaluated
+    :data:`CHUNK` states per evaluator call, with the bits that one call per
+    state would give.  A NaN or infinite block residual norm raises
     :class:`~mirrorsolve.landweber.NonFiniteResidualError` at once, with the
-    records of every state before it.
+    records of every state before it.  The states stay node arrays; the
+    result's grid functions are built once, at the end.
     """
+    grid = prob.grid_in
+    if x_truth is not None and x_truth.grid != grid:
+        raise GridMismatchError("x_truth does not live on the problem's input grid")
+    if xi0 is not None and xi0.grid != grid:
+        raise GridMismatchError("xi0 does not live on the problem's input grid")
     validate_schedule(sched, prob.norm_bound(), sigma=reg.sigma)
     picks = np.random.default_rng(seed).integers(prob.n_blocks, size=k_max).tolist()
-    if xi0 is None:
-        xi0 = prob.grid_in.zeros()
-    elif xi0.grid != prob.grid_in:
-        raise GridMismatchError("xi0 does not live on the problem's input grid")
-    xi = xi0
-    x = reg.mirror_map(xi)
+    n = grid.node_count
+    xi = np.zeros(n) if xi0 is None else xi0.values
+    x = reg.mirror_map(xi, grid.weights)
 
     dist = reg.bregman_to(x_truth) if x_truth is not None else None
-    n = prob.grid_in.node_count
     xs, xis = np.empty((CHUNK, n)), np.empty((CHUNK, n))
     records = []
     # one list per record column, for the states not yet logged
@@ -216,8 +219,8 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
     row = 0
     for k, i in enumerate(picks):
         if dist is not None:
-            xs[row] = x.values
-            xis[row] = xi.values
+            xs[row] = x
+            xis[row] = xi
         x, xi, gamma, rn = smd_step((x, xi), prob, reg, sched, k, i)
         if not math.isfinite(rn):
             log(row)
@@ -231,14 +234,15 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
             log(row)
             row = 0
     if dist is not None:
-        xs[row] = x.values
-        xis[row] = xi.values
+        xs[row] = x
+        xis[row] = xi
     picks.append(None)
     gammas.append(None)
     sums.append(s + sched.at(k_max))
     residuals.append(None)
     log(row + 1)
-    return RunResult(x, xi, k_max, "maxiter", tuple(records))
+    return RunResult(GridFunction(grid, x), GridFunction(grid, xi), k_max, "maxiter",
+                     tuple(records))
 
 
 @dataclass(frozen=True)
@@ -289,7 +293,7 @@ def build_sourced_instance(N: int, n: int, reg: Regularizer, seed: int, *,
     xi_true = xi0
     for op, lam in zip(ops, lam_true):
         xi_true = xi_true + op.adjoint_apply(lam)
-    x_true = reg.mirror_map(xi_true)
+    x_true = GridFunction(grid, reg.mirror_map(xi_true.values, grid.weights))
     data = tuple(op.apply(x_true) for op in ops)
     return SourcedInstance(SystemProblem(tuple(ops), data), x_true, xi_true,
                            lam_true, xi0)

@@ -44,3 +44,18 @@ def _check_ownership(fn, *args, inputs=()):
 @pytest.fixture
 def check_ownership():
     return _check_ownership
+
+
+@pytest.fixture
+def grid_function_count(monkeypatch):
+    """A one-entry list that counts the grid functions constructed from here
+    on: every construction runs ``__post_init__``."""
+    count = [0]
+    post_init = GridFunction.__post_init__
+
+    def counted(self):
+        count[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(GridFunction, "__post_init__", counted)
+    return count

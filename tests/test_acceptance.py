@@ -92,11 +92,11 @@ def _interior_bump_pde_setup(n):
     A = sp.csr_matrix((solver.matrix(c_in), solver._lap.indices, solver._lap.indptr))
     lam[interior] = A @ (-c_in / u_true.values[interior])
     lam_true = GridFunction(grid, lam)
-    lin = forward.linearize(c_true)
-    defect = norm_l2(lin.adjoint(lam_true) - c_true)
+    value, _, adjoint = forward.linearize_values(c_true.values)
+    defect = norm_l2(GridFunction(grid, adjoint(lam_true.values)) - c_true)
     assert defect <= 1e-9, f"source condition defect {defect:.2e} > 1e-9"
 
-    return Setup(forward, QuadraticBox(lower=0.0), c_true, lin.value,
+    return Setup(forward, QuadraticBox(lower=0.0), c_true, GridFunction(grid, value),
                  eta=0.04, tau_default=1.1)
 
 

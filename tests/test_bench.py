@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorsolve import DiscrepancyStop, GridFunction, add_noise, norm_l2, smd
+from mirrorsolve import DiscrepancyStop, GridFunction, add_noise, experiments, norm_l2, smd
 from mirrorsolve.cli import main as cli_main
 from mirrorsolve.config import PROBLEM_DEFAULTS, ExperimentConfig, parse_config
 from mirrorsolve.experiments import (
@@ -166,8 +166,10 @@ class TestRunRateSweep:
                              keep_records=False)
         row = out.table.rows[0]
         assert row.iters == 0
-        x0 = setup.reg.mirror_map(setup.forward.grid_in.zeros())
-        assert row.err == pytest.approx(setup.reg.error_norm(x0 - setup.x_true), rel=1e-12)
+        w = setup.forward.grid_in.weights
+        x0 = setup.reg.mirror_map(np.zeros(w.size), w)
+        assert row.err == pytest.approx(setup.reg.error_norm(x0 - setup.x_true.values, w),
+                                        rel=1e-12)
 
     def test_failed_cell_is_flagged_and_sweep_continues(self):
         setup = setup_entropy_experiment(200)
@@ -232,6 +234,22 @@ class TestConfig:
         setup = setup_entropy_experiment(100)
         with pytest.raises(ValueError, match="delta must be positive and finite"):
             make_cell(setup, "rule2", delta)
+
+    def test_apriori_budget_past_the_safety_cap_rejected_before_any_cell(self, monkeypatch):
+        # floor(1/delta) iterates must fit under run's safety cap of 10^6;
+        # delta = 1e-7 asks for 10^7 and fails at construction, naming delta
+        setup = setup_entropy_experiment(100)
+        make_cell(setup, "rule1", 1e-6, stopping="apriori")
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran before the budgets were checked")
+
+        monkeypatch.setattr(experiments, "run_cell", no_cell)
+        for call in (lambda: make_cell(setup, "rule1", 1e-7, stopping="apriori"),
+                     lambda: run_rate_sweep(setup, "rule1", [1e-2, 1e-7], [1],
+                                            stopping="apriori")):
+            with pytest.raises(ValueError, match=r"delta = 1e-07 exceeds .* safety cap"):
+                call()
 
     def test_parse_file(self, tmp_path):
         p = tmp_path / "exp.cfg"

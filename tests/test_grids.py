@@ -110,7 +110,7 @@ class TestInnerAndNorms:
         assert norm_linf(u) == float(np.max(np.abs(u.values)))
         # the entropy mirror map's max and mass
         z = np.exp(u.values - np.max(u.values))
-        assert np.array_equal(EntropySimplex().mirror_map(u).values, z / np.sum(w * z))
+        assert np.array_equal(EntropySimplex().mirror_map(u.values, w), z / np.sum(w * z))
         # LinearIntegral's moments, with u and v as the factor pair
         op = LinearIntegral(grid, factors=[(u.values, v.values)])
         assert np.array_equal(op.apply(u).values, v.values * np.sum(w * u.values * u.values))
@@ -128,7 +128,7 @@ class TestInnerAndNorms:
 
     def test_attributes_are_frozen(self):
         grid = Grid.interval(4)
-        for u in (grid.ones(), GridFunction.wrap(grid, np.zeros(5))):
+        for u in (grid.ones(), GridFunction(grid, np.zeros(5))):
             assert not u.values.flags.writeable
             with pytest.raises(FrozenInstanceError):
                 u.values = np.ones(5)
@@ -178,6 +178,11 @@ class TestAddNoise:
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
             add_noise(Grid.interval(4).ones(), -1.0, 0)
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="finite"):
+            add_noise(Grid.interval(4).ones(), delta, 1)
 
 
 class TestDenseOperator:

@@ -11,6 +11,7 @@ from mirrorsolve import (
     EntropySimplex,
     Grid,
     GridFunction,
+    GridMismatchError,
     IterationLimitError,
     LinearIntegral,
     MaxIterStop,
@@ -99,7 +100,7 @@ class TestRunLoop:
     def test_exact_data_from_start_is_fixed_point(self):
         grid, op = _tiny_linear_problem()
         reg = QuadraticBox(lower=None)
-        x0 = reg.mirror_map(grid.zeros())
+        x0 = GridFunction(grid, reg.mirror_map(np.zeros(grid.node_count), grid.weights))
         y = op.apply(x0)
         res = run(op, reg, y, MinimalErrorStep(gamma=0.5, gamma_bar=2.0),
                   MaxIterStop(k_max=3))
@@ -199,6 +200,37 @@ class TestRunLoop:
         assert exc.value.k == 0
         assert exc.value.records == ()
 
+    @pytest.mark.parametrize("truth", [Grid.square(4), Grid.interval(30)],
+                             ids=["same-node-count", "other-node-count"])
+    def test_truth_off_the_input_grid_raises_before_the_first_step(self, truth, monkeypatch):
+        # Grid.square(4) has the 25 nodes of Grid.interval(24), so only the
+        # grid check can tell it apart
+        grid, op = _tiny_linear_problem(n=24)
+
+        def no_step(v):
+            raise AssertionError("the run linearized before checking the truth")
+
+        monkeypatch.setattr(op, "linearize_values", no_step)
+        with pytest.raises(GridMismatchError, match="truth"):
+            run(op, QuadraticBox(lower=None), grid.zeros(), ConstantStep(gamma=0.5),
+                MaxIterStop(k_max=10), x_truth=truth.ones())
+
+    def test_no_grid_function_per_iterate(self, grid_function_count):
+        # the states, the multiplier and the diagnostics stay node arrays;
+        # grid functions are built only for the result
+        setup = setup_entropy_experiment(150)
+        delta = 1e-3
+        yd = add_noise(setup.y, delta, seed=1)
+        rule = make_step_rule("rule2", tau=1.01, eta=0.0, delta=delta)
+        counts = []
+        for k_max in (10, 100):
+            grid_function_count[0] = 0
+            res = run(setup.forward, setup.reg, yd, rule, MaxIterStop(k_max=k_max),
+                      x_truth=setup.x_true)
+            assert res.k_stop == k_max
+            counts.append(grid_function_count[0])
+        assert counts[0] == counts[1] > 0
+
     def test_rule_stop_consistency_enforced(self):
         setup = setup_entropy_experiment(120)
         rule = AdaptiveStep(gamma0=1.98, gamma_bar=600.0, tau=1.01, eta=0.0, delta=1e-2)
@@ -236,7 +268,8 @@ class TestRunLoop:
         res = run(setup.forward, setup.reg, yd, rule, DiscrepancyStop(1.01, delta))
         # x = mirror_map(xi) by construction, so the Fenchel defect against
         # the closed-form conjugate (no mirror map on that side) is rounding
-        defect = abs(setup.reg.value(res.x) + conjugate_oracle(setup.reg, res.xi)
+        defect = abs(setup.reg.value(res.x.values, res.x.grid.weights)
+                     + conjugate_oracle(setup.reg, res.xi)
                      - float(np.sum(res.x.grid.weights * res.x.values * res.xi.values)))
         assert defect <= 1e-12
 

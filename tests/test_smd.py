@@ -9,6 +9,7 @@ from mirrorsolve import (
     EntropySimplex,
     Grid,
     GridFunction,
+    GridMismatchError,
     LinearIntegral,
     MaxIterStop,
     NonFiniteResidualError,
@@ -58,7 +59,8 @@ class TestSourcedInstance:
         inst = build_sourced_instance(3, 40, reg, seed=5)
         # xi_true is a subgradient at x_true, so the Bregman distance of the
         # pair to its own primal point vanishes
-        assert reg.bregman((inst.x_true, inst.xi_true), inst.x_true) == pytest.approx(0.0, abs=1e-12)
+        d = reg.bregman_to(inst.x_true)(inst.x_true.values, inst.xi_true.values)
+        assert d == pytest.approx(0.0, abs=1e-12)
         recon = inst.xi0
         for op, lam in zip(inst.problem.operators, inst.lam_true):
             recon = recon + op.adjoint_apply(lam)
@@ -67,8 +69,8 @@ class TestSourcedInstance:
     def test_zero_source_gives_trivial_instance(self):
         reg = EntropySimplex()
         inst = build_sourced_instance(2, 30, reg, seed=3, lam_scale=0.0)
-        x0 = reg.mirror_map(inst.xi0)
-        assert np.array_equal(inst.x_true.values, x0.values)
+        x0 = reg.mirror_map(inst.xi0.values, inst.xi0.grid.weights)
+        assert np.array_equal(inst.x_true.values, x0)
         sr = smd_run(inst.problem, reg, ConstantSchedule(1.0), 20, seed=1,
                      x_truth=inst.x_true, xi0=inst.xi0)
         assert all(r.delta_k == 0.0 for r in sr.records)
@@ -173,6 +175,36 @@ class TestSmdRun:
                          x_truth=inst.x_true)
             deltas = [r.delta_k for r in sr.records]
             assert all(deltas[i + 1] <= deltas[i] + 1e-12 for i in range(len(deltas) - 1))
+
+    @pytest.mark.parametrize("truth", [Grid.square(4), Grid.interval(30)],
+                             ids=["same-node-count", "other-node-count"])
+    def test_truth_off_the_input_grid_raises_before_the_first_step(self, truth, monkeypatch):
+        # Grid.square(4) has the 25 nodes of Grid.interval(24), so only the
+        # grid check can tell it apart
+        reg = EntropySimplex()
+        inst = build_sourced_instance(2, 24, reg, seed=1)
+
+        def no_step(*args):
+            raise AssertionError("the path stepped before checking the truth")
+
+        monkeypatch.setattr(mirrorsolve.smd, "smd_step", no_step)
+        with pytest.raises(GridMismatchError, match="x_truth"):
+            smd_run(inst.problem, reg, ConstantSchedule(1.0), 100, seed=0,
+                    x_truth=truth.ones())
+
+    def test_no_grid_function_per_step(self, grid_function_count):
+        # the states stay node arrays through the steps and the Bregman log;
+        # grid functions are built only for the result
+        reg = ElasticNet(beta=0.3)
+        inst = build_sourced_instance(3, 20, reg, seed=4)
+        counts = []
+        for k_max in (10, 200):
+            grid_function_count[0] = 0
+            sr = smd_run(inst.problem, reg, ConstantSchedule(1.0), k_max, seed=1,
+                         x_truth=inst.x_true, xi0=inst.xi0)
+            assert len(sr.records) == k_max + 1
+            counts.append(grid_function_count[0])
+        assert counts[0] == counts[1] > 0
 
     def test_schedule_validated_before_running(self):
         reg = EntropySimplex()
@@ -359,9 +391,9 @@ class TestSmdRun:
             calls["step"] += 1
             return step(*args, **kwargs)
 
-        def counted_mirror_map(self, xi):
+        def counted_mirror_map(self, v, w):
             calls["mirror_map"] += 1
-            return mirror_map(self, xi)
+            return mirror_map(self, v, w)
 
         monkeypatch.setattr(mirrorsolve.smd, "smd_step", counted_step)
         monkeypatch.setattr(type(reg), "mirror_map", counted_mirror_map)
@@ -378,14 +410,13 @@ class TestSmdRun:
         prob = SystemProblem((op,), (y,))
         sched = ConstantSchedule(1.0 / op.norm_bound() ** 2)
         rng = np.random.default_rng(2)
-        xi = GridFunction(op.grid_in, 0.3 * rng.standard_normal(op.grid_in.node_count))
-        x = reg.mirror_map(xi)
-        arrays = (x.values, xi.values, y.values)
+        xi = 0.3 * rng.standard_normal(op.grid_in.node_count)
+        x = reg.mirror_map(xi, op.grid_in.weights)
+        arrays = (x, xi, y.values)
         before = [(a.tobytes(), a.flags.writeable) for a in arrays]
 
         def step():
-            x1, xi1, gamma, rn = mirrorsolve.smd.smd_step((x, xi), prob, reg, sched, 0, 0)
-            return x1.values, xi1.values, gamma, rn
+            return mirrorsolve.smd.smd_step((x, xi), prob, reg, sched, 0, 0)
 
         first = step()
         first_bits = (first[0].tobytes(), first[1].tobytes(), *first[2:])
@@ -395,9 +426,10 @@ class TestSmdRun:
             assert (out[0].tobytes(), out[1].tobytes(), *out[2:]) == first_bits
         # the grid-function step written out: a residual written into the
         # operator's value would reach the adjoint through the state u
-        lin = op.linearize(x)
-        r = lin.value - y
-        assert first[1].tobytes() == (xi - sched.gamma * lin.adjoint(r)).values.tobytes()
+        value, _, adjoint = op.linearize_values(x)
+        r = GridFunction(op.grid_out, value) - y
+        g = GridFunction(op.grid_in, adjoint(r.values))
+        assert first[1].tobytes() == (GridFunction(op.grid_in, xi) - sched.gamma * g).values.tobytes()
         assert first[3] == norm_l2(r)
 
     def test_determinism_per_seed(self):
@@ -421,7 +453,7 @@ class TestSmdRun:
         ops = inst.problem.operators
         grid = inst.problem.grid_in
         lams = [np.zeros(grid.node_count) for _ in ops]
-        x = reg.mirror_map(inst.xi0)
+        x = GridFunction(grid, reg.mirror_map(inst.xi0.values, grid.weights))
         for k in range(k_max):
             i = sr.records[k].i_k
             gamma = sr.records[k].gamma_k
@@ -430,7 +462,7 @@ class TestSmdRun:
             xi = inst.xi0
             for op, lam in zip(ops, lams):
                 xi = xi + op.adjoint_apply(GridFunction(grid, lam))
-            x = reg.mirror_map(xi)
+            x = GridFunction(grid, reg.mirror_map(xi.values, grid.weights))
         assert np.max(np.abs(xi.values - sr.xi.values)) <= 1e-10 * (1 + np.max(np.abs(xi.values)))
 
 
