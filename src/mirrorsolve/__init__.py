@@ -27,9 +27,7 @@ from .grids import (
     GridMismatchError,
     add_noise,
     inner,
-    norm_l1,
     norm_l2,
-    norm_linf,
     power_iteration_norm,
 )
 from .landweber import (

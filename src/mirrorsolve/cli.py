@@ -98,7 +98,7 @@ def _cmd_smd(args) -> int:
     finals = []
     for seed in seeds:
         sr = smd.smd_run(inst.problem, reg, sched, cfg.smd_k_max, seed,
-                         x_truth=inst.x_true, xi0=inst.xi0)
+                         x_truth=inst.x_true)
         last = sr.records[-1]
         finals.append(last.s_delta)
         print(f"seed={seed} k={last.k} delta_k={last.delta_k:.6e} "

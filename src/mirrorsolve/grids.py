@@ -20,13 +20,16 @@ reusing the temporary of ``w * u`` for ``(w * u) * v`` keeps the operand
 order, so the bits are those of the written-out expression.  The solver core
 follows this rule on node arrays: each forward operator's
 ``linearize_values`` and the maps it returns (``LinearIntegral.apply_values``
-/ ``adjoint_values``, the elliptic tangent and adjoint), the raw norms
-:func:`norm_l2_values`, :func:`norm_l1_values` and :func:`norm_linf_values`,
-the regularizers (values, mirror maps, norms and the Bregman evaluator) and
-``landweber.dual_step``.  The solvers keep their states as node arrays and
-meet grid functions only where data enter or leave (setups, noise, the
-arguments and results of a run); an array a raw kernel returns is never
-written in place either, since the maps of one linearization may share it.
+/ ``adjoint_values``, whose stacked moment form passes no ``out=`` at all,
+the elliptic tangent and adjoint), the raw norms :func:`norm_l2_values`,
+:func:`norm_l1_values` and :func:`norm_linf_values`, the regularizers
+(values, mirror maps, norms and the Bregman evaluator) and
+``landweber.dual_step``.  Only the L2 norm and :func:`inner` keep
+grid-function forms, for the oracles in ``checks``.  The solvers keep their
+states as node arrays and meet grid functions only where data enter or leave
+(setups, noise, the arguments and results of a run); an array a raw kernel
+returns is never written in place either, since the maps of one
+linearization may share it.
 :class:`GridFunction` always copies what it is built from, so a grid
 function never shares memory with the array it came from.
 """
@@ -46,9 +49,7 @@ __all__ = [
     "inner",
     "norm_l2",
     "norm_l2_values",
-    "norm_l1",
     "norm_l1_values",
-    "norm_linf",
     "norm_linf_values",
     "add_noise",
     "power_iteration_norm",
@@ -205,22 +206,15 @@ def norm_l2_values(v: np.ndarray, w: np.ndarray) -> float:
     return math.sqrt(np.add.reduce(np.multiply(t, v, out=t)))
 
 
-def norm_l1(u: GridFunction) -> float:
-    return norm_l1_values(u.values, u.grid.weights)
-
-
 def norm_l1_values(v: np.ndarray, w: np.ndarray) -> float:
-    """``norm_l1`` of the node values ``v`` under the quadrature weights ``w``."""
+    """The L1 norm sum(w_i |v_i|) of the node values ``v`` under the
+    quadrature weights ``w``."""
     t = np.abs(v)
     return float(np.add.reduce(np.multiply(w, t, out=t)))
 
 
-def norm_linf(u: GridFunction) -> float:
-    return norm_linf_values(u.values)
-
-
 def norm_linf_values(v: np.ndarray) -> float:
-    """``norm_linf`` of the node values ``v``; no weights enter."""
+    """The sup norm max |v_i| of the node values ``v``; no weights enter."""
     return float(np.maximum.reduce(np.abs(v)))
 
 

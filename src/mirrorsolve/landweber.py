@@ -263,7 +263,7 @@ class NonFiniteResidualError(ArithmeticError):
         self.records = tuple(records)
 
 
-#: default iteration safety cap of :func:`run`
+#: iteration safety cap of :func:`run`, read as it iterates
 SAFETY_CAP = 10 ** 6
 
 
@@ -278,8 +278,7 @@ def dual_step(reg: Regularizer, xi: np.ndarray, g: np.ndarray, gamma: float,
 
 
 def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
-        rule, stop, *, x_truth: GridFunction = None,
-        safety_cap: int = SAFETY_CAP) -> RunResult:
+        rule, stop, *, x_truth: GridFunction = None) -> RunResult:
     """Iterate from xi_0 = 0 until the stopping rule fires.
 
     ``x_truth`` enables the Bregman-distance and error columns of the record
@@ -288,7 +287,9 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
     A* lambda_k afresh each iteration so the check stays independent of the
     xi update.  Data or a truth off the operator's grids raise
     :class:`GridMismatchError` before the first step; a NaN or infinite
-    residual norm raises :class:`NonFiniteResidualError` at once.
+    residual norm raises :class:`NonFiniteResidualError` at once, and a
+    run still going after :data:`SAFETY_CAP` iterations raises
+    :class:`IterationLimitError`.
     """
     _check_consistency(rule, stop)
     grid_in = forward.grid_in
@@ -325,8 +326,8 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
             records.append(IterateRecord(k, rn, None, breg, err, ldef))
             return RunResult(GridFunction(grid_in, x), GridFunction(grid_in, xi), k,
                              reason, tuple(records))
-        if k >= safety_cap:
-            raise IterationLimitError(safety_cap, records)
+        if k >= SAFETY_CAP:
+            raise IterationLimitError(SAFETY_CAP, records)
 
         g = adjoint(r)
         gn = norm_l2_values(g, w_in)

@@ -103,13 +103,19 @@ def _values_on(u: GridFunction, grid: Grid) -> np.ndarray:
     return u.values
 
 
-def _node_array(a, shape) -> np.ndarray:
-    """A factor as a float array of ``shape``; a scalar is filled in, since a
+def _stacked(factors, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factors as the rows of a fresh (p, n) float array, and those rows
+    times the quadrature weights ``w``.  A scalar fills its row, since a
     stride-0 broadcast view would slow every product it enters."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim and a.shape != shape:
-        raise GridMismatchError(f"factor of shape {a.shape} on a grid of {shape[0]} nodes")
-    return a if a.ndim else np.full(shape, a)
+    n = w.size
+    rows, weighted = np.empty((len(factors), n)), np.empty((len(factors), n))
+    for i, f in enumerate(factors):
+        f = np.asarray(f, dtype=float)
+        if f.ndim and f.shape != (n,):
+            raise GridMismatchError(f"factor of shape {f.shape} on a grid of {n} nodes")
+        rows[i] = f
+        np.multiply(w, f, out=weighted[i])
+    return rows, weighted
 
 
 class LinearIntegral(ForwardOperator):
@@ -128,10 +134,13 @@ class LinearIntegral(ForwardOperator):
     factors : sequence of (a, b) pairs, optional
         Separable expansion phi(t, s) = sum_p a_p(t) b_p(s); a_p holds node
         values on the input grid and b_p on the output grid, each an array
-        or a scalar that NumPy broadcasts to one.  When given, application
-        uses the O(n) moment form and no dense matrix is stored; the factors
-        are kept with and without the quadrature weights.  A kernel or
-        factor of another shape raises :class:`GridMismatchError`.
+        or a scalar that fills its node array.  When given, application
+        uses the O(n) moment form and no dense matrix is stored: the factors
+        are stacked once into (p, n) arrays, with and without the quadrature
+        weights, and each product is two ufunc reductions over them, the p
+        moments and then the sum of the p scaled factors (from 0.0, as the
+        written-out sum over p is).  A kernel or factor of another shape
+        raises :class:`GridMismatchError`.
     analytic_norm_bound : float, optional
         Known bound L with ||A|| <= L; when absent, ``norm_bound`` falls back
         to a power-iteration estimate.
@@ -146,15 +155,12 @@ class LinearIntegral(ForwardOperator):
         self._analytic_bound = analytic_norm_bound
         self._norm_cache = None
         self.kernel = None
-        self._factors = None
         if factors is not None:
-            w_in, w_out = self.grid_in.weights, self.grid_out.weights
-            self._factors = []
-            for a, b in factors:
-                a, b = _node_array(a, w_in.shape), _node_array(b, w_out.shape)
-                # (w * a) * x is the order the moment form evaluates, so the
-                # weighted factors are formed once here
-                self._factors.append((a, b, w_in * a, w_out * b))
+            # (w * a) * x is the order the moment form evaluates, so the
+            # weighted factors are formed once here
+            a, b = zip(*factors)
+            self._a, self._wa = _stacked(a, self.grid_in.weights)
+            self._b, self._wb = _stacked(b, self.grid_out.weights)
         elif kernel is not None:
             shape = (self.grid_out.node_count, self.grid_in.node_count)
             K = np.array(kernel, dtype=float)
@@ -169,26 +175,16 @@ class LinearIntegral(ForwardOperator):
 
     def apply_values(self, v: np.ndarray) -> np.ndarray:
         """A v on node arrays: the value and the tangent of ``linearize_values``."""
-        if self._factors is not None:
-            out = np.zeros(self.grid_out.node_count)
-            tmp_in = np.empty(self.grid_in.node_count)
-            tmp_out = np.empty(self.grid_out.node_count)
-            for _, b, wa, _ in self._factors:
-                moment = np.add.reduce(np.multiply(wa, v, out=tmp_in))
-                out += np.multiply(b, moment, out=tmp_out)
-            return out
+        if self.kernel is None:
+            moments = np.add.reduce(self._wa * v, axis=1)
+            return np.add.reduce(self._b * moments[:, None], axis=0, initial=0.0)
         return self.kernel.dot(self.grid_in.weights * v)
 
     def adjoint_values(self, w: np.ndarray) -> np.ndarray:
         """A^* w on node arrays: the adjoint of ``linearize_values``."""
-        if self._factors is not None:
-            out = np.zeros(self.grid_in.node_count)
-            tmp_in = np.empty(self.grid_in.node_count)
-            tmp_out = np.empty(self.grid_out.node_count)
-            for a, _, _, wb in self._factors:
-                moment = np.add.reduce(np.multiply(wb, w, out=tmp_out))
-                out += np.multiply(a, moment, out=tmp_in)
-            return out
+        if self.kernel is None:
+            moments = np.add.reduce(self._wb * w, axis=1)
+            return np.add.reduce(self._a * moments[:, None], axis=0, initial=0.0)
         return self.kernel.T.dot(self.grid_out.weights * w)
 
     def linearize_values(self, v: np.ndarray):
@@ -201,6 +197,11 @@ class LinearIntegral(ForwardOperator):
             self._norm_cache = power_iteration_norm(
                 self.apply_values, self.adjoint_values, self.grid_in, self.grid_out)
         return self._norm_cache
+
+
+#: CG iterations per unknown before :meth:`EllipticSolver.solve` gives up,
+#: SciPy's default cap for ``cg``
+CG_ITERS_PER_UNKNOWN = 10
 
 
 class EllipticSolveError(RuntimeError):
@@ -224,8 +225,9 @@ class EllipticSolver:
     plus c written into the diagonal slots, and ``solve(a, rhs)`` multiplies
     by it with SciPy's compiled CSR kernel, the one ``csr_matrix @ vector``
     calls.  Each solve runs CG until the algebraic residual drops below
-    ``tol * ||rhs||`` (atol 0).  ``max_iter`` None means SciPy's default
-    cap, 10 times the system size (n-1)^2.  ``solve`` is SciPy's ``cg`` on
+    ``tol * ||rhs||`` (atol 0), for at most :data:`CG_ITERS_PER_UNKNOWN`
+    times the system size (n-1)^2 iterations, SciPy's default cap; the
+    constant is read at each solve.  ``solve`` is SciPy's ``cg`` on
     raw arrays, operation for operation and bit for bit: x0 = 0, norms as
     sqrt(r.dot(r)), the residual test before each iteration, p = z on the
     first spin and p = (rho / rho_prev) p + z in place after it.
@@ -242,7 +244,6 @@ class EllipticSolver:
 
     grid: Grid
     tol: float = 1e-10
-    max_iter: int = None
 
     def __post_init__(self):
         if self.grid.kind != "square":
@@ -291,7 +292,7 @@ class EllipticSolver:
 
     def solve(self, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """A^{-1} rhs for the values ``a`` of ``matrix(c)``, a fresh array (a
-        copy of a zero rhs); after ``max_iter`` iterations,
+        copy of a zero rhs); after the iteration cap,
         :class:`EllipticSolveError` with ||r|| / ||rhs||."""
         lap = self._lap
         if a.shape != lap.data.shape or a.dtype != lap.data.dtype:
@@ -305,7 +306,7 @@ class EllipticSolver:
             return r
         m = r.size
         atol = self.tol * rhs_norm
-        max_iter = 10 * m if self.max_iter is None else self.max_iter
+        max_iter = CG_ITERS_PER_UNKNOWN * m
         x = np.zeros_like(r)
         tmp = np.empty_like(r)
         for it in range(max_iter):

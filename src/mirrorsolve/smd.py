@@ -248,12 +248,11 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
 @dataclass(frozen=True)
 class SourcedInstance:
     """Linear system whose solution satisfies the dual source condition by
-    construction: xi_true = xi0 + sum_i A_i^* lam_true_i and
-    x_true = mirror_map(xi_true), with data y_i = A_i x_true."""
+    construction: x_true = mirror_map(xi0 + sum_i A_i^* lam_true_i), with
+    data y_i = A_i x_true, not all of them zero."""
 
     problem: SystemProblem
     x_true: GridFunction
-    xi_true: GridFunction
     lam_true: tuple
     xi0: GridFunction
 
@@ -271,7 +270,11 @@ def build_sourced_instance(N: int, n: int, reg: Regularizer, seed: int, *,
     gives the blocks a decaying spectrum, so convergence is genuinely slow
     and rate products stay far above the floating-point floor over desk-scale
     horizons.  ``lam_scale`` sizes the dual source element; 0 gives the
-    trivial instance x_true = mirror_map(xi0).
+    trivial instance x_true = mirror_map(xi0).  An instance whose data
+    blocks are all identically zero has no rate to show and raises
+    ValueError.  With the elastic net that happens when
+    max |sum_i A_i^* lam_true_i| is at most beta, so x_true = 0 is the
+    zero start itself; ``lam_scale = 0`` is refused for it.
     """
     if N < 1 or n < 2:
         raise ValueError("need N >= 1 and n >= 2")
@@ -295,8 +298,10 @@ def build_sourced_instance(N: int, n: int, reg: Regularizer, seed: int, *,
         xi_true = xi_true + op.adjoint_apply(lam)
     x_true = GridFunction(grid, reg.mirror_map(xi_true.values, grid.weights))
     data = tuple(op.apply(x_true) for op in ops)
-    return SourcedInstance(SystemProblem(tuple(ops), data), x_true, xi_true,
-                           lam_true, xi0)
+    if not any(np.logical_or.reduce(y.values) for y in data):
+        raise ValueError(f"sourced instance N = {N}, n = {n}, seed = {seed} is empty: "
+                         f"every data block is identically zero")
+    return SourcedInstance(SystemProblem(tuple(ops), data), x_true, lam_true, xi0)
 
 
 class _FormatOnce(dict):

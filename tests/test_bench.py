@@ -9,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorsolve import DiscrepancyStop, GridFunction, add_noise, experiments, norm_l2, smd
+from mirrorsolve import (
+    DiscrepancyStop,
+    EllipticSolveError,
+    GridFunction,
+    add_noise,
+    experiments,
+    norm_l2,
+    operators,
+    smd,
+)
 from mirrorsolve.cli import main as cli_main
 from mirrorsolve.config import PROBLEM_DEFAULTS, ExperimentConfig, parse_config
 from mirrorsolve.experiments import (
@@ -189,6 +198,21 @@ class TestRunRateSweep:
         assert all(c.failed for c in out.cells)
         assert [c.error_message for c in out.cells] == ["RuntimeError: injected failure"] * 2
         assert np.isnan(out.table.rows[0].err)
+
+    def test_cg_failure_is_flagged_and_sweep_continues(self, monkeypatch):
+        # the setup solves for its data, so it is built before the CG cap drops
+        setup = setup_pde_experiment(16)
+        monkeypatch.setattr(operators, "CG_ITERS_PER_UNKNOWN", 0)
+        with pytest.raises(EllipticSolveError) as exc:
+            setup.forward.linearize_values(setup.x_true.values)
+        assert exc.value.iterations == 0
+        assert exc.value.residual == 1.0
+        out = run_rate_sweep(setup, "rule2", deltas=[1e-2, 1e-3], seeds=[1, 2],
+                             keep_records=False)
+        assert [(c.delta, c.seed) for c in out.cells] == [(1e-2, 1), (1e-2, 2),
+                                                          (1e-3, 1), (1e-3, 2)]
+        assert [c.error_message for c in out.cells] == [f"EllipticSolveError: {exc.value}"] * 4
+        assert all(np.isnan(row.err) for row in out.table.rows)
 
     def test_nonfinite_data_flags_the_cell(self):
         import dataclasses
@@ -598,6 +622,21 @@ class TestCli:
         assert payload["status"] == "error"
         assert payload["type"] == "NonFiniteResidualError"
         assert "iterate 0" in payload["message"]
+
+    def test_smd_empty_instance_fails(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(SMD_CFG.replace("n = 30", "n = 400")
+                       .replace("blocks = 3", "blocks = 1\ninstance_seed = 10")
+                       .replace("regularizer = entropy", "regularizer = elastic"))
+        rc = cli_main(["smd", "--config", str(cfg), "--out", str(tmp_path / "smd")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err.strip().splitlines()[-1])
+        assert payload["status"] == "error"
+        assert payload["type"] == "ValueError"
+        assert "N = 1, n = 400, seed = 10 is empty" in payload["message"]
+        assert not list((tmp_path / "smd").glob("*.csv"))
 
     def test_verify_has_no_fast_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

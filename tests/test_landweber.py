@@ -19,6 +19,7 @@ from mirrorsolve import (
     NonFiniteResidualError,
     QuadraticBox,
     add_noise,
+    landweber,
     norm_l2,
     run,
     write_iterates_csv,
@@ -177,26 +178,26 @@ class TestRunLoop:
         assert res.stop_reason == "apriori"
         assert len(res.records) == 21
 
-    def test_safety_cap_raises_with_partial_records(self):
+    def test_safety_cap_raises_with_partial_records(self, monkeypatch):
         setup = setup_entropy_experiment(120)
         delta = 1e-3
         yd = add_noise(setup.y, delta, seed=3)
         rule = make_step_rule("rule1", tau=1.01, eta=0.0, delta=delta)
+        monkeypatch.setattr(landweber, "SAFETY_CAP", 5)
         with pytest.raises(IterationLimitError) as exc:
-            run(setup.forward, setup.reg, yd, rule, DiscrepancyStop(1.01, delta),
-                safety_cap=5)
+            run(setup.forward, setup.reg, yd, rule, DiscrepancyStop(1.01, delta))
         assert len(exc.value.records) == 5
 
-    def test_nonfinite_data_fails_at_first_iterate(self):
+    def test_nonfinite_data_fails_at_first_iterate(self, monkeypatch):
         setup = setup_entropy_experiment(200)
         delta = 1e-3
         values = add_noise(setup.y, delta, seed=3).values.copy()
         values[17] = np.nan
         yd = GridFunction(setup.y.grid, values)
         rule = make_step_rule("rule2", tau=1.01, eta=0.0, delta=delta)
+        monkeypatch.setattr(landweber, "SAFETY_CAP", 2000)
         with pytest.raises(NonFiniteResidualError) as exc:
-            run(setup.forward, setup.reg, yd, rule, DiscrepancyStop(1.01, delta),
-                safety_cap=2000)
+            run(setup.forward, setup.reg, yd, rule, DiscrepancyStop(1.01, delta))
         assert exc.value.k == 0
         assert exc.value.records == ()
 

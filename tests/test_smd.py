@@ -48,6 +48,14 @@ class TestSchedules:
             validate_schedule(ConstantSchedule(1.9), L=1.0, eta=0.1)
 
 
+def _source_element(inst):
+    """xi0 + sum_i A_i^* lam_true_i, the dual point of the instance's truth."""
+    xi = inst.xi0
+    for op, lam in zip(inst.problem.operators, inst.lam_true):
+        xi = xi + op.adjoint_apply(lam)
+    return xi
+
+
 class TestSourcedInstance:
     def test_solution_solves_system_exactly(self):
         inst = build_sourced_instance(4, 50, EntropySimplex(), seed=7)
@@ -57,14 +65,13 @@ class TestSourcedInstance:
     def test_source_condition_holds_by_construction(self):
         reg = EntropySimplex()
         inst = build_sourced_instance(3, 40, reg, seed=5)
+        xi_true = _source_element(inst)
         # xi_true is a subgradient at x_true, so the Bregman distance of the
         # pair to its own primal point vanishes
-        d = reg.bregman_to(inst.x_true)(inst.x_true.values, inst.xi_true.values)
+        d = reg.bregman_to(inst.x_true)(inst.x_true.values, xi_true.values)
         assert d == pytest.approx(0.0, abs=1e-12)
-        recon = inst.xi0
-        for op, lam in zip(inst.problem.operators, inst.lam_true):
-            recon = recon + op.adjoint_apply(lam)
-        assert np.max(np.abs(recon.values - inst.xi_true.values)) <= 1e-12
+        x = reg.mirror_map(xi_true.values, xi_true.grid.weights)
+        assert np.array_equal(x, inst.x_true.values)
 
     def test_zero_source_gives_trivial_instance(self):
         reg = EntropySimplex()
@@ -74,6 +81,20 @@ class TestSourcedInstance:
         sr = smd_run(inst.problem, reg, ConstantSchedule(1.0), 20, seed=1,
                      x_truth=inst.x_true, xi0=inst.xi0)
         assert all(r.delta_k == 0.0 for r in sr.records)
+
+    @pytest.mark.parametrize("N,n,seed,lam_scale", [(1, 400, 10, 4.0), (1, 800, 8, 4.0),
+                                                    (2, 30, 3, 0.0)])
+    def test_empty_instance_rejected(self, N, n, seed, lam_scale):
+        # max |sum_i A_i^* lam_true_i| is at most beta, so x_true = 0 and
+        # every block's data vanish
+        with pytest.raises(ValueError, match=rf"N = {N}, n = {n}, seed = {seed} is empty"):
+            build_sourced_instance(N, n, ElasticNet(0.3), seed=seed, lam_scale=lam_scale)
+
+    @pytest.mark.parametrize("reg", [EntropySimplex(), ElasticNet(0.3)],
+                             ids=["entropy", "elastic"])
+    def test_shipped_instances_build(self, reg):
+        inst = build_sourced_instance(4, 50, reg, seed=7)
+        assert all(np.any(y.values != 0.0) for y in inst.problem.data)
 
     def test_blocks_share_input_grid(self):
         g1, g2 = Grid.interval(4), Grid.interval(5)
@@ -101,7 +122,7 @@ class TestSmdRun:
         reg = EntropySimplex()
         inst = build_sourced_instance(3, 30, reg, seed=11)
         sr = smd_run(inst.problem, reg, ConstantSchedule(1.5), 50, seed=2,
-                     x_truth=inst.x_true, xi0=inst.xi_true)
+                     x_truth=inst.x_true, xi0=_source_element(inst))
         assert np.array_equal(sr.x.values, inst.x_true.values)
         assert all(r.block_residual == 0.0 for r in sr.records if r.block_residual is not None)
         assert all(abs(r.delta_k) <= 1e-12 for r in sr.records)

@@ -1,13 +1,16 @@
 """The package's import surface: no module imports a name it does not use,
-and every ``__all__`` entry names something the module defines or imports."""
+every ``__all__`` entry names something the module defines or imports, and
+the count of settable values is pinned."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 import mirrorsolve
+from mirrorsolve import config
 
 PACKAGE = Path(mirrorsolve.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -50,3 +53,42 @@ def test_every_all_entry_resolves(path):
     assert exported == list(getattr(module, "__all__", []))
     missing = [name for name in exported if not hasattr(module, name)]
     assert not missing, f"{path.name} lists undefined names {missing}"
+
+
+#: settable values: the keyword parameters of the public names, the config
+#: keys and the CLI flags; a new knob has to change these numbers on purpose
+KEYWORD_PARAMETERS, CONFIG_KEYS, CLI_FLAGS = 44, 12, 11
+
+
+def _keyword_parameters(obj):
+    """Parameters with a default or keyword-only, of a function, or of a
+    class's ``__init__`` and public methods (a NamedTuple record has none)."""
+    if inspect.isfunction(obj):
+        fns = [obj]
+    elif inspect.isclass(obj):
+        fns = [obj.__init__] + [getattr(obj, name) for name, attr in vars(obj).items()
+                                if not name.startswith("_")
+                                and (inspect.isfunction(attr) or isinstance(attr, classmethod))]
+    else:
+        return []
+    params = []
+    for fn in fns:
+        try:
+            sig = inspect.signature(fn)
+        except (TypeError, ValueError):  # a C-level __init__
+            continue
+        params += [p for p in sig.parameters.values()
+                   if p.kind is p.KEYWORD_ONLY or p.default is not p.empty]
+    return params
+
+
+def test_settable_value_count():
+    keyword = 0
+    for path in MODULES:
+        module = importlib.import_module(f"mirrorsolve.{path.stem}")
+        for name in module.__all__:
+            keyword += len(_keyword_parameters(getattr(module, name)))
+    flags = sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument" and node.args[0].value.startswith("--")
+                for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())))
+    assert (keyword, len(config._KEYS), flags) == (KEYWORD_PARAMETERS, CONFIG_KEYS, CLI_FLAGS)
