@@ -2,8 +2,9 @@
 
 The package is organized around five layers:
 
-* :mod:`mirrorsolve.grids` -- uniform grids and quadrature-weighted grid
-  functions, inner products and norms;
+* :mod:`mirrorsolve.grids` -- uniform grids, grid functions as checked
+  records of node values (they do no arithmetic), and quadrature-weighted
+  norms on node arrays;
 * :mod:`mirrorsolve.regularizers` -- strongly convex regularizers with
   closed-form mirror maps and Bregman distances, on node values and
   quadrature weights;
@@ -26,8 +27,6 @@ from .grids import (
     GridFunction,
     GridMismatchError,
     add_noise,
-    inner,
-    norm_l2,
     power_iteration_norm,
 )
 from .landweber import (

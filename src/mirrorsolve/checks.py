@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, GridFunction, inner, norm_l2
+from .grids import Grid, GridFunction, GridMismatchError, norm_l2_values
 from .operators import LinearIntegral
 from .regularizers import ElasticNet, EntropySimplex, QuadraticBox
 from . import experiments
@@ -38,23 +38,32 @@ def _rel_defect(lhs, rhs):
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
+def _pair(w, u, v):
+    """The quadrature pairing sum(w_i u_i v_i) of the node arrays ``u`` and
+    ``v``, formed as (w * u) * v."""
+    t = w * u
+    return float(np.add.reduce(np.multiply(t, v, out=t)))
+
+
 # ---------------------------------------------------------------------------
 # adjoint identities
 
 def _adjoint_row(name, rng, grid, fwd, adj, scale, pairs, tol):
-    """max |<fwd x, w> - <x, adj w>| / scale(x, fwd x, w) over random pairs,
-    drawing x, then w, per pair."""
+    """max |<fwd x, y> - <x, adj y>| / scale(q, x, fwd x, y) over random
+    pairs of node arrays on ``grid``, drawing x, then y, per pair; q are the
+    grid's quadrature weights."""
+    q = grid.weights
     worst = 0.0
     for _ in range(pairs):
-        x = GridFunction(grid, rng.standard_normal(grid.node_count))
-        w = GridFunction(grid, rng.standard_normal(grid.node_count))
+        x = rng.standard_normal(grid.node_count)
+        y = rng.standard_normal(grid.node_count)
         fx = fwd(x)
-        worst = max(worst, abs(inner(fx, w) - inner(x, adj(w))) / scale(x, fx, w))
+        worst = max(worst, abs(_pair(q, fx, y) - _pair(q, x, adj(y))) / scale(q, x, fx, y))
     return _result(name, worst <= tol, f"max defect {worst:.2e}")
 
 
-def _output_scale(x, fx, w):
-    return max(1e-300, norm_l2(fx) * norm_l2(w))
+def _output_scale(q, x, fx, y):
+    return max(1e-300, norm_l2_values(fx, q) * norm_l2_values(y, q))
 
 
 def check_adjoint_dense(n=120, pairs=100, seed=0):
@@ -63,16 +72,17 @@ def check_adjoint_dense(n=120, pairs=100, seed=0):
     grid = Grid.interval(n)
     op = LinearIntegral(grid, kernel=rng.standard_normal((n + 1, n + 1)))
     na = op.norm_bound()
-    return _adjoint_row("adjoint/dense-kernel", rng, grid, op.apply, op.adjoint_apply,
-                        lambda x, fx, w: norm_l2(x) * norm_l2(w) * na, pairs, 1e-10)
+    return _adjoint_row("adjoint/dense-kernel", rng, grid, op.apply_values, op.adjoint_values,
+                        lambda q, x, fx, y: norm_l2_values(x, q) * norm_l2_values(y, q) * na,
+                        pairs, 1e-10)
 
 
 def check_adjoint_entropy_operator(n=2000, pairs=100, seed=1):
     """Adjoint identity for the benchmark integral operator, 1e-9 relative."""
     rng = np.random.default_rng(seed)
     op = experiments.setup_entropy_experiment(n).forward
-    return _adjoint_row("adjoint/integral-operator", rng, op.grid_in, op.apply,
-                        op.adjoint_apply, _output_scale, pairs, 1e-9)
+    return _adjoint_row("adjoint/integral-operator", rng, op.grid_in, op.apply_values,
+                        op.adjoint_values, _output_scale, pairs, 1e-9)
 
 
 def check_adjoint_elliptic(n=16, pairs=100, seed=2):
@@ -82,9 +92,7 @@ def check_adjoint_elliptic(n=16, pairs=100, seed=2):
     grid = setup.forward.grid_in
     c = np.abs(rng.standard_normal(grid.node_count)) * 0.3
     _, tangent, adjoint = setup.forward.linearize_values(c)
-    return _adjoint_row("adjoint/elliptic-derivative", rng, grid,
-                        lambda h: GridFunction(grid, tangent(h.values)),
-                        lambda u: GridFunction(grid, adjoint(u.values)),
+    return _adjoint_row("adjoint/elliptic-derivative", rng, grid, tangent, adjoint,
                         _output_scale, pairs, 1e-9)
 
 
@@ -108,13 +116,12 @@ def taylor_order(n=16, eps_grid=None, seed=3, h_scale=60.0):
     c = setup.x_true
     h = rng.standard_normal(grid.node_count)
     h *= h_scale / np.max(np.abs(h))
-    h = GridFunction(grid, h)
     value, tangent, _ = F.linearize_values(c.values)
-    base, dF = GridFunction(grid, value), GridFunction(grid, tangent(h.values))
+    dF = tangent(h)
     rems = []
     for eps in eps_grid:
-        pert = F.apply(GridFunction(grid, c.values + eps * h.values))
-        rems.append(norm_l2(pert - base - eps * dF))
+        pert = F.apply_values(c.values + eps * h)
+        rems.append(norm_l2_values(pert - value - eps * dF, grid.weights))
     slope = np.polyfit(np.log(eps_grid), np.log(rems), 1)[0]
     return float(slope), list(zip(eps_grid, rems))
 
@@ -154,8 +161,8 @@ def check_mirror_argmin_separable(seed=4, nodes=24):
             (QuadraticBox(lower=-0.7), box, lambda z: (-0.7, abs(z) - 0.7 + 2.0)),
             (ElasticNet(beta=1.0), lambda xs, z: 0.5 * xs ** 2 + np.abs(xs) - z * xs,
              lambda z: (-abs(z) - 2.0, abs(z) + 2.0))):
-        xi = GridFunction(grid, rng.uniform(-3, 3, grid.node_count))
-        for z, xm in zip(xi.values, reg.mirror_map(xi.values, grid.weights)):
+        xi = rng.uniform(-3, 3, grid.node_count)
+        for z, xm in zip(xi, reg.mirror_map(xi, grid.weights)):
             xstar = _lattice_argmin(lambda xs: objective(xs, z), *bracket(z))
             worst = max(worst, abs(xstar - xm))
     return _result("mirror-map/separable-argmin", worst <= 1e-6, f"max diff {worst:.2e}")
@@ -199,7 +206,7 @@ def check_mirror_argmin_entropy(seed=5):
 # convex-analysis identity battery
 
 def _random_dual(grid, rng):
-    return GridFunction(grid, rng.uniform(-2.0, 2.0, grid.node_count))
+    return rng.uniform(-2.0, 2.0, grid.node_count)
 
 
 # ---------------------------------------------------------------------------
@@ -249,32 +256,32 @@ def check_convex_identities(n=40, cases=100, seed=6):
         w3p = wfen = w24 = w26 = w27 = 0.0
         for _ in range(cases):
             xi1, xi2, xi3 = (_random_dual(grid, rng) for _ in range(3))
-            x1, x2, x = (GridFunction(grid, reg.mirror_map(xi.values, w))
-                         for xi in (xi1, xi2, xi3))
+            x1, x2, x = (reg.mirror_map(xi, w) for xi in (xi1, xi2, xi3))
             # D(xbar, x_j) for the pairs (x_j, xi_j) the mirror map made
-            to_x, to_x1 = reg.bregman_to(x), reg.bregman_to(x1)
-            d1, d2 = float(to_x(x1.values, xi1.values)), float(to_x(x2.values, xi2.values))
+            to_x, to_x1 = (reg.bregman_to(GridFunction(grid, v)) for v in (x, x1))
+            d1, d2 = float(to_x(x1, xi1)), float(to_x(x2, xi2))
 
             # three-point identity
             lhs = d2 - d1
-            rhs = float(to_x1(x2.values, xi2.values)) + inner(xi2 - xi1, x1 - x)
+            rhs = float(to_x1(x2, xi2)) + _pair(w, xi2 - xi1, x1 - x)
             w3p = max(w3p, _rel_defect(lhs, rhs))
 
             # Fenchel equality R(x) + R*(xi) = <xi, x> holds exactly when
             # x = grad R*(xi), so a wrong mirror map breaks it
-            wfen = max(wfen, abs(float(reg.value(x1.values, w)) + conjugate_oracle(reg, xi1)
-                                 - inner(xi1, x1)))
+            wfen = max(wfen, abs(float(reg.value(x1, w))
+                                 + conjugate_oracle(reg, GridFunction(grid, xi1))
+                                 - _pair(w, xi1, x1)))
 
             # strong-convexity lower bound in the rate norm
-            w24 = max(w24, reg.sigma * reg.error_norm((x - x1).values, w) ** 2 - d1)
+            w24 = max(w24, reg.sigma * reg.error_norm(x - x1, w) ** 2 - d1)
 
             # mirror-map Lipschitz bound in the dual norm
-            lip = (reg.error_norm((x1 - x2).values, w)
-                   - reg.dual_norm((xi1 - xi2).values, w) / (2 * reg.sigma))
+            lip = (reg.error_norm(x1 - x2, w)
+                   - reg.dual_norm(xi1 - xi2, w) / (2 * reg.sigma))
             w26 = max(w26, lip)
 
             # dual upper bound for pairs on the subdifferential graph
-            w27 = max(w27, d1 - reg.dual_norm((xi3 - xi1).values, w) ** 2 / (4 * reg.sigma))
+            w27 = max(w27, d1 - reg.dual_norm(xi3 - xi1, w) ** 2 / (4 * reg.sigma))
         for row, worst, tol, what in (("three-point", w3p, 1e-8, "max rel defect"),
                                       ("fenchel", wfen, 1e-9, "max defect"),
                                       ("lower-bound", w24, 1e-12, "max violation"),
@@ -289,9 +296,11 @@ def kl_divergence(p: GridFunction, q: GridFunction) -> float:
     """Quadrature-weighted Kullback-Leibler divergence int p log(p/q).
 
     Independent oracle for the entropy Bregman distance; requires q > 0
-    wherever p > 0.
+    wherever p > 0.  Raises :class:`GridMismatchError` when p and q live on
+    different grids.
     """
-    p.same_grid(q)
+    if p.grid != q.grid:
+        raise GridMismatchError("grid functions live on different grids")
     w = p.grid.weights
     pv, qv = p.values, q.values
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -307,8 +316,8 @@ def check_bregman_entropy_kl(n=40, cases=100, seed=7):
     reg = EntropySimplex()
     worst = 0.0
     for _ in range(cases):
-        xbar = GridFunction(grid, reg.mirror_map(_random_dual(grid, rng).values, grid.weights))
-        xi = _random_dual(grid, rng).values
+        xbar = GridFunction(grid, reg.mirror_map(_random_dual(grid, rng), grid.weights))
+        xi = _random_dual(grid, rng)
         x = GridFunction(grid, reg.mirror_map(xi, grid.weights))
         d = float(reg.bregman_to(xbar)(x.values, xi))
         worst = max(worst, abs(d - kl_divergence(xbar, x)))

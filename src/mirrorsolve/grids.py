@@ -24,9 +24,9 @@ follows this rule on node arrays: each forward operator's
 the elliptic tangent and adjoint), the raw norms :func:`norm_l2_values`,
 :func:`norm_l1_values` and :func:`norm_linf_values`, the regularizers
 (values, mirror maps, norms and the Bregman evaluator) and
-``landweber.dual_step``.  Only the L2 norm and :func:`inner` keep
-grid-function forms, for the oracles in ``checks``.  The solvers keep their
-states as node arrays and meet grid functions only where data enter or leave
+``landweber.dual_step``.  A :class:`GridFunction` does no arithmetic:
+the solvers, the oracles in ``checks`` and the instance builders all compute
+on node arrays, and meet grid functions only where data enter or leave
 (setups, noise, the arguments and results of a run); an array a raw kernel
 returns is never written in place either, since the maps of one
 linearization may share it.
@@ -46,8 +46,6 @@ __all__ = [
     "Grid",
     "GridFunction",
     "GridMismatchError",
-    "inner",
-    "norm_l2",
     "norm_l2_values",
     "norm_l1_values",
     "norm_linf_values",
@@ -147,12 +145,16 @@ class Grid:
         return GridFunction(self, np.ones(self.node_count))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class GridFunction:
-    """Real-valued function sampled at the nodes of a :class:`Grid`.
+    """Real-valued function sampled at the nodes of a :class:`Grid`: a
+    checked ``(grid, values)`` record with no arithmetic of its own.
 
-    Values are frozen at construction; all operations return new instances,
-    so grid functions can be shared freely across concurrent runs.
+    The values are copied and frozen at construction, so grid functions can
+    be shared freely across concurrent runs.  Computation happens on the
+    node arrays ``values`` with the grid's ``weights``.  Two grid functions
+    compare and hash by identity, as the value arrays have no single truth
+    value.
     """
 
     grid: Grid
@@ -168,40 +170,10 @@ class GridFunction:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def same_grid(self, other: "GridFunction") -> None:
-        if self.grid != other.grid:
-            raise GridMismatchError("grid functions live on different grids")
-
-    def __add__(self, other):
-        self.same_grid(other)
-        return GridFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        self.same_grid(other)
-        return GridFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar):
-        return GridFunction(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GridFunction(self.grid, -self.values)
-
-
-def inner(u: GridFunction, v: GridFunction) -> float:
-    """Quadrature-weighted L2 pairing sum(w_i u_i v_i)."""
-    u.same_grid(v)
-    t = u.grid.weights * u.values
-    return float(np.add.reduce(np.multiply(t, v.values, out=t)))
-
-
-def norm_l2(u: GridFunction) -> float:
-    return norm_l2_values(u.values, u.grid.weights)
-
 
 def norm_l2_values(v: np.ndarray, w: np.ndarray) -> float:
-    """``norm_l2`` of the node values ``v`` under the quadrature weights ``w``."""
+    """The L2 norm sqrt(sum(w_i v_i^2)) of the node values ``v`` under the
+    quadrature weights ``w``."""
     t = w * v
     return math.sqrt(np.add.reduce(np.multiply(t, v, out=t)))
 

@@ -30,9 +30,9 @@ w -> F'(x)^* w on node arrays at that same x.  The solvers call it directly,
 so an iterate that needs both the residual and the gradient linearizes once
 (the elliptic map solves for its state once per iterate) and pays no
 grid-function wrapper.  :class:`GridFunction` appears only at the edges:
-the base class's ``apply`` and ``adjoint_apply`` check the grid of their
-argument and build a grid function from their result, and the elliptic map
-takes its source and boundary data as grid functions.
+the base class's ``apply`` and the linear operator's ``adjoint_apply`` check
+the grid of their argument and build a grid function from their result, and
+the elliptic map takes its source and boundary data as grid functions.
 
 Every array the raw maps return is fresh, and the tangent and adjoint may
 close over the value (the elliptic adjoint multiplies by the state u), so a
@@ -67,7 +67,7 @@ __all__ = [
 class ForwardOperator:
     """Common surface: a subclass implements ``linearize_values`` (and, if
     linear, the raw kernels ``apply_values`` and ``adjoint_values``) and
-    ``norm_bound``; the grid-function methods here are built on them."""
+    ``norm_bound``; the grid-function ``apply`` here is built on them."""
 
     linear: bool = False
     grid_in: Grid
@@ -86,10 +86,6 @@ class ForwardOperator:
 
     def apply(self, x: GridFunction) -> GridFunction:
         return GridFunction(self.grid_out, self.apply_values(_values_on(x, self.grid_in)))
-
-    def adjoint_apply(self, w: GridFunction) -> GridFunction:
-        """A^* w for a linear operator, whose adjoint is the same at every x."""
-        return GridFunction(self.grid_in, self.adjoint_values(_values_on(w, self.grid_out)))
 
     def norm_bound(self) -> float:
         """Upper bound (or estimate) for sup ||F'(x)||, computed once."""
@@ -186,6 +182,10 @@ class LinearIntegral(ForwardOperator):
             moments = np.add.reduce(self._wb * w, axis=1)
             return np.add.reduce(self._a * moments[:, None], axis=0, initial=0.0)
         return self.kernel.T.dot(self.grid_out.weights * w)
+
+    def adjoint_apply(self, w: GridFunction) -> GridFunction:
+        """A^* w, the same at every x since A is linear."""
+        return GridFunction(self.grid_in, self.adjoint_values(_values_on(w, self.grid_out)))
 
     def linearize_values(self, v: np.ndarray):
         return self.apply_values(v), self.apply_values, self.adjoint_values

@@ -75,7 +75,8 @@ class Regularizer:
         vbar = float(self.value(xbv, w))
 
         def dist(x: np.ndarray, xi: np.ndarray):
-            # inner(xi, xbar - x) on the raw arrays, operand for operand
+            # the pairing <xi, xbar - x> = sum(w xi (xbar - x)), formed as
+            # (w * xi) * (xbar - x)
             t = w * xi
             t *= np.subtract(xbv, x)
             return vbar - self.value(x, w) - np.add.reduce(t, axis=-1)

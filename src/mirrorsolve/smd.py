@@ -293,10 +293,10 @@ def build_sourced_instance(N: int, n: int, reg: Regularizer, seed: int, *,
     lam_true = tuple(GridFunction(grid, lam_scale * rng.standard_normal(grid.node_count))
                      for _ in range(N))
     xi0 = grid.zeros()
-    xi_true = xi0
+    xi_true = xi0.values
     for op, lam in zip(ops, lam_true):
-        xi_true = xi_true + op.adjoint_apply(lam)
-    x_true = GridFunction(grid, reg.mirror_map(xi_true.values, grid.weights))
+        xi_true = xi_true + op.adjoint_values(lam.values)
+    x_true = GridFunction(grid, reg.mirror_map(xi_true, grid.weights))
     data = tuple(op.apply(x_true) for op in ops)
     if not any(np.logical_or.reduce(y.values) for y in data):
         raise ValueError(f"sourced instance N = {N}, n = {n}, seed = {seed} is empty: "

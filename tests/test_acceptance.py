@@ -26,7 +26,6 @@ from mirrorsolve import (
     QuadraticBox,
     add_noise,
     build_sourced_instance,
-    norm_l2,
     run,
     smd_run,
 )
@@ -37,6 +36,7 @@ from mirrorsolve.experiments import (
     run_rate_sweep,
     setup_entropy_experiment,
 )
+from mirrorsolve.grids import norm_l2_values
 from mirrorsolve.landweber import APrioriStop
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -93,7 +93,7 @@ def _interior_bump_pde_setup(n):
     lam[interior] = A @ (-c_in / u_true.values[interior])
     lam_true = GridFunction(grid, lam)
     value, _, adjoint = forward.linearize_values(c_true.values)
-    defect = norm_l2(GridFunction(grid, adjoint(lam_true.values)) - c_true)
+    defect = norm_l2_values(adjoint(lam_true.values) - c_true.values, grid.weights)
     assert defect <= 1e-9, f"source condition defect {defect:.2e} > 1e-9"
 
     return Setup(forward, QuadraticBox(lower=0.0), c_true, GridFunction(grid, value),
@@ -177,7 +177,9 @@ def test_criterion_3_pde_rate_band(pde_sweeps, delta):
     instance carries no rate to check.  The fixture asserts both premises.
     """
     setup, sweeps = pde_sweeps
-    signal = norm_l2(setup.y - setup.forward.apply(setup.forward.grid_in.zeros()))
+    signal = norm_l2_values(
+        setup.y.values - setup.forward.apply(setup.forward.grid_in.zeros()).values,
+        setup.y.grid.weights)
     for rule in ("rule2", "rule3"):
         ratio = _median_ratio(sweeps[rule], delta)
         assert ratio <= 2.5, (
@@ -280,6 +282,25 @@ def test_criterion_8_oracle_suites(oracle_results):
     for r in oracle_results:
         print(f"[criterion 8] {'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
     assert not failed, "; ".join(f"{r.name}: {r.detail}" for r in failed)
+
+
+#: the rows of the oracle battery, in the order ``verify`` prints them
+ORACLE_ROWS = (
+    "adjoint/dense-kernel", "adjoint/integral-operator", "adjoint/elliptic-derivative",
+    "derivative/elliptic-taylor-order",
+    "mirror-map/separable-argmin", "mirror-map/entropy-simplex-argmin",
+    *(f"convex/{row}[{reg}]" for reg in ("QuadraticBox", "ElasticNet", "EntropySimplex")
+      for row in ("three-point", "fenchel", "lower-bound", "mirror-lipschitz",
+                  "dual-upper-bound")),
+    "bregman/entropy-kl",
+)
+
+
+def test_oracle_battery_rows(oracle_results):
+    """Criterion 8 passes only on the rows present, so the rows are pinned:
+    a row that disappears or moves fails here."""
+    assert tuple(r.name for r in oracle_results) == ORACLE_ROWS
+    assert len(ORACLE_ROWS) == 22
 
 
 def test_criterion_9_single_block_reduction():

@@ -15,7 +15,6 @@ from mirrorsolve import (
     GridFunction,
     add_noise,
     experiments,
-    norm_l2,
     operators,
     smd,
 )
@@ -33,6 +32,7 @@ from mirrorsolve.experiments import (
     setup_entropy_experiment,
     setup_pde_experiment,
 )
+from mirrorsolve.grids import norm_l2_values
 
 # published rule-1 (delta, err) rows used as a fit oracle; the frozen slope
 # below was computed independently via the covariance/variance formula
@@ -56,9 +56,9 @@ class TestEntropySetup:
 
     def test_dual_source_element_is_constant_a(self):
         setup = setup_entropy_experiment(5000)
-        lhs = GridFunction(setup.forward.grid_in, 1.0 + np.log(setup.x_true.values))
-        rhs = setup.forward.adjoint_apply(setup.lam_true)
-        assert norm_l2(lhs - rhs) <= 1e-8
+        lhs = 1.0 + np.log(setup.x_true.values)
+        rhs = setup.forward.adjoint_apply(setup.lam_true).values
+        assert norm_l2_values(lhs - rhs, setup.forward.grid_in.weights) <= 1e-8
         assert np.all(setup.lam_true.values == ENTROPY_A)
 
     def test_minimum_grid_enforced(self):
@@ -71,8 +71,8 @@ class TestPdeSetup:
         setup = setup_pde_experiment(32)
         g = setup.forward.grid_in
         x, y = g.coords
-        u = GridFunction(g, 1.0 + x ** 2 + y ** 2)
-        assert norm_l2(setup.y - u) <= 1e-8
+        u = 1.0 + x ** 2 + y ** 2
+        assert norm_l2_values(setup.y.values - u, g.weights) <= 1e-8
 
     def test_coefficient_support_and_sign(self):
         setup = setup_pde_experiment(16)

@@ -20,7 +20,6 @@ from mirrorsolve import (
     QuadraticBox,
     add_noise,
     landweber,
-    norm_l2,
     run,
     write_iterates_csv,
 )
@@ -123,8 +122,8 @@ class TestRunLoop:
         x = np.zeros(grid.node_count)
         step = rule.gamma / (L * L)
         for _ in range(4):
-            r = op.apply(GridFunction(grid, x)) - y
-            x = x - step * op.adjoint_apply(r).values
+            r = op.apply(GridFunction(grid, x)).values - y.values
+            x = x - step * op.adjoint_apply(GridFunction(grid, r)).values
         assert np.max(np.abs(res.x.values - x)) <= 1e-12
 
     def test_single_entropy_step_against_scalar_oracle(self):

@@ -16,11 +16,11 @@ from mirrorsolve import (
     PolynomialSchedule,
     SystemProblem,
     build_sourced_instance,
-    norm_l2,
     run,
     smd_run,
 )
 from mirrorsolve.experiments import setup_pde_experiment
+from mirrorsolve.grids import norm_l2_values
 from mirrorsolve.landweber import csv_number
 from mirrorsolve.smd import CHUNK, validate_schedule, write_rate_csv
 
@@ -50,10 +50,10 @@ class TestSchedules:
 
 def _source_element(inst):
     """xi0 + sum_i A_i^* lam_true_i, the dual point of the instance's truth."""
-    xi = inst.xi0
+    xi = inst.xi0.values
     for op, lam in zip(inst.problem.operators, inst.lam_true):
-        xi = xi + op.adjoint_apply(lam)
-    return xi
+        xi = xi + op.adjoint_apply(lam).values
+    return GridFunction(inst.xi0.grid, xi)
 
 
 class TestSourcedInstance:
@@ -445,13 +445,12 @@ class TestSmdRun:
         assert [(a.tobytes(), a.flags.writeable) for a in arrays] == before
         for out in (first, second):
             assert (out[0].tobytes(), out[1].tobytes(), *out[2:]) == first_bits
-        # the grid-function step written out: a residual written into the
-        # operator's value would reach the adjoint through the state u
+        # the step written out: a residual written into the operator's value
+        # would reach the adjoint through the state u
         value, _, adjoint = op.linearize_values(x)
-        r = GridFunction(op.grid_out, value) - y
-        g = GridFunction(op.grid_in, adjoint(r.values))
-        assert first[1].tobytes() == (GridFunction(op.grid_in, xi) - sched.gamma * g).values.tobytes()
-        assert first[3] == norm_l2(r)
+        r = value - y.values
+        assert first[1].tobytes() == (xi - sched.gamma * adjoint(r)).tobytes()
+        assert first[3] == norm_l2_values(r, op.grid_out.weights)
 
     def test_determinism_per_seed(self):
         reg = ElasticNet(beta=0.3)
@@ -478,13 +477,13 @@ class TestSmdRun:
         for k in range(k_max):
             i = sr.records[k].i_k
             gamma = sr.records[k].gamma_k
-            r = ops[i].apply(x) - inst.problem.data[i]
-            lams[i] = lams[i] - gamma * r.values
-            xi = inst.xi0
+            r = ops[i].apply(x).values - inst.problem.data[i].values
+            lams[i] = lams[i] - gamma * r
+            xi = inst.xi0.values
             for op, lam in zip(ops, lams):
-                xi = xi + op.adjoint_apply(GridFunction(grid, lam))
-            x = GridFunction(grid, reg.mirror_map(xi.values, grid.weights))
-        assert np.max(np.abs(xi.values - sr.xi.values)) <= 1e-10 * (1 + np.max(np.abs(xi.values)))
+                xi = xi + op.adjoint_apply(GridFunction(grid, lam)).values
+            x = GridFunction(grid, reg.mirror_map(xi, grid.weights))
+        assert np.max(np.abs(xi - sr.xi.values)) <= 1e-10 * (1 + np.max(np.abs(xi)))
 
 
 class TestRateCsv:

@@ -1,6 +1,6 @@
 """The package's import surface: no module imports a name it does not use,
 every ``__all__`` entry names something the module defines or imports, and
-the count of settable values is pinned."""
+the counts of public names and of settable values are pinned."""
 
 import ast
 import importlib
@@ -55,6 +55,10 @@ def test_every_all_entry_resolves(path):
     assert not missing, f"{path.name} lists undefined names {missing}"
 
 
+#: names in the modules' ``__all__`` lists together; a new public function,
+#: class or wrapper has to change this number on purpose
+PUBLIC_NAMES = 62
+
 #: settable values: the keyword parameters of the public names, the config
 #: keys and the CLI flags; a new knob has to change these numbers on purpose
 KEYWORD_PARAMETERS, CONFIG_KEYS, CLI_FLAGS = 44, 12, 11
@@ -80,6 +84,12 @@ def _keyword_parameters(obj):
         params += [p for p in sig.parameters.values()
                    if p.kind is p.KEYWORD_ONLY or p.default is not p.empty]
     return params
+
+
+def test_public_name_count():
+    names = sum(len(importlib.import_module(f"mirrorsolve.{path.stem}").__all__)
+                for path in MODULES)
+    assert names == PUBLIC_NAMES
 
 
 def test_settable_value_count():
