@@ -55,7 +55,7 @@ def _cmd_sweep(args) -> int:
         setup, cfg.rule, cfg.deltas, cfg.seeds, stopping=cfg.stopping,
         out_dir=out_dir, keep_records=False)
     failed = [c for c in outcome.cells if c.failed]
-    for row in outcome.table.rows:
+    for row in outcome.table:
         print(f"rule={row.rule} delta={row.delta:g} iter={row.iters:g} "
               f"err={row.err:.6e} ratio={row.ratio:.6f}")
     if out_dir is not None:

@@ -1,4 +1,4 @@
-"""Benchmark experiments: problem setups, rate sweeps, and table emission.
+"""Benchmark experiments: problem setups, rate sweeps, and their CSV artifacts.
 
 Two desk-scale studies are provided:
 
@@ -18,12 +18,12 @@ Two desk-scale studies are provided:
 
 One path takes config values to a finished (delta, seed) cell, for a
 single run and for a sweep alike: ``build_setup`` builds the problem,
-``make_cell`` the step and stopping rules (eta is the setup's, tau
-defaults to it), and ``run_cell`` draws the noise, runs and writes the
-iterate log.  A sweep runs one step-size rule over a grid of noise levels and
-seeds, records the stopping index and reconstruction error per cell,
-aggregates across seeds by the median, and emits deterministic CSV
-artifacts.
+``make_cell`` the step and stopping rules (the one constructor of either;
+eta is the setup's, tau defaults to it), and ``run_cell`` draws the noise,
+runs and writes the iterate log.  A sweep runs one step-size rule over a grid
+of noise levels and seeds, records the stopping index and reconstruction
+error per cell, aggregates across seeds by the median into its table, a
+tuple of :class:`RateRow`, and emits deterministic CSV artifacts.
 """
 
 from __future__ import annotations
@@ -56,11 +56,9 @@ __all__ = [
     "setup_entropy_experiment",
     "setup_pde_experiment",
     "build_setup",
-    "make_step_rule",
     "make_cell",
     "run_cell",
     "RateRow",
-    "RateTable",
     "CellResult",
     "SweepOutcome",
     "run_rate_sweep",
@@ -146,66 +144,56 @@ def build_setup(kind: str, n: int) -> Setup:
     raise ValueError(f"problem {kind!r} has no deterministic setup")
 
 
-def make_step_rule(name: str, *, tau: float, eta: float, delta: float,
-                   apriori: bool = False):
-    """Build one of the three benchmark step-size rules.
+def make_cell(setup, rule_name: str, delta: float, *, tau: float = None,
+              stopping: str = "discrepancy"):
+    """The (step rule, stopping rule) pair of one noise level on ``setup``.
 
-    rule1: constant gamma / L^2.  Under discrepancy stopping gamma is
+    eta is the setup's and must lie in [0, 1); ``tau`` defaults to the
+    setup's.  ``stopping`` is ``discrepancy`` (tau, delta) or ``apriori``
+    (floor(1 / delta) steps, at most ``run``'s safety cap, so that a budget
+    that cannot finish is refused before any cell runs).  ``delta`` must be
+    positive and finite, since a cell reports err / sqrt(delta).
+
+    rule1: constant gamma / L^2, which needs the analytic norm bound of a
+    linear forward map.  Under discrepancy stopping gamma is
     GAMMA0 * (1 - eta - (1+eta)/tau); under a-priori stopping there is no
     tau coupling and gamma is the larger GAMMA0 * (1 - eta), which still
     satisfies the constant-step admissibility bound 4 * sigma * (1 - eta).
     rule2: minimal-error step with the same gamma, capped at GAMMA_BAR.
     rule3: adaptive step with GAMMA0 and the noise level delta, capped at
-    GAMMA_BAR.  Every rule needs eta in [0, 1).
-    """
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must lie in [0, 1), got {eta}")
-    if name == "rule3":
-        return AdaptiveStep(gamma0=GAMMA0, gamma_bar=GAMMA_BAR, tau=tau,
-                            eta=eta, delta=delta)
-    if apriori:
-        gamma = GAMMA0 * (1.0 - eta)
-    else:
-        gamma = GAMMA0 * (1.0 - eta - (1.0 + eta) / tau)
-    if gamma <= 0:
-        raise ValueError("tau too small: derived gamma is not positive")
-    if name == "rule1":
-        return ConstantStep(gamma=gamma)
-    if name == "rule2":
-        return MinimalErrorStep(gamma=gamma, gamma_bar=GAMMA_BAR)
-    raise ValueError(f"unknown rule {name!r} (expected rule1|rule2|rule3)")
-
-
-def make_cell(setup, rule_name: str, delta: float, *, tau: float = None,
-              stopping: str = "discrepancy"):
-    """The (step rule, stopping rule) pair of one noise level on ``setup``.
-
-    eta is the setup's, and ``tau`` defaults to the setup's.  ``stopping``
-    is ``discrepancy`` (tau, delta) or ``apriori`` (floor(1 / delta)
-    steps, at most ``run``'s safety cap, so that a budget that cannot
-    finish is refused before any cell runs).  ``delta`` must be positive and
-    finite, since a cell reports err / sqrt(delta).  Rule 1 needs the
-    analytic norm bound of a linear forward map.
+    GAMMA_BAR.
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
+    eta = setup.eta
+    if not 0.0 <= eta < 1.0:
+        raise ValueError(f"eta must lie in [0, 1), got {eta}")
     if tau is None:
         tau = setup.tau_default
     if rule_name == "rule1" and not setup.forward.linear:
         raise ValueError("rule1 needs a known norm bound; use rule2 or rule3 here")
     if stopping == "discrepancy":
         stop = DiscrepancyStop(tau=tau, delta=delta)
+        gamma = GAMMA0 * (1.0 - eta - (1.0 + eta) / tau)
     elif stopping == "apriori":
         stop = APrioriStop(delta=delta)
         if stop.k_hat > SAFETY_CAP:
             raise ValueError(f"a-priori budget floor(1/delta) = {stop.k_hat} for "
                              f"delta = {delta:g} exceeds the iteration safety cap "
                              f"{SAFETY_CAP}")
+        gamma = GAMMA0 * (1.0 - eta)
     else:
         raise ValueError(f"unknown stopping {stopping!r}")
-    rule = make_step_rule(rule_name, tau=tau, eta=setup.eta, delta=delta,
-                          apriori=stopping == "apriori")
-    return rule, stop
+    if rule_name == "rule3":
+        return AdaptiveStep(gamma0=GAMMA0, gamma_bar=GAMMA_BAR, tau=tau,
+                            eta=eta, delta=delta), stop
+    if gamma <= 0:
+        raise ValueError("tau too small: derived gamma is not positive")
+    if rule_name == "rule1":
+        return ConstantStep(gamma=gamma), stop
+    if rule_name == "rule2":
+        return MinimalErrorStep(gamma=gamma, gamma_bar=GAMMA_BAR), stop
+    raise ValueError(f"unknown rule {rule_name!r} (expected rule1|rule2|rule3)")
 
 
 def run_cell(setup, rule, stop, delta: float, seed: int, *, out_dir=None) -> CellResult:
@@ -224,7 +212,7 @@ def run_cell(setup, rule, stop, delta: float, seed: int, *, out_dir=None) -> Cel
 
 
 # ---------------------------------------------------------------------------
-# rate tables
+# rate rows
 
 @dataclass(frozen=True)
 class RateRow:
@@ -237,16 +225,6 @@ class RateRow:
     def ratio(self) -> float:
         # always derived, never stored: err / sqrt(delta)
         return self.err / math.sqrt(self.delta)
-
-
-@dataclass
-class RateTable:
-    rows: list
-
-    def to_csv(self, path) -> None:
-        write_csv(path, "delta,rule,iter,err,ratio",
-                  (f"{row.delta:.17g},{row.rule},{row.iters:.17g},"
-                   f"{row.err:.17g},{row.ratio:.17g}\n" for row in self.rows))
 
 
 @dataclass
@@ -265,7 +243,7 @@ class CellResult:
 
 @dataclass
 class SweepOutcome:
-    table: RateTable
+    table: tuple
     cells: list
 
 
@@ -276,9 +254,10 @@ def run_rate_sweep(setup, rule_name: str, deltas, seeds, *, tau: float = None,
 
     Every (rule, stop) pair is constructed and validated before the first
     cell runs.  Cells that raise are flagged and skipped in the aggregation;
-    the sweep continues.  With ``out_dir`` set, each cell writes
-    ``iterates_<delta>_<seed>.csv`` and the median table lands in the caller's
-    hands for byte-stable emission.
+    the sweep continues.  The outcome's ``table`` holds one median
+    :class:`RateRow` per delta, NaN where every seed failed.  With ``out_dir``
+    set, each cell writes ``iterates_<delta>_<seed>.csv`` and the sweep writes
+    that table as ``table.csv``.
     """
     pairs = [(delta, *make_cell(setup, rule_name, delta, tau=tau, stopping=stopping))
              for delta in deltas]
@@ -304,12 +283,13 @@ def run_rate_sweep(setup, rule_name: str, deltas, seeds, *, tau: float = None,
         else:
             rows.append(RateRow(delta=delta, rule=rule_name,
                                 iters=float("nan"), err=float("nan")))
-    table = RateTable(rows)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        table.to_csv(out_dir / "table.csv")
-    return SweepOutcome(table=table, cells=cells)
+        write_csv(out_dir / "table.csv", "delta,rule,iter,err,ratio",
+                  (f"{row.delta:.17g},{row.rule},{row.iters:.17g},"
+                   f"{row.err:.17g},{row.ratio:.17g}\n" for row in rows))
+    return SweepOutcome(table=tuple(rows), cells=cells)
 
 
 def fit_loglog_slope(deltas, errs):
@@ -323,22 +303,22 @@ def fit_loglog_slope(deltas, errs):
     return float(np.polyfit(np.log(d[mask]), np.log(e[mask]), 1)[0])
 
 
-def emit_plot_data(table: RateTable, out_dir) -> dict:
-    """Write ``rate.csv`` (log-log pairs plus a fitted-slope summary line).
+def emit_plot_data(table, out_dir) -> dict:
+    """Write ``rate.csv`` (log-log pairs plus a fitted-slope summary line)
+    for a sweep's ``table``, its tuple of :class:`RateRow`.
 
     Returns {"slope": float | None, "rate_csv": path}; raises ValueError on
     an empty table.
     """
-    if not table.rows:
+    if not table:
         raise ValueError("cannot emit plot data for an empty table")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    slope = fit_loglog_slope([r.delta for r in table.rows],
-                             [r.err for r in table.rows])
+    slope = fit_loglog_slope([r.delta for r in table], [r.err for r in table])
     rate_csv = out_dir / "rate.csv"
     lines = [f"{row.delta:.17g},{row.err:.17g},"
              f"{math.log10(row.delta):.17g},{math.log10(row.err):.17g}\n"
-             for row in table.rows if row.err > 0 and np.isfinite(row.err)]
+             for row in table if row.err > 0 and np.isfinite(row.err)]
     lines.append(f"# lsq slope of log err vs log delta: "
                  f"{'n/a' if slope is None else format(slope, '.6g')}\n")
     write_csv(rate_csv, "delta,err,log10_delta,log10_err", lines)

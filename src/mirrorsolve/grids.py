@@ -37,6 +37,7 @@ function never shares memory with the array it came from.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -69,7 +70,8 @@ class Grid:
         Either ``"interval"`` (n subintervals, n+1 nodes) or ``"square"``
         (n x n cells, (n+1)^2 nodes).
     n : int
-        Number of subintervals per dimension; must be positive.
+        Number of subintervals per dimension; a positive integer (Python or
+        NumPy).
 
     Square-grid node values are stored flat in row-major order with the
     x index fastest: node (i, j) at (i*h, j*h) sits at flat index
@@ -82,8 +84,8 @@ class Grid:
     def __post_init__(self):
         if self.kind not in ("interval", "square"):
             raise ValueError(f"unknown grid kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
 
     @classmethod
     def interval(cls, n: int) -> "Grid":

@@ -30,9 +30,9 @@ w -> F'(x)^* w on node arrays at that same x.  The solvers call it directly,
 so an iterate that needs both the residual and the gradient linearizes once
 (the elliptic map solves for its state once per iterate) and pays no
 grid-function wrapper.  :class:`GridFunction` appears only at the edges:
-the base class's ``apply`` and the linear operator's ``adjoint_apply`` check
-the grid of their argument and build a grid function from their result, and
-the elliptic map takes its source and boundary data as grid functions.
+the base class's ``apply`` checks the grid of its argument and builds a grid
+function from its result, and the elliptic map takes its source and
+boundary data as grid functions.
 
 Every array the raw maps return is fresh, and the tangent and adjoint may
 close over the value (the elliptic adjoint multiplies by the state u), so a
@@ -135,8 +135,9 @@ class LinearIntegral(ForwardOperator):
         are stacked once into (p, n) arrays, with and without the quadrature
         weights, and each product is two ufunc reductions over them, the p
         moments and then the sum of the p scaled factors (from 0.0, as the
-        written-out sum over p is).  A kernel or factor of another shape
-        raises :class:`GridMismatchError`.
+        written-out sum over p is).  Exactly one of ``kernel`` and a
+        nonempty ``factors`` must be given, else :class:`ValueError`; a
+        kernel or factor of another shape raises :class:`GridMismatchError`.
     analytic_norm_bound : float, optional
         Known bound L with ||A|| <= L; when absent, ``norm_bound`` falls back
         to a power-iteration estimate.
@@ -151,13 +152,17 @@ class LinearIntegral(ForwardOperator):
         self._analytic_bound = analytic_norm_bound
         self._norm_cache = None
         self.kernel = None
+        if (kernel is None) == (factors is None):
+            raise ValueError("provide exactly one of kernel and factors")
         if factors is not None:
+            if len(factors) == 0:
+                raise ValueError("factors must hold at least one (a, b) pair")
             # (w * a) * x is the order the moment form evaluates, so the
             # weighted factors are formed once here
             a, b = zip(*factors)
             self._a, self._wa = _stacked(a, self.grid_in.weights)
             self._b, self._wb = _stacked(b, self.grid_out.weights)
-        elif kernel is not None:
+        else:
             shape = (self.grid_out.node_count, self.grid_in.node_count)
             K = np.array(kernel, dtype=float)
             if K.shape != shape:
@@ -166,8 +171,6 @@ class LinearIntegral(ForwardOperator):
                     f"({shape[0]} x {shape[1]})")
             K.setflags(write=False)
             self.kernel = K
-        else:
-            raise ValueError("provide either kernel or factors")
 
     def apply_values(self, v: np.ndarray) -> np.ndarray:
         """A v on node arrays: the value and the tangent of ``linearize_values``."""
@@ -182,10 +185,6 @@ class LinearIntegral(ForwardOperator):
             moments = np.add.reduce(self._wb * w, axis=1)
             return np.add.reduce(self._a * moments[:, None], axis=0, initial=0.0)
         return self.kernel.T.dot(self.grid_out.weights * w)
-
-    def adjoint_apply(self, w: GridFunction) -> GridFunction:
-        """A^* w, the same at every x since A is linear."""
-        return GridFunction(self.grid_in, self.adjoint_values(_values_on(w, self.grid_out)))
 
     def linearize_values(self, v: np.ndarray):
         return self.apply_values(v), self.apply_values, self.adjoint_values

@@ -32,12 +32,11 @@ from mirrorsolve import (
 from mirrorsolve.checks import run_all
 from mirrorsolve.experiments import (
     Setup,
-    make_step_rule,
+    make_cell,
     run_rate_sweep,
     setup_entropy_experiment,
 )
 from mirrorsolve.grids import norm_l2_values
-from mirrorsolve.landweber import APrioriStop
 
 SEEDS = (1, 2, 3, 4, 5)
 ENTROPY_DELTAS = (5e-2, 5e-3, 5e-4)
@@ -127,7 +126,7 @@ def oracle_results():
 
 
 def _median_ratio(sweep, delta):
-    row = next(r for r in sweep.table.rows if r.delta == delta)
+    row = next(r for r in sweep.table if r.delta == delta)
     return row.ratio
 
 
@@ -154,7 +153,7 @@ def test_criterion_2_entropy_iteration_ordering(entropy_sweeps):
     _, sweeps = entropy_sweeps
     summary = []
     for delta in (5e-3, 5e-4):
-        iters = {rule: next(r.iters for r in sweeps[rule].table.rows if r.delta == delta)
+        iters = {rule: next(r.iters for r in sweeps[rule].table if r.delta == delta)
                  for rule in ("rule1", "rule2", "rule3")}
         assert iters["rule3"] < iters["rule2"] <= iters["rule1"], \
             f"delta={delta:g}: ordering violated: {iters}"
@@ -197,12 +196,11 @@ def test_criterion_4_apriori_rate():
     setup = setup_entropy_experiment(5000)
     ratios = {}
     for delta in (1e-2, 1e-3):
-        rule = make_step_rule("rule1", tau=1.01, eta=0.0, delta=delta, apriori=True)
+        rule, stop = make_cell(setup, "rule1", delta, stopping="apriori")
         finals = []
         for seed in SEEDS:
             yd = add_noise(setup.y, delta, seed)
-            res = run(setup.forward, setup.reg, yd, rule,
-                      APrioriStop(delta=delta), x_truth=setup.x_true)
+            res = run(setup.forward, setup.reg, yd, rule, stop, x_truth=setup.x_true)
             assert res.k_stop == int(math.floor(1.0 / delta))
             finals.append(res.records[-1].bregman_to_truth)
         ratios[delta] = float(np.median(finals)) / delta

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -23,11 +24,9 @@ from mirrorsolve.config import PROBLEM_DEFAULTS, ExperimentConfig, parse_config
 from mirrorsolve.experiments import (
     ENTROPY_A,
     RateRow,
-    RateTable,
     emit_plot_data,
     fit_loglog_slope,
     make_cell,
-    make_step_rule,
     run_rate_sweep,
     setup_entropy_experiment,
     setup_pde_experiment,
@@ -57,7 +56,7 @@ class TestEntropySetup:
     def test_dual_source_element_is_constant_a(self):
         setup = setup_entropy_experiment(5000)
         lhs = 1.0 + np.log(setup.x_true.values)
-        rhs = setup.forward.adjoint_apply(setup.lam_true).values
+        rhs = setup.forward.adjoint_values(setup.lam_true.values)
         assert norm_l2_values(lhs - rhs, setup.forward.grid_in.weights) <= 1e-8
         assert np.all(setup.lam_true.values == ENTROPY_A)
 
@@ -93,44 +92,58 @@ class TestPdeSetup:
 
 class TestRuleFactory:
     def test_rule1_gamma_under_discrepancy(self):
-        rule = make_step_rule("rule1", tau=1.01, eta=0.0, delta=1e-3)
+        rule, _ = make_cell(setup_entropy_experiment(100), "rule1", 1e-3)
         assert rule.gamma == pytest.approx(1.98 * (1.0 - 1.0 / 1.01))
 
     def test_rule1_gamma_under_apriori(self):
-        rule = make_step_rule("rule1", tau=1.01, eta=0.0, delta=1e-3, apriori=True)
+        rule, _ = make_cell(setup_entropy_experiment(100), "rule1", 1e-3, stopping="apriori")
         assert rule.gamma == pytest.approx(1.98)
 
     def test_rule3_carries_delta(self):
-        rule = make_step_rule("rule3", tau=1.1, eta=0.04, delta=2e-3)
+        rule, _ = make_cell(setup_pde_experiment(16), "rule3", 2e-3)
         assert rule.delta == 2e-3
         assert rule.gamma0 == 1.98
 
     def test_too_small_tau_rejected(self):
-        with pytest.raises(ValueError):
-            make_step_rule("rule2", tau=1.001, eta=0.04, delta=1e-3)
+        with pytest.raises(ValueError, match="tau too small: derived gamma is not positive"):
+            make_cell(setup_pde_experiment(16), "rule2", 1e-3, tau=1.001)
 
-    @pytest.mark.parametrize("apriori", [False, True], ids=["discrepancy", "apriori"])
+    @pytest.mark.parametrize("stopping", ["discrepancy", "apriori"])
     @pytest.mark.parametrize("name", ["rule1", "rule2", "rule3"])
     @pytest.mark.parametrize("eta", [-0.5, 1.0, 1.5])
-    def test_eta_outside_unit_interval_rejected(self, eta, name, apriori):
-        # a negative eta would push rule 1's a-priori step above 4 sigma
+    def test_eta_outside_unit_interval_rejected(self, eta, name, stopping):
+        # a negative eta would push rule 1's a-priori step above 4 sigma; the
+        # eta check comes before rule 1's check for a linear map
+        setup = dataclasses.replace(setup_pde_experiment(16), eta=eta)
         with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\)"):
-            make_step_rule(name, tau=1.1, eta=eta, delta=1e-3, apriori=apriori)
+            make_cell(setup, name, 1e-3, stopping=stopping)
+
+    def test_unknown_rule_and_stopping_rejected(self):
+        setup = setup_entropy_experiment(100)
+        with pytest.raises(ValueError,
+                           match=r"unknown rule 'rule4' \(expected rule1\|rule2\|rule3\)"):
+            make_cell(setup, "rule4", 1e-3)
+        with pytest.raises(ValueError, match="unknown stopping 'maxiter'"):
+            make_cell(setup, "rule2", 1e-3, stopping="maxiter")
 
 
-class TestRateTable:
+class TestRateRows:
     def test_ratio_recomputed(self):
         row = RateRow(delta=4e-4, rule="rule2", iters=10, err=3e-3)
         assert row.ratio == pytest.approx(3e-3 / np.sqrt(4e-4), rel=1e-12)
 
     def test_csv_roundtrip(self, tmp_path):
-        table = RateTable([RateRow(1e-2, "rule1", 12, 0.5), RateRow(1e-3, "rule1", 40, 0.2)])
-        p = tmp_path / "table.csv"
-        table.to_csv(p)
-        lines = p.read_text().splitlines()
+        setup = setup_entropy_experiment(200)
+        out = run_rate_sweep(setup, "rule3", deltas=[5e-2, 5e-3], seeds=[1, 2, 3],
+                             out_dir=tmp_path, keep_records=False)
+        assert type(out.table) is tuple
+        lines = (tmp_path / "table.csv").read_text().splitlines()
         assert lines[0] == "delta,rule,iter,err,ratio"
-        first = lines[1].split(",")
-        assert float(first[4]) == pytest.approx(0.5 / np.sqrt(1e-2), rel=1e-12)
+        assert len(lines) == 1 + len(out.table)
+        for line, row in zip(lines[1:], out.table):
+            delta, rule, iters, err, ratio = line.split(",")
+            assert (float(delta), rule, float(iters), float(err), float(ratio)) == \
+                (row.delta, row.rule, row.iters, row.err, row.ratio)
 
     def test_slope_fit_matches_frozen_oracle(self):
         slope = fit_loglog_slope([d for d, _ in TABLE1_RULE1], [e for _, e in TABLE1_RULE1])
@@ -148,7 +161,7 @@ class TestRateTable:
 
 class TestEmitPlotData:
     def test_files_and_summary(self, tmp_path):
-        table = RateTable([RateRow(d, "rule1", 1, e) for d, e in TABLE1_RULE1])
+        table = tuple(RateRow(d, "rule1", 1, e) for d, e in TABLE1_RULE1)
         info = emit_plot_data(table, tmp_path)
         assert info["slope"] == pytest.approx(TABLE1_RULE1_SLOPE, abs=1e-10)
         text = (tmp_path / "rate.csv").read_text()
@@ -158,14 +171,14 @@ class TestEmitPlotData:
         assert [f.name for f in tmp_path.iterdir()] == ["rate.csv"]
 
     def test_single_row_summary_is_na(self, tmp_path):
-        table = RateTable([RateRow(1e-2, "rule1", 3, 0.1)])
+        table = (RateRow(1e-2, "rule1", 3, 0.1),)
         info = emit_plot_data(table, tmp_path)
         assert info["slope"] is None
         assert "n/a" in (tmp_path / "rate.csv").read_text()
 
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_plot_data(RateTable([]), tmp_path)
+            emit_plot_data((), tmp_path)
 
 
 class TestRunRateSweep:
@@ -173,7 +186,7 @@ class TestRunRateSweep:
         setup = setup_entropy_experiment(200)
         out = run_rate_sweep(setup, "rule2", deltas=[50.0], seeds=[1, 2, 3],
                              keep_records=False)
-        row = out.table.rows[0]
+        row = out.table[0]
         assert row.iters == 0
         w = setup.forward.grid_in.weights
         x0 = setup.reg.mirror_map(np.zeros(w.size), w)
@@ -191,13 +204,12 @@ class TestRunRateSweep:
             def linearize_values(self, v):
                 raise RuntimeError("injected failure")
 
-        import dataclasses
         broken = dataclasses.replace(setup, forward=Boom())
         out = run_rate_sweep(broken, "rule2", deltas=[1e-2], seeds=[1, 2],
                              keep_records=False)
         assert all(c.failed for c in out.cells)
         assert [c.error_message for c in out.cells] == ["RuntimeError: injected failure"] * 2
-        assert np.isnan(out.table.rows[0].err)
+        assert np.isnan(out.table[0].err)
 
     def test_cg_failure_is_flagged_and_sweep_continues(self, monkeypatch):
         # the setup solves for its data, so it is built before the CG cap drops
@@ -212,10 +224,9 @@ class TestRunRateSweep:
         assert [(c.delta, c.seed) for c in out.cells] == [(1e-2, 1), (1e-2, 2),
                                                           (1e-3, 1), (1e-3, 2)]
         assert [c.error_message for c in out.cells] == [f"EllipticSolveError: {exc.value}"] * 4
-        assert all(np.isnan(row.err) for row in out.table.rows)
+        assert all(np.isnan(row.err) for row in out.table)
 
     def test_nonfinite_data_flags_the_cell(self):
-        import dataclasses
         setup = setup_entropy_experiment(200)
         values = setup.y.values.copy()
         values[0] = np.inf
@@ -232,7 +243,7 @@ class TestRunRateSweep:
                              out_dir=tmp_path, keep_records=False)
         assert (tmp_path / "table.csv").exists()
         assert (tmp_path / "iterates_0p05_1.csv").exists()
-        ratios = [r.ratio for r in out.table.rows]
+        ratios = [r.ratio for r in out.table]
         assert ratios[1] <= ratios[0]
 
     def test_rule1_rejected_for_pde(self):
@@ -546,6 +557,35 @@ class TestCli:
         for name in ("table.csv", "rate.csv", "iterates_0p02_1.csv", "iterates_0p005_2.csv"):
             assert (outs[0] / name).exists()
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_sweep_flags_a_failed_cell_with_exit_code_3(self, tmp_path, capsys, monkeypatch):
+        # NaN data for one (delta, seed) cell: the sweep flags it on stderr,
+        # takes that delta's medians over the other seeds and still writes
+        # both tables
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(ENTROPY_CFG.replace("seeds = 1, 2", "seeds = 1, 2, 3"))
+        add_noise = experiments.add_noise
+
+        def nan_for_one_cell(y, delta, seed):
+            if (delta, seed) == (5e-3, 2):
+                return GridFunction(y.grid, np.full(y.grid.node_count, np.nan))
+            return add_noise(y, delta, seed)
+
+        monkeypatch.setattr(experiments, "add_noise", nan_for_one_cell)
+        out_dir = tmp_path / "out"
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("flagged cell delta=0.005 seed=2: NonFiniteResidualError: ")
+        setup = setup_entropy_experiment(300)
+        rule, stop = make_cell(setup, "rule3", 5e-3)
+        good = [experiments.run_cell(setup, rule, stop, 5e-3, seed) for seed in (1, 3)]
+        with open(out_dir / "table.csv") as fh:
+            rows = {float(r["delta"]): r for r in csv.DictReader(fh)}
+        assert float(rows[5e-3]["iter"]) == np.median([c.k_stop for c in good])
+        assert float(rows[5e-3]["err"]) == np.median([c.err for c in good])
+        assert np.isfinite(float(rows[2e-2]["err"]))
+        assert (out_dir / "rate.csv").is_file()
 
     def test_verify(self, capsys):
         rc = cli_main(["verify"])

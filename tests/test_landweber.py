@@ -24,7 +24,7 @@ from mirrorsolve import (
     write_iterates_csv,
 )
 from mirrorsolve.checks import conjugate_oracle
-from mirrorsolve.experiments import make_step_rule, setup_entropy_experiment
+from mirrorsolve.experiments import make_cell, setup_entropy_experiment
 
 
 class TestStepSize:
@@ -90,8 +90,8 @@ class TestRunLoop:
         setup = setup_entropy_experiment(200)
         delta = 10.0
         yd = add_noise(setup.y, delta, seed=1)
-        rule = make_step_rule("rule1", tau=1.01, eta=0.0, delta=delta)
-        res = run(setup.forward, setup.reg, yd, rule, DiscrepancyStop(1.01, delta))
+        rule, stop = make_cell(setup, "rule1", delta)
+        res = run(setup.forward, setup.reg, yd, rule, stop)
         assert res.k_stop == 0
         assert res.stop_reason == "discrepancy"
         assert len(res.records) == 1
@@ -123,7 +123,7 @@ class TestRunLoop:
         step = rule.gamma / (L * L)
         for _ in range(4):
             r = op.apply(GridFunction(grid, x)).values - y.values
-            x = x - step * op.adjoint_apply(GridFunction(grid, r)).values
+            x = x - step * op.adjoint_values(r)
         assert np.max(np.abs(res.x.values - x)) <= 1e-12
 
     def test_single_entropy_step_against_scalar_oracle(self):
@@ -169,9 +169,8 @@ class TestRunLoop:
         setup = setup_entropy_experiment(150)
         delta = 0.05
         yd = add_noise(setup.y, delta, seed=2)
-        stop = APrioriStop(delta=delta)
+        rule, stop = make_cell(setup, "rule1", delta, stopping="apriori")
         assert stop.k_hat == 20
-        rule = make_step_rule("rule1", tau=1.01, eta=0.0, delta=delta, apriori=True)
         res = run(setup.forward, setup.reg, yd, rule, stop)
         assert res.k_stop == 20
         assert res.stop_reason == "apriori"
@@ -181,10 +180,10 @@ class TestRunLoop:
         setup = setup_entropy_experiment(120)
         delta = 1e-3
         yd = add_noise(setup.y, delta, seed=3)
-        rule = make_step_rule("rule1", tau=1.01, eta=0.0, delta=delta)
+        rule, stop = make_cell(setup, "rule1", delta)
         monkeypatch.setattr(landweber, "SAFETY_CAP", 5)
         with pytest.raises(IterationLimitError) as exc:
-            run(setup.forward, setup.reg, yd, rule, DiscrepancyStop(1.01, delta))
+            run(setup.forward, setup.reg, yd, rule, stop)
         assert len(exc.value.records) == 5
 
     def test_nonfinite_data_fails_at_first_iterate(self, monkeypatch):
@@ -193,10 +192,10 @@ class TestRunLoop:
         values = add_noise(setup.y, delta, seed=3).values.copy()
         values[17] = np.nan
         yd = GridFunction(setup.y.grid, values)
-        rule = make_step_rule("rule2", tau=1.01, eta=0.0, delta=delta)
+        rule, stop = make_cell(setup, "rule2", delta)
         monkeypatch.setattr(landweber, "SAFETY_CAP", 2000)
         with pytest.raises(NonFiniteResidualError) as exc:
-            run(setup.forward, setup.reg, yd, rule, DiscrepancyStop(1.01, delta))
+            run(setup.forward, setup.reg, yd, rule, stop)
         assert exc.value.k == 0
         assert exc.value.records == ()
 
@@ -221,7 +220,7 @@ class TestRunLoop:
         setup = setup_entropy_experiment(150)
         delta = 1e-3
         yd = add_noise(setup.y, delta, seed=1)
-        rule = make_step_rule("rule2", tau=1.01, eta=0.0, delta=delta)
+        rule, _ = make_cell(setup, "rule2", delta)
         counts = []
         for k_max in (10, 100):
             grid_function_count[0] = 0
@@ -264,8 +263,8 @@ class TestRunLoop:
         setup = setup_entropy_experiment(300)
         delta = 1e-2
         yd = add_noise(setup.y, delta, seed=5)
-        rule = make_step_rule("rule3", tau=1.01, eta=0.0, delta=delta)
-        res = run(setup.forward, setup.reg, yd, rule, DiscrepancyStop(1.01, delta))
+        rule, stop = make_cell(setup, "rule3", delta)
+        res = run(setup.forward, setup.reg, yd, rule, stop)
         # x = mirror_map(xi) by construction, so the Fenchel defect against
         # the closed-form conjugate (no mirror map on that side) is rounding
         defect = abs(setup.reg.value(res.x.values, res.x.grid.weights)
@@ -281,9 +280,9 @@ class TestRunLoop:
         delta = 5e-3
         tau, eta, sigma = 1.01, 0.0, 0.5
         yd = add_noise(setup.y, delta, seed=6)
-        rule = make_step_rule(rule_name, tau=tau, eta=eta, delta=delta)
-        res = run(setup.forward, setup.reg, yd, rule, DiscrepancyStop(tau, delta),
-                  x_truth=setup.x_true)
+        rule, stop = make_cell(setup, rule_name, delta)
+        assert (stop.tau, setup.eta) == (tau, eta)
+        res = run(setup.forward, setup.reg, yd, rule, stop, x_truth=setup.x_true)
         slack = 1.0 - eta - (1.0 + eta) / tau
         if rule_name == "rule3":
             c5 = (1.0 - 1.98 / (4 * sigma)) * slack
@@ -300,8 +299,8 @@ class TestRunLoop:
         delta = 5e-3
         yd = add_noise(setup.y, delta, seed=7)
         for rule_name in ("rule1", "rule2", "rule3"):
-            rule = make_step_rule(rule_name, tau=1.01, eta=0.0, delta=delta)
-            res = run(setup.forward, setup.reg, yd, rule, DiscrepancyStop(1.01, delta))
+            rule, stop = make_cell(setup, rule_name, delta)
+            res = run(setup.forward, setup.reg, yd, rule, stop)
             lo, hi = rule.bounds(setup.forward.norm_bound())
             steps = [r.step for r in res.records if r.step is not None]
             assert all(lo * (1 - 1e-12) <= s <= hi * (1 + 1e-12) for s in steps)
@@ -315,8 +314,8 @@ class TestRunLoop:
         yd = add_noise(setup.y, delta, seed=1)
         L = setup.forward.norm_bound()
         for rule_name in ("rule2", "rule3"):
-            rule = make_step_rule(rule_name, tau=1.1, eta=0.04, delta=delta)
-            res = run(setup.forward, setup.reg, yd, rule, DiscrepancyStop(1.1, delta))
+            rule, stop = make_cell(setup, rule_name, delta)
+            res = run(setup.forward, setup.reg, yd, rule, stop)
             lo, hi = rule.bounds(L)
             steps = [r.step for r in res.records if r.step is not None]
             assert all(lo * (1 - 1e-9) <= s <= hi * (1 + 1e-9) for s in steps)
@@ -324,12 +323,11 @@ class TestRunLoop:
     def test_determinism_bitwise(self):
         setup = setup_entropy_experiment(300)
         delta = 5e-3
-        rule = make_step_rule("rule2", tau=1.01, eta=0.0, delta=delta)
+        rule, stop = make_cell(setup, "rule2", delta)
 
         def go():
             yd = add_noise(setup.y, delta, seed=8)
-            return run(setup.forward, setup.reg, yd, rule, DiscrepancyStop(1.01, delta),
-                       x_truth=setup.x_true)
+            return run(setup.forward, setup.reg, yd, rule, stop, x_truth=setup.x_true)
 
         a, b = go(), go()
         assert a.k_stop == b.k_stop
@@ -342,8 +340,8 @@ class TestIterateCsv:
         setup = setup_entropy_experiment(150)
         delta = 2e-2
         yd = add_noise(setup.y, delta, seed=4)
-        rule = make_step_rule("rule3", tau=1.01, eta=0.0, delta=delta)
-        res = run(setup.forward, setup.reg, yd, rule, DiscrepancyStop(1.01, delta))
+        rule, stop = make_cell(setup, "rule3", delta)
+        res = run(setup.forward, setup.reg, yd, rule, stop)
         path = tmp_path / "iter.csv"
         write_iterates_csv(res.records, path)
         lines = path.read_text().splitlines()
@@ -378,9 +376,8 @@ class TestIterateCsv:
         paths = []
         for tag in ("a", "b"):
             yd = add_noise(setup.y, delta, seed=4)
-            rule = make_step_rule("rule2", tau=1.01, eta=0.0, delta=delta)
-            res = run(setup.forward, setup.reg, yd, rule, DiscrepancyStop(1.01, delta),
-                      x_truth=setup.x_true)
+            rule, stop = make_cell(setup, "rule2", delta)
+            res = run(setup.forward, setup.reg, yd, rule, stop, x_truth=setup.x_true)
             p = tmp_path / f"{tag}.csv"
             write_iterates_csv(res.records, p)
             paths.append(p)

@@ -27,7 +27,7 @@ from mirrorsolve.checks import (
     taylor_order,
 )
 from mirrorsolve.experiments import (
-    make_step_rule,
+    make_cell,
     setup_entropy_experiment,
     setup_pde_experiment,
 )
@@ -56,8 +56,8 @@ class TestLinearIntegral:
             b = sep.apply(x).values
             assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
             w = GridFunction(g, rng.standard_normal(g.node_count))
-            a = dense.adjoint_apply(w).values
-            b = sep.adjoint_apply(w).values
+            a = dense.adjoint_values(w.values)
+            b = sep.adjoint_values(w.values)
             assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
 
     def test_derivative_is_operator_itself(self):
@@ -69,7 +69,7 @@ class TestLinearIntegral:
         value, tangent, adjoint = op.linearize_values(x.values)
         assert np.array_equal(value, op.apply(x).values)
         assert np.array_equal(tangent(h.values), op.apply(h).values)
-        assert np.array_equal(adjoint(h.values), op.adjoint_apply(h).values)
+        assert np.array_equal(adjoint(h.values), op.adjoint_values(h.values))
 
     def test_zero_direction(self):
         g = Grid.interval(30)
@@ -98,8 +98,17 @@ class TestLinearIntegral:
         assert res.passed, res.detail
 
     def test_needs_kernel_or_factors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exactly one of kernel and factors"):
             LinearIntegral(Grid.interval(5))
+
+    def test_kernel_and_factors_together_rejected(self):
+        # neither form may be dropped without a word for the other
+        with pytest.raises(ValueError, match="exactly one of kernel and factors"):
+            LinearIntegral(Grid.interval(4), kernel=np.eye(5), factors=[(1.0, 1.0)])
+
+    def test_empty_factor_list_rejected(self):
+        with pytest.raises(ValueError, match=r"at least one \(a, b\) pair"):
+            LinearIntegral(Grid.interval(4), factors=[])
 
     @pytest.mark.parametrize("factor", [(np.ones(7), np.ones(5)), (np.ones(6), np.ones(6)),
                                         (1.0, np.ones((1, 11))), (np.ones(1), 1.0)],
@@ -138,7 +147,7 @@ def _moment_form(g_in, g_out, factors, x, y):
 def _assert_moment_form_bits(op, factors, x, y):
     refs = _moment_form(op.grid_in, op.grid_out, factors, x, y)
     gots = (op.apply(GridFunction(op.grid_in, x)).values,
-            op.adjoint_apply(GridFunction(op.grid_out, y)).values)
+            op.adjoint_values(y))
     for got, ref in zip(gots, refs):
         assert got.tobytes() == ref.tobytes()
         assert np.array_equal(np.signbit(got), np.signbit(ref))
@@ -181,7 +190,7 @@ class TestLinearIntegralOwnership:
         x = GridFunction(g_in, rng.standard_normal(31))
         y = GridFunction(g_out, rng.standard_normal(21))
         check_ownership(op.apply, x, inputs=inputs)
-        check_ownership(op.adjoint_apply, y, inputs=inputs)
+        check_ownership(op.adjoint_values, y.values, inputs=inputs)
         check_ownership(lambda v: op.linearize_values(v)[0], x.values, inputs=inputs)
 
 
@@ -228,9 +237,9 @@ def _elliptic_case():
 @pytest.mark.parametrize("case", [_dense_case, _factored_entropy_case, _elliptic_case],
                          ids=["dense", "factored-entropy", "elliptic"])
 class TestRawLinearization:
-    """``linearize_values`` is the one implementation; ``apply`` and
-    ``adjoint_apply`` only check grids and build grid functions from its
-    arrays."""
+    """``linearize_values`` is the one implementation; ``apply`` only checks
+    grids and builds grid functions from its arrays, and a linear operator's
+    ``adjoint_values`` is its adjoint map."""
 
     @staticmethod
     def _directions(op):
@@ -242,12 +251,12 @@ class TestRawLinearization:
         op, x, _ = case()
         h, w = self._directions(op)
         value, tangent, adjoint = op.linearize_values(x.values)
-        pairs = [(value, op.apply(x))]
+        pairs = [(value, op.apply(x).values)]
         if op.linear:
-            pairs += [(tangent(h), op.apply(GridFunction(op.grid_in, h))),
-                      (adjoint(w), op.adjoint_apply(GridFunction(op.grid_out, w)))]
+            pairs += [(tangent(h), op.apply(GridFunction(op.grid_in, h)).values),
+                      (adjoint(w), op.adjoint_values(w))]
         for raw, wrapped in pairs:
-            assert raw.tobytes() == wrapped.values.tobytes()
+            assert raw.tobytes() == wrapped.tobytes()
 
     def test_raw_results_are_fresh(self, case, check_ownership):
         op, x, arrays = case()
@@ -306,15 +315,6 @@ class TestEllipticForward:
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders >= 1.9)
         assert np.all(orders <= 2.1)
-
-    def test_only_the_linear_operator_has_adjoint_apply(self):
-        # the elliptic adjoint depends on the point: it comes from a
-        # linearization, and the map has no point-free adjoint_apply
-        assert not hasattr(setup_pde_experiment(16).forward, "adjoint_apply")
-        op = LinearIntegral(Grid.interval(10), Grid.interval(7), kernel=np.zeros((8, 11)))
-        assert op.adjoint_apply(Grid.interval(7).ones()).grid == Grid.interval(10)
-        with pytest.raises(GridMismatchError):
-            op.adjoint_apply(Grid.interval(10).ones())
 
     def test_boundary_values_follow_dirichlet_data(self):
         setup = setup_pde_experiment(16)
@@ -606,7 +606,7 @@ class TestEllipticDerivative:
             return solve(self, A, rhs)
 
         monkeypatch.setattr(EllipticSolver, "solve", counted_solve)
-        rule = make_step_rule("rule2", tau=1.1, eta=0.04, delta=1e-4)
+        rule, _ = make_cell(setup, "rule2", 1e-4)
         res = run(F, setup.reg, setup.y, rule, MaxIterStop(k_max=5))
         assert res.k_stop == 5
         assert calls[0] == 2 * res.k_stop + 1
@@ -614,7 +614,7 @@ class TestEllipticDerivative:
 
 def _grid_function_power_norm(apply_fn, adjoint_fn, grid_in, seed=0):
     """``power_iteration_norm`` written on grid functions, through the
-    operators' ``apply`` / ``adjoint_apply`` or a linearization's maps."""
+    operators' ``apply`` / ``adjoint_values`` or a linearization's maps."""
     v = GridFunction(grid_in, np.random.default_rng(seed).standard_normal(grid_in.node_count))
     nv = norm_l2_values(v.values, v.grid.weights)
     if nv == 0.0:
@@ -656,7 +656,7 @@ def _zero_kernel():
 def test_norm_bound_matches_the_grid_function_route_bit_for_bit(make):
     op = make()
     if op.linear:
-        maps = op.apply, op.adjoint_apply
+        maps = op.apply, lambda u: GridFunction(op.grid_in, op.adjoint_values(u.values))
     else:
         _, tangent, adjoint = op.linearize_values(np.zeros(op.grid_in.node_count))
         maps = (lambda h: GridFunction(op.grid_out, tangent(h.values)),

@@ -52,7 +52,7 @@ def _source_element(inst):
     """xi0 + sum_i A_i^* lam_true_i, the dual point of the instance's truth."""
     xi = inst.xi0.values
     for op, lam in zip(inst.problem.operators, inst.lam_true):
-        xi = xi + op.adjoint_apply(lam).values
+        xi = xi + op.adjoint_values(lam.values)
     return GridFunction(inst.xi0.grid, xi)
 
 
@@ -212,6 +212,18 @@ class TestSmdRun:
         with pytest.raises(GridMismatchError, match="x_truth"):
             smd_run(inst.problem, reg, ConstantSchedule(1.0), 100, seed=0,
                     x_truth=truth.ones())
+
+    def test_start_off_the_input_grid_raises_before_the_first_step(self, monkeypatch):
+        reg = EntropySimplex()
+        inst = build_sourced_instance(2, 24, reg, seed=1)
+
+        def no_step(*args):
+            raise AssertionError("the path stepped before checking the start")
+
+        monkeypatch.setattr(mirrorsolve.smd, "smd_step", no_step)
+        with pytest.raises(GridMismatchError, match="xi0"):
+            smd_run(inst.problem, reg, ConstantSchedule(1.0), 100, seed=0,
+                    xi0=Grid.square(4).zeros())
 
     def test_no_grid_function_per_step(self, grid_function_count):
         # the states stay node arrays through the steps and the Bregman log;
@@ -389,7 +401,7 @@ class TestSmdRun:
             i = int(rng.integers(prob.n_blocks))
             op, y = prob.operators[i], prob.data[i]
             r = op.apply(GridFunction(op.grid_in, x)).values - y.values
-            g = op.adjoint_apply(GridFunction(op.grid_out, r)).values
+            g = op.adjoint_values(r)
             s = s + gamma
             assert rec.i_k == i and rec.gamma_k == gamma
             assert rec.s_k == s
@@ -481,7 +493,7 @@ class TestSmdRun:
             lams[i] = lams[i] - gamma * r
             xi = inst.xi0.values
             for op, lam in zip(ops, lams):
-                xi = xi + op.adjoint_apply(GridFunction(grid, lam)).values
+                xi = xi + op.adjoint_values(lam)
             x = GridFunction(grid, reg.mirror_map(xi, grid.weights))
         assert np.max(np.abs(xi - sr.xi.values)) <= 1e-10 * (1 + np.max(np.abs(xi)))
 
