@@ -113,7 +113,7 @@ def setup_entropy_experiment(n: int) -> Setup:
     forward = LinearIntegral(grid, factors=[(1.0, 1.0 + t), (t, 1.0)],
                              analytic_norm_bound=math.sqrt(19.0 / 3.0))
     reg = EntropySimplex()
-    y = forward.apply(x_true)
+    y = GridFunction(grid, forward.apply_values(x_true.values))
     lam_true = GridFunction(grid, np.full(grid.node_count, ENTROPY_A))
     return Setup(forward, reg, x_true, y, eta=0.0, tau_default=1.01, lam_true=lam_true)
 
@@ -131,7 +131,7 @@ def setup_pde_experiment(n: int, *, solver_tol: float = 1e-10) -> Setup:
     forward = EllipticCoefficient(f, u_true, grid,
                                   solver=EllipticSolver(grid, tol=solver_tol))
     reg = QuadraticBox(lower=0.0)
-    y = forward.apply(c_true)
+    y = GridFunction(grid, forward.linearize_values(c_true.values)[0])
     return Setup(forward, reg, c_true, y, eta=0.04, tau_default=1.1)
 
 

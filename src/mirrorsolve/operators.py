@@ -29,10 +29,11 @@ for the node values ``v`` of x, with the maps h -> F'(x) h and
 w -> F'(x)^* w on node arrays at that same x.  The solvers call it directly,
 so an iterate that needs both the residual and the gradient linearizes once
 (the elliptic map solves for its state once per iterate) and pays no
-grid-function wrapper.  :class:`GridFunction` appears only at the edges:
-the base class's ``apply`` checks the grid of its argument and builds a grid
-function from its result, and the elliptic map takes its source and
-boundary data as grid functions.
+grid-function wrapper.  The maps are raw: the caller has checked the grids
+(the solvers check data, truth and start at their entry points), and the
+only :class:`GridFunction` arguments are the elliptic map's source and
+boundary data.  A linear operator also exposes its two kernels,
+``apply_values`` and ``adjoint_values``.
 
 Every array the raw maps return is fresh, and the tangent and adjoint may
 close over the value (the elliptic adjoint multiplies by the state u), so a
@@ -65,9 +66,8 @@ __all__ = [
 
 
 class ForwardOperator:
-    """Common surface: a subclass implements ``linearize_values`` (and, if
-    linear, the raw kernels ``apply_values`` and ``adjoint_values``) and
-    ``norm_bound``; the grid-function ``apply`` here is built on them."""
+    """Common surface: ``linearize_values`` and ``norm_bound``, on node arrays
+    of ``grid_in`` and ``grid_out``; ``linear`` marks a linear map."""
 
     linear: bool = False
     grid_in: Grid
@@ -79,24 +79,9 @@ class ForwardOperator:
         the grids.  Each returned array is fresh (see the module docstring)."""
         raise NotImplementedError
 
-    def apply_values(self, v: np.ndarray) -> np.ndarray:
-        """F(x) on node arrays: the value of ``linearize_values``, which a
-        linear operator computes without building the maps."""
-        return self.linearize_values(v)[0]
-
-    def apply(self, x: GridFunction) -> GridFunction:
-        return GridFunction(self.grid_out, self.apply_values(_values_on(x, self.grid_in)))
-
     def norm_bound(self) -> float:
         """Upper bound (or estimate) for sup ||F'(x)||, computed once."""
         raise NotImplementedError
-
-
-def _values_on(u: GridFunction, grid: Grid) -> np.ndarray:
-    """The node values of ``u``, after checking that it lives on ``grid``."""
-    if u.grid != grid:
-        raise GridMismatchError(f"expected a function on {grid}, got one on {u.grid}")
-    return u.values
 
 
 def _stacked(factors, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +158,8 @@ class LinearIntegral(ForwardOperator):
             self.kernel = K
 
     def apply_values(self, v: np.ndarray) -> np.ndarray:
-        """A v on node arrays: the value and the tangent of ``linearize_values``."""
+        """A v on node arrays, the caller having checked the grid: the value
+        and the tangent of ``linearize_values``."""
         if self.kernel is None:
             moments = np.add.reduce(self._wa * v, axis=1)
             return np.add.reduce(self._b * moments[:, None], axis=0, initial=0.0)
@@ -291,8 +277,9 @@ class EllipticSolver:
 
     def solve(self, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """A^{-1} rhs for the values ``a`` of ``matrix(c)``, a fresh array (a
-        copy of a zero rhs); after the iteration cap,
-        :class:`EllipticSolveError` with ||r|| / ||rhs||."""
+        copy of a zero rhs); after the iteration cap, or at once when the
+        residual is not finite, :class:`EllipticSolveError` with
+        ||r|| / ||rhs||."""
         lap = self._lap
         if a.shape != lap.data.shape or a.dtype != lap.data.dtype:
             # the CSR kernel reads a by the pattern's offsets, unchecked
@@ -309,8 +296,12 @@ class EllipticSolver:
         x = np.zeros_like(r)
         tmp = np.empty_like(r)
         for it in range(max_iter):
-            if math.sqrt(r.dot(r)) < atol:
+            rn = math.sqrt(r.dot(r))
+            if rn < atol:
                 return x
+            if not math.isfinite(rn):
+                # a NaN residual never meets the tolerance; stop before the cap
+                raise EllipticSolveError(it, rn / rhs_norm)
             z = self._precond(r)
             rho = r.dot(z)
             if it:
@@ -331,13 +322,14 @@ class EllipticCoefficient(ForwardOperator):
     """Coefficient-to-solution map for -Lap(u) + c u = f, u = g on the boundary.
 
     ``f`` and ``g`` are grid functions on the (square) grid; only the
-    boundary values of ``g`` enter.  ``apply(c)`` returns the full-grid
-    solution (boundary nodes carry g); the derivative solves use homogeneous
-    Dirichlet conditions and vanish on the boundary, so the map has no
-    sensitivity to boundary values of c.  Iterates are expected to satisfy
-    c >= 0 node-wise (the solver module guarantees this by applying the
-    mirror map before every call); mildly negative values are tolerated as
-    long as the shifted operator stays positive definite.
+    boundary values of ``g`` enter.  The value of ``linearize_values(c)`` is
+    the node array of the full-grid solution (boundary nodes carry g); the
+    derivative solves use homogeneous Dirichlet conditions and vanish on the
+    boundary, so the map has no sensitivity to boundary values of c.
+    Iterates are expected to satisfy c >= 0 node-wise (the solver module
+    guarantees this by applying the mirror map before every call); mildly
+    negative values are tolerated as long as the shifted operator stays
+    positive definite.
 
     ``linearize_values(c)`` assembles the values of A(c) and solves for the
     state u(c) once; its tangent and adjoint close over those values and u,

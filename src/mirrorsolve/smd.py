@@ -178,8 +178,9 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
     and the result stops at k_max for reason ``maxiter``.
 
     A truth or start off the problem's input grid raises
-    :class:`~mirrorsolve.grids.GridMismatchError`, and the step schedule is
-    validated against the problem's norm bound, before the first step.  With
+    :class:`~mirrorsolve.grids.GridMismatchError`, the step schedule is
+    validated against the problem's norm bound, and a negative ``k_max``
+    raises :class:`ValueError`, before the first step.  With
     ``x_truth`` supplied, each record carries the Bregman distance Delta_k
     and (through ``s_delta``) the rate product s_k * Delta_k, where s_k is
     the inclusive partial sum of the schedule.  The distances are evaluated
@@ -195,6 +196,8 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
     if xi0 is not None and xi0.grid != grid:
         raise GridMismatchError("xi0 does not live on the problem's input grid")
     validate_schedule(sched, prob.norm_bound(), sigma=reg.sigma)
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
     picks = np.random.default_rng(seed).integers(prob.n_blocks, size=k_max).tolist()
     n = grid.node_count
     xi = np.zeros(n) if xi0 is None else xi0.values
@@ -297,7 +300,7 @@ def build_sourced_instance(N: int, n: int, reg: Regularizer, seed: int, *,
     for op, lam in zip(ops, lam_true):
         xi_true = xi_true + op.adjoint_values(lam.values)
     x_true = GridFunction(grid, reg.mirror_map(xi_true, grid.weights))
-    data = tuple(op.apply(x_true) for op in ops)
+    data = tuple(GridFunction(grid, op.apply_values(x_true.values)) for op in ops)
     if not any(np.logical_or.reduce(y.values) for y in data):
         raise ValueError(f"sourced instance N = {N}, n = {n}, seed = {seed} is empty: "
                          f"every data block is identically zero")

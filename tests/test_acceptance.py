@@ -176,9 +176,8 @@ def test_criterion_3_pde_rate_band(pde_sweeps, delta):
     instance carries no rate to check.  The fixture asserts both premises.
     """
     setup, sweeps = pde_sweeps
-    signal = norm_l2_values(
-        setup.y.values - setup.forward.apply(setup.forward.grid_in.zeros()).values,
-        setup.y.grid.weights)
+    at_zero = setup.forward.linearize_values(setup.forward.grid_in.zeros().values)[0]
+    signal = norm_l2_values(setup.y.values - at_zero, setup.y.grid.weights)
     for rule in ("rule2", "rule3"):
         ratio = _median_ratio(sweeps[rule], delta)
         assert ratio <= 2.5, (

@@ -89,6 +89,10 @@ class TestPdeSetup:
         with pytest.raises(ValueError):
             setup_pde_experiment(48)
 
+    def test_unknown_kind_has_no_setup(self):
+        with pytest.raises(ValueError, match="'smd_synthetic' has no deterministic setup"):
+            experiments.build_setup("smd_synthetic", 16)
+
 
 class TestRuleFactory:
     def test_rule1_gamma_under_discrepancy(self):

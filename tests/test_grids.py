@@ -8,13 +8,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mirrorsolve import (
+    ConstantStep,
     EntropySimplex,
     Grid,
     GridFunction,
     GridMismatchError,
     LinearIntegral,
+    MaxIterStop,
+    QuadraticBox,
     add_noise,
+    grids,
     power_iteration_norm,
+    run,
 )
 from mirrorsolve.grids import norm_l1_values, norm_l2_values, norm_linf_values
 
@@ -119,7 +124,8 @@ class TestInnerAndNorms:
         assert np.array_equal(EntropySimplex().mirror_map(u.values, w), z / np.sum(w * z))
         # LinearIntegral's moments, with u and v as the factor pair
         op = LinearIntegral(grid, factors=[(u.values, v.values)])
-        assert np.array_equal(op.apply(u).values, v.values * np.sum(w * u.values * u.values))
+        assert np.array_equal(op.apply_values(u.values),
+                              v.values * np.sum(w * u.values * u.values))
         assert np.array_equal(op.adjoint_values(u.values),
                               u.values * np.sum(w * v.values * u.values))
         # add_noise's rescaling by the weighted norm of the draw
@@ -140,6 +146,11 @@ class TestInnerAndNorms:
                 u.values = np.ones(5)
             with pytest.raises(FrozenInstanceError):
                 u.grid = Grid.interval(4)
+
+    @pytest.mark.parametrize("shape", [(4,), (5, 1)], ids=["short", "2d"])
+    def test_values_of_another_shape_rejected(self, shape):
+        with pytest.raises(GridMismatchError, match="expected 5 values"):
+            GridFunction(Grid.interval(4), np.zeros(shape))
 
     def test_record_without_arithmetic_compares_by_identity(self):
         # arithmetic happens on node arrays; a grid function only holds them
@@ -210,14 +221,14 @@ class TestDenseOperator:
         g = Grid.interval(1000)
         t = g.coords[0]
         op = LinearIntegral(g, kernel=1.0 + t[None, :] + t[:, None])
-        out = op.apply(g.ones())
+        out = op.apply_values(g.ones().values)
         expected = 1.5 + g.coords[0]
-        assert np.max(np.abs(out.values - expected)) <= 1e-8
+        assert np.max(np.abs(out - expected)) <= 1e-8
 
     def test_zero_kernel(self):
         g = Grid.interval(20)
         op = LinearIntegral(g, kernel=np.zeros((21, 21)))
-        assert np.all(op.apply(g.ones()).values == 0.0)
+        assert np.all(op.apply_values(g.ones().values) == 0.0)
         assert op.norm_bound() == 0.0
 
     def test_adjoint_identity_random_pairs(self):
@@ -229,7 +240,7 @@ class TestDenseOperator:
         for _ in range(100):
             x = GridFunction(g_in, rng.standard_normal(41))
             w = GridFunction(g_out, rng.standard_normal(26))
-            lhs = np.sum(q_out * op.apply(x).values * w.values)
+            lhs = np.sum(q_out * op.apply_values(x.values) * w.values)
             rhs = np.sum(q_in * x.values * op.adjoint_values(w.values))
             assert abs(lhs - rhs) <= (1e-10 * norm_l2_values(x.values, q_in)
                                       * norm_l2_values(w.values, q_out) * na)
@@ -254,19 +265,14 @@ class TestDenseOperator:
         with pytest.raises(GridMismatchError):
             LinearIntegral(Grid.interval(4), Grid.interval(4), kernel=np.zeros((3, 3)))
 
-    def test_apply_grid_checked(self):
-        g = Grid.interval(4)
-        op = LinearIntegral(g, kernel=np.zeros((5, 5)))
-        with pytest.raises(GridMismatchError):
-            op.apply(Grid.interval(6).ones())
-
     def test_grid_checked_by_kind_and_n_not_identity(self):
-        # interval(15) and square(3) both have 16 nodes
+        # interval(15) and square(3) both have 16 nodes; the solver checks
+        # the data's grid, and an equal grid built apart passes
         op = LinearIntegral(Grid.interval(15), kernel=np.eye(16))
-        with pytest.raises(GridMismatchError):
-            op.apply(Grid.square(3).ones())
-        x = Grid("interval", 15).ones()
-        assert np.array_equal(op.apply(x).values, op.apply(Grid.interval(15).ones()).values)
+        rule, stop = ConstantStep(gamma=1.0), MaxIterStop(k_max=0)
+        with pytest.raises(GridMismatchError, match="data"):
+            run(op, QuadraticBox(), Grid.square(3).ones(), rule, stop)
+        assert run(op, QuadraticBox(), Grid("interval", 15).ones(), rule, stop).k_stop == 0
 
 
 class TestPowerIteration:
@@ -281,6 +287,21 @@ class TestPowerIteration:
         M = np.array([[37.0 / 12.0, 2.0], [5.0 / 3.0, 13.0 / 12.0]])
         lam = np.max(np.linalg.eigvals(M).real)
         assert est == pytest.approx(np.sqrt(lam), rel=1e-4)
+
+    def test_round_cap_returns_the_last_estimate(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        g = Grid.interval(60)
+        op = LinearIntegral(g, kernel=rng.standard_normal((61, 61)))
+        converged = power_iteration_norm(op.apply_values, op.adjoint_values, g, g)
+        monkeypatch.setattr(grids, "POWER_ITERS", 2)
+        capped = power_iteration_norm(op.apply_values, op.adjoint_values, g, g)
+        assert capped != converged
+        # the second round's estimate, from the normalized seed-0 draw
+        v = np.random.default_rng(0).standard_normal(61)
+        v = v * (1.0 / norm_l2_values(v, g.weights))
+        z = op.adjoint_values(op.apply_values(v))
+        v = z * (1.0 / norm_l2_values(z, g.weights))
+        assert capped == norm_l2_values(op.apply_values(v), g.weights)
 
     def test_restart_stability(self):
         rng = np.random.default_rng(3)

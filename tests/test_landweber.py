@@ -77,6 +77,24 @@ class TestStepSize:
         with pytest.raises(ValueError):
             AdaptiveStep(gamma0=1.98, gamma_bar=600.0, tau=1.05, eta=0.1, delta=1.0)
 
+    @pytest.mark.parametrize("build, fragment", [
+        (lambda: MinimalErrorStep(gamma=0.5, gamma_bar=0.0), "gamma and gamma_bar"),
+        (lambda: AdaptiveStep(gamma0=0.0, gamma_bar=600.0, tau=1.1, eta=0.0, delta=1.0),
+         "gamma0 and gamma_bar"),
+        (lambda: AdaptiveStep(gamma0=1.98, gamma_bar=600.0, tau=1.1, eta=1.0, delta=1.0),
+         r"eta must lie in \[0, 1\)"),
+        (lambda: AdaptiveStep(gamma0=1.98, gamma_bar=600.0, tau=1.1, eta=0.0, delta=-1.0),
+         "delta must be nonnegative"),
+        (lambda: DiscrepancyStop(tau=1.0, delta=1.0), "tau must exceed 1"),
+        (lambda: DiscrepancyStop(tau=1.1, delta=-1.0), "delta must be nonnegative"),
+        (lambda: APrioriStop(delta=0.0), "delta must be positive"),
+        (lambda: MaxIterStop(k_max=-1), "k_max must be nonnegative"),
+    ], ids=["minimal-error-gamma-bar", "adaptive-gamma0", "adaptive-eta", "adaptive-delta",
+            "discrepancy-tau", "discrepancy-delta", "apriori-delta", "maxiter-k-max"])
+    def test_rule_parameter_checks(self, build, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            build()
+
 
 def _tiny_linear_problem(n=4, seed=0):
     rng = np.random.default_rng(seed)
@@ -101,7 +119,7 @@ class TestRunLoop:
         grid, op = _tiny_linear_problem()
         reg = QuadraticBox(lower=None)
         x0 = GridFunction(grid, reg.mirror_map(np.zeros(grid.node_count), grid.weights))
-        y = op.apply(x0)
+        y = GridFunction(grid, op.apply_values(x0.values))
         res = run(op, reg, y, MinimalErrorStep(gamma=0.5, gamma_bar=2.0),
                   MaxIterStop(k_max=3))
         assert res.stop_reason == "maxiter"
@@ -122,7 +140,7 @@ class TestRunLoop:
         x = np.zeros(grid.node_count)
         step = rule.gamma / (L * L)
         for _ in range(4):
-            r = op.apply(GridFunction(grid, x)).values - y.values
+            r = op.apply_values(x) - y.values
             x = x - step * op.adjoint_values(r)
         assert np.max(np.abs(res.x.values - x)) <= 1e-12
 
@@ -268,7 +286,7 @@ class TestRunLoop:
         # x = mirror_map(xi) by construction, so the Fenchel defect against
         # the closed-form conjugate (no mirror map on that side) is rounding
         defect = abs(setup.reg.value(res.x.values, res.x.grid.weights)
-                     + conjugate_oracle(setup.reg, res.xi)
+                     + conjugate_oracle(setup.reg, res.xi.values, res.xi.grid.weights)
                      - float(np.sum(res.x.grid.weights * res.x.values * res.xi.values)))
         assert defect <= 1e-12
 

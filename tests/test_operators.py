@@ -41,8 +41,8 @@ class TestLinearIntegral:
         g = Grid.interval(5000)
         t = g.coords[0]
         op = LinearIntegral(g, factors=[(np.ones_like(t), 1.0 + t), (t, np.ones_like(t))])
-        out = op.apply(g.ones())
-        assert np.max(np.abs(out.values - (1.5 + g.coords[0]))) <= 1e-8
+        out = op.apply_values(g.ones().values)
+        assert np.max(np.abs(out - (1.5 + g.coords[0]))) <= 1e-8
 
     def test_dense_and_separable_paths_agree(self):
         g = Grid.interval(300)
@@ -52,8 +52,8 @@ class TestLinearIntegral:
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = GridFunction(g, rng.standard_normal(g.node_count))
-            a = dense.apply(x).values
-            b = sep.apply(x).values
+            a = dense.apply_values(x.values)
+            b = sep.apply_values(x.values)
             assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
             w = GridFunction(g, rng.standard_normal(g.node_count))
             a = dense.adjoint_values(w.values)
@@ -67,8 +67,8 @@ class TestLinearIntegral:
         x = GridFunction(g, rng.standard_normal(51))
         h = GridFunction(g, rng.standard_normal(51))
         value, tangent, adjoint = op.linearize_values(x.values)
-        assert np.array_equal(value, op.apply(x).values)
-        assert np.array_equal(tangent(h.values), op.apply(h).values)
+        assert np.array_equal(value, op.apply_values(x.values))
+        assert np.array_equal(tangent(h.values), op.apply_values(h.values))
         assert np.array_equal(adjoint(h.values), op.adjoint_values(h.values))
 
     def test_zero_direction(self):
@@ -146,8 +146,7 @@ def _moment_form(g_in, g_out, factors, x, y):
 
 def _assert_moment_form_bits(op, factors, x, y):
     refs = _moment_form(op.grid_in, op.grid_out, factors, x, y)
-    gots = (op.apply(GridFunction(op.grid_in, x)).values,
-            op.adjoint_values(y))
+    gots = (op.apply_values(x), op.adjoint_values(y))
     for got, ref in zip(gots, refs):
         assert got.tobytes() == ref.tobytes()
         assert np.array_equal(np.signbit(got), np.signbit(ref))
@@ -189,7 +188,7 @@ class TestLinearIntegralOwnership:
         inputs = [g_in.weights, g_out.weights, *arrays]
         x = GridFunction(g_in, rng.standard_normal(31))
         y = GridFunction(g_out, rng.standard_normal(21))
-        check_ownership(op.apply, x, inputs=inputs)
+        check_ownership(op.apply_values, x.values, inputs=inputs)
         check_ownership(op.adjoint_values, y.values, inputs=inputs)
         check_ownership(lambda v: op.linearize_values(v)[0], x.values, inputs=inputs)
 
@@ -234,12 +233,10 @@ def _elliptic_case():
     return op, setup.x_true, [op.f.values, op.g.values, op._state_rhs]
 
 
-@pytest.mark.parametrize("case", [_dense_case, _factored_entropy_case, _elliptic_case],
-                         ids=["dense", "factored-entropy", "elliptic"])
 class TestRawLinearization:
-    """``linearize_values`` is the one implementation; ``apply`` only checks
-    grids and builds grid functions from its arrays, and a linear operator's
-    ``adjoint_values`` is its adjoint map."""
+    """``linearize_values`` is each operator's one map; a linear operator's
+    is built from its two kernels, ``apply_values`` for the value and the
+    tangent and ``adjoint_values`` for the adjoint."""
 
     @staticmethod
     def _directions(op):
@@ -247,17 +244,19 @@ class TestRawLinearization:
         return (rng.standard_normal(op.grid_in.node_count),
                 rng.standard_normal(op.grid_out.node_count))
 
+    @pytest.mark.parametrize("case", [_dense_case, _factored_entropy_case],
+                             ids=["dense", "factored-entropy"])
     def test_raw_and_wrapped_agree_bit_for_bit(self, case):
         op, x, _ = case()
         h, w = self._directions(op)
         value, tangent, adjoint = op.linearize_values(x.values)
-        pairs = [(value, op.apply(x).values)]
-        if op.linear:
-            pairs += [(tangent(h), op.apply(GridFunction(op.grid_in, h)).values),
-                      (adjoint(w), op.adjoint_values(w))]
-        for raw, wrapped in pairs:
-            assert raw.tobytes() == wrapped.tobytes()
+        for raw, kernel in [(value, op.apply_values(x.values)),
+                            (tangent(h), op.apply_values(h)),
+                            (adjoint(w), op.adjoint_values(w))]:
+            assert raw.tobytes() == kernel.tobytes()
 
+    @pytest.mark.parametrize("case", [_dense_case, _factored_entropy_case, _elliptic_case],
+                             ids=["dense", "factored-entropy", "elliptic"])
     def test_raw_results_are_fresh(self, case, check_ownership):
         op, x, arrays = case()
         h, w = self._directions(op)
@@ -297,7 +296,8 @@ class TestEllipticForward:
             u_fn=lambda x, y: 1.0 + x ** 2 + y ** 2,
             c_fn=lambda x, y: np.zeros_like(x),
             f_fn=lambda x, y: np.full_like(x, -4.0))
-        assert norm_l2_values(op.apply(c).values - u.values, op.grid_out.weights) <= 1e-8
+        assert norm_l2_values(op.linearize_values(c.values)[0] - u.values,
+                              op.grid_out.weights) <= 1e-8
 
     def test_second_order_convergence_on_curved_solution(self):
         # non-polynomial truth: u = 1 + sin(pi x) sin(pi y), c = 1 + x,
@@ -311,7 +311,8 @@ class TestEllipticForward:
                 c_fn=lambda x, y: 1.0 + x,
                 f_fn=lambda x, y: (2.0 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
                                    + (1.0 + x) * (1.0 + np.sin(np.pi * x) * np.sin(np.pi * y))))
-            errs.append(norm_l2_values(op.apply(c).values - u.values, op.grid_out.weights))
+            errs.append(norm_l2_values(op.linearize_values(c.values)[0] - u.values,
+                                       op.grid_out.weights))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders >= 1.9)
         assert np.all(orders <= 2.1)
@@ -319,11 +320,11 @@ class TestEllipticForward:
     def test_boundary_values_follow_dirichlet_data(self):
         setup = setup_pde_experiment(16)
         grid = setup.forward.grid_in
-        u = setup.forward.apply(grid.zeros())
+        u = setup.forward.linearize_values(grid.zeros().values)[0]
         interior = np.zeros((grid.n + 1, grid.n + 1), bool)
         interior[1:-1, 1:-1] = True
         bd = ~interior.ravel()
-        assert np.array_equal(u.values[bd], setup.forward.g.values[bd])
+        assert np.array_equal(u[bd], setup.forward.g.values[bd])
 
     def test_zero_direction_and_zero_dual(self):
         setup = setup_pde_experiment(16)
@@ -334,9 +335,11 @@ class TestEllipticForward:
         assert np.all(out == 0.0)
 
     def test_grid_mismatch_rejected(self):
+        # the raw maps trust their callers; the solver checks the data
         setup = setup_pde_experiment(16)
-        with pytest.raises(GridMismatchError):
-            setup.forward.apply(Grid.square(32).zeros())
+        rule, _ = make_cell(setup, "rule2", 1e-4)
+        with pytest.raises(GridMismatchError, match="data"):
+            run(setup.forward, setup.reg, Grid.square(32).zeros(), rule, MaxIterStop(k_max=1))
 
     def test_cg_failure_carries_iterations_and_residual(self, monkeypatch):
         grid = Grid.square(16)
@@ -345,10 +348,21 @@ class TestEllipticForward:
         op = EllipticCoefficient(f, grid.zeros(), grid)
         monkeypatch.setattr(operators, "CG_ITERS_PER_UNKNOWN", 0)
         with pytest.raises(EllipticSolveError) as exc:
-            op.apply(c)
+            op.linearize_values(c.values)
         # no iteration ran, so the residual is the right-hand side's
         assert exc.value.iterations == 0
         assert exc.value.residual == 1.0
+
+
+@pytest.mark.parametrize("build, error, fragment", [
+    (lambda: EllipticSolver(Grid.interval(16)), ValueError, "requires a square grid"),
+    (lambda: EllipticSolver(Grid.square(1)), ValueError, "n >= 2"),
+    (lambda: EllipticCoefficient(Grid.square(8).zeros(), Grid.square(16).zeros(),
+                                 Grid.square(16)), GridMismatchError, "f and g"),
+], ids=["solver-interval", "solver-n1", "coefficient-data-grid"])
+def test_elliptic_input_checks(build, error, fragment):
+    with pytest.raises(error, match=fragment):
+        build()
 
 
 def _coefficients(n):
@@ -482,6 +496,21 @@ class TestEllipticSolve:
         assert not np.shares_memory(u, rhs)
         assert u.tobytes() == rhs.tobytes()
 
+    @pytest.mark.parametrize("where, iterations", [("coefficient", 1), ("direction", 0)])
+    def test_nan_input_fails_at_once(self, where, iterations):
+        # a NaN residual never meets the tolerance, so without the finiteness
+        # test CG would spin to its cap of 10 (n-1)^2 iterations
+        setup = setup_pde_experiment(16)
+        F = setup.forward
+        c, h = setup.x_true.values.copy(), np.ones(F.grid_in.node_count)
+        middle = F.grid_in.node_count // 2  # an interior node
+        (c if where == "coefficient" else h)[middle] = np.nan
+        with pytest.raises(EllipticSolveError) as exc:
+            _, tangent, _ = F.linearize_values(c)
+            tangent(h)
+        assert exc.value.iterations == iterations
+        assert np.isnan(exc.value.residual)
+
     def test_result_owns_its_memory(self, check_ownership):
         op = setup_pde_experiment(16).forward
         a = op.solver.matrix(op._interior(op.grid_in.ones().values))
@@ -571,7 +600,7 @@ class TestEllipticDerivative:
             c1 = setup.x_true.values + 0.1 * p1 / norm_l2_values(p1, grid.weights)
             c2 = setup.x_true.values + 0.1 * p2 / norm_l2_values(p2, grid.weights)
             F2, tangent, _ = F.linearize_values(c2)
-            F1 = F.apply_values(c1)
+            F1 = F.linearize_values(c1)[0]
             lhs = norm_l2_values(F1 - F2 - tangent(c1 - c2), grid.weights)
             rhs = norm_l2_values(F1 - F2, grid.weights)
             assert lhs <= 0.1 * rhs
@@ -592,11 +621,11 @@ class TestEllipticDerivative:
         setup = setup_pde_experiment(16)
         F = setup.forward
         c = setup.x_true
-        u1 = F.apply(c)
-        u2 = F.apply(c)
-        assert np.array_equal(u1.values, u2.values)
-        u3 = F.apply(F.grid_in.zeros())
-        assert not np.array_equal(u1.values, u3.values)
+        u1 = F.linearize_values(c.values)[0]
+        u2 = F.linearize_values(c.values)[0]
+        assert np.array_equal(u1, u2)
+        u3 = F.linearize_values(F.grid_in.zeros().values)[0]
+        assert not np.array_equal(u1, u3)
 
         calls = [0]
         solve = EllipticSolver.solve
@@ -613,8 +642,9 @@ class TestEllipticDerivative:
 
 
 def _grid_function_power_norm(apply_fn, adjoint_fn, grid_in, seed=0):
-    """``power_iteration_norm`` written on grid functions, through the
-    operators' ``apply`` / ``adjoint_values`` or a linearization's maps."""
+    """``power_iteration_norm`` written on grid functions, through a linear
+    operator's kernels or a linearization's maps, each wrapped to take and
+    return grid functions."""
     v = GridFunction(grid_in, np.random.default_rng(seed).standard_normal(grid_in.node_count))
     nv = norm_l2_values(v.values, v.grid.weights)
     if nv == 0.0:
@@ -656,9 +686,9 @@ def _zero_kernel():
 def test_norm_bound_matches_the_grid_function_route_bit_for_bit(make):
     op = make()
     if op.linear:
-        maps = op.apply, lambda u: GridFunction(op.grid_in, op.adjoint_values(u.values))
+        tangent, adjoint = op.apply_values, op.adjoint_values
     else:
         _, tangent, adjoint = op.linearize_values(np.zeros(op.grid_in.node_count))
-        maps = (lambda h: GridFunction(op.grid_out, tangent(h.values)),
-                lambda u: GridFunction(op.grid_in, adjoint(u.values)))
+    maps = (lambda h: GridFunction(op.grid_out, tangent(h.values)),
+            lambda u: GridFunction(op.grid_in, adjoint(u.values)))
     assert op.norm_bound() == _grid_function_power_norm(*maps, op.grid_in)

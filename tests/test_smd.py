@@ -60,7 +60,7 @@ class TestSourcedInstance:
     def test_solution_solves_system_exactly(self):
         inst = build_sourced_instance(4, 50, EntropySimplex(), seed=7)
         for op, y in zip(inst.problem.operators, inst.problem.data):
-            assert np.max(np.abs(op.apply(inst.x_true).values - y.values)) == 0.0
+            assert np.max(np.abs(op.apply_values(inst.x_true.values) - y.values)) == 0.0
 
     def test_source_condition_holds_by_construction(self):
         reg = EntropySimplex()
@@ -104,6 +104,25 @@ class TestSourcedInstance:
             SystemProblem((op1, op2), (g1.zeros(), g2.zeros()))
 
 
+@pytest.mark.parametrize("build, error, fragment", [
+    (lambda: SystemProblem((), ()), ValueError, "one data block per operator"),
+    (lambda: SystemProblem((LinearIntegral(Grid.interval(4), kernel=np.eye(5)),),
+                           (Grid.interval(5).zeros(),)),
+     GridMismatchError, "data block does not match"),
+    (lambda: ConstantSchedule(0.0), ValueError, "gamma must be positive"),
+    (lambda: PolynomialSchedule(gamma0=0.0, alpha=0.5), ValueError, "gamma0 must be positive"),
+    (lambda: build_sourced_instance(0, 10, EntropySimplex(), seed=1), ValueError,
+     r"need N >= 1 and n >= 2"),
+    (lambda: smd_run(build_sourced_instance(2, 10, EntropySimplex(), seed=1).problem,
+                     EntropySimplex(), ConstantSchedule(1.0), -1, seed=0),
+     ValueError, "k_max must be nonnegative"),
+], ids=["no-blocks", "data-grid", "constant-gamma", "polynomial-gamma0",
+        "sourced-n-blocks", "negative-k-max"])
+def test_input_checks(build, error, fragment):
+    with pytest.raises(error, match=fragment):
+        build()
+
+
 def _sourced_block():
     """A linear sourced block, run for 100 steps: (op, reg, y, x_true, k_max)."""
     reg = ElasticNet(beta=0.4)
@@ -139,7 +158,7 @@ class TestSmdRun:
         ops = (LinearIntegral(grid, kernel=K1), LinearIntegral(grid, kernel=K2))
         xT = np.array([0.5, 1.5, 1.0])
         xT = xT / np.sum(w * xT)
-        data = tuple(op.apply(GridFunction(grid, xT)) for op in ops)
+        data = tuple(GridFunction(grid, op.apply_values(xT)) for op in ops)
         prob = SystemProblem(ops, data)
         gamma = 0.9 / prob.norm_bound() ** 2
         seed = 5
@@ -400,7 +419,7 @@ class TestSmdRun:
                 break
             i = int(rng.integers(prob.n_blocks))
             op, y = prob.operators[i], prob.data[i]
-            r = op.apply(GridFunction(op.grid_in, x)).values - y.values
+            r = op.apply_values(x) - y.values
             g = op.adjoint_values(r)
             s = s + gamma
             assert rec.i_k == i and rec.gamma_k == gamma
@@ -489,7 +508,7 @@ class TestSmdRun:
         for k in range(k_max):
             i = sr.records[k].i_k
             gamma = sr.records[k].gamma_k
-            r = ops[i].apply(x).values - inst.problem.data[i].values
+            r = ops[i].apply_values(x.values) - inst.problem.data[i].values
             lams[i] = lams[i] - gamma * r
             xi = inst.xi0.values
             for op, lam in zip(ops, lams):

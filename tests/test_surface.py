@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import mirrorsolve
-from mirrorsolve import config
+from mirrorsolve import config, operators
 
 PACKAGE = Path(mirrorsolve.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -88,6 +88,20 @@ def _keyword_parameters(obj):
         params += [p for p in sig.parameters.values()
                    if p.kind is p.KEYWORD_ONLY or p.default is not p.empty]
     return params
+
+
+@pytest.mark.parametrize("cls, methods", [
+    (operators.ForwardOperator, {"linearize_values", "norm_bound"}),
+    (operators.EllipticCoefficient, {"linearize_values", "norm_bound"}),
+    (operators.LinearIntegral,
+     {"linearize_values", "norm_bound", "apply_values", "adjoint_values"}),
+], ids=["ForwardOperator", "EllipticCoefficient", "LinearIntegral"])
+def test_forward_operator_methods(cls, methods):
+    # the solvers reach a forward map only through its linearization (and a
+    # linear map's two kernels); a second route has to change this on purpose
+    public = {name for name, _ in inspect.getmembers(cls, inspect.isfunction)
+              if not name.startswith("_")}
+    assert public == methods
 
 
 def test_public_name_count():
