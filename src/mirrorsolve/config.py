@@ -44,6 +44,8 @@ import configparser
 import math
 from dataclasses import dataclass, replace
 
+from .experiments import check_grid_size
+
 __all__ = ["ExperimentConfig", "parse_config", "PROBLEM_DEFAULTS"]
 
 #: per-problem defaults: grid size, the cap ``--fast`` puts on it (the
@@ -192,6 +194,11 @@ def parse_config(path) -> ExperimentConfig:
         cfg = ExperimentConfig(**kw)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if cfg.n is not None:
+        try:
+            check_grid_size(cfg.problem, cfg.n)
+        except ValueError as exc:
+            raise ValueError(f"{path}: [problem] n: {exc}, got {cfg.n}") from None
     unused = [f"key {key!r} in [{section}]"
               for section in cp.sections() for key in cp.options(section)
               if _unread(cfg, section, key)]

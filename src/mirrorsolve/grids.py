@@ -196,20 +196,14 @@ def add_noise(y: GridFunction, delta: float, seed: int) -> GridFunction:
     """Perturb ``y`` by a Gaussian node vector rescaled to exact L2 norm delta.
 
     The draw comes from ``numpy.random.default_rng(seed)`` (PCG64), so the
-    output is bit-for-bit reproducible for a given ``(delta, seed)``.  A zero
-    draw (probability ~0) is retried with the seed incremented.
+    output is bit-for-bit reproducible for a given ``(delta, seed)``.
     """
     if not 0 <= delta < math.inf:
         raise ValueError(f"delta must be nonnegative and finite, got {delta}")
     if delta == 0:
         return y
-    s = int(seed)
-    while True:
-        e = np.random.default_rng(s).standard_normal(y.grid.node_count)
-        nrm = norm_l2_values(e, y.grid.weights)
-        if nrm > 0:
-            break
-        s += 1
+    e = np.random.default_rng(int(seed)).standard_normal(y.grid.node_count)
+    nrm = norm_l2_values(e, y.grid.weights)
     return GridFunction(y.grid, y.values + (delta / nrm) * e)
 
 
@@ -230,10 +224,7 @@ def power_iteration_norm(apply_fn, adjoint_fn, grid_in: Grid, grid_out: Grid, *,
     w_in, w_out = grid_in.weights, grid_out.weights
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(grid_in.node_count)
-    nv = norm_l2_values(v, w_in)
-    if nv == 0.0:
-        return 0.0
-    v = v * (1.0 / nv)
+    v = v * (1.0 / norm_l2_values(v, w_in))
     est = 0.0
     for _ in range(POWER_ITERS):
         av = apply_fn(v)

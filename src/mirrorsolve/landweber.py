@@ -284,12 +284,12 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
     ``x_truth`` enables the Bregman-distance and error columns of the record
     stream.  A linear forward map also maintains the auxiliary sequence
     lambda_k and logs the defect ||xi_k - A* lambda_k||_L2, recomputing
-    A* lambda_k afresh each iteration so the check stays independent of the
-    xi update.  Data or a truth off the operator's grids raise
-    :class:`GridMismatchError` before the first step; a NaN or infinite
-    residual norm raises :class:`NonFiniteResidualError` at once, and a
-    run still going after :data:`SAFETY_CAP` iterations raises
-    :class:`IterationLimitError`.
+    A* lambda_k afresh each iteration with the adjoint map of the iterate's
+    ``linearize_values``, so the check stays independent of the xi update.
+    Data or a truth off the operator's grids raise :class:`GridMismatchError`
+    before the first step; a NaN or infinite residual norm raises
+    :class:`NonFiniteResidualError` at once, and a run still going after
+    :data:`SAFETY_CAP` iterations raises :class:`IterationLimitError`.
     """
     _check_consistency(rule, stop)
     grid_in = forward.grid_in
@@ -319,7 +319,7 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
             breg = float(breg_to_truth(x, xi))
             err = reg.error_norm(np.subtract(x, x_true), w_in)
         if lambda_tracking:
-            ldef = norm_l2_values(np.subtract(xi, forward.adjoint_values(lam)), w_in)
+            ldef = norm_l2_values(np.subtract(xi, adjoint(lam)), w_in)
 
         reason = stop.reason(k, rn)
         if reason is not None:

@@ -32,8 +32,10 @@ so an iterate that needs both the residual and the gradient linearizes once
 grid-function wrapper.  The maps are raw: the caller has checked the grids
 (the solvers check data, truth and start at their entry points), and the
 only :class:`GridFunction` arguments are the elliptic map's source and
-boundary data.  A linear operator also exposes its two kernels,
-``apply_values`` and ``adjoint_values``.
+boundary data.  The solvers use no kernel: the norm bound of the step rules
+is the base class's ``norm_bound``, derived from ``linearize_values``, and
+a linear operator's ``apply_values`` and ``adjoint_values`` serve the
+exact-data builders and the adjoint oracles.
 
 Every array the raw maps return is fresh, and the tangent and adjoint may
 close over the value (the elliptic adjoint multiplies by the state u), so a
@@ -67,11 +69,14 @@ __all__ = [
 
 class ForwardOperator:
     """Common surface: ``linearize_values`` and ``norm_bound``, on node arrays
-    of ``grid_in`` and ``grid_out``; ``linear`` marks a linear map."""
+    of ``grid_in`` and ``grid_out``; ``linear`` marks a linear map.  A
+    subclass sets those and implements ``linearize_values``; the base derives
+    ``norm_bound`` from it (a known bound is stored as ``_norm_cache``)."""
 
     linear: bool = False
     grid_in: Grid
     grid_out: Grid
+    _norm_cache: float = None
 
     def linearize_values(self, v: np.ndarray):
         """(F(x), h -> F'(x) h, w -> F'(x)^* w) on node arrays, where ``v``
@@ -80,8 +85,13 @@ class ForwardOperator:
         raise NotImplementedError
 
     def norm_bound(self) -> float:
-        """Upper bound (or estimate) for sup ||F'(x)||, computed once."""
-        raise NotImplementedError
+        """The known bound, else the power-iteration estimate of ||F'(0)|| on
+        the maps of ``linearize_values`` at 0, computed once."""
+        if self._norm_cache is None:
+            _, tangent, adjoint = self.linearize_values(np.zeros(self.grid_in.node_count))
+            self._norm_cache = power_iteration_norm(tangent, adjoint,
+                                                    self.grid_in, self.grid_out)
+        return self._norm_cache
 
 
 def _stacked(factors, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,8 +144,10 @@ class LinearIntegral(ForwardOperator):
                  factors=None, analytic_norm_bound: float = None):
         self.grid_in = grid_in
         self.grid_out = grid_out if grid_out is not None else grid_in
-        self._analytic_bound = analytic_norm_bound
-        self._norm_cache = None
+        if analytic_norm_bound is not None and not 0 < analytic_norm_bound < math.inf:
+            raise ValueError(f"analytic_norm_bound must be positive and finite, "
+                             f"got {analytic_norm_bound}")
+        self._norm_cache = analytic_norm_bound
         self.kernel = None
         if (kernel is None) == (factors is None):
             raise ValueError("provide exactly one of kernel and factors")
@@ -174,14 +186,6 @@ class LinearIntegral(ForwardOperator):
 
     def linearize_values(self, v: np.ndarray):
         return self.apply_values(v), self.apply_values, self.adjoint_values
-
-    def norm_bound(self) -> float:
-        if self._analytic_bound is not None:
-            return self._analytic_bound
-        if self._norm_cache is None:
-            self._norm_cache = power_iteration_norm(
-                self.apply_values, self.adjoint_values, self.grid_in, self.grid_out)
-        return self._norm_cache
 
 
 #: CG iterations per unknown before :meth:`EllipticSolver.solve` gives up,
@@ -231,6 +235,8 @@ class EllipticSolver:
     tol: float = 1e-10
 
     def __post_init__(self):
+        if not 0 < self.tol < 1:
+            raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
         if self.grid.kind != "square":
             raise ValueError("elliptic solver requires a square grid")
         n = self.grid.n
@@ -337,8 +343,6 @@ class EllipticCoefficient(ForwardOperator):
     and nothing is kept on the operator between calls.
     """
 
-    linear = False
-
     def __init__(self, f: GridFunction, g: GridFunction, grid: Grid,
                  solver: EllipticSolver = None):
         if f.grid != grid or g.grid != grid:
@@ -357,7 +361,6 @@ class EllipticCoefficient(ForwardOperator):
         lift[0, :] += gv[0, 1:-1]
         lift[-1, :] += gv[-1, 1:-1]
         self._state_rhs = self._interior(f.values) + lift.ravel() / grid.h ** 2
-        self._norm_cache = None
 
     def _interior(self, v: np.ndarray) -> np.ndarray:
         return v.reshape(self._shape)[1:-1, 1:-1].ravel()
@@ -379,11 +382,3 @@ class EllipticCoefficient(ForwardOperator):
             return -u_full * self._embed(self.solver.solve(a, self._interior(w)))
 
         return u_full, tangent, adjoint
-
-    def norm_bound(self) -> float:
-        """Power-iteration estimate of ||F'(0)||, computed once."""
-        if self._norm_cache is None:
-            _, tangent, adjoint = self.linearize_values(np.zeros(self.grid_in.node_count))
-            self._norm_cache = power_iteration_norm(tangent, adjoint,
-                                                    self.grid_in, self.grid_out)
-        return self._norm_cache

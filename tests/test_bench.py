@@ -465,6 +465,23 @@ seeds = 1, 2
         cfg = parse_config(path)
         assert cfg.resolved().n > 0
         assert 0 < cfg.resolved(fast=True).n <= cfg.resolved().n
+        # parsing checks a given n; the --fast cap must pass the setup's check too
+        experiments.check_grid_size(cfg.problem, cfg.resolved(fast=True).n)
+
+    @pytest.mark.parametrize("kind, n, rule", [
+        ("entropy_integral", 50, "entropy experiment needs n >= 100"),
+        ("pde_coefficient", 48, "pde experiment supports n in {16, 32, 64, 128}"),
+    ], ids=["entropy", "pde"])
+    def test_grid_size_the_setup_refuses_names_the_file_and_key(self, tmp_path, kind, n, rule):
+        # the setup states the rule; the config checks it as it is read
+        with pytest.raises(ValueError) as exc:
+            experiments.build_setup(kind, n)
+        assert str(exc.value) == rule
+        p = tmp_path / "size.cfg"
+        p.write_text(f"[problem]\nkind = {kind}\nn = {n}\n[rule]\nname = rule2\n")
+        with pytest.raises(ValueError) as exc:
+            parse_config(p)
+        assert str(exc.value) == f"{p}: [problem] n: {rule}, got {n}"
 
 
 ENTROPY_CFG = """

@@ -7,18 +7,24 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mirrorsolve import (
+    ConstantSchedule,
+    ConstantStep,
     EllipticCoefficient,
     EllipticSolveError,
     EllipticSolver,
     EntropySimplex,
+    ForwardOperator,
     Grid,
     GridFunction,
     GridMismatchError,
     LinearIntegral,
     MaxIterStop,
+    QuadraticBox,
+    SystemProblem,
     operators,
     power_iteration_norm,
     run,
+    smd_run,
 )
 from mirrorsolve.checks import (
     check_adjoint_elliptic,
@@ -84,6 +90,16 @@ class TestLinearIntegral:
         t = g.coords[0]
         op = LinearIntegral(g, kernel=1.0 + t[None, :] + t[:, None], analytic_norm_bound=L)
         assert op.norm_bound() == L
+
+    @pytest.mark.parametrize("bound", [0.0, -2.0, np.nan, np.inf],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_analytic_norm_bound_must_be_positive_and_finite(self, bound):
+        # the bound is the norm cache: 0 divided rule 1's first step by
+        # zero, -2 ran on L^2 = 4 and NaN blamed the data at iterate 1
+        g = Grid.interval(10)
+        t = g.coords[0]
+        with pytest.raises(ValueError, match="analytic_norm_bound must be positive and finite"):
+            LinearIntegral(g, kernel=1.0 + t[None, :] + t[:, None], analytic_norm_bound=bound)
 
     def test_power_iteration_fallback(self):
         g = Grid.interval(200)
@@ -363,6 +379,17 @@ class TestEllipticForward:
 def test_elliptic_input_checks(build, error, fragment):
     with pytest.raises(error, match=fragment):
         build()
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, 2.0, -1e-10, np.nan],
+                         ids=["zero", "one", "two", "negative", "nan"])
+def test_solver_tol_must_lie_in_the_unit_interval(tol):
+    # tol = 2 passed the residual test at iteration 0 and returned zeros;
+    # tol = 0 or NaN ran CG into a 0/0 breakdown
+    with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+        EllipticSolver(Grid.square(16), tol=tol)
+    with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+        setup_pde_experiment(16, solver_tol=tol)
 
 
 def _coefficients(n):
@@ -692,3 +719,60 @@ def test_norm_bound_matches_the_grid_function_route_bit_for_bit(make):
     maps = (lambda h: GridFunction(op.grid_out, tangent(h.values)),
             lambda u: GridFunction(op.grid_in, adjoint(u.values)))
     assert op.norm_bound() == _grid_function_power_norm(*maps, op.grid_in)
+
+
+class _Diagonal(ForwardOperator):
+    """The smallest forward map: x -> d x on one interval grid, self-adjoint
+    under its quadrature weights, with nothing but ``linearize_values``."""
+
+    linear = True
+
+    def __init__(self, d):
+        self.grid_in = self.grid_out = Grid.interval(d.size - 1)
+        self.d = d
+
+    def linearize_values(self, v):
+        def scale(h):
+            return self.d * h
+
+        return self.d * v, scale, scale
+
+
+class TestMinimalForwardMap:
+    """A forward map reaches the solvers through ``linearize_values`` alone."""
+
+    def _op(self):
+        return _Diagonal(np.linspace(0.5, 1.0, 21))
+
+    def test_norm_bound_is_the_power_iteration_on_its_maps_computed_once(self, monkeypatch):
+        op = self._op()
+        _, tangent, adjoint = op.linearize_values(np.zeros(op.grid_in.node_count))
+        expected = power_iteration_norm(tangent, adjoint, op.grid_in, op.grid_out)
+        calls = [0]
+        estimate = operators.power_iteration_norm
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "power_iteration_norm", counted)
+        assert op.norm_bound() == expected == pytest.approx(1.0, rel=1e-6)
+        assert op.norm_bound() == expected
+        assert calls[0] == 1
+
+    def test_run_tracks_lambda_and_smd_runs(self):
+        op = self._op()
+        reg = QuadraticBox(lower=None)
+        x_true = GridFunction(op.grid_in, np.cos(op.grid_in.coords[0]))
+        y = GridFunction(op.grid_out, op.linearize_values(x_true.values)[0])
+        rule = ConstantStep(gamma=0.9)
+        res = run(op, reg, y, rule, MaxIterStop(k_max=20), x_truth=x_true)
+        defects = [r.lambda_defect for r in res.records]
+        assert None not in defects
+        assert max(defects) <= 1e-12
+        # one block on a constant schedule is the Landweber path, bit for bit
+        gamma = rule.bounds(op.norm_bound())[0]
+        sr = smd_run(SystemProblem((op,), (y,)), reg, ConstantSchedule(gamma), 20, seed=1,
+                     x_truth=x_true)
+        assert sr.k_stop == 20
+        assert np.array_equal(sr.x.values, res.x.values)

@@ -97,8 +97,9 @@ def _keyword_parameters(obj):
      {"linearize_values", "norm_bound", "apply_values", "adjoint_values"}),
 ], ids=["ForwardOperator", "EllipticCoefficient", "LinearIntegral"])
 def test_forward_operator_methods(cls, methods):
-    # the solvers reach a forward map only through its linearization (and a
-    # linear map's two kernels); a second route has to change this on purpose
+    # the solvers reach a forward map only through its linearization and the
+    # base class's norm bound (a linear map's two kernels serve the data
+    # builders and the oracles); a second route has to change this on purpose
     public = {name for name, _ in inspect.getmembers(cls, inspect.isfunction)
               if not name.startswith("_")}
     assert public == methods
