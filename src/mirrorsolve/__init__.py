@@ -12,11 +12,11 @@ The package is organized around five layers:
   coefficient-to-solution map) with a per-iterate linearization (value,
   derivative, adjoint) on node arrays;
 * :mod:`mirrorsolve.landweber` -- the dual-space gradient iteration with
-  pluggable step-size and stopping rules plus diagnostics, built on one
-  mirror-descent update, :func:`dual_step`;
+  pluggable step-size and stopping rules plus diagnostics: one
+  mirror-descent update, :func:`dual_step`, and one loop that runs it;
 * :mod:`mirrorsolve.smd` -- the stochastic block variant for systems with
-  exact data, which applies the same :func:`dual_step` to one sampled block
-  and returns the same :class:`RunResult`.
+  exact data: the same loop, one sampled block and :func:`smd_step` per
+  step, and the same :class:`RunResult`.
 
 :mod:`mirrorsolve.experiments` and :mod:`mirrorsolve.cli` wrap everything in
 reproducible rate benchmarks.

@@ -82,10 +82,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown stopping {self.stopping!r}")
         if self.smd_regularizer not in ("entropy", "elastic"):
             raise ValueError(f"unknown smd regularizer {self.smd_regularizer!r}")
-        if self.smd_blocks < 1:
-            raise ValueError(f"[smd] blocks must be at least 1, got {self.smd_blocks}")
-        if self.problem == "smd_synthetic" and self.n is not None and self.n < 2:
-            raise ValueError(f"[problem] n must be at least 2 for smd_synthetic, got {self.n}")
+        if self.problem == "smd_synthetic":
+            n = PROBLEM_DEFAULTS[self.problem]["n"] if self.n is None else self.n
+            try:
+                check_grid_size(self.problem, n, self.smd_blocks)
+            except ValueError as exc:
+                raise ValueError(f"[smd] blocks and [problem] n: {exc}") from None
         if not self.smd_gamma > 0:
             raise ValueError(f"[smd] gamma must be positive, got {self.smd_gamma}")
         if self.smd_alpha is not None and not 0 < self.smd_alpha < 1:

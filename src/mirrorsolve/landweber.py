@@ -6,35 +6,33 @@ pulls it back through the regularizer's mirror map:
     xi_{k+1} = xi_k - gamma_k F'(x_k)^* (F(x_k) - y_delta)
     x_{k+1}  = mirror_map(xi_{k+1})
 
-:func:`dual_step` is that update, written once: :func:`run` applies it to
-the whole system and :func:`mirrorsolve.smd.smd_step` to one sampled block,
-and both return a :class:`RunResult`.  Three step-size rules are provided (a
+:func:`dual_step` is that update, and one loop runs it: :func:`run` on the
+whole system, :func:`mirrorsolve.smd.smd_run` on one sampled block per step,
+each returning a :class:`RunResult`.  Three step-size rules are provided (a
 constant step gamma/L^2, a capped minimal-error step, and a capped adaptive
 step that discounts the noise level), together with discrepancy-principle,
-iteration-budget, and max-iter stopping.  Runs are instrumented: per-iterate
-residuals, step sizes, Bregman distance and error to a supplied ground
-truth, and -- for linear forward operators -- the defect of the dual-space
-identity xi_k = A* lambda_k maintained by the auxiliary sequence
-lambda_{k+1} = lambda_k - gamma_k (F x_k - y_delta).  Every run starts from
-xi_0 = 0.
+iteration-budget, and max-iter stopping.
 
-Both loops keep the states (x, xi), lambda, the residual, the gradient and
-the diagnostics on node arrays under the input grid's quadrature weights,
-with the value and adjoint map of the operator's ``linearize_values``.  Grid
-functions appear only where data enter, checked against the operator's grids
-before the first step, and where they leave: each run builds the grid
-functions of its :class:`RunResult` once, at the end.
+The loop keeps states and diagnostics on node arrays under the input grid's
+quadrature weights; grid functions appear only where data enter, checked
+before the first step, and in the result.  The Bregman log is bookkeeping,
+evaluated a chunk of states per call on the stacked states (fresh arrays
+that nothing writes to); the evaluator reduces along the last axis, which
+gives each row the bits of a one-state call wherever a chunk ends.  A chunk
+has 64 states on the 51-node stochastic grids and one, in place, at n = 5000
+or on the 65 x 65 grid (:data:`CHUNK`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .grids import GridFunction, GridMismatchError, norm_l2_values
+from .grids import Grid, GridFunction, GridMismatchError, norm_l2_values
 from .operators import ForwardOperator
 from .regularizers import Regularizer
 
@@ -199,6 +197,9 @@ class MaxIterStop:
     def __post_init__(self):
         if self.k_max < 0:
             raise ValueError("k_max must be nonnegative")
+        if self.k_max > SAFETY_CAP:
+            raise ValueError(f"k_max = {self.k_max} exceeds the iteration safety cap "
+                             f"{SAFETY_CAP}")
 
     def reason(self, k: int, rn: float):
         return "maxiter" if k >= self.k_max else None
@@ -263,8 +264,12 @@ class NonFiniteResidualError(ArithmeticError):
         self.records = tuple(records)
 
 
-#: iteration safety cap of :func:`run`, read as it iterates
+#: iteration safety cap of :func:`run`, read as it iterates, and of MaxIterStop
 SAFETY_CAP = 10 ** 6
+
+#: the most states per Bregman-log evaluation: a path on n nodes logs
+#: min(CHUNK, CHUNK * CHUNK // n) states per call, and at least one
+CHUNK = 64
 
 
 def dual_step(reg: Regularizer, xi: np.ndarray, g: np.ndarray, gamma: float,
@@ -277,13 +282,82 @@ def dual_step(reg: Regularizer, xi: np.ndarray, g: np.ndarray, gamma: float,
     return reg.mirror_map(xi, w), xi
 
 
+def _descend(reg: Regularizer, grid: Grid, xi: np.ndarray, operators, data, picks,
+             transition, stop, build, x_truth: GridFunction = None,
+             observe=None) -> RunResult:
+    """The loop from the dual state ``xi``.  State k linearizes block
+    i = ``picks[k]`` (``operators[i]``, ``data[i]``), checks its residual norm
+    rn, is logged (``observe(x, xi, adjoint)`` and the Bregman distance to
+    ``x_truth``, each if given), asks ``stop.reason(k, rn)`` and
+    :data:`SAFETY_CAP`, and moves on by ``transition(k, xi, g, r, rn)``, which
+    returns (x', xi', move).  ``build(k0, rns, moves, deltas, seen)`` makes
+    the records of a logged chunk."""
+    if x_truth is not None and x_truth.grid != grid:
+        raise GridMismatchError("x_truth does not live on the input grid")
+    dist = None if x_truth is None else reg.bregman_to(x_truth)
+    blocks = [(op.linearize_values, y.values, y.grid.weights) for op, y in zip(operators, data)]
+    n = grid.node_count
+    chunk = min(CHUNK, max(1, CHUNK * CHUNK // n))
+    x = reg.mirror_map(xi, grid.weights)
+    records = []
+    # one list per column, for the states not yet logged
+    xs, xis, rns, moves, seen = [], [], [], [], []
+
+    def stacked(states):
+        # one state in place (faster than a (1, n) view), more stacked in a copy
+        m = len(states)
+        return states[0] if m == 1 else np.concatenate(states).reshape(m, n)
+
+    def log():
+        deltas = ([None] * len(xs) if dist is None or not xs else
+                  dist(stacked(xs), stacked(xis)).reshape(-1).tolist())
+        records.extend(build(len(records), rns, moves, deltas, seen))
+        del xs[:], xis[:], rns[:], moves[:], seen[:]
+
+    for k, i in enumerate(picks):
+        linearize, y, w_out = blocks[i]
+        value, _, adjoint = linearize(x)
+        # a fresh residual: the adjoint map may close over the value
+        r = np.subtract(value, y)
+        rn = norm_l2_values(r, w_out)
+        if not math.isfinite(rn):
+            log()
+            raise NonFiniteResidualError(k, rn, records)
+        xs.append(x)
+        xis.append(xi)
+        rns.append(rn)
+        if observe is not None:
+            seen.append(observe(x, xi, adjoint))
+        reason = stop.reason(k, rn)
+        if reason is not None:
+            moves.append(None)
+            log()
+            return RunResult(GridFunction(grid, x), GridFunction(grid, xi), k, reason,
+                             tuple(records))
+        if k >= SAFETY_CAP:
+            log()
+            raise IterationLimitError(SAFETY_CAP, records)
+        x, xi, move = transition(k, xi, adjoint(r), r, rn)
+        moves.append(move)
+        if len(moves) == chunk:
+            log()
+
+
+def _iterate_records(k0, rns, moves, deltas, seen):
+    """The :class:`IterateRecord` of each logged state of :func:`run`."""
+    for k, rn, move, breg, (err, ldef) in zip(count(k0), rns, moves, deltas, seen):
+        gamma, degen = (None, False) if move is None else move
+        yield IterateRecord(k, rn, gamma, breg, err, ldef, degen)
+
+
 def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
         rule, stop, *, x_truth: GridFunction = None) -> RunResult:
     """Iterate from xi_0 = 0 until the stopping rule fires.
 
     ``x_truth`` enables the Bregman-distance and error columns of the record
     stream.  A linear forward map also maintains the auxiliary sequence
-    lambda_k and logs the defect ||xi_k - A* lambda_k||_L2, recomputing
+    lambda_{k+1} = lambda_k - gamma_k (F x_k - y_delta) and logs the defect
+    ||xi_k - A* lambda_k||_L2 of the dual-space identity, recomputing
     A* lambda_k afresh each iteration with the adjoint map of the iterate's
     ``linearize_values``, so the check stays independent of the xi update.
     Data or a truth off the operator's grids raise :class:`GridMismatchError`
@@ -292,53 +366,28 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
     :data:`SAFETY_CAP` iterations raises :class:`IterationLimitError`.
     """
     _check_consistency(rule, stop)
-    grid_in = forward.grid_in
+    grid = forward.grid_in
     if y_delta.grid != forward.grid_out:
         raise GridMismatchError("data do not live on the operator's output grid")
-    if x_truth is not None and x_truth.grid != grid_in:
-        raise GridMismatchError("truth does not live on the operator's input grid")
-    lambda_tracking = forward.linear
-    w_in, w_out, y = grid_in.weights, forward.grid_out.weights, y_delta.values
+    w = grid.weights
+    lam = np.zeros(forward.grid_out.node_count) if forward.linear else None
 
-    xi = np.zeros(grid_in.node_count)
-    x = reg.mirror_map(xi, w_in)
-    lam = np.zeros(forward.grid_out.node_count) if lambda_tracking else None
+    def observe(x, xi, adjoint):
+        err = None if x_truth is None else reg.error_norm(np.subtract(x, x_truth.values), w)
+        ldef = None if lam is None else norm_l2_values(np.subtract(xi, adjoint(lam)), w)
+        return err, ldef
 
-    if x_truth is not None:
-        breg_to_truth, x_true = reg.bregman_to(x_truth), x_truth.values
-    records = []
-    k = 0
-    while True:
-        value, _, adjoint = forward.linearize_values(x)
-        r = np.subtract(value, y)
-        rn = norm_l2_values(r, w_out)
-        if not math.isfinite(rn):
-            raise NonFiniteResidualError(k, rn, records)
-        breg = err = ldef = None
-        if x_truth is not None:
-            breg = float(breg_to_truth(x, xi))
-            err = reg.error_norm(np.subtract(x, x_true), w_in)
-        if lambda_tracking:
-            ldef = norm_l2_values(np.subtract(xi, adjoint(lam)), w_in)
-
-        reason = stop.reason(k, rn)
-        if reason is not None:
-            records.append(IterateRecord(k, rn, None, breg, err, ldef))
-            return RunResult(GridFunction(grid_in, x), GridFunction(grid_in, xi), k,
-                             reason, tuple(records))
-        if k >= SAFETY_CAP:
-            raise IterationLimitError(SAFETY_CAP, records)
-
-        g = adjoint(r)
-        gn = norm_l2_values(g, w_in)
-        gamma, degen = rule.step(rn, gn, forward.norm_bound)
-        records.append(IterateRecord(k, rn, gamma, breg, err, ldef, degen))
-
-        x, xi = dual_step(reg, xi, g, gamma, w_in)
-        if lambda_tracking:
+    def transition(k, xi, g, r, rn):
+        nonlocal lam
+        gamma, degen = rule.step(rn, norm_l2_values(g, w), forward.norm_bound)
+        x, xi = dual_step(reg, xi, g, gamma, w)
+        if lam is not None:
             t = np.multiply(gamma, r)
             lam = np.subtract(lam, t, out=t)
-        k += 1
+        return x, xi, (gamma, degen)
+
+    return _descend(reg, grid, np.zeros(grid.node_count), (forward,), (y_delta,), repeat(0),
+                    transition, stop, _iterate_records, x_truth, observe)
 
 
 def csv_number(v) -> str:

@@ -7,40 +7,32 @@ block alone:
     xi_{k+1} = xi_k - gamma_k F'_{i_k}(x_k)^* (F_{i_k}(x_k) - y_{i_k})
     x_{k+1}  = mirror_map(xi_{k+1})
 
-so with one block and a constant schedule a path is the Landweber iteration,
-bit for bit, and :func:`smd_run` returns the same
-:class:`~mirrorsolve.landweber.RunResult` (stop reason ``maxiter``).
+:func:`smd_run` runs the Landweber loop with a drawn block per state,
+:func:`smd_step` as the transition and a max-iter stop, so with one block
+and a constant schedule a path is the Landweber iteration, bit for bit, with
+the same :class:`~mirrorsolve.landweber.RunResult` (stop reason ``maxiter``).
 
 Under the step condition sup_k gamma_k < 4 sigma (1 - eta) / L^2 (with
 sum gamma_k = inf) the Bregman distance to a solution satisfying the
 range-type source condition decays like 1/s_k along the partial sums
 s_k = sum_{l<=k} gamma_l; :func:`smd_run` logs s_k * Delta_k so that claim
 is directly checkable.  The block indices of a path come from one batched
-draw, ``default_rng(seed).integers(N, size=k_max)``, which yields the same
-stream as k_max scalar draws, so every trajectory is a reproducible artifact
-of its seed.
-
-The Bregman log is bookkeeping, not part of the iteration, so
-:func:`smd_run` evaluates it a chunk of :data:`CHUNK` states at a time: it
-copies each state (x_k, xi_k) into a row of two preallocated buffers and
-calls the ``reg.bregman_to(x_truth)`` evaluator once on the stacked rows.
-The evaluator reduces along the last axis, which gives each row the bits of
-a one-state call, so the records do not depend on where a chunk ends.  The
-record fields of the current chunk are kept as one list per column, and a
-chunk's records are built when it is logged, so the columns never hold more
-than :data:`CHUNK` entries.
+draw, ``default_rng(seed).integers(N, size=k_max + 1)``, which yields the
+same stream as k_max + 1 scalar draws, so every trajectory is a
+reproducible artifact of its seed; the last index is the terminal state's.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
 
-from .grids import Grid, GridFunction, GridMismatchError, norm_l2_values
-from .landweber import NonFiniteResidualError, RunResult, csv_number, dual_step, write_csv
+from .experiments import check_grid_size
+from .grids import Grid, GridFunction, GridMismatchError
+from .landweber import MaxIterStop, RunResult, _descend, csv_number, dual_step, write_csv
 from .operators import LinearIntegral
 from .regularizers import Regularizer
 
@@ -152,24 +144,14 @@ class SmdRecord(NamedTuple):
         return self.s_k * self.delta_k
 
 
-#: states per Bregman-log evaluation in :func:`smd_run`
-CHUNK = 64
-
-
-def smd_step(state, prob: SystemProblem, reg: Regularizer, sched, k: int, i: int):
-    """Step k from the node values ``state = (x, xi)`` on block ``i``; returns
-    (x', xi', gamma_k, block residual norm), the states as fresh arrays.
-
-    The problem checked every block's grids once, so the step runs on node
-    arrays: the residual is a fresh array, never an operator's value
-    written in place (the adjoint map may close over that value)."""
-    x, xi = state
+def smd_step(reg: Regularizer, sched, w: np.ndarray, k: int, xi: np.ndarray,
+             g: np.ndarray):
+    """Step k from the dual state ``xi`` along the node values ``g`` of the
+    picked block's gradient, under the quadrature weights ``w``; returns
+    (x', xi', gamma_k), the states as fresh arrays."""
     gamma = sched.at(k)
-    op, y = prob.operators[i], prob.data[i]
-    value, _, adjoint = op.linearize_values(x)
-    r = np.subtract(value, y.values)
-    x, xi = dual_step(reg, xi, adjoint(r), gamma, op.grid_in.weights)
-    return x, xi, gamma, norm_l2_values(r, y.grid.weights)
+    x, xi = dual_step(reg, xi, g, gamma, w)
+    return x, xi, gamma
 
 
 def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
@@ -177,75 +159,39 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
     """Run ``k_max`` stochastic steps; records cover states k = 0 .. k_max,
     and the result stops at k_max for reason ``maxiter``.
 
-    A truth or start off the problem's input grid raises
-    :class:`~mirrorsolve.grids.GridMismatchError`, the step schedule is
-    validated against the problem's norm bound, and a negative ``k_max``
-    raises :class:`ValueError`, before the first step.  With
-    ``x_truth`` supplied, each record carries the Bregman distance Delta_k
-    and (through ``s_delta``) the rate product s_k * Delta_k, where s_k is
-    the inclusive partial sum of the schedule.  The distances are evaluated
-    :data:`CHUNK` states per evaluator call, with the bits that one call per
-    state would give.  A NaN or infinite block residual norm raises
-    :class:`~mirrorsolve.landweber.NonFiniteResidualError` at once, with the
-    records of every state before it.  The states stay node arrays; the
-    result's grid functions are built once, at the end.
+    A truth or start off the problem's input grid, a schedule over the step
+    bound, or a ``k_max`` below 0 or above
+    :data:`~mirrorsolve.landweber.SAFETY_CAP` is refused before the first
+    step.  With ``x_truth``, each record carries the Bregman distance
+    Delta_k and, through ``s_delta``, s_k * Delta_k for the inclusive partial
+    sum s_k of the schedule.  A NaN or infinite block residual norm, the
+    terminal state's included, raises ``NonFiniteResidualError`` at once.
+    Each step is one :func:`smd_step` call, read as a module global per path.
     """
     grid = prob.grid_in
-    if x_truth is not None and x_truth.grid != grid:
-        raise GridMismatchError("x_truth does not live on the problem's input grid")
     if xi0 is not None and xi0.grid != grid:
         raise GridMismatchError("xi0 does not live on the problem's input grid")
     validate_schedule(sched, prob.norm_bound(), sigma=reg.sigma)
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    picks = np.random.default_rng(seed).integers(prob.n_blocks, size=k_max).tolist()
-    n = grid.node_count
-    xi = np.zeros(n) if xi0 is None else xi0.values
-    x = reg.mirror_map(xi, grid.weights)
-
-    dist = reg.bregman_to(x_truth) if x_truth is not None else None
-    xs, xis = np.empty((CHUNK, n)), np.empty((CHUNK, n))
-    records = []
-    # one list per record column, for the states not yet logged
-    gammas, sums, residuals = [], [], []
-
-    def log(m):
-        """Log the states in the first ``m`` buffer rows: the next ``m`` records."""
-        k0 = len(records)
-        deltas = dist(xs[:m], xis[:m]).tolist() if dist is not None else [None] * m
-        records.extend(map(SmdRecord._make, zip(range(k0, k0 + m), picks[k0:k0 + m],
-                                                gammas, sums, deltas, residuals)))
-        for column in (gammas, sums, residuals):
-            column.clear()
-
+    stop = MaxIterStop(k_max)
+    picks = np.random.default_rng(seed).integers(prob.n_blocks, size=k_max + 1).tolist()
+    w, step = grid.weights, smd_step
     s = 0.0
-    row = 0
-    for k, i in enumerate(picks):
-        if dist is not None:
-            xs[row] = x
-            xis[row] = xi
-        x, xi, gamma, rn = smd_step((x, xi), prob, reg, sched, k, i)
-        if not math.isfinite(rn):
-            log(row)
-            raise NonFiniteResidualError(k, rn, tuple(records))
+
+    def transition(k, xi, g, r, rn):
+        nonlocal s
+        x, xi, gamma = step(reg, sched, w, k, xi, g)
         s += gamma
-        gammas.append(gamma)
-        sums.append(s)
-        residuals.append(rn)
-        row += 1
-        if row == CHUNK:
-            log(row)
-            row = 0
-    if dist is not None:
-        xs[row] = x
-        xis[row] = xi
-    picks.append(None)
-    gammas.append(None)
-    sums.append(s + sched.at(k_max))
-    residuals.append(None)
-    log(row + 1)
-    return RunResult(GridFunction(grid, x), GridFunction(grid, xi), k_max, "maxiter",
-                     tuple(records))
+        return x, xi, (picks[k], gamma, s)
+
+    def build(k0, rns, moves, deltas, seen):
+        # the stopped state takes no step, but its s_k adds gamma_{k_max}
+        return [SmdRecord(k, *move, delta, rn) if move else
+                SmdRecord(k, s_k=s + sched.at(k), delta_k=delta)
+                for k, move, delta, rn in zip(count(k0), moves, deltas, rns)]
+
+    xi = np.zeros(grid.node_count) if xi0 is None else xi0.values
+    return _descend(reg, grid, xi, prob.operators, prob.data, picks, transition, stop, build,
+                    x_truth)
 
 
 @dataclass(frozen=True)
@@ -279,8 +225,7 @@ def build_sourced_instance(N: int, n: int, reg: Regularizer, seed: int, *,
     max |sum_i A_i^* lam_true_i| is at most beta, so x_true = 0 is the
     zero start itself; ``lam_scale = 0`` is refused for it.
     """
-    if N < 1 or n < 2:
-        raise ValueError("need N >= 1 and n >= 2")
+    check_grid_size("smd_synthetic", n, N)
     rng = np.random.default_rng(seed)
     grid = Grid.interval(n)
     t = grid.coords[0]

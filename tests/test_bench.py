@@ -407,9 +407,11 @@ seeds = 1, 2
          r"bad\.cfg: \[smd\] gamma: could not convert string to float: 'fast'"),
         # the stochastic study's values are checked before any instance is built
         ("[problem]\nkind = smd_synthetic\n[smd]\nblocks = 0\n",
-         r"bad\.cfg: \[smd\] blocks must be at least 1, got 0"),
+         r"bad\.cfg: \[smd\] blocks and \[problem\] n: need N >= 1 and n >= 2, "
+         r"got N = 0 and n = 50"),
         ("[problem]\nkind = smd_synthetic\nn = 1\n",
-         r"bad\.cfg: \[problem\] n must be at least 2 for smd_synthetic, got 1"),
+         r"bad\.cfg: \[smd\] blocks and \[problem\] n: need N >= 1 and n >= 2, "
+         r"got N = 4 and n = 1"),
         ("[problem]\nkind = smd_synthetic\n[smd]\ngamma = 0\n",
          r"bad\.cfg: \[smd\] gamma must be positive, got 0\.0"),
         ("[problem]\nkind = smd_synthetic\n[smd]\ngamma = nan\n",

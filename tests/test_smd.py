@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mirrorsolve.landweber
 import mirrorsolve.smd
 from mirrorsolve import (
     ConstantSchedule,
@@ -21,8 +22,8 @@ from mirrorsolve import (
 )
 from mirrorsolve.experiments import setup_pde_experiment
 from mirrorsolve.grids import norm_l2_values
-from mirrorsolve.landweber import csv_number
-from mirrorsolve.smd import CHUNK, validate_schedule, write_rate_csv
+from mirrorsolve.landweber import CHUNK, csv_number
+from mirrorsolve.smd import validate_schedule, write_rate_csv
 
 
 class TestSchedules:
@@ -378,6 +379,46 @@ class TestSmdRun:
         assert exc.value.k == 2 * CHUNK
         assert exc.value.records == ref.records[:2 * CHUNK]
 
+    def test_nonfinite_block_at_the_terminal_state_raises(self):
+        # the stopped state k_max is linearized and checked too, on a block
+        # of its own draw; its record has no pick, step or block residual
+        reg = EntropySimplex()
+        inst = build_sourced_instance(1, 20, reg, seed=5)
+        (op,), (y,) = inst.problem.operators, inst.problem.data
+        n_blocks, k_max = 100, 50
+
+        def picks(sd):
+            return np.random.default_rng(sd).integers(n_blocks, size=k_max + 1).tolist()
+
+        # a seed whose NaN block is drawn first at index k_max
+        seed = next(sd for sd in range(100) if picks(sd)[k_max] not in picks(sd)[:k_max])
+        bad = picks(seed)[k_max]
+        nan = GridFunction(y.grid, np.full(y.grid.node_count, np.nan))
+        clean = SystemProblem((op,) * n_blocks, (y,) * n_blocks)
+        broken = SystemProblem((op,) * n_blocks,
+                               tuple(nan if i == bad else y for i in range(n_blocks)))
+        sched = ConstantSchedule(1.5)
+        ref = smd_run(clean, reg, sched, k_max, seed, x_truth=inst.x_true)
+        last = ref.records[-1]
+        assert (last.k, last.i_k, last.gamma_k, last.block_residual) == (k_max, None, None, None)
+        with pytest.raises(NonFiniteResidualError) as exc:
+            smd_run(broken, reg, sched, k_max, seed, x_truth=inst.x_true)
+        assert exc.value.k == k_max
+        assert exc.value.records == ref.records[:k_max]
+
+    def test_k_max_above_the_safety_cap_refused_before_the_first_step(self, monkeypatch):
+        reg = EntropySimplex()
+        inst = build_sourced_instance(2, 20, reg, seed=1)
+        monkeypatch.setattr(mirrorsolve.landweber, "SAFETY_CAP", 5)
+        assert smd_run(inst.problem, reg, ConstantSchedule(1.0), 5, seed=0).k_stop == 5
+
+        def no_step(*args):
+            raise AssertionError("the path stepped before checking the safety cap")
+
+        monkeypatch.setattr(mirrorsolve.smd, "smd_step", no_step)
+        with pytest.raises(ValueError, match="k_max = 6 exceeds the iteration safety cap 5"):
+            smd_run(inst.problem, reg, ConstantSchedule(1.0), 6, seed=0)
+
     @pytest.mark.parametrize("reg", [EntropySimplex(), ElasticNet(beta=0.3)],
                              ids=["entropy", "elastic"])
     def test_matches_reference_arithmetic_bitwise(self, reg):
@@ -456,32 +497,37 @@ class TestSmdRun:
 
     def test_step_leaves_its_inputs_alone(self):
         # two steps from one state on the elliptic block give the same bits,
-        # and the state and the data keep theirs and their write flags
+        # and the state, the gradient and the data keep theirs and their
+        # write flags
         setup = setup_pde_experiment(16)
         op, reg, y = setup.forward, setup.reg, setup.y
         prob = SystemProblem((op,), (y,))
         sched = ConstantSchedule(1.0 / op.norm_bound() ** 2)
+        w = op.grid_in.weights
         rng = np.random.default_rng(2)
         xi = 0.3 * rng.standard_normal(op.grid_in.node_count)
-        x = reg.mirror_map(xi, op.grid_in.weights)
-        arrays = (x, xi, y.values)
+        x = reg.mirror_map(xi, w)
+        value, _, adjoint = op.linearize_values(x)
+        r = value - y.values
+        g = adjoint(r)
+        arrays = (x, xi, g, value, y.values)
         before = [(a.tobytes(), a.flags.writeable) for a in arrays]
 
         def step():
-            return mirrorsolve.smd.smd_step((x, xi), prob, reg, sched, 0, 0)
+            return mirrorsolve.smd.smd_step(reg, sched, w, 0, xi, g)
 
         first = step()
-        first_bits = (first[0].tobytes(), first[1].tobytes(), *first[2:])
+        first_bits = (first[0].tobytes(), first[1].tobytes(), first[2])
         second = step()
         assert [(a.tobytes(), a.flags.writeable) for a in arrays] == before
         for out in (first, second):
-            assert (out[0].tobytes(), out[1].tobytes(), *out[2:]) == first_bits
-        # the step written out: a residual written into the operator's value
-        # would reach the adjoint through the state u
-        value, _, adjoint = op.linearize_values(x)
-        r = value - y.values
-        assert first[1].tobytes() == (xi - sched.gamma * adjoint(r)).tobytes()
-        assert first[3] == norm_l2_values(r, op.grid_out.weights)
+            assert (out[0].tobytes(), out[1].tobytes(), out[2]) == first_bits
+        assert first[1].tobytes() == (xi - sched.gamma * g).tobytes()
+        # the path's step written out: a residual written into the
+        # operator's value would reach the adjoint through the state u
+        path = smd_run(prob, reg, sched, 1, seed=0, xi0=GridFunction(op.grid_in, xi))
+        assert path.xi.values.tobytes() == first[1].tobytes()
+        assert path.records[0].block_residual == norm_l2_values(r, op.grid_out.weights)
 
     def test_determinism_per_seed(self):
         reg = ElasticNet(beta=0.3)
