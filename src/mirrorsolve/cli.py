@@ -23,7 +23,6 @@ import numpy as np
 
 from . import checks, experiments, smd
 from .config import parse_config
-from .regularizers import ElasticNet, EntropySimplex
 
 __all__ = ["main"]
 
@@ -85,12 +84,9 @@ def _cmd_smd(args) -> int:
     if cfg.problem != "smd_synthetic":
         raise ValueError(f"smd needs [problem] kind = smd_synthetic, "
                          f"got {cfg.problem!r}")
-    reg = (EntropySimplex() if cfg.smd_regularizer == "entropy"
-           else ElasticNet(beta=0.3))
+    reg, sched = cfg.smd_study()
     inst = smd.build_sourced_instance(cfg.smd_blocks, cfg.n, reg,
                                       cfg.smd_instance_seed)
-    sched = (smd.ConstantSchedule(gamma=cfg.smd_gamma) if cfg.smd_alpha is None
-             else smd.PolynomialSchedule(gamma0=cfg.smd_gamma, alpha=cfg.smd_alpha))
     seeds = [args.seed] if args.seed is not None else list(cfg.seeds)
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:

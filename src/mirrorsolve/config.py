@@ -26,7 +26,11 @@ gamma0 = 1.98 and gamma_bar = 600 are fixed (``experiments.GAMMA0``,
 
 The ``[smd]`` section configures the stochastic study (kind smd_synthetic):
 blocks (>= 1), regularizer (entropy | elastic), gamma (> 0), alpha (in
-(0, 1), for a polynomial schedule), k_max (>= 0) and instance_seed (>= 0).
+(0, 1), for a polynomial schedule), k_max (in [0, 10^6], the iteration
+safety cap) and instance_seed (>= 0).  The config checks gamma, alpha and
+k_max by building the regularizer, schedule and stop that ``mirrorsolve
+smd`` runs with (:meth:`ExperimentConfig.smd_study`), so each range is
+stated once, by the constructor that owns it.
 
 An unknown section or key raises ValueError, so a misspelt key cannot fall
 back to its default unnoticed; so does a key the problem kind never reads:
@@ -45,6 +49,9 @@ import math
 from dataclasses import dataclass, replace
 
 from .experiments import check_grid_size
+from .landweber import MaxIterStop
+from .regularizers import ElasticNet, EntropySimplex
+from .smd import ConstantSchedule, PolynomialSchedule
 
 __all__ = ["ExperimentConfig", "parse_config", "PROBLEM_DEFAULTS"]
 
@@ -82,18 +89,18 @@ class ExperimentConfig:
             raise ValueError(f"unknown stopping {self.stopping!r}")
         if self.smd_regularizer not in ("entropy", "elastic"):
             raise ValueError(f"unknown smd regularizer {self.smd_regularizer!r}")
-        if self.problem == "smd_synthetic":
-            n = PROBLEM_DEFAULTS[self.problem]["n"] if self.n is None else self.n
-            try:
-                check_grid_size(self.problem, n, self.smd_blocks)
-            except ValueError as exc:
+        n = PROBLEM_DEFAULTS[self.problem]["n"] if self.n is None else self.n
+        try:
+            check_grid_size(self.problem, n, self.smd_blocks)
+        except ValueError as exc:
+            if self.problem == "smd_synthetic":
                 raise ValueError(f"[smd] blocks and [problem] n: {exc}") from None
-        if not self.smd_gamma > 0:
-            raise ValueError(f"[smd] gamma must be positive, got {self.smd_gamma}")
-        if self.smd_alpha is not None and not 0 < self.smd_alpha < 1:
-            raise ValueError(f"[smd] alpha must lie in (0,1), got {self.smd_alpha}")
-        if self.smd_k_max < 0:
-            raise ValueError(f"[smd] k_max must be nonnegative, got {self.smd_k_max}")
+            raise ValueError(f"[problem] n: {exc}, got {n}") from None
+        try:
+            self.smd_study()
+            MaxIterStop(self.smd_k_max)
+        except ValueError as exc:
+            raise ValueError(f"[smd] {exc}") from None
         if self.smd_instance_seed < 0:
             raise ValueError(f"[smd] instance_seed must be nonnegative, "
                              f"got {self.smd_instance_seed}")
@@ -113,6 +120,14 @@ class ExperimentConfig:
             tags = [f"{d:g}" for d in self.deltas]
             if len(set(tags)) < len(tags):
                 raise ValueError(f"[sweep] deltas repeat an iterate-file tag: {tags}")
+
+    def smd_study(self) -> tuple:
+        """The (regularizer, schedule) pair of the stochastic study: a
+        constant schedule, or a polynomial one when ``smd_alpha`` is set."""
+        reg = EntropySimplex() if self.smd_regularizer == "entropy" else ElasticNet(beta=0.3)
+        if self.smd_alpha is None:
+            return reg, ConstantSchedule(gamma=self.smd_gamma)
+        return reg, PolynomialSchedule(gamma0=self.smd_gamma, alpha=self.smd_alpha)
 
     def resolved(self, fast: bool = False) -> "ExperimentConfig":
         """Fill ``n`` and ``deltas`` from the problem defaults; ``fast`` caps
@@ -196,11 +211,6 @@ def parse_config(path) -> ExperimentConfig:
         cfg = ExperimentConfig(**kw)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if cfg.n is not None:
-        try:
-            check_grid_size(cfg.problem, cfg.n)
-        except ValueError as exc:
-            raise ValueError(f"{path}: [problem] n: {exc}, got {cfg.n}") from None
     unused = [f"key {key!r} in [{section}]"
               for section in cp.sections() for key in cp.options(section)
               if _unread(cfg, section, key)]

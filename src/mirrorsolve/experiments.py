@@ -36,7 +36,6 @@ import numpy as np
 
 from .grids import Grid, GridFunction, add_noise
 from .landweber import (
-    SAFETY_CAP,
     AdaptiveStep,
     APrioriStop,
     ConstantStep,
@@ -158,8 +157,9 @@ def make_cell(setup, rule_name: str, delta: float, *, tau: float = None,
 
     eta is the setup's and must lie in [0, 1); ``tau`` defaults to the
     setup's.  ``stopping`` is ``discrepancy`` (tau, delta) or ``apriori``
-    (floor(1 / delta) steps, at most ``run``'s safety cap, so that a budget
-    that cannot finish is refused before any cell runs).  ``delta`` must be
+    (floor(1 / delta) steps; ``APrioriStop`` refuses a budget past ``run``'s
+    safety cap, so one that cannot finish fails before any cell runs).  Each
+    rule and stop checks its own parameters.  ``delta`` must be
     positive and finite, since a cell reports err / sqrt(delta).
 
     rule1: constant gamma / L^2, which needs the analytic norm bound of a
@@ -185,10 +185,6 @@ def make_cell(setup, rule_name: str, delta: float, *, tau: float = None,
         gamma = GAMMA0 * (1.0 - eta - (1.0 + eta) / tau)
     elif stopping == "apriori":
         stop = APrioriStop(delta=delta)
-        if stop.k_hat > SAFETY_CAP:
-            raise ValueError(f"a-priori budget floor(1/delta) = {stop.k_hat} for "
-                             f"delta = {delta:g} exceeds the iteration safety cap "
-                             f"{SAFETY_CAP}")
         gamma = GAMMA0 * (1.0 - eta)
     else:
         raise ValueError(f"unknown stopping {stopping!r}")

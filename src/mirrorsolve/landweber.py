@@ -64,6 +64,12 @@ __all__ = [
 # gamma_bar with ``degenerate`` set, and the run loop flags the iterate.
 # ``bounds(L)`` is an interval [gamma_lo, gamma_hi] containing every step the
 # rule can emit, derived from L and the rule parameters.
+#
+# Each rule and stop states its parameter ranges once, in its constructor, as
+# the condition that must hold, so NaN is refused with the other bad values:
+# gamma, gamma0, gamma_bar > 0; eta in [0, 1); tau > (1+eta)/(1-eta) for the
+# adaptive step and tau > 1 for the discrepancy stop; delta >= 0 (> 0 for the
+# a-priori stop); budgets floor(1/delta) and k_max at most SAFETY_CAP.
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,7 @@ class ConstantStep:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
 
     def step(self, rn: float, gn: float, L) -> tuple[float, bool]:
@@ -93,7 +99,7 @@ class MinimalErrorStep:
     gamma_bar: float
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.gamma_bar <= 0:
+        if not (self.gamma > 0 and self.gamma_bar > 0):
             raise ValueError("gamma and gamma_bar must be positive")
 
     def step(self, rn: float, gn: float, L) -> tuple[float, bool]:
@@ -123,13 +129,13 @@ class AdaptiveStep:
     delta: float
 
     def __post_init__(self):
-        if self.gamma0 <= 0 or self.gamma_bar <= 0:
+        if not (self.gamma0 > 0 and self.gamma_bar > 0):
             raise ValueError("gamma0 and gamma_bar must be positive")
         if not 0.0 <= self.eta < 1.0:
             raise ValueError("eta must lie in [0, 1)")
-        if self.tau <= (1.0 + self.eta) / (1.0 - self.eta):
+        if not self.tau > (1.0 + self.eta) / (1.0 - self.eta):
             raise ValueError("tau must exceed (1+eta)/(1-eta)")
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError("delta must be nonnegative")
 
     def step(self, rn: float, gn: float, L) -> tuple[float, bool]:
@@ -162,9 +168,9 @@ class DiscrepancyStop:
     delta: float
 
     def __post_init__(self):
-        if self.tau <= 1.0:
+        if not self.tau > 1.0:
             raise ValueError("tau must exceed 1")
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError("delta must be nonnegative")
 
     def reason(self, k: int, rn: float):
@@ -174,13 +180,18 @@ class DiscrepancyStop:
 @dataclass(frozen=True)
 class APrioriStop:
     """Stop after k_hat = floor(1 / delta) iterations (the constant c = 1 of
-    k_hat = floor(c / delta) is fixed)."""
+    k_hat = floor(c / delta) is fixed), a budget of at most
+    :data:`SAFETY_CAP`, so that one that cannot finish is refused here."""
 
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValueError("delta must be positive")
+        if self.k_hat > SAFETY_CAP:
+            raise ValueError(f"a-priori budget floor(1/delta) = {self.k_hat} for "
+                             f"delta = {self.delta:g} exceeds the iteration safety cap "
+                             f"{SAFETY_CAP}")
 
     @property
     def k_hat(self) -> int:
@@ -195,8 +206,8 @@ class MaxIterStop:
     k_max: int
 
     def __post_init__(self):
-        if self.k_max < 0:
-            raise ValueError("k_max must be nonnegative")
+        if not self.k_max >= 0:
+            raise ValueError(f"k_max must be nonnegative, got {self.k_max}")
         if self.k_max > SAFETY_CAP:
             raise ValueError(f"k_max = {self.k_max} exceeds the iteration safety cap "
                              f"{SAFETY_CAP}")
@@ -264,7 +275,8 @@ class NonFiniteResidualError(ArithmeticError):
         self.records = tuple(records)
 
 
-#: iteration safety cap of :func:`run`, read as it iterates, and of MaxIterStop
+#: iteration safety cap of :func:`run`, read as it iterates, and of the
+#: budgets of APrioriStop and MaxIterStop
 SAFETY_CAP = 10 ** 6
 
 #: the most states per Bregman-log evaluation: a path on n nodes logs

@@ -124,7 +124,7 @@ class ElasticNet(Regularizer):
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ValueError("beta must be positive")
 
     def value(self, v, w):

@@ -85,8 +85,8 @@ class ConstantSchedule:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not self.gamma > 0:
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
 
     def at(self, k: int) -> float:
         return self.gamma
@@ -105,10 +105,10 @@ class PolynomialSchedule:
     alpha: float
 
     def __post_init__(self):
-        if self.gamma0 <= 0:
-            raise ValueError("gamma0 must be positive")
+        if not self.gamma0 > 0:
+            raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0,1)")
+            raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
 
     def at(self, k: int) -> float:
         return self.gamma0 * (k + 1) ** (-self.alpha)
@@ -218,12 +218,14 @@ def build_sourced_instance(N: int, n: int, reg: Regularizer, seed: int, *,
     width ``SMOOTHING`` and rescaled to unit operator norm; the smoothing
     gives the blocks a decaying spectrum, so convergence is genuinely slow
     and rate products stay far above the floating-point floor over desk-scale
-    horizons.  ``lam_scale`` sizes the dual source element; 0 gives the
-    trivial instance x_true = mirror_map(xi0).  An instance whose data
-    blocks are all identically zero has no rate to show and raises
-    ValueError.  With the elastic net that happens when
-    max |sum_i A_i^* lam_true_i| is at most beta, so x_true = 0 is the
-    zero start itself; ``lam_scale = 0`` is refused for it.
+    horizons.  A rescaled block takes its unit norm as given, so each block's
+    norm is estimated once, by one power iteration.  ``lam_scale`` sizes the
+    dual source element; 0 gives the trivial instance
+    x_true = mirror_map(xi0).  An instance whose data blocks are all
+    identically zero has no rate to show and raises ValueError.  With the
+    elastic net that happens when max |sum_i A_i^* lam_true_i| is at most
+    beta, so x_true = 0 is the zero start itself; ``lam_scale = 0`` is
+    refused for it.
     """
     check_grid_size("smd_synthetic", n, N)
     rng = np.random.default_rng(seed)
@@ -236,7 +238,7 @@ def build_sourced_instance(N: int, n: int, reg: Regularizer, seed: int, *,
     for _ in range(N):
         K = S @ rng.standard_normal((grid.node_count, grid.node_count)) @ S
         nrm = LinearIntegral(grid, kernel=K).norm_bound()
-        ops.append(LinearIntegral(grid, kernel=K / nrm))
+        ops.append(LinearIntegral(grid, kernel=K / nrm, analytic_norm_bound=1.0))
 
     lam_true = tuple(GridFunction(grid, lam_scale * rng.standard_normal(grid.node_count))
                      for _ in range(N))

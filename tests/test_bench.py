@@ -290,6 +290,22 @@ class TestConfig:
             with pytest.raises(ValueError, match=r"delta = 1e-07 exceeds .* safety cap"):
                 call()
 
+    @pytest.mark.parametrize("rule, stopping, fragment", [
+        ("rule2", "discrepancy", "tau must exceed 1"),
+        ("rule3", "apriori", r"tau must exceed \(1\+eta\)/\(1-eta\)"),
+    ], ids=["rule2-discrepancy", "rule3-apriori"])
+    def test_nan_tau_rejected_before_any_cell(self, monkeypatch, rule, stopping, fragment):
+        # the stop and the adaptive step state tau's range as the condition
+        # that must hold, so NaN fails at construction, not as a flagged cell
+        setup = setup_entropy_experiment(100)
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran before the rules were checked")
+
+        monkeypatch.setattr(experiments, "run_cell", no_cell)
+        with pytest.raises(ValueError, match=fragment):
+            run_rate_sweep(setup, rule, [1e-3], [1], tau=float("nan"), stopping=stopping)
+
     def test_parse_file(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text("""
@@ -339,10 +355,16 @@ seeds = 1, 2
     def test_fast_keeps_a_grid_below_its_cap(self, problem, n):
         assert ExperimentConfig(problem=problem, n=n).resolved(fast=True).n == n
 
+    # the config refuses a size its kind does not accept, so n is drawn from
+    # the sizes each kind accepts (experiments.check_grid_size)
     @settings(max_examples=100, deadline=None)
-    @given(problem=st.sampled_from(sorted(PROBLEM_DEFAULTS)),
-           n=st.one_of(st.none(), st.integers(2, 100_000)))
-    def test_fast_never_enlarges_the_grid(self, problem, n):
+    @given(problem_n=st.sampled_from(sorted(PROBLEM_DEFAULTS)).flatmap(
+        lambda problem: st.tuples(st.just(problem), st.one_of(st.none(), {
+            "entropy_integral": st.integers(100, 100_000),
+            "pde_coefficient": st.sampled_from([16, 32, 64, 128]),
+            "smd_synthetic": st.integers(2, 100_000)}[problem]))))
+    def test_fast_never_enlarges_the_grid(self, problem_n):
+        problem, n = problem_n
         cfg = ExperimentConfig(problem=problem, n=n)
         assert 0 < cfg.resolved(fast=True).n <= cfg.resolved().n
 
@@ -392,6 +414,9 @@ seeds = 1, 2
          "deltas repeat an iterate-file tag"),
         ("[problem]\nkind = smd_synthetic\n[smd]\nk_max = -3\n",
          r"\[smd\] k_max must be nonnegative"),
+        # the config builds the max-iter stop, which refuses k_max past the cap
+        ("[problem]\nkind = smd_synthetic\n[smd]\nk_max = 1000001\n",
+         r"bad\.cfg: \[smd\] k_max = 1000001 exceeds the iteration safety cap 1000000"),
         ("[problem]\nkind = entropy_integral\n[sweep]\nseeds = 1, -1\n",
          r"\[sweep\] seeds must be nonnegative"),
         ("[problem]\nkind = smd_synthetic\n[sweep]\nseeds = -1\n",
@@ -422,7 +447,7 @@ seeds = 1, 2
          r"bad\.cfg: \[smd\] alpha must lie in \(0,1\), got 0\.0"),
     ], ids=["seeds", "smd-seeds", "deltas", "zero-delta", "repeated-seed",
             "smd-repeated-seed", "repeated-delta", "repeated-delta-tag",
-            "smd-negative-k_max", "negative-seed", "smd-negative-seed",
+            "smd-negative-k_max", "smd-k_max-past-the-cap", "negative-seed", "smd-negative-seed",
             "smd-negative-instance_seed", "inf-delta", "non-integer-seed",
             "non-float-smd-gamma", "smd-zero-blocks", "smd-n-below-2", "smd-zero-gamma",
             "smd-nan-gamma", "smd-alpha-one", "smd-alpha-zero"])
@@ -648,6 +673,19 @@ class TestCli:
         assert payload["status"] == "error"
         assert payload["type"] == "ValueError"
         assert "alpha must lie in (0,1)" in payload["message"]
+
+    def test_smd_k_max_past_the_cap_fails_before_anything_is_written(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(SMD_CFG.replace("k_max = 300", "k_max = 1000001"))
+        rc = cli_main(["smd", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err.strip().splitlines()[-1])
+        assert payload["type"] == "ValueError"
+        assert payload["message"] == (f"{cfg}: [smd] k_max = 1000001 exceeds the "
+                                      f"iteration safety cap 1000000")
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_rejects_rule1_on_the_elliptic_problem(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"

@@ -89,8 +89,26 @@ class TestStepSize:
         (lambda: DiscrepancyStop(tau=1.1, delta=-1.0), "delta must be nonnegative"),
         (lambda: APrioriStop(delta=0.0), "delta must be positive"),
         (lambda: MaxIterStop(k_max=-1), "k_max must be nonnegative"),
+        # each range is the condition that must hold, so NaN is refused too
+        (lambda: ConstantStep(gamma=math.nan), "gamma must be positive"),
+        (lambda: MinimalErrorStep(gamma=math.nan, gamma_bar=600.0), "gamma and gamma_bar"),
+        (lambda: AdaptiveStep(gamma0=math.nan, gamma_bar=600.0, tau=1.1, eta=0.0, delta=1.0),
+         "gamma0 and gamma_bar"),
+        (lambda: AdaptiveStep(gamma0=1.98, gamma_bar=600.0, tau=math.nan, eta=0.0, delta=1.0),
+         r"tau must exceed \(1\+eta\)/\(1-eta\)"),
+        (lambda: AdaptiveStep(gamma0=1.98, gamma_bar=600.0, tau=1.1, eta=0.0, delta=math.nan),
+         "delta must be nonnegative"),
+        (lambda: DiscrepancyStop(tau=math.nan, delta=1.0), "tau must exceed 1"),
+        (lambda: DiscrepancyStop(tau=1.1, delta=math.nan), "delta must be nonnegative"),
+        (lambda: APrioriStop(delta=math.nan), "delta must be positive"),
+        # the a-priori budget floor(1/delta) must fit under the safety cap
+        (lambda: APrioriStop(delta=1e-7),
+         r"floor\(1/delta\) = \d+ for delta = 1e-07 exceeds the iteration safety cap 1000000"),
     ], ids=["minimal-error-gamma-bar", "adaptive-gamma0", "adaptive-eta", "adaptive-delta",
-            "discrepancy-tau", "discrepancy-delta", "apriori-delta", "maxiter-k-max"])
+            "discrepancy-tau", "discrepancy-delta", "apriori-delta", "maxiter-k-max",
+            "constant-nan-gamma", "minimal-error-nan-gamma", "adaptive-nan-gamma0",
+            "adaptive-nan-tau", "adaptive-nan-delta", "discrepancy-nan-tau",
+            "discrepancy-nan-delta", "apriori-nan-delta", "apriori-past-the-cap"])
     def test_rule_parameter_checks(self, build, fragment):
         with pytest.raises(ValueError, match=fragment):
             build()

@@ -707,7 +707,9 @@ def _zero_kernel():
     lambda: _dense_case()[0],
     _factored_without_bound,
     _zero_kernel,
-    lambda: build_sourced_instance(4, 50, EntropySimplex(), 7).problem.operators[0],
+    # a sourced block takes its unit norm as given; its kernel alone is estimated
+    lambda: LinearIntegral(Grid.interval(50), kernel=build_sourced_instance(
+        4, 50, EntropySimplex(), 7).problem.operators[0].kernel),
     lambda: _elliptic_case()[0],
 ], ids=["dense", "factored", "zero", "smd-block", "elliptic"])
 def test_norm_bound_matches_the_grid_function_route_bit_for_bit(make):

@@ -17,6 +17,7 @@ from mirrorsolve import (
     PolynomialSchedule,
     SystemProblem,
     build_sourced_instance,
+    operators,
     run,
     smd_run,
 )
@@ -97,6 +98,23 @@ class TestSourcedInstance:
         inst = build_sourced_instance(4, 50, reg, seed=7)
         assert all(np.any(y.values != 0.0) for y in inst.problem.data)
 
+    def test_each_block_norm_estimated_once(self, monkeypatch):
+        # a rescaled block takes its unit norm as given, so one build and one
+        # path run one power iteration per block, not two
+        calls = []
+        estimate = operators.power_iteration_norm
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "power_iteration_norm", counted)
+        reg = EntropySimplex()
+        inst = build_sourced_instance(4, 50, reg, seed=7)
+        smd_run(inst.problem, reg, ConstantSchedule(1.8), 10, seed=1, x_truth=inst.x_true)
+        assert len(calls) == 4
+        assert inst.problem.norm_bound() == 1.0
+
     def test_blocks_share_input_grid(self):
         g1, g2 = Grid.interval(4), Grid.interval(5)
         op1 = LinearIntegral(g1, kernel=np.eye(5))
@@ -117,8 +135,16 @@ class TestSourcedInstance:
     (lambda: smd_run(build_sourced_instance(2, 10, EntropySimplex(), seed=1).problem,
                      EntropySimplex(), ConstantSchedule(1.0), -1, seed=0),
      ValueError, "k_max must be nonnegative"),
+    # each range is the condition that must hold, so NaN is refused too
+    (lambda: ConstantSchedule(float("nan")), ValueError, "gamma must be positive, got nan"),
+    (lambda: PolynomialSchedule(gamma0=float("nan"), alpha=0.5), ValueError,
+     "gamma0 must be positive, got nan"),
+    (lambda: PolynomialSchedule(gamma0=1.0, alpha=float("nan")), ValueError,
+     r"alpha must lie in \(0,1\), got nan"),
+    (lambda: ElasticNet(beta=float("nan")), ValueError, "beta must be positive"),
 ], ids=["no-blocks", "data-grid", "constant-gamma", "polynomial-gamma0",
-        "sourced-n-blocks", "negative-k-max"])
+        "sourced-n-blocks", "negative-k-max", "constant-nan-gamma", "polynomial-nan-gamma0",
+        "polynomial-nan-alpha", "elastic-nan-beta"])
 def test_input_checks(build, error, fragment):
     with pytest.raises(error, match=fragment):
         build()
