@@ -82,8 +82,7 @@ def _cmd_smd(args) -> int:
     _check_seed_flag(args)
     cfg = parse_config(args.config).resolved()
     if cfg.problem != "smd_synthetic":
-        raise ValueError(f"smd needs [problem] kind = smd_synthetic, "
-                         f"got {cfg.problem!r}")
+        raise ValueError(f"smd needs [problem] kind = smd_synthetic, got {cfg.problem!r}")
     reg, sched = cfg.smd_study()
     inst = smd.build_sourced_instance(cfg.smd_blocks, cfg.n, reg,
                                       cfg.smd_instance_seed)

@@ -25,21 +25,25 @@ gamma0 = 1.98 and gamma_bar = 600 are fixed (``experiments.GAMMA0``,
 ``experiments.GAMMA_BAR``); none of them is a config key.
 
 The ``[smd]`` section configures the stochastic study (kind smd_synthetic):
-blocks (>= 1), regularizer (entropy | elastic), gamma (> 0), alpha (in
-(0, 1), for a polynomial schedule), k_max (in [0, 10^6], the iteration
-safety cap) and instance_seed (>= 0).  The config checks gamma, alpha and
-k_max by building the regularizer, schedule and stop that ``mirrorsolve
-smd`` runs with (:meth:`ExperimentConfig.smd_study`), so each range is
-stated once, by the constructor that owns it.
+blocks (>= 1), regularizer (entropy | elastic), gamma (> 0, and below the
+step bound 4 sigma / L^2 = 2 of the unit-norm blocks), alpha (in [0, 1);
+the step sizes are gamma (k+1)^(-alpha), so the default 0 is the constant
+schedule), k_max (in [0, 10^6], the iteration safety cap) and instance_seed
+(>= 0).  The config checks gamma, alpha and k_max by building the
+regularizer, schedule and stop that ``mirrorsolve smd`` runs with
+(:meth:`ExperimentConfig.smd_study`), so each range is stated once, by the
+constructor that owns it, and a bad value fails before anything is written.
 
 An unknown section or key raises ValueError, so a misspelt key cannot fall
 back to its default unnoticed; so does a key the problem kind never reads:
 ``[smd]`` for the Landweber kinds, and ``[rule]``, ``[stopping]`` and
-``[sweep] deltas`` for smd_synthetic.  A value that does not convert
-(``seeds = 1, x``) or that a check rejects (``seeds = -1``) raises
-ValueError naming the file, section and key.  The CLI applies the
-same rules to its flags: ``--delta`` must be positive and finite, and
-``--seed`` nonnegative.
+``[sweep] deltas`` for smd_synthetic.  ``[DEFAULT]`` is an unknown section
+too, since configparser would copy its keys into every section.  A value
+that does not convert (``seeds = 1, x``) or that a check rejects
+(``seeds = -1``) raises ValueError naming the file, section and key; a file
+configparser cannot read (a repeated key or section, no section header)
+raises ValueError naming the file.  The CLI applies the same rules to its
+flags: ``--delta`` must be positive and finite, and ``--seed`` nonnegative.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from dataclasses import dataclass, replace
 from .experiments import check_grid_size
 from .landweber import MaxIterStop
 from .regularizers import ElasticNet, EntropySimplex
-from .smd import ConstantSchedule, PolynomialSchedule
+from .smd import PolynomialSchedule, validate_schedule
 
 __all__ = ["ExperimentConfig", "parse_config", "PROBLEM_DEFAULTS"]
 
@@ -76,7 +80,7 @@ class ExperimentConfig:
     smd_blocks: int = 4
     smd_regularizer: str = "entropy"
     smd_gamma: float = 1.8
-    smd_alpha: float = None        # set for a polynomial schedule
+    smd_alpha: float = 0.0         # 0: the constant schedule
     smd_k_max: int = 10_000
     smd_instance_seed: int = 7
 
@@ -122,12 +126,13 @@ class ExperimentConfig:
                 raise ValueError(f"[sweep] deltas repeat an iterate-file tag: {tags}")
 
     def smd_study(self) -> tuple:
-        """The (regularizer, schedule) pair of the stochastic study: a
-        constant schedule, or a polynomial one when ``smd_alpha`` is set."""
+        """The (regularizer, schedule) pair of the stochastic study; the
+        schedule's largest step is checked against the step bound of the
+        sourced instance, whose blocks have unit norm (L = 1)."""
         reg = EntropySimplex() if self.smd_regularizer == "entropy" else ElasticNet(beta=0.3)
-        if self.smd_alpha is None:
-            return reg, ConstantSchedule(gamma=self.smd_gamma)
-        return reg, PolynomialSchedule(gamma0=self.smd_gamma, alpha=self.smd_alpha)
+        sched = PolynomialSchedule(gamma=self.smd_gamma, alpha=self.smd_alpha)
+        validate_schedule(sched, 1.0, sigma=reg.sigma)
+        return reg, sched
 
     def resolved(self, fast: bool = False) -> "ExperimentConfig":
         """Fill ``n`` and ``deltas`` from the problem defaults; ``fast`` caps
@@ -136,11 +141,8 @@ class ExperimentConfig:
         n = self.n if self.n is not None else d["n"]
         if fast:
             n = min(n, d.get("n_fast", n))
-        return replace(
-            self,
-            n=n,
-            deltas=tuple(self.deltas) if self.deltas is not None else d["deltas"],
-        )
+        deltas = d["deltas"] if self.deltas is None else tuple(self.deltas)
+        return replace(self, n=n, deltas=deltas)
 
 
 def _floats(text: str) -> tuple:
@@ -180,13 +182,20 @@ def _unread(cfg: ExperimentConfig, section: str, key: str) -> bool:
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read an INI config; an unknown section or key, a key the problem kind
-    does not read, or a value the config rejects raises ValueError, with a
-    message that starts with the path."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = cp.read(path)
-    if not read:
-        raise FileNotFoundError(f"config file not found: {path}")
+    """Read an INI config; an unknown section or key (``[DEFAULT]`` too), a
+    key the problem kind does not read, a value the config rejects, or a
+    file configparser cannot read (a repeated key, no section header) raises
+    ValueError, with a message that starts with the path."""
+    # no header matches the empty default section, so [DEFAULT] is an
+    # ordinary, unknown section instead of defaults for every section; values
+    # are read as written, with no %-interpolation to fail outside the try
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), default_section="",
+                                   interpolation=None)
+    try:
+        if not cp.read(path):
+            raise FileNotFoundError(f"config file not found: {path}")
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
     known = {section for section, _ in _KEYS}
     unknown = []

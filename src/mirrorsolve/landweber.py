@@ -188,9 +188,11 @@ class APrioriStop:
     def __post_init__(self):
         if not self.delta > 0:
             raise ValueError("delta must be positive")
-        if self.k_hat > SAFETY_CAP:
-            raise ValueError(f"a-priori budget floor(1/delta) = {self.k_hat} for "
-                             f"delta = {self.delta:g} exceeds the iteration safety cap "
+        # floor(1/delta) > SAFETY_CAP exactly when 1/delta >= SAFETY_CAP + 1, and
+        # 1/delta itself can be compared even where it overflows to inf
+        if not 1.0 / self.delta < SAFETY_CAP + 1:
+            raise ValueError(f"a-priori budget floor(1/delta) = {np.floor(1.0 / self.delta):.0f} "
+                             f"for delta = {self.delta:g} exceeds the iteration safety cap "
                              f"{SAFETY_CAP}")
 
     @property

@@ -12,8 +12,11 @@ block alone:
 and a constant schedule a path is the Landweber iteration, bit for bit, with
 the same :class:`~mirrorsolve.landweber.RunResult` (stop reason ``maxiter``).
 
-Under the step condition sup_k gamma_k < 4 sigma (1 - eta) / L^2 (with
-sum gamma_k = inf) the Bregman distance to a solution satisfying the
+The step sizes follow one schedule family, :class:`PolynomialSchedule`
+gamma_k = gamma (k+1)^(-alpha) with alpha in [0, 1); alpha = 0 is the
+constant schedule (:func:`ConstantSchedule`), and gamma is the largest step.
+Under the step condition sup_k gamma_k = gamma < 4 sigma (1 - eta) / L^2
+(with sum gamma_k = inf) the Bregman distance to a solution satisfying the
 range-type source condition decays like 1/s_k along the partial sums
 s_k = sum_{l<=k} gamma_l; :func:`smd_run` logs s_k * Delta_k so that claim
 is directly checkable.  The block indices of a path come from one batched
@@ -81,48 +84,35 @@ class SystemProblem:
 
 
 @dataclass(frozen=True)
-class ConstantSchedule:
+class PolynomialSchedule:
+    """gamma_k = gamma (k+1)^(-alpha) with alpha in [0, 1), so the partial
+    sums diverge; alpha = 0 is the constant schedule, and gamma = gamma_0 is
+    the largest step of every schedule in the family."""
+
     gamma: float
+    alpha: float
 
     def __post_init__(self):
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0.0 <= self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in [0,1), got {self.alpha}")
 
     def at(self, k: int) -> float:
-        return self.gamma
-
-    @property
-    def sup(self) -> float:
-        return self.gamma
+        return self.gamma * (k + 1) ** (-self.alpha)
 
 
-@dataclass(frozen=True)
-class PolynomialSchedule:
-    """gamma_k = gamma0 (k+1)^(-alpha) with alpha in (0,1), so the partial
-    sums still diverge."""
-
-    gamma0: float
-    alpha: float
-
-    def __post_init__(self):
-        if not self.gamma0 > 0:
-            raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
-
-    def at(self, k: int) -> float:
-        return self.gamma0 * (k + 1) ** (-self.alpha)
-
-    @property
-    def sup(self) -> float:
-        return self.gamma0
+def ConstantSchedule(gamma: float) -> PolynomialSchedule:
+    """The constant schedule gamma_k = gamma, the family's alpha = 0."""
+    return PolynomialSchedule(gamma, 0.0)
 
 
 def validate_schedule(sched, L: float, sigma: float = 0.5, eta: float = 0.0) -> None:
-    """Reject schedules violating sup gamma_k < 4 sigma (1-eta) / L^2."""
-    if L > 0 and not sched.sup < 4.0 * sigma * (1.0 - eta) / (L * L):
+    """Reject schedules whose largest step violates
+    gamma < 4 sigma (1-eta) / L^2."""
+    if L > 0 and not sched.gamma < 4.0 * sigma * (1.0 - eta) / (L * L):
         raise ValueError(
-            f"schedule sup {sched.sup:g} violates the step bound "
+            f"gamma = {sched.gamma:g} violates the step bound "
             f"{4.0 * sigma * (1.0 - eta) / (L * L):g} for L={L:g}")
 
 

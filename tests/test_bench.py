@@ -390,13 +390,24 @@ seeds = 1, 2
         # the grid size of every kind is [problem] n
         ("[problem]\nkind = smd_synthetic\n[smd]\nn = 50\n",
          r"typo\.cfg: unknown key 'n' in \[smd\]"),
+        # configparser would copy [DEFAULT]'s keys into every section
+        ("[DEFAULT]\nn = 32\n[problem]\nkind = pde_coefficient\n",
+         r"typo\.cfg: unknown section \[DEFAULT\]$"),
+        ("[DEFAULT]\nn = 32\n[problem]\nkind = pde_coefficient\n[rule]\nname = rule2\n",
+         r"typo\.cfg: unknown section \[DEFAULT\]$"),
+        # what configparser itself refuses is a ValueError naming the file too
+        ("[problem]\nkind = entropy_integral\nkind = pde_coefficient\n",
+         r"typo\.cfg: .*option 'kind' in section 'problem' already exists"),
+        ("kind = entropy_integral\n", r"typo\.cfg: File contains no section headers"),
     ], ids=["key", "section", "cap_mode", "gamma_bar", "k_max", "maxiter", "rule-eta",
-            "stopping-c", "smd-beta", "smd-lam_scale", "smd-smoothing", "smd-n"])
+            "stopping-c", "smd-beta", "smd-lam_scale", "smd-smoothing", "smd-n",
+            "default-section", "default-section-and-rule", "repeated-key", "no-section-header"])
     def test_unknown_key_or_section_rejected(self, tmp_path, text, name):
         p = tmp_path / "typo.cfg"
         p.write_text(text)
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(ValueError, match=name) as exc:
             parse_config(p)
+        assert str(exc.value).startswith(f"{p}: ")
 
     @pytest.mark.parametrize("text, reason", [
         ("[problem]\nkind = entropy_integral\n[sweep]\nseeds =\n", "seeds is empty"),
@@ -442,15 +453,22 @@ seeds = 1, 2
         ("[problem]\nkind = smd_synthetic\n[smd]\ngamma = nan\n",
          r"bad\.cfg: \[smd\] gamma must be positive, got nan"),
         ("[problem]\nkind = smd_synthetic\n[smd]\nalpha = 1.0\n",
-         r"bad\.cfg: \[smd\] alpha must lie in \(0,1\), got 1\.0"),
-        ("[problem]\nkind = smd_synthetic\n[smd]\nalpha = 0\n",
-         r"bad\.cfg: \[smd\] alpha must lie in \(0,1\), got 0\.0"),
+         r"bad\.cfg: \[smd\] alpha must lie in \[0,1\), got 1\.0"),
+        # the unit-norm blocks bound the largest step gamma by 4 sigma / L^2 = 2
+        ("[problem]\nkind = smd_synthetic\n[smd]\ngamma = 2.5\n",
+         r"bad\.cfg: \[smd\] gamma = 2\.5 violates the step bound 2 for L=1"),
+        ("[problem]\nkind = smd_synthetic\n[smd]\nregularizer = elastic\ngamma = inf\n",
+         r"bad\.cfg: \[smd\] gamma = inf violates the step bound 2 for L=1"),
+        # values are read as written: no %-interpolation error escapes unnamed
+        ("[problem]\nkind = smd_synthetic\n[smd]\ngamma = 1.5%\n",
+         r"bad\.cfg: \[smd\] gamma: could not convert string to float: '1\.5%'"),
     ], ids=["seeds", "smd-seeds", "deltas", "zero-delta", "repeated-seed",
             "smd-repeated-seed", "repeated-delta", "repeated-delta-tag",
             "smd-negative-k_max", "smd-k_max-past-the-cap", "negative-seed", "smd-negative-seed",
             "smd-negative-instance_seed", "inf-delta", "non-integer-seed",
             "non-float-smd-gamma", "smd-zero-blocks", "smd-n-below-2", "smd-zero-gamma",
-            "smd-nan-gamma", "smd-alpha-one", "smd-alpha-zero"])
+            "smd-nan-gamma", "smd-alpha-one", "smd-gamma-past-the-bound", "smd-inf-gamma",
+            "smd-percent-gamma"])
     def test_bad_sweep_values_rejected(self, tmp_path, text, reason):
         p = tmp_path / "bad.cfg"
         p.write_text(text)
@@ -463,6 +481,20 @@ seeds = 1, 2
         with pytest.raises(ValueError) as exc:
             parse_config(p)
         assert str(exc.value) == f"{p}: [sweep] seeds must be nonnegative, got (-1,)"
+
+    def test_smd_alpha_zero_is_the_constant_schedule(self, tmp_path):
+        # the default alpha = 0 is the constant schedule: stating it changes
+        # neither the config nor a byte of the study's files
+        cfgs = [tmp_path / "default.cfg", tmp_path / "zero.cfg"]
+        cfgs[0].write_text(SMD_CFG)
+        cfgs[1].write_text(SMD_CFG.replace("gamma = 1.5", "gamma = 1.5\nalpha = 0.0"))
+        assert parse_config(cfgs[0]) == parse_config(cfgs[1])
+        assert parse_config(cfgs[1]).smd_study()[1] == smd.ConstantSchedule(1.5)
+        for cfg in cfgs:
+            assert cli_main(["smd", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]) == 0
+        for name in ("smd_rate_1.csv", "smd_rate_2.csv"):
+            assert ((tmp_path / "default" / name).read_bytes()
+                    == (tmp_path / "zero" / name).read_bytes())
 
     @pytest.mark.parametrize("text, names", [
         ("[problem]\nkind = smd_synthetic\nn = 999\n[rule]\nname = rule3\n"
@@ -672,7 +704,7 @@ class TestCli:
         payload = json.loads(captured.err.strip().splitlines()[-1])
         assert payload["status"] == "error"
         assert payload["type"] == "ValueError"
-        assert "alpha must lie in (0,1)" in payload["message"]
+        assert "alpha must lie in [0,1)" in payload["message"]
 
     def test_smd_k_max_past_the_cap_fails_before_anything_is_written(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"
@@ -685,6 +717,34 @@ class TestCli:
         assert payload["type"] == "ValueError"
         assert payload["message"] == (f"{cfg}: [smd] k_max = 1000001 exceeds the "
                                       f"iteration safety cap 1000000")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("gamma", ["2.5", "inf"])
+    def test_smd_step_past_the_bound_fails_before_anything_is_written(self, tmp_path, capsys,
+                                                                      gamma):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(SMD_CFG.replace("gamma = 1.5", f"gamma = {gamma}"))
+        rc = cli_main(["smd", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err.strip().splitlines()[-1])
+        assert payload["type"] == "ValueError"
+        assert payload["message"] == (f"{cfg}: [smd] gamma = {gamma} violates the step "
+                                      f"bound 2 for L=1")
+        assert not (tmp_path / "out").exists()
+
+    def test_run_refuses_the_apriori_budget_of_a_tiny_delta(self, tmp_path, capsys):
+        # 1/delta overflows to inf; the budget is still refused by name
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(ENTROPY_CFG + "[stopping]\nkind = apriori\n")
+        rc = cli_main(["run", "--config", str(cfg), "--delta", "1e-320",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["type"] == "ValueError"
+        assert payload["message"].startswith("a-priori budget floor(1/delta) = inf for delta = ")
+        assert payload["message"].endswith(" exceeds the iteration safety cap 1000000")
         assert not (tmp_path / "out").exists()
 
     def test_sweep_rejects_rule1_on_the_elliptic_problem(self, tmp_path, capsys):

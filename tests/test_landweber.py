@@ -104,11 +104,15 @@ class TestStepSize:
         # the a-priori budget floor(1/delta) must fit under the safety cap
         (lambda: APrioriStop(delta=1e-7),
          r"floor\(1/delta\) = \d+ for delta = 1e-07 exceeds the iteration safety cap 1000000"),
+        # 1/delta overflows to inf: still the named budget error, not an OverflowError
+        (lambda: APrioriStop(delta=1e-320),
+         r"floor\(1/delta\) = inf for delta = \S+ exceeds the iteration safety cap 1000000"),
     ], ids=["minimal-error-gamma-bar", "adaptive-gamma0", "adaptive-eta", "adaptive-delta",
             "discrepancy-tau", "discrepancy-delta", "apriori-delta", "maxiter-k-max",
             "constant-nan-gamma", "minimal-error-nan-gamma", "adaptive-nan-gamma0",
             "adaptive-nan-tau", "adaptive-nan-delta", "discrepancy-nan-tau",
-            "discrepancy-nan-delta", "apriori-nan-delta", "apriori-past-the-cap"])
+            "discrepancy-nan-delta", "apriori-nan-delta", "apriori-past-the-cap",
+            "apriori-tiny-delta"])
     def test_rule_parameter_checks(self, build, fragment):
         with pytest.raises(ValueError, match=fragment):
             build()

@@ -29,17 +29,18 @@ from mirrorsolve.smd import validate_schedule, write_rate_csv
 
 class TestSchedules:
     def test_constant_values(self):
+        # the constant schedule is the polynomial family at alpha = 0
         s = ConstantSchedule(0.7)
-        assert s.at(0) == s.at(123) == 0.7
-        assert s.sup == 0.7
+        assert s == PolynomialSchedule(gamma=0.7, alpha=0.0)
+        assert s.at(0) == s.at(123) == s.gamma == 0.7
 
     def test_polynomial_values_and_validation(self):
-        s = PolynomialSchedule(gamma0=2.0, alpha=0.5)
-        assert s.at(0) == 2.0
+        s = PolynomialSchedule(gamma=2.0, alpha=0.5)
+        assert s.at(0) == s.gamma == 2.0
         assert s.at(3) == pytest.approx(1.0)
-        assert s.sup == 2.0
-        with pytest.raises(ValueError):
-            PolynomialSchedule(gamma0=1.0, alpha=1.0)
+        for alpha in (1.0, -0.1):
+            with pytest.raises(ValueError, match=r"alpha must lie in \[0,1\)"):
+                PolynomialSchedule(gamma=1.0, alpha=alpha)
 
     def test_step_bound_enforced(self):
         # sigma = 1/2: bound is 2 (1 - eta) / L^2
@@ -48,6 +49,26 @@ class TestSchedules:
             validate_schedule(ConstantSchedule(2.1), L=1.0)
         with pytest.raises(ValueError):
             validate_schedule(ConstantSchedule(1.9), L=1.0, eta=0.1)
+        # gamma, the first and largest step, is what the bound reads
+        validate_schedule(PolynomialSchedule(gamma=1.9, alpha=0.5), L=1.0)
+        for gamma in (2.1, float("inf")):
+            with pytest.raises(ValueError, match=r"gamma = \S+ violates the step bound 2 for L=1"):
+                validate_schedule(PolynomialSchedule(gamma=gamma, alpha=0.5), L=1.0)
+
+    @pytest.mark.parametrize("reg", [EntropySimplex(), ElasticNet(beta=0.3)],
+                             ids=["entropy", "elastic"])
+    def test_constant_schedule_is_polynomial_at_alpha_zero(self, tmp_path, reg):
+        # gamma (k+1)^(-0.0) is gamma bit for bit: on the acceptance instance
+        # both schedules give equal records and equal rate-CSV bytes
+        inst = build_sourced_instance(4, 50, reg, seed=7)
+        runs = [smd_run(inst.problem, reg, sched, 10_000, seed=3, x_truth=inst.x_true)
+                for sched in (ConstantSchedule(1.8), PolynomialSchedule(gamma=1.8, alpha=0.0))]
+        assert runs[0].records == runs[1].records
+        assert {r.gamma_k for r in runs[1].records[:-1]} == {1.8}
+        paths = [tmp_path / "constant.csv", tmp_path / "polynomial.csv"]
+        for run, path in zip(runs, paths):
+            write_rate_csv(run, path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def _source_element(inst):
@@ -129,7 +150,7 @@ class TestSourcedInstance:
                            (Grid.interval(5).zeros(),)),
      GridMismatchError, "data block does not match"),
     (lambda: ConstantSchedule(0.0), ValueError, "gamma must be positive"),
-    (lambda: PolynomialSchedule(gamma0=0.0, alpha=0.5), ValueError, "gamma0 must be positive"),
+    (lambda: PolynomialSchedule(gamma=0.0, alpha=0.5), ValueError, "gamma must be positive"),
     (lambda: build_sourced_instance(0, 10, EntropySimplex(), seed=1), ValueError,
      r"need N >= 1 and n >= 2"),
     (lambda: smd_run(build_sourced_instance(2, 10, EntropySimplex(), seed=1).problem,
@@ -137,10 +158,10 @@ class TestSourcedInstance:
      ValueError, "k_max must be nonnegative"),
     # each range is the condition that must hold, so NaN is refused too
     (lambda: ConstantSchedule(float("nan")), ValueError, "gamma must be positive, got nan"),
-    (lambda: PolynomialSchedule(gamma0=float("nan"), alpha=0.5), ValueError,
-     "gamma0 must be positive, got nan"),
-    (lambda: PolynomialSchedule(gamma0=1.0, alpha=float("nan")), ValueError,
-     r"alpha must lie in \(0,1\), got nan"),
+    (lambda: PolynomialSchedule(gamma=float("nan"), alpha=0.5), ValueError,
+     "gamma must be positive, got nan"),
+    (lambda: PolynomialSchedule(gamma=1.0, alpha=float("nan")), ValueError,
+     r"alpha must lie in \[0,1\), got nan"),
     (lambda: ElasticNet(beta=float("nan")), ValueError, "beta must be positive"),
 ], ids=["no-blocks", "data-grid", "constant-gamma", "polynomial-gamma0",
         "sourced-n-blocks", "negative-k-max", "constant-nan-gamma", "polynomial-nan-gamma0",
@@ -295,15 +316,15 @@ class TestSmdRun:
     def test_polynomial_partial_sums_and_decay(self):
         reg = EntropySimplex()
         inst = build_sourced_instance(4, 50, reg, seed=7)
-        sched = PolynomialSchedule(gamma0=1.8, alpha=0.5)
+        sched = PolynomialSchedule(gamma=1.8, alpha=0.5)
         k_max = 10_000
         sr = smd_run(inst.problem, reg, sched, k_max, seed=3, x_truth=inst.x_true)
         # partial-sum oracle by direct summation
-        expected = np.cumsum([sched.gamma0 * (k + 1) ** (-0.5) for k in range(k_max + 1)])
+        expected = np.cumsum([sched.gamma * (k + 1) ** (-0.5) for k in range(k_max + 1)])
         got = np.array([r.s_k for r in sr.records])
         assert np.max(np.abs(got - expected)) <= 1e-10 * expected[-1]
-        # s_k ~ 2 gamma0 sqrt(k): the ratio approaches 2 gamma0 from below
-        assert got[-1] / np.sqrt(k_max) == pytest.approx(2.0 * sched.gamma0, rel=0.02)
+        # s_k ~ 2 gamma sqrt(k): the ratio approaches 2 gamma from below
+        assert got[-1] / np.sqrt(k_max) == pytest.approx(2.0 * sched.gamma, rel=0.02)
         # with s_k ~ sqrt(k) the distance decays roughly like k^(-1/2); fit
         # past the transient (band is generous: the window is finite)
         ks = np.array([r.k for r in sr.records if r.k >= 300])
