@@ -14,14 +14,14 @@ Two families are provided:
   the five-point stencil and solved with CG preconditioned by the exact
   inverse of the c = 0 Laplacian (applied by fast diagonalization) in a CG
   loop on raw arrays that performs SciPy's ``cg`` operations in SciPy's
-  order, so it gives SciPy's bits without that wrapper's overhead.  A(c) is
-  a bare value array on the Laplacian's one cached CSR pattern, and each
-  product calls SciPy's compiled CSR kernel on it directly; no sparse-matrix
-  object is built per iterate.  The derivative and its adjoint follow the
-  usual sensitivity formulas F'(c) h = -A(c)^{-1} (h u(c)) and
-  F'(c)* w = -u(c) A(c)^{-1} w, with homogeneous Dirichlet conditions on
-  the auxiliary solves; on the interior of the tensor-trapezoidal grid these
-  are exact discrete adjoints.
+  order, so it gives SciPy's bits without that wrapper's overhead.  No
+  matrix is assembled: each product A(c) p is the stencil applied to p as
+  five shifted NumPy products, summed row by row in the order in which a
+  CSR matrix of A(c) sums them, so it has that product's bits.  The
+  derivative and its adjoint follow the usual sensitivity formulas
+  F'(c) h = -A(c)^{-1} (h u(c)) and F'(c)* w = -u(c) A(c)^{-1} w, with
+  homogeneous Dirichlet conditions on the auxiliary solves; on the interior
+  of the tensor-trapezoidal grid these are exact discrete adjoints.
 
 Each operator implements one raw-array linearization,
 ``linearize_values(v) -> (value, tangent, adjoint)``: the node values of F(x)
@@ -48,8 +48,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .grids import (
     Grid,
@@ -208,18 +206,21 @@ class EllipticSolveError(RuntimeError):
 class EllipticSolver:
     """Five-point Dirichlet solver on the unit square via preconditioned CG.
 
-    Assembles the interior-node Laplacian once and keeps its CSR pattern;
-    A(c) is never a sparse-matrix object but a value array on that one
-    pattern: ``matrix(c)`` returns the Laplacian's values with its diagonal
-    plus c written into the diagonal slots, and ``solve(a, rhs)`` multiplies
-    by it with SciPy's compiled CSR kernel, the one ``csr_matrix @ vector``
-    calls.  Each solve runs CG until the algebraic residual drops below
-    ``tol * ||rhs||`` (atol 0), for at most :data:`CG_ITERS_PER_UNKNOWN`
-    times the system size (n-1)^2 iterations, SciPy's default cap; the
-    constant is read at each solve.  ``solve`` is SciPy's ``cg`` on
-    raw arrays, operation for operation and bit for bit: x0 = 0, norms as
-    sqrt(r.dot(r)), the residual test before each iteration, p = z on the
-    first spin and p = (rho / rho_prev) p + z in place after it.
+    A(c) = -Lap_h + diag(c) on the (n-1)^2 interior nodes, numbered row by
+    row, is never assembled.  ``solve(c, rhs)`` forms its diagonal
+    4/h^2 + c and applies the stencil by flat shifts: row i adds the terms
+    of columns i - (n-1), i - 1, i, i + 1 and i + (n-1), in that order, to
+    zeros, which is the order and the start of a CSR product's sum, so each
+    product has the bits of ``(lap + sp.diags(c)) @ p`` for the SciPy
+    Laplacian.  Where a grid row ends, the +-1 weight is 0, so the shift
+    adds a signed zero there and the sum is unchanged.  Each solve runs CG
+    until the algebraic residual drops below ``tol * ||rhs||`` (atol 0), for
+    at most :data:`CG_ITERS_PER_UNKNOWN` times the system size (n-1)^2
+    iterations, SciPy's default cap; the constant is read at each solve.
+    ``solve`` is SciPy's ``cg`` on raw arrays, operation for operation and
+    bit for bit: x0 = 0, norms as sqrt(r.dot(r)), the residual test before
+    each iteration, p = z on the first spin and p = (rho / rho_prev) p + z
+    in place after it.
 
     The preconditioner is the exact inverse of the c = 0 Laplacian, applied
     by fast diagonalization (Concus & Golub, SIAM J. Numer. Anal. 10, 1973):
@@ -244,16 +245,24 @@ class EllipticSolver:
             raise ValueError("square grid must have n >= 2 for interior nodes")
         h = self.grid.h
         ni = n - 1
-        I = sp.eye(ni, format="csr")
-        T = sp.diags([-np.ones(ni - 1), 2.0 * np.ones(ni), -np.ones(ni - 1)],
-                     [-1, 0, 1], format="csr")
-        lap = ((sp.kron(I, T) + sp.kron(T, I)) / (h * h)).tocsr()
-        lap.indices.setflags(write=False)
-        lap.indptr.setflags(write=False)
-        self._lap = lap
-        rows = np.repeat(np.arange(ni * ni), np.diff(lap.indptr))
-        self._diag_pos = np.flatnonzero(lap.indices == rows)
-        self._lap_diag = lap.data[self._diag_pos]
+        self._centre = 4.0 / (h * h)
+        off = -1.0 / (h * h)
+        # link[k] couples nodes k and k + 1: -1/h^2 inside a grid row, 0
+        # across a row end
+        link = np.where(np.arange(1, ni * ni) % ni == 0, 0.0, off)
+
+        def stencil_product(d, p):
+            # A p for the diagonal d, each shifted product written into t
+            # and added to q in the CSR column order
+            q, t = np.zeros(p.size), np.empty(p.size)
+            q[ni:] += np.multiply(off, p[:-ni], out=t[ni:])
+            q[1:] += np.multiply(link, p[:-1], out=t[1:])
+            q += np.multiply(d, p, out=t)
+            q[:-1] += np.multiply(link, p[1:], out=t[:-1])
+            q[:-ni] += np.multiply(off, p[ni:], out=t[:-ni])
+            return q
+
+        self._product = stencil_product
 
         k = np.arange(1, n)
         Q = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(k, k) / n)
@@ -272,33 +281,18 @@ class EllipticSolver:
 
         self._precond = inverse_laplacian
 
-    def matrix(self, c_interior: np.ndarray) -> np.ndarray:
-        """The values of ``_lap + sp.diags(c)`` on the Laplacian's cached
-        (read-only) CSR pattern, in a fresh array.  The sum would drop a
-        diagonal entry that cancels to exactly 0, which no positive definite
-        A(c) has."""
-        data = self._lap.data.copy()
-        data[self._diag_pos] = self._lap_diag + c_interior
-        return data
-
-    def solve(self, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """A^{-1} rhs for the values ``a`` of ``matrix(c)``, a fresh array (a
-        copy of a zero rhs); after the iteration cap, or at once when the
-        residual is not finite, :class:`EllipticSolveError` with
+    def solve(self, c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """A(c)^{-1} rhs for the interior coefficient values ``c``, a fresh
+        array (a copy of a zero rhs); after the iteration cap, or at once
+        when the residual is not finite, :class:`EllipticSolveError` with
         ||r|| / ||rhs||."""
-        lap = self._lap
-        if a.shape != lap.data.shape or a.dtype != lap.data.dtype:
-            # the CSR kernel reads a by the pattern's offsets, unchecked
-            raise ValueError(f"expected {lap.nnz} float values of A(c), got "
-                             f"shape {a.shape} of {a.dtype}")
-        indptr, indices = lap.indptr, lap.indices
         r = rhs.copy()
         rhs_norm = math.sqrt(r.dot(r))
         if rhs_norm == 0.0:
             return r
-        m = r.size
+        d = self._centre + c
         atol = self.tol * rhs_norm
-        max_iter = CG_ITERS_PER_UNKNOWN * m
+        max_iter = CG_ITERS_PER_UNKNOWN * r.size
         x = np.zeros_like(r)
         tmp = np.empty_like(r)
         for it in range(max_iter):
@@ -315,8 +309,7 @@ class EllipticSolver:
                 p += z
             else:
                 p = z  # fresh, so SciPy's copy of it is not needed
-            q = np.zeros(m)
-            _csr_matvec(m, m, indptr, indices, a, p, q)
+            q = self._product(d, p)
             alpha = rho / p.dot(q)
             x += np.multiply(alpha, p, out=tmp)
             r -= np.multiply(alpha, q, out=tmp)
@@ -337,10 +330,10 @@ class EllipticCoefficient(ForwardOperator):
     negative values are tolerated as long as the shifted operator stays
     positive definite.
 
-    ``linearize_values(c)`` assembles the values of A(c) and solves for the
-    state u(c) once; its tangent and adjoint close over those values and u,
-    with u the array it returns as the value, so each costs one more solve
-    and nothing is kept on the operator between calls.
+    ``linearize_values(c)`` takes the interior values of c and solves for
+    the state u(c) once; its tangent and adjoint close over those values
+    and u, with u the array it returns as the value, so each costs one more
+    solve and nothing is kept on the operator between calls.
     """
 
     def __init__(self, f: GridFunction, g: GridFunction, grid: Grid,
@@ -372,13 +365,13 @@ class EllipticCoefficient(ForwardOperator):
         return full.ravel()
 
     def linearize_values(self, c: np.ndarray):
-        a = self.solver.matrix(self._interior(c))
-        u_full = self._embed(self.solver.solve(a, self._state_rhs), boundary=self.g.values)
+        c = self._interior(c)
+        u_full = self._embed(self.solver.solve(c, self._state_rhs), boundary=self.g.values)
 
         def tangent(h: np.ndarray) -> np.ndarray:
-            return self._embed(self.solver.solve(a, -self._interior(h * u_full)))
+            return self._embed(self.solver.solve(c, -self._interior(h * u_full)))
 
         def adjoint(w: np.ndarray) -> np.ndarray:
-            return -u_full * self._embed(self.solver.solve(a, self._interior(w)))
+            return -u_full * self._embed(self.solver.solve(c, self._interior(w)))
 
         return u_full, tangent, adjoint

@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from mirrorsolve import (
     ConstantSchedule,
@@ -37,6 +36,7 @@ from mirrorsolve.experiments import (
     setup_entropy_experiment,
 )
 from mirrorsolve.grids import norm_l2_values
+from test_operators import elliptic_matrix
 
 SEEDS = (1, 2, 3, 4, 5)
 ENTROPY_DELTAS = (5e-2, 5e-3, 5e-4)
@@ -88,7 +88,7 @@ def _interior_bump_pde_setup(n):
 
     c_in = c_true.values[interior]
     lam = np.zeros(grid.node_count)
-    A = sp.csr_matrix((solver.matrix(c_in), solver._lap.indices, solver._lap.indptr))
+    A = elliptic_matrix(n, c_in)
     lam[interior] = A @ (-c_in / u_true.values[interior])
     lam_true = GridFunction(grid, lam)
     value, _, adjoint = forward.linearize_values(c_true.values)

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mirrorsolve
 from mirrorsolve import (
     DiscrepancyStop,
     EllipticSolveError,
@@ -823,3 +826,46 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-m", "mirrorsolve.cli", "verify"],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+# run in a fresh interpreter in which any import of scipy fails; argv holds
+# the config and the output directory of one elliptic cell
+_WITHOUT_SCIPY = """
+import importlib, importlib.abc, pkgutil, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is unimportable here")
+
+sys.meta_path.insert(0, NoScipy())
+import mirrorsolve
+for module in pkgutil.iter_modules(mirrorsolve.__path__):
+    importlib.import_module(f"mirrorsolve.{module.name}")
+from mirrorsolve.cli import main
+print(main(["verify"]))
+print(main(["run", "--fast", "--config", sys.argv[1], "--delta", "1e-4", "--seed", "2",
+            "--out", sys.argv[2]]))
+"""
+
+
+def test_package_runs_with_scipy_unimportable(tmp_path, capsys):
+    # SciPy is a test and benchmark dependency only: every module imports,
+    # the oracle battery passes and an elliptic cell writes the same bytes
+    cfg = str(Path(__file__).resolve().parents[1] / "configs" / "pde_rule2.cfg")
+    src = str(Path(mirrorsolve.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, cfg, str(tmp_path / "bare")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    *verify_out, verify_rc, cell_out, run_rc = proc.stdout.splitlines()
+    assert (verify_rc, run_rc) == ("0", "0")
+    assert re.fullmatch(r"(\d+)/\1 checks passed", verify_out[-1])
+    assert cli_main(["verify"]) == 0
+    assert capsys.readouterr().out.splitlines() == verify_out
+    assert cli_main(["run", "--fast", "--config", cfg, "--delta", "1e-4", "--seed", "2",
+                     "--out", str(tmp_path / "normal")]) == 0
+    assert capsys.readouterr().out.splitlines() == [cell_out]
+    name = "iterates_0p0001_2.csv"
+    assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "normal" / name).read_bytes()

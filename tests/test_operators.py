@@ -38,7 +38,6 @@ from mirrorsolve.experiments import (
     setup_pde_experiment,
 )
 from mirrorsolve.grids import POWER_ITERS, POWER_TOL, norm_l2_values
-from mirrorsolve.operators import _csr_matvec
 from mirrorsolve.smd import build_sourced_instance
 
 
@@ -400,76 +399,65 @@ def _coefficients(n):
             "some_zeros": np.where(rng.random(m) < 0.5, 0.0, rng.random(m))}
 
 
-def _csr(solver, a):
-    """The SciPy matrix with the values ``a`` on the solver's cached pattern."""
-    return sp.csr_matrix((a, solver._lap.indices, solver._lap.indptr))
+def elliptic_matrix(n, c):
+    """SciPy's A(c) = (kron(I, T) + kron(T, I)) / h^2 + diags(c) on the
+    (n-1)^2 interior nodes of ``Grid.square(n)``, T = tridiag(-1, 2, -1):
+    the oracle of the solver's stencil product."""
+    ni, h = n - 1, Grid.square(n).h
+    I = sp.eye(ni, format="csr")
+    T = sp.diags([-np.ones(ni - 1), 2.0 * np.ones(ni), -np.ones(ni - 1)],
+                 [-1, 0, 1], format="csr")
+    return ((sp.kron(I, T) + sp.kron(T, I)) / (h * h)).tocsr() + sp.diags(c)
+
+
+def _product(solver, c, p):
+    """The product ``solve`` forms with A(c)."""
+    return solver._product(solver._centre + c, p)
 
 
 class TestEllipticAssembly:
-    @pytest.mark.parametrize("n", [16, 64, 128])
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
     def test_matrix_equals_laplacian_plus_diagonal_bit_for_bit(self, n):
+        # each probe has ones at the nodes j = k mod 2n - 1, so a row meets at
+        # most one of them among its five columns: the product reads A(c)
+        # entry by entry, and 2n - 1 probes read all of it
         solver = EllipticSolver(Grid.square(n))
+        m = (n - 1) ** 2
         for name, c in _coefficients(n).items():
-            A = _csr(solver, solver.matrix(c))
-            ref = solver._lap + sp.diags(c)
-            assert np.array_equal(A.indptr, ref.indptr), name
-            assert np.array_equal(A.indices, ref.indices), name
-            assert np.array_equal(A.data, ref.data), name
+            A = elliptic_matrix(n, c)
+            for k in range(2 * n - 1):
+                e = (np.arange(m) % (2 * n - 1) == k).astype(float)
+                assert _product(solver, c, e).tobytes() == (A @ e).tobytes(), (name, k)
 
-    def test_each_matrix_owns_its_values(self):
+    def test_product_owns_its_memory(self, check_ownership):
         solver = EllipticSolver(Grid.square(16))
-        cs = _coefficients(16)
-        A1 = _csr(solver, solver.matrix(cs["random"]))
-        before = A1.data.copy()
-        A2 = _csr(solver, solver.matrix(cs["some_zeros"]))
-        assert A2.data is not A1.data
-        assert np.array_equal(A1.data, before)
+        d = solver._centre + _coefficients(16)["random"]
+        p = np.random.default_rng(4).standard_normal(15 ** 2)
+        check_ownership(solver._product, d, p)
 
     def test_solvers_compare_by_identity(self):
-        # the cached CSR Laplacian is a field, so a field-wise __eq__ would
-        # ask a sparse matrix for its truth value
+        # the dataclass fields are only grid and tol, so a field-wise __eq__
+        # would equate two solvers that hold distinct closures and make the
+        # solver unhashable
         g = Grid.square(8)
         a, b = EllipticSolver(g), EllipticSolver(g)
         assert a == a and a != b
         assert len({a, b}) == 2
         assert repr(a) == f"EllipticSolver(grid={g!r}, tol=1e-10)"
 
-    @pytest.mark.parametrize("n", [16, 64, 128])
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
     def test_direct_product_matches_csr_matmul_bit_for_bit(self, n):
-        # ``solve`` multiplies with SciPy's private CSR kernel the way
-        # ``csr_matrix @ p`` calls it; a SciPy upgrade that changes either
-        # shows here
+        # the stencil sums each row in the CSR kernel's order, from zeros, so
+        # its bits are SciPy's, signed zeros included
         solver = EllipticSolver(Grid.square(n))
-        lap = solver._lap
         m = (n - 1) ** 2
         rng = np.random.default_rng(n + 2)
-        ps = [rng.standard_normal(m), rng.random(m), np.zeros(m), np.full(m, -0.0)]
+        ps = [rng.standard_normal(m), rng.random(m), np.zeros(m), np.full(m, -0.0),
+              np.where(rng.random(m) < 0.5, 0.0, -0.0)]
         for name, c in _coefficients(n).items():
-            a = solver.matrix(c)
-            A = _csr(solver, a)
+            A = elliptic_matrix(n, c)
             for p in ps:
-                q = np.zeros(m)
-                _csr_matvec(m, m, lap.indptr, lap.indices, a, p, q)
-                assert q.tobytes() == (A @ p).tobytes(), name
-
-    def test_linearization_builds_no_sparse_matrix(self, monkeypatch):
-        setup = setup_pde_experiment(16)
-        F = setup.forward
-        built = []
-        init = sp.csr_matrix.__init__
-
-        def counted_init(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(sp.csr_matrix, "__init__", counted_init)
-        _csr(F.solver, F.solver.matrix(np.zeros((16 - 1) ** 2)))
-        assert len(built) == 1  # the count sees a construction
-        built.clear()
-        value, tangent, adjoint = F.linearize_values(setup.x_true.values)
-        adjoint(np.ones(F.grid_out.node_count))
-        tangent(np.ones(F.grid_in.node_count))
-        assert built == []
+                assert _product(solver, c, p).tobytes() == (A @ p).tobytes(), name
 
     def test_earlier_linearization_unchanged_by_a_later_one(self):
         setup = setup_pde_experiment(16)
@@ -498,28 +486,17 @@ class TestEllipticSolve:
         rng = np.random.default_rng(n + 1)
         rhss = [rng.standard_normal(m), rng.random(m), 1e-6 * rng.standard_normal(m)]
         for name, c in _coefficients(n).items():
-            a = solver.matrix(c)
-            A = _csr(solver, a)
+            A = elliptic_matrix(n, c)
             for rhs in rhss:
                 ref, info = spla.cg(A, rhs, rtol=solver.tol, atol=0.0, M=M)
                 assert info == 0, name
-                assert solver.solve(a, rhs).tobytes() == ref.tobytes(), name
-
-    @pytest.mark.parametrize("drop, dtype", [(1, np.float64), (0, np.float32)],
-                             ids=["short", "float32"])
-    def test_values_the_product_cannot_read_rejected(self, drop, dtype):
-        # the CSR kernel indexes the values by the cached pattern unchecked
-        solver = EllipticSolver(Grid.square(16))
-        a = solver.matrix(_coefficients(16)["random"])[drop:].astype(dtype)
-        with pytest.raises(ValueError, match="values of A"):
-            solver.solve(a, np.ones(15 ** 2))
+                assert solver.solve(c, rhs).tobytes() == ref.tobytes(), name
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_zero_rhs_gives_fresh_zeros(self, zero):
         solver = EllipticSolver(Grid.square(16))
-        a = solver.matrix(_coefficients(16)["random"])
         rhs = np.full(15 ** 2, zero)
-        u = solver.solve(a, rhs)
+        u = solver.solve(_coefficients(16)["random"], rhs)
         assert not np.shares_memory(u, rhs)
         assert u.tobytes() == rhs.tobytes()
 
@@ -540,18 +517,18 @@ class TestEllipticSolve:
 
     def test_result_owns_its_memory(self, check_ownership):
         op = setup_pde_experiment(16).forward
-        a = op.solver.matrix(op._interior(op.grid_in.ones().values))
+        c = op._interior(op.grid_in.ones().values)
         rhs = np.random.default_rng(2).standard_normal(15 ** 2)
         for b in (op._state_rhs, rhs):
-            check_ownership(lambda r: op.solver.solve(a, r), b,
-                            inputs=[op._state_rhs, a])
+            check_ownership(lambda r: op.solver.solve(c, r), b,
+                            inputs=[op._state_rhs, c])
 
 
 class TestEllipticPreconditioner:
     @pytest.mark.parametrize("n", [16, 64, 128])
     def test_inverts_zero_coefficient_laplacian(self, n):
         solver = EllipticSolver(Grid.square(n))
-        lap = _csr(solver, solver.matrix(np.zeros((n - 1) ** 2)))
+        lap = elliptic_matrix(n, np.zeros((n - 1) ** 2))
         rng = np.random.default_rng(n)
         for _ in range(3):
             r = rng.standard_normal((n - 1) ** 2)
@@ -578,9 +555,9 @@ class TestEllipticPreconditioner:
         counts = {"calls": 0, "iters": 0}
         solve = EllipticSolver.solve
 
-        def counted_solve(self, a, rhs):
+        def counted_solve(self, c, rhs):
             counts["calls"] += 1
-            return solve(self, a, rhs)
+            return solve(self, c, rhs)
 
         setup = setup_pde_experiment(n)
         F, c = setup.forward, setup.x_true
@@ -657,9 +634,9 @@ class TestEllipticDerivative:
         calls = [0]
         solve = EllipticSolver.solve
 
-        def counted_solve(self, A, rhs):
+        def counted_solve(self, c, rhs):
             calls[0] += 1
-            return solve(self, A, rhs)
+            return solve(self, c, rhs)
 
         monkeypatch.setattr(EllipticSolver, "solve", counted_solve)
         rule, _ = make_cell(setup, "rule2", 1e-4)
