@@ -15,8 +15,8 @@ Two families are provided:
   inverse of the c = 0 Laplacian (applied by fast diagonalization) in a CG
   loop on raw arrays that performs SciPy's ``cg`` operations in SciPy's
   order, so it gives SciPy's bits without that wrapper's overhead.  No
-  matrix is assembled: each product A(c) p is the stencil applied to p as
-  five shifted NumPy products, summed row by row in the order in which a
+  matrix is assembled: each product A(c) p is the stencil applied to p by
+  flat shifted NumPy products, summed row by row in the order in which a
   CSR matrix of A(c) sums them, so it has that product's bits.  The
   derivative and its adjoint follow the usual sensitivity formulas
   F'(c) h = -A(c)^{-1} (h u(c)) and F'(c)* w = -u(c) A(c)^{-1} w, with
@@ -252,14 +252,14 @@ class EllipticSolver:
         link = np.where(np.arange(1, ni * ni) % ni == 0, 0.0, off)
 
         def stencil_product(d, p):
-            # A p for the diagonal d, each shifted product written into t
-            # and added to q in the CSR column order
-            q, t = np.zeros(p.size), np.empty(p.size)
-            q[ni:] += np.multiply(off, p[:-ni], out=t[ni:])
+            # A p for the diagonal d: the terms added to q in the CSR column
+            # order, the two at +-(n-1) both read from u = (-1/h^2) p
+            q, u, t = np.zeros(p.size), np.multiply(off, p), np.empty(p.size)
+            q[ni:] += u[:-ni]
             q[1:] += np.multiply(link, p[:-1], out=t[1:])
             q += np.multiply(d, p, out=t)
             q[:-1] += np.multiply(link, p[1:], out=t[:-1])
-            q[:-ni] += np.multiply(off, p[ni:], out=t[:-ni])
+            q[:-ni] += u[ni:]
             return q
 
         self._product = stencil_product
