@@ -7,11 +7,13 @@ discretized with the (tensor) trapezoidal rule, and adjoints of discrete
 operators are exact adjoints with respect to those weighted inner products,
 so adjoint-consistency checks hold to rounding rather than to O(h).
 
-Reductions: outside the oracles in ``checks``, every reduction over node
-values is a ufunc reduce (``np.add.reduce``, ``np.maximum.reduce``,
-``np.logical_and.reduce``, ...).  It gives the bits of ``np.sum`` /
-``np.max`` (the same pairwise order) and skips the Python frame that the
-ndarray methods (``a.sum()``, ``a.all()``) enter on every call.
+Reductions: outside the oracles in ``checks`` and the BLAS products of the
+operators (``LinearIntegral``'s dense kernel and its factor moments, both
+``dot`` calls), every reduction over node values is a ufunc reduce
+(``np.add.reduce``, ``np.maximum.reduce``, ``np.logical_and.reduce``, ...).
+It gives the bits of ``np.sum`` / ``np.max`` (the same pairwise order),
+whatever the BLAS thread count, and skips the Python frame that the ndarray
+methods (``a.sum()``, ``a.all()``) enter on every call.
 
 Temporaries: a kernel may pass ``out=`` only to an array it allocated itself
 in the same call, never to an input, a cached array or a buffer kept between
@@ -20,8 +22,8 @@ reusing the temporary of ``w * u`` for ``(w * u) * v`` keeps the operand
 order, so the bits are those of the written-out expression.  The solver core
 follows this rule on node arrays: each forward operator's
 ``linearize_values`` and the maps it returns (``LinearIntegral.apply_values``
-/ ``adjoint_values``, whose stacked moment form passes no ``out=`` at all,
-the elliptic tangent and adjoint), the raw norms :func:`norm_l2_values`,
+/ ``adjoint_values``, whose two ``dot`` calls pass no ``out=``, the
+elliptic tangent and adjoint), the raw norms :func:`norm_l2_values`,
 :func:`norm_l1_values` and :func:`norm_linf_values`, the regularizers
 (values, mirror maps, norms and the Bregman evaluator) and
 ``landweber.dual_step``.  A :class:`GridFunction` does no arithmetic:

@@ -99,6 +99,10 @@ class PolynomialSchedule:
             raise ValueError(f"alpha must lie in [0,1), got {self.alpha}")
 
     def at(self, k: int) -> float:
+        # gamma * 1.0 is gamma: at alpha = 0 every step is the one float
+        # object, so a constant-schedule path does not keep k_max copies
+        if self.alpha == 0:
+            return self.gamma
         return self.gamma * (k + 1) ** (-self.alpha)
 
 

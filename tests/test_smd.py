@@ -61,10 +61,14 @@ class TestSchedules:
         # gamma (k+1)^(-0.0) is gamma bit for bit: on the acceptance instance
         # both schedules give equal records and equal rate-CSV bytes
         inst = build_sourced_instance(4, 50, reg, seed=7)
+        scheds = (ConstantSchedule(1.8), PolynomialSchedule(gamma=1.8, alpha=0.0))
         runs = [smd_run(inst.problem, reg, sched, 10_000, seed=3, x_truth=inst.x_true)
-                for sched in (ConstantSchedule(1.8), PolynomialSchedule(gamma=1.8, alpha=0.0))]
+                for sched in scheds]
         assert runs[0].records == runs[1].records
         assert {r.gamma_k for r in runs[1].records[:-1]} == {1.8}
+        # every record holds the schedule's own gamma, not a copy per step
+        for run, sched in zip(runs, scheds):
+            assert all(r.gamma_k is sched.gamma for r in run.records[:-1])
         paths = [tmp_path / "constant.csv", tmp_path / "polynomial.csv"]
         for run, path in zip(runs, paths):
             write_rate_csv(run, path)
