@@ -1,10 +1,10 @@
 """Self-contained oracle and property suites behind the ``verify`` command.
 
 Each check runs the code the solvers run (the raw linearization, the raw
-mirror maps, the ``bregman_to`` evaluator the solvers log with) and compares
-it against an independent route (explicit summation, lattice search, finite
-differences, a KL oracle, closed-form conjugates) at the tolerance the
-contract states.  The pytest
+mirror maps and conjugates, the ``bregman_to`` evaluator the solvers log
+with) and compares it against an independent route (explicit summation,
+lattice search over the written-out node objectives, finite differences, a
+KL oracle) at the tolerance the contract states.  The pytest
 suite asserts on the same functions; the CLI prints one PASS/FAIL line per
 check.
 """
@@ -20,7 +20,7 @@ from .operators import LinearIntegral
 from .regularizers import ElasticNet, EntropySimplex, QuadraticBox
 from . import experiments
 
-__all__ = ["CheckResult", "conjugate_oracle", "kl_divergence", "run_all"]
+__all__ = ["CheckResult", "kl_divergence", "run_all"]
 
 
 @dataclass(frozen=True)
@@ -146,30 +146,36 @@ def _lattice_argmin(fun, lo, hi, rounds=4, points=400):
 
 
 def check_mirror_argmin_separable(seed=4, nodes=24):
-    """Node-wise lattice argmin of R(x) - <xi, x> vs the closed-form maps.
+    """Node-wise lattice argmin of R(x) - <xi, x> vs the closed-form maps,
+    and its minimum vs the closed-form conjugate.
 
     The weighted objective separates across nodes, so each node solves
-    min_x w (psi(x) - xi x) and the weight cancels.  Each regularizer comes
-    with its node objective and a bracket containing the minimizer.
+    min_x w (psi(x) - xi x) and the weight cancels in the argmin; the minima,
+    weighted and summed, are -R*(xi).  Each regularizer comes with its node
+    objective and a bracket containing the minimizer.
     """
     rng = np.random.default_rng(seed)
     grid = Grid.interval(nodes - 1)
+    w = grid.weights
     box = lambda xs, z: 0.5 * xs ** 2 - z * xs
-    worst = 0.0
+    worst = worst_conj = 0.0
     for reg, objective, bracket in (
             (QuadraticBox(lower=0.0), box, lambda z: (0.0, abs(z) + 2.0)),
             (QuadraticBox(lower=-0.7), box, lambda z: (-0.7, abs(z) - 0.7 + 2.0)),
             (ElasticNet(beta=1.0), lambda xs, z: 0.5 * xs ** 2 + np.abs(xs) - z * xs,
              lambda z: (-abs(z) - 2.0, abs(z) + 2.0))):
         xi = rng.uniform(-3, 3, grid.node_count)
-        for z, xm in zip(xi, reg.mirror_map(xi, grid.weights)):
-            xstar = _lattice_argmin(lambda xs: objective(xs, z), *bracket(z))
-            worst = max(worst, abs(xstar - xm))
-    return _result("mirror-map/separable-argmin", worst <= 1e-6, f"max diff {worst:.2e}")
+        xstar = np.array([_lattice_argmin(lambda xs: objective(xs, z), *bracket(z)) for z in xi])
+        worst = max(worst, float(np.max(np.abs(xstar - reg.mirror_map(xi, w)))))
+        worst_conj = max(worst_conj, abs(float(reg.conjugate(xi, w))
+                                         + np.sum(w * objective(xstar, xi))))
+    return _result("mirror-map/separable-argmin", worst <= 1e-6 and worst_conj <= 1e-9,
+                   f"max diff {worst:.2e}, conjugate defect {worst_conj:.2e}")
 
 
 def check_mirror_argmin_entropy(seed=5):
-    """Fine-lattice simplex search on a 3-node grid vs the entropy map.
+    """Fine-lattice simplex search on a 3-node grid vs the entropy map, and
+    the minimum found vs the entropy conjugate, -R*(xi).
 
     Each of six rounds evaluates the objective on an 80 x 80 lattice of
     (x0, x1), with x2 fixed by unit mass, and refines around the minimum.
@@ -178,7 +184,7 @@ def check_mirror_argmin_entropy(seed=5):
     grid = Grid.interval(2)
     w = grid.weights  # (0.25, 0.5, 0.25)
     reg = EntropySimplex()
-    worst = 0.0
+    worst = worst_conj = 0.0
     for _ in range(3):
         xi = rng.uniform(-1.5, 1.5, 3)
         xmap = reg.mirror_map(xi, w)
@@ -198,8 +204,9 @@ def check_mirror_argmin_entropy(seed=5):
             lo0, hi0 = max(1e-12, g0[i] - d0), g0[i] + d0
             lo1, hi1 = max(1e-12, g1[j] - d1), g1[j] + d1
         worst = max(worst, float(np.max(np.abs(best - xmap))))
-    return _result("mirror-map/entropy-simplex-argmin", worst <= 1e-6,
-                   f"max diff {worst:.2e}")
+        worst_conj = max(worst_conj, abs(float(reg.conjugate(xi, w)) + vals[i, j]))
+    return _result("mirror-map/entropy-simplex-argmin", worst <= 1e-6 and worst_conj <= 1e-9,
+                   f"max diff {worst:.2e}, conjugate defect {worst_conj:.2e}")
 
 
 # ---------------------------------------------------------------------------
@@ -207,42 +214,6 @@ def check_mirror_argmin_entropy(seed=5):
 
 def _random_dual(grid, rng):
     return rng.uniform(-2.0, 2.0, grid.node_count)
-
-
-# ---------------------------------------------------------------------------
-# closed-form conjugates R*(xi) = sup_x <xi, x> - R(x), node by node under the
-# quadrature weights w; none goes through a mirror map
-
-
-def _box_conjugate(reg, v, w):
-    """QuadraticBox(l): sum w (xi^2/2 if xi >= l, else l xi - l^2/2); the
-    unconstrained quadratic (l None) is its own conjugate, sum w xi^2/2."""
-    l = reg.lower
-    if l is None:
-        return np.sum(w * v * v / 2)
-    return np.sum(w * np.where(v >= l, v * v / 2, l * v - l * l / 2))
-
-
-def _elastic_net_conjugate(reg, v, w):
-    """ElasticNet(beta): (1/2) sum w max(|xi| - beta, 0)^2."""
-    return 0.5 * np.sum(w * np.maximum(np.abs(v) - reg.beta, 0.0) ** 2)
-
-
-def _entropy_conjugate(reg, v, w):
-    """EntropySimplex: log sum w e^xi, shifted by max xi against overflow."""
-    m = np.max(v)
-    return m + np.log(np.sum(w * np.exp(v - m)))
-
-
-_CONJUGATES = {QuadraticBox: _box_conjugate,
-               ElasticNet: _elastic_net_conjugate,
-               EntropySimplex: _entropy_conjugate}
-
-
-def conjugate_oracle(reg, v: np.ndarray, w: np.ndarray) -> float:
-    """R*(xi) from the closed form of the regularizer's type, for the node
-    values ``v`` of xi under the quadrature weights ``w``."""
-    return float(_CONJUGATES[type(reg)](reg, v, w))
 
 
 def check_convex_identities(n=40, cases=100, seed=6):
@@ -258,19 +229,18 @@ def check_convex_identities(n=40, cases=100, seed=6):
         for _ in range(cases):
             xi1, xi2, xi3 = (_random_dual(grid, rng) for _ in range(3))
             x1, x2, x = (reg.mirror_map(xi, w) for xi in (xi1, xi2, xi3))
-            # D(xbar, x_j) for the pairs (x_j, xi_j) the mirror map made
+            # D(xbar, x_j) for x_j = mirror_map(xi_j), from xi_j alone
             to_x, to_x1 = (reg.bregman_to(GridFunction(grid, v)) for v in (x, x1))
-            d1, d2 = float(to_x(x1, xi1)), float(to_x(x2, xi2))
+            d1, d2 = float(to_x(xi1)), float(to_x(xi2))
 
             # three-point identity
             lhs = d2 - d1
-            rhs = float(to_x1(x2, xi2)) + _pair(w, xi2 - xi1, x1 - x)
+            rhs = float(to_x1(xi2)) + _pair(w, xi2 - xi1, x1 - x)
             w3p = max(w3p, _rel_defect(lhs, rhs))
 
             # Fenchel equality R(x) + R*(xi) = <xi, x> holds exactly when
             # x = grad R*(xi), so a wrong mirror map breaks it
-            wfen = max(wfen, abs(float(reg.value(x1, w))
-                                 + conjugate_oracle(reg, xi1, w)
+            wfen = max(wfen, abs(float(reg.value(x1, w)) + float(reg.conjugate(xi1, w))
                                  - _pair(w, xi1, x1)))
 
             # strong-convexity lower bound in the rate norm
@@ -316,7 +286,7 @@ def check_bregman_entropy_kl(n=40, cases=100, seed=7):
         xbar = GridFunction(grid, reg.mirror_map(_random_dual(grid, rng), grid.weights))
         xi = _random_dual(grid, rng)
         x = reg.mirror_map(xi, grid.weights)
-        d = float(reg.bregman_to(xbar)(x, xi))
+        d = float(reg.bregman_to(xbar)(xi))
         worst = max(worst, abs(d - kl_divergence(xbar.values, x, grid.weights)))
     return _result("bregman/entropy-kl", worst <= 1e-8, f"max defect {worst:.2e}")
 

@@ -25,7 +25,7 @@ follows this rule on node arrays: each forward operator's
 / ``adjoint_values``, whose two ``dot`` calls pass no ``out=``, the
 elliptic tangent and adjoint), the raw norms :func:`norm_l2_values`,
 :func:`norm_l1_values` and :func:`norm_linf_values`, the regularizers
-(values, mirror maps, norms and the Bregman evaluator) and
+(values, conjugates, mirror maps, norms and the Bregman evaluator) and
 ``landweber.dual_step``.  A :class:`GridFunction` does no arithmetic:
 the solvers, the oracles in ``checks`` and the instance builders all compute
 on node arrays, and meet grid functions only where data enter or leave

@@ -16,11 +16,12 @@ iteration-budget, and max-iter stopping.
 The loop keeps states and diagnostics on node arrays under the input grid's
 quadrature weights; grid functions appear only where data enter, checked
 before the first step, and in the result.  The Bregman log is bookkeeping,
-evaluated a chunk of states per call on the stacked states (fresh arrays
-that nothing writes to); the evaluator reduces along the last axis, which
-gives each row the bits of a one-state call wherever a chunk ends.  A chunk
-has 64 states on the 51-node stochastic grids and one, in place, at n = 5000
-or on the 65 x 65 grid (:data:`CHUNK`).
+evaluated a chunk of states per call on the stacked dual states (fresh
+arrays that nothing writes to), since the Fenchel-Young evaluator reads xi
+alone; it reduces along the last axis, which gives each row the bits of a
+one-state call wherever a chunk ends.  A chunk has 64 states on the 51-node
+stochastic grids and one, in place, at n = 5000 or on the 65 x 65 grid
+(:data:`CHUNK`).
 """
 
 from __future__ import annotations
@@ -302,10 +303,11 @@ def _descend(reg: Regularizer, grid: Grid, xi: np.ndarray, operators, data, pick
     """The loop from the dual state ``xi``.  State k linearizes block
     i = ``picks[k]`` (``operators[i]``, ``data[i]``), checks its residual norm
     rn, is logged (``observe(x, xi, adjoint)`` and the Bregman distance to
-    ``x_truth``, each if given), asks ``stop.reason(k, rn)`` and
+    ``x_truth`` from xi, each if given), asks ``stop.reason(k, rn)`` and
     :data:`SAFETY_CAP`, and moves on by ``transition(k, xi, g, r, rn)``, which
     returns (x', xi', move).  ``build(k0, rns, moves, deltas, seen)`` makes
-    the records of a logged chunk."""
+    the records of a logged chunk.  A truth off the grid or outside the
+    domain of ``reg`` is refused before the first step."""
     if x_truth is not None and x_truth.grid != grid:
         raise GridMismatchError("x_truth does not live on the input grid")
     dist = None if x_truth is None else reg.bregman_to(x_truth)
@@ -315,7 +317,7 @@ def _descend(reg: Regularizer, grid: Grid, xi: np.ndarray, operators, data, pick
     x = reg.mirror_map(xi, grid.weights)
     records = []
     # one list per column, for the states not yet logged
-    xs, xis, rns, moves, seen = [], [], [], [], []
+    xis, rns, moves, seen = [], [], [], []
 
     def stacked(states):
         # one state in place (faster than a (1, n) view), more stacked in a copy
@@ -323,10 +325,10 @@ def _descend(reg: Regularizer, grid: Grid, xi: np.ndarray, operators, data, pick
         return states[0] if m == 1 else np.concatenate(states).reshape(m, n)
 
     def log():
-        deltas = ([None] * len(xs) if dist is None or not xs else
-                  dist(stacked(xs), stacked(xis)).reshape(-1).tolist())
+        deltas = ([None] * len(xis) if dist is None or not xis else
+                  dist(stacked(xis)).reshape(-1).tolist())
         records.extend(build(len(records), rns, moves, deltas, seen))
-        del xs[:], xis[:], rns[:], moves[:], seen[:]
+        del xis[:], rns[:], moves[:], seen[:]
 
     for k, i in enumerate(picks):
         linearize, y, w_out = blocks[i]
@@ -337,7 +339,6 @@ def _descend(reg: Regularizer, grid: Grid, xi: np.ndarray, operators, data, pick
         if not math.isfinite(rn):
             log()
             raise NonFiniteResidualError(k, rn, records)
-        xs.append(x)
         xis.append(xi)
         rns.append(rn)
         if observe is not None:
@@ -375,7 +376,8 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
     A* lambda_k afresh each iteration with the adjoint map of the iterate's
     ``linearize_values``, so the check stays independent of the xi update.
     Data or a truth off the operator's grids raise :class:`GridMismatchError`
-    before the first step; a NaN or infinite residual norm raises
+    and a truth outside the domain of ``reg`` raises ValueError, both before
+    the first step; a NaN or infinite residual norm raises
     :class:`NonFiniteResidualError` at once, and a run still going after
     :data:`SAFETY_CAP` iterations raises :class:`IterationLimitError`.
     """

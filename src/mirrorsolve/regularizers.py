@@ -1,24 +1,28 @@
-"""Strongly convex regularizers with closed-form mirror maps.
+"""Strongly convex regularizers with closed-form mirror maps and conjugates.
 
 Each regularizer R is 1/2-strongly convex (modulus ``sigma = 0.5``) in the
 norm of its ``error_norm`` (L2, or L1 for the entropy).  It works on node
 values ``v`` and the quadrature weights ``w`` of their grid, as the solvers
 keep their states, and exposes:
 
-* ``value(v, w)``          -- R of each row of ``v``, possibly +inf outside
-                              the effective domain
+* ``value(v, w)``          -- R of one state, +inf outside the effective
+                              domain
+* ``conjugate(v, w)``      -- R*(xi) = sup_x { <xi, x> - R(x) } of each row
+                              of the node values ``v`` of xi, one state or a
+                              stack of states
 * ``mirror_map(v, w)``     -- grad R*(xi) = argmin_x { R(x) - <xi, x> } for
                               the node values ``v`` of xi, in a fresh array
 * ``bregman_to(xbar)``     -- the distance D_R(xbar, x) to one fixed grid
-                              function xbar, for pairs (x, xi) with
-                              x = mirror_map(xi) as the solvers make them: an
-                              evaluator of one state or a stack of states
+                              function xbar, for x = mirror_map(xi) as the
+                              solvers make it: an evaluator of the dual state
+                              xi alone, one state or a stack of states
 * ``error_norm(v, w)``     -- the norm the rates are read in; ``dual_norm``
                               is its dual
 
 All inner products and norms are quadrature-weighted, so the same formulas
-work on any grid.  The conjugate R* lives with the oracles, in
-``checks.conjugate_oracle``.
+work on any grid.  R* lives with the regularizers, beside the mirror map
+that is its gradient; ``checks`` tests it against lattice optima of the
+written-out node objectives.
 """
 
 from __future__ import annotations
@@ -38,19 +42,25 @@ __all__ = [
 
 
 class Regularizer:
-    """Base class; subclasses provide ``value`` and ``mirror_map``, and
-    override error_norm / dual_norm where the rates are not read in L2."""
+    """Base class; subclasses provide ``value``, ``conjugate`` and
+    ``mirror_map``, and override error_norm / dual_norm where the rates are
+    not read in L2."""
 
     #: strong-convexity modulus in the norm of ``error_norm``
     sigma: float = 0.5
 
-    def value(self, v: np.ndarray, w: np.ndarray):
-        """R of each row of the node values ``v`` (shape (..., n)) under the
-        quadrature weights ``w``: a scalar for one state (shape (n,)), shape
-        (m,) for a stack of m states.
+    def value(self, v: np.ndarray, w: np.ndarray) -> float:
+        """R of the node values ``v`` of one state (shape (n,)) under the
+        quadrature weights ``w``; +inf outside the effective domain."""
+        raise NotImplementedError
+
+    def conjugate(self, v: np.ndarray, w: np.ndarray):
+        """R*(xi) of each row of the node values ``v`` of xi (shape (..., n))
+        under the quadrature weights ``w``: a scalar for one state (shape
+        (n,)), shape (m,) for a stack of m states.
 
         Every reduction is a ufunc ``reduce`` along the last axis: on each row
-        it runs the pairwise order of the 1-D ``a.sum()`` / ``a.min()``, so a
+        it runs the pairwise order of the 1-D ``a.sum()`` / ``a.max()``, so a
         row of a stack gets the bits it gets alone, and it skips the Python
         frame the ndarray methods enter on every single-state call.
         """
@@ -61,25 +71,29 @@ class Regularizer:
 
     def bregman_to(self, xbar: GridFunction):
         """Distance evaluator with R(xbar) precomputed, for logging against one
-        fixed target: D_R(xbar, x) = R(xbar) - R(x) - <xi, xbar - x>.
+        fixed target.  For x = mirror_map(xi), the Fenchel-Young form
+        D_R(xbar, x) = R(xbar) + R*(xi) - <xi, xbar> is that distance written
+        as a dual gap, so the evaluator reads the dual state alone.
 
-        The evaluator takes the node values of x and xi on the grid of
-        ``xbar``, either one state (shape (n,)) or a stack of states (shape
-        (m, n), one per row), and returns D_R(xbar, x) per row (a NumPy
-        float, or shape (m,)).  Every reduction runs along the last axis, so
-        a row of a stack gives the bits that the same state gives alone: the
-        solvers log one state per call (``run``) or a chunk of states per
-        call (``smd_run``).
+        It takes the node values of xi on the grid of ``xbar``, either one
+        state (shape (n,)) or a stack of states (shape (m, n), one per row),
+        and returns D_R(xbar, x) per row (a NumPy float, or shape (m,)).
+        Every reduction runs along the last axis, so a row of a stack gives
+        the bits that the same state gives alone: the solvers log one state
+        per call (``run``) or a chunk of states per call (``smd_run``).  A
+        target with R(xbar) not finite, outside the domain of R, raises
+        ValueError.
         """
-        w, xbv = xbar.grid.weights, xbar.values
-        vbar = float(self.value(xbv, w))
+        w, xb = xbar.grid.weights, xbar.values
+        vbar = float(self.value(xb, w))
+        if not np.isfinite(vbar):
+            raise ValueError(f"R(xbar) = {vbar} is not finite: xbar lies outside dom R")
 
-        def dist(x: np.ndarray, xi: np.ndarray):
-            # the pairing <xi, xbar - x> = sum(w xi (xbar - x)), formed as
-            # (w * xi) * (xbar - x)
-            t = w * xi
-            t *= np.subtract(xbv, x)
-            return vbar - self.value(x, w) - np.add.reduce(t, axis=-1)
+        def dist(v: np.ndarray):
+            # the pairing <xi, xbar> = sum(w xi xbar) of the node values v of
+            # xi, formed as (w * v) * xbar
+            t = w * v
+            return vbar + self.conjugate(v, w) - np.add.reduce(np.multiply(t, xb, out=t), axis=-1)
 
         return dist
 
@@ -103,13 +117,18 @@ class QuadraticBox(Regularizer):
     lower: float = 0.0
 
     def value(self, v, w):
+        if self.lower is not None and np.minimum.reduce(v) < self.lower:
+            return np.inf
         t = w * v
-        val = 0.5 * np.add.reduce(np.multiply(t, v, out=t), axis=-1)
-        if self.lower is not None:
-            below = np.logical_or.reduce(v < self.lower, axis=-1)
-            if np.logical_or.reduce(below, axis=None):
-                val = np.where(below, np.inf, val)
-        return val
+        return 0.5 * np.add.reduce(np.multiply(t, v, out=t))
+
+    def conjugate(self, v, w):
+        # sum w x (xi - x/2) at the maximizer x = max(xi, lower): xi^2/2 where
+        # xi >= lower, lower xi - lower^2/2 below it
+        x = v if self.lower is None else np.maximum(v, self.lower)
+        t = np.subtract(v, 0.5 * x)
+        t *= w
+        return np.add.reduce(np.multiply(t, x, out=t), axis=-1)
 
     def mirror_map(self, v, w):
         if self.lower is None:
@@ -129,9 +148,17 @@ class ElasticNet(Regularizer):
 
     def value(self, v, w):
         t = w * v
-        sq = np.add.reduce(np.multiply(t, v, out=t), axis=-1)
+        sq = np.add.reduce(np.multiply(t, v, out=t))
         t = np.abs(v)
-        return 0.5 * sq + self.beta * np.add.reduce(np.multiply(w, t, out=t), axis=-1)
+        return 0.5 * sq + self.beta * np.add.reduce(np.multiply(w, t, out=t))
+
+    def conjugate(self, v, w):
+        # 1/2 sum w max(|xi| - beta, 0)^2
+        t = np.abs(v)
+        t -= self.beta
+        np.maximum(t, 0.0, out=t)
+        u = w * t
+        return 0.5 * np.add.reduce(np.multiply(u, t, out=u), axis=-1)
 
     def mirror_map(self, v, w):
         t = np.abs(v)
@@ -157,19 +184,20 @@ class EntropySimplex(Regularizer):
     mass_tol = 1e-9
 
     def value(self, v, w):
-        mn = np.minimum.reduce(v, axis=-1)
         wv = w * v
-        mass = np.add.reduce(wv, axis=-1)
-        if np.logical_and.reduce((mn > 0) & (abs(mass - 1.0) <= self.mass_tol), axis=None):
-            t = np.log(v)
-            return np.add.reduce(np.multiply(wv, t, out=t), axis=-1)
-        # rows with a zero node take 0 log 0 = 0, summed as w (x log x);
-        # the others keep (w x) log x
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xlogx = np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0)), 0.0)
-            t = np.where((mn > 0)[..., None], wv * np.log(v), w * xlogx)
-        val = np.add.reduce(t, axis=-1)
-        return np.where((mn < 0) | (abs(mass - 1.0) > self.mass_tol), np.inf, val)
+        if np.minimum.reduce(v) < 0 or abs(np.add.reduce(wv) - 1.0) > self.mass_tol:
+            return np.inf
+        # a zero node takes log 1, so 0 log 0 = 0
+        t = np.log(np.where(v > 0, v, 1.0))
+        return np.add.reduce(np.multiply(wv, t, out=t))
+
+    def conjugate(self, v, w):
+        # max xi + log sum w e^(xi - max xi); the shift avoids overflow
+        m = np.maximum.reduce(v, axis=-1, keepdims=True)
+        z = np.subtract(v, m)
+        np.exp(z, out=z)
+        z *= w
+        return m[..., 0] + np.log(np.add.reduce(z, axis=-1))
 
     def mirror_map(self, v, w):
         # subtracting the max is exact by shift invariance and avoids overflow

@@ -153,10 +153,10 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
     """Run ``k_max`` stochastic steps; records cover states k = 0 .. k_max,
     and the result stops at k_max for reason ``maxiter``.
 
-    A truth or start off the problem's input grid, a schedule over the step
-    bound, or a ``k_max`` below 0 or above
-    :data:`~mirrorsolve.landweber.SAFETY_CAP` is refused before the first
-    step.  With ``x_truth``, each record carries the Bregman distance
+    A truth or start off the problem's input grid, a truth outside the
+    domain of ``reg``, a schedule over the step bound, or a ``k_max`` below 0
+    or above :data:`~mirrorsolve.landweber.SAFETY_CAP` is refused before the
+    first step.  With ``x_truth``, each record carries the Bregman distance
     Delta_k and, through ``s_delta``, s_k * Delta_k for the inclusive partial
     sum s_k of the schedule.  A NaN or infinite block residual norm, the
     terminal state's included, raises ``NonFiniteResidualError`` at once.

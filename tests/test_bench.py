@@ -775,6 +775,29 @@ class TestCli:
         assert "entropy_integral" in payload["message"]
 
     def test_smd_nonfinite_data_fails(self, tmp_path, capsys, monkeypatch):
+        # NaN data blocks beside a finite truth: the first residual is NaN
+        build = smd.build_sourced_instance
+
+        def nan_data(*args, **kw):
+            inst = build(*args, **kw)
+            data = tuple(GridFunction(y.grid, np.full(y.grid.node_count, np.nan))
+                         for y in inst.problem.data)
+            return dataclasses.replace(
+                inst, problem=smd.SystemProblem(inst.problem.operators, data))
+
+        monkeypatch.setattr(smd, "build_sourced_instance", nan_data)
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(SMD_CFG)
+        rc = cli_main(["smd", "--config", str(cfg)])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["status"] == "error"
+        assert payload["type"] == "NonFiniteResidualError"
+        assert "iterate 0" in payload["message"]
+
+    def test_smd_nonfinite_instance_fails(self, tmp_path, capsys, monkeypatch):
+        # a NaN source element makes the truth NaN as well as the data; the
+        # truth is refused before the first step
         build = smd.build_sourced_instance
         monkeypatch.setattr(smd, "build_sourced_instance",
                             lambda *args, **kw: build(*args, **kw, lam_scale=float("nan")))
@@ -784,8 +807,8 @@ class TestCli:
         assert rc == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["status"] == "error"
-        assert payload["type"] == "NonFiniteResidualError"
-        assert "iterate 0" in payload["message"]
+        assert payload["type"] == "ValueError"
+        assert "R(xbar) = nan is not finite" in payload["message"]
 
     def test_smd_empty_instance_fails(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"

@@ -23,7 +23,6 @@ from mirrorsolve import (
     run,
     write_iterates_csv,
 )
-from mirrorsolve.checks import conjugate_oracle
 from mirrorsolve.experiments import make_cell, setup_entropy_experiment
 
 
@@ -254,6 +253,23 @@ class TestRunLoop:
             run(op, QuadraticBox(lower=None), grid.zeros(), ConstantStep(gamma=0.5),
                 MaxIterStop(k_max=10), x_truth=truth.ones())
 
+    @pytest.mark.parametrize("reg, truth", [
+        (EntropySimplex(), lambda g: GridFunction(g, np.full(g.node_count, 1.5))),
+        (QuadraticBox(lower=0.0), lambda g: GridFunction(g, np.linspace(-0.5, 1.0, g.node_count)))],
+        ids=["entropy-mass-1.5", "box-negative-node"])
+    def test_truth_outside_the_domain_raises_before_the_first_step(self, reg, truth,
+                                                                   monkeypatch):
+        # R(x_truth) = inf would log a column of inf Bregman distances
+        grid, op = _tiny_linear_problem(n=24)
+
+        def no_step(v):
+            raise AssertionError("the run linearized before checking the truth")
+
+        monkeypatch.setattr(op, "linearize_values", no_step)
+        with pytest.raises(ValueError, match=r"R\(xbar\) = inf is not finite"):
+            run(op, reg, grid.zeros(), ConstantStep(gamma=0.5), MaxIterStop(k_max=10),
+                x_truth=truth(grid))
+
     def test_no_grid_function_per_iterate(self, grid_function_count):
         # the states, the multiplier and the diagnostics stay node arrays;
         # grid functions are built only for the result
@@ -308,7 +324,7 @@ class TestRunLoop:
         # x = mirror_map(xi) by construction, so the Fenchel defect against
         # the closed-form conjugate (no mirror map on that side) is rounding
         defect = abs(setup.reg.value(res.x.values, res.x.grid.weights)
-                     + conjugate_oracle(setup.reg, res.xi.values, res.xi.grid.weights)
+                     + setup.reg.conjugate(res.xi.values, res.xi.grid.weights)
                      - float(np.sum(res.x.grid.weights * res.x.values * res.xi.values)))
         assert defect <= 1e-12
 

@@ -15,6 +15,7 @@ from mirrorsolve import (
     MaxIterStop,
     NonFiniteResidualError,
     PolynomialSchedule,
+    QuadraticBox,
     SystemProblem,
     build_sourced_instance,
     operators,
@@ -95,7 +96,7 @@ class TestSourcedInstance:
         xi_true = _source_element(inst)
         # xi_true is a subgradient at x_true, so the Bregman distance of the
         # pair to its own primal point vanishes
-        d = reg.bregman_to(inst.x_true)(inst.x_true.values, xi_true.values)
+        d = reg.bregman_to(inst.x_true)(xi_true.values)
         assert d == pytest.approx(0.0, abs=1e-12)
         x = reg.mirror_map(xi_true.values, xi_true.grid.weights)
         assert np.array_equal(x, inst.x_true.values)
@@ -283,6 +284,24 @@ class TestSmdRun:
         with pytest.raises(GridMismatchError, match="x_truth"):
             smd_run(inst.problem, reg, ConstantSchedule(1.0), 100, seed=0,
                     x_truth=truth.ones())
+
+    @pytest.mark.parametrize("reg, truth", [
+        (EntropySimplex(), lambda g: np.full(g.node_count, 1.5)),
+        (QuadraticBox(lower=0.0), lambda g: np.linspace(-0.5, 1.0, g.node_count))],
+        ids=["entropy-mass-1.5", "box-negative-node"])
+    def test_truth_outside_the_domain_raises_before_the_first_step(self, reg, truth,
+                                                                   monkeypatch):
+        # the system alone; the truth and the regularizer come from the case
+        inst = build_sourced_instance(2, 24, EntropySimplex(), seed=1)
+        grid = inst.problem.grid_in
+
+        def no_step(*args):
+            raise AssertionError("the path stepped before checking the truth")
+
+        monkeypatch.setattr(mirrorsolve.smd, "smd_step", no_step)
+        with pytest.raises(ValueError, match=r"R\(xbar\) = inf is not finite"):
+            smd_run(inst.problem, reg, ConstantSchedule(1.0), 100, seed=0,
+                    x_truth=GridFunction(grid, truth(grid)))
 
     def test_start_off_the_input_grid_raises_before_the_first_step(self, monkeypatch):
         reg = EntropySimplex()
@@ -473,8 +492,9 @@ class TestSmdRun:
     @pytest.mark.parametrize("reg", [EntropySimplex(), ElasticNet(beta=0.3)],
                              ids=["entropy", "elastic"])
     def test_matches_reference_arithmetic_bitwise(self, reg):
-        # replay of the step, the mirror map and the Bregman log with one
-        # scalar draw per step and every reduction written as np.sum / np.max
+        # replay of the step, the mirror map and the Fenchel-Young Bregman log
+        # with one scalar draw per step and every reduction written as np.sum
+        # / np.max
         inst = build_sourced_instance(4, 50, reg, 7)
         prob = inst.problem
         w = prob.grid_in.weights
@@ -487,12 +507,20 @@ class TestSmdRun:
                 assert v.min() > 0 and abs(float(np.sum(w * v)) - 1.0) <= reg.mass_tol
                 return float(np.sum(w * v * np.log(v)))
 
+            def Rstar(z):
+                m = np.max(z)
+                return m + np.log(np.sum(w * np.exp(z - m)))
+
             def mirror_map(z):
                 e = np.exp(z - np.max(z))
                 return e / np.sum(w * e)
         else:
             def R(v):
                 return 0.5 * float(np.sum(w * v * v)) + reg.beta * float(np.sum(w * np.abs(v)))
+
+            def Rstar(z):
+                t = np.maximum(np.abs(z) - reg.beta, 0.0)
+                return 0.5 * np.sum(w * t * t)
 
             def mirror_map(z):
                 return np.sign(z) * np.maximum(np.abs(z) - reg.beta, 0.0)
@@ -505,7 +533,7 @@ class TestSmdRun:
         s = 0.0
         for k in range(k_max + 1):
             rec = sr.records[k]
-            assert rec.delta_k == vbar - R(x) - float(np.sum(w * xi * (xbar - x)))
+            assert rec.delta_k == vbar + Rstar(xi) - float(np.sum(w * xi * xbar))
             if k == k_max:
                 assert rec.s_k == s + gamma and rec.i_k is None
                 break

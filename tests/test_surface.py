@@ -1,10 +1,13 @@
 """The package's import surface: no module imports a name it does not use,
 every ``__all__`` entry names something the module defines or imports, and
-the counts of public names and of settable values are pinned."""
+the counts of public names and of settable values are pinned, with a
+ceiling on the package's code lines."""
 
 import ast
 import importlib
 import inspect
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -56,10 +59,9 @@ def test_every_all_entry_resolves(path):
 
 
 #: names in the modules' ``__all__`` lists together; a new public function,
-#: class or wrapper has to change this number on purpose (60 since
-#: ``make_cell`` is the one factory of a cell's rules and a sweep's table is
-#: its tuple of ``RateRow``s)
-PUBLIC_NAMES = 60
+#: class or wrapper has to change this number on purpose (59 since the
+#: regularizers own their conjugates and ``checks.conjugate_oracle`` is gone)
+PUBLIC_NAMES = 59
 
 #: settable values: the keyword parameters of the public names, the config
 #: keys and the CLI flags; a new knob has to change these numbers on purpose
@@ -121,3 +123,31 @@ def test_settable_value_count():
                 and node.func.attr == "add_argument" and node.args[0].value.startswith("--")
                 for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())))
     assert (keyword, len(config._KEYS), flags) == (KEYWORD_PARAMETERS, CONFIG_KEYS, CLI_FLAGS)
+
+
+#: ceiling on the code lines of the package's modules, ``__init__.py``
+#: included: lines that hold a token other than a comment, a newline or an
+#: indent, outside string-expression statements (docstrings); growth has to
+#: raise it on purpose
+CODE_LINES = 1468
+
+_LAYOUT_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                  tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def _code_lines(source):
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, str)):
+            docstrings.update(range(node.lineno, node.end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _LAYOUT_TOKENS:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def test_code_line_ceiling():
+    count = sum(_code_lines(path.read_text()) for path in sorted(PACKAGE.glob("*.py")))
+    assert count <= CODE_LINES, f"{count} code lines, ceiling {CODE_LINES}"
