@@ -20,52 +20,10 @@ The package is organized around five layers:
 
 :mod:`mirrorsolve.experiments` and :mod:`mirrorsolve.cli` wrap everything in
 reproducible rate benchmarks.
-"""
 
-from .grids import (
-    Grid,
-    GridFunction,
-    GridMismatchError,
-    add_noise,
-    power_iteration_norm,
-)
-from .landweber import (
-    AdaptiveStep,
-    APrioriStop,
-    ConstantStep,
-    DiscrepancyStop,
-    IterateRecord,
-    IterationLimitError,
-    MaxIterStop,
-    MinimalErrorStep,
-    NonFiniteResidualError,
-    RunResult,
-    dual_step,
-    run,
-    write_iterates_csv,
-)
-from .operators import (
-    EllipticCoefficient,
-    EllipticSolveError,
-    EllipticSolver,
-    ForwardOperator,
-    LinearIntegral,
-)
-from .regularizers import (
-    ElasticNet,
-    EntropySimplex,
-    QuadraticBox,
-    Regularizer,
-)
-from .smd import (
-    ConstantSchedule,
-    PolynomialSchedule,
-    SmdRecord,
-    SourcedInstance,
-    SystemProblem,
-    build_sourced_instance,
-    smd_run,
-    smd_step,
-)
+The modules are the import paths: each public name is imported from the one
+module whose ``__all__`` lists it (``from mirrorsolve.landweber import run``),
+and the package root re-exports nothing.
+"""
 
 __version__ = "0.1.0"

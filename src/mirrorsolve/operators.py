@@ -338,14 +338,14 @@ class EllipticCoefficient(ForwardOperator):
     """
 
     def __init__(self, f: GridFunction, g: GridFunction, grid: Grid,
-                 solver: EllipticSolver = None):
+                 solver: EllipticSolver):
         if f.grid != grid or g.grid != grid:
             raise GridMismatchError("f and g must live on the operator grid")
         self.grid_in = grid
         self.grid_out = grid
         self.f = f
         self.g = g
-        self.solver = solver if solver is not None else EllipticSolver(grid)
+        self.solver = solver
         m = grid.n + 1
         self._shape = (m, m)
         gv = g.values.reshape(self._shape)

@@ -110,14 +110,18 @@ class Regularizer:
 class QuadraticBox(Regularizer):
     """R(x) = 1/2 ||x||_L2^2 plus the indicator of {x >= lower} (node-wise).
 
-    ``lower`` is a scalar, or None for the unconstrained quadratic.  The
-    mirror map is node-wise clipping: max(xi, lower).
+    ``lower`` is a scalar below +inf, or -inf for the unconstrained
+    quadratic.  The mirror map is node-wise clipping: max(xi, lower).
     """
 
     lower: float = 0.0
 
+    def __post_init__(self):
+        if not self.lower < np.inf:
+            raise ValueError("lower must be below +inf (-inf for no bound)")
+
     def value(self, v, w):
-        if self.lower is not None and np.minimum.reduce(v) < self.lower:
+        if np.minimum.reduce(v) < self.lower:
             return np.inf
         t = w * v
         return 0.5 * np.add.reduce(np.multiply(t, v, out=t))
@@ -125,14 +129,12 @@ class QuadraticBox(Regularizer):
     def conjugate(self, v, w):
         # sum w x (xi - x/2) at the maximizer x = max(xi, lower): xi^2/2 where
         # xi >= lower, lower xi - lower^2/2 below it
-        x = v if self.lower is None else np.maximum(v, self.lower)
+        x = np.maximum(v, self.lower)
         t = np.subtract(v, 0.5 * x)
         t *= w
         return np.add.reduce(np.multiply(t, x, out=t), axis=-1)
 
     def mirror_map(self, v, w):
-        if self.lower is None:
-            return v.copy()
         return np.maximum(v, self.lower)
 
 

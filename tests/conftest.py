@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mirrorsolve import GridFunction
+from mirrorsolve.grids import GridFunction
 
 
 def _array_of(a):

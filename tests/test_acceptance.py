@@ -11,23 +11,6 @@ import math
 import numpy as np
 import pytest
 
-from mirrorsolve import (
-    ConstantSchedule,
-    ConstantStep,
-    DiscrepancyStop,
-    EllipticCoefficient,
-    EllipticSolver,
-    ElasticNet,
-    EntropySimplex,
-    Grid,
-    GridFunction,
-    MaxIterStop,
-    QuadraticBox,
-    add_noise,
-    build_sourced_instance,
-    run,
-    smd_run,
-)
 from mirrorsolve.checks import run_all
 from mirrorsolve.experiments import (
     Setup,
@@ -35,7 +18,11 @@ from mirrorsolve.experiments import (
     run_rate_sweep,
     setup_entropy_experiment,
 )
-from mirrorsolve.grids import norm_l2_values
+from mirrorsolve.grids import Grid, GridFunction, add_noise, norm_l2_values
+from mirrorsolve.landweber import ConstantStep, DiscrepancyStop, MaxIterStop, run
+from mirrorsolve.operators import EllipticCoefficient, EllipticSolver
+from mirrorsolve.regularizers import ElasticNet, EntropySimplex, QuadraticBox
+from mirrorsolve.smd import ConstantSchedule, build_sourced_instance, smd_run
 from test_operators import elliptic_matrix
 
 SEEDS = (1, 2, 3, 4, 5)

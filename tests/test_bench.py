@@ -13,15 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mirrorsolve
-from mirrorsolve import (
-    DiscrepancyStop,
-    EllipticSolveError,
-    GridFunction,
-    add_noise,
-    experiments,
-    operators,
-    smd,
-)
+from mirrorsolve import experiments, operators, smd
 from mirrorsolve.cli import main as cli_main
 from mirrorsolve.config import PROBLEM_DEFAULTS, ExperimentConfig, parse_config
 from mirrorsolve.experiments import (
@@ -34,7 +26,9 @@ from mirrorsolve.experiments import (
     setup_entropy_experiment,
     setup_pde_experiment,
 )
-from mirrorsolve.grids import norm_l2_values
+from mirrorsolve.grids import GridFunction, add_noise, norm_l2_values
+from mirrorsolve.landweber import DiscrepancyStop
+from mirrorsolve.operators import EllipticSolveError
 
 # published rule-1 (delta, err) rows used as a fit oracle; the frozen slope
 # below was computed independently via the covariance/variance formula

@@ -7,21 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mirrorsolve import (
-    ConstantStep,
-    EntropySimplex,
+from mirrorsolve import grids
+from mirrorsolve.grids import (
     Grid,
     GridFunction,
     GridMismatchError,
-    LinearIntegral,
-    MaxIterStop,
-    QuadraticBox,
     add_noise,
-    grids,
+    norm_l1_values,
+    norm_l2_values,
+    norm_linf_values,
     power_iteration_norm,
-    run,
 )
-from mirrorsolve.grids import norm_l1_values, norm_l2_values, norm_linf_values
+from mirrorsolve.landweber import ConstantStep, MaxIterStop, run
+from mirrorsolve.operators import LinearIntegral
+from mirrorsolve.regularizers import EntropySimplex, QuadraticBox
 
 
 class TestGrid:

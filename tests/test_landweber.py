@@ -3,27 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from mirrorsolve import (
+from mirrorsolve import landweber
+from mirrorsolve.experiments import make_cell, setup_entropy_experiment
+from mirrorsolve.grids import Grid, GridFunction, GridMismatchError, add_noise
+from mirrorsolve.landweber import (
     AdaptiveStep,
     APrioriStop,
     ConstantStep,
     DiscrepancyStop,
-    EntropySimplex,
-    Grid,
-    GridFunction,
-    GridMismatchError,
     IterationLimitError,
-    LinearIntegral,
     MaxIterStop,
     MinimalErrorStep,
     NonFiniteResidualError,
-    QuadraticBox,
-    add_noise,
-    landweber,
     run,
     write_iterates_csv,
 )
-from mirrorsolve.experiments import make_cell, setup_entropy_experiment
+from mirrorsolve.operators import LinearIntegral
+from mirrorsolve.regularizers import EntropySimplex, QuadraticBox
 
 
 class TestStepSize:
@@ -138,7 +134,7 @@ class TestRunLoop:
 
     def test_exact_data_from_start_is_fixed_point(self):
         grid, op = _tiny_linear_problem()
-        reg = QuadraticBox(lower=None)
+        reg = QuadraticBox(lower=-math.inf)
         x0 = GridFunction(grid, reg.mirror_map(np.zeros(grid.node_count), grid.weights))
         y = GridFunction(grid, op.apply_values(x0.values))
         res = run(op, reg, y, MinimalErrorStep(gamma=0.5, gamma_bar=2.0),
@@ -151,7 +147,7 @@ class TestRunLoop:
         # QuadraticBox with no bound has the identity mirror map, so the
         # iteration is x' = x - gamma A*(Ax - y)
         grid, op = _tiny_linear_problem(n=6, seed=3)
-        reg = QuadraticBox(lower=None)
+        reg = QuadraticBox(lower=-math.inf)
         rng = np.random.default_rng(4)
         y = GridFunction(grid, rng.standard_normal(grid.node_count))
         gamma_over_L2 = 0.37
@@ -250,7 +246,7 @@ class TestRunLoop:
 
         monkeypatch.setattr(op, "linearize_values", no_step)
         with pytest.raises(GridMismatchError, match="truth"):
-            run(op, QuadraticBox(lower=None), grid.zeros(), ConstantStep(gamma=0.5),
+            run(op, QuadraticBox(lower=-math.inf), grid.zeros(), ConstantStep(gamma=0.5),
                 MaxIterStop(k_max=10), x_truth=truth.ones())
 
     @pytest.mark.parametrize("reg, truth", [
@@ -304,7 +300,7 @@ class TestRunLoop:
         rule = AdaptiveStep(gamma0=1.98, gamma_bar=600.0, tau=1.01, eta=0.0, delta=1e-2)
         y = op.grid_out.zeros()
         with pytest.raises(ValueError, match=f"rule and stopping rule disagree on {field}"):
-            run(op, QuadraticBox(lower=None), y, rule, stop)
+            run(op, QuadraticBox(lower=-math.inf), y, rule, stop)
 
     @pytest.mark.parametrize("rule", [ConstantStep(gamma=0.5),
                                       MinimalErrorStep(gamma=0.5, gamma_bar=2.0)])
@@ -312,7 +308,7 @@ class TestRunLoop:
                                       APrioriStop(delta=10.0), MaxIterStop(k_max=0)])
     def test_non_adaptive_rules_accept_any_stop(self, rule, stop):
         _, op = _tiny_linear_problem()
-        res = run(op, QuadraticBox(lower=None), op.grid_out.zeros(), rule, stop)
+        res = run(op, QuadraticBox(lower=-math.inf), op.grid_out.zeros(), rule, stop)
         assert res.k_stop == 0
 
     def test_pair_consistency_along_run(self):
@@ -418,7 +414,7 @@ class TestIterateCsv:
         # gradient: every step falls back to gamma_bar and is flagged
         grid = Grid.interval(10)
         op = LinearIntegral(grid, kernel=np.zeros((11, 11)))
-        res = run(op, QuadraticBox(lower=None), grid.ones(),
+        res = run(op, QuadraticBox(lower=-math.inf), grid.ones(),
                   MinimalErrorStep(gamma=0.5, gamma_bar=2.0), MaxIterStop(k_max=2))
         path = tmp_path / "iter.csv"
         write_iterates_csv(res.records, path)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,26 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mirrorsolve import (
-    ConstantSchedule,
-    ConstantStep,
-    EllipticCoefficient,
-    EllipticSolveError,
-    EllipticSolver,
-    EntropySimplex,
-    ForwardOperator,
-    Grid,
-    GridFunction,
-    GridMismatchError,
-    LinearIntegral,
-    MaxIterStop,
-    QuadraticBox,
-    SystemProblem,
-    operators,
-    power_iteration_norm,
-    run,
-    smd_run,
-)
+from mirrorsolve import operators
 from mirrorsolve.checks import (
     check_adjoint_elliptic,
     check_adjoint_entropy_operator,
@@ -37,8 +20,30 @@ from mirrorsolve.experiments import (
     setup_entropy_experiment,
     setup_pde_experiment,
 )
-from mirrorsolve.grids import POWER_ITERS, POWER_TOL, norm_l2_values
-from mirrorsolve.smd import build_sourced_instance
+from mirrorsolve.grids import (
+    POWER_ITERS,
+    POWER_TOL,
+    Grid,
+    GridFunction,
+    GridMismatchError,
+    norm_l2_values,
+    power_iteration_norm,
+)
+from mirrorsolve.landweber import ConstantStep, MaxIterStop, run
+from mirrorsolve.operators import (
+    EllipticCoefficient,
+    EllipticSolveError,
+    EllipticSolver,
+    ForwardOperator,
+    LinearIntegral,
+)
+from mirrorsolve.regularizers import EntropySimplex, QuadraticBox
+from mirrorsolve.smd import (
+    ConstantSchedule,
+    SystemProblem,
+    build_sourced_instance,
+    smd_run,
+)
 
 
 class TestLinearIntegral:
@@ -350,7 +355,7 @@ class TestEllipticForward:
         grid = Grid.square(16)
         c = GridFunction(grid, np.ones(grid.node_count))
         f = GridFunction(grid, np.ones(grid.node_count))
-        op = EllipticCoefficient(f, grid.zeros(), grid)
+        op = EllipticCoefficient(f, grid.zeros(), grid, solver=EllipticSolver(grid))
         monkeypatch.setattr(operators, "CG_ITERS_PER_UNKNOWN", 0)
         with pytest.raises(EllipticSolveError) as exc:
             op.linearize_values(c.values)
@@ -363,7 +368,8 @@ class TestEllipticForward:
     (lambda: EllipticSolver(Grid.interval(16)), ValueError, "requires a square grid"),
     (lambda: EllipticSolver(Grid.square(1)), ValueError, "n >= 2"),
     (lambda: EllipticCoefficient(Grid.square(8).zeros(), Grid.square(16).zeros(),
-                                 Grid.square(16)), GridMismatchError, "f and g"),
+                                 Grid.square(16), solver=EllipticSolver(Grid.square(16))),
+     GridMismatchError, "f and g"),
 ], ids=["solver-interval", "solver-n1", "coefficient-data-grid"])
 def test_elliptic_input_checks(build, error, fragment):
     with pytest.raises(error, match=fragment):
@@ -731,7 +737,7 @@ class TestMinimalForwardMap:
 
     def test_run_tracks_lambda_and_smd_runs(self):
         op = self._op()
-        reg = QuadraticBox(lower=None)
+        reg = QuadraticBox(lower=-math.inf)
         x_true = GridFunction(op.grid_in, np.cos(op.grid_in.coords[0]))
         y = GridFunction(op.grid_out, op.linearize_values(x_true.values)[0])
         rule = ConstantStep(gamma=0.9)

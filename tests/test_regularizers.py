@@ -1,22 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorsolve import (
-    ElasticNet,
-    EntropySimplex,
-    Grid,
-    GridFunction,
-    QuadraticBox,
-)
 from mirrorsolve.checks import (
     check_convex_identities,
     check_mirror_argmin_entropy,
     check_mirror_argmin_separable,
     kl_divergence,
 )
-from mirrorsolve.grids import norm_l2_values
+from mirrorsolve.grids import Grid, GridFunction, norm_l2_values
+from mirrorsolve.regularizers import ElasticNet, EntropySimplex, QuadraticBox
 
 GRID = Grid.interval(40)
 ALL_REGS = [QuadraticBox(lower=0.0), ElasticNet(beta=0.5), EntropySimplex()]
@@ -63,6 +59,14 @@ class TestValues:
     def test_elastic_net_beta_checked(self, beta):
         with pytest.raises(ValueError, match="beta must be positive"):
             ElasticNet(beta=beta)
+
+    def test_quadratic_box_lower_checked(self):
+        # -inf is the unconstrained quadratic; a NaN bound would stop a run at
+        # iterate 0 as a non-finite residual, +inf as a truth outside dom R
+        QuadraticBox(lower=-math.inf)
+        for lower in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="lower must be below"):
+                QuadraticBox(lower=lower)
 
 
 class TestMirrorMaps:
@@ -124,7 +128,7 @@ class TestOwnership:
     def test_unbounded_box_map_is_a_fresh_copy(self, check_ownership):
         # the identity map of the unconstrained quadratic copies its input
         xi = np.random.default_rng(8).uniform(-2, 2, GRID.node_count)
-        x = check_ownership(QuadraticBox(lower=None).mirror_map, xi, GRID.weights)
+        x = check_ownership(QuadraticBox(lower=-math.inf).mirror_map, xi, GRID.weights)
         assert x is not xi and np.array_equal(x, xi)
 
     @pytest.mark.parametrize("reg", ALL_REGS, ids=lambda r: type(r).__name__)
@@ -173,7 +177,7 @@ class TestBregman:
             assert reg.bregman_to(x)(xi.values) == pytest.approx(0.0, abs=1e-12)
 
     def test_unconstrained_quadratic_is_half_squared_distance(self):
-        reg = QuadraticBox(lower=None)
+        reg = QuadraticBox(lower=-math.inf)
         rng = np.random.default_rng(1)
         x = GridFunction(GRID, rng.standard_normal(GRID.node_count))
         xbar = GridFunction(GRID, rng.standard_normal(GRID.node_count))
@@ -213,7 +217,7 @@ class TestConjugate:
         xi = -np.abs(np.random.default_rng(4).standard_normal(GRID.node_count))
         assert QuadraticBox(lower=0.0).conjugate(xi, GRID.weights) == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("reg", [QuadraticBox(lower=None), QuadraticBox(lower=0.0),
+    @pytest.mark.parametrize("reg", [QuadraticBox(lower=-math.inf), QuadraticBox(lower=0.0),
                                      QuadraticBox(lower=-0.7), ElasticNet(beta=0.5),
                                      EntropySimplex()], ids=repr)
     def test_closed_forms_match_the_mirror_map_route(self, reg):

@@ -3,29 +3,28 @@ import pytest
 
 import mirrorsolve.landweber
 import mirrorsolve.smd
-from mirrorsolve import (
-    ConstantSchedule,
+from mirrorsolve import operators
+from mirrorsolve.experiments import setup_pde_experiment
+from mirrorsolve.grids import Grid, GridFunction, GridMismatchError, norm_l2_values
+from mirrorsolve.landweber import (
+    CHUNK,
     ConstantStep,
-    ElasticNet,
-    EntropySimplex,
-    Grid,
-    GridFunction,
-    GridMismatchError,
-    LinearIntegral,
     MaxIterStop,
     NonFiniteResidualError,
+    csv_number,
+    run,
+)
+from mirrorsolve.operators import LinearIntegral
+from mirrorsolve.regularizers import ElasticNet, EntropySimplex, QuadraticBox
+from mirrorsolve.smd import (
+    ConstantSchedule,
     PolynomialSchedule,
-    QuadraticBox,
     SystemProblem,
     build_sourced_instance,
-    operators,
-    run,
     smd_run,
+    validate_schedule,
+    write_rate_csv,
 )
-from mirrorsolve.experiments import setup_pde_experiment
-from mirrorsolve.grids import norm_l2_values
-from mirrorsolve.landweber import CHUNK, csv_number
-from mirrorsolve.smd import validate_schedule, write_rate_csv
 
 
 class TestSchedules:
