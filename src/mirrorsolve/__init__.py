@@ -13,7 +13,9 @@ The package is organized around five layers:
   derivative, adjoint) on node arrays;
 * :mod:`mirrorsolve.landweber` -- the dual-space gradient iteration with
   pluggable step-size and stopping rules plus diagnostics: one
-  mirror-descent update, :func:`dual_step`, and one loop that runs it;
+  mirror-descent update, :func:`dual_step`, and one loop that runs it on a
+  block system :class:`SystemProblem`, of which :func:`run`'s single
+  equation is the one-block case;
 * :mod:`mirrorsolve.smd` -- the stochastic block variant for systems with
   exact data: the same loop, one sampled block and :func:`smd_step` per
   step, and the same :class:`RunResult`.

@@ -35,9 +35,10 @@ def _check_seed_flag(args) -> None:
 def _cmd_run(args) -> int:
     _check_seed_flag(args)
     cfg = parse_config(args.config).resolved(fast=args.fast)
+    # the setup refuses a stochastic config, whose deltas are empty
+    setup = experiments.build_setup(cfg.problem, cfg.n)
     delta = args.delta if args.delta is not None else cfg.deltas[0]
     seed = args.seed if args.seed is not None else cfg.seeds[0]
-    setup = experiments.build_setup(cfg.problem, cfg.n)
     rule, stop = experiments.make_cell(setup, cfg.rule, delta, stopping=cfg.stopping)
     cell = experiments.run_cell(setup, rule, stop, delta, seed, out_dir=args.out or None)
     print(f"problem={cfg.problem} rule={cfg.rule} delta={delta:g} seed={seed} "

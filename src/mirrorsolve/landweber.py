@@ -6,22 +6,25 @@ pulls it back through the regularizer's mirror map:
     xi_{k+1} = xi_k - gamma_k F'(x_k)^* (F(x_k) - y_delta)
     x_{k+1}  = mirror_map(xi_{k+1})
 
-:func:`dual_step` is that update, and one loop runs it: :func:`run` on the
-whole system, :func:`mirrorsolve.smd.smd_run` on one sampled block per step,
-each returning a :class:`RunResult`.  Three step-size rules are provided (a
+:func:`dual_step` is that update, and one loop runs it on a
+:class:`SystemProblem`, N forward maps F_i on one input grid with a data
+block y_i each: :func:`run` on the one-block system (F, y_delta),
+:func:`mirrorsolve.smd.smd_run` on one sampled block per step, each
+returning a :class:`RunResult`.  Three step-size rules are provided (a
 constant step gamma/L^2, a capped minimal-error step, and a capped adaptive
 step that discounts the noise level), together with discrepancy-principle,
 iteration-budget, and max-iter stopping.
 
 The loop keeps states and diagnostics on node arrays under the input grid's
-quadrature weights; grid functions appear only where data enter, checked
-before the first step, and in the result.  The Bregman log is bookkeeping,
-evaluated a chunk of states per call on the stacked dual states (fresh
-arrays that nothing writes to), since the Fenchel-Young evaluator reads xi
-alone; it reduces along the last axis, which gives each row the bits of a
-one-state call wherever a chunk ends.  A chunk has 64 states on the 51-node
-stochastic grids and one, in place, at n = 5000 or on the 65 x 65 grid
-(:data:`CHUNK`).
+quadrature weights; grid functions appear only where data enter and in the
+result.  The system checks its data blocks when it is built, and the loop
+checks the start and the truth against the input grid, all before the
+first step.  The Bregman log is bookkeeping, evaluated a chunk of states
+per call on the stacked dual states (fresh arrays that nothing writes to),
+since the Fenchel-Young evaluator reads xi alone; it reduces along the last
+axis, which gives each row the bits of a one-state call wherever a chunk
+ends.  A chunk has 64 states on the 51-node stochastic grids and one, in
+place, at n = 5000 or on the 65 x 65 grid (:data:`CHUNK`).
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ __all__ = [
     "MaxIterStop",
     "IterateRecord",
     "RunResult",
+    "SystemProblem",
     "IterationLimitError",
     "NonFiniteResidualError",
     "dual_step",
@@ -297,22 +301,62 @@ def dual_step(reg: Regularizer, xi: np.ndarray, g: np.ndarray, gamma: float,
     return reg.mirror_map(xi, w), xi
 
 
-def _descend(reg: Regularizer, grid: Grid, xi: np.ndarray, operators, data, picks,
-             transition, stop, build, x_truth: GridFunction = None,
+@dataclass(frozen=True)
+class SystemProblem:
+    """N forward operators with a shared input grid and exact data blocks:
+    the system F_i(x) = y_i, of which a single equation F(x) = y_delta is
+    the one-block case.  Each data block must live on its operator's output
+    grid."""
+
+    operators: tuple
+    data: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "operators", tuple(self.operators))
+        object.__setattr__(self, "data", tuple(self.data))
+        if len(self.operators) == 0 or len(self.operators) != len(self.data):
+            raise ValueError("need one data block per operator")
+        g = self.operators[0].grid_in
+        for op, y in zip(self.operators, self.data):
+            if op.grid_in != g:
+                raise GridMismatchError("operators must share one input grid")
+            if y.grid != op.grid_out:
+                raise GridMismatchError("data block does not match operator output grid")
+
+    @property
+    def n_blocks(self) -> int:
+        return len(self.operators)
+
+    @property
+    def grid_in(self) -> Grid:
+        return self.operators[0].grid_in
+
+    def norm_bound(self) -> float:
+        return max(op.norm_bound() for op in self.operators)
+
+
+def _descend(reg: Regularizer, prob: SystemProblem, picks, transition, stop, build,
+             xi0: GridFunction = None, x_truth: GridFunction = None,
              observe=None) -> RunResult:
-    """The loop from the dual state ``xi``.  State k linearizes block
-    i = ``picks[k]`` (``operators[i]``, ``data[i]``), checks its residual norm
-    rn, is logged (``observe(x, xi, adjoint)`` and the Bregman distance to
-    ``x_truth`` from xi, each if given), asks ``stop.reason(k, rn)`` and
-    :data:`SAFETY_CAP`, and moves on by ``transition(k, xi, g, r, rn)``, which
-    returns (x', xi', move).  ``build(k0, rns, moves, deltas, seen)`` makes
-    the records of a logged chunk.  A truth off the grid or outside the
-    domain of ``reg`` is refused before the first step."""
-    if x_truth is not None and x_truth.grid != grid:
-        raise GridMismatchError("x_truth does not live on the input grid")
+    """The loop on ``prob`` from the dual state ``xi0``, zero if not given.
+    State k linearizes block i = ``picks[k]`` (``prob.operators[i]``,
+    ``prob.data[i]``), checks its residual norm rn, is logged
+    (``observe(x, xi, adjoint)`` and the Bregman distance to ``x_truth``
+    from xi, each if given), asks ``stop.reason(k, rn)`` and
+    :data:`SAFETY_CAP`, and moves on by ``transition(k, xi, g, r, rn)``,
+    which returns (x', xi', move).  ``build(k0, rns, moves, deltas, seen)``
+    makes the records of a logged chunk.  A start or a truth off the input
+    grid, or a truth outside the domain of ``reg``, is refused before the
+    first step."""
+    grid = prob.grid_in
+    for name, v in (("xi0", xi0), ("x_truth", x_truth)):
+        if v is not None and v.grid != grid:
+            raise GridMismatchError(f"{name} does not live on the input grid")
     dist = None if x_truth is None else reg.bregman_to(x_truth)
-    blocks = [(op.linearize_values, y.values, y.grid.weights) for op, y in zip(operators, data)]
+    blocks = [(op.linearize_values, y.values, y.grid.weights)
+              for op, y in zip(prob.operators, prob.data)]
     n = grid.node_count
+    xi = np.zeros(n) if xi0 is None else xi0.values
     chunk = min(CHUNK, max(1, CHUNK * CHUNK // n))
     x = reg.mirror_map(xi, grid.weights)
     records = []
@@ -367,7 +411,8 @@ def _iterate_records(k0, rns, moves, deltas, seen):
 
 def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
         rule, stop, *, x_truth: GridFunction = None) -> RunResult:
-    """Iterate from xi_0 = 0 until the stopping rule fires.
+    """Iterate on the one-block system (``forward``, ``y_delta``) from
+    xi_0 = 0 until the stopping rule fires.
 
     ``x_truth`` enables the Bregman-distance and error columns of the record
     stream.  A linear forward map also maintains the auxiliary sequence
@@ -376,16 +421,16 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
     A* lambda_k afresh each iteration with the adjoint map of the iterate's
     ``linearize_values``, so the check stays independent of the xi update.
     Data or a truth off the operator's grids raise :class:`GridMismatchError`
-    and a truth outside the domain of ``reg`` raises ValueError, both before
-    the first step; a NaN or infinite residual norm raises
-    :class:`NonFiniteResidualError` at once, and a run still going after
-    :data:`SAFETY_CAP` iterations raises :class:`IterationLimitError`.
+    (the data from :class:`SystemProblem`, the truth from the loop, as for
+    every block of a stochastic path) and a truth outside the domain of
+    ``reg`` raises ValueError, all before the first step; a NaN or infinite
+    residual norm raises :class:`NonFiniteResidualError` at once, and a run
+    still going after :data:`SAFETY_CAP` iterations raises
+    :class:`IterationLimitError`.
     """
     _check_consistency(rule, stop)
-    grid = forward.grid_in
-    if y_delta.grid != forward.grid_out:
-        raise GridMismatchError("data do not live on the operator's output grid")
-    w = grid.weights
+    prob = SystemProblem((forward,), (y_delta,))
+    w = prob.grid_in.weights
     lam = np.zeros(forward.grid_out.node_count) if forward.linear else None
 
     def observe(x, xi, adjoint):
@@ -402,8 +447,8 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
             lam = np.subtract(lam, t, out=t)
         return x, xi, (gamma, degen)
 
-    return _descend(reg, grid, np.zeros(grid.node_count), (forward,), (y_delta,), repeat(0),
-                    transition, stop, _iterate_records, x_truth, observe)
+    return _descend(reg, prob, repeat(0), transition, stop, _iterate_records,
+                    x_truth=x_truth, observe=observe)
 
 
 def csv_number(v) -> str:

@@ -321,11 +321,12 @@ class EllipticSolver:
 class EllipticCoefficient(ForwardOperator):
     """Coefficient-to-solution map for -Lap(u) + c u = f, u = g on the boundary.
 
-    ``f`` and ``g`` are grid functions on the (square) grid; only the
-    boundary values of ``g`` enter.  The value of ``linearize_values(c)`` is
-    the node array of the full-grid solution (boundary nodes carry g); the
-    derivative solves use homogeneous Dirichlet conditions and vanish on the
-    boundary, so the map has no sensitivity to boundary values of c.
+    ``f`` and ``g`` are grid functions on the (square) grid, and the solver
+    is built on it too, each refused otherwise; only the boundary values of
+    ``g`` enter.  The value of ``linearize_values(c)`` is the node array of
+    the full-grid solution (boundary nodes carry g); the derivative solves
+    use homogeneous Dirichlet conditions and vanish on the boundary, so the
+    map has no sensitivity to boundary values of c.
     Iterates are expected to satisfy c >= 0 node-wise (the solver module
     guarantees this by applying the mirror map before every call); mildly
     negative values are tolerated as long as the shifted operator stays
@@ -341,6 +342,8 @@ class EllipticCoefficient(ForwardOperator):
                  solver: EllipticSolver):
         if f.grid != grid or g.grid != grid:
             raise GridMismatchError("f and g must live on the operator grid")
+        if solver.grid != grid:
+            raise GridMismatchError("the solver must be built on the operator grid")
         self.grid_in = grid
         self.grid_out = grid
         self.f = f

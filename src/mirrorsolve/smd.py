@@ -7,7 +7,8 @@ block alone:
     xi_{k+1} = xi_k - gamma_k F'_{i_k}(x_k)^* (F_{i_k}(x_k) - y_{i_k})
     x_{k+1}  = mirror_map(xi_{k+1})
 
-:func:`smd_run` runs the Landweber loop with a drawn block per state,
+:func:`smd_run` runs the Landweber loop on a
+:class:`~mirrorsolve.landweber.SystemProblem` with a drawn block per state,
 :func:`smd_step` as the transition and a max-iter stop, so with one block
 and a constant schedule a path is the Landweber iteration, bit for bit, with
 the same :class:`~mirrorsolve.landweber.RunResult` (stop reason ``maxiter``).
@@ -34,13 +35,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .experiments import check_grid_size
-from .grids import Grid, GridFunction, GridMismatchError
-from .landweber import MaxIterStop, RunResult, _descend, csv_number, dual_step, write_csv
+from .grids import Grid, GridFunction
+from .landweber import (MaxIterStop, RunResult, SystemProblem, _descend, csv_number, dual_step,
+                        write_csv)
 from .operators import LinearIntegral
 from .regularizers import Regularizer
 
 __all__ = [
-    "SystemProblem",
     "ConstantSchedule",
     "PolynomialSchedule",
     "SmdRecord",
@@ -50,37 +51,6 @@ __all__ = [
     "build_sourced_instance",
     "write_rate_csv",
 ]
-
-
-@dataclass(frozen=True)
-class SystemProblem:
-    """N forward operators with a shared input grid and exact data blocks."""
-
-    operators: tuple
-    data: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "operators", tuple(self.operators))
-        object.__setattr__(self, "data", tuple(self.data))
-        if len(self.operators) == 0 or len(self.operators) != len(self.data):
-            raise ValueError("need one data block per operator")
-        g = self.operators[0].grid_in
-        for op, y in zip(self.operators, self.data):
-            if op.grid_in != g:
-                raise GridMismatchError("operators must share one input grid")
-            if y.grid != op.grid_out:
-                raise GridMismatchError("data block does not match operator output grid")
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.operators)
-
-    @property
-    def grid_in(self) -> Grid:
-        return self.operators[0].grid_in
-
-    def norm_bound(self) -> float:
-        return max(op.norm_bound() for op in self.operators)
 
 
 @dataclass(frozen=True)
@@ -153,22 +123,19 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
     """Run ``k_max`` stochastic steps; records cover states k = 0 .. k_max,
     and the result stops at k_max for reason ``maxiter``.
 
-    A truth or start off the problem's input grid, a truth outside the
-    domain of ``reg``, a schedule over the step bound, or a ``k_max`` below 0
-    or above :data:`~mirrorsolve.landweber.SAFETY_CAP` is refused before the
-    first step.  With ``x_truth``, each record carries the Bregman distance
-    Delta_k and, through ``s_delta``, s_k * Delta_k for the inclusive partial
-    sum s_k of the schedule.  A NaN or infinite block residual norm, the
+    A schedule over the step bound or a ``k_max`` below 0 or above
+    :data:`~mirrorsolve.landweber.SAFETY_CAP` is refused here, and a truth
+    or start off the problem's input grid or a truth outside the domain of
+    ``reg`` by the loop, all before the first step.  With ``x_truth``, each
+    record carries the Bregman distance Delta_k and, through ``s_delta``,
+    s_k * Delta_k for the inclusive partial sum s_k of the schedule.  A NaN or infinite block residual norm, the
     terminal state's included, raises ``NonFiniteResidualError`` at once.
     Each step is one :func:`smd_step` call, read as a module global per path.
     """
-    grid = prob.grid_in
-    if xi0 is not None and xi0.grid != grid:
-        raise GridMismatchError("xi0 does not live on the problem's input grid")
     validate_schedule(sched, prob.norm_bound(), sigma=reg.sigma)
     stop = MaxIterStop(k_max)
     picks = np.random.default_rng(seed).integers(prob.n_blocks, size=k_max + 1).tolist()
-    w, step = grid.weights, smd_step
+    w, step = prob.grid_in.weights, smd_step
     s = 0.0
 
     def transition(k, xi, g, r, rn):
@@ -183,9 +150,7 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
                 SmdRecord(k, s_k=s + sched.at(k), delta_k=delta)
                 for k, move, delta, rn in zip(count(k0), moves, deltas, rns)]
 
-    xi = np.zeros(grid.node_count) if xi0 is None else xi0.values
-    return _descend(reg, grid, xi, prob.operators, prob.data, picks, transition, stop, build,
-                    x_truth)
+    return _descend(reg, prob, picks, transition, stop, build, xi0=xi0, x_truth=x_truth)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from mirrorsolve.experiments import (
     setup_pde_experiment,
 )
 from mirrorsolve.grids import GridFunction, add_noise, norm_l2_values
-from mirrorsolve.landweber import DiscrepancyStop
+from mirrorsolve.landweber import DiscrepancyStop, SystemProblem
 from mirrorsolve.operators import EllipticSolveError
 
 # published rule-1 (delta, err) rows used as a fit oracle; the frozen slope
@@ -608,6 +608,21 @@ class TestCli:
         assert payload["type"] == "ValueError"
         assert "delta must be positive" in payload["message"]
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_stochastic_config_refused_by_name(self, tmp_path, capsys, command):
+        # run read the config's first delta, of which a stochastic config has
+        # none, before the setup refused it, and failed with an IndexError
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(SMD_CFG)
+        rc = cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err.strip().splitlines()[-1])
+        assert payload["type"] == "ValueError"
+        assert payload["message"] == "problem 'smd_synthetic' has no deterministic setup"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, text", [("run", ENTROPY_CFG), ("smd", SMD_CFG)],
                              ids=["run", "smd"])
     def test_negative_seed_flag_rejected(self, tmp_path, capsys, command, text):
@@ -777,7 +792,7 @@ class TestCli:
             data = tuple(GridFunction(y.grid, np.full(y.grid.node_count, np.nan))
                          for y in inst.problem.data)
             return dataclasses.replace(
-                inst, problem=smd.SystemProblem(inst.problem.operators, data))
+                inst, problem=SystemProblem(inst.problem.operators, data))
 
         monkeypatch.setattr(smd, "build_sourced_instance", nan_data)
         cfg = tmp_path / "s.cfg"

@@ -234,20 +234,28 @@ class TestRunLoop:
         assert exc.value.k == 0
         assert exc.value.records == ()
 
-    @pytest.mark.parametrize("truth", [Grid.square(4), Grid.interval(30)],
-                             ids=["same-node-count", "other-node-count"])
-    def test_truth_off_the_input_grid_raises_before_the_first_step(self, truth, monkeypatch):
-        # Grid.square(4) has the 25 nodes of Grid.interval(24), so only the
-        # grid check can tell it apart
+    @pytest.mark.parametrize("field, other, fragment", [
+        ("x_truth", Grid.square(4), "x_truth does not live on the input grid"),
+        ("x_truth", Grid.interval(30), "x_truth does not live on the input grid"),
+        ("y_delta", Grid.square(4), "data block does not match operator output grid"),
+        ("y_delta", Grid.interval(30), "data block does not match operator output grid")],
+        ids=["same-node-count", "other-node-count", "data-same-node-count",
+             "data-other-node-count"])
+    def test_truth_off_the_input_grid_raises_before_the_first_step(self, field, other, fragment,
+                                                                   monkeypatch):
+        # the truth and the data go through the checks of every stochastic
+        # path; Grid.square(4) has the 25 nodes of Grid.interval(24), so only
+        # the grid check can tell it apart
         grid, op = _tiny_linear_problem(n=24)
 
         def no_step(v):
-            raise AssertionError("the run linearized before checking the truth")
+            raise AssertionError("the run linearized before checking its inputs")
 
         monkeypatch.setattr(op, "linearize_values", no_step)
-        with pytest.raises(GridMismatchError, match="truth"):
-            run(op, QuadraticBox(lower=-math.inf), grid.zeros(), ConstantStep(gamma=0.5),
-                MaxIterStop(k_max=10), x_truth=truth.ones())
+        inputs = {"y_delta": grid.zeros(), "x_truth": None, field: other.ones()}
+        with pytest.raises(GridMismatchError, match=fragment):
+            run(op, QuadraticBox(lower=-math.inf), inputs["y_delta"], ConstantStep(gamma=0.5),
+                MaxIterStop(k_max=10), x_truth=inputs["x_truth"])
 
     @pytest.mark.parametrize("reg, truth", [
         (EntropySimplex(), lambda g: GridFunction(g, np.full(g.node_count, 1.5))),

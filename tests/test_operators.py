@@ -29,7 +29,7 @@ from mirrorsolve.grids import (
     norm_l2_values,
     power_iteration_norm,
 )
-from mirrorsolve.landweber import ConstantStep, MaxIterStop, run
+from mirrorsolve.landweber import ConstantStep, MaxIterStop, SystemProblem, run
 from mirrorsolve.operators import (
     EllipticCoefficient,
     EllipticSolveError,
@@ -40,7 +40,6 @@ from mirrorsolve.operators import (
 from mirrorsolve.regularizers import EntropySimplex, QuadraticBox
 from mirrorsolve.smd import (
     ConstantSchedule,
-    SystemProblem,
     build_sourced_instance,
     smd_run,
 )
@@ -348,7 +347,7 @@ class TestEllipticForward:
         # the raw maps trust their callers; the solver checks the data
         setup = setup_pde_experiment(16)
         rule, _ = make_cell(setup, "rule2", 1e-4)
-        with pytest.raises(GridMismatchError, match="data"):
+        with pytest.raises(GridMismatchError, match="data block does not match"):
             run(setup.forward, setup.reg, Grid.square(32).zeros(), rule, MaxIterStop(k_max=1))
 
     def test_cg_failure_carries_iterations_and_residual(self, monkeypatch):
@@ -370,7 +369,12 @@ class TestEllipticForward:
     (lambda: EllipticCoefficient(Grid.square(8).zeros(), Grid.square(16).zeros(),
                                  Grid.square(16), solver=EllipticSolver(Grid.square(16))),
      GridMismatchError, "f and g"),
-], ids=["solver-interval", "solver-n1", "coefficient-data-grid"])
+    # a 32-grid solver under a 16-grid operator failed at the first solve,
+    # in a NumPy reshape
+    (lambda: EllipticCoefficient(Grid.square(16).zeros(), Grid.square(16).zeros(),
+                                 Grid.square(16), solver=EllipticSolver(Grid.square(32))),
+     GridMismatchError, "solver must be built on the operator grid"),
+], ids=["solver-interval", "solver-n1", "coefficient-data-grid", "solver-other-grid"])
 def test_elliptic_input_checks(build, error, fragment):
     with pytest.raises(error, match=fragment):
         build()

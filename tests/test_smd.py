@@ -11,6 +11,7 @@ from mirrorsolve.landweber import (
     ConstantStep,
     MaxIterStop,
     NonFiniteResidualError,
+    SystemProblem,
     csv_number,
     run,
 )
@@ -19,7 +20,6 @@ from mirrorsolve.regularizers import ElasticNet, EntropySimplex, QuadraticBox
 from mirrorsolve.smd import (
     ConstantSchedule,
     PolynomialSchedule,
-    SystemProblem,
     build_sourced_instance,
     smd_run,
     validate_schedule,
@@ -139,6 +139,11 @@ class TestSourcedInstance:
         smd_run(inst.problem, reg, ConstantSchedule(1.8), 10, seed=1, x_truth=inst.x_true)
         assert len(calls) == 4
         assert inst.problem.norm_bound() == 1.0
+
+    def test_one_system_record_for_both_methods(self):
+        # one record for run and smd_run; the benchmark builds it as
+        # smd.SystemProblem
+        assert mirrorsolve.smd.SystemProblem is mirrorsolve.landweber.SystemProblem
 
     def test_blocks_share_input_grid(self):
         g1, g2 = Grid.interval(4), Grid.interval(5)
@@ -268,21 +273,31 @@ class TestSmdRun:
             deltas = [r.delta_k for r in sr.records]
             assert all(deltas[i + 1] <= deltas[i] + 1e-12 for i in range(len(deltas) - 1))
 
-    @pytest.mark.parametrize("truth", [Grid.square(4), Grid.interval(30)],
-                             ids=["same-node-count", "other-node-count"])
-    def test_truth_off_the_input_grid_raises_before_the_first_step(self, truth, monkeypatch):
+    @pytest.mark.parametrize("field, grid, fragment", [
+        ("x_truth", Grid.square(4), "x_truth does not live on the input grid"),
+        ("x_truth", Grid.interval(30), "x_truth does not live on the input grid"),
+        ("data", Grid.square(4), "data block does not match operator output grid"),
+        ("data", Grid.interval(30), "data block does not match operator output grid")],
+        ids=["same-node-count", "other-node-count", "data-same-node-count",
+             "data-other-node-count"])
+    def test_truth_off_the_input_grid_raises_before_the_first_step(self, field, grid, fragment,
+                                                                   monkeypatch):
+        # the truth and a data block go through the checks of run;
         # Grid.square(4) has the 25 nodes of Grid.interval(24), so only the
         # grid check can tell it apart
         reg = EntropySimplex()
         inst = build_sourced_instance(2, 24, reg, seed=1)
 
-        def no_step(*args):
-            raise AssertionError("the path stepped before checking the truth")
+        def no_step(v):
+            raise AssertionError("the path linearized before checking its inputs")
 
-        monkeypatch.setattr(mirrorsolve.smd, "smd_step", no_step)
-        with pytest.raises(GridMismatchError, match="x_truth"):
-            smd_run(inst.problem, reg, ConstantSchedule(1.0), 100, seed=0,
-                    x_truth=truth.ones())
+        for op in inst.problem.operators:
+            monkeypatch.setattr(op, "linearize_values", no_step)
+        off = grid.ones()
+        data = (inst.problem.data[0], off) if field == "data" else inst.problem.data
+        with pytest.raises(GridMismatchError, match=fragment):
+            smd_run(SystemProblem(inst.problem.operators, data), reg, ConstantSchedule(1.0),
+                    100, seed=0, **({} if field == "data" else {field: off}))
 
     @pytest.mark.parametrize("reg, truth", [
         (EntropySimplex(), lambda g: np.full(g.node_count, 1.5)),
@@ -306,13 +321,15 @@ class TestSmdRun:
         reg = EntropySimplex()
         inst = build_sourced_instance(2, 24, reg, seed=1)
 
-        def no_step(*args):
-            raise AssertionError("the path stepped before checking the start")
+        def no_step(v):
+            raise AssertionError("the path linearized before checking the start")
 
-        monkeypatch.setattr(mirrorsolve.smd, "smd_step", no_step)
-        with pytest.raises(GridMismatchError, match="xi0"):
-            smd_run(inst.problem, reg, ConstantSchedule(1.0), 100, seed=0,
-                    xi0=Grid.square(4).zeros())
+        for op in inst.problem.operators:
+            monkeypatch.setattr(op, "linearize_values", no_step)
+        for grid in (Grid.square(4), Grid.interval(30)):
+            with pytest.raises(GridMismatchError, match="xi0 does not live on the input grid"):
+                smd_run(inst.problem, reg, ConstantSchedule(1.0), 100, seed=0,
+                        xi0=grid.zeros())
 
     def test_no_grid_function_per_step(self, grid_function_count):
         # the states stay node arrays through the steps and the Bregman log;
