@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, experiments, smd
-from .config import parse_config
+from .config import PROBLEM_DEFAULTS, parse_config
 
 __all__ = ["main"]
 
@@ -85,15 +85,15 @@ def _cmd_smd(args) -> int:
     if cfg.problem != "smd_synthetic":
         raise ValueError(f"smd needs [problem] kind = smd_synthetic, got {cfg.problem!r}")
     reg, sched = cfg.smd_study()
-    inst = smd.build_sourced_instance(cfg.smd_blocks, cfg.n, reg,
-                                      cfg.smd_instance_seed)
+    study = PROBLEM_DEFAULTS["smd_synthetic"]
+    inst = smd.build_sourced_instance(study["blocks"], cfg.n, reg, study["instance_seed"])
     seeds = [args.seed] if args.seed is not None else list(cfg.seeds)
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     finals = []
     for seed in seeds:
-        sr = smd.smd_run(inst.problem, reg, sched, cfg.smd_k_max, seed,
+        sr = smd.smd_run(inst.problem, reg, sched, study["k_max"], seed,
                          x_truth=inst.x_true)
         last = sr.records[-1]
         finals.append(last.s_delta)
@@ -101,7 +101,7 @@ def _cmd_smd(args) -> int:
               f"s_k*delta_k={last.s_delta:.6e}")
         if out_dir is not None:
             smd.write_rate_csv(sr, out_dir / f"smd_rate_{seed}.csv")
-    print(f"median s_k*delta_k at k={cfg.smd_k_max}: {np.median(finals):.6e}")
+    print(f"median s_k*delta_k at k={study['k_max']}: {np.median(finals):.6e}")
     return 0
 
 

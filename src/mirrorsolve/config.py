@@ -25,13 +25,14 @@ gamma0 = 1.98 and gamma_bar = 600 are fixed (``experiments.GAMMA0``,
 ``experiments.GAMMA_BAR``); none of them is a config key.
 
 The ``[smd]`` section configures the stochastic study (kind smd_synthetic):
-blocks (>= 1), regularizer (entropy | elastic), gamma (> 0, and below the
-step bound 4 sigma / L^2 = 2 of the unit-norm blocks), alpha (in [0, 1);
-the step sizes are gamma (k+1)^(-alpha), so the default 0 is the constant
-schedule), k_max (in [0, 10^6], the iteration safety cap) and instance_seed
-(>= 0).  The config checks gamma, alpha and k_max by building the
-regularizer, schedule and stop that ``mirrorsolve smd`` runs with
-(:meth:`ExperimentConfig.smd_study`), so each range is stated once, by the
+regularizer (entropy | elastic) and alpha (in [0, 1); the step sizes are
+gamma (k+1)^(-alpha), so the default 0 is the constant schedule).  The
+study's instance and horizon are fixed: 4 unit-norm blocks, instance seed
+7, largest step gamma = 1.8 (below the step bound 4 sigma / L^2 = 2) and
+10^4 steps (``PROBLEM_DEFAULTS["smd_synthetic"]``), and the elastic net's
+beta = 0.3; none of them is a config key.  The config checks alpha by
+building the regularizer and schedule that ``mirrorsolve smd`` runs with
+(:meth:`ExperimentConfig.smd_study`), so its range is stated once, by the
 constructor that owns it, and a bad value fails before anything is written.
 
 An unknown section or key raises ValueError, so a misspelt key cannot fall
@@ -41,9 +42,10 @@ back to its default unnoticed; so does a key the problem kind never reads:
 too, since configparser would copy its keys into every section.  A value
 that does not convert (``seeds = 1, x``) or that a check rejects
 (``seeds = -1``) raises ValueError naming the file, section and key; a file
-configparser cannot read (a repeated key or section, no section header)
-raises ValueError naming the file.  The CLI applies the same rules to its
-flags: ``--delta`` must be positive and finite, and ``--seed`` nonnegative.
+configparser cannot read (a repeated key or section, no section header, a
+byte that is not UTF-8) raises ValueError naming the file.  The CLI applies
+the same rules to its flags: ``--delta`` must be positive and finite, and
+``--seed`` nonnegative.
 """
 
 from __future__ import annotations
@@ -53,18 +55,19 @@ import math
 from dataclasses import dataclass, replace
 
 from .experiments import check_grid_size
-from .landweber import MaxIterStop
 from .regularizers import ElasticNet, EntropySimplex
-from .smd import PolynomialSchedule, validate_schedule
+from .smd import PolynomialSchedule
 
 __all__ = ["ExperimentConfig", "parse_config", "PROBLEM_DEFAULTS"]
 
 #: per-problem defaults: grid size, the cap ``--fast`` puts on it (the
-#: stochastic study has no ``--fast``) and deltas
+#: stochastic study has no ``--fast``) and deltas; the stochastic study's
+#: block count, largest step, horizon and instance seed are fixed here
 PROBLEM_DEFAULTS = {
     "entropy_integral": dict(n=5000, n_fast=1000, deltas=(5e-2, 5e-3, 5e-4)),
     "pde_coefficient": dict(n=64, n_fast=32, deltas=(1e-2, 1e-3, 1e-4)),
-    "smd_synthetic": dict(n=50, deltas=()),
+    "smd_synthetic": dict(n=50, deltas=(), blocks=4, gamma=1.8, k_max=10_000,
+                          instance_seed=7),
 }
 
 
@@ -77,12 +80,8 @@ class ExperimentConfig:
     deltas: tuple = None
     seeds: tuple = (1, 2, 3, 4, 5)
     # stochastic study
-    smd_blocks: int = 4
     smd_regularizer: str = "entropy"
-    smd_gamma: float = 1.8
     smd_alpha: float = 0.0         # 0: the constant schedule
-    smd_k_max: int = 10_000
-    smd_instance_seed: int = 7
 
     def __post_init__(self):
         if self.problem not in PROBLEM_DEFAULTS:
@@ -95,19 +94,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown smd regularizer {self.smd_regularizer!r}")
         n = PROBLEM_DEFAULTS[self.problem]["n"] if self.n is None else self.n
         try:
-            check_grid_size(self.problem, n, self.smd_blocks)
+            check_grid_size(self.problem, n)
         except ValueError as exc:
-            if self.problem == "smd_synthetic":
-                raise ValueError(f"[smd] blocks and [problem] n: {exc}") from None
             raise ValueError(f"[problem] n: {exc}, got {n}") from None
         try:
             self.smd_study()
-            MaxIterStop(self.smd_k_max)
         except ValueError as exc:
             raise ValueError(f"[smd] {exc}") from None
-        if self.smd_instance_seed < 0:
-            raise ValueError(f"[smd] instance_seed must be nonnegative, "
-                             f"got {self.smd_instance_seed}")
         if not self.seeds:
             raise ValueError("[sweep] seeds is empty")
         if min(self.seeds) < 0:
@@ -127,12 +120,9 @@ class ExperimentConfig:
 
     def smd_study(self) -> tuple:
         """The (regularizer, schedule) pair of the stochastic study; the
-        schedule's largest step is checked against the step bound of the
-        sourced instance, whose blocks have unit norm (L = 1)."""
-        reg = EntropySimplex() if self.smd_regularizer == "entropy" else ElasticNet(beta=0.3)
-        sched = PolynomialSchedule(gamma=self.smd_gamma, alpha=self.smd_alpha)
-        validate_schedule(sched, 1.0, sigma=reg.sigma)
-        return reg, sched
+        schedule's largest step is the study's fixed gamma, read when called."""
+        reg = EntropySimplex() if self.smd_regularizer == "entropy" else ElasticNet(0.3)
+        return reg, PolynomialSchedule(PROBLEM_DEFAULTS["smd_synthetic"]["gamma"], self.smd_alpha)
 
     def resolved(self, fast: bool = False) -> "ExperimentConfig":
         """Fill ``n`` and ``deltas`` from the problem defaults; ``fast`` caps
@@ -161,12 +151,8 @@ _KEYS = {
     ("stopping", "kind"): (str, "stopping"),
     ("sweep", "deltas"): (_floats, "deltas"),
     ("sweep", "seeds"): (_ints, "seeds"),
-    ("smd", "blocks"): (int, "smd_blocks"),
     ("smd", "regularizer"): (str, "smd_regularizer"),
-    ("smd", "gamma"): (float, "smd_gamma"),
     ("smd", "alpha"): (float, "smd_alpha"),
-    ("smd", "k_max"): (int, "smd_k_max"),
-    ("smd", "instance_seed"): (int, "smd_instance_seed"),
 }
 
 
@@ -184,17 +170,18 @@ def _unread(cfg: ExperimentConfig, section: str, key: str) -> bool:
 def parse_config(path) -> ExperimentConfig:
     """Read an INI config; an unknown section or key (``[DEFAULT]`` too), a
     key the problem kind does not read, a value the config rejects, or a
-    file configparser cannot read (a repeated key, no section header) raises
-    ValueError, with a message that starts with the path."""
+    file configparser cannot read (a repeated key, no section header, a byte
+    that is not UTF-8) raises ValueError, with a message that starts with
+    the path."""
     # no header matches the empty default section, so [DEFAULT] is an
     # ordinary, unknown section instead of defaults for every section; values
     # are read as written, with no %-interpolation to fail outside the try
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), default_section="",
                                    interpolation=None)
     try:
-        if not cp.read(path):
+        if not cp.read(path, encoding="utf-8"):
             raise FileNotFoundError(f"config file not found: {path}")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
     known = {section for section, _ in _KEYS}

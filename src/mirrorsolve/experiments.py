@@ -92,13 +92,14 @@ class Setup:
 
 
 def check_grid_size(kind: str, n: int, blocks: int = 1) -> None:
-    """Refuse a grid size ``n`` or block count that problem ``kind`` does not accept."""
+    """Refuse a grid size ``n`` or block count that problem ``kind`` does not
+    accept; the message states the rule, not the values."""
     if kind == "entropy_integral" and n < 100:
         raise ValueError("entropy experiment needs n >= 100")
     if kind == "pde_coefficient" and n not in (16, 32, 64, 128):
         raise ValueError("pde experiment supports n in {16, 32, 64, 128}")
     if kind == "smd_synthetic" and (blocks < 1 or n < 2):
-        raise ValueError(f"need N >= 1 and n >= 2, got N = {blocks} and n = {n}")
+        raise ValueError("need N >= 1 and n >= 2")
 
 
 def setup_entropy_experiment(n: int) -> Setup:

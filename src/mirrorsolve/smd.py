@@ -81,13 +81,13 @@ def ConstantSchedule(gamma: float) -> PolynomialSchedule:
     return PolynomialSchedule(gamma, 0.0)
 
 
-def validate_schedule(sched, L: float, sigma: float = 0.5, eta: float = 0.0) -> None:
-    """Reject schedules whose largest step violates
-    gamma < 4 sigma (1-eta) / L^2."""
-    if L > 0 and not sched.gamma < 4.0 * sigma * (1.0 - eta) / (L * L):
+def validate_schedule(sched, L: float, sigma: float = 0.5) -> None:
+    """Reject schedules whose largest step violates gamma < 4 sigma / L^2
+    (exact data: eta = 0)."""
+    if L > 0 and not sched.gamma < 4.0 * sigma / (L * L):
         raise ValueError(
             f"gamma = {sched.gamma:g} violates the step bound "
-            f"{4.0 * sigma * (1.0 - eta) / (L * L):g} for L={L:g}")
+            f"{4.0 * sigma / (L * L):g} for L={L:g}")
 
 
 class SmdRecord(NamedTuple):
@@ -128,8 +128,9 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
     or start off the problem's input grid or a truth outside the domain of
     ``reg`` by the loop, all before the first step.  With ``x_truth``, each
     record carries the Bregman distance Delta_k and, through ``s_delta``,
-    s_k * Delta_k for the inclusive partial sum s_k of the schedule.  A NaN or infinite block residual norm, the
-    terminal state's included, raises ``NonFiniteResidualError`` at once.
+    s_k * Delta_k for the inclusive partial sum s_k of the schedule.  A NaN
+    or infinite block residual norm, the terminal state's included, raises
+    ``NonFiniteResidualError`` at once.
     Each step is one :func:`smd_step` call, read as a module global per path.
     """
     validate_schedule(sched, prob.norm_bound(), sigma=reg.sigma)

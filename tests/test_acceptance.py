@@ -7,11 +7,13 @@ quantities next to its bound.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mirrorsolve.checks import run_all
+from mirrorsolve.cli import main as cli_main
 from mirrorsolve.experiments import (
     Setup,
     make_cell,
@@ -22,13 +24,14 @@ from mirrorsolve.grids import Grid, GridFunction, add_noise, norm_l2_values
 from mirrorsolve.landweber import ConstantStep, DiscrepancyStop, MaxIterStop, run
 from mirrorsolve.operators import EllipticCoefficient, EllipticSolver
 from mirrorsolve.regularizers import ElasticNet, EntropySimplex, QuadraticBox
-from mirrorsolve.smd import ConstantSchedule, build_sourced_instance, smd_run
+from mirrorsolve.smd import ConstantSchedule, build_sourced_instance, smd_run, write_rate_csv
 from test_operators import elliptic_matrix
 
 SEEDS = (1, 2, 3, 4, 5)
 ENTROPY_DELTAS = (5e-2, 5e-3, 5e-4)
 PDE_DELTAS = (1e-2, 1e-3, 1e-4)
 SMD_SEEDS = range(1, 21)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # published single-realization reference ratios err/sqrt(delta) per rule
 REFERENCE_ENTROPY_RATIOS = {
@@ -256,6 +259,18 @@ def test_criterion_7_smd_rate(smd_study):
         print(f"[criterion 7] PASS smd rate [{name}]: median s*Delta "
               f"{med100:.4e} @1e2 -> {med_final:.4e} @1e4, "
               f"max over paths {max_product:.4e}")
+
+
+def test_criterion_7_is_the_cli_study(smd_study, tmp_path, capsys):
+    """``mirrorsolve smd`` on the shipped entropy config runs criterion 7's
+    instance and horizon: its seed-3 rate log holds the bytes of that path."""
+    _, runs = smd_study["entropy"]
+    write_rate_csv(runs[SMD_SEEDS.index(3)], tmp_path / "criterion_7.csv")
+    assert cli_main(["smd", "--config", str(CONFIGS / "smd_entropy.cfg"), "--seed", "3",
+                     "--out", str(tmp_path / "cli")]) == 0
+    capsys.readouterr()
+    assert ((tmp_path / "cli" / "smd_rate_3.csv").read_bytes()
+            == (tmp_path / "criterion_7.csv").read_bytes())
 
 
 def test_criterion_8_oracle_suites(oracle_results):

@@ -396,12 +396,16 @@ seeds = 1, 2
         ("[problem]\nkind = entropy_integral\nkind = pde_coefficient\n",
          r"typo\.cfg: .*option 'kind' in section 'problem' already exists"),
         ("kind = entropy_integral\n", r"typo\.cfg: File contains no section headers"),
+        # a config is read as UTF-8; the text is written as Latin-1, so é is byte 0xe9
+        ("[problem]\nkind = entropy_integral ; caf\xe9\n",
+         r"typo\.cfg: 'utf-8' codec can't decode byte 0xe9"),
     ], ids=["key", "section", "cap_mode", "gamma_bar", "k_max", "maxiter", "rule-eta",
             "stopping-c", "smd-beta", "smd-lam_scale", "smd-smoothing", "smd-n",
-            "default-section", "default-section-and-rule", "repeated-key", "no-section-header"])
+            "default-section", "default-section-and-rule", "repeated-key", "no-section-header",
+            "not-utf-8"])
     def test_unknown_key_or_section_rejected(self, tmp_path, text, name):
         p = tmp_path / "typo.cfg"
-        p.write_text(text)
+        p.write_bytes(text.encode("latin-1"))
         with pytest.raises(ValueError, match=name) as exc:
             parse_config(p)
         assert str(exc.value).startswith(f"{p}: ")
@@ -420,51 +424,49 @@ seeds = 1, 2
         # distinct floats, one tag: both cells would write iterates_1e-07_<seed>.csv
         ("[problem]\nkind = entropy_integral\n[sweep]\ndeltas = 1e-7, 1.0000001e-7\n",
          "deltas repeat an iterate-file tag"),
-        ("[problem]\nkind = smd_synthetic\n[smd]\nk_max = -3\n",
-         r"\[smd\] k_max must be nonnegative"),
-        # the config builds the max-iter stop, which refuses k_max past the cap
-        ("[problem]\nkind = smd_synthetic\n[smd]\nk_max = 1000001\n",
-         r"bad\.cfg: \[smd\] k_max = 1000001 exceeds the iteration safety cap 1000000"),
         ("[problem]\nkind = entropy_integral\n[sweep]\nseeds = 1, -1\n",
          r"\[sweep\] seeds must be nonnegative"),
         ("[problem]\nkind = smd_synthetic\n[sweep]\nseeds = -1\n",
          r"\[sweep\] seeds must be nonnegative"),
-        ("[problem]\nkind = smd_synthetic\n[smd]\ninstance_seed = -7\n",
-         r"\[smd\] instance_seed must be nonnegative"),
         ("[problem]\nkind = entropy_integral\n[sweep]\ndeltas = inf, 1e-2\n",
          r"\[sweep\] deltas must be positive and finite"),
         # a value that does not convert names the section and key
         ("[problem]\nkind = entropy_integral\n[sweep]\nseeds = 1, x\n",
          r"bad\.cfg: \[sweep\] seeds: invalid literal for int\(\)"),
-        ("[problem]\nkind = smd_synthetic\n[smd]\ngamma = fast\n",
-         r"bad\.cfg: \[smd\] gamma: could not convert string to float: 'fast'"),
         # the stochastic study's values are checked before any instance is built
-        ("[problem]\nkind = smd_synthetic\n[smd]\nblocks = 0\n",
-         r"bad\.cfg: \[smd\] blocks and \[problem\] n: need N >= 1 and n >= 2, "
-         r"got N = 0 and n = 50"),
         ("[problem]\nkind = smd_synthetic\nn = 1\n",
-         r"bad\.cfg: \[smd\] blocks and \[problem\] n: need N >= 1 and n >= 2, "
-         r"got N = 4 and n = 1"),
-        ("[problem]\nkind = smd_synthetic\n[smd]\ngamma = 0\n",
-         r"bad\.cfg: \[smd\] gamma must be positive, got 0\.0"),
-        ("[problem]\nkind = smd_synthetic\n[smd]\ngamma = nan\n",
-         r"bad\.cfg: \[smd\] gamma must be positive, got nan"),
+         r"bad\.cfg: \[problem\] n: need N >= 1 and n >= 2, got 1$"),
         ("[problem]\nkind = smd_synthetic\n[smd]\nalpha = 1.0\n",
          r"bad\.cfg: \[smd\] alpha must lie in \[0,1\), got 1\.0"),
-        # the unit-norm blocks bound the largest step gamma by 4 sigma / L^2 = 2
+        # the study's blocks, gamma, k_max and instance seed are fixed, so a
+        # value of any of them, bad or not, is an unknown key (values are
+        # read as written: no %-interpolation error escapes unnamed)
+        ("[problem]\nkind = smd_synthetic\n[smd]\nk_max = -3\n",
+         r"bad\.cfg: unknown key 'k_max' in \[smd\]$"),
+        ("[problem]\nkind = smd_synthetic\n[smd]\nk_max = 1000001\n",
+         r"bad\.cfg: unknown key 'k_max' in \[smd\]$"),
+        ("[problem]\nkind = smd_synthetic\n[smd]\ninstance_seed = -7\n",
+         r"bad\.cfg: unknown key 'instance_seed' in \[smd\]$"),
+        ("[problem]\nkind = smd_synthetic\n[smd]\nblocks = 0\n",
+         r"bad\.cfg: unknown key 'blocks' in \[smd\]$"),
+        ("[problem]\nkind = smd_synthetic\n[smd]\ngamma = fast\n",
+         r"bad\.cfg: unknown key 'gamma' in \[smd\]$"),
+        ("[problem]\nkind = smd_synthetic\n[smd]\ngamma = 0\n",
+         r"bad\.cfg: unknown key 'gamma' in \[smd\]$"),
+        ("[problem]\nkind = smd_synthetic\n[smd]\ngamma = nan\n",
+         r"bad\.cfg: unknown key 'gamma' in \[smd\]$"),
         ("[problem]\nkind = smd_synthetic\n[smd]\ngamma = 2.5\n",
-         r"bad\.cfg: \[smd\] gamma = 2\.5 violates the step bound 2 for L=1"),
+         r"bad\.cfg: unknown key 'gamma' in \[smd\]$"),
         ("[problem]\nkind = smd_synthetic\n[smd]\nregularizer = elastic\ngamma = inf\n",
-         r"bad\.cfg: \[smd\] gamma = inf violates the step bound 2 for L=1"),
-        # values are read as written: no %-interpolation error escapes unnamed
+         r"bad\.cfg: unknown key 'gamma' in \[smd\]$"),
         ("[problem]\nkind = smd_synthetic\n[smd]\ngamma = 1.5%\n",
-         r"bad\.cfg: \[smd\] gamma: could not convert string to float: '1\.5%'"),
+         r"bad\.cfg: unknown key 'gamma' in \[smd\]$"),
     ], ids=["seeds", "smd-seeds", "deltas", "zero-delta", "repeated-seed",
-            "smd-repeated-seed", "repeated-delta", "repeated-delta-tag",
-            "smd-negative-k_max", "smd-k_max-past-the-cap", "negative-seed", "smd-negative-seed",
-            "smd-negative-instance_seed", "inf-delta", "non-integer-seed",
-            "non-float-smd-gamma", "smd-zero-blocks", "smd-n-below-2", "smd-zero-gamma",
-            "smd-nan-gamma", "smd-alpha-one", "smd-gamma-past-the-bound", "smd-inf-gamma",
+            "smd-repeated-seed", "repeated-delta", "repeated-delta-tag", "negative-seed",
+            "smd-negative-seed", "inf-delta", "non-integer-seed", "smd-n-below-2",
+            "smd-alpha-one", "smd-negative-k_max", "smd-k_max-past-the-cap",
+            "smd-negative-instance_seed", "smd-zero-blocks", "non-float-smd-gamma",
+            "smd-zero-gamma", "smd-nan-gamma", "smd-gamma-past-the-bound", "smd-inf-gamma",
             "smd-percent-gamma"])
     def test_bad_sweep_values_rejected(self, tmp_path, text, reason):
         p = tmp_path / "bad.cfg"
@@ -479,12 +481,12 @@ seeds = 1, 2
             parse_config(p)
         assert str(exc.value) == f"{p}: [sweep] seeds must be nonnegative, got (-1,)"
 
-    def test_smd_alpha_zero_is_the_constant_schedule(self, tmp_path):
+    def test_smd_alpha_zero_is_the_constant_schedule(self, tmp_path, short_smd_study):
         # the default alpha = 0 is the constant schedule: stating it changes
         # neither the config nor a byte of the study's files
         cfgs = [tmp_path / "default.cfg", tmp_path / "zero.cfg"]
         cfgs[0].write_text(SMD_CFG)
-        cfgs[1].write_text(SMD_CFG.replace("gamma = 1.5", "gamma = 1.5\nalpha = 0.0"))
+        cfgs[1].write_text(SMD_CFG.replace("[smd]", "[smd]\nalpha = 0.0"))
         assert parse_config(cfgs[0]) == parse_config(cfgs[1])
         assert parse_config(cfgs[1]).smd_study()[1] == smd.ConstantSchedule(1.5)
         for cfg in cfgs:
@@ -498,8 +500,8 @@ seeds = 1, 2
          "[stopping]\nkind = apriori\n[sweep]\ndeltas = 1e-3\n",
          ("does not read", "'name' in [rule]", "'kind' in [stopping]",
           "'deltas' in [sweep]")),
-        ("[problem]\nkind = pde_coefficient\n[rule]\nname = rule2\n[smd]\ngamma = 1.5\n",
-         ("does not read", "'gamma' in [smd]")),
+        ("[problem]\nkind = pde_coefficient\n[rule]\nname = rule2\n[smd]\nalpha = 0.3\n",
+         ("does not read", "'alpha' in [smd]")),
         # no kind reads tau, so it is an unknown key under every rule and stopping
         ("[problem]\nkind = entropy_integral\n[rule]\nname = rule1\ntau = 1.01\n"
          "[stopping]\nkind = apriori\n",
@@ -559,14 +561,18 @@ kind = smd_synthetic
 n = 30
 
 [smd]
-blocks = 3
 regularizer = entropy
-gamma = 1.5
-k_max = 300
 
 [sweep]
 seeds = 1, 2
 """
+
+
+@pytest.fixture
+def short_smd_study(monkeypatch):
+    """The stochastic study on 3 blocks with largest step 1.5, cut to 300 steps."""
+    for key, value in (("blocks", 3), ("gamma", 1.5), ("k_max", 300)):
+        monkeypatch.setitem(PROBLEM_DEFAULTS["smd_synthetic"], key, value)
 
 
 class TestCli:
@@ -686,7 +692,7 @@ class TestCli:
         assert "PASS" in out
         assert "FAIL" not in out
 
-    def test_smd_subcommand(self, tmp_path, capsys):
+    def test_smd_subcommand(self, tmp_path, capsys, short_smd_study):
         cfg = tmp_path / "s.cfg"
         cfg.write_text(SMD_CFG)
         rc = cli_main(["smd", "--config", str(cfg), "--out", str(tmp_path / "smd")])
@@ -694,9 +700,10 @@ class TestCli:
         assert (tmp_path / "smd" / "smd_rate_1.csv").exists()
         assert "median s_k*delta_k" in capsys.readouterr().out
 
-    def test_smd_polynomial_schedule(self, tmp_path, capsys):
+    def test_smd_polynomial_schedule(self, tmp_path, capsys, short_smd_study, monkeypatch):
+        monkeypatch.setitem(PROBLEM_DEFAULTS["smd_synthetic"], "gamma", 1.8)
         cfg = tmp_path / "s.cfg"
-        cfg.write_text(SMD_CFG.replace("gamma = 1.5", "gamma = 1.8\nalpha = 0.3"))
+        cfg.write_text(SMD_CFG.replace("[smd]", "[smd]\nalpha = 0.3"))
         rc = cli_main(["smd", "--config", str(cfg), "--out", str(tmp_path / "smd"),
                        "--seed", "2"])
         err = capsys.readouterr().err
@@ -708,7 +715,7 @@ class TestCli:
                                                      for k in range(300)]
         assert rows[-1]["gamma_k"] == ""
         # alpha = 1 makes the step sums converge: rejected before any path runs
-        cfg.write_text(SMD_CFG.replace("gamma = 1.5", "gamma = 1.8\nalpha = 1.0"))
+        cfg.write_text(SMD_CFG.replace("[smd]", "[smd]\nalpha = 1.0"))
         rc = cli_main(["smd", "--config", str(cfg), "--out", str(tmp_path / "smd1")])
         assert rc == 1
         captured = capsys.readouterr()
@@ -718,32 +725,21 @@ class TestCli:
         assert payload["type"] == "ValueError"
         assert "alpha must lie in [0,1)" in payload["message"]
 
-    def test_smd_k_max_past_the_cap_fails_before_anything_is_written(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [("blocks", "0"), ("gamma", "2.5"), ("gamma", "inf"),
+                                            ("k_max", "1000001"), ("instance_seed", "-7")],
+                             ids=["blocks", "gamma-2.5", "gamma-inf", "k_max", "instance_seed"])
+    def test_smd_fixed_study_key_fails_before_anything_is_written(self, tmp_path, capsys,
+                                                                  key, value):
+        # the study's blocks, gamma, k_max and instance seed are not keys
         cfg = tmp_path / "s.cfg"
-        cfg.write_text(SMD_CFG.replace("k_max = 300", "k_max = 1000001"))
+        cfg.write_text(SMD_CFG.replace("[smd]", f"[smd]\n{key} = {value}"))
         rc = cli_main(["smd", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         payload = json.loads(captured.err.strip().splitlines()[-1])
         assert payload["type"] == "ValueError"
-        assert payload["message"] == (f"{cfg}: [smd] k_max = 1000001 exceeds the "
-                                      f"iteration safety cap 1000000")
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("gamma", ["2.5", "inf"])
-    def test_smd_step_past_the_bound_fails_before_anything_is_written(self, tmp_path, capsys,
-                                                                      gamma):
-        cfg = tmp_path / "s.cfg"
-        cfg.write_text(SMD_CFG.replace("gamma = 1.5", f"gamma = {gamma}"))
-        rc = cli_main(["smd", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        payload = json.loads(captured.err.strip().splitlines()[-1])
-        assert payload["type"] == "ValueError"
-        assert payload["message"] == (f"{cfg}: [smd] gamma = {gamma} violates the step "
-                                      f"bound 2 for L=1")
+        assert payload["message"] == f"{cfg}: unknown key {key!r} in [smd]"
         assert not (tmp_path / "out").exists()
 
     def test_run_refuses_the_apriori_budget_of_a_tiny_delta(self, tmp_path, capsys):
@@ -783,7 +779,7 @@ class TestCli:
         assert "smd_synthetic" in payload["message"]
         assert "entropy_integral" in payload["message"]
 
-    def test_smd_nonfinite_data_fails(self, tmp_path, capsys, monkeypatch):
+    def test_smd_nonfinite_data_fails(self, tmp_path, capsys, monkeypatch, short_smd_study):
         # NaN data blocks beside a finite truth: the first residual is NaN
         build = smd.build_sourced_instance
 
@@ -804,7 +800,8 @@ class TestCli:
         assert payload["type"] == "NonFiniteResidualError"
         assert "iterate 0" in payload["message"]
 
-    def test_smd_nonfinite_instance_fails(self, tmp_path, capsys, monkeypatch):
+    def test_smd_nonfinite_instance_fails(self, tmp_path, capsys, monkeypatch,
+                                          short_smd_study):
         # a NaN source element makes the truth NaN as well as the data; the
         # truth is refused before the first step
         build = smd.build_sourced_instance
@@ -819,10 +816,11 @@ class TestCli:
         assert payload["type"] == "ValueError"
         assert "R(xbar) = nan is not finite" in payload["message"]
 
-    def test_smd_empty_instance_fails(self, tmp_path, capsys):
+    def test_smd_empty_instance_fails(self, tmp_path, capsys, monkeypatch, short_smd_study):
+        monkeypatch.setitem(PROBLEM_DEFAULTS["smd_synthetic"], "blocks", 1)
+        monkeypatch.setitem(PROBLEM_DEFAULTS["smd_synthetic"], "instance_seed", 10)
         cfg = tmp_path / "s.cfg"
         cfg.write_text(SMD_CFG.replace("n = 30", "n = 400")
-                       .replace("blocks = 3", "blocks = 1\ninstance_seed = 10")
                        .replace("regularizer = entropy", "regularizer = elastic"))
         rc = cli_main(["smd", "--config", str(cfg), "--out", str(tmp_path / "smd")])
         assert rc == 1

@@ -43,12 +43,10 @@ class TestSchedules:
                 PolynomialSchedule(gamma=1.0, alpha=alpha)
 
     def test_step_bound_enforced(self):
-        # sigma = 1/2: bound is 2 (1 - eta) / L^2
+        # sigma = 1/2: bound is 4 sigma / L^2 = 2 / L^2
         validate_schedule(ConstantSchedule(1.9), L=1.0)
         with pytest.raises(ValueError):
             validate_schedule(ConstantSchedule(2.1), L=1.0)
-        with pytest.raises(ValueError):
-            validate_schedule(ConstantSchedule(1.9), L=1.0, eta=0.1)
         # gamma, the first and largest step, is what the bound reads
         validate_schedule(PolynomialSchedule(gamma=1.9, alpha=0.5), L=1.0)
         for gamma in (2.1, float("inf")):
