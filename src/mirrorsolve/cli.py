@@ -34,9 +34,9 @@ def _check_seed_flag(args) -> None:
 
 def _cmd_run(args) -> int:
     _check_seed_flag(args)
-    cfg = parse_config(args.config).resolved(fast=args.fast)
+    cfg = parse_config(args.config).resolved()
     # the setup refuses a stochastic config, whose deltas are empty
-    setup = experiments.build_setup(cfg.problem, cfg.n)
+    setup = experiments.build_setup(cfg.problem, cfg.grid_size(args.fast))
     delta = args.delta if args.delta is not None else cfg.deltas[0]
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     rule, stop = experiments.make_cell(setup, cfg.rule, delta, stopping=cfg.stopping)
@@ -48,8 +48,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = parse_config(args.config).resolved(fast=args.fast)
-    setup = experiments.build_setup(cfg.problem, cfg.n)
+    cfg = parse_config(args.config).resolved()
+    setup = experiments.build_setup(cfg.problem, cfg.grid_size(args.fast))
     out_dir = Path(args.out) if args.out else None
     outcome = experiments.run_rate_sweep(
         setup, cfg.rule, cfg.deltas, cfg.seeds, stopping=cfg.stopping,
@@ -81,12 +81,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_smd(args) -> int:
     _check_seed_flag(args)
-    cfg = parse_config(args.config).resolved()
+    cfg = parse_config(args.config)
     if cfg.problem != "smd_synthetic":
         raise ValueError(f"smd needs [problem] kind = smd_synthetic, got {cfg.problem!r}")
     reg, sched = cfg.smd_study()
     study = PROBLEM_DEFAULTS["smd_synthetic"]
-    inst = smd.build_sourced_instance(study["blocks"], cfg.n, reg, study["instance_seed"])
+    inst = smd.build_sourced_instance(study["blocks"], cfg.grid_size(), reg, study["instance_seed"])
     seeds = [args.seed] if args.seed is not None else list(cfg.seeds)
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:

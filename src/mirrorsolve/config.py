@@ -6,7 +6,6 @@ also names rule2 or rule3, since rule1 needs a linear forward map::
 
     [problem]
     kind = entropy_integral     ; entropy_integral | pde_coefficient | smd_synthetic
-    n = 5000                    ; grid size of every kind (smd_synthetic: >= 2)
 
     [rule]
     name = rule3                ; rule1 | rule2 | rule3
@@ -20,20 +19,29 @@ also names rule2 or rule3, since rule1 needs a linear forward map::
                                 ; problem's
     seeds = 1, 2, 3, 4, 5       ; non-empty, nonnegative, no seed twice
 
-tau and eta are the problem setup's, and the step rules' constants
-gamma0 = 1.98 and gamma_bar = 600 are fixed (``experiments.GAMMA0``,
-``experiments.GAMMA_BAR``); none of them is a config key.
+A list's items are separated by commas (or spaces); an empty item
+(``seeds = 1,,2``, a leading or a trailing comma) is refused, not dropped.
+
+The grid size is the problem kind's: n = 5000 for entropy_integral, 64 for
+pde_coefficient and 50 for smd_synthetic, or under ``--fast`` the coarse
+grid of a Landweber kind, 1000 and 32 (``PROBLEM_DEFAULTS``, read by
+:meth:`ExperimentConfig.grid_size`); the code that builds the problem
+checks it.  tau and eta are the problem setup's, and the step rules'
+constants gamma0 = 1.98 and gamma_bar = 600 are fixed
+(``experiments.GAMMA0``, ``experiments.GAMMA_BAR``); none of them is a
+config key.
 
 The ``[smd]`` section configures the stochastic study (kind smd_synthetic):
 regularizer (entropy | elastic) and alpha (in [0, 1); the step sizes are
 gamma (k+1)^(-alpha), so the default 0 is the constant schedule).  The
 study's instance and horizon are fixed: 4 unit-norm blocks, instance seed
 7, largest step gamma = 1.8 (below the step bound 4 sigma / L^2 = 2) and
-10^4 steps (``PROBLEM_DEFAULTS["smd_synthetic"]``), and the elastic net's
-beta = 0.3; none of them is a config key.  The config checks alpha by
-building the regularizer and schedule that ``mirrorsolve smd`` runs with
-(:meth:`ExperimentConfig.smd_study`), so its range is stated once, by the
-constructor that owns it, and a bad value fails before anything is written.
+10^4 steps, and the elastic net's beta = 0.3
+(``PROBLEM_DEFAULTS["smd_synthetic"]``); none of them is a config key.  The
+config checks alpha by building the regularizer and schedule that
+``mirrorsolve smd`` runs with (:meth:`ExperimentConfig.smd_study`), so its
+range is stated once, by the constructor that owns it, and a bad value
+fails before anything is written.
 
 An unknown section or key raises ValueError, so a misspelt key cannot fall
 back to its default unnoticed; so does a key the problem kind never reads:
@@ -54,27 +62,26 @@ import configparser
 import math
 from dataclasses import dataclass, replace
 
-from .experiments import check_grid_size
 from .regularizers import ElasticNet, EntropySimplex
 from .smd import PolynomialSchedule
 
 __all__ = ["ExperimentConfig", "parse_config", "PROBLEM_DEFAULTS"]
 
-#: per-problem defaults: grid size, the cap ``--fast`` puts on it (the
-#: stochastic study has no ``--fast``) and deltas; the stochastic study's
-#: block count, largest step, horizon and instance seed are fixed here
+#: per-problem values: grid size, the coarse grid ``--fast`` runs on (the
+#: stochastic study has none) and default deltas; the stochastic study's
+#: block count, largest step, horizon, instance seed and elastic-net beta
+#: are fixed here
 PROBLEM_DEFAULTS = {
     "entropy_integral": dict(n=5000, n_fast=1000, deltas=(5e-2, 5e-3, 5e-4)),
     "pde_coefficient": dict(n=64, n_fast=32, deltas=(1e-2, 1e-3, 1e-4)),
     "smd_synthetic": dict(n=50, deltas=(), blocks=4, gamma=1.8, k_max=10_000,
-                          instance_seed=7),
+                          instance_seed=7, beta=0.3),
 }
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: str = "entropy_integral"
-    n: int = None                  # None -> problem default
     rule: str = "rule1"
     stopping: str = "discrepancy"
     deltas: tuple = None
@@ -92,11 +99,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown stopping {self.stopping!r}")
         if self.smd_regularizer not in ("entropy", "elastic"):
             raise ValueError(f"unknown smd regularizer {self.smd_regularizer!r}")
-        n = PROBLEM_DEFAULTS[self.problem]["n"] if self.n is None else self.n
-        try:
-            check_grid_size(self.problem, n)
-        except ValueError as exc:
-            raise ValueError(f"[problem] n: {exc}, got {n}") from None
         try:
             self.smd_study()
         except ValueError as exc:
@@ -120,37 +122,44 @@ class ExperimentConfig:
 
     def smd_study(self) -> tuple:
         """The (regularizer, schedule) pair of the stochastic study; the
-        schedule's largest step is the study's fixed gamma, read when called."""
-        reg = EntropySimplex() if self.smd_regularizer == "entropy" else ElasticNet(0.3)
-        return reg, PolynomialSchedule(PROBLEM_DEFAULTS["smd_synthetic"]["gamma"], self.smd_alpha)
+        schedule's largest step and the elastic net's beta are the study's
+        fixed values, read when called."""
+        study = PROBLEM_DEFAULTS["smd_synthetic"]
+        reg = EntropySimplex() if self.smd_regularizer == "entropy" else ElasticNet(study["beta"])
+        return reg, PolynomialSchedule(study["gamma"], self.smd_alpha)
 
-    def resolved(self, fast: bool = False) -> "ExperimentConfig":
-        """Fill ``n`` and ``deltas`` from the problem defaults; ``fast`` caps
-        ``n``, given or default, at the coarse grid and never enlarges it."""
+    def grid_size(self, fast: bool = False) -> int:
+        """The problem kind's grid size; ``fast`` picks the coarse grid of a
+        Landweber kind (the stochastic study has none, and ``run`` and
+        ``sweep`` refuse it by name when they build its setup)."""
         d = PROBLEM_DEFAULTS[self.problem]
-        n = self.n if self.n is not None else d["n"]
-        if fast:
-            n = min(n, d.get("n_fast", n))
-        deltas = d["deltas"] if self.deltas is None else tuple(self.deltas)
-        return replace(self, n=n, deltas=deltas)
+        return d.get("n_fast", d["n"]) if fast else d["n"]
+
+    def resolved(self) -> "ExperimentConfig":
+        """Fill ``deltas`` from the problem defaults."""
+        d = PROBLEM_DEFAULTS[self.problem]
+        return replace(self, deltas=d["deltas"] if self.deltas is None else tuple(self.deltas))
 
 
-def _floats(text: str) -> tuple:
-    return tuple(float(v) for v in text.replace(",", " ").split())
-
-
-def _ints(text: str) -> tuple:
-    return tuple(int(v) for v in text.replace(",", " ").split())
+def _items(conv):
+    """The converter of a list whose items, separated by commas or spaces,
+    ``conv`` converts; an empty list has none, but an empty item (``1,,2``,
+    a leading or a trailing comma) is refused."""
+    def convert(text: str) -> tuple:
+        items = text.split(",")
+        if text.strip() and not all(map(str.strip, items)):
+            raise ValueError(f"empty item in {text!r}")
+        return tuple(map(conv, " ".join(items).split()))
+    return convert
 
 
 #: (section, key) -> (converter, ExperimentConfig field); nothing else parses
 _KEYS = {
     ("problem", "kind"): (str, "problem"),
-    ("problem", "n"): (int, "n"),
     ("rule", "name"): (str, "rule"),
     ("stopping", "kind"): (str, "stopping"),
-    ("sweep", "deltas"): (_floats, "deltas"),
-    ("sweep", "seeds"): (_ints, "seeds"),
+    ("sweep", "deltas"): (_items(float), "deltas"),
+    ("sweep", "seeds"): (_items(int), "seeds"),
     ("smd", "regularizer"): (str, "smd_regularizer"),
     ("smd", "alpha"): (float, "smd_alpha"),
 }
@@ -158,7 +167,7 @@ _KEYS = {
 
 #: keys every problem kind reads; of the others, smd_synthetic reads only
 #: those in [smd] and the Landweber kinds all but those
-_SHARED_KEYS = {("problem", "kind"), ("problem", "n"), ("sweep", "seeds")}
+_SHARED_KEYS = {("problem", "kind"), ("sweep", "seeds")}
 
 
 def _unread(cfg: ExperimentConfig, section: str, key: str) -> bool:

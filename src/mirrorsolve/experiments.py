@@ -91,17 +91,6 @@ class Setup:
     lam_true: GridFunction = None
 
 
-def check_grid_size(kind: str, n: int, blocks: int = 1) -> None:
-    """Refuse a grid size ``n`` or block count that problem ``kind`` does not
-    accept; the message states the rule, not the values."""
-    if kind == "entropy_integral" and n < 100:
-        raise ValueError("entropy experiment needs n >= 100")
-    if kind == "pde_coefficient" and n not in (16, 32, 64, 128):
-        raise ValueError("pde experiment supports n in {16, 32, 64, 128}")
-    if kind == "smd_synthetic" and (blocks < 1 or n < 2):
-        raise ValueError("need N >= 1 and n >= 2")
-
-
 def setup_entropy_experiment(n: int) -> Setup:
     """Integral-equation benchmark on n subintervals (n >= 100).
 
@@ -110,7 +99,8 @@ def setup_entropy_experiment(n: int) -> Setup:
     exact unit quadrature mass so it lies inside the entropy domain on every
     grid; the adjustment is below 1e-9 relative at n = 5000.
     """
-    check_grid_size("entropy_integral", n)
+    if n < 100:
+        raise ValueError("entropy experiment needs n >= 100")
     grid = Grid.interval(n)
     t = grid.coords[0]
     raw = ENTROPY_A * t
@@ -130,7 +120,8 @@ def setup_entropy_experiment(n: int) -> Setup:
 def setup_pde_experiment(n: int, *, solver_tol: float = 1e-10) -> Setup:
     """Coefficient-identification benchmark on an n x n square grid, whose
     corner-bump truth has an error floor (see the README, "Elliptic truth")."""
-    check_grid_size("pde_coefficient", n)
+    if n not in (16, 32, 64, 128):
+        raise ValueError("pde experiment supports n in {16, 32, 64, 128}")
     grid = Grid.square(n)
     x, yy = grid.coords
     c_true = GridFunction(grid, np.maximum(1.0 - 9.0 * (x ** 2 + yy ** 2), 0.0) ** 2)

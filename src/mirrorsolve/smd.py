@@ -34,7 +34,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .experiments import check_grid_size
 from .grids import Grid, GridFunction
 from .landweber import (MaxIterStop, RunResult, SystemProblem, _descend, csv_number, dual_step,
                         write_csv)
@@ -187,7 +186,8 @@ def build_sourced_instance(N: int, n: int, reg: Regularizer, seed: int, *,
     beta, so x_true = 0 is the zero start itself; ``lam_scale = 0`` is
     refused for it.
     """
-    check_grid_size("smd_synthetic", n, N)
+    if N < 1 or n < 2:
+        raise ValueError("need N >= 1 and n >= 2")
     rng = np.random.default_rng(seed)
     grid = Grid.interval(n)
     t = grid.coords[0]

@@ -261,12 +261,14 @@ def test_criterion_7_smd_rate(smd_study):
               f"max over paths {max_product:.4e}")
 
 
-def test_criterion_7_is_the_cli_study(smd_study, tmp_path, capsys):
-    """``mirrorsolve smd`` on the shipped entropy config runs criterion 7's
-    instance and horizon: its seed-3 rate log holds the bytes of that path."""
-    _, runs = smd_study["entropy"]
+@pytest.mark.parametrize("name", ["entropy", "elastic"])
+def test_criterion_7_is_the_cli_study(smd_study, tmp_path, capsys, name):
+    """``mirrorsolve smd`` on the shipped entropy and elastic-net configs runs
+    criterion 7's instance, regularizer and horizon: its seed-3 rate log
+    holds the bytes of that path."""
+    _, runs = smd_study[name]
     write_rate_csv(runs[SMD_SEEDS.index(3)], tmp_path / "criterion_7.csv")
-    assert cli_main(["smd", "--config", str(CONFIGS / "smd_entropy.cfg"), "--seed", "3",
+    assert cli_main(["smd", "--config", str(CONFIGS / f"smd_{name}.cfg"), "--seed", "3",
                      "--out", str(tmp_path / "cli")]) == 0
     capsys.readouterr()
     assert ((tmp_path / "cli" / "smd_rate_3.csv").read_bytes()

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib.util
 import json
 import os
 import re
@@ -9,8 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import mirrorsolve
 from mirrorsolve import experiments, operators, smd
@@ -36,6 +35,7 @@ TABLE1_RULE1 = [(5e-2, 5.0723e-2), (5e-3, 5.0405e-3), (5e-4, 4.6703e-4), (5e-5, 
 TABLE1_RULE1_SLOPE = 0.9400155854093295
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 class TestEntropySetup:
@@ -256,12 +256,12 @@ class TestRunRateSweep:
 class TestConfig:
     def test_defaults_resolution(self):
         cfg = ExperimentConfig(problem="entropy_integral").resolved()
-        assert cfg.n == 5000
+        assert cfg.grid_size() == 5000
         assert cfg.deltas == (5e-2, 5e-3, 5e-4)
-        fast = ExperimentConfig(problem="entropy_integral").resolved(fast=True)
-        assert fast.n == 1000
+        assert cfg.grid_size(fast=True) == 1000
         # tau defaults to the setup's value
-        _, stop = make_cell(setup_entropy_experiment(fast.n), "rule1", cfg.deltas[0])
+        _, stop = make_cell(setup_entropy_experiment(cfg.grid_size(fast=True)), "rule1",
+                            cfg.deltas[0])
         assert isinstance(stop, DiscrepancyStop)
         assert stop.tau == 1.01
 
@@ -308,7 +308,6 @@ class TestConfig:
         p.write_text("""
 [problem]
 kind = pde_coefficient
-n = 32
 
 [rule]
 name = rule2
@@ -322,7 +321,7 @@ seeds = 1, 2
 """)
         cfg = parse_config(p)
         assert cfg.problem == "pde_coefficient"
-        assert cfg.n == 32
+        assert cfg.grid_size() == 64
         assert cfg.rule == "rule2"
         assert cfg.deltas == (1e-2, 1e-3)
         assert cfg.seeds == (1, 2)
@@ -339,31 +338,16 @@ seeds = 1, 2
         with pytest.raises(FileNotFoundError):
             parse_config(tmp_path / "absent.cfg")
 
-    @pytest.mark.parametrize("problem, n, n_fast", [("entropy_integral", 5000, 1000),
-                                                    ("pde_coefficient", 64, 32)])
-    def test_fast_overrides_explicit_n(self, problem, n, n_fast):
-        cfg = ExperimentConfig(problem=problem, rule="rule2", n=n)
-        assert cfg.resolved().n == n
-        assert cfg.resolved(fast=True).n == n_fast
-
-    @pytest.mark.parametrize("problem, n", [("entropy_integral", 200),
-                                            ("pde_coefficient", 16),
-                                            ("smd_synthetic", 30)])
-    def test_fast_keeps_a_grid_below_its_cap(self, problem, n):
-        assert ExperimentConfig(problem=problem, n=n).resolved(fast=True).n == n
-
-    # the config refuses a size its kind does not accept, so n is drawn from
-    # the sizes each kind accepts (experiments.check_grid_size)
-    @settings(max_examples=100, deadline=None)
-    @given(problem_n=st.sampled_from(sorted(PROBLEM_DEFAULTS)).flatmap(
-        lambda problem: st.tuples(st.just(problem), st.one_of(st.none(), {
-            "entropy_integral": st.integers(100, 100_000),
-            "pde_coefficient": st.sampled_from([16, 32, 64, 128]),
-            "smd_synthetic": st.integers(2, 100_000)}[problem]))))
-    def test_fast_never_enlarges_the_grid(self, problem_n):
-        problem, n = problem_n
-        cfg = ExperimentConfig(problem=problem, n=n)
-        assert 0 < cfg.resolved(fast=True).n <= cfg.resolved().n
+    @pytest.mark.parametrize("problem", ["entropy_integral", "pde_coefficient"])
+    def test_fast_picks_a_coarser_grid_the_setup_builds(self, problem):
+        # the grid sizes are the kind's; the setup is where they are checked
+        cfg = ExperimentConfig(problem=problem, rule="rule2")
+        n, n_fast = cfg.grid_size(), cfg.grid_size(fast=True)
+        assert (n, n_fast) == (PROBLEM_DEFAULTS[problem]["n"],
+                               PROBLEM_DEFAULTS[problem]["n_fast"])
+        assert n_fast < n
+        for size in (n, n_fast):
+            assert experiments.build_setup(problem, size).x_true.grid.n == size
 
     @pytest.mark.parametrize("text, name", [
         ("[problem]\nkind = entropy_integral\n[rule]\ngama = 2\n", "gama"),
@@ -374,7 +358,7 @@ seeds = 1, 2
         ("[problem]\nkind = entropy_integral\n[stopping]\nkind = maxiter\n", "maxiter"),
         # eta, c and beta are fixed per problem (tau: see the next test);
         # lam_scale and smoothing size the stochastic instance
-        ("[problem]\nkind = entropy_integral\nn = 300\n[rule]\nname = rule1\neta = -0.5\n"
+        ("[problem]\nkind = entropy_integral\n[rule]\nname = rule1\neta = -0.5\n"
          "[stopping]\nkind = apriori\n", r"unknown key 'eta' in \[rule\]"),
         ("[problem]\nkind = entropy_integral\n[stopping]\nkind = discrepancy\nc = 2\n",
          r"unknown key 'c' in \[stopping\]"),
@@ -384,7 +368,7 @@ seeds = 1, 2
          r"unknown key 'lam_scale' in \[smd\]"),
         ("[problem]\nkind = smd_synthetic\n[smd]\nsmoothing = 0\n",
          r"unknown key 'smoothing' in \[smd\]"),
-        # the grid size of every kind is [problem] n
+        # the grid size of every kind is the kind's, in no section
         ("[problem]\nkind = smd_synthetic\n[smd]\nn = 50\n",
          r"typo\.cfg: unknown key 'n' in \[smd\]"),
         # configparser would copy [DEFAULT]'s keys into every section
@@ -433,9 +417,16 @@ seeds = 1, 2
         # a value that does not convert names the section and key
         ("[problem]\nkind = entropy_integral\n[sweep]\nseeds = 1, x\n",
          r"bad\.cfg: \[sweep\] seeds: invalid literal for int\(\)"),
+        # an empty item is refused, not dropped: the study keeps its size
+        ("[problem]\nkind = entropy_integral\n[sweep]\nseeds = 1,,2\n",
+         r"bad\.cfg: \[sweep\] seeds: empty item in '1,,2'$"),
+        ("[problem]\nkind = entropy_integral\n[sweep]\ndeltas = 5e-2,,5e-4\n",
+         r"bad\.cfg: \[sweep\] deltas: empty item in '5e-2,,5e-4'$"),
+        ("[problem]\nkind = smd_synthetic\n[sweep]\nseeds = ,1, 2\n",
+         r"bad\.cfg: \[sweep\] seeds: empty item in ',1, 2'$"),
+        ("[problem]\nkind = entropy_integral\n[sweep]\ndeltas = 5e-2, 5e-3,\n",
+         r"bad\.cfg: \[sweep\] deltas: empty item in '5e-2, 5e-3,'$"),
         # the stochastic study's values are checked before any instance is built
-        ("[problem]\nkind = smd_synthetic\nn = 1\n",
-         r"bad\.cfg: \[problem\] n: need N >= 1 and n >= 2, got 1$"),
         ("[problem]\nkind = smd_synthetic\n[smd]\nalpha = 1.0\n",
          r"bad\.cfg: \[smd\] alpha must lie in \[0,1\), got 1\.0"),
         # the study's blocks, gamma, k_max and instance seed are fixed, so a
@@ -463,8 +454,9 @@ seeds = 1, 2
          r"bad\.cfg: unknown key 'gamma' in \[smd\]$"),
     ], ids=["seeds", "smd-seeds", "deltas", "zero-delta", "repeated-seed",
             "smd-repeated-seed", "repeated-delta", "repeated-delta-tag", "negative-seed",
-            "smd-negative-seed", "inf-delta", "non-integer-seed", "smd-n-below-2",
-            "smd-alpha-one", "smd-negative-k_max", "smd-k_max-past-the-cap",
+            "smd-negative-seed", "inf-delta", "non-integer-seed", "empty-seed-item",
+            "empty-delta-item", "leading-comma", "trailing-comma", "smd-alpha-one",
+            "smd-negative-k_max", "smd-k_max-past-the-cap",
             "smd-negative-instance_seed", "smd-zero-blocks", "non-float-smd-gamma",
             "smd-zero-gamma", "smd-nan-gamma", "smd-gamma-past-the-bound", "smd-inf-gamma",
             "smd-percent-gamma"])
@@ -496,7 +488,7 @@ seeds = 1, 2
                     == (tmp_path / "zero" / name).read_bytes())
 
     @pytest.mark.parametrize("text, names", [
-        ("[problem]\nkind = smd_synthetic\nn = 999\n[rule]\nname = rule3\n"
+        ("[problem]\nkind = smd_synthetic\n[rule]\nname = rule3\n"
          "[stopping]\nkind = apriori\n[sweep]\ndeltas = 1e-3\n",
          ("does not read", "'name' in [rule]", "'kind' in [stopping]",
           "'deltas' in [sweep]")),
@@ -521,17 +513,16 @@ seeds = 1, 2
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
     def test_shipped_config_parses_and_resolves(self, path):
         cfg = parse_config(path)
-        assert cfg.resolved().n > 0
-        assert 0 < cfg.resolved(fast=True).n <= cfg.resolved().n
-        # parsing checks a given n; the --fast cap must pass the setup's check too
-        experiments.check_grid_size(cfg.problem, cfg.resolved(fast=True).n)
+        assert cfg.resolved().deltas == (cfg.deltas or PROBLEM_DEFAULTS[cfg.problem]["deltas"])
+        assert 0 < cfg.grid_size(fast=True) <= cfg.grid_size()
 
     @pytest.mark.parametrize("kind, n, rule", [
         ("entropy_integral", 50, "entropy experiment needs n >= 100"),
         ("pde_coefficient", 48, "pde experiment supports n in {16, 32, 64, 128}"),
     ], ids=["entropy", "pde"])
     def test_grid_size_the_setup_refuses_names_the_file_and_key(self, tmp_path, kind, n, rule):
-        # the setup states the rule; the config checks it as it is read
+        # the setup states the rule; a config cannot set a size at all, and
+        # is refused naming the file and the key
         with pytest.raises(ValueError) as exc:
             experiments.build_setup(kind, n)
         assert str(exc.value) == rule
@@ -539,13 +530,12 @@ seeds = 1, 2
         p.write_text(f"[problem]\nkind = {kind}\nn = {n}\n[rule]\nname = rule2\n")
         with pytest.raises(ValueError) as exc:
             parse_config(p)
-        assert str(exc.value) == f"{p}: [problem] n: {rule}, got {n}"
+        assert str(exc.value) == f"{p}: unknown key 'n' in [problem]"
 
 
 ENTROPY_CFG = """
 [problem]
 kind = entropy_integral
-n = 300
 
 [rule]
 name = rule3
@@ -558,7 +548,6 @@ seeds = 1, 2
 SMD_CFG = """
 [problem]
 kind = smd_synthetic
-n = 30
 
 [smd]
 regularizer = entropy
@@ -570,13 +559,20 @@ seeds = 1, 2
 
 @pytest.fixture
 def short_smd_study(monkeypatch):
-    """The stochastic study on 3 blocks with largest step 1.5, cut to 300 steps."""
-    for key, value in (("blocks", 3), ("gamma", 1.5), ("k_max", 300)):
+    """The stochastic study on 3 blocks of 30 subintervals with largest step
+    1.5, cut to 300 steps."""
+    for key, value in (("n", 30), ("blocks", 3), ("gamma", 1.5), ("k_max", 300)):
         monkeypatch.setitem(PROBLEM_DEFAULTS["smd_synthetic"], key, value)
 
 
+@pytest.fixture
+def small_entropy_grid(monkeypatch):
+    """The integral-equation problem on 300 subintervals."""
+    monkeypatch.setitem(PROBLEM_DEFAULTS["entropy_integral"], "n", 300)
+
+
 class TestCli:
-    def test_run_single_cell(self, tmp_path, capsys):
+    def test_run_single_cell(self, tmp_path, capsys, small_entropy_grid):
         cfg = tmp_path / "e.cfg"
         cfg.write_text(ENTROPY_CFG)
         rc = cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -587,7 +583,7 @@ class TestCli:
     @pytest.mark.parametrize("stopping", ["[stopping]\nkind = discrepancy\n",
                                           "[stopping]\nkind = apriori\n"],
                              ids=["discrepancy", "apriori"])
-    def test_run_cell_equals_sweep_cell(self, tmp_path, capsys, stopping):
+    def test_run_cell_equals_sweep_cell(self, tmp_path, capsys, small_entropy_grid, stopping):
         # run and sweep build a cell the same way: the same iterates, byte for byte
         cfg = tmp_path / "e.cfg"
         cfg.write_text(ENTROPY_CFG + stopping)
@@ -605,7 +601,7 @@ class TestCli:
         else:
             assert "stop=discrepancy" in out
 
-    def test_run_rejects_nonpositive_delta(self, tmp_path, capsys):
+    def test_run_rejects_nonpositive_delta(self, tmp_path, capsys, small_entropy_grid):
         cfg = tmp_path / "e.cfg"
         cfg.write_text(ENTROPY_CFG)
         rc = cli_main(["run", "--config", str(cfg), "--delta", "0"])
@@ -614,13 +610,16 @@ class TestCli:
         assert payload["type"] == "ValueError"
         assert "delta must be positive" in payload["message"]
 
-    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("command", [["run"], ["sweep"], ["run", "--fast"],
+                                         ["sweep", "--fast"]],
+                             ids=["run", "sweep", "run-fast", "sweep-fast"])
     def test_stochastic_config_refused_by_name(self, tmp_path, capsys, command):
         # run read the config's first delta, of which a stochastic config has
-        # none, before the setup refused it, and failed with an IndexError
+        # none, before the setup refused it, and failed with an IndexError;
+        # the stochastic study has no coarse grid for --fast to pick
         cfg = tmp_path / "s.cfg"
         cfg.write_text(SMD_CFG)
-        rc = cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        rc = cli_main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -644,7 +643,7 @@ class TestCli:
         assert payload["message"] == "--seed must be nonnegative, got -1"
         assert not (tmp_path / "out").exists()
 
-    def test_sweep_writes_artifacts_and_is_reproducible(self, tmp_path):
+    def test_sweep_writes_artifacts_and_is_reproducible(self, tmp_path, small_entropy_grid):
         cfg = tmp_path / "e.cfg"
         cfg.write_text(ENTROPY_CFG)
         outs = []
@@ -656,7 +655,8 @@ class TestCli:
             assert (outs[0] / name).exists()
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    def test_sweep_flags_a_failed_cell_with_exit_code_3(self, tmp_path, capsys, monkeypatch):
+    def test_sweep_flags_a_failed_cell_with_exit_code_3(self, tmp_path, capsys, monkeypatch,
+                                                         small_entropy_grid):
         # NaN data for one (delta, seed) cell: the sweep flags it on stderr,
         # takes that delta's medians over the other seeds and still writes
         # both tables
@@ -742,7 +742,30 @@ class TestCli:
         assert payload["message"] == f"{cfg}: unknown key {key!r} in [smd]"
         assert not (tmp_path / "out").exists()
 
-    def test_run_refuses_the_apriori_budget_of_a_tiny_delta(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, config, problem", [
+        ("sweep", "entropy_rule3.cfg", "entropy_integral"),
+        ("sweep", "pde_rule2.cfg", "pde_coefficient"),
+        ("smd", "smd_entropy.cfg", "smd_synthetic"),
+    ], ids=["entropy", "pde", "smd"])
+    def test_grid_size_key_fails_before_anything_is_written(self, tmp_path, capsys,
+                                                            command, config, problem):
+        # a shipped config with its kind's own grid size stated under [problem]
+        text = (SHIPPED_CONFIGS[0].parent / config).read_text()
+        assert f"kind = {problem}\n" in text
+        cfg = tmp_path / config
+        cfg.write_text(text.replace("[problem]\n",
+                                    f"[problem]\nn = {PROBLEM_DEFAULTS[problem]['n']}\n"))
+        rc = cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err.strip().splitlines()[-1])
+        assert payload["type"] == "ValueError"
+        assert payload["message"] == f"{cfg}: unknown key 'n' in [problem]"
+        assert not (tmp_path / "out").exists()
+
+    def test_run_refuses_the_apriori_budget_of_a_tiny_delta(self, tmp_path, capsys,
+                                                             small_entropy_grid):
         # 1/delta overflows to inf; the budget is still refused by name
         cfg = tmp_path / "e.cfg"
         cfg.write_text(ENTROPY_CFG + "[stopping]\nkind = apriori\n")
@@ -817,11 +840,11 @@ class TestCli:
         assert "R(xbar) = nan is not finite" in payload["message"]
 
     def test_smd_empty_instance_fails(self, tmp_path, capsys, monkeypatch, short_smd_study):
+        monkeypatch.setitem(PROBLEM_DEFAULTS["smd_synthetic"], "n", 400)
         monkeypatch.setitem(PROBLEM_DEFAULTS["smd_synthetic"], "blocks", 1)
         monkeypatch.setitem(PROBLEM_DEFAULTS["smd_synthetic"], "instance_seed", 10)
         cfg = tmp_path / "s.cfg"
-        cfg.write_text(SMD_CFG.replace("n = 30", "n = 400")
-                       .replace("regularizer = entropy", "regularizer = elastic"))
+        cfg.write_text(SMD_CFG.replace("regularizer = entropy", "regularizer = elastic"))
         rc = cli_main(["smd", "--config", str(cfg), "--out", str(tmp_path / "smd")])
         assert rc == 1
         captured = capsys.readouterr()
@@ -899,3 +922,28 @@ def test_package_runs_with_scipy_unimportable(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [cell_out]
     name = "iterates_0p0001_2.csv"
     assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "normal" / name).read_bytes()
+
+
+def test_benchmark_restates_the_package_constants(monkeypatch):
+    # the benchmark builds its studies in code, so it restates the fixed
+    # values of the shipped studies; each must be the package's
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    study = PROBLEM_DEFAULTS["smd_synthetic"]
+    smd_paths = workloads.WORKLOADS["smd_paths"]
+    for key in ("blocks", "n", "instance_seed", "gamma", "k_max"):
+        assert getattr(smd_paths, key) == study[key], key
+    regs = dict(workloads.SMD_REGULARIZERS)
+    assert regs["elastic"].beta == study["beta"]
+    for name, reg in regs.items():
+        cfg = ExperimentConfig(problem="smd_synthetic", smd_regularizer=name)
+        assert reg == cfg.smd_study()[0]
+    landweber = [w for w in workloads.WORKLOADS.values()
+                 if isinstance(w, workloads.LandweberWorkload)]
+    assert sorted(w.problem for w in landweber) == ["entropy_integral", "pde_coefficient"]
+    for w in landweber:
+        assert w.n == PROBLEM_DEFAULTS[w.problem]["n"]
+        assert w.tau == experiments.build_setup(w.problem, w.n).tau_default
