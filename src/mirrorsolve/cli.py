@@ -2,20 +2,23 @@
 
 Subcommands::
 
-    mirrorsolve run    --config cfg [--out DIR] [--delta D] [--seed S] [--fast]
-    mirrorsolve sweep  --config cfg [--out DIR] [--fast]
+    mirrorsolve sweep  --config cfg [--out DIR] [--delta D] [--seed S] [--fast]
     mirrorsolve verify
     mirrorsolve smd    --config cfg [--out DIR] [--seed S]
 
-Exit code 0 on success.  On failure a single machine-readable JSON line is
-printed to stderr and the exit code is nonzero.
+``sweep --delta D`` and ``--seed S`` cut the config's ``[sweep] deltas`` or
+``seeds`` to that one value, as ``smd --seed`` picks one path; with both,
+the sweep is one (delta, seed) cell.
+
+Exit code 0 on success; a sweep that flagged a failed cell exits 3.  On
+failure a single machine-readable JSON line is printed to stderr and the
+exit code is nonzero.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -32,27 +35,15 @@ def _check_seed_flag(args) -> None:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
 
 
-def _cmd_run(args) -> int:
-    _check_seed_flag(args)
-    cfg = parse_config(args.config).resolved()
-    # the setup refuses a stochastic config, whose deltas are empty
-    setup = experiments.build_setup(cfg.problem, cfg.grid_size(args.fast))
-    delta = args.delta if args.delta is not None else cfg.deltas[0]
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
-    rule, stop = experiments.make_cell(setup, cfg.rule, delta, stopping=cfg.stopping)
-    cell = experiments.run_cell(setup, rule, stop, delta, seed, out_dir=args.out or None)
-    print(f"problem={cfg.problem} rule={cfg.rule} delta={delta:g} seed={seed} "
-          f"stop={cell.result.stop_reason} iter={cell.k_stop} err={cell.err:.6e} "
-          f"ratio={cell.err / math.sqrt(delta):.6f}")
-    return 0
-
-
 def _cmd_sweep(args) -> int:
-    cfg = parse_config(args.config).resolved()
+    _check_seed_flag(args)
+    cfg = parse_config(args.config)
     setup = experiments.build_setup(cfg.problem, cfg.grid_size(args.fast))
+    deltas = [args.delta] if args.delta is not None else cfg.deltas
+    seeds = [args.seed] if args.seed is not None else cfg.seeds
     out_dir = Path(args.out) if args.out else None
     outcome = experiments.run_rate_sweep(
-        setup, cfg.rule, cfg.deltas, cfg.seeds, stopping=cfg.stopping,
+        setup, cfg.rule, deltas, seeds, stopping=cfg.stopping,
         out_dir=out_dir, keep_records=False)
     failed = [c for c in outcome.cells if c.failed]
     for row in outcome.table:
@@ -112,17 +103,11 @@ def main(argv=None) -> int:
                     "for ill-posed inverse problems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a single (delta, seed) cell")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", default=None)
-    p_run.add_argument("--delta", type=float, default=None)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--fast", action="store_true", help="coarse grids")
-    p_run.set_defaults(fn=_cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="run the full (delta, seed) table")
+    p_sweep = sub.add_parser("sweep", help="run the (delta, seed) table")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default=None)
+    p_sweep.add_argument("--delta", type=float, default=None, help="run this delta only")
+    p_sweep.add_argument("--seed", type=int, default=None, help="run this seed only")
     p_sweep.add_argument("--fast", action="store_true", help="coarse grids")
     p_sweep.set_defaults(fn=_cmd_sweep)
 

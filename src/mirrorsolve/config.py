@@ -16,7 +16,8 @@ also names rule2 or rule3, since rule1 needs a linear forward map::
     [sweep]
     deltas = 5e-2, 5e-3, 5e-4   ; positive and finite, distinct as f"{delta:g}"
                                 ; (the iterate-file tag); defaults to the
-                                ; problem's
+                                ; problem's, filled in when the config is
+                                ; built
     seeds = 1, 2, 3, 4, 5       ; non-empty, nonnegative, no seed twice
 
 A list's items are separated by commas (or spaces); an empty item
@@ -52,15 +53,15 @@ that does not convert (``seeds = 1, x``) or that a check rejects
 (``seeds = -1``) raises ValueError naming the file, section and key; a file
 configparser cannot read (a repeated key or section, no section header, a
 byte that is not UTF-8) raises ValueError naming the file.  The CLI applies
-the same rules to its flags: ``--delta`` must be positive and finite, and
-``--seed`` nonnegative.
+the same rules to the flags that cut a list to one value: ``sweep --delta``
+must be positive and finite, and ``--seed`` nonnegative.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .regularizers import ElasticNet, EntropySimplex
 from .smd import PolynomialSchedule
@@ -84,7 +85,7 @@ class ExperimentConfig:
     problem: str = "entropy_integral"
     rule: str = "rule1"
     stopping: str = "discrepancy"
-    deltas: tuple = None
+    deltas: tuple = None           # None: the problem's
     seeds: tuple = (1, 2, 3, 4, 5)
     # stochastic study
     smd_regularizer: str = "entropy"
@@ -109,7 +110,9 @@ class ExperimentConfig:
             raise ValueError(f"[sweep] seeds must be nonnegative, got {self.seeds}")
         if len(set(self.seeds)) < len(self.seeds):
             raise ValueError(f"[sweep] seeds repeat a seed: {self.seeds}")
-        if self.problem != "smd_synthetic" and self.deltas is not None:
+        deltas = PROBLEM_DEFAULTS[self.problem]["deltas"] if self.deltas is None else self.deltas
+        object.__setattr__(self, "deltas", tuple(deltas))  # frozen: set once, here
+        if self.problem != "smd_synthetic":
             if not self.deltas:
                 raise ValueError("[sweep] deltas is empty")
             if not all(0 < d < math.inf for d in self.deltas):
@@ -130,15 +133,10 @@ class ExperimentConfig:
 
     def grid_size(self, fast: bool = False) -> int:
         """The problem kind's grid size; ``fast`` picks the coarse grid of a
-        Landweber kind (the stochastic study has none, and ``run`` and
-        ``sweep`` refuse it by name when they build its setup)."""
+        Landweber kind (the stochastic study has none, and ``sweep``
+        refuses it by name when it builds its setup)."""
         d = PROBLEM_DEFAULTS[self.problem]
         return d.get("n_fast", d["n"]) if fast else d["n"]
-
-    def resolved(self) -> "ExperimentConfig":
-        """Fill ``deltas`` from the problem defaults."""
-        d = PROBLEM_DEFAULTS[self.problem]
-        return replace(self, deltas=d["deltas"] if self.deltas is None else tuple(self.deltas))
 
 
 def _items(conv):

@@ -16,14 +16,15 @@ Two desk-scale studies are provided:
   The bump sits at the corner (0, 0), so this truth lies outside the source
   condition (see the README, "Elliptic truth and the source condition").
 
-One path takes config values to a finished (delta, seed) cell, for a
-single run and for a sweep alike: ``build_setup`` builds the problem,
-``make_cell`` the step and stopping rules (the one constructor of either;
-eta is the setup's, tau defaults to it), and ``run_cell`` draws the noise,
-runs and writes the iterate log.  A sweep runs one step-size rule over a grid
-of noise levels and seeds, records the stopping index and reconstruction
-error per cell, aggregates across seeds by the median into its table, a
-tuple of :class:`RateRow`, and emits deterministic CSV artifacts.
+One path takes config values to a finished (delta, seed) cell:
+``build_setup`` builds the problem, ``make_cell`` the step and stopping
+rules (the one constructor of either; eta is the setup's, tau defaults to
+it), and ``run_cell`` draws the noise, runs and writes the iterate log.  A
+sweep runs one step-size rule over a grid of noise levels and seeds,
+records the stopping index and reconstruction error per cell, aggregates
+across seeds by the median into its table, a tuple of :class:`RateRow`, and
+emits deterministic CSV artifacts; a single run is a sweep of one cell
+(``mirrorsolve sweep --delta D --seed S``).
 """
 
 from __future__ import annotations
@@ -249,14 +250,19 @@ def run_rate_sweep(setup, rule_name: str, deltas, seeds, *, tau: float = None,
     """Run one rule over a (delta, seed) grid and aggregate medians.
 
     Every (rule, stop) pair is constructed and validated before the first
-    cell runs.  Cells that raise are flagged and skipped in the aggregation;
-    the sweep continues.  The outcome's ``table`` holds one median
-    :class:`RateRow` per delta, NaN where every seed failed.  With ``out_dir``
-    set, each cell writes ``iterates_<delta>_<seed>.csv`` and the sweep writes
-    that table as ``table.csv``.
+    cell runs, and then ``out_dir``, if set, is created, so a directory that
+    cannot be made fails before any cell either.  Cells that raise are
+    flagged and skipped in the aggregation; the sweep continues.  The
+    outcome's ``table`` holds one median :class:`RateRow` per delta, NaN
+    where every seed failed.  With ``out_dir`` set, each cell writes
+    ``iterates_<delta>_<seed>.csv`` and the sweep writes that table as
+    ``table.csv``.
     """
     pairs = [(delta, *make_cell(setup, rule_name, delta, tau=tau, stopping=stopping))
              for delta in deltas]
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     cells = []
     rows = []
     for delta, rule, stop in pairs:
@@ -280,8 +286,6 @@ def run_rate_sweep(setup, rule_name: str, deltas, seeds, *, tau: float = None,
             rows.append(RateRow(delta=delta, rule=rule_name,
                                 iters=float("nan"), err=float("nan")))
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_csv(out_dir / "table.csv", "delta,rule,iter,err,ratio",
                   (f"{row.delta:.17g},{row.rule},{row.iters:.17g},"
                    f"{row.err:.17g},{row.ratio:.17g}\n" for row in rows))

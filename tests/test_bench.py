@@ -1,3 +1,4 @@
+import configparser
 import csv
 import dataclasses
 import importlib.util
@@ -255,9 +256,12 @@ class TestRunRateSweep:
 
 class TestConfig:
     def test_defaults_resolution(self):
-        cfg = ExperimentConfig(problem="entropy_integral").resolved()
+        # the config fills its deltas from the problem kind when it is built
+        cfg = ExperimentConfig(problem="entropy_integral")
         assert cfg.grid_size() == 5000
         assert cfg.deltas == (5e-2, 5e-3, 5e-4)
+        assert ExperimentConfig(problem="smd_synthetic").deltas == ()
+        assert ExperimentConfig(deltas=[1e-2, 1e-3]).deltas == (1e-2, 1e-3)
         assert cfg.grid_size(fast=True) == 1000
         # tau defaults to the setup's value
         _, stop = make_cell(setup_entropy_experiment(cfg.grid_size(fast=True)), "rule1",
@@ -513,7 +517,11 @@ seeds = 1, 2
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
     def test_shipped_config_parses_and_resolves(self, path):
         cfg = parse_config(path)
-        assert cfg.resolved().deltas == (cfg.deltas or PROBLEM_DEFAULTS[cfg.problem]["deltas"])
+        cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        cp.read(path)
+        written = cp.get("sweep", "deltas", fallback=None)
+        assert cfg.deltas == (PROBLEM_DEFAULTS[cfg.problem]["deltas"] if written is None
+                              else tuple(map(float, written.split(","))))
         assert 0 < cfg.grid_size(fast=True) <= cfg.grid_size()
 
     @pytest.mark.parametrize("kind, n, rule", [
@@ -545,6 +553,9 @@ deltas = 2e-2, 5e-3
 seeds = 1, 2
 """
 
+#: the flags of a single run, the sweep of one (delta, seed) cell
+ONE_CELL = ["sweep", "--delta", "1e-3", "--seed", "1"]
+
 SMD_CFG = """
 [problem]
 kind = smd_synthetic
@@ -572,51 +583,65 @@ def small_entropy_grid(monkeypatch):
 
 
 class TestCli:
+    # a single run is the sweep of one (delta, seed) cell
     def test_run_single_cell(self, tmp_path, capsys, small_entropy_grid):
         cfg = tmp_path / "e.cfg"
         cfg.write_text(ENTROPY_CFG)
-        rc = cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                       "--delta", "2e-2", "--seed", "1"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "iter=" in out and "ratio=" in out
+        assert out.splitlines()[0].startswith("rule=rule3 delta=0.02 iter=")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "iterates_0p02_1.csv", "rate.csv", "table.csv"]
+
+    def test_run_subcommand_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(ENTROPY_CFG)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'run'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stopping", ["[stopping]\nkind = discrepancy\n",
                                           "[stopping]\nkind = apriori\n"],
                              ids=["discrepancy", "apriori"])
     def test_run_cell_equals_sweep_cell(self, tmp_path, capsys, small_entropy_grid, stopping):
-        # run and sweep build a cell the same way: the same iterates, byte for byte
+        # a one-cell sweep runs its cell as the full sweep does: the same
+        # iterates, byte for byte
         cfg = tmp_path / "e.cfg"
         cfg.write_text(ENTROPY_CFG + stopping)
-        rc = cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "run"),
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run"),
                        "--delta", "5e-3", "--seed", "2"])
         assert rc == 0
         out = capsys.readouterr().out
         assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
         name = "iterates_0p005_2.csv"
-        assert [p.name for p in (tmp_path / "run").iterdir()] == [name]
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            name, "rate.csv", "table.csv"]
         assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "sweep" / name).read_bytes()
         if "apriori" in stopping:
-            assert "stop=apriori" in out
             assert " iter=200 " in out
-        else:
-            assert "stop=discrepancy" in out
 
     def test_run_rejects_nonpositive_delta(self, tmp_path, capsys, small_entropy_grid):
         cfg = tmp_path / "e.cfg"
         cfg.write_text(ENTROPY_CFG)
-        rc = cli_main(["run", "--config", str(cfg), "--delta", "0"])
+        rc = cli_main(["sweep", "--config", str(cfg), "--delta", "0",
+                       "--out", str(tmp_path / "out")])
         assert rc == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["type"] == "ValueError"
         assert "delta must be positive" in payload["message"]
+        assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", [["run"], ["sweep"], ["run", "--fast"],
+    # "run" is a single run, the sweep of one cell
+    @pytest.mark.parametrize("command", [ONE_CELL, ["sweep"], [*ONE_CELL, "--fast"],
                                          ["sweep", "--fast"]],
                              ids=["run", "sweep", "run-fast", "sweep-fast"])
     def test_stochastic_config_refused_by_name(self, tmp_path, capsys, command):
-        # run read the config's first delta, of which a stochastic config has
-        # none, before the setup refused it, and failed with an IndexError;
-        # the stochastic study has no coarse grid for --fast to pick
+        # the setup refuses a stochastic config by name, with or without
+        # --delta; the stochastic study has no coarse grid for --fast to pick
         cfg = tmp_path / "s.cfg"
         cfg.write_text(SMD_CFG)
         rc = cli_main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -628,12 +653,13 @@ class TestCli:
         assert payload["message"] == "problem 'smd_synthetic' has no deterministic setup"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command, text", [("run", ENTROPY_CFG), ("smd", SMD_CFG)],
+    @pytest.mark.parametrize("command, text", [(["sweep", "--delta", "5e-3"], ENTROPY_CFG),
+                                               (["smd"], SMD_CFG)],
                              ids=["run", "smd"])
     def test_negative_seed_flag_rejected(self, tmp_path, capsys, command, text):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(text)
-        rc = cli_main([command, "--config", str(cfg), "--seed", "-1",
+        rc = cli_main([*command, "--config", str(cfg), "--seed", "-1",
                        "--out", str(tmp_path / "out")])
         assert rc == 1
         captured = capsys.readouterr()
@@ -684,6 +710,30 @@ class TestCli:
         assert float(rows[5e-3]["err"]) == np.median([c.err for c in good])
         assert np.isfinite(float(rows[2e-2]["err"]))
         assert (out_dir / "rate.csv").is_file()
+
+    def test_sweep_that_cannot_write_fails_before_any_cell(self, tmp_path, capsys,
+                                                           monkeypatch, small_entropy_grid):
+        # --out names a file: the directory is made before the first cell,
+        # so the sweep fails at once instead of running every cell first
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(ENTROPY_CFG)
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        calls = []
+        run = experiments.run
+
+        def counted_run(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run", counted_run)
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err.strip().splitlines()[-1])
+        assert payload["type"] == "FileExistsError"
+        assert calls == []
+        assert out.read_text() == "not a directory"
 
     def test_verify(self, capsys):
         rc = cli_main(["verify"])
@@ -769,7 +819,7 @@ class TestCli:
         # 1/delta overflows to inf; the budget is still refused by name
         cfg = tmp_path / "e.cfg"
         cfg.write_text(ENTROPY_CFG + "[stopping]\nkind = apriori\n")
-        rc = cli_main(["run", "--config", str(cfg), "--delta", "1e-320",
+        rc = cli_main(["sweep", "--config", str(cfg), "--delta", "1e-320", "--seed", "1",
                        "--out", str(tmp_path / "out")])
         assert rc == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -869,7 +919,7 @@ class TestCli:
         assert exc.value.code != 0
 
     def test_error_is_machine_readable(self, tmp_path, capsys):
-        rc = cli_main(["run", "--config", str(tmp_path / "missing.cfg")])
+        rc = cli_main([*ONE_CELL, "--config", str(tmp_path / "missing.cfg")])
         assert rc == 1
         err = capsys.readouterr().err.strip()
         payload = json.loads(err.splitlines()[-1])
@@ -897,7 +947,7 @@ for module in pkgutil.iter_modules(mirrorsolve.__path__):
     importlib.import_module(f"mirrorsolve.{module.name}")
 from mirrorsolve.cli import main
 print(main(["verify"]))
-print(main(["run", "--fast", "--config", sys.argv[1], "--delta", "1e-4", "--seed", "2",
+print(main(["sweep", "--fast", "--config", sys.argv[1], "--delta", "1e-4", "--seed", "2",
             "--out", sys.argv[2]]))
 """
 
@@ -912,14 +962,15 @@ def test_package_runs_with_scipy_unimportable(tmp_path, capsys):
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, cfg, str(tmp_path / "bare")],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    *verify_out, verify_rc, cell_out, run_rc = proc.stdout.splitlines()
+    *verify_out, verify_rc, cell_out, _, run_rc = proc.stdout.splitlines()
     assert (verify_rc, run_rc) == ("0", "0")
     assert re.fullmatch(r"(\d+)/\1 checks passed", verify_out[-1])
     assert cli_main(["verify"]) == 0
     assert capsys.readouterr().out.splitlines() == verify_out
-    assert cli_main(["run", "--fast", "--config", cfg, "--delta", "1e-4", "--seed", "2",
+    assert cli_main(["sweep", "--fast", "--config", cfg, "--delta", "1e-4", "--seed", "2",
                      "--out", str(tmp_path / "normal")]) == 0
-    assert capsys.readouterr().out.splitlines() == [cell_out]
+    # the row of the one cell; the next line names the output directory
+    assert capsys.readouterr().out.splitlines()[0] == cell_out
     name = "iterates_0p0001_2.csv"
     assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "normal" / name).read_bytes()
 
