@@ -195,16 +195,15 @@ def make_cell(setup, rule_name: str, delta: float, *, tau: float = None,
 
 def run_cell(setup, rule, stop, delta: float, seed: int, *, out_dir=None) -> CellResult:
     """Run one (delta, seed) cell: draw the noise, iterate to the stop and,
-    with ``out_dir`` set, write ``iterates_<delta>_<seed>.csv`` there."""
+    with ``out_dir`` set, write ``iterates_<delta>_<seed>.csv`` into that
+    existing directory."""
     y_delta = add_noise(setup.y, delta, seed)
     res = run(setup.forward, setup.reg, y_delta, rule, stop, x_truth=setup.x_true)
     cell = CellResult(delta=delta, seed=seed, k_stop=res.k_stop,
                       err=res.records[-1].error_to_truth, result=res)
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         tag = f"{delta:g}".replace(".", "p")
-        write_iterates_csv(res.records, out_dir / f"iterates_{tag}_{seed}.csv")
+        write_iterates_csv(res.records, Path(out_dir) / f"iterates_{tag}_{seed}.csv")
     return cell
 
 
@@ -305,17 +304,16 @@ def fit_loglog_slope(deltas, errs):
 
 def emit_plot_data(table, out_dir) -> dict:
     """Write ``rate.csv`` (log-log pairs plus a fitted-slope summary line)
-    for a sweep's ``table``, its tuple of :class:`RateRow`.
+    for a sweep's ``table``, its tuple of :class:`RateRow`, into the existing
+    directory ``out_dir``.
 
     Returns {"slope": float | None, "rate_csv": path}; raises ValueError on
     an empty table.
     """
     if not table:
         raise ValueError("cannot emit plot data for an empty table")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     slope = fit_loglog_slope([r.delta for r in table], [r.err for r in table])
-    rate_csv = out_dir / "rate.csv"
+    rate_csv = Path(out_dir) / "rate.csv"
     lines = [f"{row.delta:.17g},{row.err:.17g},"
              f"{math.log10(row.delta):.17g},{math.log10(row.err):.17g}\n"
              for row in table if row.err > 0 and np.isfinite(row.err)]

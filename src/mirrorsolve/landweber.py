@@ -10,10 +10,12 @@ pulls it back through the regularizer's mirror map:
 :class:`SystemProblem`, N forward maps F_i on one input grid with a data
 block y_i each: :func:`run` on the one-block system (F, y_delta),
 :func:`mirrorsolve.smd.smd_run` on one sampled block per step, each
-returning a :class:`RunResult`.  Three step-size rules are provided (a
-constant step gamma/L^2, a capped minimal-error step, and a capped adaptive
-step that discounts the noise level), together with discrepancy-principle,
-iteration-budget, and max-iter stopping.
+returning a :class:`RunResult` with one record stream: an
+:class:`IterateRecord` per state, carrying the step sum
+s_k = sum_{l<=k} gamma_l that the rates are read against.  Three step-size
+rules are provided (a constant step gamma/L^2, a capped minimal-error step,
+and a capped adaptive step that discounts the noise level), together with
+discrepancy-principle, iteration-budget, and max-iter stopping.
 
 The loop keeps states and diagnostics on node arrays under the input grid's
 quadrature weights; grid functions appear only where data enter and in the
@@ -235,27 +237,42 @@ def _check_consistency(rule, stop) -> None:
 # run records
 
 class IterateRecord(NamedTuple):
-    """Diagnostics for one iterate; optional fields are None when untracked.
+    """Diagnostics for one state of either method; a diagnostic is None
+    where it is not tracked.
 
-    ``step`` is the step size used to move *from* this iterate and is None on
-    the terminal record.  ``degenerate`` marks a vanishing-gradient step where
-    the capped rules fell back to gamma_bar.
+    ``block`` is the block the state linearized (0 throughout :func:`run`)
+    and ``residual_norm`` its residual norm.  ``step`` is the step size used
+    to move *from* this state and is None on the terminal record.
+    ``step_sum`` is the partial sum s_k = sum_{l<=k} gamma_l, so the previous
+    record's is the sum before state k; :func:`run`'s terminal record adds no
+    step, :func:`~mirrorsolve.smd.smd_run`'s adds the schedule's
+    gamma_{k_max}.  ``delta_k`` is the Bregman distance to the truth.
+    ``degenerate`` marks a vanishing-gradient step where the capped rules fell
+    back to gamma_bar.
     """
 
     k: int
     residual_norm: float
-    step: float = None
-    bregman_to_truth: float = None
-    error_to_truth: float = None
-    lambda_defect: float = None
-    degenerate: bool = False
+    step: float
+    step_sum: float
+    delta_k: float
+    error_to_truth: float
+    lambda_defect: float
+    degenerate: bool
+    block: int
+
+    @property
+    def s_delta(self) -> float:
+        """s_k * Delta_k, the product the 1/s_k rate bounds; None unlogged."""
+        if self.delta_k is None:
+            return None
+        return self.step_sum * self.delta_k
 
 
 @dataclass(frozen=True)
 class RunResult:
-    """Final state and per-state records of a run: :class:`IterateRecord`
-    from :func:`run`, :class:`~mirrorsolve.smd.SmdRecord` from
-    :func:`~mirrorsolve.smd.smd_run`."""
+    """Final state and per-state :class:`IterateRecord` of a run, from
+    :func:`run` or :func:`~mirrorsolve.smd.smd_run`."""
 
     x: GridFunction
     xi: GridFunction
@@ -335,17 +352,18 @@ class SystemProblem:
         return max(op.norm_bound() for op in self.operators)
 
 
-def _descend(reg: Regularizer, prob: SystemProblem, picks, transition, stop, build,
+def _descend(reg: Regularizer, prob: SystemProblem, picks, transition, stop,
              xi0: GridFunction = None, x_truth: GridFunction = None,
              observe=None) -> RunResult:
     """The loop on ``prob`` from the dual state ``xi0``, zero if not given.
     State k linearizes block i = ``picks[k]`` (``prob.operators[i]``,
     ``prob.data[i]``), checks its residual norm rn, is logged
-    (``observe(x, xi, adjoint)`` and the Bregman distance to ``x_truth``
-    from xi, each if given), asks ``stop.reason(k, rn)`` and
-    :data:`SAFETY_CAP`, and moves on by ``transition(k, xi, g, r, rn)``,
-    which returns (x', xi', move).  ``build(k0, rns, moves, deltas, seen)``
-    makes the records of a logged chunk.  A start or a truth off the input
+    (``observe(x, xi, adjoint)``, which returns the error and lambda defect,
+    and the Bregman distance to ``x_truth`` from xi, each if given), asks
+    ``stop.reason(k, rn)`` and :data:`SAFETY_CAP`, and moves on by
+    ``transition(k, xi, g, r, rn)``, which returns (x', xi', gamma,
+    degenerate).  The loop adds gamma to the step sum and makes one
+    :class:`IterateRecord` per state.  A start or a truth off the input
     grid, or a truth outside the domain of ``reg``, is refused before the
     first step."""
     grid = prob.grid_in
@@ -360,7 +378,9 @@ def _descend(reg: Regularizer, prob: SystemProblem, picks, transition, stop, bui
     chunk = min(CHUNK, max(1, CHUNK * CHUNK // n))
     x = reg.mirror_map(xi, grid.weights)
     records = []
-    # one list per column, for the states not yet logged
+    s = 0.0
+    # one list per column, for the states not yet logged; a move is
+    # (gamma, s_k, degenerate, block)
     xis, rns, moves, seen = [], [], [], []
 
     def stacked(states):
@@ -369,9 +389,12 @@ def _descend(reg: Regularizer, prob: SystemProblem, picks, transition, stop, bui
         return states[0] if m == 1 else np.concatenate(states).reshape(m, n)
 
     def log():
-        deltas = ([None] * len(xis) if dist is None or not xis else
+        deltas = (repeat(None) if dist is None or not xis else
                   dist(stacked(xis)).reshape(-1).tolist())
-        records.extend(build(len(records), rns, moves, deltas, seen))
+        records.extend(IterateRecord(k, rn, gamma, s_k, delta, err, ldef, degen, i)
+                       for k, rn, (gamma, s_k, degen, i), delta, (err, ldef)
+                       in zip(count(len(records)), rns, moves, deltas,
+                              seen or repeat((None, None))))
         del xis[:], rns[:], moves[:], seen[:]
 
     for k, i in enumerate(picks):
@@ -389,24 +412,18 @@ def _descend(reg: Regularizer, prob: SystemProblem, picks, transition, stop, bui
             seen.append(observe(x, xi, adjoint))
         reason = stop.reason(k, rn)
         if reason is not None:
-            moves.append(None)
+            moves.append((None, s, False, i))
             log()
             return RunResult(GridFunction(grid, x), GridFunction(grid, xi), k, reason,
                              tuple(records))
         if k >= SAFETY_CAP:
             log()
             raise IterationLimitError(SAFETY_CAP, records)
-        x, xi, move = transition(k, xi, adjoint(r), r, rn)
-        moves.append(move)
+        x, xi, gamma, degen = transition(k, xi, adjoint(r), r, rn)
+        s += gamma
+        moves.append((gamma, s, degen, i))
         if len(moves) == chunk:
             log()
-
-
-def _iterate_records(k0, rns, moves, deltas, seen):
-    """The :class:`IterateRecord` of each logged state of :func:`run`."""
-    for k, rn, move, breg, (err, ldef) in zip(count(k0), rns, moves, deltas, seen):
-        gamma, degen = (None, False) if move is None else move
-        yield IterateRecord(k, rn, gamma, breg, err, ldef, degen)
 
 
 def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
@@ -445,10 +462,9 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
         if lam is not None:
             t = np.multiply(gamma, r)
             lam = np.subtract(lam, t, out=t)
-        return x, xi, (gamma, degen)
+        return x, xi, gamma, degen
 
-    return _descend(reg, prob, repeat(0), transition, stop, _iterate_records,
-                    x_truth=x_truth, observe=observe)
+    return _descend(reg, prob, repeat(0), transition, stop, x_truth=x_truth, observe=observe)
 
 
 def csv_number(v) -> str:
@@ -465,10 +481,12 @@ def write_csv(path, header: str, lines) -> None:
 
 
 def write_iterates_csv(records, path) -> None:
-    """CSV log: columns k,residual,step,bregman,error,lambda_defect,degenerate
-    (missing diagnostics as empty fields, ``degenerate`` as 0 or 1)."""
+    """CSV log of :func:`run`'s records: columns
+    k,residual,step,bregman,error,lambda_defect,degenerate (``bregman`` is
+    ``delta_k``, missing diagnostics are empty fields, ``degenerate`` is 0
+    or 1)."""
     fmt = csv_number
     write_csv(path, "k,residual,step,bregman,error,lambda_defect,degenerate",
-              (f"{r.k},{fmt(r.residual_norm)},{fmt(r.step)},{fmt(r.bregman_to_truth)},"
+              (f"{r.k},{fmt(r.residual_norm)},{fmt(r.step)},{fmt(r.delta_k)},"
                f"{fmt(r.error_to_truth)},{fmt(r.lambda_defect)},{1 if r.degenerate else 0}\n"
                for r in records))

@@ -11,7 +11,9 @@ block alone:
 :class:`~mirrorsolve.landweber.SystemProblem` with a drawn block per state,
 :func:`smd_step` as the transition and a max-iter stop, so with one block
 and a constant schedule a path is the Landweber iteration, bit for bit, with
-the same :class:`~mirrorsolve.landweber.RunResult` (stop reason ``maxiter``).
+the same :class:`~mirrorsolve.landweber.RunResult` (stop reason ``maxiter``)
+and the same :class:`~mirrorsolve.landweber.IterateRecord` per state; the
+stochastic study has no record type of its own.
 
 The step sizes follow one schedule family, :class:`PolynomialSchedule`
 gamma_k = gamma (k+1)^(-alpha) with alpha in [0, 1); alpha = 0 is the
@@ -28,9 +30,7 @@ reproducible artifact of its seed; the last index is the terminal state's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import count
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .regularizers import Regularizer
 __all__ = [
     "ConstantSchedule",
     "PolynomialSchedule",
-    "SmdRecord",
     "SourcedInstance",
     "smd_step",
     "smd_run",
@@ -89,24 +88,6 @@ def validate_schedule(sched, L: float, sigma: float = 0.5) -> None:
             f"{4.0 * sigma / (L * L):g} for L={L:g}")
 
 
-class SmdRecord(NamedTuple):
-    """Per-index diagnostics; ``i_k``/``gamma_k``/``block_residual`` describe
-    the transition taken from state k and are None on the final record."""
-
-    k: int
-    i_k: int = None
-    gamma_k: float = None
-    s_k: float = None
-    delta_k: float = None
-    block_residual: float = None
-
-    @property
-    def s_delta(self) -> float:
-        if self.delta_k is None:
-            return None
-        return self.s_k * self.delta_k
-
-
 def smd_step(reg: Regularizer, sched, w: np.ndarray, k: int, xi: np.ndarray,
              g: np.ndarray):
     """Step k from the dual state ``xi`` along the node values ``g`` of the
@@ -125,32 +106,27 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
     A schedule over the step bound or a ``k_max`` below 0 or above
     :data:`~mirrorsolve.landweber.SAFETY_CAP` is refused here, and a truth
     or start off the problem's input grid or a truth outside the domain of
-    ``reg`` by the loop, all before the first step.  With ``x_truth``, each
-    record carries the Bregman distance Delta_k and, through ``s_delta``,
-    s_k * Delta_k for the inclusive partial sum s_k of the schedule.  A NaN
-    or infinite block residual norm, the terminal state's included, raises
-    ``NonFiniteResidualError`` at once.
+    ``reg`` by the loop, all before the first step.  The records are the
+    loop's :class:`~mirrorsolve.landweber.IterateRecord`, ``block`` the drawn
+    index i_k and ``step_sum`` the inclusive partial sum s_k of the schedule;
+    with ``x_truth``, each carries the Bregman distance Delta_k and, through
+    ``s_delta``, s_k * Delta_k.  A NaN or infinite block residual norm, the
+    terminal state's included, raises ``NonFiniteResidualError`` at once.
     Each step is one :func:`smd_step` call, read as a module global per path.
     """
     validate_schedule(sched, prob.norm_bound(), sigma=reg.sigma)
     stop = MaxIterStop(k_max)
     picks = np.random.default_rng(seed).integers(prob.n_blocks, size=k_max + 1).tolist()
     w, step = prob.grid_in.weights, smd_step
-    s = 0.0
 
     def transition(k, xi, g, r, rn):
-        nonlocal s
         x, xi, gamma = step(reg, sched, w, k, xi, g)
-        s += gamma
-        return x, xi, (picks[k], gamma, s)
+        return x, xi, gamma, False
 
-    def build(k0, rns, moves, deltas, seen):
-        # the stopped state takes no step, but its s_k adds gamma_{k_max}
-        return [SmdRecord(k, *move, delta, rn) if move else
-                SmdRecord(k, s_k=s + sched.at(k), delta_k=delta)
-                for k, move, delta, rn in zip(count(k0), moves, deltas, rns)]
-
-    return _descend(reg, prob, picks, transition, stop, build, xi0=xi0, x_truth=x_truth)
+    res = _descend(reg, prob, picks, transition, stop, xi0=xi0, x_truth=x_truth)
+    # the stopped state takes no step, but its s_k adds gamma_{k_max}
+    *head, last = res.records
+    return replace(res, records=(*head, last._replace(step_sum=last.step_sum + sched.at(k_max))))
 
 
 @dataclass(frozen=True)
@@ -223,7 +199,9 @@ class _FormatOnce(dict):
 
 
 def write_rate_csv(run: RunResult, path) -> None:
-    """CSV log: columns k,i_k,gamma_k,s_k,delta_k,s_k_delta_k.
+    """CSV log: columns k,i_k,gamma_k,s_k,delta_k,s_k_delta_k, the record
+    fields ``block``, ``step``, ``step_sum``, ``delta_k`` and ``s_delta``;
+    ``i_k`` and ``gamma_k`` are empty where no step was taken.
 
     Each field reads as ``csv_number`` prints it, formatted inline.  Each
     distinct step size is formatted once per file (a constant schedule has
@@ -231,7 +209,7 @@ def write_rate_csv(run: RunResult, path) -> None:
     """
     gammas = _FormatOnce()
     write_csv(path, "k,i_k,gamma_k,s_k,delta_k,s_k_delta_k",
-              (f"{k},{'' if i is None else i},{gammas[g]},{float(s)!r},,\n" if d is None else
-               f"{k},{'' if i is None else i},{gammas[g]},{float(s)!r},{float(d)!r},"
+              (f"{k},{'' if g is None else i},{gammas[g]},{float(s)!r},,\n" if d is None else
+               f"{k},{'' if g is None else i},{gammas[g]},{float(s)!r},{float(d)!r},"
                f"{float(s * d)!r}\n"
-               for k, i, g, s, d, _ in run.records))
+               for k, _, g, s, d, _, _, _, i in run.records))

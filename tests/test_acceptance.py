@@ -191,7 +191,7 @@ def test_criterion_4_apriori_rate():
             yd = add_noise(setup.y, delta, seed)
             res = run(setup.forward, setup.reg, yd, rule, stop, x_truth=setup.x_true)
             assert res.k_stop == int(math.floor(1.0 / delta))
-            finals.append(res.records[-1].bregman_to_truth)
+            finals.append(res.records[-1].delta_k)
         ratios[delta] = float(np.median(finals)) / delta
     assert ratios[1e-3] <= 3.0 * ratios[1e-2], f"a-priori ratios grew: {ratios}"
     print(f"[criterion 4] PASS a-priori rate: D/delta = {ratios[1e-2]:.4f} at 1e-2, "
@@ -207,7 +207,7 @@ def test_criterion_5_bregman_monotonicity(entropy_sweeps, pde_sweeps):
         for sweep in sweeps.values():
             for cell in sweep.cells:
                 assert not cell.failed, cell.error_message
-                bregs = [r.bregman_to_truth for r in cell.result.records]
+                bregs = [r.delta_k for r in cell.result.records]
                 rises = [bregs[i + 1] - bregs[i] for i in range(len(bregs) - 1)]
                 if rises:
                     worst = max(worst, max(rises))
@@ -265,12 +265,17 @@ def test_criterion_7_smd_rate(smd_study):
 def test_criterion_7_is_the_cli_study(smd_study, tmp_path, capsys, name):
     """``mirrorsolve smd`` on the shipped entropy and elastic-net configs runs
     criterion 7's instance, regularizer and horizon: its seed-3 rate log
-    holds the bytes of that path."""
+    holds the bytes of that path, and its printed line is that path's
+    terminal record, Delta_k and s_k * Delta_k."""
     _, runs = smd_study[name]
-    write_rate_csv(runs[SMD_SEEDS.index(3)], tmp_path / "criterion_7.csv")
+    path = runs[SMD_SEEDS.index(3)]
+    write_rate_csv(path, tmp_path / "criterion_7.csv")
+    capsys.readouterr()
     assert cli_main(["smd", "--config", str(CONFIGS / f"smd_{name}.cfg"), "--seed", "3",
                      "--out", str(tmp_path / "cli")]) == 0
-    capsys.readouterr()
+    last = path.records[-1]
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"seed=3 k={last.k} delta_k={last.delta_k:.6e} s_k*delta_k={last.s_delta:.6e}")
     assert ((tmp_path / "cli" / "smd_rate_3.csv").read_bytes()
             == (tmp_path / "criterion_7.csv").read_bytes())
 
@@ -312,14 +317,21 @@ def test_criterion_9_single_block_reduction():
     op = inst.problem.operators[0]
     L = op.norm_bound()
     q = 1.0
-    sr = smd_run(inst.problem, reg, ConstantSchedule(gamma=q / (L * L)), 100,
-                 seed=3, x_truth=inst.x_true)
+    sched = ConstantSchedule(gamma=q / (L * L))
+    sr = smd_run(inst.problem, reg, sched, 100, seed=3, x_truth=inst.x_true)
     res = run(op, reg, inst.problem.data[0], ConstantStep(gamma=q),
               MaxIterStop(k_max=100), x_truth=inst.x_true)
     assert np.array_equal(sr.x.values, res.x.values)
     assert np.array_equal(sr.xi.values, res.xi.values)
-    for rec_s, rec_d in zip(sr.records, res.records):
-        assert rec_s.delta_k == rec_d.bregman_to_truth
-        if rec_s.block_residual is not None:
-            assert rec_s.block_residual == rec_d.residual_norm
+    # every field both methods log, on every state; the stopped path's s_k
+    # adds the schedule's gamma_100, where run's adds no step
+    last = res.records[-1]
+    expected = (*res.records[:-1], last._replace(step_sum=last.step_sum + sched.at(100)))
+    assert len(sr.records) == len(expected) == 101
+
+    def tied(rec):
+        return (rec.k, rec.residual_norm, rec.step, rec.step_sum, rec.delta_k,
+                rec.degenerate, rec.block)
+
+    assert [tied(r) for r in sr.records] == [tied(r) for r in expected]
     print("[criterion 9] PASS single-block reduction: 100 steps bit-identical")

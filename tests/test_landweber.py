@@ -1,10 +1,16 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from mirrorsolve import landweber
-from mirrorsolve.experiments import make_cell, setup_entropy_experiment
+from mirrorsolve.experiments import (
+    make_cell,
+    run_cell,
+    setup_entropy_experiment,
+    setup_pde_experiment,
+)
 from mirrorsolve.grids import Grid, GridFunction, GridMismatchError, add_noise
 from mirrorsolve.landweber import (
     AdaptiveStep,
@@ -351,7 +357,7 @@ class TestRunLoop:
             c5 = slack - gamma / (4 * sigma)
         assert c5 > 0
         total = sum(r.step * r.residual_norm ** 2 for r in res.records if r.step is not None)
-        d0 = res.records[0].bregman_to_truth
+        d0 = res.records[0].delta_k
         assert total <= d0 / c5 + 1e-9
 
     def test_step_bounds_hold_along_entropy_run(self):
@@ -368,7 +374,6 @@ class TestRunLoop:
     def test_step_bounds_hold_along_elliptic_run(self):
         # L here is a power-iteration estimate at c = 0; the observed margin
         # is wide because gradients never align with the top singular vector
-        from mirrorsolve.experiments import setup_pde_experiment
         setup = setup_pde_experiment(32)
         delta = 1e-4
         yd = add_noise(setup.y, delta, seed=1)
@@ -379,6 +384,23 @@ class TestRunLoop:
             lo, hi = rule.bounds(L)
             steps = [r.step for r in res.records if r.step is not None]
             assert all(lo * (1 - 1e-9) <= s <= hi * (1 + 1e-9) for s in steps)
+
+    @pytest.mark.parametrize("build, rule_name, delta", [
+        (lambda: setup_entropy_experiment(400), "rule2", 5e-3),
+        (lambda: setup_pde_experiment(32), "rule3", 1e-4),
+    ], ids=["entropy-rule2", "elliptic-rule3"])
+    def test_records_carry_the_step_sum(self, build, rule_name, delta):
+        # s_k = sum_{l<=k} gamma_l, added in step order on every record that
+        # steps; the stopped state adds no step, and the one block is block 0
+        setup = build()
+        rule, stop = make_cell(setup, rule_name, delta)
+        records = run_cell(setup, rule, stop, delta, seed=2).result.records
+        assert len(records) > 2
+        assert ([r.step_sum for r in records[:-1]]
+                == list(accumulate(r.step for r in records[:-1])))
+        assert records[-1].step is None
+        assert records[-1].step_sum == records[-2].step_sum
+        assert {r.block for r in records} == {0}
 
     def test_determinism_bitwise(self):
         setup = setup_entropy_experiment(300)

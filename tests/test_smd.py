@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -63,14 +65,20 @@ class TestSchedules:
         runs = [smd_run(inst.problem, reg, sched, 10_000, seed=3, x_truth=inst.x_true)
                 for sched in scheds]
         assert runs[0].records == runs[1].records
-        assert {r.gamma_k for r in runs[1].records[:-1]} == {1.8}
+        assert {r.step for r in runs[1].records[:-1]} == {1.8}
         # every record holds the schedule's own gamma, not a copy per step
         for run, sched in zip(runs, scheds):
-            assert all(r.gamma_k is sched.gamma for r in run.records[:-1])
+            assert all(r.step is sched.gamma for r in run.records[:-1])
         paths = [tmp_path / "constant.csv", tmp_path / "polynomial.csv"]
         for run, path in zip(runs, paths):
             write_rate_csv(run, path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def _tied(rec):
+    """The record fields that a one-block path and run share."""
+    return (rec.k, rec.residual_norm, rec.step, rec.step_sum, rec.delta_k, rec.degenerate,
+            rec.block)
 
 
 def _source_element(inst):
@@ -198,7 +206,7 @@ class TestSmdRun:
         sr = smd_run(inst.problem, reg, ConstantSchedule(1.5), 50, seed=2,
                      x_truth=inst.x_true, xi0=_source_element(inst))
         assert np.array_equal(sr.x.values, inst.x_true.values)
-        assert all(r.block_residual == 0.0 for r in sr.records if r.block_residual is not None)
+        assert all(r.residual_norm == 0.0 for r in sr.records)
         assert all(abs(r.delta_k) <= 1e-12 for r in sr.records)
 
     def test_two_block_scalar_reference(self):
@@ -224,7 +232,7 @@ class TestSmdRun:
         x = np.ones(3) / np.sum(w * np.ones(3))
         for k in range(5):
             i = int(picks.integers(2))
-            assert sr.records[k].i_k == i
+            assert sr.records[k].block == i
             K = (K1, K2)[i]
             r = np.zeros(3)
             for a in range(3):
@@ -257,10 +265,13 @@ class TestSmdRun:
         assert len(sr.records) == len(res.records) == k_max + 1
         assert np.array_equal(sr.x.values, res.x.values)
         assert np.array_equal(sr.xi.values, res.xi.values)
-        for rec_s, rec_d in zip(sr.records, res.records):
-            if rec_s.block_residual is not None:
-                assert rec_s.block_residual == rec_d.residual_norm
-            assert rec_s.delta_k == rec_d.bregman_to_truth
+        # one record type: every state agrees on every field both methods
+        # log, the terminal residual included; the stopped path's s_k adds
+        # the schedule's gamma_{k_max}, where run's adds no step
+        last = res.records[-1]
+        expected = (*res.records[:-1],
+                    last._replace(step_sum=last.step_sum + sched.at(k_max)))
+        assert [_tied(r) for r in sr.records] == [_tied(r) for r in expected]
 
     def test_monotone_descent_on_sourced_instance(self):
         reg = EntropySimplex()
@@ -358,8 +369,15 @@ class TestSmdRun:
         sr = smd_run(inst.problem, reg, sched, k_max, seed=3, x_truth=inst.x_true)
         # partial-sum oracle by direct summation
         expected = np.cumsum([sched.gamma * (k + 1) ** (-0.5) for k in range(k_max + 1)])
-        got = np.array([r.s_k for r in sr.records])
+        got = np.array([r.step_sum for r in sr.records])
         assert np.max(np.abs(got - expected)) <= 1e-10 * expected[-1]
+        # the loop's sum, in step order, bit for bit; the stopped state adds
+        # the schedule's gamma_{k_max} without stepping
+        steps = [r.step for r in sr.records[:-1]]
+        assert [r.step_sum for r in sr.records[:-1]] == list(accumulate(steps))
+        assert steps == [sched.at(k) for k in range(k_max)]
+        assert sr.records[-1].step is None
+        assert sr.records[-1].step_sum == sr.records[-2].step_sum + sched.at(k_max)
         # s_k ~ 2 gamma sqrt(k): the ratio approaches 2 gamma from below
         assert got[-1] / np.sqrt(k_max) == pytest.approx(2.0 * sched.gamma, rel=0.02)
         # with s_k ~ sqrt(k) the distance decays roughly like k^(-1/2); fit
@@ -373,7 +391,7 @@ class TestSmdRun:
         reg = EntropySimplex()
         inst = build_sourced_instance(4, 4, reg, seed=2)
         sr = smd_run(inst.problem, reg, ConstantSchedule(1.5), 100_000, seed=9)
-        picks = np.array([r.i_k for r in sr.records if r.i_k is not None])
+        picks = np.array([r.block for r in sr.records if r.step is not None])
         counts = np.bincount(picks, minlength=4)
         expect = len(picks) / 4.0
         sigma = np.sqrt(len(picks) * 0.25 * 0.75)
@@ -381,14 +399,14 @@ class TestSmdRun:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 12345])
     def test_index_stream_matches_one_batched_draw(self, seed):
-        # the per-step scalar draws equal one vectorized draw of all k_max
-        # indices from the same seed
+        # the per-step scalar draws equal one vectorized draw of all
+        # k_max + 1 indices from the same seed, the terminal state's last
         reg = EntropySimplex()
         inst = build_sourced_instance(4, 10, reg, seed=7)
         k_max = 2000
         sr = smd_run(inst.problem, reg, ConstantSchedule(1.5), k_max, seed=seed)
-        picks = [r.i_k for r in sr.records[:-1]]
-        assert picks == np.random.default_rng(seed).integers(4, size=k_max).tolist()
+        picks = [r.block for r in sr.records]
+        assert picks == np.random.default_rng(seed).integers(4, size=k_max + 1).tolist()
 
     def test_nonfinite_data_fails_at_first_step(self):
         reg = EntropySimplex()
@@ -484,7 +502,8 @@ class TestSmdRun:
         sched = ConstantSchedule(1.5)
         ref = smd_run(clean, reg, sched, k_max, seed, x_truth=inst.x_true)
         last = ref.records[-1]
-        assert (last.k, last.i_k, last.gamma_k, last.block_residual) == (k_max, None, None, None)
+        assert (last.k, last.step, last.block) == (k_max, None, bad)
+        assert np.isfinite(last.residual_norm)
         with pytest.raises(NonFiniteResidualError) as exc:
             smd_run(broken, reg, sched, k_max, seed, x_truth=inst.x_true)
         assert exc.value.k == k_max
@@ -548,17 +567,19 @@ class TestSmdRun:
         for k in range(k_max + 1):
             rec = sr.records[k]
             assert rec.delta_k == vbar + Rstar(xi) - float(np.sum(w * xi * xbar))
-            if k == k_max:
-                assert rec.s_k == s + gamma and rec.i_k is None
-                break
+            assert (rec.error_to_truth, rec.lambda_defect, rec.degenerate) == (None, None, False)
             i = int(rng.integers(prob.n_blocks))
             op, y = prob.operators[i], prob.data[i]
             r = op.apply_values(x) - y.values
+            assert rec.block == i
+            assert rec.residual_norm == float(np.sqrt(np.sum(op.grid_out.weights * r * r)))
+            if k == k_max:
+                assert rec.step_sum == s + gamma and rec.step is None
+                break
             g = op.adjoint_values(r)
             s = s + gamma
-            assert rec.i_k == i and rec.gamma_k == gamma
-            assert rec.s_k == s
-            assert rec.block_residual == float(np.sqrt(np.sum(op.grid_out.weights * r * r)))
+            assert rec.step == gamma
+            assert rec.step_sum == s
             xi = xi - gamma * g
             x = mirror_map(xi)
         assert np.array_equal(sr.x.values, x)
@@ -620,7 +641,7 @@ class TestSmdRun:
         # operator's value would reach the adjoint through the state u
         path = smd_run(prob, reg, sched, 1, seed=0, xi0=GridFunction(op.grid_in, xi))
         assert path.xi.values.tobytes() == first[1].tobytes()
-        assert path.records[0].block_residual == norm_l2_values(r, op.grid_out.weights)
+        assert path.records[0].residual_norm == norm_l2_values(r, op.grid_out.weights)
 
     def test_determinism_per_seed(self):
         reg = ElasticNet(beta=0.3)
@@ -645,8 +666,8 @@ class TestSmdRun:
         lams = [np.zeros(grid.node_count) for _ in ops]
         x = GridFunction(grid, reg.mirror_map(inst.xi0.values, grid.weights))
         for k in range(k_max):
-            i = sr.records[k].i_k
-            gamma = sr.records[k].gamma_k
+            i = sr.records[k].block
+            gamma = sr.records[k].step
             r = ops[i].apply_values(x.values) - inst.problem.data[i].values
             lams[i] = lams[i] - gamma * r
             xi = inst.xi0.values
@@ -681,7 +702,7 @@ class TestRateCsv:
         write_rate_csv(sr, p)
         fmt = csv_number
         expected = ["k,i_k,gamma_k,s_k,delta_k,s_k_delta_k"] + [
-            f"{r.k},{'' if r.i_k is None else r.i_k},{fmt(r.gamma_k)},{fmt(r.s_k)},"
+            f"{r.k},{'' if r.step is None else r.block},{fmt(r.step)},{fmt(r.step_sum)},"
             f"{fmt(r.delta_k)},{fmt(r.s_delta)}" for r in sr.records]
         lines = p.read_text().splitlines()
         assert lines == expected
