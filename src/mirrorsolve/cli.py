@@ -4,11 +4,14 @@ Subcommands::
 
     mirrorsolve sweep  --config cfg [--out DIR] [--delta D] [--seed S] [--fast]
     mirrorsolve verify
-    mirrorsolve smd    --config cfg [--out DIR] [--seed S]
 
-``sweep --delta D`` and ``--seed S`` cut the config's ``[sweep] deltas`` or
-``seeds`` to that one value, as ``smd --seed`` picks one path; with both,
-the sweep is one (delta, seed) cell.
+``sweep`` runs the study of the config's ``[problem] kind``: the
+(delta, seed) table of a Landweber kind, or the sample paths of
+``smd_synthetic``.  ``--delta D`` and ``--seed S`` cut the config's
+``[sweep] deltas`` or ``seeds`` to that one value, so ``--seed`` picks one
+path; with both, a Landweber sweep is one (delta, seed) cell.  The
+stochastic study has no deltas and no coarse grid, so it refuses
+``--delta`` and ``--fast`` by name.
 
 Exit code 0 on success; a sweep that flagged a failed cell exits 3.  On
 failure a single machine-readable JSON line is printed to stderr and the
@@ -30,18 +33,19 @@ from .config import PROBLEM_DEFAULTS, parse_config
 __all__ = ["main"]
 
 
-def _check_seed_flag(args) -> None:
+def _cmd_sweep(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
-
-
-def _cmd_sweep(args) -> int:
-    _check_seed_flag(args)
     cfg = parse_config(args.config)
-    setup = experiments.build_setup(cfg.problem, cfg.grid_size(args.fast))
-    deltas = [args.delta] if args.delta is not None else cfg.deltas
     seeds = [args.seed] if args.seed is not None else cfg.seeds
     out_dir = Path(args.out) if args.out else None
+    if cfg.problem == "smd_synthetic":
+        if args.delta is not None or args.fast:
+            raise ValueError("kind 'smd_synthetic' has no deltas and no coarse grid: "
+                             "--delta and --fast do not apply")
+        return _run_paths(cfg, seeds, out_dir)
+    setup = experiments.build_setup(cfg.problem, cfg.grid_size(args.fast))
+    deltas = [args.delta] if args.delta is not None else cfg.deltas
     outcome = experiments.run_rate_sweep(
         setup, cfg.rule, deltas, seeds, stopping=cfg.stopping,
         out_dir=out_dir, keep_records=False)
@@ -70,16 +74,13 @@ def _cmd_verify(args) -> int:
     return 0 if bad == 0 else 2
 
 
-def _cmd_smd(args) -> int:
-    _check_seed_flag(args)
-    cfg = parse_config(args.config)
-    if cfg.problem != "smd_synthetic":
-        raise ValueError(f"smd needs [problem] kind = smd_synthetic, got {cfg.problem!r}")
+def _run_paths(cfg, seeds, out_dir) -> int:
+    """The stochastic study's sample paths, one per seed: a line per path
+    with its terminal Delta_k and s_k * Delta_k, their median, and with
+    ``out_dir`` the rate log ``smd_rate_<seed>.csv`` of each path."""
     reg, sched = cfg.smd_study()
     study = PROBLEM_DEFAULTS["smd_synthetic"]
     inst = smd.build_sourced_instance(study["blocks"], cfg.grid_size(), reg, study["instance_seed"])
-    seeds = [args.seed] if args.seed is not None else list(cfg.seeds)
-    out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     finals = []
@@ -103,7 +104,7 @@ def main(argv=None) -> int:
                     "for ill-posed inverse problems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sweep = sub.add_parser("sweep", help="run the (delta, seed) table")
+    p_sweep = sub.add_parser("sweep", help="run the config's study")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--delta", type=float, default=None, help="run this delta only")
@@ -113,12 +114,6 @@ def main(argv=None) -> int:
 
     sub.add_parser("verify", help="run the oracle/property suites").set_defaults(
         fn=_cmd_verify)
-
-    p_smd = sub.add_parser("smd", help="stochastic mirror descent rate study")
-    p_smd.add_argument("--config", required=True)
-    p_smd.add_argument("--out", default=None)
-    p_smd.add_argument("--seed", type=int, default=None)
-    p_smd.set_defaults(fn=_cmd_smd)
 
     args = parser.parse_args(argv)
     try:

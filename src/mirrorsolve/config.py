@@ -40,9 +40,9 @@ study's instance and horizon are fixed: 4 unit-norm blocks, instance seed
 10^4 steps, and the elastic net's beta = 0.3
 (``PROBLEM_DEFAULTS["smd_synthetic"]``); none of them is a config key.  The
 config checks alpha by building the regularizer and schedule that
-``mirrorsolve smd`` runs with (:meth:`ExperimentConfig.smd_study`), so its
-range is stated once, by the constructor that owns it, and a bad value
-fails before anything is written.
+``mirrorsolve sweep`` runs the study with
+(:meth:`ExperimentConfig.smd_study`), so its range is stated once, by the
+constructor that owns it, and a bad value fails before anything is written.
 
 An unknown section or key raises ValueError, so a misspelt key cannot fall
 back to its default unnoticed; so does a key the problem kind never reads:
@@ -54,7 +54,9 @@ that does not convert (``seeds = 1, x``) or that a check rejects
 configparser cannot read (a repeated key or section, no section header, a
 byte that is not UTF-8) raises ValueError naming the file.  The CLI applies
 the same rules to the flags that cut a list to one value: ``sweep --delta``
-must be positive and finite, and ``--seed`` nonnegative.
+must be positive and finite, and ``--seed`` nonnegative; smd_synthetic has
+no deltas and no coarse grid, so ``--delta`` and ``--fast`` fail on it by
+name.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ class ExperimentConfig:
     def grid_size(self, fast: bool = False) -> int:
         """The problem kind's grid size; ``fast`` picks the coarse grid of a
         Landweber kind (the stochastic study has none, and ``sweep``
-        refuses it by name when it builds its setup)."""
+        refuses ``--fast`` on it by name before it builds anything)."""
         d = PROBLEM_DEFAULTS[self.problem]
         return d.get("n_fast", d["n"]) if fast else d["n"]
 

@@ -354,7 +354,7 @@ class SystemProblem:
 
 def _descend(reg: Regularizer, prob: SystemProblem, picks, transition, stop,
              xi0: GridFunction = None, x_truth: GridFunction = None,
-             observe=None) -> RunResult:
+             observe=None, *, end_step: float = 0.0) -> RunResult:
     """The loop on ``prob`` from the dual state ``xi0``, zero if not given.
     State k linearizes block i = ``picks[k]`` (``prob.operators[i]``,
     ``prob.data[i]``), checks its residual norm rn, is logged
@@ -363,7 +363,8 @@ def _descend(reg: Regularizer, prob: SystemProblem, picks, transition, stop,
     ``stop.reason(k, rn)`` and :data:`SAFETY_CAP`, and moves on by
     ``transition(k, xi, g, r, rn)``, which returns (x', xi', gamma,
     degenerate).  The loop adds gamma to the step sum and makes one
-    :class:`IterateRecord` per state.  A start or a truth off the input
+    :class:`IterateRecord` per state; the stopped state takes no step, and
+    its step sum adds ``end_step``.  A start or a truth off the input
     grid, or a truth outside the domain of ``reg``, is refused before the
     first step."""
     grid = prob.grid_in
@@ -412,7 +413,7 @@ def _descend(reg: Regularizer, prob: SystemProblem, picks, transition, stop,
             seen.append(observe(x, xi, adjoint))
         reason = stop.reason(k, rn)
         if reason is not None:
-            moves.append((None, s, False, i))
+            moves.append((None, s + end_step, False, i))
             log()
             return RunResult(GridFunction(grid, x), GridFunction(grid, xi), k, reason,
                              tuple(records))

@@ -30,7 +30,7 @@ reproducible artifact of its seed; the last index is the terminal state's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,10 +123,9 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
         x, xi, gamma = step(reg, sched, w, k, xi, g)
         return x, xi, gamma, False
 
-    res = _descend(reg, prob, picks, transition, stop, xi0=xi0, x_truth=x_truth)
     # the stopped state takes no step, but its s_k adds gamma_{k_max}
-    *head, last = res.records
-    return replace(res, records=(*head, last._replace(step_sum=last.step_sum + sched.at(k_max))))
+    return _descend(reg, prob, picks, transition, stop, xi0=xi0, x_truth=x_truth,
+                    end_step=sched.at(k_max))
 
 
 @dataclass(frozen=True)

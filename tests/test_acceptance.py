@@ -263,7 +263,7 @@ def test_criterion_7_smd_rate(smd_study):
 
 @pytest.mark.parametrize("name", ["entropy", "elastic"])
 def test_criterion_7_is_the_cli_study(smd_study, tmp_path, capsys, name):
-    """``mirrorsolve smd`` on the shipped entropy and elastic-net configs runs
+    """``mirrorsolve sweep`` on the shipped entropy and elastic-net configs runs
     criterion 7's instance, regularizer and horizon: its seed-3 rate log
     holds the bytes of that path, and its printed line is that path's
     terminal record, Delta_k and s_k * Delta_k."""
@@ -271,7 +271,7 @@ def test_criterion_7_is_the_cli_study(smd_study, tmp_path, capsys, name):
     path = runs[SMD_SEEDS.index(3)]
     write_rate_csv(path, tmp_path / "criterion_7.csv")
     capsys.readouterr()
-    assert cli_main(["smd", "--config", str(CONFIGS / f"smd_{name}.cfg"), "--seed", "3",
+    assert cli_main(["sweep", "--config", str(CONFIGS / f"smd_{name}.cfg"), "--seed", "3",
                      "--out", str(tmp_path / "cli")]) == 0
     last = path.records[-1]
     assert capsys.readouterr().out.splitlines()[0] == (

@@ -486,7 +486,7 @@ seeds = 1, 2
         assert parse_config(cfgs[0]) == parse_config(cfgs[1])
         assert parse_config(cfgs[1]).smd_study()[1] == smd.ConstantSchedule(1.5)
         for cfg in cfgs:
-            assert cli_main(["smd", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]) == 0
+            assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]) == 0
         for name in ("smd_rate_1.csv", "smd_rate_2.csv"):
             assert ((tmp_path / "default" / name).read_bytes()
                     == (tmp_path / "zero" / name).read_bytes())
@@ -597,12 +597,15 @@ class TestCli:
             "iterates_0p02_1.csv", "rate.csv", "table.csv"]
 
     def test_run_subcommand_is_gone(self, tmp_path, capsys):
-        cfg = tmp_path / "e.cfg"
-        cfg.write_text(ENTROPY_CFG)
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["run", "--config", str(cfg)])
-        assert exc.value.code == 2
-        assert "invalid choice: 'run'" in capsys.readouterr().err
+        # a single run is a one-cell sweep, and the stochastic study is the
+        # sweep of its config
+        for command, text in (("run", ENTROPY_CFG), ("smd", SMD_CFG)):
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(text)
+            with pytest.raises(SystemExit) as exc:
+                cli_main([command, "--config", str(cfg)])
+            assert exc.value.code == 2
+            assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stopping", ["[stopping]\nkind = discrepancy\n",
                                           "[stopping]\nkind = apriori\n"],
@@ -636,12 +639,13 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     # "run" is a single run, the sweep of one cell
-    @pytest.mark.parametrize("command", [ONE_CELL, ["sweep"], [*ONE_CELL, "--fast"],
-                                         ["sweep", "--fast"]],
-                             ids=["run", "sweep", "run-fast", "sweep-fast"])
+    @pytest.mark.parametrize("command", [ONE_CELL, ["sweep", "--delta", "1e-3"],
+                                         [*ONE_CELL, "--fast"], ["sweep", "--fast"]],
+                             ids=["run", "delta", "run-fast", "sweep-fast"])
     def test_stochastic_config_refused_by_name(self, tmp_path, capsys, command):
-        # the setup refuses a stochastic config by name, with or without
-        # --delta; the stochastic study has no coarse grid for --fast to pick
+        # the stochastic study has no deltas for --delta to cut and no coarse
+        # grid for --fast to pick: either flag fails by name, before the
+        # instance is built or the directory made
         cfg = tmp_path / "s.cfg"
         cfg.write_text(SMD_CFG)
         rc = cli_main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -650,11 +654,12 @@ class TestCli:
         assert captured.out == ""
         payload = json.loads(captured.err.strip().splitlines()[-1])
         assert payload["type"] == "ValueError"
-        assert payload["message"] == "problem 'smd_synthetic' has no deterministic setup"
+        assert payload["message"] == ("kind 'smd_synthetic' has no deltas and no coarse grid: "
+                                      "--delta and --fast do not apply")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, text", [(["sweep", "--delta", "5e-3"], ENTROPY_CFG),
-                                               (["smd"], SMD_CFG)],
+                                               (["sweep"], SMD_CFG)],
                              ids=["run", "smd"])
     def test_negative_seed_flag_rejected(self, tmp_path, capsys, command, text):
         cfg = tmp_path / "c.cfg"
@@ -743,9 +748,10 @@ class TestCli:
         assert "FAIL" not in out
 
     def test_smd_subcommand(self, tmp_path, capsys, short_smd_study):
+        # sweep runs the sample paths of a stochastic config
         cfg = tmp_path / "s.cfg"
         cfg.write_text(SMD_CFG)
-        rc = cli_main(["smd", "--config", str(cfg), "--out", str(tmp_path / "smd")])
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "smd")])
         assert rc == 0
         assert (tmp_path / "smd" / "smd_rate_1.csv").exists()
         assert "median s_k*delta_k" in capsys.readouterr().out
@@ -754,7 +760,7 @@ class TestCli:
         monkeypatch.setitem(PROBLEM_DEFAULTS["smd_synthetic"], "gamma", 1.8)
         cfg = tmp_path / "s.cfg"
         cfg.write_text(SMD_CFG.replace("[smd]", "[smd]\nalpha = 0.3"))
-        rc = cli_main(["smd", "--config", str(cfg), "--out", str(tmp_path / "smd"),
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "smd"),
                        "--seed", "2"])
         err = capsys.readouterr().err
         assert rc == 0, err
@@ -766,7 +772,7 @@ class TestCli:
         assert rows[-1]["gamma_k"] == ""
         # alpha = 1 makes the step sums converge: rejected before any path runs
         cfg.write_text(SMD_CFG.replace("[smd]", "[smd]\nalpha = 1.0"))
-        rc = cli_main(["smd", "--config", str(cfg), "--out", str(tmp_path / "smd1")])
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "smd1")])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -783,7 +789,7 @@ class TestCli:
         # the study's blocks, gamma, k_max and instance seed are not keys
         cfg = tmp_path / "s.cfg"
         cfg.write_text(SMD_CFG.replace("[smd]", f"[smd]\n{key} = {value}"))
-        rc = cli_main(["smd", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -792,20 +798,20 @@ class TestCli:
         assert payload["message"] == f"{cfg}: unknown key {key!r} in [smd]"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command, config, problem", [
-        ("sweep", "entropy_rule3.cfg", "entropy_integral"),
-        ("sweep", "pde_rule2.cfg", "pde_coefficient"),
-        ("smd", "smd_entropy.cfg", "smd_synthetic"),
+    @pytest.mark.parametrize("config, problem", [
+        ("entropy_rule3.cfg", "entropy_integral"),
+        ("pde_rule2.cfg", "pde_coefficient"),
+        ("smd_entropy.cfg", "smd_synthetic"),
     ], ids=["entropy", "pde", "smd"])
     def test_grid_size_key_fails_before_anything_is_written(self, tmp_path, capsys,
-                                                            command, config, problem):
+                                                            config, problem):
         # a shipped config with its kind's own grid size stated under [problem]
         text = (SHIPPED_CONFIGS[0].parent / config).read_text()
         assert f"kind = {problem}\n" in text
         cfg = tmp_path / config
         cfg.write_text(text.replace("[problem]\n",
                                     f"[problem]\nn = {PROBLEM_DEFAULTS[problem]['n']}\n"))
-        rc = cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -839,19 +845,6 @@ class TestCli:
         assert "rule1 needs a known norm bound" in payload["message"]
         assert not (tmp_path / "out" / "table.csv").exists()
 
-    def test_smd_rejects_other_problem_kinds(self, tmp_path, capsys):
-        cfg = tmp_path / "e.cfg"
-        cfg.write_text(ENTROPY_CFG)
-        rc = cli_main(["smd", "--config", str(cfg)])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        payload = json.loads(captured.err.strip().splitlines()[-1])
-        assert payload["status"] == "error"
-        assert payload["type"] == "ValueError"
-        assert "smd_synthetic" in payload["message"]
-        assert "entropy_integral" in payload["message"]
-
     def test_smd_nonfinite_data_fails(self, tmp_path, capsys, monkeypatch, short_smd_study):
         # NaN data blocks beside a finite truth: the first residual is NaN
         build = smd.build_sourced_instance
@@ -866,7 +859,7 @@ class TestCli:
         monkeypatch.setattr(smd, "build_sourced_instance", nan_data)
         cfg = tmp_path / "s.cfg"
         cfg.write_text(SMD_CFG)
-        rc = cli_main(["smd", "--config", str(cfg)])
+        rc = cli_main(["sweep", "--config", str(cfg)])
         assert rc == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["status"] == "error"
@@ -882,7 +875,7 @@ class TestCli:
                             lambda *args, **kw: build(*args, **kw, lam_scale=float("nan")))
         cfg = tmp_path / "s.cfg"
         cfg.write_text(SMD_CFG)
-        rc = cli_main(["smd", "--config", str(cfg)])
+        rc = cli_main(["sweep", "--config", str(cfg)])
         assert rc == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["status"] == "error"
@@ -895,7 +888,7 @@ class TestCli:
         monkeypatch.setitem(PROBLEM_DEFAULTS["smd_synthetic"], "instance_seed", 10)
         cfg = tmp_path / "s.cfg"
         cfg.write_text(SMD_CFG.replace("regularizer = entropy", "regularizer = elastic"))
-        rc = cli_main(["smd", "--config", str(cfg), "--out", str(tmp_path / "smd")])
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "smd")])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -910,13 +903,6 @@ class TestCli:
             cli_main(["verify", "--fast"])
         assert exc.value.code == 2
         assert "--fast" in capsys.readouterr().err
-
-    def test_smd_has_no_fast_flag(self, tmp_path):
-        cfg = tmp_path / "s.cfg"
-        cfg.write_text(SMD_CFG)
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["smd", "--config", str(cfg), "--fast"])
-        assert exc.value.code != 0
 
     def test_error_is_machine_readable(self, tmp_path, capsys):
         rc = cli_main([*ONE_CELL, "--config", str(tmp_path / "missing.cfg")])
