@@ -658,6 +658,19 @@ class TestCli:
                                       "--delta and --fast do not apply")
         assert not (tmp_path / "out").exists()
 
+    def test_smd_has_no_fast_flag(self, tmp_path, capsys, monkeypatch):
+        # the stochastic study has one grid: --fast fails by name, and with
+        # no --out it leaves the working directory as it was
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(SMD_CFG)
+        monkeypatch.chdir(tmp_path)
+        rc = cli_main(["sweep", "--config", str(cfg), "--fast"])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["type"] == "ValueError"
+        assert "--fast do not apply" in payload["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.cfg"]
+
     @pytest.mark.parametrize("command, text", [(["sweep", "--delta", "5e-3"], ENTROPY_CFG),
                                                (["sweep"], SMD_CFG)],
                              ids=["run", "smd"])
