@@ -2,16 +2,16 @@
 
 Subcommands::
 
-    mirrorsolve sweep  --config cfg [--out DIR] [--delta D] [--seed S] [--fast]
+    mirrorsolve sweep  --config cfg [--out DIR] [--delta D] [--seed S]
     mirrorsolve verify
 
 ``sweep`` runs the study of the config's ``[problem] kind``: the
 (delta, seed) table of a Landweber kind, or the sample paths of
 ``smd_synthetic``.  ``--delta D`` and ``--seed S`` cut the config's
 ``[sweep] deltas`` or ``seeds`` to that one value, so ``--seed`` picks one
-path; with both, a Landweber sweep is one (delta, seed) cell.  The
-stochastic study has no deltas and no coarse grid, so it refuses
-``--delta`` and ``--fast`` by name.
+path; with both, a Landweber sweep is one (delta, seed) cell.  Each
+problem kind has one grid size (``config.PROBLEM_DEFAULTS``).  The
+stochastic study has no deltas, so it refuses ``--delta`` by name.
 
 Exit code 0 on success; a sweep that flagged a failed cell exits 3.  On
 failure a single machine-readable JSON line is printed to stderr and the
@@ -40,11 +40,10 @@ def _cmd_sweep(args) -> int:
     seeds = [args.seed] if args.seed is not None else cfg.seeds
     out_dir = Path(args.out) if args.out else None
     if cfg.problem == "smd_synthetic":
-        if args.delta is not None or args.fast:
-            raise ValueError("kind 'smd_synthetic' has no deltas and no coarse grid: "
-                             "--delta and --fast do not apply")
+        if args.delta is not None:
+            raise ValueError("kind 'smd_synthetic' has no deltas: --delta does not apply")
         return _run_paths(cfg, seeds, out_dir)
-    setup = experiments.build_setup(cfg.problem, cfg.grid_size(args.fast))
+    setup = experiments.build_setup(cfg.problem, PROBLEM_DEFAULTS[cfg.problem]["n"])
     deltas = [args.delta] if args.delta is not None else cfg.deltas
     outcome = experiments.run_rate_sweep(
         setup, cfg.rule, deltas, seeds, stopping=cfg.stopping,
@@ -80,7 +79,7 @@ def _run_paths(cfg, seeds, out_dir) -> int:
     ``out_dir`` the rate log ``smd_rate_<seed>.csv`` of each path."""
     reg, sched = cfg.smd_study()
     study = PROBLEM_DEFAULTS["smd_synthetic"]
-    inst = smd.build_sourced_instance(study["blocks"], cfg.grid_size(), reg, study["instance_seed"])
+    inst = smd.build_sourced_instance(study["blocks"], study["n"], reg, study["instance_seed"])
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     finals = []
@@ -109,7 +108,6 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--delta", type=float, default=None, help="run this delta only")
     p_sweep.add_argument("--seed", type=int, default=None, help="run this seed only")
-    p_sweep.add_argument("--fast", action="store_true", help="coarse grids")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     sub.add_parser("verify", help="run the oracle/property suites").set_defaults(

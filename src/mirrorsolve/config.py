@@ -23,12 +23,11 @@ also names rule2 or rule3, since rule1 needs a linear forward map::
 A list's items are separated by commas (or spaces); an empty item
 (``seeds = 1,,2``, a leading or a trailing comma) is refused, not dropped.
 
-The grid size is the problem kind's: n = 5000 for entropy_integral, 64 for
-pde_coefficient and 50 for smd_synthetic, or under ``--fast`` the coarse
-grid of a Landweber kind, 1000 and 32 (``PROBLEM_DEFAULTS``, read by
-:meth:`ExperimentConfig.grid_size`); the code that builds the problem
-checks it.  tau and eta are the problem setup's, and the step rules'
-constants gamma0 = 1.98 and gamma_bar = 600 are fixed
+The grid size is the problem kind's, one per kind: n = 5000 for
+entropy_integral, 64 for pde_coefficient and 50 for smd_synthetic
+(``PROBLEM_DEFAULTS``); the code that builds the problem checks it.  tau
+and eta are the problem setup's, and the step rules' constants
+gamma0 = 1.98 and gamma_bar = 600 are fixed
 (``experiments.GAMMA0``, ``experiments.GAMMA_BAR``); none of them is a
 config key.
 
@@ -55,8 +54,7 @@ configparser cannot read (a repeated key or section, no section header, a
 byte that is not UTF-8) raises ValueError naming the file.  The CLI applies
 the same rules to the flags that cut a list to one value: ``sweep --delta``
 must be positive and finite, and ``--seed`` nonnegative; smd_synthetic has
-no deltas and no coarse grid, so ``--delta`` and ``--fast`` fail on it by
-name.
+no deltas, so ``--delta`` fails on it by name.
 """
 
 from __future__ import annotations
@@ -70,13 +68,12 @@ from .smd import PolynomialSchedule
 
 __all__ = ["ExperimentConfig", "parse_config", "PROBLEM_DEFAULTS"]
 
-#: per-problem values: grid size, the coarse grid ``--fast`` runs on (the
-#: stochastic study has none) and default deltas; the stochastic study's
-#: block count, largest step, horizon, instance seed and elastic-net beta
-#: are fixed here
+#: per-problem values: the kind's one grid size and its default deltas; the
+#: stochastic study's block count, largest step, horizon, instance seed and
+#: elastic-net beta are fixed here
 PROBLEM_DEFAULTS = {
-    "entropy_integral": dict(n=5000, n_fast=1000, deltas=(5e-2, 5e-3, 5e-4)),
-    "pde_coefficient": dict(n=64, n_fast=32, deltas=(1e-2, 1e-3, 1e-4)),
+    "entropy_integral": dict(n=5000, deltas=(5e-2, 5e-3, 5e-4)),
+    "pde_coefficient": dict(n=64, deltas=(1e-2, 1e-3, 1e-4)),
     "smd_synthetic": dict(n=50, deltas=(), blocks=4, gamma=1.8, k_max=10_000,
                           instance_seed=7, beta=0.3),
 }
@@ -132,13 +129,6 @@ class ExperimentConfig:
         study = PROBLEM_DEFAULTS["smd_synthetic"]
         reg = EntropySimplex() if self.smd_regularizer == "entropy" else ElasticNet(study["beta"])
         return reg, PolynomialSchedule(study["gamma"], self.smd_alpha)
-
-    def grid_size(self, fast: bool = False) -> int:
-        """The problem kind's grid size; ``fast`` picks the coarse grid of a
-        Landweber kind (the stochastic study has none, and ``sweep``
-        refuses ``--fast`` on it by name before it builds anything)."""
-        d = PROBLEM_DEFAULTS[self.problem]
-        return d.get("n_fast", d["n"]) if fast else d["n"]
 
 
 def _items(conv):

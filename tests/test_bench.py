@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import mirrorsolve
-from mirrorsolve import experiments, operators, smd
+from mirrorsolve import cli, experiments, operators, smd
 from mirrorsolve.cli import main as cli_main
 from mirrorsolve.config import PROBLEM_DEFAULTS, ExperimentConfig, parse_config
 from mirrorsolve.experiments import (
@@ -258,14 +258,13 @@ class TestConfig:
     def test_defaults_resolution(self):
         # the config fills its deltas from the problem kind when it is built
         cfg = ExperimentConfig(problem="entropy_integral")
-        assert cfg.grid_size() == 5000
+        assert PROBLEM_DEFAULTS[cfg.problem]["n"] == 5000
         assert cfg.deltas == (5e-2, 5e-3, 5e-4)
         assert ExperimentConfig(problem="smd_synthetic").deltas == ()
         assert ExperimentConfig(deltas=[1e-2, 1e-3]).deltas == (1e-2, 1e-3)
-        assert cfg.grid_size(fast=True) == 1000
         # tau defaults to the setup's value
-        _, stop = make_cell(setup_entropy_experiment(cfg.grid_size(fast=True)), "rule1",
-                            cfg.deltas[0])
+        _, stop = make_cell(setup_entropy_experiment(PROBLEM_DEFAULTS[cfg.problem]["n"]),
+                            "rule1", cfg.deltas[0])
         assert isinstance(stop, DiscrepancyStop)
         assert stop.tau == 1.01
 
@@ -325,7 +324,7 @@ seeds = 1, 2
 """)
         cfg = parse_config(p)
         assert cfg.problem == "pde_coefficient"
-        assert cfg.grid_size() == 64
+        assert PROBLEM_DEFAULTS[cfg.problem]["n"] == 64
         assert cfg.rule == "rule2"
         assert cfg.deltas == (1e-2, 1e-3)
         assert cfg.seeds == (1, 2)
@@ -343,15 +342,12 @@ seeds = 1, 2
             parse_config(tmp_path / "absent.cfg")
 
     @pytest.mark.parametrize("problem", ["entropy_integral", "pde_coefficient"])
-    def test_fast_picks_a_coarser_grid_the_setup_builds(self, problem):
-        # the grid sizes are the kind's; the setup is where they are checked
-        cfg = ExperimentConfig(problem=problem, rule="rule2")
-        n, n_fast = cfg.grid_size(), cfg.grid_size(fast=True)
-        assert (n, n_fast) == (PROBLEM_DEFAULTS[problem]["n"],
-                               PROBLEM_DEFAULTS[problem]["n_fast"])
-        assert n_fast < n
-        for size in (n, n_fast):
-            assert experiments.build_setup(problem, size).x_true.grid.n == size
+    def test_setup_builds_the_kinds_one_grid(self, problem):
+        # a kind has one grid size and no other; the setup is where it is
+        # checked
+        assert set(PROBLEM_DEFAULTS[problem]) == {"n", "deltas"}
+        n = PROBLEM_DEFAULTS[problem]["n"]
+        assert experiments.build_setup(problem, n).x_true.grid.n == n
 
     @pytest.mark.parametrize("text, name", [
         ("[problem]\nkind = entropy_integral\n[rule]\ngama = 2\n", "gama"),
@@ -522,7 +518,7 @@ seeds = 1, 2
         written = cp.get("sweep", "deltas", fallback=None)
         assert cfg.deltas == (PROBLEM_DEFAULTS[cfg.problem]["deltas"] if written is None
                               else tuple(map(float, written.split(","))))
-        assert 0 < cfg.grid_size(fast=True) <= cfg.grid_size()
+        assert PROBLEM_DEFAULTS[cfg.problem]["n"] > 0
 
     @pytest.mark.parametrize("kind, n, rule", [
         ("entropy_integral", 50, "entropy experiment needs n >= 100"),
@@ -639,13 +635,11 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     # "run" is a single run, the sweep of one cell
-    @pytest.mark.parametrize("command", [ONE_CELL, ["sweep", "--delta", "1e-3"],
-                                         [*ONE_CELL, "--fast"], ["sweep", "--fast"]],
-                             ids=["run", "delta", "run-fast", "sweep-fast"])
+    @pytest.mark.parametrize("command", [ONE_CELL, ["sweep", "--delta", "1e-3"]],
+                             ids=["run", "delta"])
     def test_stochastic_config_refused_by_name(self, tmp_path, capsys, command):
-        # the stochastic study has no deltas for --delta to cut and no coarse
-        # grid for --fast to pick: either flag fails by name, before the
-        # instance is built or the directory made
+        # the stochastic study has no deltas for --delta to cut: the flag
+        # fails by name, before the instance is built or the directory made
         cfg = tmp_path / "s.cfg"
         cfg.write_text(SMD_CFG)
         rc = cli_main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -654,21 +648,20 @@ class TestCli:
         assert captured.out == ""
         payload = json.loads(captured.err.strip().splitlines()[-1])
         assert payload["type"] == "ValueError"
-        assert payload["message"] == ("kind 'smd_synthetic' has no deltas and no coarse grid: "
-                                      "--delta and --fast do not apply")
+        assert payload["message"] == ("kind 'smd_synthetic' has no deltas: "
+                                      "--delta does not apply")
         assert not (tmp_path / "out").exists()
 
     def test_smd_has_no_fast_flag(self, tmp_path, capsys, monkeypatch):
-        # the stochastic study has one grid: --fast fails by name, and with
-        # no --out it leaves the working directory as it was
+        # the stochastic study has one grid, as every kind has: argparse
+        # refuses --fast, and the working directory is left as it was
         cfg = tmp_path / "s.cfg"
         cfg.write_text(SMD_CFG)
         monkeypatch.chdir(tmp_path)
-        rc = cli_main(["sweep", "--config", str(cfg), "--fast"])
-        assert rc == 1
-        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert payload["type"] == "ValueError"
-        assert "--fast do not apply" in payload["message"]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "--config", str(cfg), "--fast"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fast" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.cfg"]
 
     @pytest.mark.parametrize("command, text", [(["sweep", "--delta", "5e-3"], ENTROPY_CFG),
@@ -851,7 +844,7 @@ class TestCli:
         cfg = tmp_path / "p.cfg"
         cfg.write_text("[problem]\nkind = pde_coefficient\n[rule]\nname = rule1\n"
                        "[sweep]\ndeltas = 1e-2\nseeds = 1\n")
-        rc = cli_main(["sweep", "--fast", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["type"] == "ValueError"
@@ -911,11 +904,31 @@ class TestCli:
         assert "N = 1, n = 400, seed = 10 is empty" in payload["message"]
         assert not list((tmp_path / "smd").glob("*.csv"))
 
-    def test_verify_has_no_fast_flag(self, capsys):
+    def test_verify_has_no_fast_flag(self, tmp_path, capsys, monkeypatch):
+        # each problem kind has one grid, so neither command has a --fast
+        # flag: argparse refuses it, and a Landweber sweep leaves the
+        # working directory as it was (the stochastic one is
+        # test_smd_has_no_fast_flag)
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(ENTROPY_CFG)
+        monkeypatch.chdir(tmp_path)
+        for argv in (["verify", "--fast"], ["sweep", "--config", "e.cfg", "--fast"]):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(argv)
+            assert exc.value.code == 2, argv
+            assert "unrecognized arguments: --fast" in capsys.readouterr().err, argv
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["e.cfg"], argv
+
+    def test_usage_block_names_the_sweep_flags(self, capsys):
+        # the module docstring's usage line of sweep names exactly the
+        # options that argparse knows, so a deleted flag cannot linger there
+        line, = [row for row in cli.__doc__.splitlines()
+                 if row.strip().startswith("mirrorsolve sweep")]
         with pytest.raises(SystemExit) as exc:
-            cli_main(["verify", "--fast"])
-        assert exc.value.code == 2
-        assert "--fast" in capsys.readouterr().err
+            cli_main(["sweep", "--help"])
+        assert exc.value.code == 0
+        helped = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+        assert set(re.findall(r"--[a-z][a-z-]*", line)) == helped
 
     def test_error_is_machine_readable(self, tmp_path, capsys):
         rc = cli_main([*ONE_CELL, "--config", str(tmp_path / "missing.cfg")])
@@ -946,7 +959,7 @@ for module in pkgutil.iter_modules(mirrorsolve.__path__):
     importlib.import_module(f"mirrorsolve.{module.name}")
 from mirrorsolve.cli import main
 print(main(["verify"]))
-print(main(["sweep", "--fast", "--config", sys.argv[1], "--delta", "1e-4", "--seed", "2",
+print(main(["sweep", "--config", sys.argv[1], "--delta", "1e-4", "--seed", "2",
             "--out", sys.argv[2]]))
 """
 
@@ -966,7 +979,7 @@ def test_package_runs_with_scipy_unimportable(tmp_path, capsys):
     assert re.fullmatch(r"(\d+)/\1 checks passed", verify_out[-1])
     assert cli_main(["verify"]) == 0
     assert capsys.readouterr().out.splitlines() == verify_out
-    assert cli_main(["sweep", "--fast", "--config", cfg, "--delta", "1e-4", "--seed", "2",
+    assert cli_main(["sweep", "--config", cfg, "--delta", "1e-4", "--seed", "2",
                      "--out", str(tmp_path / "normal")]) == 0
     # the row of the one cell; the next line names the output directory
     assert capsys.readouterr().out.splitlines()[0] == cell_out
