@@ -16,14 +16,15 @@ Two desk-scale studies are provided:
   The bump sits at the corner (0, 0), so this truth lies outside the source
   condition (see the README, "Elliptic truth and the source condition").
 
-One path takes config values to a finished (delta, seed) cell:
+One path takes config values to finished (delta, seed) cells:
 ``build_setup`` builds the problem, ``make_cell`` the step and stopping
 rules (the one constructor of either; eta is the setup's, tau defaults to
-it), and ``run_cell`` draws the noise, runs and writes the iterate log.  A
-sweep runs one step-size rule over a grid of noise levels and seeds,
-records the stopping index and reconstruction error per cell, aggregates
-across seeds by the median into its table, a tuple of :class:`RateRow`, and
-emits deterministic CSV artifacts; a single run is a sweep of one cell
+it), and ``run_rate_sweep`` draws each cell's noise, runs it and writes its
+iterate log.  A sweep runs one step-size rule over a grid of noise levels
+and seeds, records the stopping index and reconstruction error per cell,
+aggregates across seeds by the median into its table, a tuple of
+:class:`RateRow`, and emits deterministic CSV artifacts; a single run is a
+sweep of one cell, in the library as on the command line
 (``mirrorsolve sweep --delta D --seed S``).
 """
 
@@ -57,7 +58,6 @@ __all__ = [
     "setup_pde_experiment",
     "build_setup",
     "make_cell",
-    "run_cell",
     "RateRow",
     "CellResult",
     "SweepOutcome",
@@ -193,20 +193,6 @@ def make_cell(setup, rule_name: str, delta: float, *, tau: float = None,
     raise ValueError(f"unknown rule {rule_name!r} (expected rule1|rule2|rule3)")
 
 
-def run_cell(setup, rule, stop, delta: float, seed: int, *, out_dir=None) -> CellResult:
-    """Run one (delta, seed) cell: draw the noise, iterate to the stop and,
-    with ``out_dir`` set, write ``iterates_<delta>_<seed>.csv`` into that
-    existing directory."""
-    y_delta = add_noise(setup.y, delta, seed)
-    res = run(setup.forward, setup.reg, y_delta, rule, stop, x_truth=setup.x_true)
-    cell = CellResult(delta=delta, seed=seed, k_stop=res.k_stop,
-                      err=res.records[-1].error_to_truth, result=res)
-    if out_dir is not None:
-        tag = f"{delta:g}".replace(".", "p")
-        write_iterates_csv(res.records, Path(out_dir) / f"iterates_{tag}_{seed}.csv")
-    return cell
-
-
 # ---------------------------------------------------------------------------
 # rate rows
 
@@ -251,11 +237,14 @@ def run_rate_sweep(setup, rule_name: str, deltas, seeds, *, tau: float = None,
     Every (rule, stop) pair is constructed and validated before the first
     cell runs, and then ``out_dir``, if set, is created, so a directory that
     cannot be made fails before any cell either.  Cells that raise are
-    flagged and skipped in the aggregation; the sweep continues.  The
-    outcome's ``table`` holds one median :class:`RateRow` per delta, NaN
-    where every seed failed.  With ``out_dir`` set, each cell writes
-    ``iterates_<delta>_<seed>.csv`` and the sweep writes that table as
-    ``table.csv``.
+    flagged and skipped in the aggregation; the sweep continues.  Each cell
+    draws its noise with ``add_noise``, iterates with ``run`` and, with
+    ``out_dir`` set, writes ``iterates_<delta>_<seed>.csv`` with
+    ``write_iterates_csv``, each called once per cell through this module's
+    name.  The outcome's ``table`` holds one median :class:`RateRow` per
+    delta, NaN where every seed failed, and with ``out_dir`` set the sweep
+    writes it as ``table.csv``.  A single run is the sweep of one delta and
+    one seed.
     """
     pairs = [(delta, *make_cell(setup, rule_name, delta, tau=tau, stopping=stopping))
              for delta in deltas]
@@ -268,9 +257,15 @@ def run_rate_sweep(setup, rule_name: str, deltas, seeds, *, tau: float = None,
         good = []
         for seed in seeds:
             try:
-                cell = run_cell(setup, rule, stop, delta, seed, out_dir=out_dir)
-                if not keep_records:
-                    cell.result = None
+                y_delta = add_noise(setup.y, delta, seed)
+                res = run(setup.forward, setup.reg, y_delta, rule, stop, x_truth=setup.x_true)
+                cell = CellResult(delta=delta, seed=seed, k_stop=res.k_stop,
+                                  err=res.records[-1].error_to_truth,
+                                  result=res if keep_records else None)
+                if out_dir is not None:
+                    tag = f"{delta:g}".replace(".", "p")
+                    write_iterates_csv(res.records, out_dir / f"iterates_{tag}_{seed}.csv")
+                del res  # unkept records must not live on through the next cell
                 good.append(cell)
             except Exception as exc:  # noqa: BLE001 -- flag the cell, keep sweeping
                 cell = CellResult(delta=delta, seed=seed,

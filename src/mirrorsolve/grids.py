@@ -213,26 +213,25 @@ def add_noise(y: GridFunction, delta: float, seed: int) -> GridFunction:
 POWER_ITERS, POWER_TOL = 200, 1e-10
 
 
-def power_iteration_norm(apply_fn, adjoint_fn, grid_in: Grid, grid_out: Grid, *,
-                         seed: int = 0) -> float:
+def power_iteration_norm(apply_fn, adjoint_fn, grid: Grid, *, seed: int = 0) -> float:
     """Estimate the L2->L2 operator norm by power iteration on A*A.
 
-    ``apply_fn`` maps node arrays on ``grid_in`` to node arrays on
-    ``grid_out`` and ``adjoint_fn`` maps back; norms are taken with each
-    grid's quadrature weights.  Returns 0.0 for the zero operator.  The
+    ``apply_fn`` and ``adjoint_fn`` map node arrays on ``grid`` to node
+    arrays on ``grid``, the one grid of a forward operator; norms are taken
+    with its quadrature weights.  Returns 0.0 for the zero operator.  The
     iteration stops once the norm estimate changes by less than
     ``POWER_TOL`` relatively, or after ``POWER_ITERS`` rounds.
     """
-    w_in, w_out = grid_in.weights, grid_out.weights
+    w = grid.weights
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(grid_in.node_count)
-    v = v * (1.0 / norm_l2_values(v, w_in))
+    v = rng.standard_normal(grid.node_count)
+    v = v * (1.0 / norm_l2_values(v, w))
     est = 0.0
     for _ in range(POWER_ITERS):
         av = apply_fn(v)
         z = adjoint_fn(av)
-        new_est = norm_l2_values(av, w_out)
-        zn = norm_l2_values(z, w_in)
+        new_est = norm_l2_values(av, w)
+        zn = norm_l2_values(z, w)
         if zn == 0.0:
             return new_est
         if abs(new_est - est) <= POWER_TOL * max(new_est, 1e-300):

@@ -7,8 +7,8 @@ pulls it back through the regularizer's mirror map:
     x_{k+1}  = mirror_map(xi_{k+1})
 
 :func:`dual_step` is that update, and one loop runs it on a
-:class:`SystemProblem`, N forward maps F_i on one input grid with a data
-block y_i each: :func:`run` on the one-block system (F, y_delta),
+:class:`SystemProblem`, N forward maps F_i with a data block y_i each, all
+on one grid: :func:`run` on the one-block system (F, y_delta),
 :func:`mirrorsolve.smd.smd_run` on one sampled block per step, each
 returning a :class:`RunResult` with one record stream: an
 :class:`IterateRecord` per state, carrying the step sum
@@ -17,16 +17,17 @@ rules are provided (a constant step gamma/L^2, a capped minimal-error step,
 and a capped adaptive step that discounts the noise level), together with
 discrepancy-principle, iteration-budget, and max-iter stopping.
 
-The loop keeps states and diagnostics on node arrays under the input grid's
-quadrature weights; grid functions appear only where data enter and in the
-result.  The system checks its data blocks when it is built, and the loop
-checks the start and the truth against the input grid, all before the
-first step.  The Bregman log is bookkeeping, evaluated a chunk of states
-per call on the stacked dual states (fresh arrays that nothing writes to),
-since the Fenchel-Young evaluator reads xi alone; it reduces along the last
-axis, which gives each row the bits of a one-state call wherever a chunk
-ends.  A chunk has 64 states on the 51-node stochastic grids and one, in
-place, at n = 5000 or on the 65 x 65 grid (:data:`CHUNK`).
+The loop keeps states, residuals and diagnostics on node arrays under the
+grid's one quadrature weight vector; grid functions appear only where data
+enter and in the result.  The system checks its operators and data blocks
+when it is built, and the loop checks the start and the truth against the
+grid, all before the first step.  The Bregman log is bookkeeping,
+evaluated a chunk of states per call on the stacked dual states (fresh
+arrays that nothing writes to), since the Fenchel-Young evaluator reads xi
+alone; it reduces along the last axis, which gives each row the bits of a
+one-state call wherever a chunk ends.  A chunk has 64 states on the 51-node
+stochastic grids and one, in place, at n = 5000 or on the 65 x 65 grid
+(:data:`CHUNK`).
 """
 
 from __future__ import annotations
@@ -320,10 +321,10 @@ def dual_step(reg: Regularizer, xi: np.ndarray, g: np.ndarray, gamma: float,
 
 @dataclass(frozen=True)
 class SystemProblem:
-    """N forward operators with a shared input grid and exact data blocks:
-    the system F_i(x) = y_i, of which a single equation F(x) = y_delta is
-    the one-block case.  Each data block must live on its operator's output
-    grid."""
+    """N forward operators and their exact data blocks, all on one grid: the
+    system F_i(x) = y_i, of which a single equation F(x) = y_delta is the
+    one-block case.  An operator or a data block off the first operator's
+    grid is refused with one :class:`GridMismatchError`."""
 
     operators: tuple
     data: tuple
@@ -334,11 +335,9 @@ class SystemProblem:
         if len(self.operators) == 0 or len(self.operators) != len(self.data):
             raise ValueError("need one data block per operator")
         g = self.operators[0].grid_in
-        for op, y in zip(self.operators, self.data):
-            if op.grid_in != g:
-                raise GridMismatchError("operators must share one input grid")
-            if y.grid != op.grid_out:
-                raise GridMismatchError("data block does not match operator output grid")
+        if any(op.grid_in != g or y.grid != g for op, y in zip(self.operators, self.data)):
+            raise GridMismatchError("operators and data blocks must all live on the "
+                                    "first operator's grid")
 
     @property
     def n_blocks(self) -> int:
@@ -364,20 +363,20 @@ def _descend(reg: Regularizer, prob: SystemProblem, picks, transition, stop,
     ``transition(k, xi, g, r, rn)``, which returns (x', xi', gamma,
     degenerate).  The loop adds gamma to the step sum and makes one
     :class:`IterateRecord` per state; the stopped state takes no step, and
-    its step sum adds ``end_step``.  A start or a truth off the input
+    its step sum adds ``end_step``.  A start or a truth off the problem's
     grid, or a truth outside the domain of ``reg``, is refused before the
-    first step."""
+    first step.  States and residuals are weighted alike, by that grid's
+    weights."""
     grid = prob.grid_in
     for name, v in (("xi0", xi0), ("x_truth", x_truth)):
         if v is not None and v.grid != grid:
-            raise GridMismatchError(f"{name} does not live on the input grid")
+            raise GridMismatchError(f"{name} does not live on the problem's grid")
     dist = None if x_truth is None else reg.bregman_to(x_truth)
-    blocks = [(op.linearize_values, y.values, y.grid.weights)
-              for op, y in zip(prob.operators, prob.data)]
-    n = grid.node_count
+    blocks = [(op.linearize_values, y.values) for op, y in zip(prob.operators, prob.data)]
+    n, w = grid.node_count, grid.weights
     xi = np.zeros(n) if xi0 is None else xi0.values
     chunk = min(CHUNK, max(1, CHUNK * CHUNK // n))
-    x = reg.mirror_map(xi, grid.weights)
+    x = reg.mirror_map(xi, w)
     records = []
     s = 0.0
     # one list per column, for the states not yet logged; a move is
@@ -399,11 +398,11 @@ def _descend(reg: Regularizer, prob: SystemProblem, picks, transition, stop,
         del xis[:], rns[:], moves[:], seen[:]
 
     for k, i in enumerate(picks):
-        linearize, y, w_out = blocks[i]
+        linearize, y = blocks[i]
         value, _, adjoint = linearize(x)
         # a fresh residual: the adjoint map may close over the value
         r = np.subtract(value, y)
-        rn = norm_l2_values(r, w_out)
+        rn = norm_l2_values(r, w)
         if not math.isfinite(rn):
             log()
             raise NonFiniteResidualError(k, rn, records)
@@ -438,7 +437,7 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
     ||xi_k - A* lambda_k||_L2 of the dual-space identity, recomputing
     A* lambda_k afresh each iteration with the adjoint map of the iterate's
     ``linearize_values``, so the check stays independent of the xi update.
-    Data or a truth off the operator's grids raise :class:`GridMismatchError`
+    Data or a truth off the operator's grid raise :class:`GridMismatchError`
     (the data from :class:`SystemProblem`, the truth from the loop, as for
     every block of a stochastic path) and a truth outside the domain of
     ``reg`` raises ValueError, all before the first step; a NaN or infinite
@@ -449,7 +448,7 @@ def run(forward: ForwardOperator, reg: Regularizer, y_delta: GridFunction,
     _check_consistency(rule, stop)
     prob = SystemProblem((forward,), (y_delta,))
     w = prob.grid_in.weights
-    lam = np.zeros(forward.grid_out.node_count) if forward.linear else None
+    lam = np.zeros(w.size) if forward.linear else None
 
     def observe(x, xi, adjoint):
         err = None if x_truth is None else reg.error_norm(np.subtract(x, x_truth.values), w)

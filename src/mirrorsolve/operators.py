@@ -31,12 +31,15 @@ for the node values ``v`` of x, with the maps h -> F'(x) h and
 w -> F'(x)^* w on node arrays at that same x.  The solvers call it directly,
 so an iterate that needs both the residual and the gradient linearizes once
 (the elliptic map solves for its state once per iterate) and pays no
-grid-function wrapper.  The maps are raw: the caller has checked the grids
-(the solvers check data, truth and start at their entry points), and the
-only :class:`GridFunction` arguments are the elliptic map's source and
-boundary data.  The solvers use no kernel: the norm bound of the step rules
-is the base class's ``norm_bound``, derived from ``linearize_values``, and
-a linear operator's ``apply_values`` and ``adjoint_values`` serve the
+grid-function wrapper.  Every operator lives on one grid, which holds both
+its argument and its image; the Banach space of the argument and the
+Hilbert space of the data differ in the regularizer's norms, not in a
+second grid.  The maps are raw: the caller has checked the grid (the
+solvers check data, truth and start at their entry points), and the only
+:class:`GridFunction` arguments are the elliptic map's source and boundary
+data.  The solvers use no kernel: the norm bound of the step rules is the
+base class's ``norm_bound``, derived from ``linearize_values``, and a
+linear operator's ``apply_values`` and ``adjoint_values`` serve the
 exact-data builders and the adjoint oracles.
 
 Every array the raw maps return is fresh, and the tangent and adjoint may
@@ -69,19 +72,22 @@ __all__ = [
 
 class ForwardOperator:
     """Common surface: ``linearize_values`` and ``norm_bound``, on node arrays
-    of ``grid_in`` and ``grid_out``; ``linear`` marks a linear map.  A
-    subclass sets those and implements ``linearize_values``; the base derives
-    ``norm_bound`` from it (a known bound is stored as ``_norm_cache``)."""
+    of the one grid ``grid_in``, which holds both the argument and the image;
+    ``linear`` marks a linear map.  A subclass sets those and implements
+    ``linearize_values``; the base derives ``norm_bound`` from it (a known
+    bound is stored as ``_norm_cache``).  The name ``grid_in`` stays,
+    although the grid is the operator's only one, because the benchmark's
+    tracer reads it when it rebuilds an elliptic operator."""
 
     linear: bool = False
     grid_in: Grid
-    grid_out: Grid
     _norm_cache: float = None
 
     def linearize_values(self, v: np.ndarray):
-        """(F(x), h -> F'(x) h, w -> F'(x)^* w) on node arrays, where ``v``
-        holds the node values of x on ``grid_in``; the caller has checked
-        the grids.  Each returned array is fresh (see the module docstring)."""
+        """(F(x), h -> F'(x) h, w -> F'(x)^* w) on node arrays of
+        ``grid_in``, where ``v`` holds the node values of x; the caller has
+        checked the grid.  Each returned array is fresh (see the module
+        docstring)."""
         raise NotImplementedError
 
     def norm_bound(self) -> float:
@@ -89,8 +95,7 @@ class ForwardOperator:
         the maps of ``linearize_values`` at 0, computed once."""
         if self._norm_cache is None:
             _, tangent, adjoint = self.linearize_values(np.zeros(self.grid_in.node_count))
-            self._norm_cache = power_iteration_norm(tangent, adjoint,
-                                                    self.grid_in, self.grid_out)
+            self._norm_cache = power_iteration_norm(tangent, adjoint, self.grid_in)
         return self._norm_cache
 
 
@@ -114,26 +119,25 @@ class LinearIntegral(ForwardOperator):
 
     Parameters
     ----------
-    grid_in, grid_out : Grid
-        Interval grids for argument and image (``grid_out`` defaults to
-        ``grid_in``).
+    grid_in : Grid
+        The interval grid of both the argument and the image.
     kernel : array, optional
-        Samples K[i, j] = phi(t_j, s_i) of the kernel phi(t, s), an
-        (n_out, n_in) array kept as the read-only ``kernel`` attribute and
-        applied as (Ax)(s_i) = sum_j w_j K[i, j] x_j with the exact adjoint
-        K^T (w_out * .) for the weighted inner products on both grids.
+        Samples K[i, j] = phi(t_j, s_i) of the kernel phi(t, s), an n x n
+        array for the n nodes of the grid, kept as the read-only ``kernel``
+        attribute and applied as (Ax)(s_i) = sum_j w_j K[i, j] x_j with the
+        exact adjoint K^T (w * .) for the grid's weighted inner product.
     factors : sequence of (a, b) pairs, optional
-        Separable expansion phi(t, s) = sum_p a_p(t) b_p(s); a_p holds node
-        values on the input grid and b_p on the output grid, each an array
-        or a scalar that fills its node array.  When given, application
-        uses the O(n) moment form and no dense matrix is stored: the factors
-        are stacked once into (p, n) arrays, with and without the quadrature
-        weights, and each product is two ``dot`` calls on them, the p
-        moments and then the sum of the p scaled factors.  Their bits depend
-        on BLAS; at p = 2 they were the same at 1 and 2 OpenBLAS threads up
-        to n = 10^6 (see the README).  Exactly one of ``kernel`` and a
-        nonempty ``factors`` must be given, else :class:`ValueError`; a
-        kernel or factor of another shape raises :class:`GridMismatchError`.
+        Separable expansion phi(t, s) = sum_p a_p(t) b_p(s); a_p and b_p hold
+        node values on the grid, each an array or a scalar that fills its
+        node array.  When given, application uses the O(n) moment form and
+        no dense matrix is stored: the factors are stacked once into (p, n)
+        arrays, with and without the quadrature weights, and each product is
+        two ``dot`` calls on them, the p moments and then the sum of the p
+        scaled factors.  Their bits depend on BLAS; at p = 2 they were the
+        same at 1 and 2 OpenBLAS threads up to n = 10^6 (see the README).
+        Exactly one of ``kernel`` and a nonempty ``factors`` must be given,
+        else :class:`ValueError`; a kernel or factor of another shape raises
+        :class:`GridMismatchError`.
     analytic_norm_bound : float, optional
         Known bound L with ||A|| <= L; when absent, ``norm_bound`` falls back
         to a power-iteration estimate.
@@ -141,10 +145,9 @@ class LinearIntegral(ForwardOperator):
 
     linear = True
 
-    def __init__(self, grid_in: Grid, grid_out: Grid = None, *, kernel=None,
-                 factors=None, analytic_norm_bound: float = None):
+    def __init__(self, grid_in: Grid, *, kernel=None, factors=None,
+                 analytic_norm_bound: float = None):
         self.grid_in = grid_in
-        self.grid_out = grid_out if grid_out is not None else grid_in
         if analytic_norm_bound is not None and not 0 < analytic_norm_bound < math.inf:
             raise ValueError(f"analytic_norm_bound must be positive and finite, "
                              f"got {analytic_norm_bound}")
@@ -158,15 +161,14 @@ class LinearIntegral(ForwardOperator):
             # (w * a) * x is the order the moment form evaluates, so the
             # weighted factors are formed once here
             a, b = zip(*factors)
-            self._a, self._wa = _stacked(a, self.grid_in.weights)
-            self._b, self._wb = _stacked(b, self.grid_out.weights)
+            self._a, self._wa = _stacked(a, grid_in.weights)
+            self._b, self._wb = _stacked(b, grid_in.weights)
         else:
-            shape = (self.grid_out.node_count, self.grid_in.node_count)
+            n = grid_in.node_count
             K = np.array(kernel, dtype=float)
-            if K.shape != shape:
+            if K.shape != (n, n):
                 raise GridMismatchError(
-                    f"kernel shape {K.shape} does not match grids "
-                    f"({shape[0]} x {shape[1]})")
+                    f"kernel shape {K.shape} does not match the grid ({n} x {n})")
             K.setflags(write=False)
             self.kernel = K
 
@@ -181,7 +183,7 @@ class LinearIntegral(ForwardOperator):
         """A^* w on node arrays: the adjoint of ``linearize_values``."""
         if self.kernel is None:
             return self._wb.dot(w).dot(self._a)
-        return self.kernel.T.dot(self.grid_out.weights * w)
+        return self.kernel.T.dot(self.grid_in.weights * w)
 
     def linearize_values(self, v: np.ndarray):
         return self.apply_values(v), self.apply_values, self.adjoint_values
@@ -345,7 +347,6 @@ class EllipticCoefficient(ForwardOperator):
         if solver.grid != grid:
             raise GridMismatchError("the solver must be built on the operator grid")
         self.grid_in = grid
-        self.grid_out = grid
         self.f = f
         self.g = g
         self.solver = solver

@@ -105,7 +105,7 @@ def smd_run(prob: SystemProblem, reg: Regularizer, sched, k_max: int, seed: int,
 
     A schedule over the step bound or a ``k_max`` below 0 or above
     :data:`~mirrorsolve.landweber.SAFETY_CAP` is refused here, and a truth
-    or start off the problem's input grid or a truth outside the domain of
+    or start off the problem's grid or a truth outside the domain of
     ``reg`` by the loop, all before the first step.  The records are the
     loop's :class:`~mirrorsolve.landweber.IterateRecord`, ``block`` the drawn
     index i_k and ``step_sum`` the inclusive partial sum s_k of the schedule;

@@ -201,7 +201,6 @@ class TestRunRateSweep:
         class Boom:
             linear = True
             grid_in = setup.forward.grid_in
-            grid_out = setup.forward.grid_out
 
             def linearize_values(self, v):
                 raise RuntimeError("injected failure")
@@ -279,16 +278,20 @@ class TestConfig:
         # delta = 1e-7 asks for 10^7 and fails at construction, naming delta
         setup = setup_entropy_experiment(100)
         make_cell(setup, "rule1", 1e-6, stopping="apriori")
+        cells = []
 
         def no_cell(*args, **kwargs):
+            # the sweep flags what a cell raises, so the call is also counted
+            cells.append(args)
             raise AssertionError("a cell ran before the budgets were checked")
 
-        monkeypatch.setattr(experiments, "run_cell", no_cell)
+        monkeypatch.setattr(experiments, "run", no_cell)
         for call in (lambda: make_cell(setup, "rule1", 1e-7, stopping="apriori"),
                      lambda: run_rate_sweep(setup, "rule1", [1e-2, 1e-7], [1],
                                             stopping="apriori")):
             with pytest.raises(ValueError, match=r"delta = 1e-07 exceeds .* safety cap"):
                 call()
+        assert cells == []
 
     @pytest.mark.parametrize("rule, stopping, fragment", [
         ("rule2", "discrepancy", "tau must exceed 1"),
@@ -298,13 +301,17 @@ class TestConfig:
         # the stop and the adaptive step state tau's range as the condition
         # that must hold, so NaN fails at construction, not as a flagged cell
         setup = setup_entropy_experiment(100)
+        cells = []
 
         def no_cell(*args, **kwargs):
+            # the sweep flags what a cell raises, so the call is also counted
+            cells.append(args)
             raise AssertionError("a cell ran before the rules were checked")
 
-        monkeypatch.setattr(experiments, "run_cell", no_cell)
+        monkeypatch.setattr(experiments, "run", no_cell)
         with pytest.raises(ValueError, match=fragment):
             run_rate_sweep(setup, rule, [1e-3], [1], tau=float("nan"), stopping=stopping)
+        assert cells == []
 
     def test_parse_file(self, tmp_path):
         p = tmp_path / "exp.cfg"
@@ -713,8 +720,8 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith("flagged cell delta=0.005 seed=2: NonFiniteResidualError: ")
         setup = setup_entropy_experiment(300)
-        rule, stop = make_cell(setup, "rule3", 5e-3)
-        good = [experiments.run_cell(setup, rule, stop, 5e-3, seed) for seed in (1, 3)]
+        good = [run_rate_sweep(setup, "rule3", [5e-3], [seed], keep_records=True).cells[0]
+                for seed in (1, 3)]
         with open(out_dir / "table.csv") as fh:
             rows = {float(r["delta"]): r for r in csv.DictReader(fh)}
         assert float(rows[5e-3]["iter"]) == np.median([c.k_stop for c in good])

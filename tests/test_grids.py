@@ -231,17 +231,17 @@ class TestDenseOperator:
 
     def test_adjoint_identity_random_pairs(self):
         rng = np.random.default_rng(0)
-        g_in, g_out = Grid.interval(40), Grid.interval(25)
-        op = LinearIntegral(g_in, g_out, kernel=rng.standard_normal((26, 41)))
+        g = Grid.interval(40)
+        op = LinearIntegral(g, kernel=rng.standard_normal((41, 41)))
         na = op.norm_bound()
-        q_in, q_out = g_in.weights, g_out.weights
+        q = g.weights
         for _ in range(100):
-            x = GridFunction(g_in, rng.standard_normal(41))
-            w = GridFunction(g_out, rng.standard_normal(26))
-            lhs = np.sum(q_out * op.apply_values(x.values) * w.values)
-            rhs = np.sum(q_in * x.values * op.adjoint_values(w.values))
-            assert abs(lhs - rhs) <= (1e-10 * norm_l2_values(x.values, q_in)
-                                      * norm_l2_values(w.values, q_out) * na)
+            x = GridFunction(g, rng.standard_normal(41))
+            w = GridFunction(g, rng.standard_normal(41))
+            lhs = np.sum(q * op.apply_values(x.values) * w.values)
+            rhs = np.sum(q * x.values * op.adjoint_values(w.values))
+            assert abs(lhs - rhs) <= (1e-10 * norm_l2_values(x.values, q)
+                                      * norm_l2_values(w.values, q) * na)
 
     def test_adjoint_matches_direct_summation(self):
         # independent oracle: explicit double loops over nodes
@@ -260,8 +260,16 @@ class TestDenseOperator:
         assert np.max(np.abs(got - expected)) <= 1e-13
 
     def test_kernel_shape_checked(self):
-        with pytest.raises(GridMismatchError):
-            LinearIntegral(Grid.interval(4), Grid.interval(4), kernel=np.zeros((3, 3)))
+        # the kernel is n x n on the operator's one grid of n nodes
+        for shape in [(3, 3), (5, 4), (4, 5), (5,)]:
+            with pytest.raises(GridMismatchError, match=r"does not match the grid \(5 x 5\)"):
+                LinearIntegral(Grid.interval(4), kernel=np.zeros(shape))
+
+    def test_second_grid_refused(self):
+        # an operator has one grid: a second positional grid is no parameter
+        g = Grid.interval(4)
+        with pytest.raises(TypeError):
+            LinearIntegral(g, g, kernel=np.zeros((5, 5)))
 
     def test_grid_checked_by_kind_and_n_not_identity(self):
         # interval(15) and square(3) both have 16 nodes; the solver checks
@@ -290,9 +298,9 @@ class TestPowerIteration:
         rng = np.random.default_rng(3)
         g = Grid.interval(60)
         op = LinearIntegral(g, kernel=rng.standard_normal((61, 61)))
-        converged = power_iteration_norm(op.apply_values, op.adjoint_values, g, g)
+        converged = power_iteration_norm(op.apply_values, op.adjoint_values, g)
         monkeypatch.setattr(grids, "POWER_ITERS", 2)
-        capped = power_iteration_norm(op.apply_values, op.adjoint_values, g, g)
+        capped = power_iteration_norm(op.apply_values, op.adjoint_values, g)
         assert capped != converged
         # the second round's estimate, from the normalized seed-0 draw
         v = np.random.default_rng(0).standard_normal(61)
@@ -305,6 +313,6 @@ class TestPowerIteration:
         rng = np.random.default_rng(3)
         g = Grid.interval(60)
         op = LinearIntegral(g, kernel=rng.standard_normal((61, 61)))
-        e1 = power_iteration_norm(op.apply_values, op.adjoint_values, g, g, seed=0)
-        e2 = power_iteration_norm(op.apply_values, op.adjoint_values, g, g, seed=99)
+        e1 = power_iteration_norm(op.apply_values, op.adjoint_values, g, seed=0)
+        e2 = power_iteration_norm(op.apply_values, op.adjoint_values, g, seed=99)
         assert abs(e1 - e2) <= 1e-6 * max(e1, 1.0)

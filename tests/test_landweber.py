@@ -7,7 +7,7 @@ import pytest
 from mirrorsolve import landweber
 from mirrorsolve.experiments import (
     make_cell,
-    run_cell,
+    run_rate_sweep,
     setup_entropy_experiment,
     setup_pde_experiment,
 )
@@ -241,10 +241,10 @@ class TestRunLoop:
         assert exc.value.records == ()
 
     @pytest.mark.parametrize("field, other, fragment", [
-        ("x_truth", Grid.square(4), "x_truth does not live on the input grid"),
-        ("x_truth", Grid.interval(30), "x_truth does not live on the input grid"),
-        ("y_delta", Grid.square(4), "data block does not match operator output grid"),
-        ("y_delta", Grid.interval(30), "data block does not match operator output grid")],
+        ("x_truth", Grid.square(4), "x_truth does not live on the problem's grid"),
+        ("x_truth", Grid.interval(30), "x_truth does not live on the problem's grid"),
+        ("y_delta", Grid.square(4), "data blocks must all live on the first operator's grid"),
+        ("y_delta", Grid.interval(30), "data blocks must all live on the first operator's grid")],
         ids=["same-node-count", "other-node-count", "data-same-node-count",
              "data-other-node-count"])
     def test_truth_off_the_input_grid_raises_before_the_first_step(self, field, other, fragment,
@@ -312,7 +312,7 @@ class TestRunLoop:
     def test_adaptive_rule_must_match_stop(self, stop, field):
         _, op = _tiny_linear_problem()
         rule = AdaptiveStep(gamma0=1.98, gamma_bar=600.0, tau=1.01, eta=0.0, delta=1e-2)
-        y = op.grid_out.zeros()
+        y = op.grid_in.zeros()
         with pytest.raises(ValueError, match=f"rule and stopping rule disagree on {field}"):
             run(op, QuadraticBox(lower=-math.inf), y, rule, stop)
 
@@ -322,7 +322,7 @@ class TestRunLoop:
                                       APrioriStop(delta=10.0), MaxIterStop(k_max=0)])
     def test_non_adaptive_rules_accept_any_stop(self, rule, stop):
         _, op = _tiny_linear_problem()
-        res = run(op, QuadraticBox(lower=-math.inf), op.grid_out.zeros(), rule, stop)
+        res = run(op, QuadraticBox(lower=-math.inf), op.grid_in.zeros(), rule, stop)
         assert res.k_stop == 0
 
     def test_pair_consistency_along_run(self):
@@ -393,8 +393,8 @@ class TestRunLoop:
         # s_k = sum_{l<=k} gamma_l, added in step order on every record that
         # steps; the stopped state adds no step, and the one block is block 0
         setup = build()
-        rule, stop = make_cell(setup, rule_name, delta)
-        records = run_cell(setup, rule, stop, delta, seed=2).result.records
+        sweep = run_rate_sweep(setup, rule_name, [delta], [2], keep_records=True)
+        records = sweep.cells[0].result.records
         assert len(records) > 2
         assert ([r.step_sum for r in records[:-1]]
                 == list(accumulate(r.step for r in records[:-1])))

@@ -129,14 +129,14 @@ class TestLinearIntegral:
         with pytest.raises(ValueError, match=r"at least one \(a, b\) pair"):
             LinearIntegral(Grid.interval(4), factors=[])
 
-    @pytest.mark.parametrize("factor", [(np.ones(7), np.ones(5)), (np.ones(6), np.ones(6)),
-                                        (1.0, np.ones((1, 11))), (np.ones(1), 1.0)],
+    @pytest.mark.parametrize("factor", [(np.ones(7), np.ones(6)), (np.ones(6), np.ones(5)),
+                                        (1.0, np.ones((1, 6))), (np.ones(1), 1.0)],
                              ids=["long-a", "short-b", "2d-b", "length-1-a"])
     def test_factor_of_the_wrong_length_rejected(self, factor):
-        # a factor is a node array of its grid or a scalar; no other shape
-        # broadcasts, as a kernel of the wrong shape does not
-        with pytest.raises(GridMismatchError):
-            LinearIntegral(Grid.interval(5), Grid.interval(10), factors=[factor])
+        # a factor is a node array of the operator's grid or a scalar; no
+        # other shape broadcasts, as a kernel of the wrong shape does not
+        with pytest.raises(GridMismatchError, match="on a grid of 6 nodes"):
+            LinearIntegral(Grid.interval(5), factors=[factor])
 
 
 _values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -144,13 +144,13 @@ _values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def _factor_problem(draw):
-    n_in, n_out = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-    factors = [(draw(arrays(float, n_in + 1, elements=_values)),
-                draw(arrays(float, n_out + 1, elements=_values)))
+    n = draw(st.integers(1, 40))
+    factors = [(draw(arrays(float, n + 1, elements=_values)),
+                draw(arrays(float, n + 1, elements=_values)))
                for _ in range(draw(st.integers(1, 3)))]
-    x = draw(arrays(float, n_in + 1, elements=_values))
-    y = draw(arrays(float, n_out + 1, elements=_values))
-    return Grid.interval(n_in), Grid.interval(n_out), factors, x, y
+    x = draw(arrays(float, n + 1, elements=_values))
+    y = draw(arrays(float, n + 1, elements=_values))
+    return Grid.interval(n), factors, x, y
 
 
 class TestFactorFormBits:
@@ -162,14 +162,13 @@ class TestFactorFormBits:
     @staticmethod
     def _check(op, factors, x, y, check):
         check(op.apply_values(x), factors, op.grid_in.weights, x)
-        check(op.adjoint_values(y), [(b, a) for a, b in factors], op.grid_out.weights, y)
+        check(op.adjoint_values(y), [(b, a) for a, b in factors], op.grid_in.weights, y)
 
     @settings(max_examples=60, deadline=None)
     @given(problem=_factor_problem())
     def test_matches_written_out_moment_form(self, problem, check_moment_form):
-        g_in, g_out, factors, x, y = problem
-        self._check(LinearIntegral(g_in, g_out, factors=factors), factors, x, y,
-                    check_moment_form)
+        g, factors, x, y = problem
+        self._check(LinearIntegral(g, factors=factors), factors, x, y, check_moment_form)
 
     def test_shipped_entropy_operator_matches_written_out_moment_form(self, check_moment_form):
         op = setup_entropy_experiment(5000).forward
@@ -187,16 +186,16 @@ class TestLinearIntegralOwnership:
     @pytest.mark.parametrize("form", ["factors", "dense"])
     def test_results_are_fresh_and_frozen(self, form, check_ownership):
         rng = np.random.default_rng(4)
-        g_in, g_out = Grid.interval(30), Grid.interval(20)
+        g = Grid.interval(30)
         if form == "factors":
-            arrays = [rng.standard_normal(n) for n in (31, 21, 31, 21)]
-            op = LinearIntegral(g_in, g_out, factors=[tuple(arrays[:2]), tuple(arrays[2:])])
+            arrays = [rng.standard_normal(31) for _ in range(4)]
+            op = LinearIntegral(g, factors=[tuple(arrays[:2]), tuple(arrays[2:])])
         else:
-            op = LinearIntegral(g_in, g_out, kernel=rng.standard_normal((21, 31)))
+            op = LinearIntegral(g, kernel=rng.standard_normal((31, 31)))
             arrays = [op.kernel]
-        inputs = [g_in.weights, g_out.weights, *arrays]
-        x = GridFunction(g_in, rng.standard_normal(31))
-        y = GridFunction(g_out, rng.standard_normal(21))
+        inputs = [g.weights, *arrays]
+        x = GridFunction(g, rng.standard_normal(31))
+        y = GridFunction(g, rng.standard_normal(31))
         check_ownership(op.apply_values, x.values, inputs=inputs)
         check_ownership(op.adjoint_values, y.values, inputs=inputs)
         check_ownership(lambda v: op.linearize_values(v)[0], x.values, inputs=inputs)
@@ -204,30 +203,31 @@ class TestLinearIntegralOwnership:
 
 class TestDenseProductBits:
     """The dense products use ``ndarray.dot``; they keep the bits of the
-    matmul ufunc for any grid sizes and kernel memory layout."""
+    matmul ufunc for any grid size and kernel memory layout, over ``draws``
+    random pairs of vectors."""
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("n_in,n_out", [(30, 20), (20, 30), (50, 50)])
-    def test_dot_matches_matmul(self, n_in, n_out, order):
-        rng = np.random.default_rng(n_in + 7 * n_out)
-        g_in, g_out = Grid.interval(n_in), Grid.interval(n_out)
-        K = np.asarray(rng.standard_normal((n_out + 1, n_in + 1)), order=order)
-        op = LinearIntegral(g_in, g_out, kernel=K)
+    @pytest.mark.parametrize("n,draws", [(30, 20), (20, 30), (50, 50)])
+    def test_dot_matches_matmul(self, n, draws, order):
+        rng = np.random.default_rng(n + 7 * draws)
+        g = Grid.interval(n)
+        K = np.asarray(rng.standard_normal((n + 1, n + 1)), order=order)
+        op = LinearIntegral(g, kernel=K)
         assert op.kernel.flags[f"{order}_CONTIGUOUS"]
-        for _ in range(20):
-            v = rng.standard_normal(n_in + 1)
-            w = rng.standard_normal(n_out + 1)
+        for _ in range(draws):
+            v = rng.standard_normal(n + 1)
+            w = rng.standard_normal(n + 1)
             assert (op.apply_values(v).tobytes()
-                    == (op.kernel @ (g_in.weights * v)).tobytes())
+                    == (op.kernel @ (g.weights * v)).tobytes())
             assert (op.adjoint_values(w).tobytes()
-                    == (op.kernel.T @ (g_out.weights * w)).tobytes())
+                    == (op.kernel.T @ (g.weights * w)).tobytes())
 
 
 def _dense_case():
     rng = np.random.default_rng(5)
-    g_in, g_out = Grid.interval(30), Grid.interval(20)
-    op = LinearIntegral(g_in, g_out, kernel=rng.standard_normal((21, 31)))
-    return op, GridFunction(g_in, rng.standard_normal(31)), [op.kernel]
+    g = Grid.interval(30)
+    op = LinearIntegral(g, kernel=rng.standard_normal((31, 31)))
+    return op, GridFunction(g, rng.standard_normal(31)), [op.kernel]
 
 
 def _factored_entropy_case():
@@ -251,7 +251,7 @@ class TestRawLinearization:
     def _directions(op):
         rng = np.random.default_rng(6)
         return (rng.standard_normal(op.grid_in.node_count),
-                rng.standard_normal(op.grid_out.node_count))
+                rng.standard_normal(op.grid_in.node_count))
 
     @pytest.mark.parametrize("case", [_dense_case, _factored_entropy_case],
                              ids=["dense", "factored-entropy"])
@@ -269,7 +269,7 @@ class TestRawLinearization:
     def test_raw_results_are_fresh(self, case, check_ownership):
         op, x, arrays = case()
         h, w = self._directions(op)
-        inputs = [op.grid_in.weights, op.grid_out.weights, *arrays]
+        inputs = [op.grid_in.weights, *arrays]
         check_ownership(lambda v: op.linearize_values(v)[0], x.values, inputs=inputs)
         # the maps may close over the value (the elliptic adjoint multiplies
         # by the state), so they must neither write into it nor return it
@@ -306,7 +306,7 @@ class TestEllipticForward:
             c_fn=lambda x, y: np.zeros_like(x),
             f_fn=lambda x, y: np.full_like(x, -4.0))
         assert norm_l2_values(op.linearize_values(c.values)[0] - u.values,
-                              op.grid_out.weights) <= 1e-8
+                              op.grid_in.weights) <= 1e-8
 
     def test_second_order_convergence_on_curved_solution(self):
         # non-polynomial truth: u = 1 + sin(pi x) sin(pi y), c = 1 + x,
@@ -321,7 +321,7 @@ class TestEllipticForward:
                 f_fn=lambda x, y: (2.0 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
                                    + (1.0 + x) * (1.0 + np.sin(np.pi * x) * np.sin(np.pi * y))))
             errs.append(norm_l2_values(op.linearize_values(c.values)[0] - u.values,
-                                       op.grid_out.weights))
+                                       op.grid_in.weights))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders >= 1.9)
         assert np.all(orders <= 2.1)
@@ -347,7 +347,7 @@ class TestEllipticForward:
         # the raw maps trust their callers; the solver checks the data
         setup = setup_pde_experiment(16)
         rule, _ = make_cell(setup, "rule2", 1e-4)
-        with pytest.raises(GridMismatchError, match="data block does not match"):
+        with pytest.raises(GridMismatchError, match="first operator's grid"):
             run(setup.forward, setup.reg, Grid.square(32).zeros(), rule, MaxIterStop(k_max=1))
 
     def test_cg_failure_carries_iterations_and_residual(self, monkeypatch):
@@ -571,7 +571,7 @@ class TestEllipticPreconditioner:
         monkeypatch.setattr(EllipticSolver, "solve", counted_solve)
         monkeypatch.setattr(F.solver, "_precond", counted_precond)
         _, tangent, adjoint = F.linearize_values(c.values)
-        adjoint(np.ones(F.grid_out.node_count))
+        adjoint(np.ones(F.grid_in.node_count))
         tangent(np.ones(F.grid_in.node_count))
         assert counts["calls"] == 3
         assert counts["iters"] <= 10 * counts["calls"]
@@ -613,8 +613,8 @@ class TestEllipticDerivative:
         setup = setup_pde_experiment(16)
         F = setup.forward
         _, tangent, adjoint = F.linearize_values(F.grid_in.zeros().values)
-        e1 = power_iteration_norm(tangent, adjoint, F.grid_in, F.grid_out, seed=0)
-        e2 = power_iteration_norm(tangent, adjoint, F.grid_in, F.grid_out, seed=17)
+        e1 = power_iteration_norm(tangent, adjoint, F.grid_in, seed=0)
+        e2 = power_iteration_norm(tangent, adjoint, F.grid_in, seed=17)
         assert e1 > 0
         assert abs(e1 - e2) <= 1e-6 * e1
         assert F.norm_bound() == pytest.approx(e1, rel=1e-8)
@@ -645,15 +645,15 @@ class TestEllipticDerivative:
         assert calls[0] == 2 * res.k_stop + 1
 
 
-def _grid_function_power_norm(apply_fn, adjoint_fn, grid_in, seed=0):
+def _grid_function_power_norm(apply_fn, adjoint_fn, grid, seed=0):
     """``power_iteration_norm`` written on grid functions, through a linear
     operator's kernels or a linearization's maps, each wrapped to take and
     return grid functions."""
-    v = GridFunction(grid_in, np.random.default_rng(seed).standard_normal(grid_in.node_count))
+    v = GridFunction(grid, np.random.default_rng(seed).standard_normal(grid.node_count))
     nv = norm_l2_values(v.values, v.grid.weights)
     if nv == 0.0:
         return 0.0
-    v = GridFunction(grid_in, (1.0 / nv) * v.values)
+    v = GridFunction(grid, (1.0 / nv) * v.values)
     est = 0.0
     for _ in range(POWER_ITERS):
         av = apply_fn(v)
@@ -665,7 +665,7 @@ def _grid_function_power_norm(apply_fn, adjoint_fn, grid_in, seed=0):
         if abs(new_est - est) <= POWER_TOL * max(new_est, 1e-300):
             return new_est
         est = new_est
-        v = GridFunction(grid_in, (1.0 / zn) * z.values)
+        v = GridFunction(grid, (1.0 / zn) * z.values)
     return est
 
 
@@ -676,8 +676,7 @@ def _factored_without_bound():
 
 
 def _zero_kernel():
-    g_in, g_out = Grid.interval(10), Grid.interval(7)
-    return LinearIntegral(g_in, g_out, kernel=np.zeros((8, 11)))
+    return LinearIntegral(Grid.interval(10), kernel=np.zeros((11, 11)))
 
 
 @pytest.mark.parametrize("make", [
@@ -695,7 +694,7 @@ def test_norm_bound_matches_the_grid_function_route_bit_for_bit(make):
         tangent, adjoint = op.apply_values, op.adjoint_values
     else:
         _, tangent, adjoint = op.linearize_values(np.zeros(op.grid_in.node_count))
-    maps = (lambda h: GridFunction(op.grid_out, tangent(h.values)),
+    maps = (lambda h: GridFunction(op.grid_in, tangent(h.values)),
             lambda u: GridFunction(op.grid_in, adjoint(u.values)))
     assert op.norm_bound() == _grid_function_power_norm(*maps, op.grid_in)
 
@@ -707,7 +706,7 @@ class _Diagonal(ForwardOperator):
     linear = True
 
     def __init__(self, d):
-        self.grid_in = self.grid_out = Grid.interval(d.size - 1)
+        self.grid_in = Grid.interval(d.size - 1)
         self.d = d
 
     def linearize_values(self, v):
@@ -726,7 +725,7 @@ class TestMinimalForwardMap:
     def test_norm_bound_is_the_power_iteration_on_its_maps_computed_once(self, monkeypatch):
         op = self._op()
         _, tangent, adjoint = op.linearize_values(np.zeros(op.grid_in.node_count))
-        expected = power_iteration_norm(tangent, adjoint, op.grid_in, op.grid_out)
+        expected = power_iteration_norm(tangent, adjoint, op.grid_in)
         calls = [0]
         estimate = operators.power_iteration_norm
 
@@ -743,7 +742,7 @@ class TestMinimalForwardMap:
         op = self._op()
         reg = QuadraticBox(lower=-math.inf)
         x_true = GridFunction(op.grid_in, np.cos(op.grid_in.coords[0]))
-        y = GridFunction(op.grid_out, op.linearize_values(x_true.values)[0])
+        y = GridFunction(op.grid_in, op.linearize_values(x_true.values)[0])
         rule = ConstantStep(gamma=0.9)
         res = run(op, reg, y, rule, MaxIterStop(k_max=20), x_truth=x_true)
         defects = [r.lambda_defect for r in res.records]

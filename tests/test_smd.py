@@ -28,6 +28,9 @@ from mirrorsolve.smd import (
     write_rate_csv,
 )
 
+#: the one refusal of an operator or a data block off the first operator's grid
+ONE_GRID = "operators and data blocks must all live on the first operator's grid"
+
 
 class TestSchedules:
     def test_constant_values(self):
@@ -155,7 +158,7 @@ class TestSourcedInstance:
         g1, g2 = Grid.interval(4), Grid.interval(5)
         op1 = LinearIntegral(g1, kernel=np.eye(5))
         op2 = LinearIntegral(g2, kernel=np.eye(6))
-        with pytest.raises(Exception):
+        with pytest.raises(GridMismatchError, match=ONE_GRID):
             SystemProblem((op1, op2), (g1.zeros(), g2.zeros()))
 
 
@@ -163,7 +166,13 @@ class TestSourcedInstance:
     (lambda: SystemProblem((), ()), ValueError, "one data block per operator"),
     (lambda: SystemProblem((LinearIntegral(Grid.interval(4), kernel=np.eye(5)),),
                            (Grid.interval(5).zeros(),)),
-     GridMismatchError, "data block does not match"),
+     GridMismatchError, ONE_GRID),
+    # the second block's operator on a grid of the same node count, with its
+    # data block on the first operator's grid
+    (lambda: SystemProblem((LinearIntegral(Grid.interval(24), kernel=np.eye(25)),
+                            LinearIntegral(Grid.square(4), kernel=np.eye(25))),
+                           (Grid.interval(24).zeros(), Grid.interval(24).zeros())),
+     GridMismatchError, ONE_GRID),
     (lambda: ConstantSchedule(0.0), ValueError, "gamma must be positive"),
     (lambda: PolynomialSchedule(gamma=0.0, alpha=0.5), ValueError, "gamma must be positive"),
     (lambda: build_sourced_instance(0, 10, EntropySimplex(), seed=1), ValueError,
@@ -178,7 +187,7 @@ class TestSourcedInstance:
     (lambda: PolynomialSchedule(gamma=1.0, alpha=float("nan")), ValueError,
      r"alpha must lie in \[0,1\), got nan"),
     (lambda: ElasticNet(beta=float("nan")), ValueError, "beta must be positive"),
-], ids=["no-blocks", "data-grid", "constant-gamma", "polynomial-gamma0",
+], ids=["no-blocks", "data-grid", "operator-grid", "constant-gamma", "polynomial-gamma0",
         "sourced-n-blocks", "negative-k-max", "constant-nan-gamma", "polynomial-nan-gamma0",
         "polynomial-nan-alpha", "elastic-nan-beta"])
 def test_input_checks(build, error, fragment):
@@ -283,30 +292,37 @@ class TestSmdRun:
             assert all(deltas[i + 1] <= deltas[i] + 1e-12 for i in range(len(deltas) - 1))
 
     @pytest.mark.parametrize("field, grid, fragment", [
-        ("x_truth", Grid.square(4), "x_truth does not live on the input grid"),
-        ("x_truth", Grid.interval(30), "x_truth does not live on the input grid"),
-        ("data", Grid.square(4), "data block does not match operator output grid"),
-        ("data", Grid.interval(30), "data block does not match operator output grid")],
+        ("x_truth", Grid.square(4), "x_truth does not live on the problem's grid"),
+        ("x_truth", Grid.interval(30), "x_truth does not live on the problem's grid"),
+        ("data", Grid.square(4), ONE_GRID),
+        ("data", Grid.interval(30), ONE_GRID),
+        ("operator", Grid.square(4), ONE_GRID),
+        ("operator", Grid.interval(30), ONE_GRID)],
         ids=["same-node-count", "other-node-count", "data-same-node-count",
-             "data-other-node-count"])
+             "data-other-node-count", "operator-same-node-count", "operator-other-node-count"])
     def test_truth_off_the_input_grid_raises_before_the_first_step(self, field, grid, fragment,
                                                                    monkeypatch):
-        # the truth and a data block go through the checks of run;
-        # Grid.square(4) has the 25 nodes of Grid.interval(24), so only the
-        # grid check can tell it apart
+        # the truth, a data block and an operator go through the checks of
+        # run; Grid.square(4) has the 25 nodes of Grid.interval(24), so only
+        # the grid check can tell it apart
         reg = EntropySimplex()
         inst = build_sourced_instance(2, 24, reg, seed=1)
 
         def no_step(v):
             raise AssertionError("the path linearized before checking its inputs")
 
-        for op in inst.problem.operators:
+        ops, data = inst.problem.operators, inst.problem.data
+        if field == "operator":
+            n = grid.node_count
+            ops = (ops[0], LinearIntegral(grid, kernel=np.eye(n)))
+        for op in ops:
             monkeypatch.setattr(op, "linearize_values", no_step)
         off = grid.ones()
-        data = (inst.problem.data[0], off) if field == "data" else inst.problem.data
+        if field == "data":
+            data = (data[0], off)
         with pytest.raises(GridMismatchError, match=fragment):
-            smd_run(SystemProblem(inst.problem.operators, data), reg, ConstantSchedule(1.0),
-                    100, seed=0, **({} if field == "data" else {field: off}))
+            smd_run(SystemProblem(ops, data), reg, ConstantSchedule(1.0),
+                    100, seed=0, **({field: off} if field == "x_truth" else {}))
 
     @pytest.mark.parametrize("reg, truth", [
         (EntropySimplex(), lambda g: np.full(g.node_count, 1.5)),
@@ -336,7 +352,7 @@ class TestSmdRun:
         for op in inst.problem.operators:
             monkeypatch.setattr(op, "linearize_values", no_step)
         for grid in (Grid.square(4), Grid.interval(30)):
-            with pytest.raises(GridMismatchError, match="xi0 does not live on the input grid"):
+            with pytest.raises(GridMismatchError, match="xi0 does not live on the problem's grid"):
                 smd_run(inst.problem, reg, ConstantSchedule(1.0), 100, seed=0,
                         xi0=grid.zeros())
 
@@ -572,7 +588,7 @@ class TestSmdRun:
             op, y = prob.operators[i], prob.data[i]
             r = op.apply_values(x) - y.values
             assert rec.block == i
-            assert rec.residual_norm == float(np.sqrt(np.sum(op.grid_out.weights * r * r)))
+            assert rec.residual_norm == float(np.sqrt(np.sum(op.grid_in.weights * r * r)))
             if k == k_max:
                 assert rec.step_sum == s + gamma and rec.step is None
                 break
@@ -641,7 +657,7 @@ class TestSmdRun:
         # operator's value would reach the adjoint through the state u
         path = smd_run(prob, reg, sched, 1, seed=0, xi0=GridFunction(op.grid_in, xi))
         assert path.xi.values.tobytes() == first[1].tobytes()
-        assert path.records[0].residual_norm == norm_l2_values(r, op.grid_out.weights)
+        assert path.records[0].residual_norm == norm_l2_values(r, op.grid_in.weights)
 
     def test_determinism_per_seed(self):
         reg = ElasticNet(beta=0.3)
