@@ -7,9 +7,10 @@ Subcommands::
 
 ``sweep`` runs the study of the config's ``[problem] kind``: the
 (delta, seed) table of a Landweber kind, or the sample paths of
-``smd_synthetic``.  ``--delta D`` and ``--seed S`` cut the config's
-``[sweep] deltas`` or ``seeds`` to that one value, so ``--seed`` picks one
-path; with both, a Landweber sweep is one (delta, seed) cell.  Each
+``smd_synthetic``.  ``--delta D`` and ``--seed S`` replace the config's
+``[sweep] deltas`` or ``seeds`` by that one value, in the list or not, so
+``--seed`` picks one path; with both, a Landweber sweep is one
+(delta, seed) cell.  Each
 problem kind has one grid size (``config.PROBLEM_DEFAULTS``).  The
 stochastic study has no deltas, so it refuses ``--delta`` by name.
 

@@ -51,10 +51,12 @@ too, since configparser would copy its keys into every section.  A value
 that does not convert (``seeds = 1, x``) or that a check rejects
 (``seeds = -1``) raises ValueError naming the file, section and key; a file
 configparser cannot read (a repeated key or section, no section header, a
-byte that is not UTF-8) raises ValueError naming the file.  The CLI applies
-the same rules to the flags that cut a list to one value: ``sweep --delta``
-must be positive and finite, and ``--seed`` nonnegative; smd_synthetic has
-no deltas, so ``--delta`` fails on it by name.
+byte that is not UTF-8) raises ValueError naming the file, and a path that
+cannot be opened (missing, a directory, unreadable) raises the OS's own
+error.  The CLI applies the same rules to the flags that replace a list by
+their one value, whether or not the list holds it: ``sweep --delta`` must
+be positive and finite, and ``--seed`` nonnegative; smd_synthetic has no
+deltas, so ``--delta`` fails on it by name.
 """
 
 from __future__ import annotations
@@ -171,17 +173,20 @@ def parse_config(path) -> ExperimentConfig:
     key the problem kind does not read, a value the config rejects, or a
     file configparser cannot read (a repeated key, no section header, a byte
     that is not UTF-8) raises ValueError, with a message that starts with
-    the path."""
+    the path.  A path that cannot be opened raises the OS's error for it:
+    ``FileNotFoundError``, ``IsADirectoryError`` or ``PermissionError``."""
     # no header matches the empty default section, so [DEFAULT] is an
     # ordinary, unknown section instead of defaults for every section; values
     # are read as written, with no %-interpolation to fail outside the try
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), default_section="",
                                    interpolation=None)
-    try:
-        if not cp.read(path, encoding="utf-8"):
-            raise FileNotFoundError(f"config file not found: {path}")
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    # opened here, not by cp.read, which skips a path it cannot open: a
+    # missing file, a directory or an unreadable one raises its own OSError
+    with open(path, encoding="utf-8") as fh:
+        try:
+            cp.read_file(fh)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     known = {section for section, _ in _KEYS}
     unknown = []

@@ -18,8 +18,8 @@ Two desk-scale studies are provided:
 
 One path takes config values to finished (delta, seed) cells:
 ``build_setup`` builds the problem, ``make_cell`` the step and stopping
-rules (the one constructor of either; eta is the setup's, tau defaults to
-it), and ``run_rate_sweep`` draws each cell's noise, runs it and writes its
+rules (the one constructor of either; eta and tau are the setup's), and
+``run_rate_sweep`` draws each cell's noise, runs it and writes its
 iterate log.  A sweep runs one step-size rule over a grid of noise levels
 and seeds, records the stopping index and reconstruction error per cell,
 aggregates across seeds by the median into its table, a tuple of
@@ -31,7 +31,7 @@ sweep of one cell, in the library as on the command line
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -80,15 +80,16 @@ GAMMA0 = 1.98
 
 @dataclass(frozen=True)
 class Setup:
-    """One benchmark problem; ``lam_true`` is its dual source element where
-    that is known."""
+    """One benchmark problem; ``tau`` is its discrepancy constant, stopping at
+    ||F(x_k) - y_delta|| <= tau * delta, and ``lam_true`` its dual source
+    element where that is known."""
 
     forward: ForwardOperator
     reg: Regularizer
     x_true: GridFunction
     y: GridFunction
     eta: float
-    tau_default: float
+    tau: float
     lam_true: GridFunction = None
 
 
@@ -115,7 +116,7 @@ def setup_entropy_experiment(n: int) -> Setup:
     reg = EntropySimplex()
     y = GridFunction(grid, forward.apply_values(x_true.values))
     lam_true = GridFunction(grid, np.full(grid.node_count, ENTROPY_A))
-    return Setup(forward, reg, x_true, y, eta=0.0, tau_default=1.01, lam_true=lam_true)
+    return Setup(forward, reg, x_true, y, eta=0.0, tau=1.01, lam_true=lam_true)
 
 
 def setup_pde_experiment(n: int, *, solver_tol: float = 1e-10) -> Setup:
@@ -132,7 +133,7 @@ def setup_pde_experiment(n: int, *, solver_tol: float = 1e-10) -> Setup:
                                   solver=EllipticSolver(grid, tol=solver_tol))
     reg = QuadraticBox(lower=0.0)
     y = GridFunction(grid, forward.linearize_values(c_true.values)[0])
-    return Setup(forward, reg, c_true, y, eta=0.04, tau_default=1.1)
+    return Setup(forward, reg, c_true, y, eta=0.04, tau=1.1)
 
 
 def build_setup(kind: str, n: int) -> Setup:
@@ -144,16 +145,15 @@ def build_setup(kind: str, n: int) -> Setup:
     raise ValueError(f"problem {kind!r} has no deterministic setup")
 
 
-def make_cell(setup, rule_name: str, delta: float, *, tau: float = None,
-              stopping: str = "discrepancy"):
+def make_cell(setup, rule_name: str, delta: float, *, stopping: str = "discrepancy"):
     """The (step rule, stopping rule) pair of one noise level on ``setup``.
 
-    eta is the setup's and must lie in [0, 1); ``tau`` defaults to the
-    setup's.  ``stopping`` is ``discrepancy`` (tau, delta) or ``apriori``
-    (floor(1 / delta) steps; ``APrioriStop`` refuses a budget past ``run``'s
-    safety cap, so one that cannot finish fails before any cell runs).  Each
-    rule and stop checks its own parameters.  ``delta`` must be
-    positive and finite, since a cell reports err / sqrt(delta).
+    eta and tau are the setup's; eta must lie in [0, 1).  ``stopping`` is
+    ``discrepancy`` (tau, delta) or ``apriori`` (floor(1 / delta) steps;
+    ``APrioriStop`` refuses a budget past ``run``'s safety cap, so one that
+    cannot finish fails before any cell runs).  Each rule and stop checks
+    its own parameters.  ``delta`` must be positive and finite, since a cell
+    reports err / sqrt(delta).
 
     rule1: constant gamma / L^2, which needs the analytic norm bound of a
     linear forward map.  Under discrepancy stopping gamma is
@@ -166,11 +166,9 @@ def make_cell(setup, rule_name: str, delta: float, *, tau: float = None,
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
-    eta = setup.eta
+    eta, tau = setup.eta, setup.tau
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
-    if tau is None:
-        tau = setup.tau_default
     if rule_name == "rule1" and not setup.forward.linear:
         raise ValueError("rule1 needs a known norm bound; use rule2 or rule3 here")
     if stopping == "discrepancy":
@@ -244,9 +242,12 @@ def run_rate_sweep(setup, rule_name: str, deltas, seeds, *, tau: float = None,
     name.  The outcome's ``table`` holds one median :class:`RateRow` per
     delta, NaN where every seed failed, and with ``out_dir`` set the sweep
     writes it as ``table.csv``.  A single run is the sweep of one delta and
-    one seed.
+    one seed.  ``tau``, if set, replaces the setup's before any pair is
+    built (``perfbench`` passes each setup's own value).
     """
-    pairs = [(delta, *make_cell(setup, rule_name, delta, tau=tau, stopping=stopping))
+    if tau is not None:
+        setup = replace(setup, tau=tau)
+    pairs = [(delta, *make_cell(setup, rule_name, delta, stopping=stopping))
              for delta in deltas]
     if out_dir is not None:
         out_dir = Path(out_dir)

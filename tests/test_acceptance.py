@@ -6,6 +6,7 @@ that consume them.  Each test prints a single summary line with the measured
 quantities next to its bound.
 """
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -15,15 +16,15 @@ import pytest
 from mirrorsolve.checks import run_all
 from mirrorsolve.cli import main as cli_main
 from mirrorsolve.experiments import (
-    Setup,
     make_cell,
     run_rate_sweep,
     setup_entropy_experiment,
+    setup_pde_experiment,
 )
-from mirrorsolve.grids import Grid, GridFunction, add_noise, norm_l2_values
+from mirrorsolve.grids import GridFunction, add_noise, norm_l2_values
 from mirrorsolve.landweber import ConstantStep, DiscrepancyStop, MaxIterStop, run
-from mirrorsolve.operators import EllipticCoefficient, EllipticSolver
-from mirrorsolve.regularizers import ElasticNet, EntropySimplex, QuadraticBox
+from mirrorsolve.operators import EllipticCoefficient
+from mirrorsolve.regularizers import ElasticNet, EntropySimplex
 from mirrorsolve.smd import ConstantSchedule, build_sourced_instance, smd_run, write_rate_csv
 from test_operators import elliptic_matrix
 
@@ -45,8 +46,7 @@ REFERENCE_PDE_MAX_RATIO = 1.7471
 @pytest.fixture(scope="session")
 def entropy_sweeps():
     setup = setup_entropy_experiment(5000)
-    sweeps = {rule: run_rate_sweep(setup, rule, ENTROPY_DELTAS, SEEDS,
-                                   tau=1.01, keep_records=True)
+    sweeps = {rule: run_rate_sweep(setup, rule, ENTROPY_DELTAS, SEEDS, keep_records=True)
               for rule in ("rule1", "rule2", "rule3")}
     return setup, sweeps
 
@@ -58,18 +58,17 @@ def _interior_bump_pde_setup(n):
     boundary, where the forward map has no sensitivity, and it meets the
     source condition c_true = F'(c_true)^* lambda_true with
     lambda_true = (-Lap_h + c_true)(-c_true/u_true).  Both premises are
-    asserted here.  Everything else is as in ``setup_pde_experiment``:
-    u_true = 1 + x^2 + y^2, f = -4 + u_true c_true, data from the discrete
-    solve at c_true.
+    asserted here.  Everything else is ``setup_pde_experiment``'s: its
+    u_true = 1 + x^2 + y^2, its solver, eta, tau and regularizer, with
+    f = -4 + u_true c_true and data from the discrete solve at c_true.
     """
-    grid = Grid.square(n)
+    base = setup_pde_experiment(n)
+    grid, u_true = base.x_true.grid, base.forward.g
     x, yy = grid.coords
     c_true = GridFunction(
         grid, np.maximum(1.0 - 9.0 * ((x - 0.5) ** 2 + (yy - 0.5) ** 2), 0.0) ** 2)
-    u_true = GridFunction(grid, 1.0 + x ** 2 + yy ** 2)
     f = GridFunction(grid, -4.0 + u_true.values * c_true.values)
-    solver = EllipticSolver(grid, tol=1e-10)
-    forward = EllipticCoefficient(f, u_true, grid, solver=solver)
+    forward = EllipticCoefficient(f, u_true, grid, solver=base.forward.solver)
 
     interior = np.zeros((n + 1, n + 1), bool)
     interior[1:-1, 1:-1] = True
@@ -85,15 +84,14 @@ def _interior_bump_pde_setup(n):
     defect = norm_l2_values(adjoint(lam_true.values) - c_true.values, grid.weights)
     assert defect <= 1e-9, f"source condition defect {defect:.2e} > 1e-9"
 
-    return Setup(forward, QuadraticBox(lower=0.0), c_true, GridFunction(grid, value),
-                 eta=0.04, tau_default=1.1)
+    return dataclasses.replace(base, forward=forward, x_true=c_true,
+                               y=GridFunction(grid, value))
 
 
 @pytest.fixture(scope="session")
 def pde_sweeps():
     setup = _interior_bump_pde_setup(64)
-    sweeps = {rule: run_rate_sweep(setup, rule, PDE_DELTAS, SEEDS,
-                                   tau=1.1, keep_records=True)
+    sweeps = {rule: run_rate_sweep(setup, rule, PDE_DELTAS, SEEDS, keep_records=True)
               for rule in ("rule2", "rule3")}
     return setup, sweeps
 

@@ -107,8 +107,9 @@ class TestRuleFactory:
         assert rule.gamma0 == 1.98
 
     def test_too_small_tau_rejected(self):
+        setup = dataclasses.replace(setup_pde_experiment(16), tau=1.001)
         with pytest.raises(ValueError, match="tau too small: derived gamma is not positive"):
-            make_cell(setup_pde_experiment(16), "rule2", 1e-3, tau=1.001)
+            make_cell(setup, "rule2", 1e-3)
 
     @pytest.mark.parametrize("stopping", ["discrepancy", "apriori"])
     @pytest.mark.parametrize("name", ["rule1", "rule2", "rule3"])
@@ -261,11 +262,11 @@ class TestConfig:
         assert cfg.deltas == (5e-2, 5e-3, 5e-4)
         assert ExperimentConfig(problem="smd_synthetic").deltas == ()
         assert ExperimentConfig(deltas=[1e-2, 1e-3]).deltas == (1e-2, 1e-3)
-        # tau defaults to the setup's value
-        _, stop = make_cell(setup_entropy_experiment(PROBLEM_DEFAULTS[cfg.problem]["n"]),
-                            "rule1", cfg.deltas[0])
+        # tau is the setup's
+        setup = setup_entropy_experiment(PROBLEM_DEFAULTS[cfg.problem]["n"])
+        _, stop = make_cell(setup, "rule1", cfg.deltas[0])
         assert isinstance(stop, DiscrepancyStop)
-        assert stop.tau == 1.01
+        assert stop.tau == setup.tau == 1.01
 
     @pytest.mark.parametrize("delta", [np.inf, np.nan])
     def test_make_cell_rejects_a_delta_that_is_not_positive_and_finite(self, delta):
@@ -313,6 +314,36 @@ class TestConfig:
             run_rate_sweep(setup, rule, [1e-3], [1], tau=float("nan"), stopping=stopping)
         assert cells == []
 
+    def test_sweep_tau_equal_to_the_setups_writes_the_same_bytes(self, tmp_path):
+        # perfbench passes each setup's own tau; stating it moves no byte
+        setup = setup_entropy_experiment(200)
+        for name, kw in (("bare", {}), ("tau", {"tau": setup.tau})):
+            run_rate_sweep(setup, "rule2", [5e-2, 5e-3], [1, 2], out_dir=tmp_path / name,
+                           keep_records=False, **kw)
+        files = sorted(p.name for p in (tmp_path / "bare").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "tau").iterdir())
+        assert len(files) == 5
+        for name in files:
+            assert (tmp_path / "bare" / name).read_bytes() == \
+                (tmp_path / "tau" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("rule", ["rule2", "rule3"])
+    def test_sweep_tau_reaches_the_stop(self, rule):
+        # a tau other than the setup's is the one the discrepancy stop
+        # checks: the terminal residual meets tau * delta, no earlier one does
+        setup = setup_entropy_experiment(200)
+        delta, tau = 5e-3, 1.5
+        ks = []
+        for kw in ({}, {"tau": tau}):
+            cell = run_rate_sweep(setup, rule, [delta], [1], keep_records=True,
+                                  **kw).cells[0]
+            residuals = [r.residual_norm for r in cell.result.records]
+            bound = kw.get("tau", setup.tau) * delta
+            assert residuals[-1] <= bound
+            assert min(residuals[:-1]) > bound
+            ks.append(cell.k_stop)
+        assert ks[1] < ks[0]
+
     def test_parse_file(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text("""
@@ -347,6 +378,20 @@ seeds = 1, 2
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_config(tmp_path / "absent.cfg")
+
+    def test_directory_is_not_reported_missing(self, tmp_path, capsys):
+        # a path that exists but cannot be read as a file fails with the
+        # OS's own reason, not as a missing file
+        with pytest.raises(IsADirectoryError):
+            parse_config(tmp_path)
+        rc = cli_main(["sweep", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err.strip().splitlines()[-1])
+        assert payload["type"] == "IsADirectoryError"
+        assert str(tmp_path) in payload["message"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("problem", ["entropy_integral", "pde_coefficient"])
     def test_setup_builds_the_kinds_one_grid(self, problem):
@@ -641,14 +686,20 @@ class TestCli:
         assert "delta must be positive" in payload["message"]
         assert not (tmp_path / "out").exists()
 
-    # "run" is a single run, the sweep of one cell
-    @pytest.mark.parametrize("command", [ONE_CELL, ["sweep", "--delta", "1e-3"]],
-                             ids=["run", "delta"])
-    def test_stochastic_config_refused_by_name(self, tmp_path, capsys, command):
-        # the stochastic study has no deltas for --delta to cut: the flag
-        # fails by name, before the instance is built or the directory made
+    # "run" is a single run, the sweep of one cell; the shipped stochastic
+    # configs are refused as the minimal one is
+    @pytest.mark.parametrize("command, config", [
+        pytest.param(ONE_CELL, None, id="run"),
+        pytest.param(["sweep", "--delta", "1e-3"], None, id="delta"),
+        *(pytest.param(["sweep", "--delta", "1e-3"], path, id=f"delta-{path.stem}")
+          for path in SHIPPED_CONFIGS if path.name.startswith("smd_")),
+    ])
+    def test_stochastic_config_refused_by_name(self, tmp_path, capsys, command, config):
+        # the stochastic study has no deltas for --delta to replace: the
+        # flag fails by name, before the instance is built or the directory
+        # made
         cfg = tmp_path / "s.cfg"
-        cfg.write_text(SMD_CFG)
+        cfg.write_text(SMD_CFG if config is None else config.read_text())
         rc = cli_main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 1
         captured = capsys.readouterr()
@@ -794,12 +845,18 @@ class TestCli:
         assert payload["type"] == "ValueError"
         assert "alpha must lie in [0,1)" in payload["message"]
 
-    @pytest.mark.parametrize("key, value", [("blocks", "0"), ("gamma", "2.5"), ("gamma", "inf"),
-                                            ("k_max", "1000001"), ("instance_seed", "-7")],
-                             ids=["blocks", "gamma-2.5", "gamma-inf", "k_max", "instance_seed"])
+    @pytest.mark.parametrize("key, value", [
+        ("blocks", "0"), ("gamma", "2.5"), ("gamma", "inf"), ("k_max", "1000001"),
+        ("instance_seed", "-7"),
+        # each set to the study's own value: 4, 1.8, 10000 and 7
+        *((key, str(PROBLEM_DEFAULTS["smd_synthetic"][key]))
+          for key in ("blocks", "gamma", "k_max", "instance_seed")),
+    ], ids=["blocks", "gamma-2.5", "gamma-inf", "k_max", "instance_seed",
+            "blocks-own", "gamma-own", "k_max-own", "instance_seed-own"])
     def test_smd_fixed_study_key_fails_before_anything_is_written(self, tmp_path, capsys,
                                                                   key, value):
-        # the study's blocks, gamma, k_max and instance seed are not keys
+        # the study's blocks, gamma, k_max and instance seed are not keys,
+        # not even at the study's own values
         cfg = tmp_path / "s.cfg"
         cfg.write_text(SMD_CFG.replace("[smd]", f"[smd]\n{key} = {value}"))
         rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -1016,4 +1073,4 @@ def test_benchmark_restates_the_package_constants(monkeypatch):
     assert sorted(w.problem for w in landweber) == ["entropy_integral", "pde_coefficient"]
     for w in landweber:
         assert w.n == PROBLEM_DEFAULTS[w.problem]["n"]
-        assert w.tau == experiments.build_setup(w.problem, w.n).tau_default
+        assert w.tau == experiments.build_setup(w.problem, w.n).tau
